@@ -150,21 +150,3 @@ def expectation(a, x, basis):
     if a.shape != (basis.n, basis.n):
         raise ValueError(f"shape {a.shape} does not match n={basis.n}")
     return float(np.trace(a @ from_coherence_vector(x, basis)).real)
-
-
-def min_eigenvalue(a):
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(np.asarray(a))[0])
-
-
-def assert_density_matrix(rho, basis=None, psd_tol=1e-10):
-    """Validate trace one, Hermiticity and positive semidefiniteness."""
-    rho = np.asarray(rho, dtype=complex)
-    if not is_hermitian(rho):
-        raise ValueError("density matrix is not Hermitian")
-    trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise TraceMismatchError(trace)
-    if min_eigenvalue(rho) < -psd_tol:
-        raise ValueError(f"matrix has eigenvalue below -{psd_tol:.0e}")
-    return rho

@@ -30,7 +30,7 @@ from .checks import CheckResult, run_checks
 from .contact import DegenerateContactError
 from .gkls import (build_model, decompose_field, evaluate_component_fields,
                    integrate, phase_damping_model)
-from .integrators import DivergenceError
+from .integrators import DivergenceError, rk4_affine_path
 from .mechanics import (ImplicitSystemError, LinearSecondOrderSystem,
                         analytic_energy_rate, bivector_span_dimension,
                         friction_system, hamiltonianity_criterion,
@@ -69,15 +69,14 @@ def parse_complex_matrix(data, what="matrix"):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _format_value(v):
-    return format(float(v), ".17g")
-
-
 def write_csv(path, header, rows):
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_value(v) for v in row) + "\n")
+        # row by row: one tolist() of the whole array would hold every
+        # value as a Python float at once
+        fh.writelines(line % tuple(row.tolist()) for row in rows)
 
 
 SQRT_HALF = 2.0 ** -0.5
@@ -353,8 +352,7 @@ def run_contact_lagrangian(params):
     x0 = np.asarray(params["x0"], dtype=float)
     if x0.shape != (2 * n,):
         raise ConfigError(f"x0 must have length {2 * n}")
-    from .integrators import rk4_path
-    times, states = rk4_path(lambda y: g @ y, x0, t_end, dt)
+    times, states = rk4_affine_path(g, None, x0, t_end, dt)
     header = ["t"] + [f"q{j + 1}" for j in range(n)] \
         + [f"qd{j + 1}" for j in range(n)]
     rows = np.column_stack([times, states])

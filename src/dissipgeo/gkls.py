@@ -30,7 +30,7 @@ from scipy.linalg import expm
 
 from .algebra import (SuBasis, build_su_basis, is_hermitian,
                       to_coherence_vector)
-from .integrators import rk4_path
+from .integrators import rk4_affine_path, rk4_path
 
 RANK_EIG_TOL = 1e-9
 
@@ -219,29 +219,32 @@ def hamiltonian_gradient_field(basis, H, V):
     return field
 
 
-def _diagnostics(basis, points):
+def _trajectory(basis, times, points):
+    """Attach per-point trace, spectrum and rank diagnostics to a path."""
     xi = np.eye(basis.n, dtype=complex) / basis.n \
         + np.einsum("tj,jab->tab", points, basis.tau)
     spectra = np.linalg.eigvalsh(xi)
-    traces = np.einsum("taa->t", xi).real
-    return traces, spectra[:, 0], spectra, \
-        (spectra >= RANK_EIG_TOL).sum(axis=1)
+    return Trajectory(times=times, points=points,
+                      traces=np.einsum("taa->t", xi).real,
+                      min_eigenvalues=spectra[:, 0], spectra=spectra,
+                      ranks=(spectra >= RANK_EIG_TOL).sum(axis=1))
 
 
 def integrate_coherence_field(field, x0, t_end, dt, basis):
     """RK4 a coherence-vector field and attach spectral diagnostics."""
     times, points = rk4_path(field, np.asarray(x0, dtype=float), t_end, dt)
-    traces, min_eig, spectra, ranks = _diagnostics(basis, points)
-    return Trajectory(times=times, points=points, traces=traces,
-                      min_eigenvalues=min_eig, spectra=spectra, ranks=ranks)
+    return _trajectory(basis, times, points)
 
 
 def integrate(model, rho0, t_end, dt=1e-3):
-    """RK4 trajectory of dx/dt = A x + B from a density matrix."""
+    """RK4 trajectory of dx/dt = A x + B from a density matrix.
+
+    The field is affine, so each step is one product with the RK4
+    one-step matrix (``rk4_affine_path``).
+    """
     x0 = to_coherence_vector(np.asarray(rho0, dtype=complex), model.basis)
-    a, b = model.A, model.B
-    return integrate_coherence_field(lambda x: a @ x + b, x0, t_end, dt,
-                                     model.basis)
+    times, points = rk4_affine_path(model.A, model.B, x0, t_end, dt)
+    return _trajectory(model.basis, times, points)
 
 
 def pulled_back_bracket(model, j, k, tau_t, x):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dissipgeo.cli import (BUILTIN_SCENARIOS, EXIT_NUMERICAL, EXIT_OK,
-                           EXIT_USAGE, main, parse_complex_matrix)
+                           EXIT_USAGE, main, parse_complex_matrix,
+                           write_csv)
 
 
 def run_cli(*argv):
@@ -23,6 +24,20 @@ class TestParsing:
         from dissipgeo.cli import ConfigError
         with pytest.raises(ConfigError):
             parse_complex_matrix([[1.0, 2.0], [3.0, 4.0, 5.0]])
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    values = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2e-308,
+              0.1, -1.0 / 3.0, 1e300]
+    ranks = [1.0, 2.0, 3.0, 0.0, 4.0, 1.0, 2.0, 3.0, 2.0, 1.0]
+    rows = np.column_stack([values, ranks])
+    path = tmp_path / "edge.csv"
+    write_csv(path, ["value", "rank"], rows)
+    expected = "value,rank\n" + "".join(
+        f"{format(v, '.17g')},{format(r, '.17g')}\n"
+        for v, r in zip(values, ranks))
+    assert path.read_bytes() == expected.encode()
+    assert path.read_text().splitlines()[1:3] == ["-0,1", "0,2"]
 
 
 class TestCommands:
