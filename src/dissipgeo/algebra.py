@@ -87,16 +87,13 @@ def _gell_mann_stack(n):
     return np.stack(mats)
 
 
-def structure_constants(basis):
-    """Structure tensors (c, d) of an orthonormal traceless basis.
-
-    Accepts a SuBasis (returns the cached tensors) or a raw (N, n, n)
-    stack of basis matrices.  Raises BasisCorruptionError if the
-    imaginary residue of either tensor exceeds 1e-12.
+def structure_constants(tau):
+    """Structure tensors (c, d) of an orthonormal traceless basis, given
+    as a raw (N, n, n) stack of basis matrices.  Raises
+    BasisCorruptionError if the imaginary residue of either tensor
+    exceeds 1e-12.
     """
-    if isinstance(basis, SuBasis):
-        return basis.c, basis.d
-    tau = np.asarray(basis)
+    tau = np.asarray(tau)
     # T[j, k, l] = Tr(tau_j tau_k tau_l)
     t = np.einsum("jab,kbc,lca->jkl", tau, tau, tau)
     c_raw = 1j * (t - t.transpose(1, 0, 2))

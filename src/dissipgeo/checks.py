@@ -4,6 +4,9 @@ Each suite re-verifies the structural identities of its module on seeded
 random data and returns one CheckResult per declared invariant.  Seeds
 are fixed so repeated runs are deterministic; suites are merged in
 sorted order by name.
+
+An invariant that a CLI run also reports has its formula and tolerance
+in one helper here, which the suite and the CLI both call.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import numpy as np
 
 from . import purestate as ps
 from .algebra import build_su_basis, from_coherence_vector, to_coherence_vector
-from .contact import (ScalarField, contact_hamiltonian_field, darboux_chart,
+from .contact import (ScalarField, central_gradient,
+                      contact_hamiltonian_field, darboux_chart,
                       generalized_contact_field, homomorphism_residual,
                       jacobi_bracket, nondegeneracy_determinant, reeb_field)
 from .gkls import (apply_generator, build_model, decompose_field,
@@ -33,9 +37,66 @@ class CheckResult:
     residual: float
 
 
-def _result(name, residual, tol):
+def result(name, residual, tol):
+    """CheckResult that passes when residual < tol."""
     return CheckResult(name=name, passed=bool(residual < tol),
                        residual=float(residual))
+
+
+def five_point_rate(values, dt):
+    """Fourth-order central difference of a series sampled every dt, at
+    its interior points values[2:-2]."""
+    return (-values[4:] + 8 * values[3:-1] - 8 * values[1:-3]
+            + values[:-4]) / (12 * dt)
+
+
+def positivity(min_eigenvalues):
+    """gkls/positivity: the most negative eigenvalue along a path."""
+    return result("gkls/positivity",
+                  max(0.0, -float(np.min(min_eigenvalues))), 1e-8)
+
+
+def decomposition_identities(cases):
+    """gkls/decomposition-sum-identity (A = Hmat - Vmat + Kmat) and
+    gkls/nonlinear-cancellation (X_H - Y_V + Z_K = A x + B), worst over
+    cases of (model, coherence vectors)."""
+    sum_res, cancel_res = 0.0, 0.0
+    for model, points in cases:
+        dec = decompose_field(model)
+        sum_res = max(sum_res, float(np.max(np.abs(
+            model.A - (dec.Hmat - dec.Vmat + dec.Kmat)))))
+        for x in points:
+            xh, yv, zk = evaluate_component_fields(model, dec, x)
+            cancel_res = max(cancel_res, float(np.max(np.abs(
+                xh - yv + zk - (model.A @ x + model.B)))))
+    return [result("gkls/decomposition-sum-identity", sum_res, 1e-12),
+            result("gkls/nonlinear-cancellation", cancel_res, 1e-12)]
+
+
+def energy_rate_identity(name, sys, traj, dt):
+    """Measured dE_L/dt against -(dh/dS) q'_j D_j along a contact path,
+    relative to max(1, the largest analytic rate)."""
+    measured = five_point_rate(traj.energy, dt)
+    analytic = np.array([analytic_energy_rate(sys, traj.q[i], traj.qd[i],
+                                              traj.s[i])
+                         for i in range(2, len(traj.times) - 2)])
+    scale = max(1.0, float(np.max(np.abs(analytic))))
+    return result(name, float(np.max(np.abs(measured - analytic))) / scale,
+                  1e-6)
+
+
+def friction_invariants(gamma, traj, dt):
+    """Conserved E_L = q' + gamma q and the mechanical energy q'^2 / 2
+    decaying at rate -gamma q'^2 along a q' ln q' friction path."""
+    e_l = traj.qd[:, 0] + gamma * traj.q[:, 0]
+    mech_rate = five_point_rate(traj.energy_mech, dt)
+    return [
+        result("mechanics/friction-energy-conservation",
+               float(np.max(np.abs(e_l - e_l[0]))), 1e-8),
+        result("mechanics/friction-mechanical-dissipation",
+               float(np.max(np.abs(mech_rate
+                                   + gamma * traj.qd[2:-2, 0] ** 2))), 1e-6),
+    ]
 
 
 def _random_hermitian(rng, n, scale=1.0):
@@ -83,43 +144,39 @@ def algebra_suite():
             x = rng.normal(size=size)
             direct = np.trace(obs @ from_coherence_vector(x, basis)).real
             affine_res = max(affine_res, abs(direct - (a0 + a_vec @ x)))
-    results.append(_result("algebra/basis-orthonormality", gram_res, 1e-12))
-    results.append(_result("algebra/basis-traceless", trace_res, 1e-12))
-    results.append(_result("algebra/structure-jacobi-identity",
-                           jacobi_res, 1e-10))
-    results.append(_result("algebra/coherence-round-trip", trip_res, 1e-12))
-    results.append(_result("algebra/expectation-affine", affine_res, 1e-12))
+    results.append(result("algebra/basis-orthonormality", gram_res, 1e-12))
+    results.append(result("algebra/basis-traceless", trace_res, 1e-12))
+    results.append(result("algebra/structure-jacobi-identity",
+                          jacobi_res, 1e-10))
+    results.append(result("algebra/coherence-round-trip", trip_res, 1e-12))
+    results.append(result("algebra/expectation-affine", affine_res, 1e-12))
     return results
 
 
 def gkls_suite():
     rng = np.random.default_rng(202)
     results = []
-    trace_res, sum_res, cancel_res = 0.0, 0.0, 0.0
+    trace_res = 0.0
+    cases = []
     for n in (2, 3):
         for _ in range(5):
             m = _random_model(rng, n)
-            dec = decompose_field(m)
-            sum_res = max(sum_res, float(np.max(np.abs(
-                m.A - (dec.Hmat - dec.Vmat + dec.Kmat)))))
+            points = []
             for _ in range(20):
                 rho = _random_density(rng, n)
                 trace_res = max(trace_res, abs(np.trace(
                     apply_generator(m, rho))))
-                x = rng.normal(size=n * n - 1)
-                xh, yv, zk = evaluate_component_fields(m, dec, x)
-                cancel_res = max(cancel_res, float(np.max(np.abs(
-                    xh - yv + zk - (m.A @ x + m.B)))))
-    results.append(_result("gkls/trace-preservation", trace_res, 1e-10))
-    results.append(_result("gkls/decomposition-sum-identity", sum_res, 1e-12))
-    results.append(_result("gkls/nonlinear-cancellation", cancel_res, 1e-12))
+                points.append(rng.normal(size=n * n - 1))
+            cases.append((m, points))
+    results.append(result("gkls/trace-preservation", trace_res, 1e-10))
+    results.extend(decomposition_identities(cases))
 
     basis = build_su_basis(3)
     m = build_model(basis, _random_hermitian(rng, 3))
     traj = integrate(m, _random_density(rng, 3), t_end=10.0, dt=5e-3)
     spectrum_res = float(np.max(np.abs(traj.spectra - traj.spectra[0])))
-    results.append(_result("gkls/unitary-spectrum-invariance",
-                           spectrum_res, 1e-8))
+    results.append(result("gkls/unitary-spectrum-invariance",
+                          spectrum_res, 1e-8))
 
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
     psi /= np.linalg.norm(psi)
@@ -129,13 +186,12 @@ def gkls_suite():
         field, to_coherence_vector(np.outer(psi, psi.conj()), basis),
         2.0, 2e-3, basis)
     rank_res = float(np.max(np.abs(traj.ranks - 1)))
-    results.append(_result("gkls/gradient-flow-rank-constancy",
-                           rank_res, 0.5))
+    results.append(result("gkls/gradient-flow-rank-constancy",
+                          rank_res, 0.5))
 
     m = _random_model(rng, 2, scale=0.5)
     traj = integrate(m, _random_density(rng, 2), t_end=5.0, dt=2e-3)
-    pos_res = max(0.0, -float(np.min(traj.min_eigenvalues)))
-    results.append(_result("gkls/positivity", pos_res, 1e-8))
+    results.append(positivity(traj.min_eigenvalues))
     return results
 
 
@@ -146,8 +202,8 @@ def purestate_suite():
     for n in (2, 3):
         omega, g, j = ps.ambient_tensors(n)
         kaehler_res = max(kaehler_res, float(np.max(np.abs(j.T @ omega - g))))
-    results.append(_result("purestate/kaehler-compatibility",
-                           kaehler_res, 1e-14))
+    results.append(result("purestate/kaehler-compatibility",
+                          kaehler_res, 1e-14))
 
     tangency_res, residual_res, commute_res, rank_bad = 0.0, 0.0, 0.0, 0.0
     for n in (2, 3):
@@ -162,29 +218,20 @@ def purestate_suite():
                 tangency_res = max(tangency_res, abs(float(z @ vec)))
             residual_res = max(residual_res,
                                max(ps.contact_residuals(a, b, z)))
-            step = 1e-5
-            dim = 2 * n
-            jac_g = np.zeros((dim, dim))
-            jac_p = np.zeros((dim, dim))
-            for i in range(dim):
-                e = np.zeros(dim)
-                e[i] = step
-                jac_g[:, i] = (ps.gradient_field(b, z + e)
-                               - ps.gradient_field(b, z - e)) / (2 * step)
-                jac_p[:, i] = (ps.phase_field(z + e)
-                               - ps.phase_field(z - e)) / (2 * step)
+            jac_g = central_gradient(lambda p: ps.gradient_field(b, p), z)
+            jac_p = central_gradient(ps.phase_field, z)
             bracket = jac_g @ ps.phase_field(z) - jac_p \
                 @ ps.gradient_field(b, z)
             commute_res = max(commute_res, float(np.max(np.abs(bracket))))
             eta0, _ = ps.contact_form(z)
             stack = np.vstack([ps.pullback_omega0(z), eta0, z])
-            if np.linalg.matrix_rank(stack, tol=1e-10) != dim:
+            if np.linalg.matrix_rank(stack, tol=1e-10) != 2 * n:
                 rank_bad = 1.0
-    results.append(_result("purestate/sphere-tangency", tangency_res, 1e-12))
-    results.append(_result("purestate/contact-residuals", residual_res, 1e-9))
-    results.append(_result("purestate/gradient-projectability",
-                           commute_res, 1e-9))
-    results.append(_result("purestate/contact-volume-rank", rank_bad, 0.5))
+    results.append(result("purestate/sphere-tangency", tangency_res, 1e-12))
+    results.append(result("purestate/contact-residuals", residual_res, 1e-9))
+    results.append(result("purestate/gradient-projectability",
+                          commute_res, 1e-9))
+    results.append(result("purestate/contact-volume-rank", rank_bad, 0.5))
 
     basis = build_su_basis(2)
     a = _random_hermitian(rng, 2, 0.7)
@@ -200,8 +247,8 @@ def purestate_suite():
         bloch = ps.project_to_bloch(psis[idx], basis)
         proj_res = max(proj_res, float(np.max(np.abs(
             bloch - traj.points[idx]))))
-    results.append(_result("purestate/projection-consistency",
-                           proj_res, 1e-6))
+    results.append(result("purestate/projection-consistency",
+                          proj_res, 1e-6))
     return results
 
 
@@ -244,16 +291,16 @@ def contact_suite():
         point = 0.5 * rng.normal(size=3)
         homo_res = max(homo_res, homomorphism_residual(
             chart, quadratic(rng), quadratic(rng), point))
-    results.append(_result("contact/reeb-defining-equations",
-                           reeb_res, 1e-10))
-    results.append(_result("contact/nondegeneracy", nondeg_bad, 0.5))
-    results.append(_result("contact/exact-chart-consistency",
-                           exact_res, 1e-12))
-    results.append(_result("contact/eta-contraction", eta_res, 1e-10))
-    results.append(_result("contact/jacobi-antisymmetry",
-                           antisym_res, 1e-10))
-    results.append(_result("contact/alpha-df-degeneracy", reduce_res, 1e-12))
-    results.append(_result("contact/bracket-homomorphism", homo_res, 1e-5))
+    results.append(result("contact/reeb-defining-equations",
+                          reeb_res, 1e-10))
+    results.append(result("contact/nondegeneracy", nondeg_bad, 0.5))
+    results.append(result("contact/exact-chart-consistency",
+                          exact_res, 1e-12))
+    results.append(result("contact/eta-contraction", eta_res, 1e-10))
+    results.append(result("contact/jacobi-antisymmetry",
+                          antisym_res, 1e-10))
+    results.append(result("contact/alpha-df-degeneracy", reduce_res, 1e-12))
+    results.append(result("contact/bracket-homomorphism", homo_res, 1e-5))
     return results
 
 
@@ -275,8 +322,8 @@ def mechanics_suite():
         soundness_res = max(soundness_res, float(np.max(
             np.abs(res.odd_traces) / bounds)))
         count += 1
-    results.append(_result("mechanics/odd-trace-soundness",
-                           soundness_res, 1e-10))
+    results.append(result("mechanics/odd-trace-soundness",
+                          soundness_res, 1e-10))
 
     damped = hamiltonianity_criterion(representative_matrix(
         coupled_damped_oscillators(1.0, 2.0, 0.3, 0.7, 0.1, 0.2)))
@@ -288,29 +335,13 @@ def mechanics_suite():
     dt = 1e-3
     sys = rlc_single(0.4, 1.2, 0.9)
     traj = integrate_contact(sys, ([1.0], [0.0], 0.0), 3.0, dt)
-    measured = (-traj.energy[4:] + 8 * traj.energy[3:-1]
-                - 8 * traj.energy[1:-3] + traj.energy[:-4]) / (12 * dt)
-    analytic = np.array([analytic_energy_rate(sys, traj.q[i], traj.qd[i],
-                                              traj.s[i])
-                         for i in range(len(traj.times))])[2:-2]
-    scale = max(1.0, float(np.max(np.abs(analytic))))
-    results.append(_result("mechanics/energy-rate-identity",
-                           float(np.max(np.abs(measured - analytic))) / scale,
-                           1e-6))
+    results.append(energy_rate_identity("mechanics/energy-rate-identity",
+                                        sys, traj, dt))
 
     gamma = 0.5
-    fric = friction_system(gamma)
-    traj = integrate_contact(fric, ([0.0], [1.0], 0.0), 8.0, dt)
-    e_l = traj.qd[:, 0] + gamma * traj.q[:, 0]
-    results.append(_result("mechanics/friction-energy-conservation",
-                           float(np.max(np.abs(e_l - e_l[0]))), 1e-8))
-    mech_rate = (-traj.energy_mech[4:] + 8 * traj.energy_mech[3:-1]
-                 - 8 * traj.energy_mech[1:-3]
-                 + traj.energy_mech[:-4]) / (12 * dt)
-    results.append(_result(
-        "mechanics/friction-mechanical-dissipation",
-        float(np.max(np.abs(mech_rate + gamma * traj.qd[2:-2, 0] ** 2))),
-        1e-6))
+    traj = integrate_contact(friction_system(gamma), ([0.0], [1.0], 0.0),
+                             8.0, dt)
+    results.extend(friction_invariants(gamma, traj, dt))
 
     # projectable contact flow vs reduced second-order dynamics
     v_coeff, gam = 1.1, 0.3
@@ -319,7 +350,7 @@ def mechanics_suite():
     _, reduced = rk4_path(
         lambda y: np.array([y[1], -v_coeff * y[0] - gam * y[1]]),
         np.array([1.0, 0.0]), 4.0, dt)
-    results.append(_result(
+    results.append(result(
         "mechanics/contact-reduction-consistency",
         float(np.max(np.abs(ctraj.q[:, 0] - reduced[:, 0]))), 1e-8))
     return results

@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,17 +26,17 @@ from jsonschema import ValidationError, validate
 from scipy.linalg import expm
 
 from . import purestate as ps
-from .algebra import build_su_basis
-from .checks import CheckResult, run_checks
+from .algebra import build_su_basis, from_coherence_vector
+from .checks import (CheckResult, decomposition_identities,
+                     energy_rate_identity, friction_invariants, positivity,
+                     result, run_checks)
 from .contact import DegenerateContactError
-from .gkls import (build_model, decompose_field, evaluate_component_fields,
-                   integrate, phase_damping_model)
+from .gkls import build_model, integrate, phase_damping_model
 from .integrators import DivergenceError, rk4_affine_path
 from .mechanics import (ImplicitSystemError, LinearSecondOrderSystem,
-                        analytic_energy_rate, bivector_span_dimension,
-                        friction_system, hamiltonianity_criterion,
-                        integrate_contact, representative_matrix,
-                        rlc_coupled, rlc_single)
+                        bivector_span_dimension, friction_system,
+                        hamiltonianity_criterion, integrate_contact,
+                        representative_matrix, rlc_coupled, rlc_single)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -67,6 +68,12 @@ def parse_complex_matrix(data, what="matrix"):
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise ConfigError(f"{what}: complex entries must be [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def write_json(path, data):
+    with open(path, "w", newline="\n") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
 
 
 def write_csv(path, header, rows):
@@ -164,11 +171,6 @@ BUILTIN_SCENARIOS = {
 }
 
 
-def _invariant(name, residual, tol):
-    return CheckResult(name=name, passed=bool(residual < tol),
-                       residual=float(residual))
-
-
 def run_gkls(params):
     t_end = float(params.get("t_end", 5.0))
     dt = float(params.get("dt", 1e-3))
@@ -184,11 +186,7 @@ def run_gkls(params):
         gamma = None
     size = model.basis.size
     if "x0" in params:
-        x0 = np.asarray(params["x0"], dtype=float)
-        if x0.shape != (size,):
-            raise ConfigError(f"x0 must have length {size}")
-        rho0 = np.eye(model.n) / model.n \
-            + np.einsum("j,jab->ab", x0, model.basis.tau)
+        rho0 = from_coherence_vector(params["x0"], model.basis)
     else:
         rho0 = parse_complex_matrix(params["rho0"], "rho0")
     traj = integrate(model, rho0, t_end, dt)
@@ -199,28 +197,18 @@ def run_gkls(params):
                             traj.min_eigenvalues,
                             traj.ranks.astype(float)])
 
-    dec = decompose_field(model)
     invariants = [
-        _invariant("gkls/trace-preservation",
-                   float(np.max(np.abs(traj.traces - 1.0))), 1e-10),
-        _invariant("gkls/positivity",
-                   max(0.0, -float(np.min(traj.min_eigenvalues))), 1e-8),
-        _invariant("gkls/decomposition-sum-identity",
-                   float(np.max(np.abs(
-                       model.A - (dec.Hmat - dec.Vmat + dec.Kmat)))), 1e-12),
+        result("gkls/trace-preservation",
+               float(np.max(np.abs(traj.traces - 1.0))), 1e-10),
+        positivity(traj.min_eigenvalues),
+        *decomposition_identities([(model, [traj.points[0]])]),
     ]
-    x_probe = traj.points[0]
-    xh, yv, zk = evaluate_component_fields(model, dec, x_probe)
-    invariants.append(_invariant(
-        "gkls/nonlinear-cancellation",
-        float(np.max(np.abs(xh - yv + zk
-                            - (model.A @ x_probe + model.B)))), 1e-12))
     if gamma is not None:
         law = np.exp(-2.0 * gamma * traj.times)
         expected = np.column_stack([traj.points[0, 0] * law,
                                     traj.points[0, 1] * law,
                                     np.full_like(law, traj.points[0, 2])])
-        invariants.append(_invariant(
+        invariants.append(result(
             "gkls/phase-damping-analytic",
             float(np.max(np.abs(traj.points - expected))), 1e-6))
     return header, rows, invariants
@@ -245,12 +233,12 @@ def run_pure_state(params):
     exact = expm(gen * times[-1]) @ psi0
     exact /= np.linalg.norm(exact)
     invariants = [
-        _invariant("purestate/norm-drift",
-                   float(np.max(np.abs(norms - 1.0))), 1e-8),
-        _invariant("purestate/contact-residuals",
-                   max(ps.contact_residuals(a, b, ps.to_chart(psi0))), 1e-9),
-        _invariant("purestate/exponential-oracle",
-                   float(np.max(np.abs(psis[-1] - exact))), 1e-7),
+        result("purestate/norm-drift",
+               float(np.max(np.abs(norms - 1.0))), 1e-8),
+        result("purestate/contact-residuals",
+               max(ps.contact_residuals(a, b, ps.to_chart(psi0))), 1e-9),
+        result("purestate/exponential-oracle",
+               float(np.max(np.abs(psis[-1] - exact))), 1e-7),
     ]
     return header, rows, invariants
 
@@ -260,26 +248,23 @@ def run_circuit(params):
     dt = float(params.get("dt", 1e-3))
     kind = params.get("circuit", "single")
     if kind == "single":
-        r = float(params["resistance"])
-        l_ind = float(params["inductance"])
-        cap = float(params["capacitance"])
+        r, l_ind, cap = (float(params[k]) for k in
+                         ("resistance", "inductance", "capacitance"))
         sys_ = rlc_single(r, l_ind, cap)
-        n = 1
-        g = np.array([[0.0, 1.0], [-1.0 / (l_ind * cap), -r / l_ind]])
+        l_mat, r_mat = np.array([[l_ind]]), np.array([[r]])
+        c_inv = np.array([[1.0 / cap]])
     elif kind == "coupled":
-        vals = [float(params[k]) for k in ("l1", "l2", "c1", "c2",
-                                           "r1", "r2", "r_coupling")]
-        sys_ = rlc_coupled(*vals)
-        n = 2
-        l_mat = np.diag(vals[0:2])
-        c_mat = np.diag([1.0 / vals[2], 1.0 / vals[3]])
-        r_mat = np.array([[vals[4], vals[6]], [vals[6], vals[5]]])
-        g = np.zeros((4, 4))
-        g[:2, 2:] = np.eye(2)
-        g[2:, :2] = -np.linalg.inv(l_mat) @ c_mat
-        g[2:, 2:] = -np.linalg.inv(l_mat) @ r_mat
+        l1, l2, c1, c2, r1, r2, r_c = (float(params[k]) for k in (
+            "l1", "l2", "c1", "c2", "r1", "r2", "r_coupling"))
+        sys_ = rlc_coupled(l1, l2, c1, c2, r1, r2, r_c)
+        l_mat, r_mat = np.diag([l1, l2]), np.array([[r1, r_c], [r_c, r2]])
+        c_inv = np.diag([1.0 / c1, 1.0 / c2])
     else:
         raise ConfigError(f"unknown circuit {kind!r}")
+    n = sys_.n
+    # oracle: Kirchhoff's L I'' + R I' + C^-1 I = 0 as a linear system
+    g = representative_matrix(
+        LinearSecondOrderSystem(n=n, m=l_mat, gamma=r_mat, omega=c_inv))
     i0 = np.asarray(params["i0"], dtype=float)
     di0 = np.asarray(params["di0"], dtype=float)
     if i0.shape != (n,) or di0.shape != (n,):
@@ -293,24 +278,16 @@ def run_circuit(params):
     state0 = np.concatenate([i0, di0])
     exact = expm(g * traj.times[-1]) @ state0
     invariants = [
-        _invariant("circuit/linear-oracle",
-                   float(np.max(np.abs(traj.q[-1] - exact[:n]))), 1e-6),
+        result("circuit/linear-oracle",
+               float(np.max(np.abs(traj.q[-1] - exact[:n]))), 1e-6),
     ]
-    dissipationless = bool(np.max(np.abs(g[n:, n:])) < 1e-15)
-    if dissipationless:
-        invariants.append(_invariant(
+    if not np.any(r_mat):
+        invariants.append(result(
             "circuit/energy-conservation",
             float(np.max(np.abs(traj.energy - traj.energy[0]))), 1e-8))
     else:
-        measured = (-traj.energy[4:] + 8 * traj.energy[3:-1]
-                    - 8 * traj.energy[1:-3] + traj.energy[:-4]) / (12 * dt)
-        analytic = np.array([
-            analytic_energy_rate(sys_, traj.q[i], traj.qd[i], traj.s[i])
-            for i in range(len(traj.times))])[2:-2]
-        scale = max(1.0, float(np.max(np.abs(analytic))))
-        invariants.append(_invariant(
-            "circuit/energy-rate-identity",
-            float(np.max(np.abs(measured - analytic))) / scale, 1e-6))
+        invariants.append(energy_rate_identity(
+            "circuit/energy-rate-identity", sys_, traj, dt))
     return header, rows, invariants
 
 
@@ -327,19 +304,7 @@ def run_contact_lagrangian(params):
         header = ["t", "q", "qd", "s", "energy", "energy_mech"]
         rows = np.column_stack([traj.times, traj.q, traj.qd, traj.s,
                                 traj.energy, traj.energy_mech])
-        e_l = traj.qd[:, 0] + gamma * traj.q[:, 0]
-        mech_rate = (-traj.energy_mech[4:] + 8 * traj.energy_mech[3:-1]
-                     - 8 * traj.energy_mech[1:-3]
-                     + traj.energy_mech[:-4]) / (12 * dt)
-        invariants = [
-            _invariant("mechanics/friction-energy-conservation",
-                       float(np.max(np.abs(e_l - e_l[0]))), 1e-8),
-            _invariant("mechanics/friction-mechanical-dissipation",
-                       float(np.max(np.abs(
-                           mech_rate + gamma * traj.qd[2:-2, 0] ** 2))),
-                       1e-6),
-        ]
-        return header, rows, invariants
+        return header, rows, friction_invariants(gamma, traj, dt)
     if system != "linear":
         raise ConfigError(f"unknown system {system!r}")
     mass = np.asarray(params["mass"], dtype=float)
@@ -372,7 +337,7 @@ def run_contact_lagrangian(params):
             passed=span == int(expect["span_dimension"]),
             residual=float(span)))
     exact = expm(g * times[-1]) @ x0
-    invariants.append(_invariant(
+    invariants.append(result(
         "mechanics/linear-oracle",
         float(np.max(np.abs(states[-1] - exact))), 1e-6))
     return header, rows, invariants
@@ -406,14 +371,11 @@ def execute_scenario(config, out_dir):
         "scenario": name,
         "kind": kind,
         "wall_time_s": time.perf_counter() - started,
-        "invariants": [{"name": r.name, "passed": r.passed,
-                        "residual": r.residual} for r in results],
+        "invariants": [asdict(r) for r in results],
         "outputs": outputs,
     }
     report_path = out_dir / f"{name}_report.json"
-    with open(report_path, "w", newline="\n") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_json(report_path, report)
     report["report_path"] = str(report_path)
     return report, all(r.passed for r in results)
 
@@ -434,14 +396,10 @@ def load_config(source):
     return config
 
 
-def _print_report(report):
-    for inv in report["invariants"]:
+def _print_invariants(invariants):
+    for inv in invariants:
         status = "PASS" if inv["passed"] else "FAIL"
         print(f"[{status}] {inv['name']} residual={inv['residual']:.3e}")
-    print(f"scenario {report['scenario']}: "
-          f"{sum(i['passed'] for i in report['invariants'])}"
-          f"/{len(report['invariants'])} invariants passed "
-          f"({report['wall_time_s']:.2f} s)")
 
 
 def main(argv=None):
@@ -478,18 +436,12 @@ def main(argv=None):
         except KeyError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"[{status}] {r.name} residual={r.residual:.3e}")
+        invariants = [asdict(r) for r in results]
+        _print_invariants(invariants)
         if args.out is not None:
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            with open(out_dir / "checks_report.json", "w",
-                      newline="\n") as fh:
-                json.dump([{"name": r.name, "passed": r.passed,
-                            "residual": r.residual} for r in results],
-                          fh, indent=2)
-                fh.write("\n")
+            write_json(out_dir / "checks_report.json", invariants)
         return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL
 
     # run
@@ -503,9 +455,7 @@ def main(argv=None):
         if args.t_end is not None:
             params["t_end"] = args.t_end
         report, passed = execute_scenario(config, args.out)
-    except (ConfigError, ValidationError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # LinAlgError is a ValueError: the numerical clause must come first
     except (DivergenceError, ImplicitSystemError, DegenerateContactError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -519,7 +469,16 @@ def main(argv=None):
                       ["t"] + [f"y{j + 1}" for j in range(states.shape[1])],
                       np.column_stack([times, states]))
         return EXIT_NUMERICAL
-    _print_report(report)
+    except (ValidationError, KeyError, ValueError, TypeError) as exc:
+        # ConfigError and the domain checks of the library (Hermiticity,
+        # normalisation, unit trace, dt > 0, ...) are all ValueErrors
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    _print_invariants(report["invariants"])
+    print(f"scenario {report['scenario']}: "
+          f"{sum(i['passed'] for i in report['invariants'])}"
+          f"/{len(report['invariants'])} invariants passed "
+          f"({report['wall_time_s']:.2f} s)")
     return EXIT_OK if passed else EXIT_NUMERICAL
 
 

@@ -31,13 +31,16 @@ class DegenerateContactError(RuntimeError):
 
 
 def central_gradient(f, x, step=1e-5):
+    """Central differences at x: the gradient of a scalar f, or the
+    Jacobian (column i is df/dx_i) of a vector-valued one."""
     x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
+    cols = []
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = step
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * step)
-    return g
+        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e)))
+                    / (2.0 * step))
+    return np.stack(cols, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -149,16 +152,10 @@ def lie_derivative(chart, field, point):
 
 
 def contact_hamiltonian_field(chart, field, point):
-    """Vector solving i_G omega = (L_xi F) eta - dF and i_G eta = F."""
-    point = np.asarray(point, dtype=float)
-    xi = reeb_field(chart, point)
-    df = field.grad(point)
-    e = np.asarray(chart.eta(point), dtype=float)
-    rhs = float(df @ xi) * e - df
-    vec, lam = _bordered_solve(chart, point, rhs, field(point))
-    if abs(lam) > 1e-8 * max(1.0, float(np.max(np.abs(rhs)))):
-        raise DegenerateContactError("inconsistent contact field system")
-    return vec
+    """Vector solving i_G omega = (L_xi F) eta - dF and i_G eta = F: the
+    generalized field with a zero source."""
+    return generalized_contact_field(chart, field,
+                                     lambda p: np.zeros(chart.dim), point)
 
 
 def generalized_contact_field(chart, field, alpha, point):
@@ -172,7 +169,7 @@ def generalized_contact_field(chart, field, alpha, point):
     rhs = (float(df @ xi) - float(a @ xi)) * e - df + a
     vec, lam = _bordered_solve(chart, point, rhs, field(point))
     if abs(lam) > 1e-8 * max(1.0, float(np.max(np.abs(rhs)))):
-        raise DegenerateContactError("inconsistent generalized field system")
+        raise DegenerateContactError("inconsistent contact field system")
     return vec
 
 
@@ -201,18 +198,8 @@ def jacobi_bracket(chart, f, g, point):
 
 def _fd_jacobian(vector_field, point, step):
     """Richardson-extrapolated central-difference Jacobian."""
-    dim = point.size
-
-    def jac(h):
-        cols = []
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = h
-            cols.append((vector_field(point + e) - vector_field(point - e))
-                        / (2.0 * h))
-        return np.stack(cols, axis=1)
-
-    return (4.0 * jac(step / 2.0) - jac(step)) / 3.0
+    return (4.0 * central_gradient(vector_field, point, step / 2.0)
+            - central_gradient(vector_field, point, step)) / 3.0
 
 
 def homomorphism_residual(chart, f, g, point, step=1e-4):

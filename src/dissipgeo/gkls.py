@@ -148,6 +148,17 @@ def phase_damping_model(gamma):
     return build_model(basis, np.zeros((2, 2)), [np.sqrt(gamma) * sigma3])
 
 
+def _hamiltonian_gradient_matrices(tau, H, V):
+    """(Hmat, Vmat, V_vec) of the pushforwards of i[., H] and {V, .}/2."""
+    comm = 1j * (np.einsum("lab,bc->lac", tau, H)
+                 - np.einsum("ab,lbc->lac", H, tau))
+    Hmat = np.einsum("lab,jba->jl", comm, tau).real
+    anti = np.einsum("ab,lbc->lac", V, tau) + np.einsum("lab,bc->lac", tau, V)
+    Vmat = 0.5 * np.einsum("lab,jba->jl", anti, tau).real
+    V_vec = np.einsum("jab,ba->j", tau, V).real
+    return Hmat, Vmat, V_vec
+
+
 def decompose_field(model):
     """Hamiltonian/Gradient/Jump split of the affine field.
 
@@ -156,19 +167,13 @@ def decompose_field(model):
     what makes A = Hmat - Vmat + Kmat hold entrywise).
     """
     tau = model.basis.tau
-    comm = 1j * (np.einsum("lab,bc->lac", tau, model.H)
-                 - np.einsum("ab,lbc->lac", model.H, tau))
-    Hmat = np.einsum("lab,jba->jl", comm, tau).real
-    anti = np.einsum("ab,lbc->lac", model.V, tau) \
-        + np.einsum("lab,bc->lac", tau, model.V)
-    Vmat = 0.5 * np.einsum("lab,jba->jl", anti, tau).real
+    Hmat, Vmat, V_vec = _hamiltonian_gradient_matrices(tau, model.H, model.V)
     ktau = np.zeros_like(tau)
     cal = np.zeros((model.n, model.n), dtype=complex)
     for v in model.jumps:
         ktau = ktau + np.einsum("ab,lbc,cd->lad", v, tau, v.conj().T)
         cal = cal + v @ v.conj().T
     Kmat = np.einsum("lab,jba->jl", ktau, tau).real
-    V_vec = np.einsum("jab,ba->j", tau, model.V).real
     calV_vec = np.einsum("jab,ba->j", tau, cal).real
     B = (calV_vec - V_vec) / model.n
     return FieldDecomposition(Hmat=Hmat, Vmat=Vmat, Kmat=Kmat, B=B,
@@ -202,13 +207,7 @@ def hamiltonian_gradient_field(basis, H, V):
     """
     H = np.asarray(H, dtype=complex)
     V = np.asarray(V, dtype=complex)
-    tau = basis.tau
-    comm = 1j * (np.einsum("lab,bc->lac", tau, H)
-                 - np.einsum("ab,lbc->lac", H, tau))
-    Hmat = np.einsum("lab,jba->jl", comm, tau).real
-    anti = np.einsum("ab,lbc->lac", V, tau) + np.einsum("lab,bc->lac", tau, V)
-    Vmat = 0.5 * np.einsum("lab,jba->jl", anti, tau).real
-    V_vec = np.einsum("jab,ba->j", tau, V).real
+    Hmat, Vmat, V_vec = _hamiltonian_gradient_matrices(basis.tau, H, V)
     tr_v = float(np.trace(V).real)
     n = basis.n
 
@@ -266,8 +265,3 @@ def pulled_back_bracket(model, j, k, tau_t, x):
     back = expm(-model.A * tau_t)
     lam = np.tensordot(fwd @ x, model.basis.c, axes=(0, 0))
     return float(back[j] @ lam @ back[k])
-
-
-def asymptotic_pulled_back_bracket(model, j, k, x, tau_probe=40.0):
-    """Value of the pulled-back bracket at a large probe time."""
-    return pulled_back_bracket(model, j, k, tau_probe, x)

@@ -4,10 +4,15 @@ All flows in this package are smooth and non-stiff at desk scale, so a
 plain fourth-order scheme with caller-supplied dt is enough; oracle
 comparisons against matrix exponentials are done in the test suite.
 
-Two entry points share one step grid and one divergence contract:
+Two entry points share one step grid, one divergence contract and one
+return value, ``(times, states)`` with states[i] the state at times[i]:
 
-- ``rk4_path(f, y0, t_end, dt)`` evaluates the field four times per step
-  and serves any field, nonlinear ones included.
+- ``rk4_path(f, y0, t_end, dt, post=None)`` evaluates the field four
+  times per step and serves any field, nonlinear ones included.  The
+  optional ``post`` map sees every new finite state: its value is stored
+  and stepped on (a projection such as renormalisation), and a value of
+  None ends the path at the last stored state (a domain guard), so a
+  path shorter than the grid means the integration stopped early.
 - ``rk4_affine_path(a, b, y0, t_end, dt)`` serves affine fields
   y' = a y + b.  For them the four RK4 stages collapse into one fixed
   map y -> P y + q with M = dt a,
@@ -40,10 +45,10 @@ class DivergenceError(RuntimeError):
         self.partial = partial
 
 
-def _time_grid(t_end, dt):
+def time_grid(t_end, dt):
     """Times 0, dt, ..., n dt with n = round(t_end / dt)."""
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("need dt > 0 and t_end > 0")
+    if not (0 < dt < np.inf and 0 < t_end < np.inf):
+        raise ValueError("need finite dt > 0 and t_end > 0")
     return np.arange(int(round(t_end / dt)) + 1) * dt
 
 
@@ -54,19 +59,17 @@ def _diverged(times, states, i):
                                     states[:i + 1].copy()))
 
 
-def rk4_path(f, y0, t_end, dt, guard=None):
+def rk4_path(f, y0, t_end, dt, post=None):
     """Integrate y' = f(y) from 0 to t_end with fixed step dt.
 
-    Returns (times, states) with states[i] the state at times[i].  If
-    ``guard`` is given and guard(y) goes False, the path is truncated at
-    the last valid state and returned with a flag:
-    (times, states, stopped_early).
+    Returns (times, states) with states[i] the state at times[i].  With
+    ``post``, each new finite state y is stored as post(y); if post(y) is
+    None the path ends at the last stored state.
     """
-    times = _time_grid(t_end, dt)
+    times = time_grid(t_end, dt)
     y = np.array(y0, dtype=float)
     states = np.empty((len(times),) + y.shape)
     states[0] = y
-    stopped = False
     for i in range(len(times) - 1):
         k1 = f(y)
         k2 = f(y + 0.5 * dt * k1)
@@ -75,15 +78,12 @@ def rk4_path(f, y0, t_end, dt, guard=None):
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
             raise _diverged(times, states, i)
-        if guard is not None and not guard(y):
-            times = times[:i + 1]
-            states = states[:i + 1]
-            stopped = True
-            break
+        if post is not None:
+            y = post(y)
+            if y is None:
+                return times[:i + 1], states[:i + 1]
         states[i + 1] = y
-    if guard is None:
-        return times, states
-    return times, states, stopped
+    return times, states
 
 
 def rk4_affine_path(a, b, y0, t_end, dt):
@@ -92,7 +92,7 @@ def rk4_affine_path(a, b, y0, t_end, dt):
     Same grid, return value and DivergenceError as ``rk4_path``; each
     step is y -> P y + q with the one-step matrix of the module docstring.
     """
-    times = _time_grid(t_end, dt)
+    times = time_grid(t_end, dt)
     m = dt * np.asarray(a, dtype=float)
     # Horner form of S = I + M/2 + M^2/6 + M^3/24; P = I + M S, q = dt S b
     eye = np.eye(len(m))

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .integrators import rk4_path
+from .integrators import rk4_path, time_grid
 
 HESSIAN_DET_TOL = 1e-10
 MASS_DET_TOL = 1e-12
@@ -296,23 +296,16 @@ def integrate_contact(sys, state0, t_end, dt=1e-3):
     y0 = np.concatenate([q0, qd0, [float(s0)]])
     n = sys.n
 
-    def unpack(y):
-        return y[:n], y[n:2 * n], y[2 * n]
-
     def field(y):
-        q, qd, s = unpack(y)
-        dq, dqd, ds = contact_el_field(sys, (q, qd, s))
+        dq, dqd, ds = contact_el_field(sys, (y[:n], y[n:2 * n], y[2 * n]))
         return np.concatenate([dq, dqd, [ds]])
 
-    guard = None
+    post = None
     if sys.domain_guard is not None:
-        guard = lambda y: bool(sys.domain_guard(y[:n], y[n:2 * n]))
-    result = rk4_path(field, y0, t_end, dt, guard=guard)
-    stopped = False
-    if guard is None:
-        times, states = result
-    else:
-        times, states, stopped = result
+        def post(y):
+            return y if sys.domain_guard(y[:n], y[n:2 * n]) else None
+    times, states = rk4_path(field, y0, t_end, dt, post=post)
+    stopped = len(times) < len(time_grid(t_end, dt))
     qs = states[:, :n]
     qds = states[:, n:2 * n]
     ss = states[:, 2 * n]

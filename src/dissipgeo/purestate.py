@@ -153,6 +153,12 @@ def alpha_tilde(b, z):
     return j.T @ d_f_tilde(b, z)
 
 
+def _require_hermitian(a, b):
+    for mat, name in ((a, "a"), (b, "b")):
+        if not is_hermitian(mat):
+            raise ValueError(f"generator {name} must be Hermitian")
+
+
 def contact_residuals(a, b, z):
     """Residuals of the three defining identities of Z = X_a + Y0_b on the
     unit sphere: |dr(Z)|, |eta_0(Z) - f_a/r^2| and the max-norm of
@@ -161,9 +167,7 @@ def contact_residuals(a, b, z):
     r2 = norm_squared(z)
     if abs(r2 - 1.0) > SPHERE_TOL:
         raise ValueError(f"point is off the unit sphere: r^2 = {r2!r}")
-    for mat, name in ((a, "a"), (b, "b")):
-        if not is_hermitian(mat):
-            raise ValueError(f"generator {name} must be Hermitian")
+    _require_hermitian(a, b)
     vec = z_field(a, b, z)
     res1 = abs(float(z @ vec)) / np.sqrt(r2)
     eta0, _ = contact_form(z)
@@ -191,7 +195,8 @@ def integrate_sphere_flow(a, b, psi0, t_end, dt=1e-3, renormalize=False):
     """RK4 the flow of Z = X_a + Y0_b from a unit vector.
 
     Tangency keeps the norm to integrator order without projection;
-    ``renormalize`` rescales after every step for long horizons.
+    ``renormalize`` rescales after every step (the ``post`` map of
+    ``rk4_path``) for long horizons.
     Returns (times, psis) with psis of shape (steps + 1, n) complex.
     """
     psi0 = np.asarray(psi0, dtype=complex)
@@ -200,26 +205,14 @@ def integrate_sphere_flow(a, b, psi0, t_end, dt=1e-3, renormalize=False):
         raise ValueError("initial state must be normalized")
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    for mat, name in ((a, "a"), (b, "b")):
-        if not is_hermitian(mat):
-            raise ValueError(f"generator {name} must be Hermitian")
+    _require_hermitian(a, b)
 
-    def field(z):
-        vec = z_field(a, b, z)
-        return vec
-
-    if not renormalize:
-        times, states = rk4_path(field, z0, t_end, dt)
-    else:
-        n_steps = int(round(t_end / dt))
-        times = np.arange(n_steps + 1) * dt
-        states = np.empty((n_steps + 1, z0.size))
-        states[0] = z0
-        z = z0
-        for i in range(n_steps):
-            _, pair = rk4_path(field, z, dt, dt)
-            z = pair[-1] / np.sqrt(norm_squared(pair[-1]))
-            states[i + 1] = z
+    post = None
+    if renormalize:
+        def post(z):
+            return z / np.sqrt(norm_squared(z))
+    times, states = rk4_path(lambda z: z_field(a, b, z), z0, t_end, dt,
+                             post=post)
     psis = states[:, :psi0.size] + 1j * states[:, psi0.size:]
     return times, psis
 

@@ -12,6 +12,57 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# the invariants each builtin reports, in report order
+BUILTIN_INVARIANTS = {
+    "phase-damping": ["gkls/trace-preservation", "gkls/positivity",
+                      "gkls/decomposition-sum-identity",
+                      "gkls/nonlinear-cancellation",
+                      "gkls/phase-damping-analytic"],
+    "bloch-gradient": ["purestate/norm-drift", "purestate/contact-residuals",
+                       "purestate/exponential-oracle"],
+    "rlc-single": ["circuit/linear-oracle", "circuit/energy-rate-identity"],
+    "rlc-coupled": ["circuit/linear-oracle", "circuit/energy-rate-identity"],
+    "coupled-damped-oscillators": ["mechanics/hamiltonianity-verdict",
+                                   "mechanics/bivector-span-dimension",
+                                   "mechanics/linear-oracle"],
+    "friction-lagrangian": ["mechanics/friction-energy-conservation",
+                            "mechanics/friction-mechanical-dissipation"],
+    "contact-homomorphism": ["contact/reeb-defining-equations",
+                             "contact/nondegeneracy",
+                             "contact/exact-chart-consistency",
+                             "contact/eta-contraction",
+                             "contact/jacobi-antisymmetry",
+                             "contact/alpha-df-degeneracy",
+                             "contact/bracket-homomorphism"],
+}
+
+PHASE_DAMPING = {"model": "phase-damping", "gamma": 1.0,
+                 "x0": [0.5, 0.0, 0.0], "t_end": 1.0, "dt": 1e-2}
+SIGMA3 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+ZERO2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+PURE_STATE = {"a": SIGMA3, "b": ZERO2, "psi0": [[1.0, 0.0], [0.0, 0.0]],
+              "t_end": 1.0, "dt": 1e-2}
+BAD_VALUE_CONFIGS = {
+    "non-hermitian-hamiltonian": ("gkls", {
+        "hamiltonian": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        "x0": [0.5, 0.0, 0.0], "t_end": 1.0, "dt": 1e-2}),
+    "unnormalised-psi0": ("pure-state", {
+        **PURE_STATE, "psi0": [[1.0, 0.0], [1.0, 0.0]]}),
+    "t_end-abc": ("gkls", {**PHASE_DAMPING, "t_end": "abc"}),
+    "dt-zero": ("gkls", {**PHASE_DAMPING, "dt": 0}),
+    "dt-nan": ("gkls", {**PHASE_DAMPING, "dt": "nan"}),
+    "t_end-null": ("gkls", {**PHASE_DAMPING, "t_end": None}),
+    "t_end-infinite": ("gkls", {**PHASE_DAMPING, "t_end": float("inf")}),
+    "rho0-trace-two": ("gkls", {
+        "hamiltonian": SIGMA3,
+        "rho0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        "t_end": 1.0, "dt": 1e-2}),
+    "negative-gamma": ("gkls", {**PHASE_DAMPING, "gamma": -1}),
+    "renormalize-dt-zero": ("pure-state", {
+        **PURE_STATE, "renormalize": True, "dt": 0}),
+}
+
+
 class TestParsing:
     def test_complex_matrix_round_trip(self):
         mat = parse_complex_matrix([[[1.0, 2.0], [0.0, -1.0]],
@@ -68,6 +119,14 @@ class TestCommands:
         bad.write_text("{not json")
         assert run_cli("run", str(bad), "--out", str(tmp_path)) == EXIT_USAGE
 
+    @pytest.mark.parametrize("case", sorted(BAD_VALUE_CONFIGS))
+    def test_bad_config_value_is_usage_error(self, case, tmp_path, capsys):
+        kind, params = BAD_VALUE_CONFIGS[case]
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
+        assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+
     def test_checks_unknown_filter_is_usage_error(self, capsys):
         assert run_cli("checks", "--filter", "nonsense") == EXIT_USAGE
 
@@ -93,6 +152,7 @@ class TestCommands:
 class TestScenarioRuns:
     def test_every_builtin_round_trips(self, tmp_path, capsys):
         # short horizons keep the smoke test quick; invariants still run
+        assert set(BUILTIN_INVARIANTS) == set(BUILTIN_SCENARIOS)
         for name, entry in BUILTIN_SCENARIOS.items():
             args = ["run", name, "--out", str(tmp_path / name)]
             if entry["config"]["kind"] != "checks":
@@ -101,7 +161,7 @@ class TestScenarioRuns:
             report = json.loads(
                 (tmp_path / name / f"{name}_report.json").read_text())
             names = [inv["name"] for inv in report["invariants"]]
-            assert len(names) == len(set(names))  # each invariant once
+            assert names == BUILTIN_INVARIANTS[name]  # each invariant once
             assert all(inv["passed"] for inv in report["invariants"])
 
     def test_phase_damping_csv_value(self, tmp_path, capsys):

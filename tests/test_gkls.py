@@ -5,8 +5,8 @@ from scipy.linalg import expm
 from dissipgeo.algebra import (build_su_basis, from_coherence_vector,
                                to_coherence_vector)
 from dissipgeo.gkls import (UnsupportedModelError, apply_generator,
-                            asymptotic_pulled_back_bracket, build_model,
-                            decompose_field, evaluate_component_fields,
+                            build_model, decompose_field,
+                            evaluate_component_fields,
                             hamiltonian_gradient_field, integrate,
                             integrate_coherence_field, phase_damping_model,
                             pulled_back_bracket)
@@ -357,7 +357,7 @@ class TestPulledBackBracket:
         gamma = 0.5
         m = phase_damping_model(gamma)
         x = np.array([0.3, -0.2, 0.8])
-        const = asymptotic_pulled_back_bracket(m, 0, 2, x, tau_probe=8.0)
+        const = pulled_back_bracket(m, 0, 2, 8.0, x)
         assert abs(const - SQRT2 * x[1]) < 1e-10
         v0 = pulled_back_bracket(m, 0, 1, 0.0, x)
         v2 = pulled_back_bracket(m, 0, 1, 2.0, x)

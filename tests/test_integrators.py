@@ -52,3 +52,21 @@ class TestAffinePath:
     def test_rejects_nonpositive_dt(self, dt):
         with pytest.raises(ValueError):
             rk4_affine_path(np.eye(2), None, np.ones(2), 1.0, dt)
+
+
+class TestPostMap:
+    def test_post_projects_states_and_ends_the_path(self):
+        # y' = y, each new state halved; the path ends before a stored
+        # state would fall below 0.5
+        def post(y):
+            half = 0.5 * y
+            return None if half[0] < 0.5 else half
+
+        times, states = rk4_path(lambda y: y, np.array([1.0]), 10.0, 0.5,
+                                 post=post)
+        factor = 0.5 * (1.0 + 0.5 + 0.5 ** 2 / 2 + 0.5 ** 3 / 6
+                        + 0.5 ** 4 / 24)
+        assert factor ** 4 < 0.5 < factor ** 3
+        assert np.array_equal(times, [0.0, 0.5, 1.0, 1.5])
+        assert np.allclose(states[:, 0], factor ** np.arange(4),
+                           rtol=1e-14, atol=0.0)

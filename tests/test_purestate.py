@@ -5,7 +5,7 @@ from scipy.linalg import expm
 from dissipgeo import purestate as ps
 from dissipgeo.algebra import build_su_basis
 from dissipgeo.gkls import hamiltonian_gradient_field, integrate_coherence_field
-from dissipgeo.integrators import rk4_path
+from dissipgeo.integrators import DivergenceError, rk4_path
 
 SQRT2 = np.sqrt(2.0)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -272,6 +272,20 @@ class TestSphereFlow:
                                            1.0, 1e-2, renormalize=True)
         norms = np.linalg.norm(psis, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-14
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_divergence_reports_the_last_finite_step(self, renormalize):
+        # |a dt| = 1e79 makes the RK4 step amplify by ~1e314: the first
+        # step stays finite from a 1e-300 component, the second overflows
+        a = np.diag([0.0, 1e80])
+        psi0 = np.array([1.0, 1e-300]) / np.linalg.norm([1.0, 1e-300])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                ps.integrate_sphere_flow(a, np.zeros((2, 2)), psi0, 1.0, 0.1,
+                                         renormalize=renormalize)
+        assert err.value.last_valid_time == 0.1
+        times, states = err.value.partial
+        assert len(times) == len(states) == 2
 
     def test_unitary_flow_is_isometric(self):
         rng = np.random.default_rng(17)
