@@ -56,6 +56,13 @@ def positivity(min_eigenvalues):
                   max(0.0, -float(np.min(min_eigenvalues))), 1e-8)
 
 
+def contact_residuals(cases):
+    """purestate/contact-residuals: the worst residual of the three contact
+    identities of Z = X_a + Y0_b over cases of (a, b, unit chart point)."""
+    return result("purestate/contact-residuals", max(
+        max(ps.contact_residuals(a, b, z)) for a, b, z in cases), 1e-9)
+
+
 def decomposition_identities(cases):
     """gkls/decomposition-sum-identity (A = Hmat - Vmat + Kmat) and
     gkls/nonlinear-cancellation (X_H - Y_V + Z_K = A x + B), worst over
@@ -119,7 +126,6 @@ def _random_model(rng, n, n_jumps=2, scale=0.6):
 
 def algebra_suite():
     rng = np.random.default_rng(101)
-    results = []
     gram_res, trace_res, jacobi_res, trip_res, affine_res = 0, 0, 0, 0, 0
     for n in (2, 3, 4):
         basis = build_su_basis(n)
@@ -144,13 +150,11 @@ def algebra_suite():
             x = rng.normal(size=size)
             direct = np.trace(obs @ from_coherence_vector(x, basis)).real
             affine_res = max(affine_res, abs(direct - (a0 + a_vec @ x)))
-    results.append(result("algebra/basis-orthonormality", gram_res, 1e-12))
-    results.append(result("algebra/basis-traceless", trace_res, 1e-12))
-    results.append(result("algebra/structure-jacobi-identity",
-                          jacobi_res, 1e-10))
-    results.append(result("algebra/coherence-round-trip", trip_res, 1e-12))
-    results.append(result("algebra/expectation-affine", affine_res, 1e-12))
-    return results
+    return [result("algebra/basis-orthonormality", gram_res, 1e-12),
+            result("algebra/basis-traceless", trace_res, 1e-12),
+            result("algebra/structure-jacobi-identity", jacobi_res, 1e-10),
+            result("algebra/coherence-round-trip", trip_res, 1e-12),
+            result("algebra/expectation-affine", affine_res, 1e-12)]
 
 
 def gkls_suite():
@@ -205,7 +209,8 @@ def purestate_suite():
     results.append(result("purestate/kaehler-compatibility",
                           kaehler_res, 1e-14))
 
-    tangency_res, residual_res, commute_res, rank_bad = 0.0, 0.0, 0.0, 0.0
+    tangency_res, commute_res, rank_bad = 0.0, 0.0, 0.0
+    residual_cases = []
     for n in (2, 3):
         for _ in range(10):
             a = _random_hermitian(rng, n)
@@ -216,8 +221,7 @@ def purestate_suite():
             for vec in (ps.hamiltonian_field(a, z), ps.gradient_field(b, z),
                         ps.phase_field(z)):
                 tangency_res = max(tangency_res, abs(float(z @ vec)))
-            residual_res = max(residual_res,
-                               max(ps.contact_residuals(a, b, z)))
+            residual_cases.append((a, b, z))
             jac_g = central_gradient(lambda p: ps.gradient_field(b, p), z)
             jac_p = central_gradient(ps.phase_field, z)
             bracket = jac_g @ ps.phase_field(z) - jac_p \
@@ -227,11 +231,10 @@ def purestate_suite():
             stack = np.vstack([ps.pullback_omega0(z), eta0, z])
             if np.linalg.matrix_rank(stack, tol=1e-10) != 2 * n:
                 rank_bad = 1.0
-    results.append(result("purestate/sphere-tangency", tangency_res, 1e-12))
-    results.append(result("purestate/contact-residuals", residual_res, 1e-9))
-    results.append(result("purestate/gradient-projectability",
-                          commute_res, 1e-9))
-    results.append(result("purestate/contact-volume-rank", rank_bad, 0.5))
+    results += [result("purestate/sphere-tangency", tangency_res, 1e-12),
+                contact_residuals(residual_cases),
+                result("purestate/gradient-projectability", commute_res, 1e-9),
+                result("purestate/contact-volume-rank", rank_bad, 0.5)]
 
     basis = build_su_basis(2)
     a = _random_hermitian(rng, 2, 0.7)
@@ -254,7 +257,6 @@ def purestate_suite():
 
 def contact_suite():
     rng = np.random.default_rng(404)
-    results = []
     chart = darboux_chart(1)
 
     def quadratic(seed_rng):
@@ -291,17 +293,13 @@ def contact_suite():
         point = 0.5 * rng.normal(size=3)
         homo_res = max(homo_res, homomorphism_residual(
             chart, quadratic(rng), quadratic(rng), point))
-    results.append(result("contact/reeb-defining-equations",
-                          reeb_res, 1e-10))
-    results.append(result("contact/nondegeneracy", nondeg_bad, 0.5))
-    results.append(result("contact/exact-chart-consistency",
-                          exact_res, 1e-12))
-    results.append(result("contact/eta-contraction", eta_res, 1e-10))
-    results.append(result("contact/jacobi-antisymmetry",
-                          antisym_res, 1e-10))
-    results.append(result("contact/alpha-df-degeneracy", reduce_res, 1e-12))
-    results.append(result("contact/bracket-homomorphism", homo_res, 1e-5))
-    return results
+    return [result("contact/reeb-defining-equations", reeb_res, 1e-10),
+            result("contact/nondegeneracy", nondeg_bad, 0.5),
+            result("contact/exact-chart-consistency", exact_res, 1e-12),
+            result("contact/eta-contraction", eta_res, 1e-10),
+            result("contact/jacobi-antisymmetry", antisym_res, 1e-10),
+            result("contact/alpha-df-degeneracy", reduce_res, 1e-12),
+            result("contact/bracket-homomorphism", homo_res, 1e-5)]
 
 
 def mechanics_suite():

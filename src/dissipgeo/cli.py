@@ -27,7 +27,7 @@ from scipy.linalg import expm
 
 from . import purestate as ps
 from .algebra import build_su_basis, from_coherence_vector
-from .checks import (CheckResult, decomposition_identities,
+from .checks import (CheckResult, contact_residuals, decomposition_identities,
                      energy_rate_identity, friction_invariants, positivity,
                      result, run_checks)
 from .contact import DegenerateContactError
@@ -235,8 +235,7 @@ def run_pure_state(params):
     invariants = [
         result("purestate/norm-drift",
                float(np.max(np.abs(norms - 1.0))), 1e-8),
-        result("purestate/contact-residuals",
-               max(ps.contact_residuals(a, b, ps.to_chart(psi0))), 1e-9),
+        contact_residuals([(a, b, ps.to_chart(psi0))]),
         result("purestate/exponential-oracle",
                float(np.max(np.abs(psis[-1] - exact))), 1e-7),
     ]

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_CHECK_ROWS = 64  # rows per divergence check in rk4_affine_path
+
 
 class DivergenceError(RuntimeError):
     """Integration produced non-finite values.
@@ -91,6 +93,8 @@ def rk4_affine_path(a, b, y0, t_end, dt):
 
     Same grid, return value and DivergenceError as ``rk4_path``; each
     step is y -> P y + q with the one-step matrix of the module docstring.
+    Divergence is checked once per block of ``_CHECK_ROWS`` rows, so a
+    diverging path stops within one block of its first non-finite state.
     """
     times = time_grid(t_end, dt)
     m = dt * np.asarray(a, dtype=float)
@@ -101,12 +105,16 @@ def rk4_affine_path(a, b, y0, t_end, dt):
     q = None if b is None else dt * (s @ np.asarray(b, dtype=float))
     states = np.empty((len(times), len(m)))
     states[0] = y0
-    for i in range(len(times) - 1):
-        y = states[i + 1]
-        np.matmul(p, states[i], out=y)
-        if q is not None:
-            y += q
-    finite = np.isfinite(states[1:]).all(axis=1)
-    if not finite.all():
-        raise _diverged(times, states, int(np.argmin(finite)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(1, len(times), _CHECK_ROWS):
+            stop = min(start + _CHECK_ROWS, len(times))
+            for i in range(start, stop):
+                y = states[i]
+                np.matmul(p, states[i - 1], out=y)
+                if q is not None:
+                    y += q
+            finite = np.isfinite(states[start:stop]).all(axis=1)
+            if not finite.all():
+                raise _diverged(times, states,
+                                start - 1 + int(np.argmin(finite)))
     return times, states

@@ -11,7 +11,10 @@ the existence of any Lagrangian.  Contact Euler-Lagrange dynamics on
     S' = q'_j dF/dq'_j - (E_L + h(S))      (D_j = dF/dq'_j, Rayleigh F)
 
 with Lagrangian energy E_L = q'_j dL/dq'_j - L, plus single and coupled
-RLC circuit builders.
+RLC circuit builders.  For n = 1 the velocity Hessian is one number h:
+the field tests |h| <= HESSIAN_DET_TOL and takes q'' = rhs / h, the very
+bits a 1 x 1 LU solve returns, with no LAPACK call; n >= 2 uses det and
+solve.
 """
 
 from __future__ import annotations
@@ -124,14 +127,6 @@ def traceless_decomposition(g):
     return g - d, d
 
 
-def _antisym_basis_indices(dim):
-    return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-
-
-def _vectorize_antisym(mat, idx):
-    return np.array([mat[i, j] for i, j in idx])
-
-
 def bivector_span_dimension(g, tol=1e-10):
     """Dimension of the Lie-derivative span of the velocity bivectors.
 
@@ -150,7 +145,7 @@ def bivector_span_dimension(g, tol=1e-10):
     if not (np.allclose(g[:n, :n], 0.0, atol=1e-12)
             and np.allclose(g[:n, n:], np.eye(n), atol=1e-12)):
         raise ValueError("G lacks second-order [[0, I], [*, *]] structure")
-    idx = _antisym_basis_indices(dim)
+    idx = np.triu_indices(dim, 1)
     max_dim = n * (2 * n - 1)
     seeds = []
     for i in range(n, dim):
@@ -166,18 +161,15 @@ def bivector_span_dimension(g, tol=1e-10):
     frontier = seeds
     scale = max(1.0, float(np.linalg.norm(g, 2)))
     for _ in range(2 * max_dim):
-        vectors.extend(_vectorize_antisym(b, idx) for b in frontier)
+        vectors.extend(b[idx] for b in frontier)
         rank = np.linalg.matrix_rank(np.stack(vectors), tol=tol * scale)
         frontier = [g @ b + b @ g.T for b in frontier]
         new_rank = np.linalg.matrix_rank(
-            np.stack(vectors + [_vectorize_antisym(b, idx)
-                                for b in frontier]), tol=tol * scale)
+            np.stack(vectors + [b[idx] for b in frontier]), tol=tol * scale)
         if new_rank == rank:
             break
     span = int(np.linalg.matrix_rank(np.stack(vectors), tol=tol * scale))
-    if n == 1:
-        verdict = "test-inapplicable"
-    elif span == max_dim:
+    if span == max_dim:
         verdict = "no-lagrangian"
     else:
         verdict = "lagrangian-possible"
@@ -246,20 +238,21 @@ def _force_covector(sys, q, qd):
 def contact_el_field(sys, state):
     """(q', q'', S') at state = (q, q', S)."""
     q, qd, s = state
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    qd = np.atleast_1d(np.asarray(qd, dtype=float))
-    hess = np.atleast_2d(np.asarray(sys.hess_qd(q, qd), dtype=float))
-    if abs(np.linalg.det(hess)) <= HESSIAN_DET_TOL:
+    q = np.asarray(q, dtype=float).reshape(sys.n)
+    qd = np.asarray(qd, dtype=float).reshape(sys.n)
+    hess = np.asarray(sys.hess_qd(q, qd), dtype=float)
+    scalar = sys.n == 1
+    if abs(hess.item() if scalar else np.linalg.det(hess)) <= HESSIAN_DET_TOL:
         raise ImplicitSystemError("singular velocity Hessian",
                                   state=(q.copy(), qd.copy(), s))
     if sys.mixed_hess is not None:
-        mixed = np.atleast_2d(np.asarray(sys.mixed_hess(q, qd), dtype=float))
+        mixed = np.asarray(sys.mixed_hess(q, qd), dtype=float)
     else:
         mixed = _mixed_hessian(sys, q, qd)
     dh = float(sys.dh_ds(s))
     rhs = np.asarray(sys.d_l_dq(q, qd), dtype=float) - mixed @ qd \
         - dh * _force_covector(sys, q, qd)
-    qdd = np.linalg.solve(hess, rhs)
+    qdd = rhs / hess.item() if scalar else np.linalg.solve(hess, rhs)
     lag = float(sys.lagrangian(q, qd))
     if sys.dissipation == "rayleigh":
         s_dot = float(qd @ np.asarray(sys.d_f_dqd(q, qd), dtype=float)) \
@@ -290,21 +283,19 @@ def analytic_energy_rate(sys, q, qd, s):
 def integrate_contact(sys, state0, t_end, dt=1e-3):
     """RK4 trajectory of the contact Euler-Lagrange field with per-step
     Lagrangian-energy diagnostics."""
-    q0, qd0, s0 = state0
-    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-    qd0 = np.atleast_1d(np.asarray(qd0, dtype=float))
-    y0 = np.concatenate([q0, qd0, [float(s0)]])
     n = sys.n
 
     def field(y):
-        dq, dqd, ds = contact_el_field(sys, (y[:n], y[n:2 * n], y[2 * n]))
-        return np.concatenate([dq, dqd, [ds]])
+        dy = np.empty_like(y)
+        dy[:n], dy[n:2 * n], dy[2 * n] = contact_el_field(
+            sys, (y[:n], y[n:2 * n], y[2 * n]))
+        return dy
 
     post = None
     if sys.domain_guard is not None:
         def post(y):
             return y if sys.domain_guard(y[:n], y[n:2 * n]) else None
-    times, states = rk4_path(field, y0, t_end, dt, post=post)
+    times, states = rk4_path(field, np.hstack(state0), t_end, dt, post=post)
     stopped = len(times) < len(time_grid(t_end, dt))
     qs = states[:, :n]
     qds = states[:, n:2 * n]

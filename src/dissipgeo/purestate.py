@@ -13,8 +13,10 @@ two-form omega_0.  For Hermitian generators a, b we use
     X_a  = chart of (i a psi)                (unitary part, psi -> e^{iat} psi)
     Y0_b = chart of (b psi) - e_b(psi) z     (gradient part, e_b = f_b / r^2)
 
-with f_b = <psi|b|psi>.  These are tangent to the sphere, and their sum
-Z = X_a + Y0_b satisfies the generalized contact Hamiltonian equations
+with f_b = <psi|b|psi>.  On the chart Z = X_a + Y0_b is M z - (z^T B z /
+z^T z) z, with M and B the real forms [[Re c, -Im c], [Im c, Re c]] of
+c = i a + b and c = b.  These fields are tangent to the sphere, and Z
+satisfies the generalized contact Hamiltonian equations
 
     i_Z dr = 0,   i_Z eta_0 = f_a / r^2,   i_Z omega_0 = d(f_a/r^2) - alpha_b
 
@@ -89,9 +91,22 @@ def gradient_field(b, z):
     return to_chart(np.asarray(b, dtype=complex) @ from_chart(z)) - e_b * z
 
 
+def _real_form(c):
+    """Real 2n x 2n matrix acting on the chart as c acts on psi."""
+    c = np.asarray(c, dtype=complex)
+    return np.block([[c.real, -c.imag], [c.imag, c.real]])
+
+
+def _sphere_field(m, b_real, z):
+    """Z = M z - (z^T B z / z^T z) z for the real forms M of i a + b and
+    B of b."""
+    return m @ z - (z @ (b_real @ z) / (z @ z)) * z
+
+
 def z_field(a, b, z):
     """Z = X_a + Y0_b, the projected GL(n) action generator."""
-    return hamiltonian_field(a, z) + gradient_field(b, z)
+    return _sphere_field(_real_form(flow_generator(a, b)), _real_form(b),
+                         np.asarray(z, dtype=float))
 
 
 def contact_form(z):
@@ -114,10 +129,8 @@ def pullback_omega0(z):
     n = z.size // 2
     r2 = norm_squared(z)
     omega, _, _ = ambient_tensors(n)
-    rho_delta = z
-    rho_gamma = phase_field(z)
-    w = omega / r2 - (np.outer(rho_delta, rho_gamma)
-                      - np.outer(rho_gamma, rho_delta)) / r2 ** 2
+    gamma = phase_field(z)
+    w = omega / r2 - (np.outer(z, gamma) - np.outer(gamma, z)) / r2 ** 2
     return 2.0 * w
 
 
@@ -203,18 +216,16 @@ def integrate_sphere_flow(a, b, psi0, t_end, dt=1e-3, renormalize=False):
     z0 = to_chart(psi0)
     if abs(norm_squared(z0) - 1.0) > SPHERE_TOL:
         raise ValueError("initial state must be normalized")
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
     _require_hermitian(a, b)
 
     post = None
     if renormalize:
         def post(z):
             return z / np.sqrt(norm_squared(z))
-    times, states = rk4_path(lambda z: z_field(a, b, z), z0, t_end, dt,
-                             post=post)
-    psis = states[:, :psi0.size] + 1j * states[:, psi0.size:]
-    return times, psis
+    m, b_real = _real_form(flow_generator(a, b)), _real_form(b)
+    times, states = rk4_path(lambda z: _sphere_field(m, b_real, z), z0,
+                             t_end, dt, post=post)
+    return times, states[:, :psi0.size] + 1j * states[:, psi0.size:]
 
 
 def sphere_contact_chart(n, drop=0):
@@ -228,19 +239,12 @@ def sphere_contact_chart(n, drop=0):
 
     def embed(u):
         u = np.asarray(u, dtype=float)
-        w = np.sqrt(1.0 - float(u @ u))
-        z = np.empty(2 * n)
-        z[drop] = w
-        z[np.arange(2 * n) != drop] = u
-        return z
+        return np.insert(u, drop, np.sqrt(1.0 - float(u @ u)))
 
     def jacobian(u):
         u = np.asarray(u, dtype=float)
         w = np.sqrt(1.0 - float(u @ u))
-        jac = np.zeros((2 * n, dim))
-        rows = [i for i in range(2 * n) if i != drop]
-        for col, row in enumerate(rows):
-            jac[row, col] = 1.0
+        jac = np.delete(np.eye(2 * n), drop, axis=1)
         jac[drop, :] = -u / w
         return jac
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,8 @@ class TestAffinePath:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as ref:
                 rk4_path(lambda x: m.A @ x + m.B, x0, 1e6, 1e4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning may leak
             with pytest.raises(DivergenceError) as got:
                 rk4_affine_path(m.A, m.B, x0, 1e6, 1e4)
         assert got.value.last_valid_time == ref.value.last_valid_time

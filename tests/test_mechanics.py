@@ -28,6 +28,29 @@ def damped_particle(v_coeff, gamma):
         dissipation="caldirola-kanai")
 
 
+def scaled_oscillator(h):
+    """L = h (qd^2 - q^2)/2: velocity Hessian h, flow qdd = -q."""
+    return ContactLagrangianSystem(
+        n=1,
+        lagrangian=lambda q, qd: 0.5 * h * (qd[0] ** 2 - q[0] ** 2),
+        d_l_dq=lambda q, qd: np.array([-h * q[0]]),
+        d_l_dqd=lambda q, qd: np.array([h * qd[0]]),
+        hess_qd=lambda q, qd: np.array([[h]]),
+        mixed_hess=lambda q, qd: np.zeros((1, 1)))
+
+
+def lu_solve_qdd(sys, q, qd, s):
+    """qdd from an LU solve of the Euler-Lagrange system assembled from the
+    system's own callbacks."""
+    if sys.dissipation == "caldirola-kanai":
+        force = sys.d_l_dqd(q, qd)
+    else:
+        force = np.zeros(sys.n)
+    rhs = sys.d_l_dq(q, qd) - sys.mixed_hess(q, qd) @ qd \
+        - float(sys.dh_ds(s)) * force
+    return np.linalg.solve(sys.hess_qd(q, qd), rhs)
+
+
 def five_point_rate(values, dt):
     """Interior 5-point stencil derivative."""
     v = np.asarray(values)
@@ -209,6 +232,37 @@ class TestContactEulerLagrange:
         with pytest.raises(ImplicitSystemError) as info:
             contact_el_field(sys, ([0.0], [0.0], 0.0))
         assert info.value.state is not None
+
+    @pytest.mark.parametrize("sys", [
+        rlc_single(0.3, 0.7, 0.45), friction_system(0.6),
+        damped_particle(1.7, 0.4)],
+        ids=["rlc-single", "friction", "damped-particle"])
+    def test_scalar_route_matches_lu_solve_bit_for_bit(self, sys):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            q, s = rng.normal(size=2)
+            qd = rng.uniform(0.1, 3.0)  # inside friction's chart q' > 0
+            _, qdd, _ = contact_el_field(sys, ([q], [qd], s))
+            assert np.array_equal(
+                qdd, lu_solve_qdd(sys, np.array([q]), np.array([qd]), s))
+
+    def test_hessian_threshold(self):
+        with pytest.raises(ImplicitSystemError) as info:
+            contact_el_field(scaled_oscillator(5e-11), ([0.3], [0.2], 0.1))
+        q, qd, s = info.value.state
+        assert (q[0], qd[0], s) == (0.3, 0.2, 0.1)
+        _, qdd, _ = contact_el_field(scaled_oscillator(2e-10),
+                                     ([0.3], [0.2], 0.1))
+        assert abs(qdd[0] + 0.3) < 1e-15
+
+    def test_hessian_threshold_in_integration(self):
+        with pytest.raises(ImplicitSystemError) as info:
+            integrate_contact(scaled_oscillator(5e-11), ([1.0], [0.0], 0.0),
+                              1.0, 1e-2)
+        assert info.value.state is not None
+        traj = integrate_contact(scaled_oscillator(2e-10),
+                                 ([1.0], [0.0], 0.0), 1.0, 1e-2)
+        assert abs(traj.q[-1, 0] - np.cos(1.0)) < 1e-8
 
     def test_invalid_dissipation_form(self):
         with pytest.raises(ValueError):

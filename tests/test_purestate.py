@@ -79,6 +79,25 @@ class TestFields:
             exact = expm(1j * a) @ psi0
             assert np.max(np.abs(ps.from_chart(zs[-1]) - exact)) < 1e-10
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_real_chart_field_matches_complex_form(self, n):
+        rng = np.random.default_rng(20 + n)
+        a = random_hermitian(rng, n)
+        b = random_hermitian(rng, n)
+
+        def reference(z):
+            psi = ps.from_chart(z)
+            e_b = np.real(np.vdot(psi, b @ psi)) / np.vdot(psi, psi).real
+            return ps.to_chart((1j * a + b) @ psi) - e_b * z
+
+        for _ in range(5):
+            z = ps.to_chart(rng.uniform(0.5, 2.0) * random_unit(rng, n))
+            assert np.max(np.abs(ps.z_field(a, b, z) - reference(z))) < 1e-14
+        psi0 = random_unit(rng, n)
+        _, zs = rk4_path(reference, ps.to_chart(psi0), 0.1, 1e-2)
+        _, psis = ps.integrate_sphere_flow(a, b, psi0, 0.1, 1e-2)
+        assert np.max(np.abs(psis - (zs[:, :n] + 1j * zs[:, n:]))) < 1e-14
+
     def test_gradient_of_identity_vanishes(self):
         rng = np.random.default_rng(3)
         for n in (2, 3):
