@@ -34,10 +34,10 @@ class BasisCorruptionError(RuntimeError):
     """Structure constants came out non-real beyond tolerance."""
 
 
-def is_hermitian(a, tol=HERMITICITY_TOL):
+def is_hermitian(a):
     a = np.asarray(a)
     return a.ndim == 2 and a.shape[0] == a.shape[1] and \
-        float(np.max(np.abs(a - a.conj().T))) < tol
+        float(np.max(np.abs(a - a.conj().T))) < HERMITICITY_TOL
 
 
 @dataclass(frozen=True)
@@ -130,12 +130,12 @@ def to_coherence_vector(a, basis):
 
 
 def from_coherence_vector(x, basis):
-    """Reconstruct xi = I/n + x^j tau_j."""
+    """Reconstruct xi = I/n + x^j tau_j; leading axes of x are batch axes."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (basis.size,):
+    if x.shape[-1:] != (basis.size,):
         raise ValueError(f"coherence vector length {x.shape} != {basis.size}")
     return np.eye(basis.n, dtype=complex) / basis.n \
-        + np.einsum("j,jab->ab", x, basis.tau)
+        + np.einsum("...j,jab->...ab", x, basis.tau)
 
 
 def expectation(a, x, basis):

@@ -29,7 +29,7 @@ from . import purestate as ps
 from .algebra import build_su_basis, from_coherence_vector
 from .checks import (CheckResult, contact_residuals, decomposition_identities,
                      energy_rate_identity, friction_invariants, positivity,
-                     result, run_checks)
+                     result, run_checks, trace_preservation)
 from .contact import DegenerateContactError
 from .gkls import build_model, integrate, phase_damping_model
 from .integrators import DivergenceError, rk4_affine_path
@@ -198,8 +198,7 @@ def run_gkls(params):
                             traj.ranks.astype(float)])
 
     invariants = [
-        result("gkls/trace-preservation",
-               float(np.max(np.abs(traj.traces - 1.0))), 1e-10),
+        trace_preservation(traj.traces - 1.0),
         positivity(traj.min_eigenvalues),
         *decomposition_identities([(model, [traj.points[0]])]),
     ]

@@ -1,7 +1,8 @@
 """Generic contact-manifold machinery on coordinate charts.
 
 A chart carries a one-form eta and a two-form omega with eta ^ omega^m
-nonvanishing (exact charts have omega = d eta).  Everything here is a
+nonvanishing; whether omega = d eta is measured (by central differences
+in ``checks.exactness_residual``), not declared.  Everything here is a
 per-point linear solve against the bordered matrix [[omega, eta], [eta^T,
 0]]: Reeb field, contact Hamiltonian fields
 
@@ -45,11 +46,11 @@ def central_gradient(f, x, step=1e-5):
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Function with a gradient, analytic or central-difference."""
+    """Function with a gradient, analytic or central-difference (step
+    1e-5)."""
 
     value: Callable
     gradient: Optional[Callable] = None
-    fd_step: float = 1e-5
 
     def __call__(self, point):
         return float(self.value(np.asarray(point, dtype=float)))
@@ -58,7 +59,7 @@ class ScalarField:
         point = np.asarray(point, dtype=float)
         if self.gradient is not None:
             return np.asarray(self.gradient(point), dtype=float)
-        return central_gradient(self.value, point, self.fd_step)
+        return central_gradient(self.value, point)
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,6 @@ class ContactChart:
     dim: int
     eta: Callable
     omega: Callable
-    is_exact: bool = False
-    deta: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dim % 2 != 1:
@@ -92,8 +91,7 @@ def darboux_chart(m=1):
         cov[-1] = 1.0
         return cov
 
-    return ContactChart(dim=dim, eta=eta, omega=lambda p: w,
-                        is_exact=True, deta=lambda p: w)
+    return ContactChart(dim=dim, eta=eta, omega=lambda p: w)
 
 
 def nondegeneracy_determinant(chart, point):
@@ -202,14 +200,15 @@ def _fd_jacobian(vector_field, point, step):
             - central_gradient(vector_field, point, step)) / 3.0
 
 
-def homomorphism_residual(chart, f, g, point, step=1e-4):
+def homomorphism_residual(chart, f, g, point):
     """Max-norm of [Gamma_F, Gamma_G] - Gamma_[F,G] at a point.
 
     The Lie bracket of the two contact fields is formed with finite
-    differences; the bracket function's gradient falls back to central
-    differences as well.
+    differences (step 1e-4); the bracket function's gradient falls back
+    to central differences as well.
     """
     point = np.asarray(point, dtype=float)
+    step = 1e-4
 
     def field_f(p):
         return contact_hamiltonian_field(chart, f, p)

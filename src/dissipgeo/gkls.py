@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import (SuBasis, build_su_basis, is_hermitian,
-                      to_coherence_vector)
+from .algebra import (SuBasis, build_su_basis, from_coherence_vector,
+                      is_hermitian, to_coherence_vector)
 from .integrators import rk4_affine_path, rk4_path
 
 RANK_EIG_TOL = 1e-9
@@ -62,7 +62,6 @@ class FieldDecomposition:
     Hmat: np.ndarray
     Vmat: np.ndarray
     Kmat: np.ndarray
-    B: np.ndarray
     V_vec: np.ndarray      # Tr(V tau_j)
     calV_vec: np.ndarray   # Tr(sum_k v_k v_k^dag tau_j)
 
@@ -175,8 +174,7 @@ def decompose_field(model):
         cal = cal + v @ v.conj().T
     Kmat = np.einsum("lab,jba->jl", ktau, tau).real
     calV_vec = np.einsum("jab,ba->j", tau, cal).real
-    B = (calV_vec - V_vec) / model.n
-    return FieldDecomposition(Hmat=Hmat, Vmat=Vmat, Kmat=Kmat, B=B,
+    return FieldDecomposition(Hmat=Hmat, Vmat=Vmat, Kmat=Kmat,
                               V_vec=V_vec, calV_vec=calV_vec)
 
 
@@ -220,8 +218,7 @@ def hamiltonian_gradient_field(basis, H, V):
 
 def _trajectory(basis, times, points):
     """Attach per-point trace, spectrum and rank diagnostics to a path."""
-    xi = np.eye(basis.n, dtype=complex) / basis.n \
-        + np.einsum("tj,jab->tab", points, basis.tau)
+    xi = from_coherence_vector(points, basis)
     spectra = np.linalg.eigvalsh(xi)
     return Trajectory(times=times, points=points,
                       traces=np.einsum("taa->t", xi).real,
@@ -235,7 +232,7 @@ def integrate_coherence_field(field, x0, t_end, dt, basis):
     return _trajectory(basis, times, points)
 
 
-def integrate(model, rho0, t_end, dt=1e-3):
+def integrate(model, rho0, t_end, dt):
     """RK4 trajectory of dx/dt = A x + B from a density matrix.
 
     The field is affine, so each step is one product with the RK4

@@ -40,7 +40,7 @@ class DivergenceError(RuntimeError):
     holds (times, states) up to and including that time.
     """
 
-    def __init__(self, last_valid_time, partial=None):
+    def __init__(self, last_valid_time, partial):
         super().__init__(
             f"integration diverged after t = {last_valid_time:.6g}")
         self.last_valid_time = last_valid_time
@@ -66,25 +66,27 @@ def rk4_path(f, y0, t_end, dt, post=None):
 
     Returns (times, states) with states[i] the state at times[i].  With
     ``post``, each new finite state y is stored as post(y); if post(y) is
-    None the path ends at the last stored state.
+    None the path ends at the last stored state.  Overflow on the way to a
+    non-finite state raises DivergenceError, not a numpy warning.
     """
     times = time_grid(t_end, dt)
     y = np.array(y0, dtype=float)
     states = np.empty((len(times),) + y.shape)
     states[0] = y
-    for i in range(len(times) - 1):
-        k1 = f(y)
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise _diverged(times, states, i)
-        if post is not None:
-            y = post(y)
-            if y is None:
-                return times[:i + 1], states[:i + 1]
-        states[i + 1] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(times) - 1):
+            k1 = f(y)
+            k2 = f(y + 0.5 * dt * k1)
+            k3 = f(y + 0.5 * dt * k2)
+            k4 = f(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(y)):
+                raise _diverged(times, states, i)
+            if post is not None:
+                y = post(y)
+                if y is None:
+                    return times[:i + 1], states[:i + 1]
+            states[i + 1] = y
     return times, states
 
 

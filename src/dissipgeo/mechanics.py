@@ -83,12 +83,8 @@ class HamiltonianityResult:
     verdict: str
     generic: bool
 
-    @property
-    def admissible(self):
-        return self.verdict == "hamiltonian-admissible"
 
-
-def hamiltonianity_criterion(g, rel_tol=1e-9):
+def hamiltonianity_criterion(g):
     """Constant-Poisson Hamiltonian description exists iff every odd power
     of the (generic) representative matrix is traceless."""
     g = np.asarray(g, dtype=float)
@@ -108,7 +104,7 @@ def hamiltonianity_criterion(g, rel_tol=1e-9):
         power = power @ g2
     traces = np.array(traces)
     bounds = np.array([max(scale, 1e-30) ** (2 * k + 1) for k in range(dim)])
-    traceless = bool(np.all(np.abs(traces) < rel_tol * bounds))
+    traceless = bool(np.all(np.abs(traces) < 1e-9 * bounds))
     if not traceless:
         verdict = "not-hamiltonian"
     elif generic:
@@ -127,7 +123,7 @@ def traceless_decomposition(g):
     return g - d, d
 
 
-def bivector_span_dimension(g, tol=1e-10):
+def bivector_span_dimension(g):
     """Dimension of the Lie-derivative span of the velocity bivectors.
 
     Seeds with d/dq'_i ^ d/dq'_j, iterates B -> G B + B G^T, and
@@ -159,16 +155,16 @@ def bivector_span_dimension(g, tol=1e-10):
         return 0, "test-inapplicable"
     vectors = []
     frontier = seeds
-    scale = max(1.0, float(np.linalg.norm(g, 2)))
+    tol = 1e-10 * max(1.0, float(np.linalg.norm(g, 2)))
     for _ in range(2 * max_dim):
         vectors.extend(b[idx] for b in frontier)
-        rank = np.linalg.matrix_rank(np.stack(vectors), tol=tol * scale)
+        rank = np.linalg.matrix_rank(np.stack(vectors), tol=tol)
         frontier = [g @ b + b @ g.T for b in frontier]
         new_rank = np.linalg.matrix_rank(
-            np.stack(vectors + [b[idx] for b in frontier]), tol=tol * scale)
+            np.stack(vectors + [b[idx] for b in frontier]), tol=tol)
         if new_rank == rank:
             break
-    span = int(np.linalg.matrix_rank(np.stack(vectors), tol=tol * scale))
+    span = int(np.linalg.matrix_rank(np.stack(vectors), tol=tol))
     if span == max_dim:
         verdict = "no-lagrangian"
     else:
@@ -185,10 +181,11 @@ class ContactLagrangianSystem:
     """Lagrangian with dissipation data on (q, q', S).
 
     dissipation selects the force covector D: "none" (conservative),
-    "caldirola-kanai" (D = dL/dq') or "rayleigh" (D = dF/dq' from the
-    velocity-dependent function rayleigh_f).  The velocity Hessian must
-    stay invertible along trajectories.  domain_guard, when set, stops
-    integration cleanly once it returns False.
+    "caldirola-kanai" (D = dL/dq') or "rayleigh" (D = d_f_dqd, the
+    velocity gradient of a Rayleigh function F).  mixed_hess(q, q')[j, k]
+    is d^2 L / dq_k dq'_j.  The velocity Hessian must stay invertible
+    along trajectories.  domain_guard, when set, stops integration
+    cleanly once it returns False.
     """
 
     n: int
@@ -196,35 +193,23 @@ class ContactLagrangianSystem:
     d_l_dq: Callable
     d_l_dqd: Callable
     hess_qd: Callable
-    mixed_hess: Optional[Callable] = None
+    mixed_hess: Callable
     h: Callable = _zero_h
     dh_ds: Callable = _zero_h
     dissipation: str = "none"
-    rayleigh_f: Optional[Callable] = None
     d_f_dqd: Optional[Callable] = None
     domain_guard: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dissipation not in ("none", "caldirola-kanai", "rayleigh"):
             raise ValueError(f"unknown dissipation form {self.dissipation!r}")
-        if self.dissipation == "rayleigh" and (self.rayleigh_f is None
-                                               or self.d_f_dqd is None):
-            raise ValueError("rayleigh dissipation needs rayleigh_f and d_f_dqd")
+        if self.dissipation == "rayleigh" and self.d_f_dqd is None:
+            raise ValueError("rayleigh dissipation needs d_f_dqd")
 
     def energy(self, q, qd):
         """Lagrangian energy E_L = q'_j dL/dq'_j - L."""
         return float(np.dot(qd, self.d_l_dqd(q, qd))
                      - self.lagrangian(q, qd))
-
-
-def _mixed_hessian(sys, q, qd, step=1e-6):
-    cols = []
-    for k in range(sys.n):
-        e = np.zeros(sys.n)
-        e[k] = step
-        cols.append((np.asarray(sys.d_l_dqd(q + e, qd))
-                     - np.asarray(sys.d_l_dqd(q - e, qd))) / (2.0 * step))
-    return np.stack(cols, axis=1)  # [j, k] = d^2 L / dq_k dq'_j
 
 
 def _force_covector(sys, q, qd):
@@ -245,10 +230,7 @@ def contact_el_field(sys, state):
     if abs(hess.item() if scalar else np.linalg.det(hess)) <= HESSIAN_DET_TOL:
         raise ImplicitSystemError("singular velocity Hessian",
                                   state=(q.copy(), qd.copy(), s))
-    if sys.mixed_hess is not None:
-        mixed = np.asarray(sys.mixed_hess(q, qd), dtype=float)
-    else:
-        mixed = _mixed_hessian(sys, q, qd)
+    mixed = np.asarray(sys.mixed_hess(q, qd), dtype=float)
     dh = float(sys.dh_ds(s))
     rhs = np.asarray(sys.d_l_dq(q, qd), dtype=float) - mixed @ qd \
         - dh * _force_covector(sys, q, qd)
@@ -280,7 +262,7 @@ def analytic_energy_rate(sys, q, qd, s):
     return -float(sys.dh_ds(s)) * float(qd @ _force_covector(sys, q, qd))
 
 
-def integrate_contact(sys, state0, t_end, dt=1e-3):
+def integrate_contact(sys, state0, t_end, dt):
     """RK4 trajectory of the contact Euler-Lagrange field with per-step
     Lagrangian-energy diagnostics."""
     n = sys.n
@@ -306,17 +288,18 @@ def integrate_contact(sys, state0, t_end, dt=1e-3):
                              energy_mech=e_mech, stopped_early=stopped)
 
 
-def projectability_check(sys, s_samples=None, tol=1e-10, step=1e-4):
+def projectability_check(sys):
     """True iff the contact dynamics projects to a second-order flow on
     (q, q'): h must be linear in S (the force and S' then decouple from
     S); the dissipation one-forms here never depend on S by construction.
+    h'' is the central difference of dh_ds (step 1e-4) at ten S in
+    [-2, 2], and counts as zero below 1e-10.
     """
-    if s_samples is None:
-        s_samples = np.linspace(-2.0, 2.0, 10)
-    for s in s_samples:
+    step = 1e-4
+    for s in np.linspace(-2.0, 2.0, 10):
         second = (float(sys.dh_ds(s + step)) - float(sys.dh_ds(s - step))) \
             / (2.0 * step)
-        if abs(second) > tol:
+        if abs(second) > 1e-10:
             return False
     return True
 
@@ -371,7 +354,6 @@ def rlc_coupled(l1, l2, c1, c2, r1, r2, r_coupling):
         h=lambda s: s,
         dh_ds=lambda s: 1.0,
         dissipation="rayleigh",
-        rayleigh_f=lambda q, qd: 0.5 * float(qd @ r_mat @ qd),
         d_f_dqd=lambda q, qd: r_mat @ qd)
 
 

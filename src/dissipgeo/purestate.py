@@ -204,7 +204,7 @@ def flow_generator(a, b):
     return 1j * np.asarray(a, dtype=complex) + np.asarray(b, dtype=complex)
 
 
-def integrate_sphere_flow(a, b, psi0, t_end, dt=1e-3, renormalize=False):
+def integrate_sphere_flow(a, b, psi0, t_end, dt, renormalize=False):
     """RK4 the flow of Z = X_a + Y0_b from a unit vector.
 
     Tangency keeps the norm to integrator order without projection;
@@ -228,10 +228,10 @@ def integrate_sphere_flow(a, b, psi0, t_end, dt=1e-3, renormalize=False):
     return times, states[:, :psi0.size] + 1j * states[:, psi0.size:]
 
 
-def sphere_contact_chart(n, drop=0):
+def sphere_contact_chart(n):
     """(2n-1)-dimensional coordinate patch of the unit sphere.
 
-    Drops chart coordinate ``drop`` (solved as +sqrt(1 - |u|^2)) and
+    Drops chart coordinate 0, Re psi_1 (solved as +sqrt(1 - |u|^2)), and
     pulls eta_0 and omega_0 back through the embedding.  Returns
     (chart, embed, jacobian) for points with |u| < 1.
     """
@@ -239,13 +239,13 @@ def sphere_contact_chart(n, drop=0):
 
     def embed(u):
         u = np.asarray(u, dtype=float)
-        return np.insert(u, drop, np.sqrt(1.0 - float(u @ u)))
+        return np.insert(u, 0, np.sqrt(1.0 - float(u @ u)))
 
     def jacobian(u):
         u = np.asarray(u, dtype=float)
         w = np.sqrt(1.0 - float(u @ u))
-        jac = np.delete(np.eye(2 * n), drop, axis=1)
-        jac[drop, :] = -u / w
+        jac = np.delete(np.eye(2 * n), 0, axis=1)
+        jac[0, :] = -u / w
         return jac
 
     def eta(u):

@@ -136,6 +136,19 @@ class TestCoherenceChart:
             back = from_coherence_vector(to_coherence_vector(a, basis), basis)
             assert np.max(np.abs(back - a)) < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batch_axis_matches_single_points(self, n):
+        basis = build_su_basis(n)
+        points = np.random.default_rng(n).normal(size=(2, 5, basis.size))
+        batch = from_coherence_vector(points, basis)
+        assert batch.shape == (2, 5, n, n)
+        for i in range(2):
+            for j in range(5):
+                assert np.array_equal(
+                    batch[i, j], from_coherence_vector(points[i, j], basis))
+        with pytest.raises(ValueError):
+            from_coherence_vector(points[..., 1:], basis)
+
     def test_trace_mismatch_carries_trace(self):
         basis = build_su_basis(2)
         with pytest.raises(TraceMismatchError) as info:

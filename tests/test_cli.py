@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,13 @@ SIGMA3 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
 ZERO2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 PURE_STATE = {"a": SIGMA3, "b": ZERO2, "psi0": [[1.0, 0.0], [0.0, 0.0]],
               "t_end": 1.0, "dt": 1e-2}
+RLC_SINGLE = {"circuit": "single", "resistance": 0.2, "inductance": 1.0,
+              "capacitance": 1.0, "i0": [1.0], "di0": [0.0],
+              "t_end": 1.0, "dt": 1e-2}
+LINEAR = {"system": "linear", "mass": [[1.0, 0.0], [0.0, 1.0]],
+          "damping": [[0.3, 0.0], [0.0, 0.7]],
+          "stiffness": [[1.0, 0.0], [0.0, 4.0]],
+          "x0": [1.0, 0.0, 0.0, 0.0], "t_end": 1.0, "dt": 1e-2}
 BAD_VALUE_CONFIGS = {
     "non-hermitian-hamiltonian": ("gkls", {
         "hamiltonian": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
@@ -60,6 +68,13 @@ BAD_VALUE_CONFIGS = {
     "negative-gamma": ("gkls", {**PHASE_DAMPING, "gamma": -1}),
     "renormalize-dt-zero": ("pure-state", {
         **PURE_STATE, "renormalize": True, "dt": 0}),
+    "unknown-circuit": ("circuit", {**RLC_SINGLE, "circuit": "triple"}),
+    "i0-wrong-length": ("circuit", {**RLC_SINGLE, "i0": [1.0, 0.0]}),
+    "di0-wrong-length": ("circuit", {**RLC_SINGLE, "di0": [0.0, 0.0]}),
+    "unknown-system": ("contact-lagrangian", {**LINEAR, "system": "rigid"}),
+    "linear-x0-wrong-length": ("contact-lagrangian", {
+        **LINEAR, "x0": [1.0, 0.0, 0.0]}),
+    "psi0-plain-reals": ("pure-state", {**PURE_STATE, "psi0": [1.0, 0.0]}),
 }
 
 
@@ -142,11 +157,25 @@ class TestCommands:
             "kind": "gkls",
             "parameters": {"model": "phase-damping", "gamma": 1.0,
                            "x0": [0.7, 0.0, 0.0], "t_end": 1e6, "dt": 1e4}}))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run_cli("run", str(cfg),
-                           "--out", str(tmp_path)) == EXIT_NUMERICAL
+        assert run_cli("run", str(cfg),
+                       "--out", str(tmp_path)) == EXIT_NUMERICAL
         # partial trajectory flushed before exit
         assert (tmp_path / "unstable_partial.csv").exists()
+
+    def test_nonlinear_divergence_is_quiet(self, tmp_path, capsys):
+        # |a dt| = 1e79: the second RK4 step of the sphere flow overflows
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps({
+            "kind": "pure-state",
+            "parameters": {
+                "a": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e80, 0.0]]],
+                "b": ZERO2, "psi0": [[1.0, 0.0], [1e-300, 0.0]],
+                "t_end": 1.0, "dt": 0.1}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may escape
+            assert run_cli("run", str(cfg),
+                           "--out", str(tmp_path)) == EXIT_NUMERICAL
+        assert (tmp_path / "overflow_partial.csv").exists()
 
 
 class TestScenarioRuns:

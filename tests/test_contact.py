@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dissipgeo import purestate as ps
+from dissipgeo.checks import exactness_residual
 from dissipgeo.contact import (ContactChart, DegenerateContactError,
                                ScalarField, central_gradient,
                                contact_hamiltonian_field, darboux_chart,
@@ -37,12 +38,25 @@ class TestChartBasics:
                 > 1e-12
 
     def test_exact_chart_omega_matches_deta(self):
+        # eta is affine on the Darboux chart: central differences are exact
+        # up to rounding
         for m in (1, 2):
             chart = darboux_chart(m)
-            assert chart.is_exact
-            point = np.random.default_rng(m).normal(size=2 * m + 1)
-            assert np.max(np.abs(np.asarray(chart.omega(point))
-                                 - np.asarray(chart.deta(point)))) < 1e-12
+            rng = np.random.default_rng(m)
+            for _ in range(10):
+                point = rng.normal(size=2 * m + 1)
+                assert exactness_residual(chart, point, 1e-2) < 1e-12
+
+    def test_sphere_chart_omega_matches_d_eta(self):
+        # omega_0 = d eta_0 on the unit sphere; observed residuals stay
+        # below 6e-10 at step 1e-5 for |u| <= 0.9
+        for n in (2, 3):
+            chart, _, _ = ps.sphere_contact_chart(n)
+            rng = np.random.default_rng(n)
+            for _ in range(10):
+                u = rng.normal(size=2 * n - 1)
+                u *= rng.uniform(0.0, 0.9) / np.linalg.norm(u)
+                assert exactness_residual(chart, u, 1e-5) < 1e-8
 
     def test_degenerate_chart_raises(self):
         flat = ContactChart(dim=3, eta=lambda p: np.array([0.0, 0.0, 1.0]),

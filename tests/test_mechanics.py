@@ -228,7 +228,8 @@ class TestContactEulerLagrange:
             lagrangian=lambda q, qd: qd[0] ** 3 / 6.0,
             d_l_dq=lambda q, qd: np.zeros(1),
             d_l_dqd=lambda q, qd: np.array([qd[0] ** 2 / 2.0]),
-            hess_qd=lambda q, qd: np.array([[qd[0]]]))
+            hess_qd=lambda q, qd: np.array([[qd[0]]]),
+            mixed_hess=lambda q, qd: np.zeros((1, 1)))
         with pytest.raises(ImplicitSystemError) as info:
             contact_el_field(sys, ([0.0], [0.0], 0.0))
         assert info.value.state is not None
@@ -271,6 +272,7 @@ class TestContactEulerLagrange:
                 d_l_dq=lambda q, qd: np.zeros(1),
                 d_l_dqd=lambda q, qd: np.zeros(1),
                 hess_qd=lambda q, qd: np.eye(1),
+                mixed_hess=lambda q, qd: np.zeros((1, 1)),
                 dissipation="viscous")
 
 
@@ -416,6 +418,7 @@ class TestProjectability:
             d_l_dq=lambda q, qd: np.zeros(1),
             d_l_dqd=lambda q, qd: np.array([qd[0]]),
             hess_qd=lambda q, qd: np.eye(1),
+            mixed_hess=lambda q, qd: np.zeros((1, 1)),
             h=lambda s: s ** 2,
             dh_ds=lambda s: 2.0 * s,
             dissipation="caldirola-kanai")
@@ -442,4 +445,5 @@ class TestBuilders:
                 d_l_dq=lambda q, qd: np.zeros(1),
                 d_l_dqd=lambda q, qd: np.zeros(1),
                 hess_qd=lambda q, qd: np.eye(1),
+                mixed_hess=lambda q, qd: np.zeros((1, 1)),
                 dissipation="rayleigh")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -298,7 +300,8 @@ class TestSphereFlow:
         # step stays finite from a 1e-300 component, the second overflows
         a = np.diag([0.0, 1e80])
         psi0 = np.array([1.0, 1e-300]) / np.linalg.norm([1.0, 1e-300])
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning may leak
             with pytest.raises(DivergenceError) as err:
                 ps.integrate_sphere_flow(a, np.zeros((2, 2)), psi0, 1.0, 0.1,
                                          renormalize=renormalize)
