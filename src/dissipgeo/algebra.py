@@ -2,9 +2,9 @@
 
 Builds orthonormal traceless Hermitian bases (generalized Gell-Mann
 matrices scaled to Tr(tau_j tau_k) = delta_jk, so the dual basis equals
-the basis itself), their antisymmetric/symmetric structure tensors, and
-the coherence-vector chart xi = I/n + x^j tau_j on trace-one Hermitian
-matrices.
+the basis itself), the coherence-vector chart xi = I/n + x^j tau_j on
+trace-one Hermitian matrices, and, on demand only, the antisymmetric and
+symmetric structure tensors of a basis.
 """
 
 from __future__ import annotations
@@ -44,19 +44,13 @@ def is_hermitian(a):
 class SuBasis:
     """Orthonormal traceless Hermitian basis of an n-level system.
 
-    tau has shape (n**2 - 1, n, n).  The structure tensors are indexed
-    with the lower index first:
-
-        c[l, j, k] = i Tr([tau_j, tau_k] tau_l)   (antisymmetric in j, k)
-        d[l, j, k] = Tr({tau_j, tau_k} tau_l)     (symmetric in j, k)
-
-    Immutable after construction; safe to share between threads.
+    tau has shape (n**2 - 1, n, n); its structure tensors come from
+    ``structure_constants(tau)``.  Immutable after construction; safe to
+    share between threads.
     """
 
     n: int
     tau: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
 
     @property
     def size(self):
@@ -89,8 +83,13 @@ def _gell_mann_stack(n):
 
 def structure_constants(tau):
     """Structure tensors (c, d) of an orthonormal traceless basis, given
-    as a raw (N, n, n) stack of basis matrices.  Raises
-    BasisCorruptionError if the imaginary residue of either tensor
+    as a raw (N, n, n) stack of basis matrices, with the lower index
+    first:
+
+        c[l, j, k] = i Tr([tau_j, tau_k] tau_l)   (antisymmetric in j, k)
+        d[l, j, k] = Tr({tau_j, tau_k} tau_l)     (symmetric in j, k)
+
+    Raises BasisCorruptionError if the imaginary residue of either tensor
     exceeds 1e-12.
     """
     tau = np.asarray(tau)
@@ -109,13 +108,11 @@ def structure_constants(tau):
 
 
 def build_su_basis(n):
-    """Orthonormal traceless Hermitian basis of su(n) with cached
-    structure constants.  n = 2 gives the Pauli matrices over sqrt(2)."""
+    """Orthonormal traceless Hermitian basis of su(n).  n = 2 gives the
+    Pauli matrices over sqrt(2)."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidDimensionError(f"need integer n >= 2, got {n!r}")
-    tau = _gell_mann_stack(int(n))
-    c, d = structure_constants(tau)
-    return SuBasis(n=int(n), tau=tau, c=c, d=d)
+    return SuBasis(n=int(n), tau=_gell_mann_stack(int(n)))
 
 
 def to_coherence_vector(a, basis):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import purestate as ps
-from .algebra import build_su_basis, from_coherence_vector, to_coherence_vector
+from .algebra import (build_su_basis, from_coherence_vector,
+                      structure_constants, to_coherence_vector)
 from .contact import (ScalarField, central_gradient,
                       contact_hamiltonian_field, darboux_chart,
                       generalized_contact_field, homomorphism_residual,
@@ -149,7 +150,8 @@ def algebra_suite():
         gram_res = max(gram_res, float(np.max(np.abs(gram - np.eye(size)))))
         trace_res = max(trace_res, float(np.max(np.abs(
             np.einsum("jaa->j", basis.tau)))))
-        cyc = np.einsum("mjk,rml->jklr", basis.c, basis.c)
+        c, _ = structure_constants(basis.tau)
+        cyc = np.einsum("mjk,rml->jklr", c, c)
         jacobi_res = max(jacobi_res, float(np.max(np.abs(
             cyc + cyc.transpose(1, 2, 0, 3) + cyc.transpose(2, 0, 1, 3)))))
         for _ in range(20):

@@ -5,11 +5,13 @@
     dissipgeo checks [--filter MODULE] [--out DIR]
 
 Configs are JSON with a "kind" in {gkls, pure-state, contact-lagrangian,
-circuit, checks} and kind-specific "parameters"; complex entries are
+circuit, checks} and the "parameters" its runner reads (``RUNNERS``);
+every kind but checks requires t_end and dt.  Complex entries are
 [re, im] pairs.  Each run writes a trajectory CSV (17 significant
 digits, LF endings, byte-stable across runs) plus a JSON report with
-per-invariant pass/fail and residuals.  Exit codes: 0 all invariants
-pass, 2 usage or config error, 3 numerical failure.
+per-invariant pass/fail and residuals, final_t and stopped_early.  Exit
+codes: 0 all invariants pass, 2 usage or config error (an unknown
+parameter or a missing t_end or dt among them), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .checks import (CheckResult, contact_residuals, decomposition_identities,
                      result, run_checks, trace_preservation)
 from .contact import DegenerateContactError
 from .gkls import build_model, integrate, phase_damping_model
-from .integrators import DivergenceError, rk4_affine_path
+from .integrators import DivergenceError, rk4_affine_path, time_grid
 from .mechanics import (ImplicitSystemError, LinearSecondOrderSystem,
                         bivector_span_dimension, friction_system,
                         hamiltonianity_criterion, integrate_contact,
@@ -41,19 +43,6 @@ from .mechanics import (ImplicitSystemError, LinearSecondOrderSystem,
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["gkls", "pure-state", "contact-lagrangian",
-                          "circuit", "checks"]},
-        "name": {"type": "string"},
-        "parameters": {"type": "object"},
-    },
-    "additionalProperties": False,
-}
-
 
 class ConfigError(ValueError):
     """Configuration could not be validated or parsed."""
@@ -171,9 +160,7 @@ BUILTIN_SCENARIOS = {
 }
 
 
-def run_gkls(params):
-    t_end = float(params.get("t_end", 5.0))
-    dt = float(params.get("dt", 1e-3))
+def run_gkls(params, t_end, dt):
     if params.get("model") == "phase-damping":
         gamma = float(params.get("gamma", 1.0))
         model = phase_damping_model(gamma)
@@ -213,9 +200,7 @@ def run_gkls(params):
     return header, rows, invariants
 
 
-def run_pure_state(params):
-    t_end = float(params.get("t_end", 5.0))
-    dt = float(params.get("dt", 1e-3))
+def run_pure_state(params, t_end, dt):
     a = parse_complex_matrix(params["a"], "a")
     b = parse_complex_matrix(params["b"], "b")
     psi0 = parse_complex_matrix(params["psi0"], "psi0")
@@ -241,9 +226,7 @@ def run_pure_state(params):
     return header, rows, invariants
 
 
-def run_circuit(params):
-    t_end = float(params.get("t_end", 10.0))
-    dt = float(params.get("dt", 1e-3))
+def run_circuit(params, t_end, dt):
     kind = params.get("circuit", "single")
     if kind == "single":
         r, l_ind, cap = (float(params[k]) for k in
@@ -289,9 +272,7 @@ def run_circuit(params):
     return header, rows, invariants
 
 
-def run_contact_lagrangian(params):
-    t_end = float(params.get("t_end", 10.0))
-    dt = float(params.get("dt", 1e-3))
+def run_contact_lagrangian(params, t_end, dt):
     system = params.get("system", "friction")
     if system == "friction":
         gamma = float(params.get("gamma", 0.5))
@@ -341,30 +322,59 @@ def run_contact_lagrangian(params):
     return header, rows, invariants
 
 
+# kind -> (runner, the parameter names it reads); a runner also reads
+# t_end and dt, which its kind then requires
+RUNNERS = {
+    "checks": (None, {"filter"}),
+    "gkls": (run_gkls, {"model", "gamma", "hamiltonian", "jumps", "x0",
+                        "rho0"}),
+    "pure-state": (run_pure_state, {"a", "b", "psi0", "renormalize"}),
+    "circuit": (run_circuit, {"circuit", "resistance", "inductance",
+                              "capacitance", "l1", "l2", "c1", "c2", "r1",
+                              "r2", "r_coupling", "i0", "di0"}),
+    "contact-lagrangian": (run_contact_lagrangian, {
+        "system", "gamma", "q0", "qd0", "mass", "damping", "stiffness",
+        "x0", "expect"}),
+}
+
+CONFIG_SCHEMA = {
+    "type": "object",
+    "required": ["kind"],
+    "properties": {
+        "kind": {"enum": list(RUNNERS)},
+        "name": {"type": "string"},
+        "parameters": {"type": "object"},
+    },
+    "additionalProperties": False,
+}
+
+
 def execute_scenario(config, out_dir):
     """Run one scenario; returns (report dict, all_passed)."""
     kind = config["kind"]
     params = config.get("parameters", {})
+    runner, allowed = RUNNERS[kind]
+    horizon = set() if runner is None else {"t_end", "dt"}
+    unknown, missing = set(params) - allowed - horizon, horizon - set(params)
+    if unknown or missing:
+        raise ConfigError(f"{kind} parameters: unknown {sorted(unknown)}, "
+                          f"missing {sorted(missing)}")
     name = config.get("name", kind)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     outputs = []
-    if kind == "checks":
+    if runner is None:
         results = run_checks(params.get("filter"))
     else:
-        runner = {"gkls": run_gkls, "pure-state": run_pure_state,
-                  "circuit": run_circuit,
-                  "contact-lagrangian": run_contact_lagrangian}[kind]
-        header, rows, results = runner(params)
+        t_end, dt = float(params["t_end"]), float(params["dt"])
+        header, rows, results = runner(params, t_end, dt)
         csv_path = out_dir / f"{name}.csv"
         write_csv(csv_path, header, rows)
         outputs.append(str(csv_path))
-    seen = set()
-    for r in results:
-        if r.name in seen:
-            raise RuntimeError(f"duplicate invariant {r.name!r} in report")
-        seen.add(r.name)
+    names = [r.name for r in results]
+    if len(set(names)) != len(names):
+        raise RuntimeError(f"duplicate invariant in report: {names}")
     report = {
         "scenario": name,
         "kind": kind,
@@ -372,6 +382,9 @@ def execute_scenario(config, out_dir):
         "invariants": [asdict(r) for r in results],
         "outputs": outputs,
     }
+    if runner is not None:  # a domain guard can end a path early
+        report["final_t"] = float(rows[-1, 0])
+        report["stopped_early"] = len(rows) < len(time_grid(t_end, dt))
     report_path = out_dir / f"{name}_report.json"
     write_json(report_path, report)
     report["report_path"] = str(report_path)
@@ -477,6 +490,9 @@ def main(argv=None):
           f"{sum(i['passed'] for i in report['invariants'])}"
           f"/{len(report['invariants'])} invariants passed "
           f"({report['wall_time_s']:.2f} s)")
+    if report.get("stopped_early"):
+        print(f"stopped early at t = {report['final_t']:.6g}: the system's "
+              f"domain guard ended the path before t_end")
     return EXIT_OK if passed else EXIT_NUMERICAL
 
 

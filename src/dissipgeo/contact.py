@@ -20,6 +20,7 @@ with a minus sign; antisymmetry leaves no other choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -171,26 +172,20 @@ def generalized_contact_field(chart, field, alpha, point):
     return vec
 
 
-def _horizontal_part(chart, point, df, lxi):
-    """v with omega(v, .) = -(dF - (L_xi F) eta) and eta(v) = 0; the
-    contact field then splits as Gamma_F = F xi + v_F."""
-    e = np.asarray(chart.eta(point), dtype=float)
-    vec, _ = _bordered_solve(chart, point, -(df - lxi * e), 0.0)
-    return vec
-
-
 def jacobi_bracket(chart, f, g, point):
     """[F, G] = F L_xi G - G L_xi F + Lambda(dF, dG).
 
-    Lambda(dF, dG) = dG(v_F) = omega(v_F, v_G); this orientation gives
-    [q, p] = 1 on the standard chart and makes F -> Gamma_F a Lie-algebra
-    homomorphism.
+    Lambda(dF, dG) = dG(v_F) = omega(v_F, v_G), with v_F the horizontal
+    part of Gamma_F = F xi + v_F: omega(v_F, .) = -(dF - (L_xi F) eta)
+    and eta(v_F) = 0.  This orientation gives [q, p] = 1 on the standard
+    chart and makes F -> Gamma_F a Lie-algebra homomorphism.
     """
     point = np.asarray(point, dtype=float)
     xi = reeb_field(chart, point)
     df, dg = f.grad(point), g.grad(point)
     lf, lg = float(df @ xi), float(dg @ xi)
-    v_f = _horizontal_part(chart, point, df, lf)
+    e = np.asarray(chart.eta(point), dtype=float)
+    v_f, _ = _bordered_solve(chart, point, -(df - lf * e), 0.0)
     return f(point) * lg - g(point) * lf + float(dg @ v_f)
 
 
@@ -209,13 +204,8 @@ def homomorphism_residual(chart, f, g, point):
     """
     point = np.asarray(point, dtype=float)
     step = 1e-4
-
-    def field_f(p):
-        return contact_hamiltonian_field(chart, f, p)
-
-    def field_g(p):
-        return contact_hamiltonian_field(chart, g, p)
-
+    field_f = partial(contact_hamiltonian_field, chart, f)
+    field_g = partial(contact_hamiltonian_field, chart, g)
     jf = _fd_jacobian(field_f, point, step)
     jg = _fd_jacobian(field_g, point, step)
     lie = jg @ field_f(point) - jf @ field_g(point)

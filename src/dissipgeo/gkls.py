@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .algebra import (SuBasis, build_su_basis, from_coherence_vector,
-                      is_hermitian, to_coherence_vector)
+                      is_hermitian, structure_constants, to_coherence_vector)
 from .integrators import rk4_affine_path, rk4_path
 
 RANK_EIG_TOL = 1e-9
@@ -102,14 +102,12 @@ def build_affine_field(basis, H, jumps, V):
     structure-constant formulas, which the decomposition tests then have
     to reproduce.
     """
-    size = basis.size
     b_mat = _apply_generator_matrix(H, jumps, V,
                                     np.eye(basis.n, dtype=complex) / basis.n)
     B = np.einsum("jab,ba->j", basis.tau, b_mat).real
-    A = np.empty((size, size))
-    for l in range(size):
-        col = _apply_generator_matrix(H, jumps, V, basis.tau[l])
-        A[:, l] = np.einsum("jab,ba->j", basis.tau, col).real
+    cols = _apply_generator_matrix(H, jumps, V, basis.tau)  # L(tau_l)
+    # C order: the layout of A sets the rounding of A @ x
+    A = np.ascontiguousarray(np.einsum("jab,lba->jl", basis.tau, cols).real)
     return A, B
 
 
@@ -178,18 +176,13 @@ def decompose_field(model):
                               V_vec=V_vec, calV_vec=calV_vec)
 
 
-def expectation_of_v(model, dec, x):
-    """e_V(x) = Tr V / n + V_j x^j."""
-    return float(np.trace(model.V).real) / model.n + float(dec.V_vec @ x)
-
-
 def evaluate_component_fields(model, dec, x):
     """(X_H, Y_V, Z_K) at a coherence vector x.
 
     X_H - Y_V + Z_K = A x + B: the -e_V(x) x terms of Y and Z cancel.
     """
     x = np.asarray(x, dtype=float)
-    e_v = expectation_of_v(model, dec, x)
+    e_v = float(np.trace(model.V).real) / model.n + float(dec.V_vec @ x)
     xh = dec.Hmat @ x
     yv = dec.Vmat @ x + dec.V_vec / model.n - e_v * x
     zk = dec.Kmat @ x + dec.calV_vec / model.n - e_v * x
@@ -260,5 +253,6 @@ def pulled_back_bracket(model, j, k, tau_t, x):
     x = np.asarray(x, dtype=float)
     fwd = expm(model.A * tau_t)
     back = expm(-model.A * tau_t)
-    lam = np.tensordot(fwd @ x, model.basis.c, axes=(0, 0))
+    c, _ = structure_constants(model.basis.tau)
+    lam = np.tensordot(fwd @ x, c, axes=(0, 0))
     return float(back[j] @ lam @ back[k])

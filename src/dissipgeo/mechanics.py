@@ -153,18 +153,18 @@ def bivector_span_dimension(g):
         # n = 1: there is no velocity-velocity pair, the constraint set is
         # vacuous and maximality proves nothing
         return 0, "test-inapplicable"
-    vectors = []
-    frontier = seeds
     tol = 1e-10 * max(1.0, float(np.linalg.norm(g, 2)))
-    for _ in range(2 * max_dim):
-        vectors.extend(b[idx] for b in frontier)
-        rank = np.linalg.matrix_rank(np.stack(vectors), tol=tol)
-        frontier = [g @ b + b @ g.T for b in frontier]
-        new_rank = np.linalg.matrix_rank(
-            np.stack(vectors + [b[idx] for b in frontier]), tol=tol)
-        if new_rank == rank:
-            break
+    frontier = seeds
+    vectors = [b[idx] for b in frontier]
     span = int(np.linalg.matrix_rank(np.stack(vectors), tol=tol))
+    # each stack is ranked once: a grown stack that adds rank is kept
+    for _ in range(2 * max_dim):
+        frontier = [g @ b + b @ g.T for b in frontier]
+        grown = vectors + [b[idx] for b in frontier]
+        rank = int(np.linalg.matrix_rank(np.stack(grown), tol=tol))
+        if rank == span:
+            break
+        vectors, span = grown, rank
     if span == max_dim:
         verdict = "no-lagrangian"
     else:
@@ -235,12 +235,11 @@ def contact_el_field(sys, state):
     rhs = np.asarray(sys.d_l_dq(q, qd), dtype=float) - mixed @ qd \
         - dh * _force_covector(sys, q, qd)
     qdd = rhs / hess.item() if scalar else np.linalg.solve(hess, rhs)
-    lag = float(sys.lagrangian(q, qd))
     if sys.dissipation == "rayleigh":
         s_dot = float(qd @ np.asarray(sys.d_f_dqd(q, qd), dtype=float)) \
             - (sys.energy(q, qd) + float(sys.h(s)))
     else:
-        s_dot = lag - float(sys.h(s))
+        s_dot = float(sys.lagrangian(q, qd)) - float(sys.h(s))
     return qd, qdd, s_dot
 
 

@@ -66,28 +66,29 @@ class TestStructureConstants:
                     expected[l, j, k] = np.real(
                         1j * np.trace(comm @ PAULI[l] / SQRT2))
         assert np.max(np.abs(expected + SQRT2 * eps.transpose(1, 2, 0))) < 1e-12
-        assert np.max(np.abs(basis.c - expected)) < 1e-12
+        c, _ = structure_constants(basis.tau)
+        assert np.max(np.abs(c - expected)) < 1e-12
 
     def test_qubit_d_vanishes(self):
-        basis = build_su_basis(2)
-        assert np.max(np.abs(basis.d)) < 1e-12
+        _, d = structure_constants(build_su_basis(2).tau)
+        assert np.max(np.abs(d)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_c_diagonal_slices_vanish(self, n):
-        basis = build_su_basis(n)
+        c, _ = structure_constants(build_su_basis(n).tau)
         size = n * n - 1
         for j in range(size):
-            assert np.max(np.abs(basis.c[:, j, j])) == 0.0
+            assert np.max(np.abs(c[:, j, j])) == 0.0
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_antisymmetry_and_symmetry(self, n):
-        basis = build_su_basis(n)
-        assert np.max(np.abs(basis.c + basis.c.transpose(0, 2, 1))) < 1e-12
-        assert np.max(np.abs(basis.d - basis.d.transpose(0, 2, 1))) < 1e-12
+        c, d = structure_constants(build_su_basis(n).tau)
+        assert np.max(np.abs(c + c.transpose(0, 2, 1))) < 1e-12
+        assert np.max(np.abs(d - d.transpose(0, 2, 1))) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_jacobi_identity(self, n):
-        c = build_su_basis(n).c
+        c, _ = structure_constants(build_su_basis(n).tau)
         # sum_m (c^{jk}_m c^{ml}_r + cyclic in (j, k, l)) = 0
         def term(a, b):
             return np.einsum("mjk,rml->jklr", a, b)
@@ -96,10 +97,11 @@ class TestStructureConstants:
         assert np.max(np.abs(total)) < 1e-10
 
     def test_accepts_raw_stack(self):
-        basis = build_su_basis(2)
-        c, d = structure_constants(basis.tau)
-        assert np.allclose(c, basis.c)
-        assert np.allclose(d, basis.d)
+        # a plain list of literal matrices, not the basis's own array
+        c, d = structure_constants([sigma / SQRT2 for sigma in PAULI])
+        c_basis, d_basis = structure_constants(build_su_basis(2).tau)
+        assert np.allclose(c, c_basis)
+        assert np.allclose(d, d_basis)
 
     def test_corrupted_basis_raises(self):
         bad = build_su_basis(2).tau.copy()

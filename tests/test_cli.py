@@ -1,5 +1,7 @@
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +77,12 @@ BAD_VALUE_CONFIGS = {
     "linear-x0-wrong-length": ("contact-lagrangian", {
         **LINEAR, "x0": [1.0, 0.0, 0.0]}),
     "psi0-plain-reals": ("pure-state", {**PURE_STATE, "psi0": [1.0, 0.0]}),
+    "t_end-misspelt": ("circuit", {
+        **{k: v for k, v in RLC_SINGLE.items() if k != "t_end"},
+        "t_edn": 0.5}),
+    "dt-missing": ("gkls", {
+        k: v for k, v in PHASE_DAMPING.items() if k != "dt"}),
+    "checks-t_end": ("checks", {"filter": "contact", "t_end": 1.0}),
 }
 
 
@@ -192,6 +200,11 @@ class TestScenarioRuns:
             names = [inv["name"] for inv in report["invariants"]]
             assert names == BUILTIN_INVARIANTS[name]  # each invariant once
             assert all(inv["passed"] for inv in report["invariants"])
+            if entry["config"]["kind"] == "checks":
+                assert "final_t" not in report
+            else:
+                assert abs(report["final_t"] - 1.0) < 1e-12, name
+                assert report["stopped_early"] is False
 
     def test_phase_damping_csv_value(self, tmp_path, capsys):
         assert run_cli("run", "phase-damping",
@@ -222,6 +235,30 @@ class TestScenarioRuns:
                        "--dt", "0.01", "--t-end", "1.0") == EXIT_OK
         lines = (tmp_path / "a" / "phase-damping.csv").read_text().splitlines()
         assert len(lines) == 102  # header + 101 points
+
+    def test_domain_guard_stop_is_reported(self, tmp_path, capsys):
+        # q' decays below the friction guard's 1e-10 near t = 46
+        assert run_cli("run", "friction-lagrangian", "--out", str(tmp_path),
+                       "--t-end", "60", "--dt", "0.01") == EXIT_OK
+        report = json.loads(
+            (tmp_path / "friction-lagrangian_report.json").read_text())
+        assert report["stopped_early"] is True
+        assert 40.0 < report["final_t"] < 60.0
+        lines = (tmp_path / "friction-lagrangian.csv").read_text().splitlines()
+        assert float(lines[-1].split(",")[0]) == report["final_t"]
+        out = capsys.readouterr().out
+        assert "stopped early" in out and "domain guard" in out
+
+    def test_readme_config_example_runs(self, tmp_path, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        examples = re.findall(r"```json\n(.*?)```", readme.read_text(),
+                              re.DOTALL)
+        assert examples
+        for i, text in enumerate(examples):
+            cfg = tmp_path / f"readme{i}.json"
+            cfg.write_text(text)
+            assert run_cli("run", str(cfg),
+                           "--out", str(tmp_path)) == EXIT_OK
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         for out in ("r1", "r2"):

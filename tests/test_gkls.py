@@ -1,3 +1,5 @@
+import json
+import sys
 import warnings
 
 import numpy as np
@@ -5,7 +7,8 @@ import pytest
 from scipy.linalg import expm
 
 from dissipgeo.algebra import (build_su_basis, from_coherence_vector,
-                               to_coherence_vector)
+                               structure_constants, to_coherence_vector)
+from dissipgeo.cli import EXIT_OK, main
 from dissipgeo.gkls import (UnsupportedModelError, apply_generator,
                             build_model, decompose_field,
                             evaluate_component_fields,
@@ -63,7 +66,8 @@ class TestGenerator:
         # same through the c tensor: xdot^j = H_k c^{lk}_j x^l
         h_vec = np.einsum("jab,ba->j", basis.tau, m.H).real
         x = to_coherence_vector(rho, basis)
-        via_c = np.einsum("jlk,k,l->j", basis.c, h_vec, x)
+        c, _ = structure_constants(basis.tau)
+        via_c = np.einsum("jlk,k,l->j", c, h_vec, x)
         assert np.allclose(image, via_c, atol=1e-12)
         assert np.allclose(via_c, [0.0, SQRT2 * x[0] * SQRT2, 0.0], atol=1e-12)
 
@@ -112,6 +116,49 @@ class TestAffineField:
                     apply_generator(m, from_coherence_vector(x, m.basis))
                     + np.eye(n) / n, m.basis)
                 assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+    def test_batched_columns_equal_per_element_loop(self):
+        # the one-basis-element-at-a-time loop is the reference: same
+        # products and sums, so the same bits, and A stays C-contiguous
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 4):
+            for n_jumps in (0, 1, 3):
+                m = random_model(rng, n, n_jumps)
+                loop = np.empty_like(m.A)
+                for l in range(n * n - 1):
+                    loop[:, l] = np.einsum(
+                        "jab,ba->j", m.basis.tau,
+                        apply_generator(m, m.basis.tau[l])).real
+                assert np.array_equal(m.A, loop)
+                assert m.A.flags.c_contiguous
+
+    def test_runs_never_build_structure_tensors(self, monkeypatch, tmp_path,
+                                                 capsys):
+        # only the Poisson pullback and the Jacobi check read c and d
+        def refuse(tau):
+            raise AssertionError("structure_constants was called")
+
+        binders = [name for name, module in list(sys.modules.items())
+                   if name.split(".")[0] == "dissipgeo"
+                   and hasattr(module, "structure_constants")]
+        assert {"dissipgeo.algebra", "dissipgeo.gkls",
+                "dissipgeo.checks"} <= set(binders)
+        for name in binders:
+            monkeypatch.setattr(sys.modules[name], "structure_constants",
+                                refuse)
+        assert build_su_basis(8).tau.shape == (63, 8, 8)
+        assert main(["run", "phase-damping",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        h = random_hermitian(np.random.default_rng(5), 3)
+        pair = np.stack([h.real, h.imag], axis=-1).tolist()
+        lower = np.zeros((3, 3, 2))
+        lower[1, 0, 0] = lower[2, 1, 0] = 0.5
+        cfg = tmp_path / "qutrit.json"
+        cfg.write_text(json.dumps({"kind": "gkls", "parameters": {
+            "hamiltonian": pair, "jumps": [lower.tolist()],
+            "x0": [0.0] * 8, "t_end": 0.5, "dt": 1e-2}}))
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["checks", "--filter", "gkls"]) == EXIT_OK
 
     def test_closed_system_is_homogeneous(self):
         rng = np.random.default_rng(2)
@@ -313,11 +360,12 @@ class TestPulledBackBracket:
     def test_identity_pullback_at_time_zero(self):
         m = phase_damping_model(1.0)
         rng = np.random.default_rng(14)
+        c, _ = structure_constants(m.basis.tau)
         for _ in range(5):
             x = rng.normal(size=3)
             for j in range(3):
                 for k in range(3):
-                    expected = float(m.basis.c[:, j, k] @ x)
+                    expected = float(c[:, j, k] @ x)
                     assert abs(pulled_back_bracket(m, j, k, 0.0, x)
                                - expected) < 1e-12
 
@@ -348,7 +396,8 @@ class TestPulledBackBracket:
                 e[i] = h
                 jac[:, i] = (flow(y_star + e, tau, -1.0)
                              - flow(y_star - e, tau, -1.0)) / (2 * h)
-            lam = np.tensordot(y_star, basis.c, axes=(0, 0))
+            lam = np.tensordot(y_star, structure_constants(basis.tau)[0],
+                               axes=(0, 0))
             for j in range(3):
                 for k in range(3):
                     oracle = float(jac[j] @ lam @ jac[k])

@@ -151,6 +151,21 @@ class TestBivectorSpan:
         assert dim < 6
         assert verdict == "lagrangian-possible"
 
+    @pytest.mark.parametrize("damping", [0.0, 0.3])
+    def test_each_stack_is_ranked_once(self, damping, monkeypatch):
+        sys = coupled_damped_oscillators(1.0, 2.0, damping, 0.7 * damping,
+                                         0.1, 0.2 * damping)
+        ranked = []
+        matrix_rank = np.linalg.matrix_rank
+
+        def recording(stack, tol):
+            ranked.append(len(stack))  # stacks only grow, so rows name them
+            return matrix_rank(stack, tol=tol)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", recording)
+        bivector_span_dimension(representative_matrix(sys))
+        assert len(ranked) == len(set(ranked)) >= 2
+
     def test_one_degree_of_freedom_inapplicable(self):
         # the velocity-pair constraint set is empty for n = 1, so the
         # obstruction argument has nothing to say
