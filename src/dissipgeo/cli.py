@@ -6,12 +6,14 @@
 
 Configs are JSON with a "kind" in {gkls, pure-state, contact-lagrangian,
 circuit, checks} and the "parameters" its runner reads (``RUNNERS``);
-every kind but checks requires t_end and dt.  Complex entries are
-[re, im] pairs.  Each run writes a trajectory CSV (17 significant
-digits, LF endings, byte-stable across runs) plus a JSON report with
-per-invariant pass/fail and residuals, final_t and stopped_early.  Exit
-codes: 0 all invariants pass, 2 usage or config error (an unknown
-parameter or a missing t_end or dt among them), 3 numerical failure.
+every kind but checks requires t_end and dt.  A parameter a run reads
+has no default, apart from gkls "jumps" and pure-state "renormalize" (a
+JSON boolean).  Complex entries are [re, im] pairs.  Each run writes a
+trajectory CSV (17 significant digits, LF endings, byte-stable across
+runs) plus a JSON report with per-invariant pass/fail and residuals,
+final_t and stopped_early.  Exit codes: 0 all invariants pass, 2 usage
+or config error (an unknown parameter or a missing one among them), 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -161,8 +163,10 @@ BUILTIN_SCENARIOS = {
 
 
 def run_gkls(params, t_end, dt):
-    if params.get("model") == "phase-damping":
-        gamma = float(params.get("gamma", 1.0))
+    if "model" in params:
+        if params["model"] != "phase-damping":
+            raise ConfigError(f"unknown model {params['model']!r}")
+        gamma = float(params["gamma"])
         model = phase_damping_model(gamma)
     else:
         h = parse_complex_matrix(params["hamiltonian"], "hamiltonian")
@@ -172,6 +176,8 @@ def run_gkls(params, t_end, dt):
         model = build_model(basis, h, jumps)
         gamma = None
     size = model.basis.size
+    if "x0" in params and "rho0" in params:
+        raise ConfigError("give x0 or rho0, not both")
     if "x0" in params:
         rho0 = from_coherence_vector(params["x0"], model.basis)
     else:
@@ -204,7 +210,9 @@ def run_pure_state(params, t_end, dt):
     a = parse_complex_matrix(params["a"], "a")
     b = parse_complex_matrix(params["b"], "b")
     psi0 = parse_complex_matrix(params["psi0"], "psi0")
-    renormalize = bool(params.get("renormalize", False))
+    renormalize = params.get("renormalize", False)
+    if not isinstance(renormalize, bool):
+        raise ConfigError("renormalize must be true or false")
     times, psis = ps.integrate_sphere_flow(a, b, psi0, t_end, dt,
                                            renormalize=renormalize)
     n = psi0.shape[0]
@@ -227,7 +235,7 @@ def run_pure_state(params, t_end, dt):
 
 
 def run_circuit(params, t_end, dt):
-    kind = params.get("circuit", "single")
+    kind = params["circuit"]
     if kind == "single":
         r, l_ind, cap = (float(params[k]) for k in
                          ("resistance", "inductance", "capacitance"))
@@ -246,17 +254,14 @@ def run_circuit(params, t_end, dt):
     # oracle: Kirchhoff's L I'' + R I' + C^-1 I = 0 as a linear system
     g = representative_matrix(
         LinearSecondOrderSystem(n=n, m=l_mat, gamma=r_mat, omega=c_inv))
-    i0 = np.asarray(params["i0"], dtype=float)
-    di0 = np.asarray(params["di0"], dtype=float)
-    if i0.shape != (n,) or di0.shape != (n,):
-        raise ConfigError(f"i0 and di0 must have length {n}")
-    traj = integrate_contact(sys_, (i0, di0, 0.0), t_end, dt)
+    traj = integrate_contact(sys_, (params["i0"], params["di0"], 0.0),
+                             t_end, dt)
 
     header = ["t"] + [f"i{j + 1}" for j in range(n)] \
         + [f"di{j + 1}" for j in range(n)] + ["s", "energy"]
     rows = np.column_stack([traj.times, traj.q, traj.qd, traj.s, traj.energy])
 
-    state0 = np.concatenate([i0, di0])
+    state0 = np.concatenate([traj.q[0], traj.qd[0]])
     exact = expm(g * traj.times[-1]) @ state0
     invariants = [
         result("circuit/linear-oracle",
@@ -273,13 +278,11 @@ def run_circuit(params, t_end, dt):
 
 
 def run_contact_lagrangian(params, t_end, dt):
-    system = params.get("system", "friction")
+    system = params["system"]
     if system == "friction":
-        gamma = float(params.get("gamma", 0.5))
-        sys_ = friction_system(gamma)
-        q0 = np.asarray(params.get("q0", [0.0]), dtype=float)
-        qd0 = np.asarray(params.get("qd0", [1.0]), dtype=float)
-        traj = integrate_contact(sys_, (q0, qd0, 0.0), t_end, dt)
+        gamma = float(params["gamma"])
+        traj = integrate_contact(friction_system(gamma),
+                                 (params["q0"], params["qd0"], 0.0), t_end, dt)
         header = ["t", "q", "qd", "s", "energy", "energy_mech"]
         rows = np.column_stack([traj.times, traj.q, traj.qd, traj.s,
                                 traj.energy, traj.energy_mech])

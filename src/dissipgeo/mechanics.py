@@ -11,20 +11,23 @@ the existence of any Lagrangian.  Contact Euler-Lagrange dynamics on
     S' = q'_j dF/dq'_j - (E_L + h(S))      (D_j = dF/dq'_j, Rayleigh F)
 
 with Lagrangian energy E_L = q'_j dL/dq'_j - L, plus single and coupled
-RLC circuit builders.  For n = 1 the velocity Hessian is one number h:
-the field tests |h| <= HESSIAN_DET_TOL and takes q'' = rhs / h, the very
-bits a 1 x 1 LU solve returns, with no LAPACK call; n >= 2 uses det and
-solve.
+RLC circuit builders; a conservative system is the first form with
+h = 0.  The field maps the flat state y = (q, q', S) of shape (2n + 1,)
+to y'.  For n = 1 the velocity Hessian is one number h: the field tests
+|h| <= HESSIAN_DET_TOL and takes q'' = rhs / h, the very bits a 1 x 1 LU
+solve returns, with no LAPACK call; n >= 2 uses det and solve, with the
+scale-free test |det H| <= HESSIAN_DET_TOL max|H_jk|^n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .integrators import rk4_path, time_grid
+from .integrators import rk4_path
 
 HESSIAN_DET_TOL = 1e-10
 MASS_DET_TOL = 1e-12
@@ -180,12 +183,12 @@ def _zero_h(s):
 class ContactLagrangianSystem:
     """Lagrangian with dissipation data on (q, q', S).
 
-    dissipation selects the force covector D: "none" (conservative),
-    "caldirola-kanai" (D = dL/dq') or "rayleigh" (D = d_f_dqd, the
-    velocity gradient of a Rayleigh function F).  mixed_hess(q, q')[j, k]
-    is d^2 L / dq_k dq'_j.  The velocity Hessian must stay invertible
-    along trajectories.  domain_guard, when set, stops integration
-    cleanly once it returns False.
+    The force covector is D = d_f_dqd, the velocity gradient of a
+    Rayleigh function F, when that is given, and D = dL/dq'
+    (Caldirola-Kanai) otherwise; h = 0, the default, is conservative.
+    mixed_hess(q, q')[j, k] is d^2 L / dq_k dq'_j.  The velocity Hessian
+    must stay invertible along trajectories.  domain_guard, when set,
+    stops integration cleanly once it returns False.
     """
 
     n: int
@@ -196,15 +199,8 @@ class ContactLagrangianSystem:
     mixed_hess: Callable
     h: Callable = _zero_h
     dh_ds: Callable = _zero_h
-    dissipation: str = "none"
     d_f_dqd: Optional[Callable] = None
     domain_guard: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.dissipation not in ("none", "caldirola-kanai", "rayleigh"):
-            raise ValueError(f"unknown dissipation form {self.dissipation!r}")
-        if self.dissipation == "rayleigh" and self.d_f_dqd is None:
-            raise ValueError("rayleigh dissipation needs d_f_dqd")
 
     def energy(self, q, qd):
         """Lagrangian energy E_L = q'_j dL/dq'_j - L."""
@@ -213,34 +209,35 @@ class ContactLagrangianSystem:
 
 
 def _force_covector(sys, q, qd):
-    if sys.dissipation == "none":
-        return np.zeros(sys.n)
-    if sys.dissipation == "caldirola-kanai":
-        return np.asarray(sys.d_l_dqd(q, qd), dtype=float)
-    return np.asarray(sys.d_f_dqd(q, qd), dtype=float)
+    d_dqd = sys.d_l_dqd if sys.d_f_dqd is None else sys.d_f_dqd
+    return np.asarray(d_dqd(q, qd), dtype=float)
 
 
-def contact_el_field(sys, state):
-    """(q', q'', S') at state = (q, q', S)."""
-    q, qd, s = state
-    q = np.asarray(q, dtype=float).reshape(sys.n)
-    qd = np.asarray(qd, dtype=float).reshape(sys.n)
+def contact_el_field(sys, y):
+    """y' = (q', q'', S') at the flat state y = (q, q', S)."""
+    n = sys.n
+    q, qd, s = y[:n], y[n:2 * n], y[2 * n]
     hess = np.asarray(sys.hess_qd(q, qd), dtype=float)
-    scalar = sys.n == 1
-    if abs(hess.item() if scalar else np.linalg.det(hess)) <= HESSIAN_DET_TOL:
+    if n == 1:
+        singular = abs(hess.item()) <= HESSIAN_DET_TOL
+    else:
+        singular = abs(np.linalg.det(hess)) \
+            <= HESSIAN_DET_TOL * abs(hess).max() ** n
+    if singular:
         raise ImplicitSystemError("singular velocity Hessian",
                                   state=(q.copy(), qd.copy(), s))
-    mixed = np.asarray(sys.mixed_hess(q, qd), dtype=float)
-    dh = float(sys.dh_ds(s))
-    rhs = np.asarray(sys.d_l_dq(q, qd), dtype=float) - mixed @ qd \
-        - dh * _force_covector(sys, q, qd)
-    qdd = rhs / hess.item() if scalar else np.linalg.solve(hess, rhs)
-    if sys.dissipation == "rayleigh":
-        s_dot = float(qd @ np.asarray(sys.d_f_dqd(q, qd), dtype=float)) \
-            - (sys.energy(q, qd) + float(sys.h(s)))
+    force = _force_covector(sys, q, qd)
+    rhs = np.asarray(sys.d_l_dq(q, qd), dtype=float) \
+        - np.asarray(sys.mixed_hess(q, qd), dtype=float) @ qd \
+        - float(sys.dh_ds(s)) * force
+    dy = np.empty_like(y)
+    dy[:n] = qd
+    dy[n:2 * n] = rhs / hess.item() if n == 1 else np.linalg.solve(hess, rhs)
+    if sys.d_f_dqd is None:
+        dy[2 * n] = float(sys.lagrangian(q, qd)) - float(sys.h(s))
     else:
-        s_dot = float(sys.lagrangian(q, qd)) - float(sys.h(s))
-    return qd, qdd, s_dot
+        dy[2 * n] = float(qd @ force) - (sys.energy(q, qd) + float(sys.h(s)))
+    return dy
 
 
 @dataclass(frozen=True)
@@ -251,7 +248,6 @@ class ContactTrajectory:
     s: np.ndarray
     energy: np.ndarray       # Lagrangian energy E_L
     energy_mech: np.ndarray  # |q'|^2 / 2
-    stopped_early: bool = False
 
 
 def analytic_energy_rate(sys, q, qd, s):
@@ -262,29 +258,31 @@ def analytic_energy_rate(sys, q, qd, s):
 
 
 def integrate_contact(sys, state0, t_end, dt):
-    """RK4 trajectory of the contact Euler-Lagrange field with per-step
-    Lagrangian-energy diagnostics."""
+    """RK4 trajectory of the contact Euler-Lagrange field from
+    state0 = (q0, q'0, S0), with per-step Lagrangian-energy diagnostics.
+
+    q0 and q'0 must each hold n entries, S0 must be a scalar, and the
+    initial state must pass the system's domain guard.
+    """
     n = sys.n
-
-    def field(y):
-        dy = np.empty_like(y)
-        dy[:n], dy[n:2 * n], dy[2 * n] = contact_el_field(
-            sys, (y[:n], y[n:2 * n], y[2 * n]))
-        return dy
-
+    q0, qd0, s0 = (np.asarray(part, dtype=float) for part in state0)
+    if q0.shape != (n,) or qd0.shape != (n,) or s0.shape != ():
+        raise ValueError(f"need q0 and qd0 of length {n} and a scalar S0")
+    if sys.domain_guard is not None and not sys.domain_guard(q0, qd0):
+        raise ValueError("initial state outside the system's domain")
     post = None
     if sys.domain_guard is not None:
         def post(y):
             return y if sys.domain_guard(y[:n], y[n:2 * n]) else None
-    times, states = rk4_path(field, np.hstack(state0), t_end, dt, post=post)
-    stopped = len(times) < len(time_grid(t_end, dt))
+    times, states = rk4_path(partial(contact_el_field, sys),
+                             np.hstack([q0, qd0, s0]), t_end, dt, post=post)
     qs = states[:, :n]
     qds = states[:, n:2 * n]
     ss = states[:, 2 * n]
     energy = np.array([sys.energy(qs[i], qds[i]) for i in range(len(times))])
     e_mech = 0.5 * np.einsum("ij,ij->i", qds, qds)
     return ContactTrajectory(times=times, q=qs, qd=qds, s=ss, energy=energy,
-                             energy_mech=e_mech, stopped_early=stopped)
+                             energy_mech=e_mech)
 
 
 def projectability_check(sys):
@@ -324,8 +322,7 @@ def rlc_single(resistance, inductance, capacitance):
         hess_qd=lambda q, qd: np.array([[l_ind]]),
         mixed_hess=lambda q, qd: np.zeros((1, 1)),
         h=lambda s: rate * s,
-        dh_ds=lambda s: rate,
-        dissipation="caldirola-kanai")
+        dh_ds=lambda s: rate)
 
 
 def rlc_coupled(l1, l2, c1, c2, r1, r2, r_coupling):
@@ -352,7 +349,6 @@ def rlc_coupled(l1, l2, c1, c2, r1, r2, r_coupling):
         mixed_hess=lambda q, qd: np.zeros((2, 2)),
         h=lambda s: s,
         dh_ds=lambda s: 1.0,
-        dissipation="rayleigh",
         d_f_dqd=lambda q, qd: r_mat @ qd)
 
 

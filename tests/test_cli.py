@@ -48,10 +48,18 @@ PURE_STATE = {"a": SIGMA3, "b": ZERO2, "psi0": [[1.0, 0.0], [0.0, 0.0]],
 RLC_SINGLE = {"circuit": "single", "resistance": 0.2, "inductance": 1.0,
               "capacitance": 1.0, "i0": [1.0], "di0": [0.0],
               "t_end": 1.0, "dt": 1e-2}
+FRICTION = {"system": "friction", "gamma": 0.5, "q0": [0.0], "qd0": [1.0],
+            "t_end": 1.0, "dt": 1e-2}
 LINEAR = {"system": "linear", "mass": [[1.0, 0.0], [0.0, 1.0]],
           "damping": [[0.3, 0.0], [0.0, 0.7]],
           "stiffness": [[1.0, 0.0], [0.0, 4.0]],
           "x0": [1.0, 0.0, 0.0, 0.0], "t_end": 1.0, "dt": 1e-2}
+
+
+def without(params, name):
+    return {k: v for k, v in params.items() if k != name}
+
+
 BAD_VALUE_CONFIGS = {
     "non-hermitian-hamiltonian": ("gkls", {
         "hamiltonian": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
@@ -77,12 +85,28 @@ BAD_VALUE_CONFIGS = {
     "linear-x0-wrong-length": ("contact-lagrangian", {
         **LINEAR, "x0": [1.0, 0.0, 0.0]}),
     "psi0-plain-reals": ("pure-state", {**PURE_STATE, "psi0": [1.0, 0.0]}),
-    "t_end-misspelt": ("circuit", {
-        **{k: v for k, v in RLC_SINGLE.items() if k != "t_end"},
-        "t_edn": 0.5}),
-    "dt-missing": ("gkls", {
-        k: v for k, v in PHASE_DAMPING.items() if k != "dt"}),
+    "t_end-misspelt": ("circuit", {**without(RLC_SINGLE, "t_end"),
+                                   "t_edn": 0.5}),
+    "dt-missing": ("gkls", without(PHASE_DAMPING, "dt")),
     "checks-t_end": ("checks", {"filter": "contact", "t_end": 1.0}),
+    "friction-q0-two-entries": ("contact-lagrangian", {
+        **FRICTION, "q0": [0.0, 1.0]}),
+    "friction-qd0-zero": ("contact-lagrangian", {**FRICTION, "qd0": [0.0]}),
+    "friction-qd0-below-guard": ("contact-lagrangian", {
+        **FRICTION, "qd0": [1e-12]}),
+    "renormalize-string": ("pure-state", {**PURE_STATE, "renormalize": "no"}),
+    "unknown-gkls-model": ("gkls", {
+        **PHASE_DAMPING, "model": "amplitude-damping", "hamiltonian": SIGMA3}),
+    "x0-and-rho0": ("gkls", {
+        **PHASE_DAMPING,
+        "rho0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}),
+    "system-missing": ("contact-lagrangian", without(FRICTION, "system")),
+    "circuit-missing": ("circuit", without(RLC_SINGLE, "circuit")),
+    "friction-gamma-missing": ("contact-lagrangian",
+                               without(FRICTION, "gamma")),
+    "q0-missing": ("contact-lagrangian", without(FRICTION, "q0")),
+    "qd0-missing": ("contact-lagrangian", without(FRICTION, "qd0")),
+    "phase-damping-gamma-missing": ("gkls", without(PHASE_DAMPING, "gamma")),
 }
 
 
@@ -229,6 +253,20 @@ class TestScenarioRuns:
         names = {inv["name"]: inv for inv in report["invariants"]}
         energy = names["circuit/energy-conservation"]
         assert energy["passed"] and energy["residual"] < 1e-8
+
+    def test_microhenry_coupled_circuit_runs(self, tmp_path, capsys):
+        # velocity Hessian diag(1e-5, 1e-5): determinant 1e-10, condition
+        # number 1, so the scale-free singularity test lets it run
+        cfg = tmp_path / "uh.json"
+        cfg.write_text(json.dumps({
+            "kind": "circuit",
+            "parameters": {"circuit": "coupled", "l1": 1e-5, "l2": 1e-5,
+                           "c1": 1e-3, "c2": 1e-3, "r1": 0.05, "r2": 0.03,
+                           "r_coupling": 0.02, "i0": [1.0, 0.0],
+                           "di0": [0.0, 0.0], "t_end": 2e-4, "dt": 1e-6}}))
+        assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_OK
+        report = json.loads((tmp_path / "uh_report.json").read_text())
+        assert [inv["passed"] for inv in report["invariants"]] == [True] * 2
 
     def test_dt_override_changes_output(self, tmp_path, capsys):
         assert run_cli("run", "phase-damping", "--out", str(tmp_path / "a"),

@@ -24,8 +24,7 @@ def damped_particle(v_coeff, gamma):
         hess_qd=lambda q, qd: np.array([[1.0]]),
         mixed_hess=lambda q, qd: np.zeros((1, 1)),
         h=lambda s: gamma * s,
-        dh_ds=lambda s: gamma,
-        dissipation="caldirola-kanai")
+        dh_ds=lambda s: gamma)
 
 
 def scaled_oscillator(h):
@@ -40,15 +39,22 @@ def scaled_oscillator(h):
 
 
 def lu_solve_qdd(sys, q, qd, s):
-    """qdd from an LU solve of the Euler-Lagrange system assembled from the
-    system's own callbacks."""
-    if sys.dissipation == "caldirola-kanai":
-        force = sys.d_l_dqd(q, qd)
-    else:
-        force = np.zeros(sys.n)
+    """qdd from an LU solve of the Caldirola-Kanai Euler-Lagrange system
+    assembled from the system's own callbacks."""
     rhs = sys.d_l_dq(q, qd) - sys.mixed_hess(q, qd) @ qd \
-        - float(sys.dh_ds(s)) * force
+        - float(sys.dh_ds(s)) * sys.d_l_dqd(q, qd)
     return np.linalg.solve(sys.hess_qd(q, qd), rhs)
+
+
+def diagonal_pair(hess):
+    """Two decoupled unit oscillators whose velocity Hessian is hess."""
+    return ContactLagrangianSystem(
+        n=2,
+        lagrangian=lambda q, qd: 0.5 * float(qd @ hess @ qd - q @ q),
+        d_l_dq=lambda q, qd: -q,
+        d_l_dqd=lambda q, qd: hess @ qd,
+        hess_qd=lambda q, qd: hess,
+        mixed_hess=lambda q, qd: np.zeros((2, 2)))
 
 
 def five_point_rate(values, dt):
@@ -187,8 +193,8 @@ class TestContactEulerLagrange:
         rng = np.random.default_rng(2)
         for _ in range(5):
             q, qd, s = rng.normal(size=3)
-            _, qdd, sdot = contact_el_field(sys, ([q], [qd], s))
-            assert abs(qdd[0] - (-v_coeff * q - gamma * qd)) < 1e-12
+            _, qdd, sdot = contact_el_field(sys, np.array([q, qd, s]))
+            assert abs(qdd - (-v_coeff * q - gamma * qd)) < 1e-12
             lag = 0.5 * qd ** 2 - 0.5 * v_coeff * q ** 2
             assert abs(sdot - (lag - gamma * s)) < 1e-12
 
@@ -209,10 +215,9 @@ class TestContactEulerLagrange:
         rng = np.random.default_rng(3)
         for _ in range(5):
             q, p, s = rng.normal(size=3)
-            qd, qdd, sdot = contact_el_field(sys, ([q], [p], s))
-            vec = contact_hamiltonian_field(chart, field, np.array([q, p, s]))
-            assert np.max(np.abs(np.array([qd[0], qdd[0], sdot]) - vec)) \
-                < 1e-10
+            y = np.array([q, p, s])
+            vec = contact_hamiltonian_field(chart, field, y)
+            assert np.max(np.abs(contact_el_field(sys, y) - vec)) < 1e-10
 
     def test_single_rlc_equation(self):
         r, l_ind, cap = 0.3, 2.0, 0.5
@@ -220,8 +225,8 @@ class TestContactEulerLagrange:
         rng = np.random.default_rng(4)
         for _ in range(5):
             i, di, s = rng.normal(size=3)
-            _, ddi, _ = contact_el_field(sys, ([i], [di], s))
-            assert abs(l_ind * ddi[0] + r * di + i / cap) < 1e-12
+            _, ddi, _ = contact_el_field(sys, np.array([i, di, s]))
+            assert abs(l_ind * ddi + r * di + i / cap) < 1e-12
 
     def test_coupled_rlc_kirchhoff(self):
         l1, l2, c1, c2, r1, r2, rc = 1.0, 2.0, 1.0, 0.5, 0.4, 0.6, 0.2
@@ -233,7 +238,7 @@ class TestContactEulerLagrange:
         for _ in range(5):
             i = rng.normal(size=2)
             di = rng.normal(size=2)
-            _, ddi, _ = contact_el_field(sys, (i, di, 0.1))
+            ddi = contact_el_field(sys, np.hstack([i, di, 0.1]))[2:4]
             residual = l_mat @ ddi + r_mat @ di + c_mat @ i
             assert np.max(np.abs(residual)) < 1e-12
 
@@ -246,7 +251,7 @@ class TestContactEulerLagrange:
             hess_qd=lambda q, qd: np.array([[qd[0]]]),
             mixed_hess=lambda q, qd: np.zeros((1, 1)))
         with pytest.raises(ImplicitSystemError) as info:
-            contact_el_field(sys, ([0.0], [0.0], 0.0))
+            contact_el_field(sys, np.zeros(3))
         assert info.value.state is not None
 
     @pytest.mark.parametrize("sys", [
@@ -258,18 +263,19 @@ class TestContactEulerLagrange:
         for _ in range(50):
             q, s = rng.normal(size=2)
             qd = rng.uniform(0.1, 3.0)  # inside friction's chart q' > 0
-            _, qdd, _ = contact_el_field(sys, ([q], [qd], s))
+            qdd = contact_el_field(sys, np.array([q, qd, s]))[1:2]
             assert np.array_equal(
                 qdd, lu_solve_qdd(sys, np.array([q]), np.array([qd]), s))
 
     def test_hessian_threshold(self):
         with pytest.raises(ImplicitSystemError) as info:
-            contact_el_field(scaled_oscillator(5e-11), ([0.3], [0.2], 0.1))
+            contact_el_field(scaled_oscillator(5e-11),
+                             np.array([0.3, 0.2, 0.1]))
         q, qd, s = info.value.state
         assert (q[0], qd[0], s) == (0.3, 0.2, 0.1)
         _, qdd, _ = contact_el_field(scaled_oscillator(2e-10),
-                                     ([0.3], [0.2], 0.1))
-        assert abs(qdd[0] + 0.3) < 1e-15
+                                     np.array([0.3, 0.2, 0.1]))
+        assert abs(qdd + 0.3) < 1e-15
 
     def test_hessian_threshold_in_integration(self):
         with pytest.raises(ImplicitSystemError) as info:
@@ -280,15 +286,38 @@ class TestContactEulerLagrange:
                                  ([1.0], [0.0], 0.0), 1.0, 1e-2)
         assert abs(traj.q[-1, 0] - np.cos(1.0)) < 1e-8
 
-    def test_invalid_dissipation_form(self):
-        with pytest.raises(ValueError):
-            ContactLagrangianSystem(
-                n=1, lagrangian=lambda q, qd: 0.0,
-                d_l_dq=lambda q, qd: np.zeros(1),
-                d_l_dqd=lambda q, qd: np.zeros(1),
-                hess_qd=lambda q, qd: np.eye(1),
-                mixed_hess=lambda q, qd: np.zeros((1, 1)),
-                dissipation="viscous")
+    @pytest.mark.parametrize("scale", [1e-5, 1e-3, 1.0, 1e5])
+    def test_hessian_test_is_scale_free_for_two_dofs(self, scale):
+        # H = scale I has condition number 1 at every scale; at 1e-5 its
+        # determinant, 1e-10, is at the n = 1 threshold
+        y = np.array([0.3, -0.4, 0.2, 0.5, 0.1])
+        dy = contact_el_field(diagonal_pair(scale * np.eye(2)), y)
+        assert np.max(np.abs(scale * dy[2:4] + y[:2])) < 1e-12
+        assert np.array_equal(dy[:2], y[2:4])
+
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    def test_rank_one_hessian_is_singular(self, scale):
+        with pytest.raises(ImplicitSystemError) as info:
+            contact_el_field(diagonal_pair(scale * np.ones((2, 2))),
+                             np.array([0.3, -0.4, 0.2, 0.5, 0.1]))
+        q, qd, s = info.value.state
+        assert q.tolist() == [0.3, -0.4] and qd.tolist() == [0.2, 0.5]
+        assert s == 0.1
+
+    def test_default_h_is_conservative(self):
+        # without h the Caldirola-Kanai force term vanishes and S' = L
+        sys = scaled_oscillator(2.0)
+        y = np.array([0.3, 0.2, 7.0])
+        dy = contact_el_field(sys, y)
+        assert dy[1] == -0.3
+        assert dy[2] == sys.lagrangian(y[:1], y[1:2])
+
+    @pytest.mark.parametrize("state0", [
+        ([0.0, 1.0], [1.0], 0.0), ([0.0], [1.0, 0.0], 0.0),
+        ([0.0], [1.0], [0.0]), (0.0, [1.0], 0.0), ([[0.0]], [1.0], 0.0)])
+    def test_integrate_contact_checks_state_shapes(self, state0):
+        with pytest.raises(ValueError, match="length 1"):
+            integrate_contact(friction_system(0.5), state0, 1.0, 1e-2)
 
 
 class TestIntegration:
@@ -315,7 +344,6 @@ class TestIntegration:
     def test_friction_guard_stops_cleanly(self):
         sys = friction_system(5.0)
         traj = integrate_contact(sys, ([0.0], [1.0], 0.0), 10.0, 1e-3)
-        assert traj.stopped_early
         assert traj.qd[-1, 0] > 1e-10
         assert traj.times[-1] < 10.0
 
@@ -435,8 +463,7 @@ class TestProjectability:
             hess_qd=lambda q, qd: np.eye(1),
             mixed_hess=lambda q, qd: np.zeros((1, 1)),
             h=lambda s: s ** 2,
-            dh_ds=lambda s: 2.0 * s,
-            dissipation="caldirola-kanai")
+            dh_ds=lambda s: 2.0 * s)
         assert not projectability_check(sys)
 
 
@@ -452,13 +479,3 @@ class TestBuilders:
     def test_rlc_coupled_validates_parameters(self):
         with pytest.raises(ValueError):
             rlc_coupled(1.0, -1.0, 1.0, 1.0, 0.1, 0.1, 0.0)
-
-    def test_rayleigh_requires_functions(self):
-        with pytest.raises(ValueError):
-            ContactLagrangianSystem(
-                n=1, lagrangian=lambda q, qd: 0.0,
-                d_l_dq=lambda q, qd: np.zeros(1),
-                d_l_dqd=lambda q, qd: np.zeros(1),
-                hess_qd=lambda q, qd: np.eye(1),
-                mixed_hess=lambda q, qd: np.zeros((1, 1)),
-                dissipation="rayleigh")
