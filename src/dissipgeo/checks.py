@@ -47,6 +47,9 @@ def result(name, residual, tol):
 def five_point_rate(values, dt):
     """Fourth-order central difference of a series sampled every dt, at
     its interior points values[2:-2]."""
+    if len(values) < 5:
+        raise ValueError(f"a five-point rate needs at least 5 rows, the "
+                         f"path has {len(values)}")
     return (-values[4:] + 8 * values[3:-1] - 8 * values[1:-3]
             + values[:-4]) / (12 * dt)
 
@@ -222,8 +225,15 @@ def purestate_suite():
     results = []
     kaehler_res = 0.0
     for n in (2, 3):
+        # basis psi_a: <psi_a, psi_b> = g_ab + i omega_ab, J psi_a = -i psi_a
         omega, g, j = ps.ambient_tensors(n)
-        kaehler_res = max(kaehler_res, float(np.max(np.abs(j.T @ omega - g))))
+        psis = [ps.from_chart(e) for e in np.eye(2 * n)]
+        form = np.array([[np.vdot(pa, pb) for pb in psis] for pa in psis])
+        j_form = np.column_stack([ps.to_chart(-1j * pa) for pa in psis])
+        kaehler_res = max(kaehler_res, *(
+            float(np.max(np.abs(d))) for d in (
+                form.real - g, form.imag - omega, j - j_form,
+                j.T @ omega - g)))
     results.append(result("purestate/kaehler-compatibility",
                           kaehler_res, 1e-14))
 
@@ -343,7 +353,7 @@ def mechanics_suite():
                           soundness_res, 1e-10))
 
     damped = hamiltonianity_criterion(representative_matrix(
-        coupled_damped_oscillators(1.0, 2.0, 0.3, 0.7, 0.1, 0.2)))
+        *coupled_damped_oscillators(1.0, 2.0, 0.3, 0.7, 0.1, 0.2)))
     results.append(CheckResult(
         name="mechanics/damped-oscillators-not-hamiltonian",
         passed=damped.verdict == "not-hamiltonian",
@@ -382,14 +392,13 @@ SUITES = {
 }
 
 
-def run_checks(module_filter=None):
-    """Run the selected suites, merged deterministically by suite name."""
+def run_checks(filter=None):
+    """Run every suite, or the one named by filter, merged by name."""
     names = sorted(SUITES)
-    if module_filter is not None:
-        if module_filter not in SUITES:
-            raise KeyError(f"unknown module {module_filter!r}; "
-                           f"choose from {names}")
-        names = [module_filter]
+    if filter is not None:
+        if filter not in SUITES:
+            raise KeyError(f"unknown module {filter!r}; choose from {names}")
+        names = [filter]
     results = []
     for name in names:
         results.extend(SUITES[name]())

@@ -5,15 +5,16 @@
     dissipgeo checks [--filter MODULE] [--out DIR]
 
 Configs are JSON with a "kind" in {gkls, pure-state, contact-lagrangian,
-circuit, checks} and the "parameters" its runner reads (``RUNNERS``);
-every kind but checks requires t_end and dt.  A parameter a run reads
-has no default, apart from gkls "jumps" and pure-state "renormalize" (a
-JSON boolean).  Complex entries are [re, im] pairs.  Each run writes a
-trajectory CSV (17 significant digits, LF endings, byte-stable across
-runs) plus a JSON report with per-invariant pass/fail and residuals,
-final_t and stopped_early.  Exit codes: 0 all invariants pass, 2 usage
-or config error (an unknown parameter or a missing one among them), 3
-numerical failure.
+circuit, checks} and "parameters", the keywords of the kind's runner in
+``RUNNERS`` and of the variant it picks (gkls "model" given or not,
+"circuit", "system"); every kind but checks requires t_end and dt.  Only
+gkls "jumps" and "x0"/"rho0" (exactly one), pure-state "renormalize" (a
+JSON boolean) and linear "expect" may be left out.  Complex entries are
+[re, im] pairs.  Each run writes a trajectory CSV (17 significant digits,
+LF endings, byte-stable across runs) plus a JSON report with
+per-invariant pass/fail and residuals, final_t and stopped_early.  Exit
+codes: 0 all invariants pass, 2 usage or config error (a bad value, or a
+name the variant does not read or a missing one), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from .checks import (CheckResult, contact_residuals, decomposition_identities,
 from .contact import DegenerateContactError
 from .gkls import build_model, integrate, phase_damping_model
 from .integrators import DivergenceError, rk4_affine_path, time_grid
-from .mechanics import (ImplicitSystemError, LinearSecondOrderSystem,
-                        bivector_span_dimension, friction_system,
-                        hamiltonianity_criterion, integrate_contact,
-                        representative_matrix, rlc_coupled, rlc_single)
+from .mechanics import (ImplicitSystemError, bivector_span_dimension,
+                        friction_system, hamiltonianity_criterion,
+                        integrate_contact, representative_matrix,
+                        rlc_coupled, rlc_single)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -84,7 +85,6 @@ BUILTIN_SCENARIOS = {
         "description": "qubit phase damping: coherences decay, populations hold",
         "config": {
             "kind": "gkls",
-            "name": "phase-damping",
             "parameters": {"model": "phase-damping", "gamma": 1.0,
                            "x0": [SQRT_HALF, 0.0, 0.0],
                            "t_end": 3.0, "dt": 1e-3},
@@ -94,7 +94,6 @@ BUILTIN_SCENARIOS = {
         "description": "gradient flow on the Bloch sphere toward the top eigenvector",
         "config": {
             "kind": "pure-state",
-            "name": "bloch-gradient",
             "parameters": {
                 "a": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
                 "b": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
@@ -106,7 +105,6 @@ BUILTIN_SCENARIOS = {
         "description": "series RLC circuit as a contact Lagrangian system",
         "config": {
             "kind": "circuit",
-            "name": "rlc-single",
             "parameters": {"circuit": "single", "resistance": 0.2,
                            "inductance": 1.0, "capacitance": 1.0,
                            "i0": [1.0], "di0": [0.0],
@@ -117,7 +115,6 @@ BUILTIN_SCENARIOS = {
         "description": "two RLC circuits coupled by a resistance (Rayleigh form)",
         "config": {
             "kind": "circuit",
-            "name": "rlc-coupled",
             "parameters": {"circuit": "coupled",
                            "l1": 1.0, "l2": 1.0, "c1": 1.0, "c2": 0.5,
                            "r1": 0.5, "r2": 0.3, "r_coupling": 0.2,
@@ -129,7 +126,6 @@ BUILTIN_SCENARIOS = {
         "description": "damped coupled oscillators: no Hamiltonian, no Lagrangian",
         "config": {
             "kind": "contact-lagrangian",
-            "name": "coupled-damped-oscillators",
             "parameters": {
                 "system": "linear",
                 "mass": [[1.0, 0.0], [0.0, 1.0]],
@@ -145,7 +141,6 @@ BUILTIN_SCENARIOS = {
         "description": "q' ln q' friction Lagrangian: conserved E_L, decaying E_mech",
         "config": {
             "kind": "contact-lagrangian",
-            "name": "friction-lagrangian",
             "parameters": {"system": "friction", "gamma": 0.5,
                            "q0": [0.0], "qd0": [1.0],
                            "t_end": 10.0, "dt": 1e-3},
@@ -155,33 +150,33 @@ BUILTIN_SCENARIOS = {
         "description": "contact-geometry invariant suite (Jacobi homomorphism etc.)",
         "config": {
             "kind": "checks",
-            "name": "contact-homomorphism",
             "parameters": {"filter": "contact"},
         },
     },
 }
 
 
-def run_gkls(params, t_end, dt):
-    if "model" in params:
-        if params["model"] != "phase-damping":
-            raise ConfigError(f"unknown model {params['model']!r}")
-        gamma = float(params["gamma"])
-        model = phase_damping_model(gamma)
-    else:
-        h = parse_complex_matrix(params["hamiltonian"], "hamiltonian")
-        basis = build_su_basis(h.shape[0])
-        jumps = [parse_complex_matrix(j, "jump")
-                 for j in params.get("jumps", [])]
-        model = build_model(basis, h, jumps)
-        gamma = None
+def phase_damping_gkls(model, gamma):
+    if model != "phase-damping":
+        raise ConfigError(f"unknown model {model!r}")
+    gamma = float(gamma)
+    return phase_damping_model(gamma), gamma
+
+
+def general_gkls(hamiltonian, jumps=()):
+    h = parse_complex_matrix(hamiltonian, "hamiltonian")
+    jumps = [parse_complex_matrix(j, "jump") for j in jumps]
+    return build_model(build_su_basis(h.shape[0]), h, jumps), None
+
+
+def run_gkls(t_end, dt, x0=None, rho0=None, **variant):
+    build = phase_damping_gkls if "model" in variant else general_gkls
+    model, gamma = build(**variant)
     size = model.basis.size
-    if "x0" in params and "rho0" in params:
-        raise ConfigError("give x0 or rho0, not both")
-    if "x0" in params:
-        rho0 = from_coherence_vector(params["x0"], model.basis)
-    else:
-        rho0 = parse_complex_matrix(params["rho0"], "rho0")
+    if (x0 is None) == (rho0 is None):
+        raise ConfigError("give exactly one of x0 and rho0")
+    rho0 = (parse_complex_matrix(rho0, "rho0") if x0 is None
+            else from_coherence_vector(x0, model.basis))
     traj = integrate(model, rho0, t_end, dt)
 
     header = ["t"] + [f"x{j + 1}" for j in range(size)] \
@@ -206,11 +201,10 @@ def run_gkls(params, t_end, dt):
     return header, rows, invariants
 
 
-def run_pure_state(params, t_end, dt):
-    a = parse_complex_matrix(params["a"], "a")
-    b = parse_complex_matrix(params["b"], "b")
-    psi0 = parse_complex_matrix(params["psi0"], "psi0")
-    renormalize = params.get("renormalize", False)
+def run_pure_state(a, b, psi0, t_end, dt, renormalize=False):
+    a = parse_complex_matrix(a, "a")
+    b = parse_complex_matrix(b, "b")
+    psi0 = parse_complex_matrix(psi0, "psi0")
     if not isinstance(renormalize, bool):
         raise ConfigError("renormalize must be true or false")
     times, psis = ps.integrate_sphere_flow(a, b, psi0, t_end, dt,
@@ -234,28 +228,30 @@ def run_pure_state(params, t_end, dt):
     return header, rows, invariants
 
 
-def run_circuit(params, t_end, dt):
-    kind = params["circuit"]
-    if kind == "single":
-        r, l_ind, cap = (float(params[k]) for k in
-                         ("resistance", "inductance", "capacitance"))
-        sys_ = rlc_single(r, l_ind, cap)
-        l_mat, r_mat = np.array([[l_ind]]), np.array([[r]])
-        c_inv = np.array([[1.0 / cap]])
-    elif kind == "coupled":
-        l1, l2, c1, c2, r1, r2, r_c = (float(params[k]) for k in (
-            "l1", "l2", "c1", "c2", "r1", "r2", "r_coupling"))
-        sys_ = rlc_coupled(l1, l2, c1, c2, r1, r2, r_c)
-        l_mat, r_mat = np.diag([l1, l2]), np.array([[r1, r_c], [r_c, r2]])
-        c_inv = np.diag([1.0 / c1, 1.0 / c2])
-    else:
-        raise ConfigError(f"unknown circuit {kind!r}")
+def single_circuit(resistance, inductance, capacitance):
+    """(system, L, R, C^-1) of a series RLC circuit."""
+    r, l_ind, cap = float(resistance), float(inductance), float(capacitance)
+    return (rlc_single(r, l_ind, cap), np.array([[l_ind]]), np.array([[r]]),
+            np.array([[1.0 / cap]]))
+
+
+def coupled_circuit(l1, l2, c1, c2, r1, r2, r_coupling):
+    """(system, L, R, C^-1) of two RLC circuits coupled by a resistance."""
+    l1, l2, c1, c2, r1, r2, r_c = map(float, (l1, l2, c1, c2, r1, r2,
+                                              r_coupling))
+    return (rlc_coupled(l1, l2, c1, c2, r1, r2, r_c), np.diag([l1, l2]),
+            np.array([[r1, r_c], [r_c, r2]]), np.diag([1.0 / c1, 1.0 / c2]))
+
+
+def run_circuit(circuit, i0, di0, t_end, dt, **values):
+    if circuit not in ("single", "coupled"):
+        raise ConfigError(f"unknown circuit {circuit!r}")
+    build = single_circuit if circuit == "single" else coupled_circuit
+    sys_, l_mat, r_mat, c_inv = build(**values)
     n = sys_.n
     # oracle: Kirchhoff's L I'' + R I' + C^-1 I = 0 as a linear system
-    g = representative_matrix(
-        LinearSecondOrderSystem(n=n, m=l_mat, gamma=r_mat, omega=c_inv))
-    traj = integrate_contact(sys_, (params["i0"], params["di0"], 0.0),
-                             t_end, dt)
+    g = representative_matrix(l_mat, r_mat, c_inv)
+    traj = integrate_contact(sys_, (i0, di0, 0.0), t_end, dt)
 
     header = ["t"] + [f"i{j + 1}" for j in range(n)] \
         + [f"di{j + 1}" for j in range(n)] + ["s", "energy"]
@@ -277,34 +273,32 @@ def run_circuit(params, t_end, dt):
     return header, rows, invariants
 
 
-def run_contact_lagrangian(params, t_end, dt):
-    system = params["system"]
-    if system == "friction":
-        gamma = float(params["gamma"])
-        traj = integrate_contact(friction_system(gamma),
-                                 (params["q0"], params["qd0"], 0.0), t_end, dt)
-        header = ["t", "q", "qd", "s", "energy", "energy_mech"]
-        rows = np.column_stack([traj.times, traj.q, traj.qd, traj.s,
-                                traj.energy, traj.energy_mech])
-        return header, rows, friction_invariants(gamma, traj, dt)
-    if system != "linear":
-        raise ConfigError(f"unknown system {system!r}")
-    mass = np.asarray(params["mass"], dtype=float)
-    damping = np.asarray(params["damping"], dtype=float)
-    stiffness = np.asarray(params["stiffness"], dtype=float)
-    n = mass.shape[0]
-    lin = LinearSecondOrderSystem(n=n, m=mass, gamma=damping,
-                                  omega=stiffness)
-    g = representative_matrix(lin)
-    x0 = np.asarray(params["x0"], dtype=float)
+def friction_lagrangian(gamma, q0, qd0, t_end, dt):
+    gamma = float(gamma)
+    traj = integrate_contact(friction_system(gamma), (q0, qd0, 0.0),
+                             t_end, dt)
+    header = ["t", "q", "qd", "s", "energy", "energy_mech"]
+    rows = np.column_stack([traj.times, traj.q, traj.qd, traj.s,
+                            traj.energy, traj.energy_mech])
+    return header, rows, friction_invariants(gamma, traj, dt)
+
+
+def linear_lagrangian(mass, damping, stiffness, x0, t_end, dt, expect=None):
+    mass, damping, stiffness, x0 = (np.asarray(v, dtype=float) for v in
+                                    (mass, damping, stiffness, x0))
+    n = mass.shape[0] if mass.ndim == 2 else 0
+    if n < 1 or not mass.shape == damping.shape == stiffness.shape == (n, n):
+        raise ConfigError("mass, damping and stiffness must be n x n "
+                          "matrices with n >= 1")
     if x0.shape != (2 * n,):
         raise ConfigError(f"x0 must have length {2 * n}")
+    g = representative_matrix(mass, damping, stiffness)
     times, states = rk4_affine_path(g, None, x0, t_end, dt)
     header = ["t"] + [f"q{j + 1}" for j in range(n)] \
         + [f"qd{j + 1}" for j in range(n)]
     rows = np.column_stack([times, states])
 
-    expect = params.get("expect", {})
+    expect = {} if expect is None else expect
     invariants = []
     verdict = hamiltonianity_criterion(g)
     if "hamiltonianity" in expect:
@@ -325,19 +319,22 @@ def run_contact_lagrangian(params, t_end, dt):
     return header, rows, invariants
 
 
-# kind -> (runner, the parameter names it reads); a runner also reads
-# t_end and dt, which its kind then requires
+def run_contact_lagrangian(system, **params):
+    if system == "friction":
+        return friction_lagrangian(**params)
+    if system == "linear":
+        return linear_lagrangian(**params)
+    raise ConfigError(f"unknown system {system!r}")
+
+
+# kind -> runner; its keyword signature, with that of the variant it picks,
+# is the one list of the parameter names a config may give
 RUNNERS = {
-    "checks": (None, {"filter"}),
-    "gkls": (run_gkls, {"model", "gamma", "hamiltonian", "jumps", "x0",
-                        "rho0"}),
-    "pure-state": (run_pure_state, {"a", "b", "psi0", "renormalize"}),
-    "circuit": (run_circuit, {"circuit", "resistance", "inductance",
-                              "capacitance", "l1", "l2", "c1", "c2", "r1",
-                              "r2", "r_coupling", "i0", "di0"}),
-    "contact-lagrangian": (run_contact_lagrangian, {
-        "system", "gamma", "q0", "qd0", "mass", "damping", "stiffness",
-        "x0", "expect"}),
+    "checks": run_checks,
+    "gkls": run_gkls,
+    "pure-state": run_pure_state,
+    "circuit": run_circuit,
+    "contact-lagrangian": run_contact_lagrangian,
 }
 
 CONFIG_SCHEMA = {
@@ -356,22 +353,18 @@ def execute_scenario(config, out_dir):
     """Run one scenario; returns (report dict, all_passed)."""
     kind = config["kind"]
     params = config.get("parameters", {})
-    runner, allowed = RUNNERS[kind]
-    horizon = set() if runner is None else {"t_end", "dt"}
-    unknown, missing = set(params) - allowed - horizon, horizon - set(params)
-    if unknown or missing:
-        raise ConfigError(f"{kind} parameters: unknown {sorted(unknown)}, "
-                          f"missing {sorted(missing)}")
+    # an int in the JSON writes the same CSV bytes as a float
+    params.update({key: float(params[key])
+                   for key in ("t_end", "dt") if key in params})
     name = config.get("name", kind)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     outputs = []
-    if runner is None:
-        results = run_checks(params.get("filter"))
-    else:
-        t_end, dt = float(params["t_end"]), float(params["dt"])
-        header, rows, results = runner(params, t_end, dt)
+    # an unknown or a missing parameter name is a TypeError here
+    results = RUNNERS[kind](**params)
+    if kind != "checks":
+        header, rows, results = results
         csv_path = out_dir / f"{name}.csv"
         write_csv(csv_path, header, rows)
         outputs.append(str(csv_path))
@@ -385,9 +378,10 @@ def execute_scenario(config, out_dir):
         "invariants": [asdict(r) for r in results],
         "outputs": outputs,
     }
-    if runner is not None:  # a domain guard can end a path early
+    if kind != "checks":  # a domain guard can end a path early
         report["final_t"] = float(rows[-1, 0])
-        report["stopped_early"] = len(rows) < len(time_grid(t_end, dt))
+        report["stopped_early"] = \
+            len(rows) < len(time_grid(params["t_end"], params["dt"]))
     report_path = out_dir / f"{name}_report.json"
     write_json(report_path, report)
     report["report_path"] = str(report_path)
@@ -395,9 +389,11 @@ def execute_scenario(config, out_dir):
 
 
 def load_config(source):
+    """A builtin is named by its key, and a file by its stem unless it
+    gives a "name"."""
     if source in BUILTIN_SCENARIOS:
-        return json.loads(json.dumps(
-            BUILTIN_SCENARIOS[source]["config"]))
+        return {"name": source, **json.loads(json.dumps(
+            BUILTIN_SCENARIOS[source]["config"]))}
     path = Path(source)
     if not path.exists():
         raise ConfigError(f"no builtin scenario or config file {source!r}")
@@ -405,8 +401,7 @@ def load_config(source):
         config = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {source}: {exc}") from exc
-    if "name" not in config:
-        config["name"] = path.stem
+    config.setdefault("name", path.stem)
     return config
 
 

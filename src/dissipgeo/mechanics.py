@@ -41,36 +41,26 @@ class ImplicitSystemError(RuntimeError):
         self.state = state
 
 
-@dataclass(frozen=True)
-class LinearSecondOrderSystem:
-    """m q'' + gamma q' + omega q = 0 with numerical n x n matrices."""
-
-    n: int
-    m: np.ndarray
-    gamma: np.ndarray
-    omega: np.ndarray
-
-
 def coupled_damped_oscillators(omega1, omega2, gamma1, gamma2, kappa, delta):
-    """Two oscillators with position coupling kappa and velocity coupling
-    delta (unit masses)."""
-    return LinearSecondOrderSystem(
-        n=2, m=np.eye(2),
-        gamma=np.array([[gamma1, delta], [delta, gamma2]], dtype=float),
-        omega=np.array([[omega1 ** 2, kappa], [kappa, omega2 ** 2]],
-                       dtype=float))
+    """(m, gamma, omega) of two oscillators with position coupling kappa
+    and velocity coupling delta (unit masses)."""
+    return (np.eye(2),
+            np.array([[gamma1, delta], [delta, gamma2]], dtype=float),
+            np.array([[omega1 ** 2, kappa], [kappa, omega2 ** 2]],
+                     dtype=float))
 
 
-def representative_matrix(sys):
-    """G with [[0, I], [-m^-1 omega, -m^-1 gamma]] block structure."""
-    if abs(np.linalg.det(sys.m)) <= MASS_DET_TOL:
+def representative_matrix(m, gamma, omega):
+    """G with [[0, I], [-m^-1 omega, -m^-1 gamma]] block structure for
+    m q'' + gamma q' + omega q = 0 with n x n matrices."""
+    if abs(np.linalg.det(m)) <= MASS_DET_TOL:
         raise ImplicitSystemError("singular mass matrix: implicit system")
-    m_inv = np.linalg.inv(sys.m)
-    n = sys.n
+    m_inv = np.linalg.inv(m)
+    n = m.shape[0]
     g = np.zeros((2 * n, 2 * n))
     g[:n, n:] = np.eye(n)
-    g[n:, :n] = -m_inv @ sys.omega
-    g[n:, n:] = -m_inv @ sys.gamma
+    g[n:, :n] = -m_inv @ omega
+    g[n:, n:] = -m_inv @ gamma
     return g
 
 
@@ -313,6 +303,8 @@ def rlc_single(resistance, inductance, capacitance):
         raise ValueError("need resistance >= 0")
     l_ind, cap = float(inductance), float(capacitance)
     rate = float(resistance) / l_ind
+    if not np.all(np.isfinite([l_ind, 1.0 / cap, rate])):
+        raise ValueError("need finite L, 1/C and R/L")
     return ContactLagrangianSystem(
         n=1,
         lagrangian=lambda q, qd: 0.5 * l_ind * qd[0] ** 2
@@ -339,6 +331,8 @@ def rlc_coupled(l1, l2, c1, c2, r1, r2, r_coupling):
     c_mat = np.diag([1.0 / float(c1), 1.0 / float(c2)])
     r_mat = np.array([[float(r1), float(r_coupling)],
                       [float(r_coupling), float(r2)]])
+    if not np.all(np.isfinite([l_mat, c_mat, r_mat])):
+        raise ValueError("need finite L, R and 1/C")
     return ContactLagrangianSystem(
         n=2,
         lagrangian=lambda q, qd: 0.5 * float(qd @ l_mat @ qd)

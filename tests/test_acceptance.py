@@ -151,7 +151,7 @@ def test_criterion_05_pure_state_flow_oracle():
 def test_criterion_06_hamiltonianity_criterion():
     g1, g2 = 0.3, 0.7
     sys_ = coupled_damped_oscillators(1.0, 2.0, g1, g2, 0.1, 0.2)
-    damped = hamiltonianity_criterion(representative_matrix(sys_))
+    damped = hamiltonianity_criterion(representative_matrix(*sys_))
     rejected = damped.verdict == "not-hamiltonian" \
         and abs(damped.odd_traces[0] + (g1 + g2)) < 1e-12
 
@@ -179,10 +179,10 @@ def test_criterion_06_hamiltonianity_criterion():
 def test_criterion_07_lagrangian_nonexistence():
     damped = coupled_damped_oscillators(1.0, 2.0, 0.3, 0.7, 0.1, 0.2)
     dim_damped, verdict_damped = bivector_span_dimension(
-        representative_matrix(damped))
+        representative_matrix(*damped))
     plain = coupled_damped_oscillators(1.0, 2.0, 0.0, 0.0, 0.0, 0.0)
     dim_plain, verdict_plain = bivector_span_dimension(
-        representative_matrix(plain))
+        representative_matrix(*plain))
     ok = dim_damped == 6 and verdict_damped == "no-lagrangian" \
         and dim_plain < 6 and verdict_plain == "lagrangian-possible"
     report(7, ok,

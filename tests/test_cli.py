@@ -1,10 +1,13 @@
 import json
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dissipgeo.cli import (BUILTIN_SCENARIOS, EXIT_NUMERICAL, EXIT_OK,
                            EXIT_USAGE, main, parse_complex_matrix,
@@ -107,7 +110,80 @@ BAD_VALUE_CONFIGS = {
     "q0-missing": ("contact-lagrangian", without(FRICTION, "q0")),
     "qd0-missing": ("contact-lagrangian", without(FRICTION, "qd0")),
     "phase-damping-gamma-missing": ("gkls", without(PHASE_DAMPING, "gamma")),
+    # a name of another variant of the same kind
+    "single-circuit-coupled-names": ("circuit", {
+        **RLC_SINGLE, "l1": 1.0, "r_coupling": 0.2}),
+    "friction-linear-names": ("contact-lagrangian", {
+        **FRICTION, "mass": [[1.0]], "x0": [1.0, 0.0]}),
+    "phase-damping-general-names": ("gkls", {
+        **PHASE_DAMPING, "hamiltonian": SIGMA3, "jumps": []}),
+    "general-gkls-gamma": ("gkls", {
+        "hamiltonian": SIGMA3, "x0": [0.5, 0.0, 0.0], "gamma": 3.0,
+        "t_end": 1.0, "dt": 1e-2}),
+    "linear-friction-names": ("contact-lagrangian", {
+        **LINEAR, "gamma": 0.5, "qd0": [1.0]}),
+    "linear-mass-scalar": ("contact-lagrangian", {**LINEAR, "mass": 1.0}),
+    "linear-matrices-empty": ("contact-lagrangian", {
+        **LINEAR, "mass": [], "damping": [], "stiffness": [], "x0": []}),
 }
+
+# paths too short for the five-point stencil of an energy-rate invariant
+SHORT_PATH_CONFIGS = {
+    "rlc-single-three-steps": ("circuit", {
+        **BUILTIN_SCENARIOS["rlc-single"]["config"]["parameters"],
+        "t_end": 0.003, "dt": 0.001}),
+    "friction-guard-after-one-row": ("contact-lagrangian", {
+        **FRICTION, "qd0": [1.5e-10], "dt": 1, "t_end": 10}),
+}
+
+# one valid config per variant of every integrating kind, on a short path
+SHORT = {"t_end": 0.05, "dt": 0.01}
+VARIANTS = {
+    "phase-damping": ("gkls", {**PHASE_DAMPING, **SHORT}),
+    "general-gkls": ("gkls", {
+        "hamiltonian": SIGMA3,
+        "jumps": [[[[0.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
+        "rho0": [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]],
+        **SHORT}),
+    "pure-state": ("pure-state", {**PURE_STATE, "renormalize": False,
+                                  **SHORT}),
+    "single-circuit": ("circuit", {**RLC_SINGLE, **SHORT}),
+    "coupled-circuit": ("circuit", {
+        "circuit": "coupled", "l1": 1.0, "l2": 1.0, "c1": 1.0, "c2": 0.5,
+        "r1": 0.5, "r2": 0.3, "r_coupling": 0.2, "i0": [1.0, 0.0],
+        "di0": [0.0, 0.0], **SHORT}),
+    "friction": ("contact-lagrangian", {**FRICTION, **SHORT}),
+    "linear": ("contact-lagrangian", {
+        **LINEAR, "expect": {"hamiltonianity": "not-hamiltonian"},
+        **SHORT}),
+}
+# every parameter name with a valid value for some variant
+NAME_VALUES = {name: value for _, params in VARIANTS.values()
+               for name, value in params.items() if name not in SHORT}
+
+small_scalars = (st.none() | st.booleans() | st.integers(-3, 3)
+                 | st.floats(-3, 3) | st.text(max_size=3))
+small_json = small_scalars | st.lists(
+    small_scalars | st.lists(small_scalars, max_size=3), max_size=3) \
+    | st.dictionaries(st.text(max_size=3), small_scalars, max_size=2)
+
+
+@st.composite
+def malformed_configs(draw):
+    """A valid variant config with one name dropped, one name of another
+    variant added, or one value replaced; t_end and dt stay."""
+    kind, params = VARIANTS[draw(st.sampled_from(sorted(VARIANTS)))]
+    params = dict(params)
+    names = sorted(set(params) - set(SHORT))
+    mutation = draw(st.sampled_from(["drop", "add", "replace"]))
+    if mutation == "drop":
+        del params[draw(st.sampled_from(names))]
+    elif mutation == "add":
+        name = draw(st.sampled_from(sorted(set(NAME_VALUES) - set(params))))
+        params[name] = NAME_VALUES[name]
+    else:
+        params[draw(st.sampled_from(names))] = draw(small_json)
+    return kind, params
 
 
 class TestParsing:
@@ -173,6 +249,35 @@ class TestCommands:
         cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
         assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(SHORT_PATH_CONFIGS))
+    def test_short_path_is_usage_error(self, case, tmp_path, capsys):
+        kind, params = SHORT_PATH_CONFIGS[case]
+        cfg = tmp_path / "short.json"
+        cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
+        assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error" in err and "at least 5 rows" in err
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_every_variant_config_runs(self, variant, tmp_path, capsys):
+        kind, params = VARIANTS[variant]
+        cfg = tmp_path / "ok.json"
+        cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
+        assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_OK
+
+    # hypothesis imports libcst to report a failure, and that import warns
+    @pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(config=malformed_configs())
+    def test_malformed_config_exits_cleanly(self, config):
+        kind, params = config
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "mutant.json"
+            cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
+            code = run_cli("run", str(cfg), "--out", tmp)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL)
 
     def test_checks_unknown_filter_is_usage_error(self, capsys):
         assert run_cli("checks", "--filter", "nonsense") == EXIT_USAGE

@@ -30,7 +30,7 @@ class TestAffinePath:
 
     def test_matches_rk4_path_without_affine_part(self):
         g = representative_matrix(
-            coupled_damped_oscillators(1.0, 2.0, 0.3, 0.7, 0.1, 0.2))
+            *coupled_damped_oscillators(1.0, 2.0, 0.3, 0.7, 0.1, 0.2))
         y0 = np.array([1.0, -0.5, 0.2, 0.0])
         t_ref, y_ref = rk4_path(lambda y: g @ y, y0, 10.0, 1e-3)
         times, states = rk4_affine_path(g, None, y0, 10.0, 1e-3)

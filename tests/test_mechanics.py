@@ -4,7 +4,6 @@ from scipy.linalg import expm
 
 from dissipgeo.contact import ScalarField, contact_hamiltonian_field, darboux_chart
 from dissipgeo.mechanics import (ContactLagrangianSystem, ImplicitSystemError,
-                                 LinearSecondOrderSystem,
                                  analytic_energy_rate,
                                  bivector_span_dimension, contact_el_field,
                                  coupled_damped_oscillators, friction_system,
@@ -67,7 +66,7 @@ class TestRepresentativeMatrix:
     def test_coupled_damped_oscillators_block(self):
         w1, w2, g1, g2, kappa, delta = 1.0, 2.0, 0.3, 0.7, 0.1, 0.2
         sys = coupled_damped_oscillators(w1, w2, g1, g2, kappa, delta)
-        g = representative_matrix(sys)
+        g = representative_matrix(*sys)
         expected = np.array([
             [0, 0, 1, 0],
             [0, 0, 0, 1],
@@ -76,34 +75,30 @@ class TestRepresentativeMatrix:
         assert np.max(np.abs(g - expected)) < 1e-12
 
     def test_harmonic_oscillator(self):
-        sys = LinearSecondOrderSystem(n=1, m=np.eye(1), gamma=np.zeros((1, 1)),
-                                      omega=np.eye(1))
-        assert np.allclose(representative_matrix(sys), [[0, 1], [-1, 0]])
+        g = representative_matrix(np.eye(1), np.zeros((1, 1)), np.eye(1))
+        assert np.allclose(g, [[0, 1], [-1, 0]])
 
     def test_mass_scaling(self):
-        sys = LinearSecondOrderSystem(n=2, m=2 * np.eye(2),
-                                      gamma=np.zeros((2, 2)), omega=np.eye(2))
-        g = representative_matrix(sys)
+        g = representative_matrix(2 * np.eye(2), np.zeros((2, 2)), np.eye(2))
         assert np.max(np.abs(g[2:, :2] + 0.5 * np.eye(2))) < 1e-12
 
     def test_singular_mass_rejected(self):
-        sys = LinearSecondOrderSystem(n=2, m=np.diag([1.0, 0.0]),
-                                      gamma=np.zeros((2, 2)), omega=np.eye(2))
         with pytest.raises(ImplicitSystemError):
-            representative_matrix(sys)
+            representative_matrix(np.diag([1.0, 0.0]), np.zeros((2, 2)),
+                                  np.eye(2))
 
 
 class TestHamiltonianityCriterion:
     def test_damped_system_rejected_by_first_trace(self):
         sys = coupled_damped_oscillators(1.0, 2.0, 0.3, 0.7, 0.1, 0.2)
-        result = hamiltonianity_criterion(representative_matrix(sys))
+        result = hamiltonianity_criterion(representative_matrix(*sys))
         assert result.verdict == "not-hamiltonian"
         assert abs(result.odd_traces[0] - (-(0.3 + 0.7))) < 1e-12
 
     def test_undamped_uncoupled_admissible(self):
         # eigenvalues +-i w1, +-i w2: all odd power sums vanish
         sys = coupled_damped_oscillators(1.0, 2.0, 0.0, 0.0, 0.0, 0.0)
-        result = hamiltonianity_criterion(representative_matrix(sys))
+        result = hamiltonianity_criterion(representative_matrix(*sys))
         assert result.verdict == "hamiltonian-admissible"
         assert np.max(np.abs(result.odd_traces)) < 1e-10
 
@@ -113,7 +108,7 @@ class TestHamiltonianityCriterion:
 
     def test_equal_frequencies_inconclusive(self):
         sys = coupled_damped_oscillators(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-        result = hamiltonianity_criterion(representative_matrix(sys))
+        result = hamiltonianity_criterion(representative_matrix(*sys))
         assert result.verdict == "inconclusive-non-generic"
         assert not result.generic
 
@@ -147,13 +142,13 @@ class TestHamiltonianityCriterion:
 class TestBivectorSpan:
     def test_generic_damped_parameters_obstruct_lagrangian(self):
         sys = coupled_damped_oscillators(1.0, 2.0, 0.3, 0.7, 0.1, 0.2)
-        dim, verdict = bivector_span_dimension(representative_matrix(sys))
+        dim, verdict = bivector_span_dimension(representative_matrix(*sys))
         assert dim == 6
         assert verdict == "no-lagrangian"
 
     def test_undamped_decoupled_leaves_room(self):
         sys = coupled_damped_oscillators(1.0, 2.0, 0.0, 0.0, 0.0, 0.0)
-        dim, verdict = bivector_span_dimension(representative_matrix(sys))
+        dim, verdict = bivector_span_dimension(representative_matrix(*sys))
         assert dim < 6
         assert verdict == "lagrangian-possible"
 
@@ -169,7 +164,7 @@ class TestBivectorSpan:
             return matrix_rank(stack, tol=tol)
 
         monkeypatch.setattr(np.linalg, "matrix_rank", recording)
-        bivector_span_dimension(representative_matrix(sys))
+        bivector_span_dimension(representative_matrix(*sys))
         assert len(ranked) == len(set(ranked)) >= 2
 
     def test_one_degree_of_freedom_inapplicable(self):
