@@ -136,10 +136,10 @@ def _random_density(rng, n):
     return rho / np.trace(rho).real
 
 
-def _random_model(rng, n, n_jumps=2, scale=0.6):
+def _random_model(rng, n, scale=0.6):
     basis = build_su_basis(n)
     jumps = [scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-             for _ in range(n_jumps)]
+             for _ in range(2)]
     return build_model(basis, _random_hermitian(rng, n), jumps)
 
 

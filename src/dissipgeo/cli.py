@@ -4,17 +4,19 @@
     dissipgeo list
     dissipgeo checks [--filter MODULE] [--out DIR]
 
-Configs are JSON with a "kind" in {gkls, pure-state, contact-lagrangian,
-circuit, checks} and "parameters", the keywords of the kind's runner in
-``RUNNERS`` and of the variant it picks (gkls "model" given or not,
-"circuit", "system"); every kind but checks requires t_end and dt.  Only
-gkls "jumps" and "x0"/"rho0" (exactly one), pure-state "renormalize" (a
-JSON boolean) and linear "expect" may be left out.  Complex entries are
-[re, im] pairs.  Each run writes a trajectory CSV (17 significant digits,
-LF endings, byte-stable across runs) plus a JSON report with
-per-invariant pass/fail and residuals, final_t and stopped_early.  Exit
-codes: 0 all invariants pass, 2 usage or config error (a bad value, or a
-name the variant does not read or a missing one), 3 numerical failure.
+A config is a JSON object whose keys are ``execute_scenario``'s keywords:
+"kind" in {gkls, pure-state, contact-lagrangian, circuit, checks}, an
+optional "name" (a plain file name) and "parameters", the keywords of the
+kind's runner in ``RUNNERS`` and of the variant it picks (gkls "model"
+given or not, "circuit", "system"); every kind but checks requires t_end
+and dt.  Only gkls "jumps" and "x0"/"rho0" (exactly one), pure-state
+"renormalize" (a JSON boolean) and linear "expect" may be left out.
+Complex entries are [re, im] pairs.  Each run writes a trajectory CSV (17
+significant digits, LF endings, byte-stable across runs) plus a JSON
+report with per-invariant pass/fail and residuals, final_t and
+stopped_early.  Exit codes: 0 all invariants pass, 2 usage or config
+error (a bad value, a name not read or a missing one, an unreadable
+config or an unwritable --out), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-from jsonschema import ValidationError, validate
 from scipy.linalg import expm
 
 from . import purestate as ps
@@ -51,7 +52,7 @@ class ConfigError(ValueError):
     """Configuration could not be validated or parsed."""
 
 
-def parse_complex_matrix(data, what="matrix"):
+def parse_complex_matrix(data, what):
     """Nested lists of [re, im] pairs -> complex ndarray."""
     try:
         arr = np.asarray(data, dtype=float)
@@ -337,32 +338,31 @@ RUNNERS = {
     "contact-lagrangian": run_contact_lagrangian,
 }
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": list(RUNNERS)},
-        "name": {"type": "string"},
-        "parameters": {"type": "object"},
-    },
-    "additionalProperties": False,
-}
 
-
-def execute_scenario(config, out_dir):
-    """Run one scenario; returns (report dict, all_passed)."""
-    kind = config["kind"]
-    params = config.get("parameters", {})
+def execute_scenario(out_dir, kind, name, parameters):
+    """Run one scenario, writing its CSV and report; returns the report.
+    The keywords are the one list of the top-level keys a config gives."""
+    if kind not in RUNNERS:
+        raise ConfigError(f"unknown kind {kind!r}; choose from "
+                          f"{list(RUNNERS)}")
+    if not isinstance(name, str) or not name or name != Path(name).name:
+        raise ConfigError(f"name must be a plain file name, not {name!r}")
     # an int in the JSON writes the same CSV bytes as a float
-    params.update({key: float(params[key])
-                   for key in ("t_end", "dt") if key in params})
-    name = config.get("name", kind)
+    parameters.update({key: float(parameters[key])
+                       for key in ("t_end", "dt") if key in parameters})
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     outputs = []
-    # an unknown or a missing parameter name is a TypeError here
-    results = RUNNERS[kind](**params)
+    try:
+        # an unknown or a missing parameter name is a TypeError here
+        results = RUNNERS[kind](**parameters)
+    except DivergenceError as exc:
+        times, states = exc.partial
+        write_csv(out_dir / f"{name}_partial.csv",
+                  ["t"] + [f"y{j + 1}" for j in range(states.shape[1])],
+                  np.column_stack([times, states]))
+        raise
     if kind != "checks":
         header, rows, results = results
         csv_path = out_dir / f"{name}.csv"
@@ -381,28 +381,27 @@ def execute_scenario(config, out_dir):
     if kind != "checks":  # a domain guard can end a path early
         report["final_t"] = float(rows[-1, 0])
         report["stopped_early"] = \
-            len(rows) < len(time_grid(params["t_end"], params["dt"]))
+            len(rows) < len(time_grid(parameters["t_end"], parameters["dt"]))
     report_path = out_dir / f"{name}_report.json"
     write_json(report_path, report)
     report["report_path"] = str(report_path)
-    return report, all(r.passed for r in results)
+    return report
 
 
 def load_config(source):
     """A builtin is named by its key, and a file by its stem unless it
     gives a "name"."""
     if source in BUILTIN_SCENARIOS:
-        return {"name": source, **json.loads(json.dumps(
-            BUILTIN_SCENARIOS[source]["config"]))}
+        return {"name": source, **BUILTIN_SCENARIOS[source]["config"]}
     path = Path(source)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"no builtin scenario or config file {source!r}")
     try:
         config = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {source}: {exc}") from exc
-    config.setdefault("name", path.stem)
-    return config
+    # a JSON array, string or number is a TypeError here
+    return {"name": path.stem, **config}
 
 
 def _print_invariants(invariants):
@@ -439,59 +438,47 @@ def main(argv=None):
             print(f"{name}: {entry['description']}")
         return EXIT_OK
 
-    if args.command == "checks":
-        try:
-            results = run_checks(args.filter)
-        except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        invariants = [asdict(r) for r in results]
-        _print_invariants(invariants)
-        if args.out is not None:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            write_json(out_dir / "checks_report.json", invariants)
-        return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL
-
-    # run
-    config = None
+    report = None
     try:
-        config = load_config(args.config)
-        validate(config, CONFIG_SCHEMA)
-        params = config.setdefault("parameters", {})
-        if args.dt is not None:
-            params["dt"] = args.dt
-        if args.t_end is not None:
-            params["t_end"] = args.t_end
-        report, passed = execute_scenario(config, args.out)
+        if args.command == "checks":
+            if args.out is not None:
+                Path(args.out).mkdir(parents=True, exist_ok=True)
+            invariants = [asdict(r) for r in run_checks(args.filter)]
+            if args.out is not None:
+                write_json(Path(args.out) / "checks_report.json", invariants)
+        else:
+            overrides = {key: value for key, value in
+                         (("dt", args.dt), ("t_end", args.t_end))
+                         if value is not None}
+            config = load_config(args.config)
+            config["parameters"] = {**config.get("parameters", {}),
+                                    **overrides}
+            # an unknown or a missing top-level key is a TypeError here
+            report = execute_scenario(args.out, **config)
+            invariants = report["invariants"]
     # LinAlgError is a ValueError: the numerical clause must come first
     except (DivergenceError, ImplicitSystemError, DegenerateContactError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        partial = getattr(exc, "partial", None)
-        if partial is not None:
-            times, states = partial
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            name = config.get("name", "run") if config else "run"
-            write_csv(out_dir / f"{name}_partial.csv",
-                      ["t"] + [f"y{j + 1}" for j in range(states.shape[1])],
-                      np.column_stack([times, states]))
         return EXIT_NUMERICAL
-    except (ValidationError, KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OSError) as exc:
         # ConfigError and the domain checks of the library (Hermiticity,
-        # normalisation, unit trace, dt > 0, ...) are all ValueErrors
+        # normalisation, unit trace, dt > 0, ...) are all ValueErrors; an
+        # OSError is a config path that cannot be read or an --out that
+        # cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _print_invariants(report["invariants"])
-    print(f"scenario {report['scenario']}: "
-          f"{sum(i['passed'] for i in report['invariants'])}"
-          f"/{len(report['invariants'])} invariants passed "
-          f"({report['wall_time_s']:.2f} s)")
-    if report.get("stopped_early"):
-        print(f"stopped early at t = {report['final_t']:.6g}: the system's "
-              f"domain guard ended the path before t_end")
-    return EXIT_OK if passed else EXIT_NUMERICAL
+    _print_invariants(invariants)
+    if report is not None:
+        print(f"scenario {report['scenario']}: "
+              f"{sum(i['passed'] for i in invariants)}"
+              f"/{len(invariants)} invariants passed "
+              f"({report['wall_time_s']:.2f} s)")
+        if report.get("stopped_early"):
+            print(f"stopped early at t = {report['final_t']:.6g}: the "
+                  f"system's domain guard ended the path before t_end")
+    return EXIT_OK if all(inv["passed"] for inv in invariants) \
+        else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

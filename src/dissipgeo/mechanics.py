@@ -52,11 +52,12 @@ def coupled_damped_oscillators(omega1, omega2, gamma1, gamma2, kappa, delta):
 
 def representative_matrix(m, gamma, omega):
     """G with [[0, I], [-m^-1 omega, -m^-1 gamma]] block structure for
-    m q'' + gamma q' + omega q = 0 with n x n matrices."""
-    if abs(np.linalg.det(m)) <= MASS_DET_TOL:
+    m q'' + gamma q' + omega q = 0 with n x n matrices.  The mass is
+    singular when |det m| <= MASS_DET_TOL max|m_jk|^n, a scale-free test."""
+    n = m.shape[0]
+    if abs(np.linalg.det(m)) <= MASS_DET_TOL * abs(m).max() ** n:
         raise ImplicitSystemError("singular mass matrix: implicit system")
     m_inv = np.linalg.inv(m)
-    n = m.shape[0]
     g = np.zeros((2 * n, 2 * n))
     g[:n, n:] = np.eye(n)
     g[n:, :n] = -m_inv @ omega

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dissipgeo.cli import (BUILTIN_SCENARIOS, EXIT_NUMERICAL, EXIT_OK,
-                           EXIT_USAGE, main, parse_complex_matrix,
+                           EXIT_USAGE, RUNNERS, main, parse_complex_matrix,
                            write_csv)
 
 
@@ -136,6 +136,39 @@ SHORT_PATH_CONFIGS = {
         **FRICTION, "qd0": [1.5e-10], "dt": 1, "t_end": 10}),
 }
 
+# a whole config that is malformed at its top level
+BAD_TOP_LEVEL_CONFIGS = {
+    "array": [],
+    "string": "abc",
+    "number": 3,
+    "unknown-key": {"kind": "gkls", "parameters": PHASE_DAMPING,
+                    "comment": "x"},
+    "kind-missing": {"parameters": PHASE_DAMPING},
+    "name-number": {"kind": "gkls", "name": 3, "parameters": PHASE_DAMPING},
+    "name-empty": {"kind": "gkls", "name": "", "parameters": PHASE_DAMPING},
+    "name-with-slash": {"kind": "gkls", "name": "a/b",
+                        "parameters": PHASE_DAMPING},
+    "parameters-array": {"kind": "gkls", "parameters": [1.0]},
+}
+
+# systems whose mass (or inductance) matrix has |det| of 1e-14 or 1e-15,
+# far below 1e-12, yet is well conditioned
+SMALL_SCALE_CONFIGS = {
+    "coupled-circuit-100-nanohenry": ("circuit", {
+        "circuit": "coupled", "l1": 1e-7, "l2": 1e-7, "c1": 1e-3,
+        "c2": 1e-3, "r1": 1e-4, "r2": 1e-4, "r_coupling": 1e-5,
+        "i0": [1.0, 0.0], "di0": [0.0, 0.0], "t_end": 1e-4, "dt": 1e-7}),
+    # 1e-5 times a system that runs: the same representative matrix
+    "linear-3dof-scaled-1e-5": ("contact-lagrangian", {
+        "system": "linear",
+        "mass": [[1e-5, 0.0, 0.0], [0.0, 1e-5, 0.0], [0.0, 0.0, 1e-5]],
+        "damping": [[3e-6, 1e-6, 0.0], [1e-6, 5e-6, 1e-6],
+                    [0.0, 1e-6, 7e-6]],
+        "stiffness": [[1e-5, 1e-6, 0.0], [1e-6, 2e-5, 1e-6],
+                      [0.0, 1e-6, 3e-5]],
+        "x0": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], "t_end": 1.0, "dt": 1e-2}),
+}
+
 # one valid config per variant of every integrating kind, on a short path
 SHORT = {"t_end": 0.05, "dt": 0.01}
 VARIANTS = {
@@ -170,26 +203,48 @@ small_json = small_scalars | st.lists(
 
 @st.composite
 def malformed_configs(draw):
-    """A valid variant config with one name dropped, one name of another
-    variant added, or one value replaced; t_end and dt stay."""
+    """A valid variant config with one parameter name dropped, one name of
+    another variant added or one value replaced (t_end and dt stay), or
+    with one change to its top level."""
     kind, params = VARIANTS[draw(st.sampled_from(sorted(VARIANTS)))]
     params = dict(params)
+    config = {"kind": kind, "parameters": params}
     names = sorted(set(params) - set(SHORT))
-    mutation = draw(st.sampled_from(["drop", "add", "replace"]))
+    mutation = draw(st.sampled_from(["drop", "add", "replace", "config",
+                                     "key", "kind", "name", "parameters"]))
     if mutation == "drop":
         del params[draw(st.sampled_from(names))]
     elif mutation == "add":
         name = draw(st.sampled_from(sorted(set(NAME_VALUES) - set(params))))
         params[name] = NAME_VALUES[name]
-    else:
+    elif mutation == "replace":
         params[draw(st.sampled_from(names))] = draw(small_json)
-    return kind, params
+    elif mutation == "config":
+        return draw(small_json)
+    elif mutation == "key":
+        key = draw(st.text(max_size=3).filter(
+            lambda k: k not in ("kind", "name", "parameters")))
+        config[key] = draw(small_json)
+    elif mutation == "kind":
+        if draw(st.booleans()):
+            del config["kind"]
+        else:
+            config["kind"] = draw(st.text(max_size=8).filter(
+                lambda k: k not in RUNNERS))
+    elif mutation == "name":
+        config["name"] = draw(
+            st.sampled_from(["", "a/b", "/abs", "."])
+            | small_json.filter(lambda v: not isinstance(v, str)))
+    else:
+        config["parameters"] = draw(
+            small_json.filter(lambda v: not isinstance(v, dict)))
+    return config
 
 
 class TestParsing:
     def test_complex_matrix_round_trip(self):
         mat = parse_complex_matrix([[[1.0, 2.0], [0.0, -1.0]],
-                                    [[0.0, 1.0], [3.0, 0.0]]])
+                                    [[0.0, 1.0], [3.0, 0.0]]], "matrix")
         assert mat.dtype == complex
         assert mat[0, 0] == 1 + 2j
         assert mat[1, 0] == 1j
@@ -197,7 +252,7 @@ class TestParsing:
     def test_malformed_pairs_rejected(self):
         from dissipgeo.cli import ConfigError
         with pytest.raises(ConfigError):
-            parse_complex_matrix([[1.0, 2.0], [3.0, 4.0, 5.0]])
+            parse_complex_matrix([[1.0, 2.0], [3.0, 4.0, 5.0]], "matrix")
 
 
 def test_write_csv_matches_per_value_format(tmp_path):
@@ -236,6 +291,7 @@ class TestCommands:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "hydrodynamics"}))
         assert run_cli("run", str(bad), "--out", str(tmp_path)) == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
 
     def test_invalid_json_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -248,6 +304,34 @@ class TestCommands:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
         assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(BAD_TOP_LEVEL_CONFIGS))
+    def test_bad_top_level_is_usage_error(self, case, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(BAD_TOP_LEVEL_CONFIGS[case]))
+        out = tmp_path / "out"
+        assert run_cli("run", str(cfg), "--out", str(out)) == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()  # rejected before anything is written
+
+    def test_run_out_is_a_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli("run", "phase-damping", "--out", str(out)) \
+            == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+
+    def test_checks_out_is_a_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli("checks", "--filter", "algebra",
+                       "--out", str(out)) == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+
+    def test_directory_config_is_usage_error(self, tmp_path, capsys):
+        assert run_cli("run", str(tmp_path),
+                       "--out", str(tmp_path / "out")) == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(SHORT_PATH_CONFIGS))
@@ -266,16 +350,12 @@ class TestCommands:
         cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
         assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_OK
 
-    # hypothesis imports libcst to report a failure, and that import warns
-    @pytest.mark.filterwarnings(
-        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
     @settings(derandomize=True, max_examples=500, deadline=None)
     @given(config=malformed_configs())
     def test_malformed_config_exits_cleanly(self, config):
-        kind, params = config
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "mutant.json"
-            cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
+            cfg.write_text(json.dumps(config))
             code = run_cli("run", str(cfg), "--out", tmp)
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL)
 
@@ -372,6 +452,16 @@ class TestScenarioRuns:
         assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_OK
         report = json.loads((tmp_path / "uh_report.json").read_text())
         assert [inv["passed"] for inv in report["invariants"]] == [True] * 2
+
+    @pytest.mark.parametrize("case", sorted(SMALL_SCALE_CONFIGS))
+    def test_small_scale_system_runs(self, case, tmp_path, capsys):
+        # the singular-mass test is scale-free, like the Hessian test
+        kind, params = SMALL_SCALE_CONFIGS[case]
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
+        assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_OK
+        report = json.loads((tmp_path / "small_report.json").read_text())
+        assert all(inv["passed"] for inv in report["invariants"])
 
     def test_dt_override_changes_output(self, tmp_path, capsys):
         assert run_cli("run", "phase-damping", "--out", str(tmp_path / "a"),

@@ -82,6 +82,12 @@ class TestRepresentativeMatrix:
         g = representative_matrix(2 * np.eye(2), np.zeros((2, 2)), np.eye(2))
         assert np.max(np.abs(g[2:, :2] + 0.5 * np.eye(2))) < 1e-12
 
+    def test_mass_test_is_scale_free(self):
+        m, gamma, omega = np.eye(3), np.diag([0.3, 0.5, 0.7]), np.eye(3)
+        g = representative_matrix(m, gamma, omega)
+        small = representative_matrix(1e-5 * m, 1e-5 * gamma, 1e-5 * omega)
+        assert np.max(np.abs(small - g)) < 1e-12
+
     def test_singular_mass_rejected(self):
         with pytest.raises(ImplicitSystemError):
             representative_matrix(np.diag([1.0, 0.0]), np.zeros((2, 2)),
