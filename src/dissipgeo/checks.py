@@ -103,9 +103,8 @@ def energy_rate_identity(name, sys, traj, dt):
     """Measured dE_L/dt against -(dh/dS) q'_j D_j along a contact path,
     relative to max(1, the largest analytic rate)."""
     measured = five_point_rate(traj.energy, dt)
-    analytic = np.array([analytic_energy_rate(sys, traj.q[i], traj.qd[i],
-                                              traj.s[i])
-                         for i in range(2, len(traj.times) - 2)])
+    analytic = analytic_energy_rate(sys, traj.q[2:-2].T, traj.qd[2:-2].T,
+                                    traj.s[2:-2])
     scale = max(1.0, float(np.max(np.abs(analytic))))
     return result(name, float(np.max(np.abs(measured - analytic))) / scale,
                   1e-6)

@@ -13,10 +13,32 @@ the existence of any Lagrangian.  Contact Euler-Lagrange dynamics on
 with Lagrangian energy E_L = q'_j dL/dq'_j - L, plus single and coupled
 RLC circuit builders; a conservative system is the first form with
 h = 0.  The field maps the flat state y = (q, q', S) of shape (2n + 1,)
-to y'.  For n = 1 the velocity Hessian is one number h: the field tests
-|h| <= HESSIAN_DET_TOL and takes q'' = rhs / h, the very bits a 1 x 1 LU
-solve returns, with no LAPACK call; n >= 2 uses det and solve, with the
-scale-free test |det H| <= HESSIAN_DET_TOL max|H_jk|^n.
+to y'.  The velocity Hessian H is singular unless
+|det H| > HESSIAN_DET_TOL max|H_jk|^n, a scale-free test that also
+rejects a non-finite H; for n = 1 it reads h != 0 and finite, and the
+field takes q'' = rhs / h, the very bits a 1 x 1 LU solve returns, with
+no LAPACK call; n >= 2 uses det and solve.
+
+Callbacks are batched: each takes q and q' of shape (n, *batch) and
+returns its value with the batch axes last, a scalar function as
+(*batch), a covector as (n, *batch) and a matrix as (n, n, *batch); a
+matrix that does not depend on the state may be returned as n x n.
+
+``integrate_contact`` steps a system in one of two ways.  A builder sets
+``linear_projection`` when h is linear in S, h = h(0) + r S, and
+z = (q, q') obeys a linear law z' = G z (the RLC circuits and the
+friction system).  S then obeys S' = phi(z) - r S with phi = S' at S = 0,
+and one RK4 step is taken in closed form: z by the one-step matrix of
+``rk4_affine_path``, the stage points as A_i z with A_1 = I and
+A_(i+1) = I + c_i dt G A_i for c = 1/2, 1/2, 1, and S by the scalar
+recurrence S_(k+1) = c S_k + b_k, whose b_k holds phi at the four stage
+points of step k.  G is read off the field's (q, q') rows, r is dh_ds
+and phi is the field's S' at S = 0, so the route follows the callbacks
+and never the data they were built from.  Every other system goes
+through ``rk4_path`` on ``contact_el_field``, which also serves as the
+test oracle of the closed form: both routes make the same Hessian test
+at every stage point, stop at the same domain-guard row and raise the
+same DivergenceError, and their paths agree up to rounding.
 """
 
 from __future__ import annotations
@@ -27,7 +49,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .integrators import rk4_path
+from .integrators import (DivergenceError, rk4_affine_path, rk4_path,
+                          time_grid)
 
 HESSIAN_DET_TOL = 1e-10
 MASS_DET_TOL = 1e-12
@@ -179,7 +202,11 @@ class ContactLagrangianSystem:
     (Caldirola-Kanai) otherwise; h = 0, the default, is conservative.
     mixed_hess(q, q')[j, k] is d^2 L / dq_k dq'_j.  The velocity Hessian
     must stay invertible along trajectories.  domain_guard, when set,
-    stops integration cleanly once it returns False.
+    stops integration cleanly once it returns False.  Every callback is
+    batched as the module docstring says.  linear_projection declares
+    that h is linear in S and that (q, q') follows a linear flow, which
+    lets integrate_contact step the system in closed form; only builders
+    set it.
     """
 
     n: int
@@ -192,11 +219,13 @@ class ContactLagrangianSystem:
     dh_ds: Callable = _zero_h
     d_f_dqd: Optional[Callable] = None
     domain_guard: Optional[Callable] = None
+    linear_projection: bool = False
 
     def energy(self, q, qd):
-        """Lagrangian energy E_L = q'_j dL/dq'_j - L."""
-        return float(np.dot(qd, self.d_l_dqd(q, qd))
-                     - self.lagrangian(q, qd))
+        """Lagrangian energy E_L = q'_j dL/dq'_j - L, batched like the
+        callbacks."""
+        return (qd * self.d_l_dqd(q, qd)).sum(axis=0) \
+            - self.lagrangian(q, qd)
 
 
 def _force_covector(sys, q, qd):
@@ -204,17 +233,38 @@ def _force_covector(sys, q, qd):
     return np.asarray(d_dqd(q, qd), dtype=float)
 
 
+def _quadratic(mat, v):
+    """v_j M_jk v_k for v of shape (n, *batch)."""
+    return np.einsum("j...,jk,k...->...", v, mat, v)
+
+
+def _singular(hess):
+    """Which velocity Hessians hess[j, k, *batch] are singular: all but
+    those with |det H| > HESSIAN_DET_TOL max|H_jk|^n, so a non-finite H is
+    singular too.  An n x n hess gives one verdict."""
+    n = hess.shape[0]
+    if n == 1:
+        det = scale = np.abs(hess[0, 0])
+    else:
+        mats = np.moveaxis(hess, (0, 1), (-2, -1))
+        det = np.abs(np.linalg.det(mats))
+        scale = np.abs(mats).max(axis=(-2, -1)) ** n
+    return ~(det > HESSIAN_DET_TOL * scale)
+
+
+def _s_rate(sys, q, qd, s, force):
+    """S' at (q, q', S) given the force covector, batched."""
+    if sys.d_f_dqd is None:
+        return sys.lagrangian(q, qd) - sys.h(s)
+    return (qd * force).sum(axis=0) - (sys.energy(q, qd) + sys.h(s))
+
+
 def contact_el_field(sys, y):
     """y' = (q', q'', S') at the flat state y = (q, q', S)."""
     n = sys.n
     q, qd, s = y[:n], y[n:2 * n], y[2 * n]
     hess = np.asarray(sys.hess_qd(q, qd), dtype=float)
-    if n == 1:
-        singular = abs(hess.item()) <= HESSIAN_DET_TOL
-    else:
-        singular = abs(np.linalg.det(hess)) \
-            <= HESSIAN_DET_TOL * abs(hess).max() ** n
-    if singular:
+    if _singular(hess):
         raise ImplicitSystemError("singular velocity Hessian",
                                   state=(q.copy(), qd.copy(), s))
     force = _force_covector(sys, q, qd)
@@ -224,10 +274,7 @@ def contact_el_field(sys, y):
     dy = np.empty_like(y)
     dy[:n] = qd
     dy[n:2 * n] = rhs / hess.item() if n == 1 else np.linalg.solve(hess, rhs)
-    if sys.d_f_dqd is None:
-        dy[2 * n] = float(sys.lagrangian(q, qd)) - float(sys.h(s))
-    else:
-        dy[2 * n] = float(qd @ force) - (sys.energy(q, qd) + float(sys.h(s)))
+    dy[2 * n] = _s_rate(sys, q, qd, s, force)
     return dy
 
 
@@ -242,15 +289,103 @@ class ContactTrajectory:
 
 
 def analytic_energy_rate(sys, q, qd, s):
-    """-(dh/dS) q'_j D_j, the exact rate of the Lagrangian energy."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    qd = np.atleast_1d(np.asarray(qd, dtype=float))
-    return -float(sys.dh_ds(s)) * float(qd @ _force_covector(sys, q, qd))
+    """-(dh/dS) q'_j D_j, the exact rate of the Lagrangian energy, batched
+    like the callbacks (s of the batch shape)."""
+    return -sys.dh_ds(s) * (qd * _force_covector(sys, q, qd)).sum(axis=0)
+
+
+_STAGE_C = (0.5, 0.5, 1.0)  # RK4 stage i + 1 starts at y + c_i dt k_i
+
+
+def _s_step(phi, s, r, dt):
+    """One RK4 step of S' = phi_i - r S from S = s, with phi[i] the value
+    of phi at stage point i: the four stage values of S and the
+    increment."""
+    stages, slopes = [s], []
+    for i in range(4):
+        slopes.append(phi[i] - r * stages[-1])
+        if i < 3:
+            stages.append(s + _STAGE_C[i] * dt * slopes[-1])
+    return stages, (dt / 6.0) * (slopes[0] + 2.0 * slopes[1]
+                                 + 2.0 * slopes[2] + slopes[3])
+
+
+def _projected_generator(sys):
+    """G of z' = G z from the field's (q, q') rows at S = 0: column k is
+    (f(u + t e_k) - f(u)) / t at the in-domain states u = (1, ..., 1) and
+    u + t e_k (every q' > 0).  The long step t = 2^40 keeps the rounding
+    of f(u) out of a column much smaller than G u, and dividing by it is
+    exact."""
+    dim, step = 2 * sys.n, 2.0 ** 40
+    base = np.append(np.ones(dim), 0.0)
+    rate0 = contact_el_field(sys, base)[:dim]
+    return np.column_stack([
+        (contact_el_field(sys, base + step * e)[:dim] - rate0) / step
+        for e in np.eye(dim + 1)[:dim]])
+
+
+def _closed_form_path(sys, y0, t_end, dt):
+    """(times, states) of a linear_projection system, with the Hessian
+    test, domain guard and divergence of rk4_path on contact_el_field."""
+    n, dim = sys.n, 2 * sys.n
+    g = _projected_generator(sys)
+    r = float(sys.dh_ds(0.0))
+    times = time_grid(t_end, dt)
+    try:
+        zs = rk4_affine_path(g, None, y0[:dim], t_end, dt)[1]
+    except DivergenceError as exc:
+        zs = exc.partial[1]  # the z row after the last one is not finite
+    steps = min(len(zs), len(times) - 1)
+    eye = np.eye(dim)
+    amps = [eye]
+    for c in _STAGE_C:
+        amps.append(eye + c * dt * g @ amps[-1])
+    # stage point i of step k is stages[:, k, i] = A_i z_k
+    stages = np.einsum("iab,kb->aki", np.array(amps), zs[:steps])
+    q, qd = stages[:n], stages[n:]
+    states = np.full((steps + 1, dim + 1), np.nan)
+    states[:len(zs), :dim] = zs[:steps + 1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        singular = np.broadcast_to(
+            _singular(np.asarray(sys.hess_qd(q, qd), dtype=float)),
+            (steps, 4))
+        phi = _s_rate(sys, q, qd, 0.0, _force_covector(sys, q, qd))
+        b = _s_step(phi.T, 0.0, r, dt)[1]
+        if r == 0.0:  # S_(k+1) = S_k + b_k
+            states[:, dim] = np.cumsum(np.append(y0[dim], b))
+        else:
+            c = 1.0 + _s_step((0.0,) * 4, 1.0, r, dt)[1]
+            s_path = [float(y0[dim])]
+            for b_k in b.tolist():
+                s_path.append(c * s_path[-1] + b_k)
+            states[:, dim] = s_path
+        # step k ends on states[k + 1]; rk4_path tests the Hessian at the
+        # stage points of step k, then the finiteness and then the domain
+        # of states[k + 1]
+        diverged = ~np.isfinite(states[1:]).all(axis=1)
+        outside = sys.domain_guard is not None and ~sys.domain_guard(
+            states[1:, :n].T, states[1:, n:dim].T)
+    stop = singular.any(axis=1) | diverged | outside
+    if not stop.any():
+        return times, states
+    k = int(np.argmax(stop))
+    if singular[k].any():
+        i = int(np.argmax(singular[k]))
+        raise ImplicitSystemError(
+            "singular velocity Hessian",
+            state=(q[:, k, i].copy(), qd[:, k, i].copy(),
+                   _s_step(phi[k], states[k, dim], r, dt)[0][i]))
+    if diverged[k]:
+        raise DivergenceError(float(times[k]), partial=(
+            times[:k + 1].copy(), states[:k + 1].copy()))
+    return times[:k + 1], states[:k + 1]
 
 
 def integrate_contact(sys, state0, t_end, dt):
     """RK4 trajectory of the contact Euler-Lagrange field from
-    state0 = (q0, q'0, S0), with per-step Lagrangian-energy diagnostics.
+    state0 = (q0, q'0, S0), with per-step Lagrangian-energy diagnostics;
+    closed-form steps when the system declares linear_projection (see
+    the module docstring), rk4_path on contact_el_field otherwise.
 
     q0 and q'0 must each hold n entries, S0 must be a scalar, and the
     initial state must pass the system's domain guard.
@@ -261,16 +396,20 @@ def integrate_contact(sys, state0, t_end, dt):
         raise ValueError(f"need q0 and qd0 of length {n} and a scalar S0")
     if sys.domain_guard is not None and not sys.domain_guard(q0, qd0):
         raise ValueError("initial state outside the system's domain")
-    post = None
-    if sys.domain_guard is not None:
-        def post(y):
-            return y if sys.domain_guard(y[:n], y[n:2 * n]) else None
-    times, states = rk4_path(partial(contact_el_field, sys),
-                             np.hstack([q0, qd0, s0]), t_end, dt, post=post)
+    y0 = np.hstack([q0, qd0, s0])
+    if sys.linear_projection:
+        times, states = _closed_form_path(sys, y0, t_end, dt)
+    else:
+        post = None
+        if sys.domain_guard is not None:
+            def post(y):
+                return y if sys.domain_guard(y[:n], y[n:2 * n]) else None
+        times, states = rk4_path(partial(contact_el_field, sys), y0, t_end,
+                                 dt, post=post)
     qs = states[:, :n]
     qds = states[:, n:2 * n]
     ss = states[:, 2 * n]
-    energy = np.array([sys.energy(qs[i], qds[i]) for i in range(len(times))])
+    energy = sys.energy(qs.T, qds.T)
     e_mech = 0.5 * np.einsum("ij,ij->i", qds, qds)
     return ContactTrajectory(times=times, q=qs, qd=qds, s=ss, energy=energy,
                              energy_mech=e_mech)
@@ -315,7 +454,8 @@ def rlc_single(resistance, inductance, capacitance):
         hess_qd=lambda q, qd: np.array([[l_ind]]),
         mixed_hess=lambda q, qd: np.zeros((1, 1)),
         h=lambda s: rate * s,
-        dh_ds=lambda s: rate)
+        dh_ds=lambda s: rate,
+        linear_projection=True)
 
 
 def rlc_coupled(l1, l2, c1, c2, r1, r2, r_coupling):
@@ -336,15 +476,16 @@ def rlc_coupled(l1, l2, c1, c2, r1, r2, r_coupling):
         raise ValueError("need finite L, R and 1/C")
     return ContactLagrangianSystem(
         n=2,
-        lagrangian=lambda q, qd: 0.5 * float(qd @ l_mat @ qd)
-        - 0.5 * float(q @ c_mat @ q),
-        d_l_dq=lambda q, qd: -(c_mat @ q),
-        d_l_dqd=lambda q, qd: l_mat @ qd,
+        lagrangian=lambda q, qd: 0.5 * _quadratic(l_mat, qd)
+        - 0.5 * _quadratic(c_mat, q),
+        d_l_dq=lambda q, qd: -np.einsum("jk,k...->j...", c_mat, q),
+        d_l_dqd=lambda q, qd: np.einsum("jk,k...->j...", l_mat, qd),
         hess_qd=lambda q, qd: l_mat,
         mixed_hess=lambda q, qd: np.zeros((2, 2)),
         h=lambda s: s,
         dh_ds=lambda s: 1.0,
-        d_f_dqd=lambda q, qd: r_mat @ qd)
+        d_f_dqd=lambda q, qd: np.einsum("jk,k...->j...", r_mat, qd),
+        linear_projection=True)
 
 
 def friction_system(gamma):
@@ -358,8 +499,9 @@ def friction_system(gamma):
     return ContactLagrangianSystem(
         n=1,
         lagrangian=lambda q, qd: qd[0] * np.log(qd[0]) - gamma * q[0],
-        d_l_dq=lambda q, qd: np.array([-gamma]),
+        d_l_dq=lambda q, qd: np.full_like(q, -gamma),
         d_l_dqd=lambda q, qd: np.array([np.log(qd[0]) + 1.0]),
         hess_qd=lambda q, qd: np.array([[1.0 / qd[0]]]),
         mixed_hess=lambda q, qd: np.zeros((1, 1)),
-        domain_guard=lambda q, qd: qd[0] > 1e-10)
+        domain_guard=lambda q, qd: qd[0] > 1e-10,
+        linear_projection=True)

@@ -151,13 +151,18 @@ BAD_TOP_LEVEL_CONFIGS = {
     "parameters-array": {"kind": "gkls", "parameters": [1.0]},
 }
 
-# systems whose mass (or inductance) matrix has |det| of 1e-14 or 1e-15,
-# far below 1e-12, yet is well conditioned
+# systems whose mass (or inductance) matrix has |det| of 1e-11 to 1e-15,
+# far below the singularity tolerances, yet is well conditioned
 SMALL_SCALE_CONFIGS = {
     "coupled-circuit-100-nanohenry": ("circuit", {
         "circuit": "coupled", "l1": 1e-7, "l2": 1e-7, "c1": 1e-3,
         "c2": 1e-3, "r1": 1e-4, "r2": 1e-4, "r_coupling": 1e-5,
         "i0": [1.0, 0.0], "di0": [0.0, 0.0], "t_end": 1e-4, "dt": 1e-7}),
+    # velocity Hessian 1e-11: the n = 1 test is scale-free too
+    "single-circuit-10-picohenry": ("circuit", {
+        "circuit": "single", "inductance": 1e-11, "capacitance": 1e-3,
+        "resistance": 1e-6, "i0": [1.0], "di0": [0.0], "t_end": 1e-6,
+        "dt": 1e-9}),
     # 1e-5 times a system that runs: the same representative matrix
     "linear-3dof-scaled-1e-5": ("contact-lagrangian", {
         "system": "linear",

@@ -1,8 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from dissipgeo import cli
 from dissipgeo.contact import ScalarField, contact_hamiltonian_field, darboux_chart
+from dissipgeo.integrators import DivergenceError, time_grid
 from dissipgeo.mechanics import (ContactLagrangianSystem, ImplicitSystemError,
                                  analytic_energy_rate,
                                  bivector_span_dimension, contact_el_field,
@@ -49,9 +55,10 @@ def diagonal_pair(hess):
     """Two decoupled unit oscillators whose velocity Hessian is hess."""
     return ContactLagrangianSystem(
         n=2,
-        lagrangian=lambda q, qd: 0.5 * float(qd @ hess @ qd - q @ q),
+        lagrangian=lambda q, qd: 0.5 * (
+            np.einsum("j...,jk,k...->...", qd, hess, qd) - (q * q).sum(0)),
         d_l_dq=lambda q, qd: -q,
-        d_l_dqd=lambda q, qd: hess @ qd,
+        d_l_dqd=lambda q, qd: np.einsum("jk,k...->j...", hess, qd),
         hess_qd=lambda q, qd: hess,
         mixed_hess=lambda q, qd: np.zeros((2, 2)))
 
@@ -247,7 +254,7 @@ class TestContactEulerLagrange:
         sys = ContactLagrangianSystem(
             n=1,
             lagrangian=lambda q, qd: qd[0] ** 3 / 6.0,
-            d_l_dq=lambda q, qd: np.zeros(1),
+            d_l_dq=lambda q, qd: np.zeros_like(q),
             d_l_dqd=lambda q, qd: np.array([qd[0] ** 2 / 2.0]),
             hess_qd=lambda q, qd: np.array([[qd[0]]]),
             mixed_hess=lambda q, qd: np.zeros((1, 1)))
@@ -269,28 +276,33 @@ class TestContactEulerLagrange:
                 qdd, lu_solve_qdd(sys, np.array([q]), np.array([qd]), s))
 
     def test_hessian_threshold(self):
-        with pytest.raises(ImplicitSystemError) as info:
-            contact_el_field(scaled_oscillator(5e-11),
-                             np.array([0.3, 0.2, 0.1]))
-        q, qd, s = info.value.state
-        assert (q[0], qd[0], s) == (0.3, 0.2, 0.1)
-        _, qdd, _ = contact_el_field(scaled_oscillator(2e-10),
-                                     np.array([0.3, 0.2, 0.1]))
-        assert abs(qdd + 0.3) < 1e-15
+        # scale-free at n = 1: h = 0 or a non-finite h is singular, and
+        # any other h runs
+        for h in (0.0, np.inf, np.nan):
+            with pytest.raises(ImplicitSystemError) as info:
+                contact_el_field(scaled_oscillator(h),
+                                 np.array([0.3, 0.2, 0.1]))
+            q, qd, s = info.value.state
+            assert (q[0], qd[0], s) == (0.3, 0.2, 0.1)
+        for h in (1e-300, 5e-11, 2e-10):
+            _, qdd, _ = contact_el_field(scaled_oscillator(h),
+                                         np.array([0.3, 0.2, 0.1]))
+            assert abs(qdd + 0.3) < 1e-15
 
     def test_hessian_threshold_in_integration(self):
         with pytest.raises(ImplicitSystemError) as info:
-            integrate_contact(scaled_oscillator(5e-11), ([1.0], [0.0], 0.0),
+            integrate_contact(scaled_oscillator(0.0), ([1.0], [0.0], 0.0),
                               1.0, 1e-2)
         assert info.value.state is not None
-        traj = integrate_contact(scaled_oscillator(2e-10),
-                                 ([1.0], [0.0], 0.0), 1.0, 1e-2)
-        assert abs(traj.q[-1, 0] - np.cos(1.0)) < 1e-8
+        for h in (5e-11, 2e-10):
+            traj = integrate_contact(scaled_oscillator(h),
+                                     ([1.0], [0.0], 0.0), 1.0, 1e-2)
+            assert abs(traj.q[-1, 0] - np.cos(1.0)) < 1e-8
 
     @pytest.mark.parametrize("scale", [1e-5, 1e-3, 1.0, 1e5])
     def test_hessian_test_is_scale_free_for_two_dofs(self, scale):
         # H = scale I has condition number 1 at every scale; at 1e-5 its
-        # determinant, 1e-10, is at the n = 1 threshold
+        # determinant is 1e-10
         y = np.array([0.3, -0.4, 0.2, 0.5, 0.1])
         dy = contact_el_field(diagonal_pair(scale * np.eye(2)), y)
         assert np.max(np.abs(scale * dy[2:4] + y[:2])) < 1e-12
@@ -459,7 +471,7 @@ class TestProjectability:
         sys = ContactLagrangianSystem(
             n=1,
             lagrangian=lambda q, qd: 0.5 * qd[0] ** 2,
-            d_l_dq=lambda q, qd: np.zeros(1),
+            d_l_dq=lambda q, qd: np.zeros_like(q),
             d_l_dqd=lambda q, qd: np.array([qd[0]]),
             hess_qd=lambda q, qd: np.eye(1),
             mixed_hess=lambda q, qd: np.zeros((1, 1)),
@@ -480,3 +492,126 @@ class TestBuilders:
     def test_rlc_coupled_validates_parameters(self):
         with pytest.raises(ValueError):
             rlc_coupled(1.0, -1.0, 1.0, 1.0, 0.1, 0.1, 0.0)
+
+
+def generic(sys):
+    """The same system on the rk4_path route."""
+    return dataclasses.replace(sys, linear_projection=False)
+
+
+def run_both(sys, state0, t_end, dt):
+    """The closed-form and the generic outcome: a trajectory or the
+    error raised."""
+    outcomes = []
+    for route in (sys, generic(sys)):
+        try:
+            outcomes.append(integrate_contact(route, state0, t_end, dt))
+        except (DivergenceError, ImplicitSystemError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def assert_same_path(closed, oracle, rtol=1e-12):
+    """Same rows, and every array within rtol of the oracle's largest
+    entry."""
+    for name in ("times", "q", "qd", "s", "energy", "energy_mech"):
+        a, b = getattr(closed, name), getattr(oracle, name)
+        assert a.shape == b.shape, name
+        assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b)), name
+
+
+@st.composite
+def projectable_runs(draw):
+    """A builder's system, a state in its domain and a whole-step horizon
+    on which RK4 is stable."""
+    kind = draw(st.sampled_from(["single", "coupled", "friction"]))
+    positive = st.floats(0.2, 5.0)
+    resistance = st.floats(0.0, 3.0)
+    state = st.floats(-2.0, 2.0)
+    if kind == "single":
+        sys = rlc_single(draw(resistance), draw(positive), draw(positive))
+    elif kind == "coupled":
+        sys = rlc_coupled(*(draw(positive) for _ in range(4)),
+                          draw(resistance), draw(resistance),
+                          draw(st.floats(-1.0, 1.0)))
+    else:
+        sys = friction_system(draw(resistance))
+    velocity = st.floats(0.1, 2.0) if kind == "friction" else state
+    state0 = ([draw(state) for _ in range(sys.n)],
+              [draw(velocity) for _ in range(sys.n)], draw(state))
+    dt = draw(st.floats(1e-3, 0.05))
+    return sys, state0, draw(st.integers(1, 300)) * dt, dt
+
+
+class TestClosedForm:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(run=projectable_runs())
+    def test_matches_generic_route(self, run):
+        closed, oracle = run_both(*run)
+        assert_same_path(closed, oracle)
+
+    def test_friction_guard_stops_at_the_same_row(self):
+        closed, oracle = run_both(friction_system(0.5), ([0.0], [1.0], 0.0),
+                                  60.0, 1e-3)
+        assert len(closed.times) == len(oracle.times) == 46052
+        assert len(closed.times) < len(time_grid(60.0, 1e-3))
+        assert_same_path(closed, oracle)
+
+    @pytest.mark.parametrize("sys", [
+        rlc_single(0.2, 1.0, 1.0),
+        rlc_coupled(1.0, 2.0, 1.0, 0.5, 0.4, 0.6, 0.2)],
+        ids=["single", "coupled"])
+    def test_unstable_step_diverges_alike(self, sys):
+        n = sys.n
+        closed, oracle = run_both(sys, ([1.0] * n, [0.0] * n, 0.0),
+                                  2000.0, 10.0)
+        assert isinstance(closed, DivergenceError)
+        assert isinstance(oracle, DivergenceError)
+        assert closed.last_valid_time == oracle.last_valid_time
+        (times, states), (times_ref, states_ref) = \
+            closed.partial, oracle.partial
+        assert np.array_equal(times, times_ref)
+        assert states.shape == states_ref.shape == (len(times), 2 * n + 1)
+        assert np.all(np.max(np.abs(states - states_ref), axis=0)
+                      <= 1e-12 * np.max(np.abs(states_ref), axis=0))
+
+    def test_generator_comes_from_the_callbacks(self, monkeypatch):
+        # flipping dL/dq breaks Kirchhoff's law: the closed form follows
+        # the flipped callbacks, and the oracle built from L, R and 1/C
+        # tells them apart
+        def flipped(resistance, inductance, capacitance):
+            sys = rlc_single(resistance, inductance, capacitance)
+            return dataclasses.replace(
+                sys, d_l_dq=lambda q, qd: -sys.d_l_dq(q, qd))
+
+        closed, oracle = run_both(flipped(0.2, 1.0, 1.0),
+                                  ([1.0], [0.0], 0.0), 3.0, 1e-3)
+        assert_same_path(closed, oracle)
+        monkeypatch.setattr(cli, "rlc_single", flipped)
+        _, _, invariants = cli.run_circuit(
+            "single", [1.0], [0.0], 3.0, 1e-3, resistance=0.2,
+            inductance=1.0, capacitance=1.0)
+        checks = {inv.name: inv for inv in invariants}
+        assert not checks["circuit/linear-oracle"].passed
+
+    @pytest.mark.parametrize("sys", [
+        rlc_single(0.3, 0.7, 0.45), friction_system(0.6),
+        rlc_coupled(1.0, 2.0, 1.0, 0.5, 0.4, 0.6, 0.2),
+        damped_particle(1.7, 0.4), diagonal_pair(np.diag([1.0, 2.0]))],
+        ids=["rlc-single", "friction", "rlc-coupled", "damped-particle",
+             "diagonal-pair"])
+    def test_energy_and_rate_are_batched(self, sys):
+        rng = np.random.default_rng(8)
+        q = rng.normal(size=(sys.n, 3, 4))
+        qd = rng.uniform(0.1, 2.0, size=(sys.n, 3, 4))
+        s = rng.normal(size=(3, 4))
+        energy = sys.energy(q, qd)
+        rate = analytic_energy_rate(sys, q, qd, s)
+        assert energy.shape == rate.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            point = q[(slice(None),) + idx], qd[(slice(None),) + idx]
+            assert np.isclose(energy[idx], sys.energy(*point),
+                              rtol=1e-14, atol=0.0)
+            assert np.isclose(rate[idx],
+                              analytic_energy_rate(sys, *point, s[idx]),
+                              rtol=1e-14, atol=0.0)
