@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from . import purestate as ps
 from .algebra import (build_su_basis, from_coherence_vector,
@@ -72,6 +73,18 @@ def contact_residuals(cases):
     identities of Z = X_a + Y0_b over cases of (a, b, unit chart point)."""
     return result("purestate/contact-residuals", max(
         max(ps.contact_residuals(a, b, z)) for a, b, z in cases), 1e-9)
+
+
+def observed_order(name, errors, floor):
+    """Passes when each log2(e_dt / e_dt/2) over errors at dt, dt/2,
+    dt/4, ... lies in [3.7, 4.3], as for a fourth-order method, and no
+    error is below 1e3 times the rounding floor, where an order would be
+    read off rounding; the residual is the largest |order - 4|."""
+    errors = np.asarray(errors, dtype=float)
+    residual = float(np.max(np.abs(np.log2(errors[:-1] / errors[1:]) - 4.0)))
+    return CheckResult(name=name, passed=bool(
+        residual <= 0.3 and np.min(errors) >= 1e3 * floor),
+        residual=residual)
 
 
 def decomposition_identities(cases):
@@ -279,6 +292,19 @@ def purestate_suite():
             bloch - traj.points[idx]))))
     results.append(result("purestate/projection-consistency",
                           proj_res, 1e-6))
+
+    # the sphere route at t = 2 against the normalised exponential flow
+    a = _random_hermitian(rng, 2)
+    b = _random_hermitian(rng, 2)
+    psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
+    psi0 /= np.linalg.norm(psi0)
+    exact = expm(2.0 * ps.flow_generator(a, b)) @ psi0
+    exact /= np.linalg.norm(exact)
+    errors = [np.max(np.abs(ps.integrate_sphere_flow(
+        a, b, psi0, 2.0, dt)[1][-1] - exact)) for dt in (0.2, 0.1, 0.05)]
+    # rounding floor: one unit roundoff per step of the finest run
+    results.append(observed_order("purestate/observed-order", errors,
+                                  floor=40 * np.finfo(float).eps))
     return results
 
 

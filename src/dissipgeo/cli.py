@@ -11,8 +11,9 @@ kind's runner in ``RUNNERS`` and of the variant it picks (gkls "model"
 given or not, "circuit", "system"); every kind but checks requires t_end
 and dt.  Only gkls "jumps" and "x0"/"rho0" (exactly one), pure-state
 "renormalize" (a JSON boolean) and linear "expect" may be left out.
-Complex entries are [re, im] pairs.  Each run writes a trajectory CSV (17
-significant digits, LF endings, byte-stable across runs) plus a JSON
+Complex entries are [re, im] pairs of finite numbers; a JSON boolean is
+no number there or in t_end and dt.  Each run writes a trajectory CSV
+(17 significant digits, LF endings, byte-stable across runs) plus a JSON
 report with per-invariant pass/fail and residuals, final_t and
 stopped_early.  Exit codes: 0 all invariants pass, 2 usage or config
 error (a bad value, a name not read or a missing one, an unreadable
@@ -53,13 +54,17 @@ class ConfigError(ValueError):
 
 
 def parse_complex_matrix(data, what):
-    """Nested lists of [re, im] pairs -> complex ndarray."""
+    """Nested lists of [re, im] pairs of finite numbers -> complex
+    ndarray; a boolean is not a number."""
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise ConfigError(f"{what}: complex entries must be [re, im] pairs")
+    if not np.isfinite(arr).all() or any(
+            isinstance(v, bool) for v in np.asarray(data, dtype=object).flat):
+        raise ConfigError(f"{what}: entries must be finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -347,6 +352,10 @@ def execute_scenario(out_dir, kind, name, parameters):
                           f"{list(RUNNERS)}")
     if not isinstance(name, str) or not name or name != Path(name).name:
         raise ConfigError(f"name must be a plain file name, not {name!r}")
+    for key in ("t_end", "dt"):
+        if isinstance(parameters.get(key), bool):
+            raise ConfigError(f"{key} must be a number, not "
+                              f"{parameters[key]!r}")
     # an int in the JSON writes the same CSV bytes as a float
     parameters.update({key: float(parameters[key])
                        for key in ("t_end", "dt") if key in parameters})

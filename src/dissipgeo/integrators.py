@@ -4,7 +4,7 @@ All flows in this package are smooth and non-stiff at desk scale, so a
 plain fourth-order scheme with caller-supplied dt is enough; oracle
 comparisons against matrix exponentials are done in the test suite.
 
-Two entry points share one step grid, one divergence contract and one
+Three entry points share one step grid, one divergence contract and one
 return value, ``(times, states)`` with states[i] the state at times[i]:
 
 - ``rk4_path(f, y0, t_end, dt, post=None)`` evaluates the field four
@@ -24,13 +24,34 @@ return value, ``(times, states)`` with states[i] the state at times[i]:
   exp(dt [[a, b], [0, 0]]) (Van Loan 1978).  It is the same method of
   the same order, so paths agree with ``rk4_path`` up to rounding, at
   one matrix product per step.
+- ``rk4_sphere_path(m, b, z0, t_end, dt, renormalize=False)`` serves the
+  pure-state flow z' = ``sphere_field(m, b, z)`` = (M - e(z)) z with the
+  scalar e(z) = z^T B z / z^T z, B symmetric.  With A = dt M every RK4
+  stage point of a step from z is a polynomial of degree <= 3 in A
+  applied to z, so a step needs the Krylov terms W_j = A^j z (j <= 4)
+  and B W_j (j <= 3), one product of a (9d x d) stack built once per
+  run with z.  The Gram entries W_j . W_l and W_j . B W_l (j, l <= 3),
+  one 4 x 8 product, give every stage's e_i as a ratio of quadratic
+  forms in its 4 coefficients, computed in Python floats, and the step
+  is z + sum_j delta_j W_j with delta = (K1 + 2 K2 + 2 K3 + K4) / 6 in
+  W coefficients.  In this increment form no coefficient reads
+  1 + O(dt), which would round away the low bits of the increment of z
+  at every step; the norm drifts as on ``rk4_path``.  Z is homogeneous
+  of degree 1, so a step commutes with scaling and renormalisation is
+  z / |z| after it.  It is the same method, so paths agree with
+  ``rk4_path`` on the field up to rounding.  Beyond RK4's stability
+  bound (dt |M| > 2.8), where a path is unstable on either route, the
+  Gram forms square the cancellation among the Krylov terms, and a
+  step's rounding grows to about 1e-13 relative.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-_CHECK_ROWS = 64  # rows per divergence check in rk4_affine_path
+_CHECK_ROWS = 64  # rows per divergence check of the matrix-form steppers
 
 
 class DivergenceError(RuntimeError):
@@ -80,7 +101,7 @@ def rk4_path(f, y0, t_end, dt, post=None):
             k3 = f(y + 0.5 * dt * k2)
             k4 = f(y + dt * k3)
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise _diverged(times, states, i)
             if post is not None:
                 y = post(y)
@@ -120,3 +141,103 @@ def rk4_affine_path(a, b, y0, t_end, dt):
                 raise _diverged(times, states,
                                 start - 1 + int(np.argmin(finite)))
     return times, states
+
+
+def sphere_field(m, b, z):
+    """Z = M z - (z^T B z / z^T z) z for a real generator M and a
+    symmetric B (the chart form of purestate's Z = X_a + Y0_b)."""
+    return m @ z - (z @ (b @ z) / (z @ z)) * z
+
+
+def rk4_sphere_path(m, b, z0, t_end, dt, renormalize=False):
+    """RK4 path of z' = sphere_field(m, b, z) from 0 to t_end.
+
+    Same grid, return value and DivergenceError as ``rk4_path`` on that
+    field, with post z -> z / |z| when ``renormalize``; each step is the
+    Krylov form of the module docstring.  Where a Krylov term overflows
+    before RK4's own stage points do (the stack itself at |dt M| >~ 1e77,
+    a row on a diverging path) ``rk4_path`` steps the run, so the
+    divergence is reported where that route reports it.
+    """
+    times = time_grid(t_end, dt)
+    m = np.asarray(m, dtype=float)
+    b = np.asarray(b, dtype=float)
+    states = np.empty((len(times), len(m)))
+    states[0] = z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _krylov_steps(dt * m, b, states, dt, renormalize):
+            return times, states
+    return rk4_path(partial(sphere_field, m, b), z0, t_end, dt,
+                    post=(lambda z: z / np.sqrt(z @ z)) if renormalize
+                    else None)
+
+
+def _krylov_steps(a, b, states, h, renormalize):
+    """Fill states[1:] with RK4 steps in Krylov form (A = a = h M).
+    False when the stack, a Gram entry or a row is not finite, or a stage
+    point is zero."""
+    d = len(a)
+    powers = [np.eye(d)]
+    for _ in range(4):
+        powers.append(a @ powers[-1])
+    # rows B W_0..B W_3, W_0..W_4: the Gram rows W_0..W_3 pair with the
+    # first 8, and the step combines the last 5
+    stack = np.concatenate([b @ p for p in powers[:4]] + powers)
+    if not np.isfinite(stack).all():
+        return False
+    w = np.empty((9, d))
+    flat, left, right, terms = w.reshape(-1), w[4:8], w[:8].T, w[4:]
+    try:
+        for start in range(1, len(states), _CHECK_ROWS):
+            stop = min(start + _CHECK_ROWS, len(states))
+            for i in range(start, stop):
+                z, y = states[i - 1], states[i]
+                np.matmul(stack, z, out=flat)
+                # H_jl = W_j . B W_l and G_jl = W_j . W_l, both symmetric
+                ((h00, h01, h02, h03, g00, g01, g02, g03),
+                 (_, h11, h12, h13, _, g11, g12, g13),
+                 (_, _, h22, h23, _, _, g22, g23),
+                 (_, _, _, h33, _, _, _, g33)) = (left @ right).tolist()
+                # stage i sits at sum_j x_j W_j; its k_i, times h, is
+                # K_i = shift(x) - he_i x with he_i = h x^T H x / x^T G x
+                he1 = h * h00 / g00
+                k10, k11 = -he1, 1.0
+                x0, x1 = 1.0 + 0.5 * k10, 0.5 * k11
+                he2 = h * (x0 * (x0 * h00 + 2.0 * x1 * h01)
+                           + x1 * x1 * h11) \
+                    / (x0 * (x0 * g00 + 2.0 * x1 * g01) + x1 * x1 * g11)
+                k20, k21, k22 = -he2 * x0, x0 - he2 * x1, x1
+                x0, x1, x2 = 1.0 + 0.5 * k20, 0.5 * k21, 0.5 * k22
+                he3 = h * (x0 * (x0 * h00 + 2.0 * (x1 * h01 + x2 * h02))
+                           + x1 * (x1 * h11 + 2.0 * x2 * h12)
+                           + x2 * x2 * h22) \
+                    / (x0 * (x0 * g00 + 2.0 * (x1 * g01 + x2 * g02))
+                       + x1 * (x1 * g11 + 2.0 * x2 * g12) + x2 * x2 * g22)
+                k30, k31, k32, k33 = (-he3 * x0, x0 - he3 * x1,
+                                      x1 - he3 * x2, x2)
+                x0, x1, x2, x3 = 1.0 + k30, k31, k32, k33
+                he4 = h * (x0 * (x0 * h00 + 2.0 * (x1 * h01 + x2 * h02
+                                                   + x3 * h03))
+                           + x1 * (x1 * h11 + 2.0 * (x2 * h12 + x3 * h13))
+                           + x2 * (x2 * h22 + 2.0 * x3 * h23)
+                           + x3 * x3 * h33) \
+                    / (x0 * (x0 * g00 + 2.0 * (x1 * g01 + x2 * g02
+                                               + x3 * g03))
+                       + x1 * (x1 * g11 + 2.0 * (x2 * g12 + x3 * g13))
+                       + x2 * (x2 * g22 + 2.0 * x3 * g23) + x3 * x3 * g33)
+                k40, k41, k42, k43, k44 = (-he4 * x0, x0 - he4 * x1,
+                                           x1 - he4 * x2, x2 - he4 * x3, x3)
+                # increment form: W_0 = z enters only as z + delta_0 z
+                delta = [(k10 + 2.0 * (k20 + k30) + k40) / 6.0,
+                         (k11 + 2.0 * (k21 + k31) + k41) / 6.0,
+                         (2.0 * (k22 + k32) + k42) / 6.0,
+                         (2.0 * k33 + k43) / 6.0,
+                         k44 / 6.0]
+                np.add(z, np.dot(delta, terms), out=y)
+                if renormalize:
+                    y /= np.sqrt(y @ y)
+            if not np.isfinite(states[start:stop]).all():
+                return False
+    except ZeroDivisionError:  # a stage point at z = 0 (or underflowed)
+        return False
+    return True

@@ -31,7 +31,7 @@ import numpy as np
 
 from .algebra import is_hermitian, to_coherence_vector
 from .contact import ContactChart
-from .integrators import rk4_path
+from .integrators import rk4_sphere_path, sphere_field
 
 SPHERE_TOL = 1e-10
 
@@ -97,16 +97,12 @@ def _real_form(c):
     return np.block([[c.real, -c.imag], [c.imag, c.real]])
 
 
-def _sphere_field(m, b_real, z):
-    """Z = M z - (z^T B z / z^T z) z for the real forms M of i a + b and
-    B of b."""
-    return m @ z - (z @ (b_real @ z) / (z @ z)) * z
-
-
 def z_field(a, b, z):
-    """Z = X_a + Y0_b, the projected GL(n) action generator."""
-    return _sphere_field(_real_form(flow_generator(a, b)), _real_form(b),
-                         np.asarray(z, dtype=float))
+    """Z = X_a + Y0_b, the projected GL(n) action generator: the chart
+    field M z - (z^T B z / z^T z) z for the real forms M of i a + b and
+    B of b."""
+    return sphere_field(_real_form(flow_generator(a, b)), _real_form(b),
+                        np.asarray(z, dtype=float))
 
 
 def contact_form(z):
@@ -208,8 +204,8 @@ def integrate_sphere_flow(a, b, psi0, t_end, dt, renormalize=False):
     """RK4 the flow of Z = X_a + Y0_b from a unit vector.
 
     Tangency keeps the norm to integrator order without projection;
-    ``renormalize`` rescales after every step (the ``post`` map of
-    ``rk4_path``) for long horizons.
+    ``renormalize`` rescales after every step for long horizons.  Stepped
+    by ``rk4_sphere_path``, the Krylov form of RK4 on the chart field.
     Returns (times, psis) with psis of shape (steps + 1, n) complex.
     """
     psi0 = np.asarray(psi0, dtype=complex)
@@ -217,14 +213,9 @@ def integrate_sphere_flow(a, b, psi0, t_end, dt, renormalize=False):
     if abs(norm_squared(z0) - 1.0) > SPHERE_TOL:
         raise ValueError("initial state must be normalized")
     _require_hermitian(a, b)
-
-    post = None
-    if renormalize:
-        def post(z):
-            return z / np.sqrt(norm_squared(z))
-    m, b_real = _real_form(flow_generator(a, b)), _real_form(b)
-    times, states = rk4_path(lambda z: _sphere_field(m, b_real, z), z0,
-                             t_end, dt, post=post)
+    times, states = rk4_sphere_path(_real_form(flow_generator(a, b)),
+                                    _real_form(b), z0, t_end, dt,
+                                    renormalize=renormalize)
     return times, states[:, :psi0.size] + 1j * states[:, psi0.size:]
 
 

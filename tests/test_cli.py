@@ -125,6 +125,14 @@ BAD_VALUE_CONFIGS = {
     "linear-mass-scalar": ("contact-lagrangian", {**LINEAR, "mass": 1.0}),
     "linear-matrices-empty": ("contact-lagrangian", {
         **LINEAR, "mass": [], "damping": [], "stiffness": [], "x0": []}),
+    # a JSON boolean is no number, and JSON reads 1e400 as inf
+    "t_end-true": ("pure-state", {**PURE_STATE, "t_end": True}),
+    "b-entry-true": ("pure-state", {
+        **PURE_STATE,
+        "b": [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}),
+    "b-entry-1e400": ("pure-state", {
+        **PURE_STATE, "b": [[[json.loads("1e400"), 0.0], [0.0, 0.0]],
+                            [[0.0, 0.0], [0.0, 0.0]]]}),
 }
 
 # paths too short for the five-point stencil of an energy-rate invariant
