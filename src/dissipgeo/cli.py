@@ -11,13 +11,14 @@ kind's runner in ``RUNNERS`` and of the variant it picks (gkls "model"
 given or not, "circuit", "system"); every kind but checks requires t_end
 and dt.  Only gkls "jumps" and "x0"/"rho0" (exactly one), pure-state
 "renormalize" (a JSON boolean) and linear "expect" may be left out.
-Complex entries are [re, im] pairs of finite numbers; a JSON boolean is
-no number there or in t_end and dt.  Each run writes a trajectory CSV
-(17 significant digits, LF endings, byte-stable across runs) plus a JSON
-report with per-invariant pass/fail and residuals, final_t and
-stopped_early.  Exit codes: 0 all invariants pass, 2 usage or config
-error (a bad value, a name not read or a missing one, an unreadable
-config or an unwritable --out), 3 numerical failure.
+Every number a config gives (t_end, dt, "gamma", the circuit values, the
+starts and the matrices) must be a finite JSON number, and a JSON boolean
+or a string is none; complex entries are [re, im] pairs of such numbers.
+Each run writes a trajectory CSV (17 significant digits, LF endings,
+byte-stable across runs) plus a JSON report with per-invariant pass/fail
+and residuals, final_t and stopped_early.  Exit codes: 0 all invariants
+pass, 2 usage or config error (a bad value, a name not read or a missing
+one, an unreadable config or an unwritable --out), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -53,18 +54,34 @@ class ConfigError(ValueError):
     """Configuration could not be validated or parsed."""
 
 
-def parse_complex_matrix(data, what):
-    """Nested lists of [re, im] pairs of finite numbers -> complex
-    ndarray; a boolean is not a number."""
+def parse_reals(data, what):
+    """A finite number or nested lists of them -> float ndarray; a
+    boolean or a string is no number."""
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+    if not np.isfinite(arr).all() or any(
+            isinstance(v, (bool, str))
+            for v in np.asarray(data, dtype=object).flat):
+        raise ConfigError(f"{what}: entries must be finite numbers")
+    return arr
+
+
+def parse_real(data, what):
+    """One finite number -> float, by the rule of ``parse_reals``."""
+    arr = parse_reals(data, what)
+    if arr.ndim:
+        raise ConfigError(f"{what} must be a number, not {data!r}")
+    return float(arr)
+
+
+def parse_complex_matrix(data, what):
+    """Nested lists of [re, im] pairs of finite numbers -> complex
+    ndarray."""
+    arr = parse_reals(data, what)
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise ConfigError(f"{what}: complex entries must be [re, im] pairs")
-    if not np.isfinite(arr).all() or any(
-            isinstance(v, bool) for v in np.asarray(data, dtype=object).flat):
-        raise ConfigError(f"{what}: entries must be finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -165,7 +182,7 @@ BUILTIN_SCENARIOS = {
 def phase_damping_gkls(model, gamma):
     if model != "phase-damping":
         raise ConfigError(f"unknown model {model!r}")
-    gamma = float(gamma)
+    gamma = parse_real(gamma, "gamma")
     return phase_damping_model(gamma), gamma
 
 
@@ -182,7 +199,8 @@ def run_gkls(t_end, dt, x0=None, rho0=None, **variant):
     if (x0 is None) == (rho0 is None):
         raise ConfigError("give exactly one of x0 and rho0")
     rho0 = (parse_complex_matrix(rho0, "rho0") if x0 is None
-            else from_coherence_vector(x0, model.basis))
+            else from_coherence_vector(parse_reals(x0, "x0"),
+                                       model.basis))
     traj = integrate(model, rho0, t_end, dt)
 
     header = ["t"] + [f"x{j + 1}" for j in range(size)] \
@@ -236,28 +254,29 @@ def run_pure_state(a, b, psi0, t_end, dt, renormalize=False):
 
 def single_circuit(resistance, inductance, capacitance):
     """(system, L, R, C^-1) of a series RLC circuit."""
-    r, l_ind, cap = float(resistance), float(inductance), float(capacitance)
-    return (rlc_single(r, l_ind, cap), np.array([[l_ind]]), np.array([[r]]),
-            np.array([[1.0 / cap]]))
+    return (rlc_single(resistance, inductance, capacitance),
+            np.array([[inductance]]), np.array([[resistance]]),
+            np.array([[1.0 / capacitance]]))
 
 
 def coupled_circuit(l1, l2, c1, c2, r1, r2, r_coupling):
     """(system, L, R, C^-1) of two RLC circuits coupled by a resistance."""
-    l1, l2, c1, c2, r1, r2, r_c = map(float, (l1, l2, c1, c2, r1, r2,
-                                              r_coupling))
-    return (rlc_coupled(l1, l2, c1, c2, r1, r2, r_c), np.diag([l1, l2]),
-            np.array([[r1, r_c], [r_c, r2]]), np.diag([1.0 / c1, 1.0 / c2]))
+    return (rlc_coupled(l1, l2, c1, c2, r1, r2, r_coupling),
+            np.diag([l1, l2]), np.array([[r1, r_coupling], [r_coupling, r2]]),
+            np.diag([1.0 / c1, 1.0 / c2]))
 
 
 def run_circuit(circuit, i0, di0, t_end, dt, **values):
     if circuit not in ("single", "coupled"):
         raise ConfigError(f"unknown circuit {circuit!r}")
     build = single_circuit if circuit == "single" else coupled_circuit
-    sys_, l_mat, r_mat, c_inv = build(**values)
+    sys_, l_mat, r_mat, c_inv = build(
+        **{name: parse_real(v, name) for name, v in values.items()})
     n = sys_.n
     # oracle: Kirchhoff's L I'' + R I' + C^-1 I = 0 as a linear system
     g = representative_matrix(l_mat, r_mat, c_inv)
-    traj = integrate_contact(sys_, (i0, di0, 0.0), t_end, dt)
+    traj = integrate_contact(sys_, (parse_reals(i0, "i0"),
+                                    parse_reals(di0, "di0"), 0.0), t_end, dt)
 
     header = ["t"] + [f"i{j + 1}" for j in range(n)] \
         + [f"di{j + 1}" for j in range(n)] + ["s", "energy"]
@@ -280,9 +299,9 @@ def run_circuit(circuit, i0, di0, t_end, dt, **values):
 
 
 def friction_lagrangian(gamma, q0, qd0, t_end, dt):
-    gamma = float(gamma)
-    traj = integrate_contact(friction_system(gamma), (q0, qd0, 0.0),
-                             t_end, dt)
+    gamma = parse_real(gamma, "gamma")
+    traj = integrate_contact(friction_system(gamma), (
+        parse_reals(q0, "q0"), parse_reals(qd0, "qd0"), 0.0), t_end, dt)
     header = ["t", "q", "qd", "s", "energy", "energy_mech"]
     rows = np.column_stack([traj.times, traj.q, traj.qd, traj.s,
                             traj.energy, traj.energy_mech])
@@ -290,8 +309,9 @@ def friction_lagrangian(gamma, q0, qd0, t_end, dt):
 
 
 def linear_lagrangian(mass, damping, stiffness, x0, t_end, dt, expect=None):
-    mass, damping, stiffness, x0 = (np.asarray(v, dtype=float) for v in
-                                    (mass, damping, stiffness, x0))
+    mass, damping, stiffness, x0 = map(
+        parse_reals, (mass, damping, stiffness, x0),
+        ("mass", "damping", "stiffness", "x0"))
     n = mass.shape[0] if mass.ndim == 2 else 0
     if n < 1 or not mass.shape == damping.shape == stiffness.shape == (n, n):
         raise ConfigError("mass, damping and stiffness must be n x n "
@@ -352,12 +372,8 @@ def execute_scenario(out_dir, kind, name, parameters):
                           f"{list(RUNNERS)}")
     if not isinstance(name, str) or not name or name != Path(name).name:
         raise ConfigError(f"name must be a plain file name, not {name!r}")
-    for key in ("t_end", "dt"):
-        if isinstance(parameters.get(key), bool):
-            raise ConfigError(f"{key} must be a number, not "
-                              f"{parameters[key]!r}")
     # an int in the JSON writes the same CSV bytes as a float
-    parameters.update({key: float(parameters[key])
+    parameters.update({key: parse_real(parameters[key], key)
                        for key in ("t_end", "dt") if key in parameters})
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

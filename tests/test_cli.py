@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 import tempfile
@@ -53,6 +55,9 @@ RLC_SINGLE = {"circuit": "single", "resistance": 0.2, "inductance": 1.0,
               "t_end": 1.0, "dt": 1e-2}
 FRICTION = {"system": "friction", "gamma": 0.5, "q0": [0.0], "qd0": [1.0],
             "t_end": 1.0, "dt": 1e-2}
+COUPLED = {"circuit": "coupled", "l1": 1.0, "l2": 1.0, "c1": 1.0, "c2": 0.5,
+           "r1": 0.5, "r2": 0.3, "r_coupling": 0.2, "i0": [1.0, 0.0],
+           "di0": [0.0, 0.0], "t_end": 1.0, "dt": 1e-2}
 LINEAR = {"system": "linear", "mass": [[1.0, 0.0], [0.0, 1.0]],
           "damping": [[0.3, 0.0], [0.0, 0.7]],
           "stiffness": [[1.0, 0.0], [0.0, 4.0]],
@@ -133,6 +138,32 @@ BAD_VALUE_CONFIGS = {
     "b-entry-1e400": ("pure-state", {
         **PURE_STATE, "b": [[[json.loads("1e400"), 0.0], [0.0, 0.0]],
                             [[0.0, 0.0], [0.0, 0.0]]]}),
+    # a string is no number, nor is a boolean outside the complex parsers
+    "t_end-string-number": ("pure-state", {**PURE_STATE, "t_end": "1"}),
+    "a-entry-strings": ("pure-state", {
+        **PURE_STATE, "a": [[["1", "0"], [0.0, 0.0]],
+                            [[0.0, 0.0], [-1.0, 0.0]]]}),
+    "resistance-true": ("circuit", {**RLC_SINGLE, "resistance": True}),
+    "i0-entry-true": ("circuit", {**RLC_SINGLE, "i0": [True]}),
+    "di0-entry-string": ("circuit", {**RLC_SINGLE, "di0": ["0"]}),
+    "phase-damping-gamma-true": ("gkls", {**PHASE_DAMPING, "gamma": True}),
+    "phase-damping-gamma-1e400": ("gkls", {
+        **PHASE_DAMPING, "gamma": json.loads("1e400")}),
+    "phase-damping-gamma-list": ("gkls", {**PHASE_DAMPING, "gamma": [1.0]}),
+    "gkls-x0-entry-string": ("gkls", {**PHASE_DAMPING,
+                                      "x0": ["0.5", 0.0, 0.0]}),
+    "friction-gamma-string": ("contact-lagrangian", {**FRICTION,
+                                                     "gamma": "0.5"}),
+    "friction-q0-entry-nan": ("contact-lagrangian", {
+        **FRICTION, "q0": [float("nan")]}),
+    "linear-mass-entry-true": ("contact-lagrangian", {
+        **LINEAR, "mass": [[True, 0.0], [0.0, 1.0]]}),
+    "linear-x0-entry-infinite": ("contact-lagrangian", {
+        **LINEAR, "x0": [float("inf"), 0.0, 0.0, 0.0]}),
+    "coupled-r_coupling-string": ("circuit", {
+        **COUPLED, "r_coupling": "0.2"}),
+    "integer-overflowing-a-float": ("circuit", {
+        **RLC_SINGLE, "inductance": 10 ** 400}),
 }
 
 # paths too short for the five-point stencil of an energy-rate invariant
@@ -194,10 +225,7 @@ VARIANTS = {
     "pure-state": ("pure-state", {**PURE_STATE, "renormalize": False,
                                   **SHORT}),
     "single-circuit": ("circuit", {**RLC_SINGLE, **SHORT}),
-    "coupled-circuit": ("circuit", {
-        "circuit": "coupled", "l1": 1.0, "l2": 1.0, "c1": 1.0, "c2": 0.5,
-        "r1": 0.5, "r2": 0.3, "r_coupling": 0.2, "i0": [1.0, 0.0],
-        "di0": [0.0, 0.0], **SHORT}),
+    "coupled-circuit": ("circuit", {**COUPLED, **SHORT}),
     "friction": ("contact-lagrangian", {**FRICTION, **SHORT}),
     "linear": ("contact-lagrangian", {
         **LINEAR, "expect": {"hamiltonianity": "not-hamiltonian"},
@@ -207,8 +235,12 @@ VARIANTS = {
 NAME_VALUES = {name: value for _, params in VARIANTS.values()
                for name, value in params.items() if name not in SHORT}
 
-small_scalars = (st.none() | st.booleans() | st.integers(-3, 3)
-                 | st.floats(-3, 3) | st.text(max_size=3))
+# JSON values that are no finite number: each numeric parameter rejects
+# them with exit 2
+NOT_NUMBERS = [True, False, "1", "abc", float("inf"), float("-inf"),
+               float("nan")]
+small_scalars = (st.none() | st.integers(-3, 3) | st.floats(-3, 3)
+                 | st.text(max_size=3) | st.sampled_from(NOT_NUMBERS))
 small_json = small_scalars | st.lists(
     small_scalars | st.lists(small_scalars, max_size=3), max_size=3) \
     | st.dictionaries(st.text(max_size=3), small_scalars, max_size=2)
@@ -252,6 +284,30 @@ def malformed_configs(draw):
         config["parameters"] = draw(
             small_json.filter(lambda v: not isinstance(v, dict)))
     return config
+
+
+def is_numeric(value):
+    """A JSON number or nested lists of them (an empty list included)."""
+    if isinstance(value, list):
+        return all(is_numeric(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@st.composite
+def non_number_configs(draw):
+    """A valid variant config with one number, in t_end, dt or another
+    numeric parameter, or one of their arrays or rows, replaced by a value
+    that is no finite number."""
+    kind, params = VARIANTS[draw(st.sampled_from(sorted(VARIANTS)))]
+    params = json.loads(json.dumps(params))
+    holder, key = params, draw(st.sampled_from(sorted(
+        name for name, value in params.items() if is_numeric(value))))
+    while isinstance(holder[key], list) and holder[key] \
+            and draw(st.booleans()):
+        holder, key = holder[key], draw(
+            st.integers(0, len(holder[key]) - 1))
+    holder[key] = draw(st.sampled_from(NOT_NUMBERS))
+    return {"kind": kind, "parameters": params}
 
 
 class TestParsing:
@@ -371,6 +427,18 @@ class TestCommands:
             cfg.write_text(json.dumps(config))
             code = run_cli("run", str(cfg), "--out", tmp)
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(config=non_number_configs())
+    def test_non_number_value_is_usage_error(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "mutant.json"
+            cfg.write_text(json.dumps(config))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run_cli("run", str(cfg), "--out", tmp)
+        assert code == EXIT_USAGE
+        assert "config error" in err.getvalue()
 
     def test_checks_unknown_filter_is_usage_error(self, capsys):
         assert run_cli("checks", "--filter", "nonsense") == EXIT_USAGE

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dissipgeo.algebra import build_su_basis
 from dissipgeo.gkls import build_model, phase_damping_model
@@ -15,6 +17,26 @@ def random_jump_model(rng, n, n_jumps=2):
     jumps = [0.7 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
              for _ in range(n_jumps)]
     return build_model(build_su_basis(n), (a + a.conj().T) / 2, jumps)
+
+
+@st.composite
+def stable_affine_runs(draw):
+    """A random a of size 1..8 shifted to a spectral abscissa in [-2, 0],
+    b or None, a dt whose one-step matrix P has rho(P) <= 1, and a step
+    count on either side of the block edges."""
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(d, d))
+    shift = draw(st.sampled_from([0.0, 0.1, 2.0]))
+    a -= (np.max(np.linalg.eigvals(a).real) + shift) * np.eye(d)
+    b = rng.normal(size=d) if draw(st.booleans()) else None
+    dt = draw(st.floats(0.01, 1.0)) \
+        / max(1e-3, np.max(np.abs(np.linalg.eigvals(a))))
+    m = dt * a
+    p = np.eye(d) + m + m @ m / 2 + m @ m @ m / 6 + m @ m @ m @ m / 24
+    assume(np.max(np.abs(np.linalg.eigvals(p))) <= 1.0)
+    steps = draw(st.sampled_from([1, 63, 64, 65, 129, 300]))
+    return a, b, rng.normal(size=d), steps * dt, dt
 
 
 class TestAffinePath:
@@ -50,6 +72,62 @@ class TestAffinePath:
         for part, ref_part in zip(got.value.partial, ref.value.partial):
             assert len(part) == len(ref_part)
         assert np.all(np.isfinite(got.value.partial[1]))
+
+    def test_divergence_in_a_later_block_matches_rk4_path(self):
+        # P^64 is finite (rho(P) = 445), so the rows overflow inside the
+        # block form, in the second block (row 117), with and without b
+        a = np.array([[9.0, 1.0], [0.0, 5.0]])
+        for b in (None, np.array([1.0, -2.0])):
+            field = (lambda y: a @ y) if b is None else (lambda y: a @ y + b)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DivergenceError) as ref:
+                    rk4_path(field, [1.0, 1.0], 300.0, 1.0)
+                with pytest.raises(DivergenceError) as got:
+                    rk4_affine_path(a, b, [1.0, 1.0], 300.0, 1.0)
+            assert got.value.last_valid_time == ref.value.last_valid_time \
+                == 116.0
+            for part, ref_part in zip(got.value.partial, ref.value.partial):
+                assert len(part) == len(ref_part)
+            assert np.all(np.isfinite(got.value.partial[1]))
+
+    def test_overflowing_powers_keep_a_finite_path(self):
+        # at gamma = 1e4, dt = 0.01 the coherence entries of P are 6.5e7,
+        # so P^64 overflows; a start without coherences stays finite, as
+        # on the row-by-row route, where inf * 0 in P^64 y would be NaN
+        m = phase_damping_model(1e4)
+        x0 = np.array([0.0, 0.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            times, states = rk4_affine_path(m.A, m.B, x0, 1.0, 0.01)
+        t_ref, x_ref = rk4_path(lambda x: m.A @ x + m.B, x0, 1.0, 0.01)
+        assert np.array_equal(times, t_ref) and len(states) == 101
+        assert np.isfinite(states).all()
+        assert np.max(np.abs(states - x_ref)) <= 1e-15
+
+    def test_overflowing_powers_still_diverge(self):
+        m = phase_damping_model(1e4)
+        x0 = np.array([0.7, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as got:
+                rk4_affine_path(m.A, m.B, x0, 1.0, 0.01)
+            with pytest.raises(DivergenceError) as ref:
+                rk4_path(lambda x: m.A @ x + m.B, x0, 1.0, 0.01)
+        assert got.value.last_valid_time == ref.value.last_valid_time
+        assert len(got.value.partial[0]) == len(ref.value.partial[0])
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(run=stable_affine_runs())
+    def test_matches_rk4_path_on_stable_fields(self, run):
+        a, b, y0, t_end, dt = run
+        field = (lambda y: a @ y) if b is None else (lambda y: a @ y + b)
+        t_ref, y_ref = rk4_path(field, y0, t_end, dt)
+        times, states = rk4_affine_path(a, b, y0, t_end, dt)
+        assert np.array_equal(times, t_ref)
+        assert states.shape == y_ref.shape
+        assert np.max(np.abs(states - y_ref)) \
+            <= 1e-12 * np.max(np.abs(y_ref))
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3])
     def test_rejects_nonpositive_dt(self, dt):
