@@ -133,14 +133,3 @@ def from_coherence_vector(x, basis):
         raise ValueError(f"coherence vector length {x.shape} != {basis.size}")
     return np.eye(basis.n, dtype=complex) / basis.n \
         + np.einsum("...j,jab->...ab", x, basis.tau)
-
-
-def expectation(a, x, basis):
-    """Tr(a xi(x)), the expectation value of observable a at the point x.
-
-    Equals Tr(a)/n + a_j x^j with a_j = Tr(a tau_j).
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (basis.n, basis.n):
-        raise ValueError(f"shape {a.shape} does not match n={basis.n}")
-    return float(np.trace(a @ from_coherence_vector(x, basis)).real)

@@ -9,8 +9,9 @@ A config is a JSON object whose keys are ``execute_scenario``'s keywords:
 optional "name" (a plain file name) and "parameters", the keywords of the
 kind's runner in ``RUNNERS`` and of the variant it picks (gkls "model"
 given or not, "circuit", "system"); every kind but checks requires t_end
-and dt.  Only gkls "jumps" and "x0"/"rho0" (exactly one), pure-state
-"renormalize" (a JSON boolean) and linear "expect" may be left out.
+and dt.  Only gkls "jumps" and "x0"/"rho0" (exactly one, a density
+matrix), pure-state "renormalize" (a JSON boolean) and linear "expect"
+(a verdict "hamiltonianity", an int "span_dimension") may be left out.
 Every number a config gives (t_end, dt, "gamma", the circuit values, the
 starts and the matrices) must be a finite JSON number, and a JSON boolean
 or a string is none; complex entries are [re, im] pairs of such numbers.
@@ -34,17 +35,17 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import purestate as ps
-from .algebra import build_su_basis, from_coherence_vector
+from .algebra import build_su_basis, from_coherence_vector, is_hermitian
 from .checks import (CheckResult, contact_residuals, decomposition_identities,
                      energy_rate_identity, friction_invariants, positivity,
                      result, run_checks, trace_preservation)
 from .contact import DegenerateContactError
 from .gkls import build_model, integrate, phase_damping_model
 from .integrators import DivergenceError, rk4_affine_path, time_grid
-from .mechanics import (ImplicitSystemError, bivector_span_dimension,
-                        friction_system, hamiltonianity_criterion,
-                        integrate_contact, representative_matrix,
-                        rlc_coupled, rlc_single)
+from .mechanics import (HAMILTONIANITY_VERDICTS, ImplicitSystemError,
+                        bivector_span_dimension, friction_system,
+                        hamiltonianity_criterion, integrate_contact,
+                        representative_matrix, rlc_coupled, rlc_single)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -201,6 +202,9 @@ def run_gkls(t_end, dt, x0=None, rho0=None, **variant):
     rho0 = (parse_complex_matrix(rho0, "rho0") if x0 is None
             else from_coherence_vector(parse_reals(x0, "x0"),
                                        model.basis))
+    if not (is_hermitian(rho0)
+            and positivity(np.linalg.eigvalsh(rho0)).passed):
+        raise ConfigError("the initial state is not a density matrix")
     traj = integrate(model, rho0, t_end, dt)
 
     header = ["t"] + [f"x{j + 1}" for j in range(size)] \
@@ -308,6 +312,15 @@ def friction_lagrangian(gamma, q0, qd0, t_end, dt):
     return header, rows, friction_invariants(gamma, traj, dt)
 
 
+def expected_verdicts(hamiltonianity=None, span_dimension=None):
+    """The linear system's "expect" block, each name optional."""
+    if hamiltonianity not in (None, *HAMILTONIANITY_VERDICTS):
+        raise ConfigError(f"unknown hamiltonianity {hamiltonianity!r}")
+    if span_dimension is not None and type(span_dimension) is not int:
+        raise ConfigError(f"span_dimension {span_dimension!r} is no int")
+    return hamiltonianity, span_dimension
+
+
 def linear_lagrangian(mass, damping, stiffness, x0, t_end, dt, expect=None):
     mass, damping, stiffness, x0 = map(
         parse_reals, (mass, damping, stiffness, x0),
@@ -318,25 +331,27 @@ def linear_lagrangian(mass, damping, stiffness, x0, t_end, dt, expect=None):
                           "matrices with n >= 1")
     if x0.shape != (2 * n,):
         raise ConfigError(f"x0 must have length {2 * n}")
+    # a non-object "expect" or an unknown name in it is a TypeError here
+    hamiltonianity, span_dimension = expected_verdicts(
+        **({} if expect is None else expect))
     g = representative_matrix(mass, damping, stiffness)
     times, states = rk4_affine_path(g, None, x0, t_end, dt)
     header = ["t"] + [f"q{j + 1}" for j in range(n)] \
         + [f"qd{j + 1}" for j in range(n)]
     rows = np.column_stack([times, states])
 
-    expect = {} if expect is None else expect
     invariants = []
     verdict = hamiltonianity_criterion(g)
-    if "hamiltonianity" in expect:
+    if hamiltonianity is not None:
         invariants.append(CheckResult(
             name="mechanics/hamiltonianity-verdict",
-            passed=verdict.verdict == expect["hamiltonianity"],
+            passed=verdict.verdict == hamiltonianity,
             residual=float(np.max(np.abs(verdict.odd_traces)))))
     span, _ = bivector_span_dimension(g)
-    if "span_dimension" in expect:
+    if span_dimension is not None:
         invariants.append(CheckResult(
             name="mechanics/bivector-span-dimension",
-            passed=span == int(expect["span_dimension"]),
+            passed=span == span_dimension,
             residual=float(span)))
     exact = expm(g * times[-1]) @ x0
     invariants.append(result(

@@ -145,11 +145,6 @@ def reeb_field(chart, point):
     return xi
 
 
-def lie_derivative(chart, field, point):
-    """L_xi F at a point."""
-    return float(field.grad(point) @ reeb_field(chart, point))
-
-
 def contact_hamiltonian_field(chart, field, point):
     """Vector solving i_G omega = (L_xi F) eta - dF and i_G eta = F: the
     generalized field with a zero source."""

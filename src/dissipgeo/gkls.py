@@ -26,17 +26,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import (SuBasis, build_su_basis, from_coherence_vector,
-                      is_hermitian, structure_constants, to_coherence_vector)
+                      is_hermitian, to_coherence_vector)
 from .integrators import rk4_affine_path, rk4_path
 
 RANK_EIG_TOL = 1e-9
-
-
-class UnsupportedModelError(ValueError):
-    """Operation requires a homogeneous (B = 0) affine field."""
 
 
 @dataclass(frozen=True)
@@ -235,25 +230,3 @@ def integrate(model, rho0, t_end, dt):
     x0 = to_coherence_vector(np.asarray(rho0, dtype=complex), model.basis)
     times, points = rk4_affine_path(model.A, model.B, x0, t_end, dt)
     return _trajectory(model.basis, times, points)
-
-
-def pulled_back_bracket(model, j, k, tau_t, x):
-    """Flow pullback of the Poisson bivector Lambda^{jk}(x) = c^{jk}_l x^l.
-
-    For the linear flow Phi_t = exp(A t) the pullback at x is
-
-        [exp(-A t)]^j_p [exp(-A t)]^k_q c^{pq}_l [exp(A t) x]^l,
-
-    which requires B = 0.  As t grows some entries decay and others
-    survive or grow; the *relative* bracket structure degenerates, which
-    is the algebra-contraction phenomenon.
-    """
-    if float(np.max(np.abs(model.B))) > 1e-12:
-        raise UnsupportedModelError(
-            "closed-form pullback needs a homogeneous field (B = 0)")
-    x = np.asarray(x, dtype=float)
-    fwd = expm(model.A * tau_t)
-    back = expm(-model.A * tau_t)
-    c, _ = structure_constants(model.basis.tau)
-    lam = np.tensordot(fwd @ x, c, axes=(0, 0))
-    return float(back[j] @ lam @ back[k])

@@ -27,8 +27,10 @@ matrix that does not depend on the state may be returned as n x n.
 ``integrate_contact`` steps a system in one of two ways.  A builder sets
 ``linear_projection`` when h is linear in S, h = h(0) + r S, and
 z = (q, q') obeys a linear law z' = G z (the RLC circuits and the
-friction system).  S then obeys S' = phi(z) - r S with phi = S' at S = 0,
-and one RK4 step is taken in closed form: z by the one-step matrix of
+friction system).  Before stepping, ``projectability_check`` verifies
+that h is linear in S (a ValueError if not); the linear law is trusted.
+S then obeys S' = phi(z) - r S with phi = S' at S = 0, and one RK4 step
+is taken in closed form: z by the one-step matrix of
 ``rk4_affine_path``, the stage points as A_i z with A_1 = I and
 A_(i+1) = I + c_i dt G A_i for c = 1/2, 1/2, 1, and S by the scalar
 recurrence S_(k+1) = c S_k + b_k, whose b_k holds phi at the four stage
@@ -88,17 +90,17 @@ def representative_matrix(m, gamma, omega):
     return g
 
 
+HAMILTONIANITY_VERDICTS = ("hamiltonian-admissible", "not-hamiltonian",
+                           "inconclusive-non-generic")
+
+
 @dataclass(frozen=True)
 class HamiltonianityResult:
-    """Odd power traces of G and the resulting verdict.
-
-    verdict is one of "hamiltonian-admissible", "not-hamiltonian" or
-    "inconclusive-non-generic" (repeated eigenvalues void the criterion).
-    """
+    """Odd power traces of G and the verdict, one of HAMILTONIANITY_VERDICTS
+    ("inconclusive-non-generic" when repeated eigenvalues void the test)."""
 
     odd_traces: np.ndarray
     verdict: str
-    generic: bool
 
 
 def hamiltonianity_criterion(g):
@@ -128,16 +130,7 @@ def hamiltonianity_criterion(g):
         verdict = "hamiltonian-admissible"
     else:
         verdict = "inconclusive-non-generic"
-    return HamiltonianityResult(odd_traces=traces, verdict=verdict,
-                                generic=generic)
-
-
-def traceless_decomposition(g):
-    """Split G = A + D with A traceless and the canonical remainder
-    D = (Tr G / 2n) I; any other split differs by a traceless shift."""
-    g = np.asarray(g, dtype=float)
-    d = (np.trace(g) / g.shape[0]) * np.eye(g.shape[0])
-    return g - d, d
+    return HamiltonianityResult(odd_traces=traces, verdict=verdict)
 
 
 def bivector_span_dimension(g):
@@ -387,8 +380,9 @@ def integrate_contact(sys, state0, t_end, dt):
     closed-form steps when the system declares linear_projection (see
     the module docstring), rk4_path on contact_el_field otherwise.
 
-    q0 and q'0 must each hold n entries, S0 must be a scalar, and the
-    initial state must pass the system's domain guard.
+    q0 and q'0 must each hold n entries, S0 must be a scalar, the
+    initial state must pass the system's domain guard, and a system that
+    declares linear_projection must pass projectability_check.
     """
     n = sys.n
     q0, qd0, s0 = (np.asarray(part, dtype=float) for part in state0)
@@ -398,6 +392,8 @@ def integrate_contact(sys, state0, t_end, dt):
         raise ValueError("initial state outside the system's domain")
     y0 = np.hstack([q0, qd0, s0])
     if sys.linear_projection:
+        if not projectability_check(sys):
+            raise ValueError("linear_projection declared, h not linear in S")
         times, states = _closed_form_path(sys, y0, t_end, dt)
     else:
         post = None

@@ -2,8 +2,8 @@
 
 A state vector psi in C^n is charted by z = (x, y) in R^2n with
 psi = x + i y.  On the chart live the constant ambient tensors (omega_H,
-g_H, J), the dilation and phase fields Delta = (x, y) and Gamma = (-y,
-x), the contact form
+g_H, J), the dilation field Delta = (x, y), which is z itself, the phase
+field Gamma = (-y, x), the contact form
 
     eta_0 = (x dy - y dx) / r^2,        r^2 = <psi|psi>,
 
@@ -63,10 +63,6 @@ def ambient_tensors(n):
     omega = np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]])
     return omega, np.eye(2 * n), omega.copy()
 
-
-def dilation_field(z):
-    """Delta = x d/dx + y d/dy."""
-    return np.asarray(z, dtype=float).copy()
 
 def phase_field(z):
     """Gamma = x d/dy - y d/dx, the generator of psi -> e^{i theta} psi."""
@@ -128,22 +124,6 @@ def pullback_omega0(z):
     gamma = phase_field(z)
     w = omega / r2 - (np.outer(z, gamma) - np.outer(gamma, z)) / r2 ** 2
     return 2.0 * w
-
-
-def projected_tensors(z):
-    """(Lambda0, G0), the scale-corrected projectable contravariant
-    tensors r^2 Lambda_H - Gamma ^ Delta and r^2 G_H - Gamma x Gamma -
-    Delta x Delta."""
-    z = np.asarray(z, dtype=float)
-    n = z.size // 2
-    r2 = norm_squared(z)
-    omega, _, _ = ambient_tensors(n)
-    delta = dilation_field(z)
-    gamma = phase_field(z)
-    lam_h = -omega  # inverse of omega_H
-    lam0 = r2 * lam_h - (np.outer(gamma, delta) - np.outer(delta, gamma))
-    g0 = r2 * np.eye(2 * n) - np.outer(gamma, gamma) - np.outer(delta, delta)
-    return lam0, g0
 
 
 def d_f_tilde(a, z):

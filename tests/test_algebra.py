@@ -3,8 +3,8 @@ import pytest
 
 from dissipgeo.algebra import (BasisCorruptionError, InvalidDimensionError,
                                TraceMismatchError, build_su_basis,
-                               expectation, from_coherence_vector,
-                               structure_constants, to_coherence_vector)
+                               from_coherence_vector, structure_constants,
+                               to_coherence_vector)
 
 SQRT2 = np.sqrt(2.0)
 PAULI = [
@@ -156,42 +156,3 @@ class TestCoherenceChart:
         with pytest.raises(TraceMismatchError) as info:
             to_coherence_vector(np.eye(2), basis)
         assert abs(info.value.trace - 2.0) < 1e-12
-
-
-class TestExpectation:
-    def test_identity_observable(self):
-        basis = build_su_basis(3)
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            x = rng.normal(size=8)
-            assert abs(expectation(np.eye(3), x, basis) - 1.0) < 1e-12
-
-    def test_pauli_z_on_excited_state(self):
-        basis = build_su_basis(2)
-        x = np.array([0.0, 0.0, 1 / SQRT2])
-        assert abs(expectation(PAULI[2], x, basis) - 1.0) < 1e-12
-
-    def test_basis_observable_reads_coordinate(self):
-        basis = build_su_basis(3)
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=8)
-        for k in range(8):
-            assert abs(expectation(basis.tau[k], x, basis) - x[k]) < 1e-12
-
-    def test_affine_expansion(self):
-        for n in (2, 3):
-            basis = build_su_basis(n)
-            rng = np.random.default_rng(n)
-            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            a = (a + a.conj().T) / 2
-            a0 = np.trace(a).real / n
-            a_vec = np.einsum("jab,ba->j", basis.tau, a).real
-            for _ in range(20):
-                x = rng.normal(size=n * n - 1)
-                assert abs(expectation(a, x, basis)
-                           - (a0 + a_vec @ x)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        basis = build_su_basis(2)
-        with pytest.raises(ValueError):
-            expectation(np.eye(3), np.zeros(3), basis)

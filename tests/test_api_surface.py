@@ -1,0 +1,40 @@
+"""Every top-level function and class in ``src/dissipgeo`` is used by the
+package itself, so a run or a ``checks`` suite reaches it: API that only
+the tests call is deleted together with those tests."""
+
+import ast
+from pathlib import Path
+
+import dissipgeo
+
+SOURCE = Path(dissipgeo.__file__).parent
+
+# name -> why it stays although no src module refers to it
+ALLOWED = {
+    "sphere_contact_chart": "the reference route of "
+    "test_sphere_chart_recovers_pure_state_flow, where the generic "
+    "bordered solve on this chart reproduces Z",
+}
+
+
+def referenced_names(node):
+    """Every name a subtree reads, bare or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_definition_is_used_by_the_package():
+    definitions, statements = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            statements.append(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((path.stem, stmt))
+    # a definition's own body does not count as a use of it
+    unused = {stmt.name: f"{module}.{stmt.name}"
+              for module, stmt in definitions if not any(
+                  stmt.name in referenced_names(other)
+                  for other in statements if other is not stmt)}
+    assert sorted(unused) == sorted(ALLOWED), \
+        f"no src module uses {sorted(unused.values())}"

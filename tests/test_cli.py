@@ -164,6 +164,28 @@ BAD_VALUE_CONFIGS = {
         **COUPLED, "r_coupling": "0.2"}),
     "integer-overflowing-a-float": ("circuit", {
         **RLC_SINGLE, "inductance": 10 ** 400}),
+    # an initial gkls state must be a density matrix
+    "x0-outside-bloch-ball": ("gkls", {**PHASE_DAMPING, "x0": [2, 0, 0]}),
+    "rho0-negative-eigenvalue": ("gkls", {
+        "hamiltonian": SIGMA3,
+        "rho0": [[[1.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]],
+        "t_end": 1.0, "dt": 1e-2}),
+    "rho0-non-hermitian": ("gkls", {
+        "hamiltonian": SIGMA3,
+        "rho0": [[[0.5, 0.0], [0.9, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+        "t_end": 1.0, "dt": 1e-2}),
+    # "expect" is an object of a verdict and an int span dimension
+    "expect-span-string": ("contact-lagrangian", {
+        **LINEAR, "expect": {"span_dimension": "6"}}),
+    "expect-span-fraction": ("contact-lagrangian", {
+        **LINEAR, "expect": {"span_dimension": 6.5}}),
+    "expect-span-true": ("contact-lagrangian", {
+        **LINEAR, "expect": {"span_dimension": True}}),
+    "expect-string": ("contact-lagrangian", {**LINEAR, "expect": "abc"}),
+    "expect-unknown-name": ("contact-lagrangian", {
+        **LINEAR, "expect": {"span": 6}}),
+    "expect-verdict-misspelt": ("contact-lagrangian", {
+        **LINEAR, "expect": {"hamiltonianity": "not-hamiltonain"}}),
 }
 
 # paths too short for the five-point stencil of an energy-rate invariant

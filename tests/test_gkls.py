@@ -4,18 +4,20 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dissipgeo.algebra import (build_su_basis, from_coherence_vector,
                                structure_constants, to_coherence_vector)
+from dissipgeo.checks import (decomposition_identities, positivity,
+                              trace_preservation)
 from dissipgeo.cli import EXIT_OK, main
-from dissipgeo.gkls import (UnsupportedModelError, apply_generator,
-                            build_model, decompose_field,
+from dissipgeo.gkls import (apply_generator, build_model, decompose_field,
                             evaluate_component_fields,
                             hamiltonian_gradient_field, integrate,
-                            integrate_coherence_field, phase_damping_model,
-                            pulled_back_bracket)
-from dissipgeo.integrators import DivergenceError, rk4_path
+                            integrate_coherence_field, phase_damping_model)
+from dissipgeo.integrators import DivergenceError
 
 SQRT2 = np.sqrt(2.0)
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -134,15 +136,14 @@ class TestAffineField:
 
     def test_runs_never_build_structure_tensors(self, monkeypatch, tmp_path,
                                                  capsys):
-        # only the Poisson pullback and the Jacobi check read c and d
+        # only the algebra suite's Jacobi check reads c and d
         def refuse(tau):
             raise AssertionError("structure_constants was called")
 
         binders = [name for name, module in list(sys.modules.items())
                    if name.split(".")[0] == "dissipgeo"
                    and hasattr(module, "structure_constants")]
-        assert {"dissipgeo.algebra", "dissipgeo.gkls",
-                "dissipgeo.checks"} <= set(binders)
+        assert {"dissipgeo.algebra", "dissipgeo.checks"} <= set(binders)
         for name in binders:
             monkeypatch.setattr(sys.modules[name], "structure_constants",
                                 refuse)
@@ -356,70 +357,37 @@ class TestIntegration:
         assert info.value.last_valid_time >= 0.0
 
 
-class TestPulledBackBracket:
-    def test_identity_pullback_at_time_zero(self):
-        m = phase_damping_model(1.0)
-        rng = np.random.default_rng(14)
-        c, _ = structure_constants(m.basis.tau)
-        for _ in range(5):
-            x = rng.normal(size=3)
-            for j in range(3):
-                for k in range(3):
-                    expected = float(c[:, j, k] @ x)
-                    assert abs(pulled_back_bracket(m, j, k, 0.0, x)
-                               - expected) < 1e-12
 
-    def test_vanishes_without_axis_component(self):
-        m = phase_damping_model(0.7)
-        x = np.array([0.4, -0.9, 0.0])
-        for tau in (0.0, 0.5, 2.0, 10.0):
-            assert abs(pulled_back_bracket(m, 0, 1, tau, x)) < 1e-12
+@st.composite
+def gkls_runs(draw):
+    """A model with n in {2, 3, 4}, a random H and 0-3 jumps at scale 0.1,
+    0.6 or 1.5, and a start: full rank (0.8 Wishart + 0.2 I/n) at dt 1e-2,
+    or pure at dt 1e-3."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    model = random_model(rng, n, draw(st.integers(0, 3)),
+                         draw(st.sampled_from([0.1, 0.6, 1.5])))
+    if draw(st.booleans()):
+        return model, 0.8 * random_density(rng, n) + 0.2 * np.eye(n) / n, 1e-2
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return model, np.outer(psi, psi.conj()) / np.vdot(psi, psi).real, 1e-3
 
-    def test_finite_difference_pullback_oracle(self):
-        # differentiate the backward flow numerically, no expm involved
-        rng = np.random.default_rng(15)
-        basis = build_su_basis(2)
-        models = [phase_damping_model(0.6),
-                  build_model(basis, random_hermitian(rng, 2))]
-        tau, dt, h = 0.3, 1e-3, 1e-6
-        for m in models:
-            x = rng.normal(size=3)
 
-            def flow(y, time, sign):
-                _, path = rk4_path(lambda s: sign * (m.A @ s), y, time, dt)
-                return path[-1]
+class TestPathProperties:
+    """Trace, positivity and the decomposition identities hold along every
+    path to t = 1.  A pure start sits on the boundary of the state space,
+    where RK4's truncation error alone can push the smallest eigenvalue
+    below zero: at dt 1e-2 and jump scale 1.5 it reached -8.7e-7 (n = 4,
+    one jump), beyond the 1e-8 of gkls/positivity, which is right to fail
+    it.  So a pure start is stepped at dt 1e-3, where 1,500 draws went no
+    lower than -2.2e-11."""
 
-            y_star = flow(x, tau, +1.0)
-            jac = np.zeros((3, 3))
-            for i in range(3):
-                e = np.zeros(3)
-                e[i] = h
-                jac[:, i] = (flow(y_star + e, tau, -1.0)
-                             - flow(y_star - e, tau, -1.0)) / (2 * h)
-            lam = np.tensordot(y_star, structure_constants(basis.tau)[0],
-                               axes=(0, 0))
-            for j in range(3):
-                for k in range(3):
-                    oracle = float(jac[j] @ lam @ jac[k])
-                    assert abs(pulled_back_bracket(m, j, k, tau, x)
-                               - oracle) < 1e-6
-
-    def test_phase_damping_asymptotics(self):
-        # pairs touching axis 3 stay constant, the (1,2) pair grows as
-        # exp(4 gamma tau): relative to it the algebra contracts
-        gamma = 0.5
-        m = phase_damping_model(gamma)
-        x = np.array([0.3, -0.2, 0.8])
-        const = pulled_back_bracket(m, 0, 2, 8.0, x)
-        assert abs(const - SQRT2 * x[1]) < 1e-10
-        v0 = pulled_back_bracket(m, 0, 1, 0.0, x)
-        v2 = pulled_back_bracket(m, 0, 1, 2.0, x)
-        assert abs(v2 / v0 - np.exp(4 * gamma * 2.0)) < 1e-8
-
-    def test_affine_part_rejected(self):
-        rng = np.random.default_rng(16)
-        basis = build_su_basis(2)
-        lower = np.array([[0, 0], [1, 0]], dtype=complex)
-        m = build_model(basis, random_hermitian(rng, 2), [lower])
-        with pytest.raises(UnsupportedModelError):
-            pulled_back_bracket(m, 0, 1, 1.0, np.zeros(3))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(run=gkls_runs())
+    def test_invariants_hold_along_the_path(self, run):
+        model, rho0, dt = run
+        traj = integrate(model, rho0, 1.0, dt)
+        checks = [trace_preservation(traj.traces - 1.0),
+                  positivity(traj.min_eigenvalues),
+                  *decomposition_identities([(model, traj.points[::10])])]
+        assert all(c.passed for c in checks), checks

@@ -48,31 +48,6 @@ class TestAmbientTensors:
             assert np.array_equal(j.T @ omega, g)
 
 
-class TestProjectedTensors:
-    def test_symmetry_types(self):
-        rng = np.random.default_rng(0)
-        z = rng.normal(size=6)
-        lam0, g0 = ps.projected_tensors(z)
-        assert np.max(np.abs(lam0 + lam0.T)) == 0.0
-        assert np.max(np.abs(g0 - g0.T)) == 0.0
-
-    def test_g0_annihilates_radial_direction(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            z = ps.to_chart(random_unit(rng, 3))
-            _, g0 = ps.projected_tensors(z)
-            assert np.max(np.abs(g0 @ ps.dilation_field(z))) < 1e-12
-
-    def test_projective_point_has_no_bivector(self):
-        # CP(C^1) is a point: Lambda0 vanishes identically for n = 1
-        z = ps.to_chart(np.array([1.0 + 0.0j]))
-        lam0, _ = ps.projected_tensors(z)
-        assert np.max(np.abs(lam0)) < 1e-14
-        z = ps.to_chart(np.array([0.3 - 1.1j]))
-        lam0, _ = ps.projected_tensors(z)
-        assert np.max(np.abs(lam0)) < 1e-14
-
-
 class TestFields:
     def test_hamiltonian_field_matches_exponential_flow(self):
         # X_a integrates to psi(t) = exp(i a t) psi0
@@ -145,7 +120,7 @@ class TestContactForm:
             z = ps.to_chart(random_unit(rng, n))
             eta0, reeb = ps.contact_form(z)
             assert abs(eta0 @ reeb - 1.0) < 1e-12
-            assert abs(eta0 @ ps.dilation_field(z)) < 1e-12
+            assert abs(eta0 @ z) < 1e-12
             assert np.max(np.abs(ps.pullback_omega0(z) @ reeb)) < 1e-12
 
     def test_coordinate_value_at_real_point(self):
@@ -160,7 +135,7 @@ class TestOmega0:
         for n in (2, 3):
             z = rng.normal(size=2 * n)
             w = ps.pullback_omega0(z)
-            assert np.max(np.abs(w @ ps.dilation_field(z))) < 1e-12
+            assert np.max(np.abs(w @ z)) < 1e-12
             assert np.max(np.abs(w @ ps.phase_field(z))) < 1e-12
 
     def test_scale_invariance_as_pulled_back_form(self):
@@ -466,35 +441,3 @@ class TestBlochProjection:
             for idx in (0, 1000, 2500, 5000):
                 bloch = ps.project_to_bloch(psis[idx], basis)
                 assert np.max(np.abs(bloch - traj.points[idx])) < 1e-6
-
-
-class TestProjectiveBrackets:
-    """The scale-corrected tensors reproduce the commutator and Jordan
-    brackets of expectation values (constants fixed by this package's
-    tensor normalizations)."""
-
-    def test_poisson_like_bracket(self):
-        rng = np.random.default_rng(21)
-        for n in (2, 3):
-            for _ in range(5):
-                a = random_hermitian(rng, n)
-                b = random_hermitian(rng, n)
-                z = ps.to_chart(random_unit(rng, n))
-                lam0, _ = ps.projected_tensors(z)
-                lhs = ps.d_f_tilde(a, z) @ lam0 @ ps.d_f_tilde(b, z)
-                comm = -1j * (a @ b - b @ a)
-                assert abs(lhs - (-2.0) * ps.f_value(comm, z)) < 1e-10
-
-    def test_jordan_like_bracket(self):
-        rng = np.random.default_rng(22)
-        for n in (2, 3):
-            for _ in range(5):
-                a = random_hermitian(rng, n)
-                b = random_hermitian(rng, n)
-                z = ps.to_chart(random_unit(rng, n))
-                _, g0 = ps.projected_tensors(z)
-                lhs = ps.d_f_tilde(a, z) @ g0 @ ps.d_f_tilde(b, z)
-                jordan = 0.5 * (a @ b + b @ a)
-                rhs = ps.f_value(jordan, z) - ps.f_value(a, z) \
-                    * ps.f_value(b, z)
-                assert abs(lhs - 4.0 * rhs) < 1e-10
