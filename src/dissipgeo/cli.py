@@ -32,13 +32,12 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import purestate as ps
 from .algebra import build_su_basis, from_coherence_vector, is_hermitian
 from .checks import (CheckResult, contact_residuals, decomposition_identities,
-                     energy_rate_identity, friction_invariants, positivity,
-                     result, run_checks, trace_preservation)
+                     energy_rate_identity, expm, friction_invariants,
+                     positivity, result, run_checks, trace_preservation)
 from .contact import DegenerateContactError
 from .gkls import build_model, integrate, phase_damping_model
 from .integrators import DivergenceError, rk4_affine_path, time_grid

@@ -76,7 +76,7 @@ class ContactChart:
             raise ValueError(f"contact charts are odd-dimensional, got {self.dim}")
 
 
-def darboux_chart(m=1):
+def darboux_chart(m):
     """Standard exact chart (q_1..q_m, p_1..p_m, S) with eta = dS - p dq
     and omega = d eta = dq ^ dp."""
     dim = 2 * m + 1

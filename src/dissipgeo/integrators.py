@@ -79,8 +79,9 @@ class DivergenceError(RuntimeError):
 
 def time_grid(t_end, dt):
     """Times 0, dt, ..., n dt with n = round(t_end / dt)."""
-    if not (0 < dt < np.inf and 0 < t_end < np.inf):
-        raise ValueError("need finite dt > 0 and t_end > 0")
+    if not (0 < dt < np.inf and 0 < t_end < np.inf
+            and float(t_end) / float(dt) < np.inf):
+        raise ValueError("need finite dt > 0, t_end > 0 and t_end / dt")
     return np.arange(int(round(t_end / dt)) + 1) * dt
 
 

@@ -51,8 +51,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .integrators import (DivergenceError, rk4_affine_path, rk4_path,
-                          time_grid)
+from .integrators import (DivergenceError, _diverged, rk4_affine_path,
+                          rk4_path, time_grid)
 
 HESSIAN_DET_TOL = 1e-10
 MASS_DET_TOL = 1e-12
@@ -344,14 +344,11 @@ def _closed_form_path(sys, y0, t_end, dt):
             (steps, 4))
         phi = _s_rate(sys, q, qd, 0.0, _force_covector(sys, q, qd))
         b = _s_step(phi.T, 0.0, r, dt)[1]
-        if r == 0.0:  # S_(k+1) = S_k + b_k
-            states[:, dim] = np.cumsum(np.append(y0[dim], b))
-        else:
-            c = 1.0 + _s_step((0.0,) * 4, 1.0, r, dt)[1]
-            s_path = [float(y0[dim])]
-            for b_k in b.tolist():
-                s_path.append(c * s_path[-1] + b_k)
-            states[:, dim] = s_path
+        c = 1.0 + _s_step((0.0,) * 4, 1.0, r, dt)[1]
+        s_path = [float(y0[dim])]
+        for b_k in b.tolist():
+            s_path.append(c * s_path[-1] + b_k)
+        states[:, dim] = s_path
         # step k ends on states[k + 1]; rk4_path tests the Hessian at the
         # stage points of step k, then the finiteness and then the domain
         # of states[k + 1]
@@ -369,8 +366,7 @@ def _closed_form_path(sys, y0, t_end, dt):
             state=(q[:, k, i].copy(), qd[:, k, i].copy(),
                    _s_step(phi[k], states[k, dim], r, dt)[0][i]))
     if diverged[k]:
-        raise DivergenceError(float(times[k]), partial=(
-            times[:k + 1].copy(), states[:k + 1].copy()))
+        raise _diverged(times, states, k)
     return times[:k + 1], states[:k + 1]
 
 

@@ -1,0 +1,70 @@
+"""checks.expm, the numpy matrix exponential behind every exact oracle,
+held to scipy.linalg.expm; and the package importing numpy, not scipy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import dissipgeo
+from dissipgeo import cli
+from dissipgeo.checks import expm
+
+TIMES = [1e-3, 0.1, 1.0, 10.0, 50.0, 100.0]
+CRITICAL = np.array([[0.0, 1.0], [-1.0, -2.0]])  # defective: double root -1
+JORDAN = -np.eye(4) + np.eye(4, k=1)
+STIFF = np.array([[0.0, 1.0], [-1e4, -1e2]])
+# the builtins whose report holds a path to an exponential oracle
+ORACLE_BUILTINS = ["bloch-gradient", "rlc-coupled",
+                   "coupled-damped-oscillators"]
+
+
+def assert_matches_scipy(a):
+    want = scipy.linalg.expm(a)
+    assert np.max(np.abs(expm(a) - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_random_matrices_match_scipy(n, dtype):
+    rng = np.random.default_rng(n)
+    for scale in (0.01, 1.0, 5.0, 30.0):
+        a = rng.uniform(-scale, scale, (n, n))
+        if dtype is complex:
+            a = a + 1j * rng.uniform(-scale, scale, (n, n))
+        assert_matches_scipy(a)
+
+
+@pytest.mark.parametrize("t", TIMES)
+@pytest.mark.parametrize("g", [CRITICAL, JORDAN, STIFF],
+                         ids=["critical", "jordan", "stiff"])
+def test_linear_flows_match_scipy(g, t):
+    assert_matches_scipy(g * t)
+
+
+def test_zero_matrix_is_identity():
+    assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+
+
+@pytest.mark.parametrize("name", ORACLE_BUILTINS)
+def test_builtin_generators_match_scipy(name, monkeypatch):
+    passed = []
+    monkeypatch.setattr(cli, "expm", lambda a: passed.append(a) or expm(a))
+    config = cli.BUILTIN_SCENARIOS[name]["config"]
+    cli.RUNNERS[config["kind"]](**config["parameters"])
+    assert len(passed) == 1
+    assert_matches_scipy(passed[0])
+
+
+def test_package_imports_no_scipy():
+    src = Path(dissipgeo.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys, dissipgeo.cli, dissipgeo.checks; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"

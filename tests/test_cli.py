@@ -253,6 +253,11 @@ VARIANTS = {
         **LINEAR, "expect": {"hamiltonianity": "not-hamiltonian"},
         **SHORT}),
 }
+# t_end / dt beyond the float range: every stepper builds its grid first
+BAD_VALUE_CONFIGS.update({
+    f"{variant}-step-count-overflow": (kind, {**params, "t_end": 1e308,
+                                              "dt": 1e-308})
+    for variant, (kind, params) in VARIANTS.items()})
 # every parameter name with a valid value for some variant
 NAME_VALUES = {name: value for _, params in VARIANTS.values()
                for name, value in params.items() if name not in SHORT}
