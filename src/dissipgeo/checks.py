@@ -25,7 +25,7 @@ from .contact import (ScalarField, central_gradient,
 from .gkls import (apply_generator, build_model, decompose_field,
                    evaluate_component_fields, hamiltonian_gradient_field,
                    integrate, integrate_coherence_field)
-from .integrators import rk4_path
+from .integrators import rk4_affine_path, rk4_path
 from .mechanics import (analytic_energy_rate, coupled_damped_oscillators,
                         friction_system, hamiltonianity_criterion,
                         integrate_contact, representative_matrix, rlc_single)
@@ -104,16 +104,18 @@ def observed_order(name, errors, floor):
 def decomposition_identities(cases):
     """gkls/decomposition-sum-identity (A = Hmat - Vmat + Kmat) and
     gkls/nonlinear-cancellation (X_H - Y_V + Z_K = A x + B), worst over
-    cases of (model, coherence vectors)."""
+    cases of (model, coherence vectors), each relative to max(1, max|A|)
+    of its model, as the rounding of either side grows with |A|."""
     sum_res, cancel_res = 0.0, 0.0
     for model, points in cases:
         dec = decompose_field(model)
+        scale = max(1.0, float(np.max(np.abs(model.A))))
         sum_res = max(sum_res, float(np.max(np.abs(
-            model.A - (dec.Hmat - dec.Vmat + dec.Kmat)))))
+            model.A - (dec.Hmat - dec.Vmat + dec.Kmat)))) / scale)
         for x in points:
             xh, yv, zk = evaluate_component_fields(model, dec, x)
             cancel_res = max(cancel_res, float(np.max(np.abs(
-                xh - yv + zk - (model.A @ x + model.B)))))
+                xh - yv + zk - (model.A @ x + model.B)))) / scale)
     return [result("gkls/decomposition-sum-identity", sum_res, 1e-12),
             result("gkls/nonlinear-cancellation", cancel_res, 1e-12)]
 
@@ -243,6 +245,18 @@ def gkls_suite():
     m = _random_model(rng, 2, scale=0.5)
     traj = integrate(m, _random_density(rng, 2), t_end=5.0, dt=2e-3)
     results.append(positivity(traj.min_eigenvalues))
+
+    # the affine route at t = 1 against exp([[A, B], [0, 0]]) on (x0, 1);
+    # with two jumps B != 0, so the b column of the step map is tested
+    m = _random_model(rng, 3)
+    x0 = to_coherence_vector(_random_density(rng, 3), m.basis)
+    flow = np.zeros((m.basis.size + 1,) * 2)
+    flow[:-1, :-1], flow[:-1, -1] = m.A, m.B
+    exact = (expm(flow) @ np.append(x0, 1.0))[:-1]
+    errors = [np.max(np.abs(rk4_affine_path(m.A, m.B, x0, 1.0, dt)[1][-1]
+                            - exact)) for dt in (0.04, 0.02, 0.01)]
+    results.append(observed_order("gkls/observed-order", errors,
+                                  floor=40 * np.finfo(float).eps))
     return results
 
 

@@ -221,12 +221,8 @@ def integrate_coherence_field(field, x0, t_end, dt, basis):
 
 
 def integrate(model, rho0, t_end, dt):
-    """RK4 trajectory of dx/dt = A x + B from a density matrix.
-
-    The field is affine, so ``rk4_affine_path`` fills each block of 64
-    rows with one product of the stacked powers of the RK4 one-step
-    matrix, and redoes a block with a non-finite row step by step.
-    """
+    """RK4 trajectory of dx/dt = A x + B from a density matrix, stepped
+    by ``integrators.rk4_affine_path``."""
     x0 = to_coherence_vector(np.asarray(rho0, dtype=complex), model.basis)
     times, points = rk4_affine_path(model.A, model.B, x0, t_end, dt)
     return _trajectory(model.basis, times, points)

@@ -14,25 +14,25 @@ return value, ``(times, states)`` with states[i] the state at times[i]:
   None ends the path at the last stored state (a domain guard), so a
   path shorter than the grid means the integration stopped early.
 - ``rk4_affine_path(a, b, y0, t_end, dt)`` serves affine fields
-  y' = a y + b.  For them the four RK4 stages collapse into one fixed
-  map y -> P y + q with M = dt a,
+  y' = a y + b, the linear field [[a, b], [0, 0]] on (y, 1) (Van Loan
+  1978).  For it the four RK4 stages collapse into one fixed map
+  (y, 1) -> P^ (y, 1) with M^ = dt [[a, b], [0, 0]],
 
-      P = I + M + M^2/2 + M^3/6 + M^4/24,
-      q = dt (I + M/2 + M^2/6 + M^3/24) b,
+      P^ = I + M^ + M^^2/2 + M^^3/6 + M^^4/24 = [[P, q], [0, 1]],
 
-  the degree-4 Taylor truncation of the augmented matrix exponential
-  exp(dt [[a, b], [0, 0]]) (Van Loan 1978).  Rows are filled a block of
-  K = ``_CHECK_ROWS`` at a time from the row y before the block: with
-  the stack [P; P^2; ...; P^K] and the offsets c_j = sum_{i<j} P^i q,
-  both built once per run, row j of the block is P^j y + c_j, one
-  product of the stack with y and one sum per block.  It is the same
-  method of the same order evaluated in another order, so paths agree
-  with ``rk4_path`` up to rounding.  A block with a row that is not
-  finite is redone row by row, y -> P y + q.  A power or an offset that
-  overflows (a stiff P) leaves such a row too, since inf times a zero
-  entry of y is NaN, so a path that stays finite under overflowing
-  powers stays finite, and a diverging path stops where the row-by-row
-  steps stop.
+  the degree-4 Taylor truncation of exp(M^).  Rows are filled a block of
+  K = ``_CHECK_ROWS`` at a time from the row y before the block: the top
+  d rows of P^, P^^2, ..., P^^K, stacked once per run, hold the maps
+  y -> P^j y + sum_(i<j) P^i q, so a block is one product of that stack
+  with (y, 1).  It is the same method of the same order evaluated in
+  another order, so paths agree with ``rk4_path`` up to rounding.  A
+  block with a row that is not finite is redone row by row,
+  y -> P^[:d] (y, 1).  A power that overflows (a stiff P) turns the
+  (0, ..., 0, 1) row of the next power into NaN, since inf times its
+  zero entries is NaN, and every later power and every row of the block
+  reading it inherits a non-finite entry, so the block is redone row by
+  row: a path that stays finite under overflowing powers stays finite,
+  and a diverging path stops where the row-by-row steps stop.
 - ``rk4_sphere_path(m, b, z0, t_end, dt, renormalize=False)`` serves the
   pure-state flow z' = ``sphere_field(m, b, z)`` = (M - e(z)) z with the
   scalar e(z) = z^T B z / z^T z, B symmetric.  With A = dt M every RK4
@@ -125,56 +125,46 @@ def rk4_affine_path(a, b, y0, t_end, dt):
     """RK4 path of y' = a y + b (b = None for y' = a y) from 0 to t_end.
 
     Same grid, return value and DivergenceError as ``rk4_path``; the
-    rows are filled a block at a time with the one-step matrix powers of
-    the module docstring, and a block with a non-finite row row by row.
+    rows are filled a block at a time by the stacked powers of P^ of the
+    module docstring, and a block with a non-finite row row by row.
     Divergence is checked once per block of ``_CHECK_ROWS`` rows, so a
     diverging path stops within one block of its first non-finite state.
     """
     times = time_grid(t_end, dt)
-    m = dt * np.asarray(a, dtype=float)
-    # Horner form of S = I + M/2 + M^2/6 + M^3/24; P = I + M S, q = dt S b
-    eye = np.eye(len(m))
-    s = eye + m @ (eye / 2.0 + m @ (eye / 6.0 + m / 24.0))
-    p = eye + m @ s
-    q = None if b is None else dt * (s @ np.asarray(b, dtype=float))
-    states = np.empty((len(times), len(m)))
+    d = len(a)
+    m = np.zeros((d + 1, d + 1))
+    m[:d, :d] = a
+    if b is not None:
+        m[:d, d] = b
+    m *= dt
+    eye = np.eye(d + 1)
+    p = eye + m @ (eye + m @ (eye / 2.0 + m @ (eye / 6.0 + m / 24.0)))
+    states = np.empty((len(times), d))
     states[0] = y0
+    y1 = np.ones(d + 1)  # (y, 1) of the row a block or row starts from
     with np.errstate(over="ignore", invalid="ignore"):
-        stack, offsets = _block_maps(p, q)
+        # one power at a time: squaring (P^64 = P^32 P^32) rounds the high
+        # powers about 1.5 times as far from the row-by-row path
+        powers = np.empty((_CHECK_ROWS, d + 1, d + 1))
+        powers[0] = p
+        for j in range(1, _CHECK_ROWS):
+            np.matmul(p, powers[j - 1], out=powers[j])
+        stack = powers[:, :d].reshape(-1, d + 1)
         for start in range(1, len(times), _CHECK_ROWS):
             rows = states[start:min(start + _CHECK_ROWS, len(times))]
-            np.matmul(stack[:rows.size], states[start - 1],
-                      out=rows.reshape(-1))
-            if q is not None:
-                rows += offsets[:len(rows)]
+            y1[:d] = states[start - 1]
+            np.matmul(stack[:rows.size], y1, out=rows.reshape(-1))
             if np.isfinite(rows).all():
                 continue
-            # a row, or a power or offset it used, is not finite
+            # a row, or a power it used, is not finite
             for i in range(start, start + len(rows)):
-                y = states[i]
-                np.matmul(p, states[i - 1], out=y)
-                if q is not None:
-                    y += q
+                y1[:d] = states[i - 1]
+                np.matmul(p[:d], y1, out=states[i])
             finite = np.isfinite(rows).all(axis=1)
             if not finite.all():
                 raise _diverged(times, states,
                                 start - 1 + int(np.argmin(finite)))
     return times, states
-
-
-def _block_maps(p, q):
-    """The stack [P; P^2; ...; P^K] (K = _CHECK_ROWS) as a (K d x d) array
-    and the offsets c_j = sum_{i<j} P^i q as the rows j = 1..K of a
-    (K x d) array (None without q)."""
-    # one power at a time: squaring (P^64 = P^32 P^32) rounds the high
-    # powers about 1.5 times as far from the row-by-row path
-    powers = np.empty((_CHECK_ROWS,) + p.shape)
-    powers[0] = p
-    for j in range(1, _CHECK_ROWS):
-        np.matmul(p, powers[j - 1], out=powers[j])
-    offsets = None if q is None else np.cumsum(
-        np.vstack([q, powers[:-1] @ q]), axis=0)
-    return powers.reshape(-1, len(p)), offsets
 
 
 def sphere_field(m, b, z):

@@ -15,9 +15,8 @@ RLC circuit builders; a conservative system is the first form with
 h = 0.  The field maps the flat state y = (q, q', S) of shape (2n + 1,)
 to y'.  The velocity Hessian H is singular unless
 |det H| > HESSIAN_DET_TOL max|H_jk|^n, a scale-free test that also
-rejects a non-finite H; for n = 1 it reads h != 0 and finite, and the
-field takes q'' = rhs / h, the very bits a 1 x 1 LU solve returns, with
-no LAPACK call; n >= 2 uses det and solve.
+rejects a non-finite H; for n = 1 it reads h != 0 and finite, with no
+LAPACK call, and n >= 2 uses det.  The field solves H q'' = rhs by LU.
 
 Callbacks are batched: each takes q and q' of shape (n, *batch) and
 returns its value with the batch axes last, a scalar function as
@@ -266,7 +265,7 @@ def contact_el_field(sys, y):
         - float(sys.dh_ds(s)) * force
     dy = np.empty_like(y)
     dy[:n] = qd
-    dy[n:2 * n] = rhs / hess.item() if n == 1 else np.linalg.solve(hess, rhs)
+    dy[n:2 * n] = np.linalg.solve(hess, rhs)
     dy[2 * n] = _s_rate(sys, q, qd, s, force)
     return dy
 

@@ -475,6 +475,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "[PASS] algebra/basis-orthonormality" in out
 
+    def test_checks_report_affine_observed_order(self, capsys):
+        assert run_cli("checks", "--filter", "gkls") == EXIT_OK
+        assert "[PASS] gkls/observed-order" in capsys.readouterr().out
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # unstable step size blows up the affine flow
         cfg = tmp_path / "unstable.json"
@@ -546,6 +550,19 @@ class TestScenarioRuns:
         names = {inv["name"]: inv for inv in report["invariants"]}
         energy = names["circuit/energy-conservation"]
         assert energy["passed"] and energy["residual"] < 1e-8
+
+    def test_fast_phase_damping_passes_its_identities(self, tmp_path, capsys):
+        # A has entries of 2e4: absolute residuals of 1e-12 read rounding
+        # as failure, relative ones pass this exact, finite path
+        cfg = tmp_path / "fast.json"
+        cfg.write_text(json.dumps({
+            "kind": "gkls",
+            "parameters": {"model": "phase-damping", "gamma": 1e4,
+                           "x0": [0.0, 0.0, 0.5], "t_end": 1.0,
+                           "dt": 0.01}}))
+        assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_OK
+        report = json.loads((tmp_path / "fast_report.json").read_text())
+        assert all(inv["passed"] for inv in report["invariants"])
 
     def test_microhenry_coupled_circuit_runs(self, tmp_path, capsys):
         # velocity Hessian diag(1e-5, 1e-5): determinant 1e-10, condition

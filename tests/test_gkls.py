@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import warnings
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from dissipgeo import checks
 from dissipgeo.algebra import (build_su_basis, from_coherence_vector,
                                structure_constants, to_coherence_vector)
 from dissipgeo.checks import (decomposition_identities, positivity,
@@ -230,6 +232,19 @@ class TestDecomposition:
                     xh, yv, zk = evaluate_component_fields(m, dec, x)
                     assert np.max(np.abs(xh - yv + zk - (m.A @ x + m.B))) \
                         < 1e-12
+
+    @pytest.mark.parametrize("gamma", [1.0, 1e4])
+    def test_perturbed_decomposition_fails(self, gamma, monkeypatch):
+        # the residuals are relative to max(1, max|A|), so a relative
+        # error of 1e-9 in Kmat fails at any rate
+        def perturbed(model):
+            dec = decompose_field(model)
+            return dataclasses.replace(dec, Kmat=dec.Kmat * (1.0 + 1e-9))
+
+        monkeypatch.setattr(checks, "decompose_field", perturbed)
+        results = decomposition_identities(
+            [(phase_damping_model(gamma), [np.array([0.3, -0.2, 0.4])])])
+        assert [r.passed for r in results] == [False, False]
 
     def test_nonlinear_terms_present_but_cancel(self):
         rng = np.random.default_rng(7)

@@ -129,6 +129,26 @@ class TestAffinePath:
         assert np.max(np.abs(states - y_ref)) \
             <= 1e-12 * np.max(np.abs(y_ref))
 
+    def test_states_are_c_contiguous_float64(self):
+        # the layout of the states sets the rounding downstream, as the
+        # layout of A does in gkls.build_affine_field
+        rng = np.random.default_rng(22)
+        a = rng.normal(size=(4, 4)) - 3.0 * np.eye(4)
+        for b in (None, rng.normal(size=4)):
+            times, states = rk4_affine_path(a, b, rng.normal(size=4),
+                                            2.0, 0.01)
+            assert states.shape == (len(times), 4)
+            assert states.dtype == np.float64
+            assert states.flags.c_contiguous
+
+    def test_zero_b_matches_no_b_bit_for_bit(self):
+        m = random_jump_model(np.random.default_rng(23), 3)
+        x0 = 0.1 * np.random.default_rng(24).normal(size=m.basis.size)
+        _, with_zero = rk4_affine_path(m.A, np.zeros(m.basis.size), x0,
+                                       2.0, 1e-2)
+        _, without = rk4_affine_path(m.A, None, x0, 2.0, 1e-2)
+        assert np.array_equal(with_zero, without)
+
     @pytest.mark.parametrize("dt", [0.0, -1e-3])
     def test_rejects_nonpositive_dt(self, dt):
         with pytest.raises(ValueError):
