@@ -25,7 +25,7 @@ from .contact import (ScalarField, central_gradient,
 from .gkls import (apply_generator, build_model, decompose_field,
                    evaluate_component_fields, hamiltonian_gradient_field,
                    integrate, integrate_coherence_field)
-from .integrators import rk4_affine_path, rk4_path
+from .integrators import rk4_affine_path
 from .mechanics import (analytic_energy_rate, coupled_damped_oscillators,
                         friction_system, hamiltonianity_criterion,
                         integrate_contact, representative_matrix, rlc_single)
@@ -277,9 +277,10 @@ def purestate_suite():
     results.append(result("purestate/kaehler-compatibility",
                           kaehler_res, 1e-14))
 
-    tangency_res, commute_res, rank_bad = 0.0, 0.0, 0.0
+    tangency_res, commute_res, rank_bad, proj_res = 0.0, 0.0, 0.0, 0.0
     residual_cases = []
     for n in (2, 3):
+        basis = build_su_basis(n)
         for _ in range(10):
             a = _random_hermitian(rng, n)
             b = _random_hermitian(rng, n)
@@ -299,27 +300,20 @@ def purestate_suite():
             stack = np.vstack([ps.pullback_omega0(z), eta0, z])
             if np.linalg.matrix_rank(stack, tol=1e-10) != 2 * n:
                 rank_bad = 1.0
+            # psi -> rho_psi pushes Z forward to X_H - Y_V with H = -a,
+            # V = -2b: the coherence vector of v psi^dag + psi v^dag,
+            # v = Z(psi), is that field at rho_psi
+            v = ps.from_chart(ps.z_field(a, b, z))
+            d_rho = np.outer(v, psi.conj()) + np.outer(psi, v.conj())
+            field = hamiltonian_gradient_field(basis, -a, -2.0 * b)
+            proj_res = max(proj_res, float(np.max(np.abs(
+                np.einsum("jab,ba->j", basis.tau, d_rho).real
+                - field(ps.project_to_bloch(psi, basis))))))
     results += [result("purestate/sphere-tangency", tangency_res, 1e-12),
                 contact_residuals(residual_cases),
                 result("purestate/gradient-projectability", commute_res, 1e-9),
-                result("purestate/contact-volume-rank", rank_bad, 0.5)]
-
-    basis = build_su_basis(2)
-    a = _random_hermitian(rng, 2, 0.7)
-    b = _random_hermitian(rng, 2, 0.4)
-    psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
-    psi0 /= np.linalg.norm(psi0)
-    times, psis = ps.integrate_sphere_flow(a, b, psi0, 2.0, 2e-3)
-    field = hamiltonian_gradient_field(basis, -a, -2.0 * b)
-    traj = integrate_coherence_field(field, ps.project_to_bloch(psi0, basis),
-                                     2.0, 2e-3, basis)
-    proj_res = 0.0
-    for idx in (len(times) // 2, len(times) - 1):
-        bloch = ps.project_to_bloch(psis[idx], basis)
-        proj_res = max(proj_res, float(np.max(np.abs(
-            bloch - traj.points[idx]))))
-    results.append(result("purestate/projection-consistency",
-                          proj_res, 1e-6))
+                result("purestate/contact-volume-rank", rank_bad, 0.5),
+                result("purestate/projection-consistency", proj_res, 1e-12)]
 
     # the sphere route at t = 2 against the normalised exponential flow
     a = _random_hermitian(rng, 2)
@@ -423,16 +417,17 @@ def mechanics_suite():
                              8.0, dt)
     results.extend(friction_invariants(gamma, traj, dt))
 
-    # projectable contact flow vs reduced second-order dynamics
+    # projectable contact flow vs the exact flow of q'' + gam q' + v q = 0
+    # at every 100th row
     v_coeff, gam = 1.1, 0.3
-    contact_sys = rlc_single(gam, 1.0, 1.0 / v_coeff)
-    ctraj = integrate_contact(contact_sys, ([1.0], [0.0], 0.2), 4.0, dt)
-    _, reduced = rk4_path(
-        lambda y: np.array([y[1], -v_coeff * y[0] - gam * y[1]]),
-        np.array([1.0, 0.0]), 4.0, dt)
+    ctraj = integrate_contact(rlc_single(gam, 1.0, 1.0 / v_coeff),
+                              ([1.0], [0.0], 0.2), 4.0, dt)
+    g = representative_matrix(np.ones((1, 1)), np.full((1, 1), gam),
+                              np.full((1, 1), v_coeff))
+    exact = np.array([expm(g * t)[:, 0] for t in ctraj.times[::100]])
     results.append(result(
-        "mechanics/contact-reduction-consistency",
-        float(np.max(np.abs(ctraj.q[:, 0] - reduced[:, 0]))), 1e-8))
+        "mechanics/contact-reduction-consistency", float(np.max(np.abs(
+            np.column_stack([ctraj.q, ctraj.qd])[::100] - exact))), 1e-8))
     return results
 
 

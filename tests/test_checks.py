@@ -1,5 +1,7 @@
 """checks.expm, the numpy matrix exponential behind every exact oracle,
-held to scipy.linalg.expm; and the package importing numpy, not scipy."""
+held to scipy.linalg.expm; the package importing numpy, not scipy; and
+the mechanics and purestate suites holding each route to an identity or
+an exact flow, not to a second RK4 run."""
 
 import os
 import subprocess
@@ -11,8 +13,8 @@ import pytest
 import scipy.linalg
 
 import dissipgeo
-from dissipgeo import cli
-from dissipgeo.checks import expm
+from dissipgeo import checks, cli, gkls, integrators, mechanics, purestate
+from dissipgeo.checks import expm, run_checks
 
 TIMES = [1e-3, 0.1, 1.0, 10.0, 50.0, 100.0]
 CRITICAL = np.array([[0.0, 1.0], [-1.0, -2.0]])  # defective: double root -1
@@ -68,3 +70,33 @@ def test_package_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "False"
+
+
+def suite_results(suite):
+    return {r.name: r for r in run_checks(suite)}
+
+
+@pytest.mark.parametrize("suite", ["mechanics", "purestate"])
+def test_suite_makes_no_rk4_path_call(suite, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rk4_path was called")
+
+    # every module binding a suite could call, imported today or not
+    for module in (integrators, gkls, mechanics, purestate, checks):
+        monkeypatch.setattr(module, "rk4_path", refuse, raising=False)
+    assert all(r.passed for r in suite_results(suite).values())
+
+
+def test_projection_consistency_sees_a_dropped_sphere_term(monkeypatch):
+    # Z without its -e(z) z term is no longer the pushforward of X_H - Y_V
+    monkeypatch.setattr(purestate, "sphere_field", lambda m, b, z: m @ z)
+    assert not suite_results("purestate")[
+        "purestate/projection-consistency"].passed
+
+
+def test_contact_reduction_consistency_sees_a_wrong_generator(monkeypatch):
+    generator = mechanics._projected_generator
+    monkeypatch.setattr(mechanics, "_projected_generator",
+                        lambda sys: 0.5 * generator(sys))
+    assert not suite_results("mechanics")[
+        "mechanics/contact-reduction-consistency"].passed

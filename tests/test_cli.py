@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dissipgeo import cli
 from dissipgeo.cli import (BUILTIN_SCENARIOS, EXIT_NUMERICAL, EXIT_OK,
                            EXIT_USAGE, RUNNERS, main, parse_complex_matrix,
                            write_csv)
@@ -550,6 +551,34 @@ class TestScenarioRuns:
         names = {inv["name"]: inv for inv in report["invariants"]}
         energy = names["circuit/energy-conservation"]
         assert energy["passed"] and energy["residual"] < 1e-8
+
+    def test_circuit_oracle_holds_the_final_current_rate(self, monkeypatch):
+        integrate = cli.integrate_contact
+
+        def shifted(*args):
+            traj = integrate(*args)
+            traj.qd[-1] += 1e-3  # q(t_end) is left exact
+            return traj
+
+        monkeypatch.setattr(cli, "integrate_contact", shifted)
+        _, _, invariants = RUNNERS["circuit"](
+            **BUILTIN_SCENARIOS["rlc-single"]["config"]["parameters"])
+        oracle = invariants[0]
+        assert oracle.name == "circuit/linear-oracle"
+        assert not oracle.passed
+        assert oracle.residual == pytest.approx(1e-3, rel=1e-6)
+
+    def test_linear_run_skips_verdicts_it_does_not_expect(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("a verdict no expect block asks for")
+
+        monkeypatch.setattr(cli, "hamiltonianity_criterion", refuse)
+        monkeypatch.setattr(cli, "bivector_span_dimension", refuse)
+        params = dict(BUILTIN_SCENARIOS["coupled-damped-oscillators"][
+            "config"]["parameters"], t_end=0.1)
+        del params["expect"]
+        _, _, invariants = RUNNERS["contact-lagrangian"](**params)
+        assert [inv.name for inv in invariants] == ["mechanics/linear-oracle"]
 
     def test_fast_phase_damping_passes_its_identities(self, tmp_path, capsys):
         # A has entries of 2e4: absolute residuals of 1e-12 read rounding
