@@ -26,9 +26,11 @@ from .gkls import (apply_generator, build_model, decompose_field,
                    evaluate_component_fields, hamiltonian_gradient_field,
                    integrate, integrate_coherence_field)
 from .integrators import rk4_affine_path
-from .mechanics import (analytic_energy_rate, coupled_damped_oscillators,
+from .mechanics import (_projected_generator, analytic_energy_rate,
+                        contact_el_field, coupled_damped_oscillators,
                         friction_system, hamiltonianity_criterion,
-                        integrate_contact, representative_matrix, rlc_single)
+                        integrate_contact, representative_matrix,
+                        rlc_coupled, rlc_single)
 
 
 @dataclass(frozen=True)
@@ -428,6 +430,22 @@ def mechanics_suite():
     results.append(result(
         "mechanics/contact-reduction-consistency", float(np.max(np.abs(
             np.column_stack([ctraj.q, ctraj.qd])[::100] - exact))), 1e-8))
+
+    # the field's (q, q') rows are the linear law z' = G z that a builder
+    # setting linear_projection declares, at random in-domain states
+    residuals = []
+    for sys in (rlc_single(0.4, 1.2, 0.9), friction_system(gamma),
+                rlc_coupled(1.0, 1.0, 1.0, 0.5, 0.5, 0.3, 0.2)):
+        g, dim = _projected_generator(sys), 2 * sys.n
+        for _ in range(20):
+            y = rng.normal(size=dim + 1)
+            y[sys.n:dim] = rng.uniform(0.1, 2.0, size=sys.n)
+            gz = g @ y[:dim]
+            residuals.append(
+                np.max(np.abs(contact_el_field(sys, y)[:dim] - gz))
+                / max(1.0, np.max(np.abs(gz))))
+    results.append(result("mechanics/declared-projection", max(residuals),
+                          1e-12))
     return results
 
 

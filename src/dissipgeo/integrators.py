@@ -4,8 +4,10 @@ All flows in this package are smooth and non-stiff at desk scale, so a
 plain fourth-order scheme with caller-supplied dt is enough; oracle
 comparisons against matrix exponentials are done in the test suite.
 
-Three entry points share one step grid, one divergence contract and one
-return value, ``(times, states)`` with states[i] the state at times[i]:
+Three entry points share one step grid and one return value,
+``(times, states)`` with states[i] the state at times[i].  Only
+``rk4_path`` raises DivergenceError: the two fast routes fill the whole
+grid with finite states or hand the run to it.
 
 - ``rk4_path(f, y0, t_end, dt, post=None)`` evaluates the field four
   times per step and serves any field, nonlinear ones included.  The
@@ -26,13 +28,13 @@ return value, ``(times, states)`` with states[i] the state at times[i]:
   y -> P^j y + sum_(i<j) P^i q, so a block is one product of that stack
   with (y, 1).  It is the same method of the same order evaluated in
   another order, so paths agree with ``rk4_path`` up to rounding.  A
-  block with a row that is not finite is redone row by row,
-  y -> P^[:d] (y, 1).  A power that overflows (a stiff P) turns the
-  (0, ..., 0, 1) row of the next power into NaN, since inf times its
-  zero entries is NaN, and every later power and every row of the block
-  reading it inherits a non-finite entry, so the block is redone row by
-  row: a path that stays finite under overflowing powers stays finite,
-  and a diverging path stops where the row-by-row steps stop.
+  block with a row that is not finite hands the whole run to
+  ``rk4_path`` on the same field.  A power that overflows (a stiff P)
+  turns the (0, ..., 0, 1) row of the next power into NaN, since inf
+  times its zero entries is NaN, and every later power and every row of
+  the block reading it inherits a non-finite entry, so it too hands the
+  run to ``rk4_path``: a path that stays finite under overflowing powers
+  stays finite, and a diverging path stops where ``rk4_path`` stops.
 - ``rk4_sphere_path(m, b, z0, t_end, dt, renormalize=False)`` serves the
   pure-state flow z' = ``sphere_field(m, b, z)`` = (M - e(z)) z with the
   scalar e(z) = z^T B z / z^T z, B symmetric.  With A = dt M every RK4
@@ -85,13 +87,6 @@ def time_grid(t_end, dt):
     return np.arange(int(round(t_end / dt)) + 1) * dt
 
 
-def _diverged(times, states, i):
-    """Error for a non-finite states[i + 1]: states[:i + 1] are finite."""
-    return DivergenceError(float(times[i]),
-                           partial=(times[:i + 1].copy(),
-                                    states[:i + 1].copy()))
-
-
 def rk4_path(f, y0, t_end, dt, post=None):
     """Integrate y' = f(y) from 0 to t_end with fixed step dt.
 
@@ -112,7 +107,9 @@ def rk4_path(f, y0, t_end, dt, post=None):
             k4 = f(y + dt * k3)
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(y).all():
-                raise _diverged(times, states, i)
+                raise DivergenceError(float(times[i]),
+                                      partial=(times[:i + 1].copy(),
+                                               states[:i + 1].copy()))
             if post is not None:
                 y = post(y)
                 if y is None:
@@ -124,11 +121,11 @@ def rk4_path(f, y0, t_end, dt, post=None):
 def rk4_affine_path(a, b, y0, t_end, dt):
     """RK4 path of y' = a y + b (b = None for y' = a y) from 0 to t_end.
 
-    Same grid, return value and DivergenceError as ``rk4_path``; the
-    rows are filled a block at a time by the stacked powers of P^ of the
-    module docstring, and a block with a non-finite row row by row.
-    Divergence is checked once per block of ``_CHECK_ROWS`` rows, so a
-    diverging path stops within one block of its first non-finite state.
+    Same grid and return value as ``rk4_path``; the rows are filled a
+    block of ``_CHECK_ROWS`` at a time by the stacked powers of P^ of the
+    module docstring.  A block with a non-finite row hands the run to
+    ``rk4_path`` on y' = a y (+ b) from y0, which then decides where it
+    stops and what it raises.
     """
     times = time_grid(t_end, dt)
     d = len(a)
@@ -141,7 +138,7 @@ def rk4_affine_path(a, b, y0, t_end, dt):
     p = eye + m @ (eye + m @ (eye / 2.0 + m @ (eye / 6.0 + m / 24.0)))
     states = np.empty((len(times), d))
     states[0] = y0
-    y1 = np.ones(d + 1)  # (y, 1) of the row a block or row starts from
+    y1 = np.ones(d + 1)  # (y, 1) of the row a block starts from
     with np.errstate(over="ignore", invalid="ignore"):
         # one power at a time: squaring (P^64 = P^32 P^32) rounds the high
         # powers about 1.5 times as far from the row-by-row path
@@ -154,16 +151,9 @@ def rk4_affine_path(a, b, y0, t_end, dt):
             rows = states[start:min(start + _CHECK_ROWS, len(times))]
             y1[:d] = states[start - 1]
             np.matmul(stack[:rows.size], y1, out=rows.reshape(-1))
-            if np.isfinite(rows).all():
-                continue
-            # a row, or a power it used, is not finite
-            for i in range(start, start + len(rows)):
-                y1[:d] = states[i - 1]
-                np.matmul(p[:d], y1, out=states[i])
-            finite = np.isfinite(rows).all(axis=1)
-            if not finite.all():
-                raise _diverged(times, states,
-                                start - 1 + int(np.argmin(finite)))
+            if not np.isfinite(rows).all():  # a row or a power it used
+                return rk4_path((lambda y: a @ y) if b is None
+                                else (lambda y: a @ y + b), y0, t_end, dt)
     return times, states
 
 

@@ -35,11 +35,11 @@ A_(i+1) = I + c_i dt G A_i for c = 1/2, 1/2, 1, and S by the scalar
 recurrence S_(k+1) = c S_k + b_k, whose b_k holds phi at the four stage
 points of step k.  G is read off the field's (q, q') rows, r is dh_ds
 and phi is the field's S' at S = 0, so the route follows the callbacks
-and never the data they were built from.  Every other system goes
-through ``rk4_path`` on ``contact_el_field``, which also serves as the
-test oracle of the closed form: both routes make the same Hessian test
-at every stage point, stop at the same domain-guard row and raise the
-same DivergenceError, and their paths agree up to rounding.
+and never the data they were built from.  A run that the closed form
+cannot fill up to the first row outside the domain guard (its z path
+diverges, a stage Hessian is singular or a state is not finite) goes
+through ``rk4_path`` on ``contact_el_field``, as every other system does;
+that route alone raises, and it is the test oracle of the closed form.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .integrators import (DivergenceError, _diverged, rk4_affine_path,
-                          rk4_path, time_grid)
+from .integrators import DivergenceError, rk4_affine_path, rk4_path
 
 HESSIAN_DET_TOL = 1e-10
 MASS_DET_TOL = 1e-12
@@ -290,16 +289,15 @@ _STAGE_C = (0.5, 0.5, 1.0)  # RK4 stage i + 1 starts at y + c_i dt k_i
 
 
 def _s_step(phi, s, r, dt):
-    """One RK4 step of S' = phi_i - r S from S = s, with phi[i] the value
-    of phi at stage point i: the four stage values of S and the
-    increment."""
-    stages, slopes = [s], []
+    """The increment of one RK4 step of S' = phi_i - r S from S = s, with
+    phi[i] the value of phi at stage point i."""
+    stage, slopes = s, []
     for i in range(4):
-        slopes.append(phi[i] - r * stages[-1])
+        slopes.append(phi[i] - r * stage)
         if i < 3:
-            stages.append(s + _STAGE_C[i] * dt * slopes[-1])
-    return stages, (dt / 6.0) * (slopes[0] + 2.0 * slopes[1]
-                                 + 2.0 * slopes[2] + slopes[3])
+            stage = s + _STAGE_C[i] * dt * slopes[-1]
+    return (dt / 6.0) * (slopes[0] + 2.0 * slopes[1] + 2.0 * slopes[2]
+                         + slopes[3])
 
 
 def _projected_generator(sys):
@@ -317,17 +315,24 @@ def _projected_generator(sys):
 
 
 def _closed_form_path(sys, y0, t_end, dt):
-    """(times, states) of a linear_projection system, with the Hessian
-    test, domain guard and divergence of rk4_path on contact_el_field."""
+    """(times, states) of a linear_projection system, ending before the
+    first row outside the domain guard as rk4_path does; None, for
+    rk4_path to step and report the run, when rk4_affine_path raises or a
+    stage Hessian is singular or a state not finite up to that row."""
     n, dim = sys.n, 2 * sys.n
     g = _projected_generator(sys)
     r = float(sys.dh_ds(0.0))
-    times = time_grid(t_end, dt)
     try:
-        zs = rk4_affine_path(g, None, y0[:dim], t_end, dt)[1]
-    except DivergenceError as exc:
-        zs = exc.partial[1]  # the z row after the last one is not finite
-    steps = min(len(zs), len(times) - 1)
+        times, zs = rk4_affine_path(g, None, y0[:dim], t_end, dt)
+    except DivergenceError:
+        return None
+    # the path keeps rows :keep, and steps 0 .. steps - 1 are checked: the
+    # last one ends on the last row or on the first row outside the guard
+    keep, steps = len(zs), len(zs) - 1
+    if sys.domain_guard is not None:
+        outside = ~sys.domain_guard(zs[1:, :n].T, zs[1:, n:].T)
+        if outside.any():
+            keep = steps = int(np.argmax(outside)) + 1
     eye = np.eye(dim)
     amps = [eye]
     for c in _STAGE_C:
@@ -335,38 +340,19 @@ def _closed_form_path(sys, y0, t_end, dt):
     # stage point i of step k is stages[:, k, i] = A_i z_k
     stages = np.einsum("iab,kb->aki", np.array(amps), zs[:steps])
     q, qd = stages[:n], stages[n:]
-    states = np.full((steps + 1, dim + 1), np.nan)
-    states[:len(zs), :dim] = zs[:steps + 1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        singular = np.broadcast_to(
-            _singular(np.asarray(sys.hess_qd(q, qd), dtype=float)),
-            (steps, 4))
+        if _singular(np.asarray(sys.hess_qd(q, qd), dtype=float)).any():
+            return None
         phi = _s_rate(sys, q, qd, 0.0, _force_covector(sys, q, qd))
-        b = _s_step(phi.T, 0.0, r, dt)[1]
-        c = 1.0 + _s_step((0.0,) * 4, 1.0, r, dt)[1]
+        b = _s_step(phi.T, 0.0, r, dt)
+        c = 1.0 + _s_step((0.0,) * 4, 1.0, r, dt)
         s_path = [float(y0[dim])]
         for b_k in b.tolist():
             s_path.append(c * s_path[-1] + b_k)
-        states[:, dim] = s_path
-        # step k ends on states[k + 1]; rk4_path tests the Hessian at the
-        # stage points of step k, then the finiteness and then the domain
-        # of states[k + 1]
-        diverged = ~np.isfinite(states[1:]).all(axis=1)
-        outside = sys.domain_guard is not None and ~sys.domain_guard(
-            states[1:, :n].T, states[1:, n:dim].T)
-    stop = singular.any(axis=1) | diverged | outside
-    if not stop.any():
-        return times, states
-    k = int(np.argmax(stop))
-    if singular[k].any():
-        i = int(np.argmax(singular[k]))
-        raise ImplicitSystemError(
-            "singular velocity Hessian",
-            state=(q[:, k, i].copy(), qd[:, k, i].copy(),
-                   _s_step(phi[k], states[k, dim], r, dt)[0][i]))
-    if diverged[k]:
-        raise _diverged(times, states, k)
-    return times[:k + 1], states[:k + 1]
+    states = np.column_stack([zs[:steps + 1], s_path])
+    if not np.isfinite(states).all():
+        return None
+    return times[:keep], states[:keep]
 
 
 def integrate_contact(sys, state0, t_end, dt):
@@ -386,17 +372,18 @@ def integrate_contact(sys, state0, t_end, dt):
     if sys.domain_guard is not None and not sys.domain_guard(q0, qd0):
         raise ValueError("initial state outside the system's domain")
     y0 = np.hstack([q0, qd0, s0])
-    if sys.linear_projection:
-        if not projectability_check(sys):
-            raise ValueError("linear_projection declared, h not linear in S")
-        times, states = _closed_form_path(sys, y0, t_end, dt)
-    else:
+    if sys.linear_projection and not projectability_check(sys):
+        raise ValueError("linear_projection declared, h not linear in S")
+    path = _closed_form_path(sys, y0, t_end, dt) \
+        if sys.linear_projection else None
+    if path is None:
         post = None
         if sys.domain_guard is not None:
             def post(y):
                 return y if sys.domain_guard(y[:n], y[n:2 * n]) else None
-        times, states = rk4_path(partial(contact_el_field, sys), y0, t_end,
-                                 dt, post=post)
+        path = rk4_path(partial(contact_el_field, sys), y0, t_end, dt,
+                        post=post)
+    times, states = path
     qs = states[:, :n]
     qds = states[:, n:2 * n]
     ss = states[:, 2 * n]

@@ -1,8 +1,10 @@
 """checks.expm, the numpy matrix exponential behind every exact oracle,
-held to scipy.linalg.expm; the package importing numpy, not scipy; and
-the mechanics and purestate suites holding each route to an identity or
-an exact flow, not to a second RK4 run."""
+held to scipy.linalg.expm; the package importing numpy, not scipy; the
+mechanics and purestate suites holding each route to an identity or an
+exact flow, not to a second RK4 run; and the declared linear law of the
+projectable contact systems held to their field."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -100,3 +102,15 @@ def test_contact_reduction_consistency_sees_a_wrong_generator(monkeypatch):
                         lambda sys: 0.5 * generator(sys))
     assert not suite_results("mechanics")[
         "mechanics/contact-reduction-consistency"].passed
+
+
+def test_declared_projection_sees_a_nonlinear_law(monkeypatch):
+    # with H = 1/q'^2 friction reads q'' = -gamma q'^2, not linear in q'
+    def squared(gamma):
+        return dataclasses.replace(
+            mechanics.friction_system(gamma),
+            hess_qd=lambda q, qd: np.array([[1.0 / qd[0] ** 2]]))
+
+    monkeypatch.setattr(checks, "friction_system", squared)
+    assert not suite_results("mechanics")[
+        "mechanics/declared-projection"].passed

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dissipgeo import cli
+from dissipgeo import cli, gkls, integrators, mechanics, purestate
 from dissipgeo.cli import (BUILTIN_SCENARIOS, EXIT_NUMERICAL, EXIT_OK,
                            EXIT_USAGE, RUNNERS, main, parse_complex_matrix,
                            write_csv)
@@ -527,6 +527,25 @@ class TestScenarioRuns:
             else:
                 assert abs(report["final_t"] - 1.0) < 1e-12, name
                 assert report["stopped_early"] is False
+
+    def test_csv_builtins_take_no_rk4_path_hand_off(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # a fast route that hands a normal run to rk4_path passes every
+        # other test and only loses speed; the guard stop of friction at
+        # t = 46 stays on the closed form too
+        def refuse(*args, **kwargs):
+            raise AssertionError("rk4_path was called")
+
+        # every module binding a run could call, imported today or not
+        for module in (integrators, gkls, mechanics, purestate):
+            monkeypatch.setattr(module, "rk4_path", refuse, raising=False)
+        runs = [[name] for name, entry in BUILTIN_SCENARIOS.items()
+                if entry["config"]["kind"] != "checks"]
+        assert len(runs) == 6
+        runs.append(["friction-lagrangian", "--t-end", "60"])
+        for i, args in enumerate(runs):
+            assert run_cli("run", *args,
+                           "--out", str(tmp_path / str(i))) == EXIT_OK, args
 
     def test_phase_damping_csv_value(self, tmp_path, capsys):
         assert run_cli("run", "phase-damping",

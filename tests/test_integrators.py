@@ -39,6 +39,14 @@ def stable_affine_runs(draw):
     return a, b, rng.normal(size=d), steps * dt, dt
 
 
+def assert_same_divergence(got, ref):
+    """The same DivergenceError bit for bit: a failing affine run is
+    stepped by rk4_path itself."""
+    assert got.last_valid_time == ref.last_valid_time
+    for part, ref_part in zip(got.partial, ref.partial):
+        assert np.array_equal(part, ref_part)
+
+
 class TestAffinePath:
     def test_matches_rk4_path_with_affine_part(self):
         rng = np.random.default_rng(21)
@@ -68,14 +76,13 @@ class TestAffinePath:
                 rk4_path(lambda x: m.A @ x + m.B, x0, 1e6, 1e4)
             with pytest.raises(DivergenceError) as got:
                 rk4_affine_path(m.A, m.B, x0, 1e6, 1e4)
-        assert got.value.last_valid_time == ref.value.last_valid_time
-        for part, ref_part in zip(got.value.partial, ref.value.partial):
-            assert len(part) == len(ref_part)
+        assert_same_divergence(got.value, ref.value)
         assert np.all(np.isfinite(got.value.partial[1]))
 
     def test_divergence_in_a_later_block_matches_rk4_path(self):
         # P^64 is finite (rho(P) = 445), so the rows overflow inside the
-        # block form, in the second block (row 117), with and without b
+        # block form, in the second block (row 117), with and without b,
+        # and the block hands the run to rk4_path
         a = np.array([[9.0, 1.0], [0.0, 5.0]])
         for b in (None, np.array([1.0, -2.0])):
             field = (lambda y: a @ y) if b is None else (lambda y: a @ y + b)
@@ -85,16 +92,13 @@ class TestAffinePath:
                     rk4_path(field, [1.0, 1.0], 300.0, 1.0)
                 with pytest.raises(DivergenceError) as got:
                     rk4_affine_path(a, b, [1.0, 1.0], 300.0, 1.0)
-            assert got.value.last_valid_time == ref.value.last_valid_time \
-                == 116.0
-            for part, ref_part in zip(got.value.partial, ref.value.partial):
-                assert len(part) == len(ref_part)
-            assert np.all(np.isfinite(got.value.partial[1]))
+            assert got.value.last_valid_time == 116.0
+            assert_same_divergence(got.value, ref.value)
 
     def test_overflowing_powers_keep_a_finite_path(self):
         # at gamma = 1e4, dt = 0.01 the coherence entries of P are 6.5e7,
-        # so P^64 overflows; a start without coherences stays finite, as
-        # on the row-by-row route, where inf * 0 in P^64 y would be NaN
+        # so P^64 overflows and inf * 0 in P^64 y is NaN; the block hands
+        # the run to rk4_path, where a start without coherences stays finite
         m = phase_damping_model(1e4)
         x0 = np.array([0.0, 0.0, 0.5])
         with warnings.catch_warnings():
@@ -103,7 +107,7 @@ class TestAffinePath:
         t_ref, x_ref = rk4_path(lambda x: m.A @ x + m.B, x0, 1.0, 0.01)
         assert np.array_equal(times, t_ref) and len(states) == 101
         assert np.isfinite(states).all()
-        assert np.max(np.abs(states - x_ref)) <= 1e-15
+        assert np.array_equal(states, x_ref)
 
     def test_overflowing_powers_still_diverge(self):
         m = phase_damping_model(1e4)
@@ -114,8 +118,7 @@ class TestAffinePath:
                 rk4_affine_path(m.A, m.B, x0, 1.0, 0.01)
             with pytest.raises(DivergenceError) as ref:
                 rk4_path(lambda x: m.A @ x + m.B, x0, 1.0, 0.01)
-        assert got.value.last_valid_time == ref.value.last_valid_time
-        assert len(got.value.partial[0]) == len(ref.value.partial[0])
+        assert_same_divergence(got.value, ref.value)
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(run=stable_affine_runs())

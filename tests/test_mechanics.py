@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from dissipgeo import cli
+from dissipgeo import cli, mechanics
 from dissipgeo.contact import ScalarField, contact_hamiltonian_field, darboux_chart
-from dissipgeo.integrators import DivergenceError, time_grid
+from dissipgeo.integrators import DivergenceError, rk4_path, time_grid
 from dissipgeo.mechanics import (ContactLagrangianSystem, ImplicitSystemError,
                                  analytic_energy_rate,
                                  bivector_span_dimension, contact_el_field,
@@ -440,7 +440,6 @@ class TestIntegration:
         v_coeff, gamma = 1.1, 0.3
         sys = damped_particle(v_coeff, gamma)
         traj = integrate_contact(sys, ([1.0], [0.0], 0.7), 8.0, 1e-3)
-        from dissipgeo.integrators import rk4_path
         _, reduced = rk4_path(
             lambda y: np.array([y[1], -v_coeff * y[0] - gamma * y[1]]),
             np.array([1.0, 0.0]), 8.0, 1e-3)
@@ -566,13 +565,31 @@ class TestClosedForm:
                                   2000.0, 10.0)
         assert isinstance(closed, DivergenceError)
         assert isinstance(oracle, DivergenceError)
+        # the closed form hands the run to rk4_path on contact_el_field
         assert closed.last_valid_time == oracle.last_valid_time
-        (times, states), (times_ref, states_ref) = \
-            closed.partial, oracle.partial
-        assert np.array_equal(times, times_ref)
-        assert states.shape == states_ref.shape == (len(times), 2 * n + 1)
-        assert np.all(np.max(np.abs(states - states_ref), axis=0)
-                      <= 1e-12 * np.max(np.abs(states_ref), axis=0))
+        for part, ref_part in zip(closed.partial, oracle.partial):
+            assert np.array_equal(part, ref_part)
+
+    def test_singular_stage_hessian_hands_off_to_rk4_path(self, monkeypatch):
+        # friction whose velocity Hessian is 0 below q' = 0.5: the (q, q')
+        # law stays linear, and q' = exp(-t / 2) crosses 0.5 at t = ln 4
+        sys = dataclasses.replace(
+            friction_system(0.5), hess_qd=lambda q, qd: np.array(
+                [[np.where(qd[0] < 0.5, 0.0, 1.0 / qd[0])]]))
+        calls = []
+
+        def spy(f, *args, **kwargs):
+            calls.append(f.func)
+            return rk4_path(f, *args, **kwargs)
+
+        monkeypatch.setattr(mechanics, "rk4_path", spy)
+        closed, oracle = run_both(sys, ([0.0], [1.0], 0.0), 3.0, 1e-3)
+        assert calls == [contact_el_field, contact_el_field]
+        assert isinstance(closed, ImplicitSystemError)
+        assert isinstance(oracle, ImplicitSystemError)
+        (q, qd, s), (q_ref, qd_ref, s_ref) = closed.state, oracle.state
+        assert np.array_equal(q, q_ref) and np.array_equal(qd, qd_ref)
+        assert s == s_ref and 0.49 < qd[0] < 0.5
 
     def test_generator_comes_from_the_callbacks(self, monkeypatch):
         # flipping dL/dq breaks Kirchhoff's law: the closed form follows
