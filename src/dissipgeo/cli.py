@@ -50,6 +50,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+
 class ConfigError(ValueError):
     """Configuration could not be validated or parsed."""
 
@@ -501,11 +502,11 @@ def main(argv=None):
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (KeyError, ValueError, TypeError, OSError) as exc:
+    except (KeyError, ValueError, TypeError, OSError, MemoryError) as exc:
         # ConfigError and the domain checks of the library (Hermiticity,
-        # normalisation, unit trace, dt > 0, ...) are all ValueErrors; an
-        # OSError is a config path that cannot be read or an --out that
-        # cannot be written
+        # normalisation, unit trace, dt > 0, ...) are all ValueErrors, an
+        # OSError is an unreadable config or an unwritable --out, and a
+        # MemoryError a step grid (t_end / dt) too long to allocate
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _print_invariants(invariants)

@@ -4,21 +4,27 @@ All flows in this package are smooth and non-stiff at desk scale, so a
 plain fourth-order scheme with caller-supplied dt is enough; oracle
 comparisons against matrix exponentials are done in the test suite.
 
-Three entry points share one step grid and one return value,
-``(times, states)`` with states[i] the state at times[i].  Only
-``rk4_path`` raises DivergenceError: the two fast routes fill the whole
-grid with finite states or hand the run to it.
+Every route returns ``(times, states)`` on the grid of ``time_grid``,
+states[i] the state at times[i].  ``rk4_path(f, y0, t_end, dt, post=None)``
+evaluates the field four times per step, serves any field and alone
+raises DivergenceError.  The optional ``post`` map sees every new finite
+state: its value is stored and stepped on (a projection such as
+renormalisation), and a value of None ends the path at the last stored
+state (a domain guard), so a path shorter than the grid means the
+integration stopped early.
 
-- ``rk4_path(f, y0, t_end, dt, post=None)`` evaluates the field four
-  times per step and serves any field, nonlinear ones included.  The
-  optional ``post`` map sees every new finite state: its value is stored
-  and stepped on (a projection such as renormalisation), and a value of
-  None ends the path at the last stored state (a domain guard), so a
-  path shorter than the grid means the integration stopped early.
-- ``rk4_affine_path(a, b, y0, t_end, dt)`` serves affine fields
-  y' = a y + b, the linear field [[a, b], [0, 0]] on (y, 1) (Van Loan
-  1978).  For it the four RK4 stages collapse into one fixed map
-  (y, 1) -> P^ (y, 1) with M^ = dt [[a, b], [0, 0]],
+A fast route is a fill, fill(states, dt) -> rows kept: it writes
+states[1:] from states[0] and keeps every row, fewer when a domain guard
+ends the path, or 0 to decline, and never calls ``rk4_path``.
+``fast_path`` owns the grid, the states array, the one np.errstate
+around a fill, and the hand-off of a declined run, whole and from y0, to
+``rk4_path``, which then decides where it stops and what it raises.  The
+fills here (``mechanics`` adds the closed-form contact fill):
+
+- ``affine_fill``, behind ``rk4_affine_path(a, b, y0, t_end, dt)``,
+  serves affine fields y' = a y + b, the linear field [[a, b], [0, 0]]
+  on (y, 1) (Van Loan 1978).  For it the four RK4 stages collapse into
+  one fixed map (y, 1) -> P^ (y, 1) with M^ = dt [[a, b], [0, 0]],
 
       P^ = I + M^ + M^^2/2 + M^^3/6 + M^^4/24 = [[P, q], [0, 1]],
 
@@ -28,32 +34,34 @@ grid with finite states or hand the run to it.
   y -> P^j y + sum_(i<j) P^i q, so a block is one product of that stack
   with (y, 1).  It is the same method of the same order evaluated in
   another order, so paths agree with ``rk4_path`` up to rounding.  A
-  block with a row that is not finite hands the whole run to
-  ``rk4_path`` on the same field.  A power that overflows (a stiff P)
-  turns the (0, ..., 0, 1) row of the next power into NaN, since inf
-  times its zero entries is NaN, and every later power and every row of
-  the block reading it inherits a non-finite entry, so it too hands the
-  run to ``rk4_path``: a path that stays finite under overflowing powers
-  stays finite, and a diverging path stops where ``rk4_path`` stops.
-- ``rk4_sphere_path(m, b, z0, t_end, dt, renormalize=False)`` serves the
-  pure-state flow z' = ``sphere_field(m, b, z)`` = (M - e(z)) z with the
-  scalar e(z) = z^T B z / z^T z, B symmetric.  With A = dt M every RK4
-  stage point of a step from z is a polynomial of degree <= 3 in A
-  applied to z, so a step needs the Krylov terms W_j = A^j z (j <= 4)
-  and B W_j (j <= 3), one product of a (9d x d) stack built once per
-  run with z.  The Gram entries W_j . W_l and W_j . B W_l (j, l <= 3),
-  one 4 x 8 product, give every stage's e_i as a ratio of quadratic
-  forms in its 4 coefficients, computed in Python floats, and the step
-  is z + sum_j delta_j W_j with delta = (K1 + 2 K2 + 2 K3 + K4) / 6 in
-  W coefficients.  In this increment form no coefficient reads
-  1 + O(dt), which would round away the low bits of the increment of z
-  at every step; the norm drifts as on ``rk4_path``.  Z is homogeneous
-  of degree 1, so a step commutes with scaling and renormalisation is
-  z / |z| after it.  It is the same method, so paths agree with
-  ``rk4_path`` on the field up to rounding.  Beyond RK4's stability
-  bound (dt |M| > 2.8), where a path is unstable on either route, the
-  Gram forms square the cancellation among the Krylov terms, and a
-  step's rounding grows to about 1e-13 relative.
+  block with a row that is not finite declines.  A power that overflows
+  (a stiff P) turns the (0, ..., 0, 1) row of the next power into NaN,
+  since inf times its zero entries is NaN, and every later power and
+  every row of the block reading it inherits a non-finite entry, so it
+  too declines: a path that stays finite under overflowing powers stays
+  finite, and a diverging path stops where ``rk4_path`` stops.
+- ``_krylov_fill``, behind ``rk4_sphere_path(m, b, z0, t_end, dt,
+  renormalize=False)``, serves the pure-state flow
+  z' = ``sphere_field(m, b, z)`` = (M - e(z)) z with the scalar
+  e(z) = z^T B z / z^T z, B symmetric.  With A = dt M every RK4 stage
+  point of a step from z is a polynomial of degree <= 3 in A applied to
+  z, so a step needs the Krylov terms W_j = A^j z (j <= 4) and B W_j
+  (j <= 3), one product of a (9d x d) stack built once per run with z.
+  The Gram entries W_j . W_l and W_j . B W_l (j, l <= 3), one 4 x 8
+  product, give every stage's e_i as a ratio of quadratic forms in its 4
+  coefficients, computed in Python floats, and the step is
+  z + sum_j delta_j W_j with delta = (K1 + 2 K2 + 2 K3 + K4) / 6 in W
+  coefficients.  In this increment form no coefficient reads 1 + O(dt),
+  which would round away the low bits of the increment of z at every
+  step; the norm drifts as on ``rk4_path``.  Z is homogeneous of degree
+  1, so a step commutes with scaling and renormalisation is z / |z|
+  after it.  It is the same method, so paths agree with ``rk4_path`` on
+  the field up to rounding.  A non-finite Krylov term (the stack at
+  |dt M| >~ 1e77, a row on a diverging path) or a zero stage point
+  declines.  Beyond RK4's stability bound (dt |M| > 2.8), where a path
+  is unstable on either route, the Gram forms square the cancellation
+  among the Krylov terms, and a step's rounding grows to about 1e-13
+  relative.
 """
 
 from __future__ import annotations
@@ -118,16 +126,29 @@ def rk4_path(f, y0, t_end, dt, post=None):
     return times, states
 
 
-def rk4_affine_path(a, b, y0, t_end, dt):
-    """RK4 path of y' = a y + b (b = None for y' = a y) from 0 to t_end.
-
-    Same grid and return value as ``rk4_path``; the rows are filled a
-    block of ``_CHECK_ROWS`` at a time by the stacked powers of P^ of the
-    module docstring.  A block with a non-finite row hands the run to
-    ``rk4_path`` on y' = a y (+ b) from y0, which then decides where it
-    stops and what it raises.
-    """
+def fast_path(fill, f, y0, t_end, dt, post):
+    """The grid and return value of ``rk4_path(f, y0, t_end, dt, post)``
+    with the rows fill(states, dt) keeps, or that call when it keeps 0."""
     times = time_grid(t_end, dt)
+    states = np.empty((len(times), len(y0)))
+    states[0] = y0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rows = fill(states, dt)
+    if rows:
+        return times[:rows], states[:rows]
+    return rk4_path(f, y0, t_end, dt, post)
+
+
+def rk4_affine_path(a, b, y0, t_end, dt):
+    """RK4 path of y' = a y + b (b = None for y' = a y) from 0 to t_end."""
+    return fast_path(partial(affine_fill, a, b),
+                     (lambda y: a @ y) if b is None else (lambda y: a @ y + b),
+                     y0, t_end, dt, None)
+
+
+def affine_fill(a, b, states, dt):
+    """Fill C-contiguous states ``_CHECK_ROWS`` rows at a time by the
+    stacked powers of P^; 0 at the first block with a non-finite row."""
     d = len(a)
     m = np.zeros((d + 1, d + 1))
     m[:d, :d] = a
@@ -136,25 +157,21 @@ def rk4_affine_path(a, b, y0, t_end, dt):
     m *= dt
     eye = np.eye(d + 1)
     p = eye + m @ (eye + m @ (eye / 2.0 + m @ (eye / 6.0 + m / 24.0)))
-    states = np.empty((len(times), d))
-    states[0] = y0
     y1 = np.ones(d + 1)  # (y, 1) of the row a block starts from
-    with np.errstate(over="ignore", invalid="ignore"):
-        # one power at a time: squaring (P^64 = P^32 P^32) rounds the high
-        # powers about 1.5 times as far from the row-by-row path
-        powers = np.empty((_CHECK_ROWS, d + 1, d + 1))
-        powers[0] = p
-        for j in range(1, _CHECK_ROWS):
-            np.matmul(p, powers[j - 1], out=powers[j])
-        stack = powers[:, :d].reshape(-1, d + 1)
-        for start in range(1, len(times), _CHECK_ROWS):
-            rows = states[start:min(start + _CHECK_ROWS, len(times))]
-            y1[:d] = states[start - 1]
-            np.matmul(stack[:rows.size], y1, out=rows.reshape(-1))
-            if not np.isfinite(rows).all():  # a row or a power it used
-                return rk4_path((lambda y: a @ y) if b is None
-                                else (lambda y: a @ y + b), y0, t_end, dt)
-    return times, states
+    # one power at a time: squaring (P^64 = P^32 P^32) rounds the high
+    # powers about 1.5 times as far from the row-by-row path
+    powers = np.empty((_CHECK_ROWS, d + 1, d + 1))
+    powers[0] = p
+    for j in range(1, _CHECK_ROWS):
+        np.matmul(p, powers[j - 1], out=powers[j])
+    stack = powers[:, :d].reshape(-1, d + 1)
+    for start in range(1, len(states), _CHECK_ROWS):
+        rows = states[start:start + _CHECK_ROWS]
+        y1[:d] = states[start - 1]
+        np.matmul(stack[:rows.size], y1, out=rows.reshape(-1))
+        if not np.isfinite(rows).all():  # a row or a power it used
+            return 0
+    return len(states)
 
 
 def sphere_field(m, b, z):
@@ -164,48 +181,31 @@ def sphere_field(m, b, z):
 
 
 def rk4_sphere_path(m, b, z0, t_end, dt, renormalize=False):
-    """RK4 path of z' = sphere_field(m, b, z) from 0 to t_end.
-
-    Same grid, return value and DivergenceError as ``rk4_path`` on that
-    field, with post z -> z / |z| when ``renormalize``; each step is the
-    Krylov form of the module docstring.  Where a Krylov term overflows
-    before RK4's own stage points do (the stack itself at |dt M| >~ 1e77,
-    a row on a diverging path) ``rk4_path`` steps the run, so the
-    divergence is reported where that route reports it.
-    """
-    times = time_grid(t_end, dt)
-    m = np.asarray(m, dtype=float)
-    b = np.asarray(b, dtype=float)
-    states = np.empty((len(times), len(m)))
-    states[0] = z0
-    with np.errstate(over="ignore", invalid="ignore"):
-        if _krylov_steps(dt * m, b, states, dt, renormalize):
-            return times, states
-    return rk4_path(partial(sphere_field, m, b), z0, t_end, dt,
-                    post=(lambda z: z / np.sqrt(z @ z)) if renormalize
-                    else None)
+    """RK4 path of z' = sphere_field(m, b, z), post z / |z| if renormalize."""
+    return fast_path(partial(_krylov_fill, m, b, renormalize),
+                     partial(sphere_field, m, b), z0, t_end, dt,
+                     post=(lambda z: z / np.sqrt(z @ z)) if renormalize
+                     else None)
 
 
-def _krylov_steps(a, b, states, h, renormalize):
-    """Fill states[1:] with RK4 steps in Krylov form (A = a = h M).
-    False when the stack, a Gram entry or a row is not finite, or a stage
-    point is zero."""
-    d = len(a)
+def _krylov_fill(m, b, renormalize, states, h):
+    """Fill states with RK4 steps in Krylov form (A = h M); 0 when the
+    stack, a Gram entry or a row is not finite or a stage point zero."""
+    d = len(m)
     powers = [np.eye(d)]
     for _ in range(4):
-        powers.append(a @ powers[-1])
+        powers.append(h * m @ powers[-1])
     # rows B W_0..B W_3, W_0..W_4: the Gram rows W_0..W_3 pair with the
     # first 8, and the step combines the last 5
     stack = np.concatenate([b @ p for p in powers[:4]] + powers)
     if not np.isfinite(stack).all():
-        return False
+        return 0
     w = np.empty((9, d))
     flat, left, right, terms = w.reshape(-1), w[4:8], w[:8].T, w[4:]
     try:
         for start in range(1, len(states), _CHECK_ROWS):
-            stop = min(start + _CHECK_ROWS, len(states))
-            for i in range(start, stop):
-                z, y = states[i - 1], states[i]
+            block = states[start - 1:start + _CHECK_ROWS]
+            for z, y in zip(block, block[1:]):
                 np.matmul(stack, z, out=flat)
                 # H_jl = W_j . B W_l and G_jl = W_j . W_l, both symmetric
                 ((h00, h01, h02, h03, g00, g01, g02, g03),
@@ -250,8 +250,8 @@ def _krylov_steps(a, b, states, h, renormalize):
                 np.add(z, np.dot(delta, terms), out=y)
                 if renormalize:
                     y /= np.sqrt(y @ y)
-            if not np.isfinite(states[start:stop]).all():
-                return False
+            if not np.isfinite(block).all():
+                return 0
     except ZeroDivisionError:  # a stage point at z = 0 (or underflowed)
-        return False
-    return True
+        return 0
+    return len(states)

@@ -29,16 +29,16 @@ z = (q, q') obeys a linear law z' = G z (the RLC circuits and the
 friction system).  Before stepping, ``projectability_check`` verifies
 that h is linear in S (a ValueError if not); the linear law is trusted.
 S then obeys S' = phi(z) - r S with phi = S' at S = 0, and one RK4 step
-is taken in closed form: z by the one-step matrix of
-``rk4_affine_path``, the stage points as A_i z with A_1 = I and
+is taken in closed form by a fill of ``integrators.fast_path``: z by
+``affine_fill`` on G, the stage points as A_i z with A_1 = I and
 A_(i+1) = I + c_i dt G A_i for c = 1/2, 1/2, 1, and S by the scalar
 recurrence S_(k+1) = c S_k + b_k, whose b_k holds phi at the four stage
 points of step k.  G is read off the field's (q, q') rows, r is dh_ds
 and phi is the field's S' at S = 0, so the route follows the callbacks
-and never the data they were built from.  A run that the closed form
+and never the data they were built from.  The fill declines a run it
 cannot fill up to the first row outside the domain guard (its z path
-diverges, a stage Hessian is singular or a state is not finite) goes
-through ``rk4_path`` on ``contact_el_field``, as every other system does;
+diverges, a stage Hessian is singular or a state is not finite) and
+every other system's, and ``rk4_path`` steps it on ``contact_el_field``;
 that route alone raises, and it is the test oracle of the closed form.
 """
 
@@ -50,7 +50,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .integrators import DivergenceError, rk4_affine_path, rk4_path
+from .integrators import affine_fill, fast_path
 
 HESSIAN_DET_TOL = 1e-10
 MASS_DET_TOL = 1e-12
@@ -314,18 +314,20 @@ def _projected_generator(sys):
         for e in np.eye(dim + 1)[:dim]])
 
 
-def _closed_form_path(sys, y0, t_end, dt):
-    """(times, states) of a linear_projection system, ending before the
-    first row outside the domain guard as rk4_path does; None, for
-    rk4_path to step and report the run, when rk4_affine_path raises or a
-    stage Hessian is singular or a state not finite up to that row."""
+def _closed_form_fill(sys, states, dt):
+    """Fill states with the closed-form RK4 steps of a linear_projection
+    system up to the row before the first one outside the domain guard;
+    0 for any other system, or when the z path diverges or a stage
+    Hessian is singular or a state not finite up to that row."""
+    if not sys.linear_projection:
+        return 0
     n, dim = sys.n, 2 * sys.n
     g = _projected_generator(sys)
     r = float(sys.dh_ds(0.0))
-    try:
-        times, zs = rk4_affine_path(g, None, y0[:dim], t_end, dt)
-    except DivergenceError:
-        return None
+    zs = np.empty((len(states), dim))  # C-contiguous for affine_fill
+    zs[0] = states[0, :dim]
+    if not affine_fill(g, None, zs, dt):
+        return 0
     # the path keeps rows :keep, and steps 0 .. steps - 1 are checked: the
     # last one ends on the last row or on the first row outside the guard
     keep, steps = len(zs), len(zs) - 1
@@ -340,19 +342,19 @@ def _closed_form_path(sys, y0, t_end, dt):
     # stage point i of step k is stages[:, k, i] = A_i z_k
     stages = np.einsum("iab,kb->aki", np.array(amps), zs[:steps])
     q, qd = stages[:n], stages[n:]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if _singular(np.asarray(sys.hess_qd(q, qd), dtype=float)).any():
-            return None
-        phi = _s_rate(sys, q, qd, 0.0, _force_covector(sys, q, qd))
-        b = _s_step(phi.T, 0.0, r, dt)
-        c = 1.0 + _s_step((0.0,) * 4, 1.0, r, dt)
-        s_path = [float(y0[dim])]
-        for b_k in b.tolist():
-            s_path.append(c * s_path[-1] + b_k)
-    states = np.column_stack([zs[:steps + 1], s_path])
-    if not np.isfinite(states).all():
-        return None
-    return times[:keep], states[:keep]
+    if _singular(np.asarray(sys.hess_qd(q, qd), dtype=float)).any():
+        return 0
+    phi = _s_rate(sys, q, qd, 0.0, _force_covector(sys, q, qd))
+    b = _s_step(phi.T, 0.0, r, dt)
+    c = 1.0 + _s_step((0.0,) * 4, 1.0, r, dt)
+    s_path = [float(states[0, dim])]
+    for b_k in b.tolist():
+        s_path.append(c * s_path[-1] + b_k)
+    if not np.isfinite(s_path).all():
+        return 0
+    states[:keep, :dim] = zs[:keep]
+    states[:keep, dim] = s_path[:keep]
+    return keep
 
 
 def integrate_contact(sys, state0, t_end, dt):
@@ -374,16 +376,13 @@ def integrate_contact(sys, state0, t_end, dt):
     y0 = np.hstack([q0, qd0, s0])
     if sys.linear_projection and not projectability_check(sys):
         raise ValueError("linear_projection declared, h not linear in S")
-    path = _closed_form_path(sys, y0, t_end, dt) \
-        if sys.linear_projection else None
-    if path is None:
-        post = None
-        if sys.domain_guard is not None:
-            def post(y):
-                return y if sys.domain_guard(y[:n], y[n:2 * n]) else None
-        path = rk4_path(partial(contact_el_field, sys), y0, t_end, dt,
-                        post=post)
-    times, states = path
+    post = None
+    if sys.domain_guard is not None:
+        def post(y):
+            return y if sys.domain_guard(y[:n], y[n:2 * n]) else None
+    times, states = fast_path(partial(_closed_form_fill, sys),
+                              partial(contact_el_field, sys), y0, t_end, dt,
+                              post)
     qs = states[:, :n]
     qds = states[:, n:2 * n]
     ss = states[:, 2 * n]

@@ -38,3 +38,17 @@ def test_every_definition_is_used_by_the_package():
                   for other in statements if other is not stmt)}
     assert sorted(unused) == sorted(ALLOWED), \
         f"no src module uses {sorted(unused.values())}"
+
+
+def test_rk4_path_has_one_hand_off():
+    """A fast route fills the step grid or declines, and
+    integrators.fast_path alone hands a declined run to rk4_path; the
+    only other use is gkls.integrate_coherence_field, which has no fast
+    route."""
+    uses = [f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
+            for path in sorted(SOURCE.glob("*.py"))
+            for stmt in ast.parse(path.read_text()).body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and node.id == "rk4_path"
+            or isinstance(node, ast.Attribute) and node.attr == "rk4_path"]
+    assert uses == ["gkls.integrate_coherence_field", "integrators.fast_path"]

@@ -431,6 +431,18 @@ class TestCommands:
                        "--out", str(tmp_path / "out")) == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
 
+    def test_unallocatable_grid_is_usage_error(self, tmp_path, monkeypatch,
+                                               capsys):
+        # dt = 1e-12 asks np.arange for 21.8 TiB; the stand-in for that
+        # allocation raises without allocating
+        def unallocatable(t_end, dt):
+            raise MemoryError(f"no room for {round(t_end / dt) + 1} times")
+
+        monkeypatch.setattr(integrators, "time_grid", unallocatable)
+        assert run_cli("run", "phase-damping", "--dt", "1e-12",
+                       "--out", str(tmp_path)) == EXIT_USAGE
+        assert "config error: no room for" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", sorted(SHORT_PATH_CONFIGS))
     def test_short_path_is_usage_error(self, case, tmp_path, capsys):
         kind, params = SHORT_PATH_CONFIGS[case]

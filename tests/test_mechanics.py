@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from dissipgeo import cli, mechanics
+from dissipgeo import cli, integrators, mechanics
 from dissipgeo.contact import ScalarField, contact_hamiltonian_field, darboux_chart
 from dissipgeo.integrators import DivergenceError, rk4_path, time_grid
 from dissipgeo.mechanics import (ContactLagrangianSystem, ImplicitSystemError,
@@ -509,6 +509,20 @@ def run_both(sys, state0, t_end, dt):
     return outcomes
 
 
+def spy_rk4_path(monkeypatch):
+    """The list of fields rk4_path is handed, filled by a spy on its
+    binding in integrators and in mechanics."""
+    calls = []
+
+    def spy(f, *args, **kwargs):
+        calls.append(getattr(f, "func", f))
+        return rk4_path(f, *args, **kwargs)
+
+    for module in (integrators, mechanics):
+        monkeypatch.setattr(module, "rk4_path", spy, raising=False)
+    return calls
+
+
 def assert_same_path(closed, oracle, rtol=1e-12):
     """Same rows, and every array within rtol of the oracle's largest
     entry."""
@@ -559,13 +573,16 @@ class TestClosedForm:
         rlc_single(0.2, 1.0, 1.0),
         rlc_coupled(1.0, 2.0, 1.0, 0.5, 0.4, 0.6, 0.2)],
         ids=["single", "coupled"])
-    def test_unstable_step_diverges_alike(self, sys):
+    def test_unstable_step_diverges_alike(self, sys, monkeypatch):
         n = sys.n
+        calls = spy_rk4_path(monkeypatch)
         closed, oracle = run_both(sys, ([1.0] * n, [0.0] * n, 0.0),
                                   2000.0, 10.0)
         assert isinstance(closed, DivergenceError)
         assert isinstance(oracle, DivergenceError)
-        # the closed form hands the run to rk4_path on contact_el_field
+        # the diverging z path declines the closed form, and each route
+        # steps rk4_path once, on contact_el_field (never first on G z)
+        assert calls == [contact_el_field, contact_el_field]
         assert closed.last_valid_time == oracle.last_valid_time
         for part, ref_part in zip(closed.partial, oracle.partial):
             assert np.array_equal(part, ref_part)
@@ -576,13 +593,7 @@ class TestClosedForm:
         sys = dataclasses.replace(
             friction_system(0.5), hess_qd=lambda q, qd: np.array(
                 [[np.where(qd[0] < 0.5, 0.0, 1.0 / qd[0])]]))
-        calls = []
-
-        def spy(f, *args, **kwargs):
-            calls.append(f.func)
-            return rk4_path(f, *args, **kwargs)
-
-        monkeypatch.setattr(mechanics, "rk4_path", spy)
+        calls = spy_rk4_path(monkeypatch)
         closed, oracle = run_both(sys, ([0.0], [1.0], 0.0), 3.0, 1e-3)
         assert calls == [contact_el_field, contact_el_field]
         assert isinstance(closed, ImplicitSystemError)
