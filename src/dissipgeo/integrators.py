@@ -88,10 +88,11 @@ class DivergenceError(RuntimeError):
 
 
 def time_grid(t_end, dt):
-    """Times 0, dt, ..., n dt with n = round(t_end / dt)."""
+    """Times 0, dt, ..., n dt with n = round(t_end / dt) >= 1."""
     if not (0 < dt < np.inf and 0 < t_end < np.inf
-            and float(t_end) / float(dt) < np.inf):
-        raise ValueError("need finite dt > 0, t_end > 0 and t_end / dt")
+            and float(t_end) / float(dt) < np.inf and round(t_end / dt)):
+        raise ValueError("need finite dt > 0, t_end > 0 and t_end / dt, "
+                         "and round(t_end / dt) >= 1 (no step otherwise)")
     return np.arange(int(round(t_end / dt)) + 1) * dt
 
 
@@ -140,9 +141,8 @@ def fast_path(fill, f, y0, t_end, dt, post):
 
 
 def rk4_affine_path(a, b, y0, t_end, dt):
-    """RK4 path of y' = a y + b (b = None for y' = a y) from 0 to t_end."""
-    return fast_path(partial(affine_fill, a, b),
-                     (lambda y: a @ y) if b is None else (lambda y: a @ y + b),
+    """RK4 path of y' = a y + b from 0 to t_end."""
+    return fast_path(partial(affine_fill, a, b), lambda y: a @ y + b,
                      y0, t_end, dt, None)
 
 
@@ -152,8 +152,7 @@ def affine_fill(a, b, states, dt):
     d = len(a)
     m = np.zeros((d + 1, d + 1))
     m[:d, :d] = a
-    if b is not None:
-        m[:d, d] = b
+    m[:d, d] = b
     m *= dt
     eye = np.eye(d + 1)
     p = eye + m @ (eye + m @ (eye / 2.0 + m @ (eye / 6.0 + m / 24.0)))

@@ -326,7 +326,7 @@ def _closed_form_fill(sys, states, dt):
     r = float(sys.dh_ds(0.0))
     zs = np.empty((len(states), dim))  # C-contiguous for affine_fill
     zs[0] = states[0, :dim]
-    if not affine_fill(g, None, zs, dt):
+    if not affine_fill(g, np.zeros(dim), zs, dt):
         return 0
     # the path keeps rows :keep, and steps 0 .. steps - 1 are checked: the
     # last one ends on the last row or on the first row outside the guard

@@ -52,3 +52,31 @@ def test_rk4_path_has_one_hand_off():
             if isinstance(node, ast.Name) and node.id == "rk4_path"
             or isinstance(node, ast.Attribute) and node.attr == "rk4_path"]
     assert uses == ["gkls.integrate_coherence_field", "integrators.fast_path"]
+
+
+def calls_in(module, accept):
+    """module.function for every call in a module that accept(call) holds,
+    once per call, by the top-level definition it sits in."""
+    return [f"{module}.{getattr(stmt, 'name', stmt.lineno)}"
+            for stmt in ast.parse((SOURCE / f"{module}.py").read_text()).body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Call) and accept(node)]
+
+
+def test_one_residual_scale_and_one_hamiltonianity_verdict():
+    """In cli and checks, checks.relative alone scales a residual by
+    max(1, ...), and checks.hamiltonianity_verdict alone reads the
+    verdict of hamiltonianity_criterion for an invariant, besides the one
+    call of mechanics/odd-trace-soundness in the mechanics suite."""
+    def scale(call):
+        return isinstance(call.func, ast.Name) and call.func.id == "max" \
+            and any(isinstance(arg, ast.Constant) and arg.value == 1
+                    for arg in call.args)
+
+    def criterion(call):
+        return "hamiltonianity_criterion" in referenced_names(call.func)
+
+    assert calls_in("checks", scale) + calls_in("cli", scale) \
+        == ["checks.relative"]
+    assert calls_in("checks", criterion) + calls_in("cli", criterion) \
+        == ["checks.hamiltonianity_verdict", "checks.mechanics_suite"]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dissipgeo import cli, gkls, integrators, mechanics, purestate
+from dissipgeo import checks, cli, gkls, integrators, mechanics, purestate
 from dissipgeo.cli import (BUILTIN_SCENARIOS, EXIT_NUMERICAL, EXIT_OK,
                            EXIT_USAGE, RUNNERS, main, parse_complex_matrix,
                            write_csv)
@@ -236,6 +236,32 @@ SMALL_SCALE_CONFIGS = {
         "x0": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], "t_end": 1.0, "dt": 1e-2}),
 }
 
+
+def builtin_parameters(name, **changes):
+    return {**BUILTIN_SCENARIOS[name]["config"]["parameters"], **changes}
+
+
+# correct runs whose state or generator is far above 1: every invariant
+# residual is relative to a size that grows with them, so they pass
+LARGE_SCALE_CONFIGS = {
+    "lossless-circuit-1e8-amperes": ("circuit", builtin_parameters(
+        "rlc-single", resistance=0.0, i0=[1e8])),
+    "single-circuit-1e8-amperes": ("circuit", builtin_parameters(
+        "rlc-single", i0=[1e8])),
+    "coupled-circuit-1e8-amperes": ("circuit", builtin_parameters(
+        "rlc-coupled", i0=[1e8, 0.0])),
+    "damped-oscillators-x0-1e8": ("contact-lagrangian", builtin_parameters(
+        "coupled-damped-oscillators", x0=[1e8, 0.0, 0.0, 0.0])),
+    "friction-qd0-1e4": ("contact-lagrangian", builtin_parameters(
+        "friction-lagrangian", qd0=[1e4], t_end=1.0)),
+    "friction-qd0-1e6": ("contact-lagrangian", builtin_parameters(
+        "friction-lagrangian", qd0=[1e6], t_end=1.0)),
+    "pure-state-generator-1e8": ("pure-state", {
+        "a": [[[1e8, 0.0], [3e7, 0.0]], [[3e7, 0.0], [-1e8, 0.0]]],
+        "b": [[[1e8, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e8, 0.0]]],
+        "psi0": [[0.6, 0.0], [0.8, 0.0]], "t_end": 1e-9, "dt": 1e-11}),
+}
+
 # one valid config per variant of every integrating kind, on a short path
 SHORT = {"t_end": 0.05, "dt": 0.01}
 VARIANTS = {
@@ -254,6 +280,16 @@ VARIANTS = {
         **LINEAR, "expect": {"hamiltonianity": "not-hamiltonian"},
         **SHORT}),
 }
+# t_end / dt rounding to no step (0.5 rounds to 0): no path to report
+BAD_VALUE_CONFIGS.update({
+    "gkls-no-step": ("gkls", {**PHASE_DAMPING, "t_end": 1.0, "dt": 3.0}),
+    "pure-state-half-step": ("pure-state", {
+        **PURE_STATE, "t_end": 0.005, "dt": 0.01}),
+    "circuit-no-step": ("circuit", {
+        **RLC_SINGLE, "resistance": 0.0, "t_end": 0.4, "dt": 1.0}),
+    "contact-lagrangian-no-step": ("contact-lagrangian", {
+        **LINEAR, "t_end": 0.4, "dt": 1.0}),
+})
 # t_end / dt beyond the float range: every stepper builds its grid first
 BAD_VALUE_CONFIGS.update({
     f"{variant}-step-count-overflow": (kind, {**params, "t_end": 1e308,
@@ -585,25 +621,30 @@ class TestScenarioRuns:
 
     def test_circuit_oracle_holds_the_final_current_rate(self, monkeypatch):
         integrate = cli.integrate_contact
+        # the shift scales with the run: q' is relative to its own size
+        for scale in (1.0, 1e8):
+            final_qd = []
 
-        def shifted(*args):
-            traj = integrate(*args)
-            traj.qd[-1] += 1e-3  # q(t_end) is left exact
-            return traj
+            def shifted(*args):
+                traj = integrate(*args)
+                final_qd.append(abs(traj.qd[-1, 0]))
+                traj.qd[-1] += 1e-3 * scale  # q(t_end) is left exact
+                return traj
 
-        monkeypatch.setattr(cli, "integrate_contact", shifted)
-        _, _, invariants = RUNNERS["circuit"](
-            **BUILTIN_SCENARIOS["rlc-single"]["config"]["parameters"])
-        oracle = invariants[0]
-        assert oracle.name == "circuit/linear-oracle"
-        assert not oracle.passed
-        assert oracle.residual == pytest.approx(1e-3, rel=1e-6)
+            monkeypatch.setattr(cli, "integrate_contact", shifted)
+            _, _, invariants = RUNNERS["circuit"](
+                **builtin_parameters("rlc-single", i0=[scale]))
+            oracle = invariants[0]
+            assert oracle.name == "circuit/linear-oracle"
+            assert not oracle.passed
+            assert oracle.residual == pytest.approx(
+                1e-3 * scale / max(1.0, final_qd[0]), rel=1e-6)
 
     def test_linear_run_skips_verdicts_it_does_not_expect(self, monkeypatch):
         def refuse(g):
             raise AssertionError("a verdict no expect block asks for")
 
-        monkeypatch.setattr(cli, "hamiltonianity_criterion", refuse)
+        monkeypatch.setattr(checks, "hamiltonianity_criterion", refuse)
         monkeypatch.setattr(cli, "bivector_span_dimension", refuse)
         params = dict(BUILTIN_SCENARIOS["coupled-damped-oscillators"][
             "config"]["parameters"], t_end=0.1)
@@ -646,6 +687,15 @@ class TestScenarioRuns:
         cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
         assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_OK
         report = json.loads((tmp_path / "small_report.json").read_text())
+        assert all(inv["passed"] for inv in report["invariants"])
+
+    @pytest.mark.parametrize("case", sorted(LARGE_SCALE_CONFIGS))
+    def test_large_scale_system_runs(self, case, tmp_path, capsys):
+        kind, params = LARGE_SCALE_CONFIGS[case]
+        cfg = tmp_path / "large.json"
+        cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
+        assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_OK
+        report = json.loads((tmp_path / "large_report.json").read_text())
         assert all(inv["passed"] for inv in report["invariants"])
 
     def test_dt_override_changes_output(self, tmp_path, capsys):
