@@ -37,11 +37,12 @@ from . import purestate as ps
 from .algebra import build_su_basis, from_coherence_vector, is_hermitian
 from .checks import (CheckResult, contact_residuals, decomposition_identities,
                      energy_rate_identity, expm, friction_invariants,
-                     hamiltonianity_verdict, linear_oracle, positivity,
-                     relative, result, run_checks, trace_preservation)
+                     gkls_flow, hamiltonianity_verdict, linear_oracle,
+                     positivity, relative, result, run_checks,
+                     trace_preservation)
 from .contact import DegenerateContactError
 from .gkls import build_model, integrate, phase_damping_model
-from .integrators import DivergenceError, rk4_affine_path, time_grid
+from .integrators import DivergenceError, rk4_linear_path, time_grid
 from .mechanics import (HAMILTONIANITY_VERDICTS, ImplicitSystemError,
                         bivector_span_dimension, friction_system,
                         integrate_contact, representative_matrix,
@@ -88,6 +89,7 @@ def parse_complex_matrix(data, what):
 
 
 def write_json(path, data):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
@@ -96,6 +98,7 @@ def write_json(path, data):
 def write_csv(path, header, rows):
     rows = np.asarray(rows, dtype=float)
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         # row by row: one tolist() of the whole array would hold every
@@ -218,6 +221,9 @@ def run_gkls(t_end, dt, x0=None, rho0=None, **variant):
         trace_preservation(traj.traces - 1.0),
         positivity(traj.min_eigenvalues),
         *decomposition_identities([(model, [traj.points[0]])]),
+        result("gkls/exponential-oracle", float(np.max(np.abs(
+            from_coherence_vector(traj.points[-1], model.basis)
+            - gkls_flow(model, rho0, traj.times[-1])))), 1e-6),
     ]
     if gamma is not None:
         law = np.exp(-2.0 * gamma * traj.times)
@@ -332,7 +338,7 @@ def linear_lagrangian(mass, damping, stiffness, x0, t_end, dt, expect=None):
     hamiltonianity, span_dimension = expected_verdicts(
         **({} if expect is None else expect))
     g = representative_matrix(mass, damping, stiffness)
-    times, states = rk4_affine_path(g, np.zeros(2 * n), x0, t_end, dt)
+    times, states = rk4_linear_path(g, x0, t_end, dt)
     header = ["t"] + [f"q{j + 1}" for j in range(n)] \
         + [f"qd{j + 1}" for j in range(n)]
     rows = np.column_stack([times, states])
@@ -383,7 +389,6 @@ def execute_scenario(out_dir, kind, name, parameters):
     parameters.update({key: parse_real(parameters[key], key)
                        for key in ("t_end", "dt") if key in parameters})
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     outputs = []
     try:
@@ -473,8 +478,6 @@ def main(argv=None):
     report = None
     try:
         if args.command == "checks":
-            if args.out is not None:
-                Path(args.out).mkdir(parents=True, exist_ok=True)
             invariants = [asdict(r) for r in run_checks(args.filter)]
             if args.out is not None:
                 write_json(Path(args.out) / "checks_report.json", invariants)

@@ -18,18 +18,25 @@ Hamiltonian, Gradient and Jump parts A = Hmat - Vmat + Kmat:
 The Gradient and Jump *vector fields* carry an extra nonlinear term
 -e_V(x) x with e_V(x) = Tr V / n + V_j x^j; the two copies cancel in the
 sum X_H - Y_V + Z_K, leaving the affine field.
+
+``integrate`` steps that field as the linear field of (x, 1), its lift
+[[A, B], [0, 0]] (Van Loan, IEEE TAC 23, 1978), by
+``integrators.linear_fill``, and keeps x; a run the fill declines is
+stepped by ``rk4_path`` on A x + B, so a diverging run raises with x
+alone in its partial path.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .algebra import (SuBasis, build_su_basis, from_coherence_vector,
                       is_hermitian, to_coherence_vector)
-from .integrators import rk4_affine_path, rk4_path
+from .integrators import fast_path, linear_fill, rk4_path
 
 RANK_EIG_TOL = 1e-9
 
@@ -220,9 +227,22 @@ def integrate_coherence_field(field, x0, t_end, dt, basis):
     return _trajectory(basis, times, points)
 
 
+def _lifted_fill(lift, states, dt):
+    """Fill states with the x rows of ``linear_fill`` on the lift of
+    (x, 1); 0 when it declines."""
+    lifted = np.ones((len(states), len(lift)))
+    lifted[0, :-1] = states[0]
+    rows = linear_fill(lift, lifted, dt)
+    states[:] = lifted[:, :-1]
+    return rows
+
+
 def integrate(model, rho0, t_end, dt):
-    """RK4 trajectory of dx/dt = A x + B from a density matrix, stepped
-    by ``integrators.rk4_affine_path``."""
+    """RK4 trajectory of dx/dt = A x + B from a density matrix."""
     x0 = to_coherence_vector(np.asarray(rho0, dtype=complex), model.basis)
-    times, points = rk4_affine_path(model.A, model.B, x0, t_end, dt)
+    lift = np.block([[model.A, model.B[:, None]],
+                     [np.zeros((1, len(x0) + 1))]])
+    times, points = fast_path(partial(_lifted_fill, lift),
+                              lambda x: model.A @ x + model.B, x0, t_end, dt,
+                              None)
     return _trajectory(model.basis, times, points)

@@ -30,7 +30,7 @@ friction system).  Before stepping, ``projectability_check`` verifies
 that h is linear in S (a ValueError if not); the linear law is trusted.
 S then obeys S' = phi(z) - r S with phi = S' at S = 0, and one RK4 step
 is taken in closed form by a fill of ``integrators.fast_path``: z by
-``affine_fill`` on G, the stage points as A_i z with A_1 = I and
+``linear_fill`` on G, the stage points as A_i z with A_1 = I and
 A_(i+1) = I + c_i dt G A_i for c = 1/2, 1/2, 1, and S by the scalar
 recurrence S_(k+1) = c S_k + b_k, whose b_k holds phi at the four stage
 points of step k.  G is read off the field's (q, q') rows, r is dh_ds
@@ -50,7 +50,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .integrators import affine_fill, fast_path
+from .integrators import fast_path, linear_fill
 
 HESSIAN_DET_TOL = 1e-10
 MASS_DET_TOL = 1e-12
@@ -94,10 +94,12 @@ HAMILTONIANITY_VERDICTS = ("hamiltonian-admissible", "not-hamiltonian",
 
 @dataclass(frozen=True)
 class HamiltonianityResult:
-    """Odd power traces of G and the verdict, one of HAMILTONIANITY_VERDICTS
+    """Odd power traces Tr G^(2k+1) of G, each |trace| over its bound
+    |G|^(2k+1), and the verdict, one of HAMILTONIANITY_VERDICTS
     ("inconclusive-non-generic" when repeated eigenvalues void the test)."""
 
     odd_traces: np.ndarray
+    trace_ratios: np.ndarray
     verdict: str
 
 
@@ -120,15 +122,17 @@ def hamiltonianity_criterion(g):
         traces.append(float(np.trace(power)))
         power = power @ g2
     traces = np.array(traces)
-    bounds = np.array([max(scale, 1e-30) ** (2 * k + 1) for k in range(dim)])
-    traceless = bool(np.all(np.abs(traces) < 1e-9 * bounds))
+    ratios = np.abs(traces) / np.array(
+        [max(scale, 1e-30) ** (2 * k + 1) for k in range(dim)])
+    traceless = bool(np.all(ratios < 1e-9))
     if not traceless:
         verdict = "not-hamiltonian"
     elif generic:
         verdict = "hamiltonian-admissible"
     else:
         verdict = "inconclusive-non-generic"
-    return HamiltonianityResult(odd_traces=traces, verdict=verdict)
+    return HamiltonianityResult(odd_traces=traces, trace_ratios=ratios,
+                                verdict=verdict)
 
 
 def bivector_span_dimension(g):
@@ -324,9 +328,9 @@ def _closed_form_fill(sys, states, dt):
     n, dim = sys.n, 2 * sys.n
     g = _projected_generator(sys)
     r = float(sys.dh_ds(0.0))
-    zs = np.empty((len(states), dim))  # C-contiguous for affine_fill
+    zs = np.empty((len(states), dim))  # C-contiguous for linear_fill
     zs[0] = states[0, :dim]
-    if not affine_fill(g, np.zeros(dim), zs, dt):
+    if not linear_fill(g, zs, dt):
         return 0
     # the path keeps rows :keep, and steps 0 .. steps - 1 are checked: the
     # last one ends on the last row or on the first row outside the guard

@@ -54,6 +54,30 @@ def test_rk4_path_has_one_hand_off():
     assert uses == ["gkls.integrate_coherence_field", "integrators.fast_path"]
 
 
+def test_integrators_knows_no_flow():
+    """integrators holds the RK4 contract and the one linear fill; each
+    flow module keeps its own fill and hands it to fast_path itself."""
+    tree = ast.parse((SOURCE / "integrators.py").read_text())
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("dissipgeo"))
+                or isinstance(node, ast.Import) and any(
+                    alias.name.startswith("dissipgeo")
+                    for alias in node.names)]
+    assert sorted(stmt.name for stmt in tree.body
+                  if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))) \
+        == ["DivergenceError", "fast_path", "linear_fill", "rk4_linear_path",
+            "rk4_path", "time_grid"]
+
+    def fast_path(call):
+        return "fast_path" in referenced_names(call.func)
+
+    assert sorted(call for path in SOURCE.glob("*.py")
+                  for call in calls_in(path.stem, fast_path)) \
+        == ["gkls.integrate", "integrators.rk4_linear_path",
+            "mechanics.integrate_contact", "purestate.integrate_sphere_flow"]
+
+
 def calls_in(module, accept):
     """module.function for every call in a module that accept(call) holds,
     once per call, by the top-level definition it sits in."""

@@ -16,6 +16,7 @@ import scipy.linalg
 
 import dissipgeo
 from dissipgeo import checks, cli, gkls, integrators, mechanics, purestate
+from dissipgeo.algebra import from_coherence_vector, to_coherence_vector
 from dissipgeo.checks import expm, run_checks
 
 TIMES = [1e-3, 0.1, 1.0, 10.0, 50.0, 100.0]
@@ -23,7 +24,7 @@ CRITICAL = np.array([[0.0, 1.0], [-1.0, -2.0]])  # defective: double root -1
 JORDAN = -np.eye(4) + np.eye(4, k=1)
 STIFF = np.array([[0.0, 1.0], [-1e4, -1e2]])
 # the builtins whose report holds a path to an exponential oracle
-ORACLE_BUILTINS = ["bloch-gradient", "rlc-coupled",
+ORACLE_BUILTINS = ["phase-damping", "bloch-gradient", "rlc-coupled",
                    "coupled-damped-oscillators"]
 
 
@@ -56,7 +57,8 @@ def test_zero_matrix_is_identity():
 
 @pytest.mark.parametrize("name", ORACLE_BUILTINS)
 def test_builtin_generators_match_scipy(name, monkeypatch):
-    # the pure-state oracle calls expm in cli, the linear oracles in checks
+    # the pure-state oracle calls expm in cli, the gkls and linear oracles
+    # in checks
     passed = []
     for module in (cli, checks):
         monkeypatch.setattr(module, "expm",
@@ -65,6 +67,25 @@ def test_builtin_generators_match_scipy(name, monkeypatch):
     cli.RUNNERS[config["kind"]](**config["parameters"])
     assert len(passed) == 1
     assert_matches_scipy(passed[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gkls_flow_matches_the_lifted_exponential(n):
+    # the superoperator route against scipy's exp of the lift
+    # [[A, B], [0, 0]] on (x0, 1), a route through the chart
+    rng = np.random.default_rng(40 + n)
+    model = checks._random_model(rng, n)
+    assert np.max(np.abs(model.B)) > 1e-3
+    rho0 = checks._random_density(rng, n)
+    d = model.basis.size
+    lift = np.zeros((d + 1, d + 1))
+    lift[:d, :d], lift[:d, d] = model.A, model.B
+    for t in (0.1, 1.0, 5.0):
+        x = (scipy.linalg.expm(t * lift) @ np.append(
+            to_coherence_vector(rho0, model.basis), 1.0))[:d]
+        rho = checks.gkls_flow(model, rho0, t)
+        assert np.max(np.abs(rho - from_coherence_vector(
+            x, model.basis))) < 1e-12
 
 
 def test_package_imports_no_scipy():
@@ -94,9 +115,23 @@ def test_suite_makes_no_rk4_path_call(suite, monkeypatch):
 
 def test_projection_consistency_sees_a_dropped_sphere_term(monkeypatch):
     # Z without its -e(z) z term is no longer the pushforward of X_H - Y_V
-    monkeypatch.setattr(purestate, "sphere_field", lambda m, b, z: m @ z)
+    monkeypatch.setattr(purestate, "_sphere_field", lambda m, b, z: m @ z)
     assert not suite_results("purestate")[
         "purestate/projection-consistency"].passed
+
+
+def test_verdict_residual_is_the_scaled_odd_trace():
+    # |Tr G^(2k+1)| / |G|^(2k+1), the ratio the criterion holds to 1e-9
+    g = mechanics.representative_matrix(
+        *mechanics.coupled_damped_oscillators(1.0, 2.0, 0.3, 0.7, 0.1, 0.2))
+    scale = np.linalg.norm(g, 2)
+    ratios = [abs(np.trace(np.linalg.matrix_power(g, 2 * k + 1)))
+              / scale ** (2 * k + 1) for k in range(4)]
+    verdict = suite_results("mechanics")[
+        "mechanics/damped-oscillators-not-hamiltonian"]
+    assert verdict.passed
+    assert verdict.residual == pytest.approx(max(ratios), rel=1e-12)
+    assert verdict.residual < 1.0
 
 
 def test_contact_reduction_consistency_sees_a_wrong_generator(monkeypatch):

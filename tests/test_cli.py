@@ -26,6 +26,7 @@ BUILTIN_INVARIANTS = {
     "phase-damping": ["gkls/trace-preservation", "gkls/positivity",
                       "gkls/decomposition-sum-identity",
                       "gkls/nonlinear-cancellation",
+                      "gkls/exponential-oracle",
                       "gkls/phase-damping-analytic"],
     "bloch-gradient": ["purestate/norm-drift", "purestate/contact-residuals",
                        "purestate/exponential-oracle"],
@@ -462,6 +463,17 @@ class TestCommands:
                        "--out", str(out)) == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "phase-damping", "--t-end", "1", "--dt", "3"],
+        ["checks", "--filter", "nonsense"]], ids=["run", "checks"])
+    def test_config_error_leaves_no_out_directory(self, argv, tmp_path,
+                                                  capsys):
+        # --out is made when a file is written into it, not before
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_directory_config_is_usage_error(self, tmp_path, capsys):
         assert run_cli("run", str(tmp_path),
                        "--out", str(tmp_path / "out")) == EXIT_USAGE
@@ -539,6 +551,19 @@ class TestCommands:
                        "--out", str(tmp_path)) == EXIT_NUMERICAL
         # partial trajectory flushed before exit
         assert (tmp_path / "unstable_partial.csv").exists()
+
+    def test_gkls_partial_csv_holds_t_and_x(self, tmp_path, capsys):
+        # a general model (B != 0) at an unstable step: the partial path
+        # holds t and the d = 3 coherences, not the lift's column of ones
+        cfg = tmp_path / "unstable.json"
+        cfg.write_text(json.dumps({"kind": "gkls", "parameters": {
+            **VARIANTS["general-gkls"][1], "t_end": 1e5, "dt": 1e3}}))
+        assert run_cli("run", str(cfg),
+                       "--out", str(tmp_path)) == EXIT_NUMERICAL
+        lines = (tmp_path / "unstable_partial.csv").read_text().splitlines()
+        assert lines[0] == "t,y1,y2,y3"
+        assert len(lines) > 2
+        assert all(len(line.split(",")) == 4 for line in lines)
 
     def test_nonlinear_divergence_is_quiet(self, tmp_path, capsys):
         # |a dt| = 1e79: the second RK4 step of the sphere flow overflows
@@ -639,6 +664,23 @@ class TestScenarioRuns:
             assert not oracle.passed
             assert oracle.residual == pytest.approx(
                 1e-3 * scale / max(1.0, final_qd[0]), rel=1e-6)
+
+    def test_exponential_oracle_sees_a_perturbed_path(self, monkeypatch):
+        integrate = cli.integrate
+
+        def shifted(*args):
+            traj = integrate(*args)
+            traj.points[-1, 0] += 1e-5  # rho moves by 1e-5 tau_1, far
+            # beyond the path's own error at dt = 0.01
+            return traj
+
+        monkeypatch.setattr(cli, "integrate", shifted)
+        _, _, invariants = RUNNERS["gkls"](**VARIANTS["general-gkls"][1])
+        oracle = {inv.name: inv for inv in invariants}[
+            "gkls/exponential-oracle"]
+        assert not oracle.passed
+        # tau_1 = sigma_1 / sqrt(2) for a qubit
+        assert oracle.residual == pytest.approx(1e-5 * 2 ** -0.5, rel=1e-4)
 
     def test_linear_run_skips_verdicts_it_does_not_expect(self, monkeypatch):
         def refuse(g):

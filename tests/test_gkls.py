@@ -19,7 +19,7 @@ from dissipgeo.gkls import (apply_generator, build_model, decompose_field,
                             evaluate_component_fields,
                             hamiltonian_gradient_field, integrate,
                             integrate_coherence_field, phase_damping_model)
-from dissipgeo.integrators import DivergenceError
+from dissipgeo.integrators import DivergenceError, rk4_path
 
 SQRT2 = np.sqrt(2.0)
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -361,6 +361,30 @@ class TestIntegration:
         traj = integrate(m, np.outer(plus, plus), t_end=1.0, dt=1e-2)
         assert traj.ranks[0] == 1
         assert traj.ranks[-1] == 2
+
+    def test_divergence_is_that_of_the_affine_field(self):
+        # a declined run is stepped on A x + B, so the error is rk4_path's
+        # bit for bit, with x alone in its partial path
+        rng = np.random.default_rng(31)
+        m = random_model(rng, 3)
+        assert np.max(np.abs(m.B)) > 1e-3
+        rho0 = random_density(rng, 3)
+        errors = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning may leak
+            for route in (
+                    lambda: integrate(m, rho0, 1e5, 50.0),
+                    lambda: rk4_path(lambda x: m.A @ x + m.B,
+                                     to_coherence_vector(rho0, m.basis),
+                                     1e5, 50.0)):
+                with pytest.raises(DivergenceError) as info:
+                    route()
+                errors.append(info.value)
+        got, ref = errors
+        assert got.last_valid_time == ref.last_valid_time
+        assert got.partial[1].shape[1] == m.basis.size
+        for part, ref_part in zip(got.partial, ref.partial):
+            assert np.array_equal(part, ref_part)
 
     def test_divergence_reported(self):
         basis = build_su_basis(2)

@@ -10,8 +10,7 @@ from dissipgeo import integrators
 from dissipgeo import purestate as ps
 from dissipgeo.algebra import build_su_basis
 from dissipgeo.gkls import hamiltonian_gradient_field, integrate_coherence_field
-from dissipgeo.integrators import (DivergenceError, rk4_path, rk4_sphere_path,
-                                   sphere_field)
+from dissipgeo.integrators import DivergenceError, rk4_path
 
 SQRT2 = np.sqrt(2.0)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -332,32 +331,45 @@ def norm_drift(states):
 
 @st.composite
 def sphere_runs(draw):
-    """Chart forms (M, B) of a random (a, b) at one of three scales, a
-    unit start, a whole-step horizon and the renormalize flag.  Scale
-    1e-2 keeps the norm drift at rounding level, where the increment form
-    shows; at 1e4 dt |M| is far beyond RK4's stability bound and a path
-    without renormalisation diverges."""
+    """A random (a, b) at one of three scales, a unit start, a whole-step
+    horizon and the renormalize flag.  Scale 1e-2 keeps the norm drift at
+    rounding level, where the increment form shows; at 1e4 dt |M| is far
+    beyond RK4's stability bound and a path without renormalisation
+    diverges."""
     n = draw(st.sampled_from([2, 3, 4]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     scale = draw(st.sampled_from([1e-2, 1.0, 1e4]))
     a = random_hermitian(rng, n, scale)
     b = random_hermitian(rng, n, scale)
     dt = draw(st.floats(1e-3, 5e-2))
-    return (ps._real_form(ps.flow_generator(a, b)), ps._real_form(b),
-            ps.to_chart(random_unit(rng, n)), draw(st.integers(1, 400)) * dt,
-            dt, draw(st.booleans()))
+    return (a, b, random_unit(rng, n), draw(st.integers(1, 400)) * dt, dt,
+            draw(st.booleans()))
+
+
+def krylov_route(a, b, psi0, t_end, dt, renormalize=False):
+    """integrate_sphere_flow's (times, chart states), or its error."""
+    try:
+        times, psis = ps.integrate_sphere_flow(a, b, psi0, t_end, dt,
+                                               renormalize=renormalize)
+    except DivergenceError as exc:
+        return exc
+    return times, np.concatenate([psis.real, psis.imag], axis=1)
+
+
+def generic_route(a, b, psi0, t_end, dt, renormalize=False):
+    """rk4_path on the chart field Z, the route a declined run takes."""
+    m, b_real = ps._real_form(ps.flow_generator(a, b)), ps._real_form(b)
+    return run_or_error(
+        rk4_path, lambda z: ps._sphere_field(m, b_real, z), ps.to_chart(psi0),
+        t_end, dt,
+        post=(lambda z: z / np.sqrt(z @ z)) if renormalize else None)
 
 
 class TestKrylovRoute:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(run=sphere_runs())
     def test_matches_generic_route(self, run):
-        m, b_real, z0, t_end, dt, renormalize = run
-        krylov = run_or_error(rk4_sphere_path, m, b_real, z0, t_end, dt,
-                              renormalize)
-        oracle = run_or_error(
-            rk4_path, lambda z: sphere_field(m, b_real, z), z0, t_end, dt,
-            post=(lambda z: z / np.sqrt(z @ z)) if renormalize else None)
+        krylov, oracle = krylov_route(*run), generic_route(*run)
         if isinstance(oracle, DivergenceError):
             assert isinstance(krylov, DivergenceError)
             assert krylov.last_valid_time == oracle.last_valid_time
@@ -369,7 +381,9 @@ class TestKrylovRoute:
         assert np.array_equal(times, times_ref)
         assert states.shape == states_ref.shape
         assert np.isfinite(states).all()
-        if dt * np.linalg.norm(m, 2) > 2.8:
+        a, b, _, _, dt, _ = run
+        if dt * np.linalg.norm(ps._real_form(ps.flow_generator(a, b)),
+                               2) > 2.8:
             # an unstable step amplifies rounding differences of the two
             # routes step after step, so only the contract is compared
             return
@@ -392,12 +406,9 @@ class TestKrylovRoute:
 
     def test_bloch_gradient_drift_matches_generic_route(self):
         # the bloch-gradient builtin: rounding sets the drift over 1e4 steps
-        m = ps._real_form(ps.flow_generator(np.zeros((2, 2)), SIGMA3))
-        b_real = ps._real_form(SIGMA3)
-        z0 = ps.to_chart(np.array([0.6, 0.8]))
-        _, states = rk4_sphere_path(m, b_real, z0, 10.0, 1e-3)
-        _, states_ref = rk4_path(lambda z: sphere_field(m, b_real, z), z0,
-                                 10.0, 1e-3)
+        run = (np.zeros((2, 2)), SIGMA3, np.array([0.6, 0.8]), 10.0, 1e-3)
+        _, states = krylov_route(*run)
+        _, states_ref = generic_route(*run)
         assert np.max(np.abs(states - states_ref)) < 1e-14
         assert norm_drift(states) <= 2.0 * norm_drift(states_ref)
 
