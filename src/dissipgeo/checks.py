@@ -359,6 +359,26 @@ def purestate_suite():
     # rounding floor: one unit roundoff per step of the finest run
     results.append(observed_order("purestate/observed-order", errors,
                                   floor=40 * np.finfo(float).eps))
+
+    # the generic bordered solve of contact on the sphere chart, with
+    # F = f_a / r^2 and alpha = alpha_b pulled back, pushed forward is Z
+    chart_res = 0.0
+    for n in (2, 3):
+        chart, embed, jac = ps.sphere_contact_chart(n)
+        a = _random_hermitian(rng, n)
+        b = _random_hermitian(rng, n)
+        u = 0.2 * rng.normal(size=2 * n - 1)
+        f_tilde = ScalarField(
+            value=lambda v: ps.f_value(a, embed(v))
+            / ps.norm_squared(embed(v)),
+            gradient=lambda v: jac(v).T @ ps.d_f_tilde(a, embed(v)))
+        vec = generalized_contact_field(
+            chart, f_tilde, lambda v: jac(v).T @ ps.alpha_tilde(b, embed(v)),
+            u)
+        chart_res = max(chart_res, relative(
+            jac(u) @ vec - ps.z_field(a, b, embed(u)), np.append(a, b)))
+    results.append(result("purestate/generalized-contact-field",
+                          chart_res, 1e-9))
     return results
 
 

@@ -10,8 +10,8 @@ optional "name" (a plain file name) and "parameters", the keywords of the
 kind's runner in ``RUNNERS`` and of the variant it picks (gkls "model"
 given or not, "circuit", "system"); every kind but checks requires t_end
 and dt.  Only gkls "jumps" and "x0"/"rho0" (exactly one, a density
-matrix), pure-state "renormalize" (a JSON boolean) and linear "expect"
-(a verdict "hamiltonianity", an int "span_dimension") may be left out.
+matrix) and linear "expect" (a verdict "hamiltonianity", an int
+"span_dimension") may be left out.
 Every number a config gives (t_end, dt, "gamma", the circuit values, the
 starts and the matrices) must be a finite JSON number, and a JSON boolean
 or a string is none; complex entries are [re, im] pairs of such numbers.
@@ -36,10 +36,10 @@ import numpy as np
 from . import purestate as ps
 from .algebra import build_su_basis, from_coherence_vector, is_hermitian
 from .checks import (CheckResult, contact_residuals, decomposition_identities,
-                     energy_rate_identity, expm, friction_invariants,
-                     gkls_flow, hamiltonianity_verdict, linear_oracle,
-                     positivity, relative, result, run_checks,
-                     trace_preservation)
+                     energy_rate_identity, expm, five_point_rate,
+                     friction_invariants, gkls_flow, hamiltonianity_verdict,
+                     linear_oracle, positivity, relative, result,
+                     run_checks, trace_preservation)
 from .contact import DegenerateContactError
 from .gkls import build_model, integrate, phase_damping_model
 from .integrators import DivergenceError, rk4_linear_path, time_grid
@@ -236,29 +236,31 @@ def run_gkls(t_end, dt, x0=None, rho0=None, **variant):
     return header, rows, invariants
 
 
-def run_pure_state(a, b, psi0, t_end, dt, renormalize=False):
+def run_pure_state(a, b, psi0, t_end, dt):
     a = parse_complex_matrix(a, "a")
     b = parse_complex_matrix(b, "b")
     psi0 = parse_complex_matrix(psi0, "psi0")
-    if not isinstance(renormalize, bool):
-        raise ConfigError("renormalize must be true or false")
-    times, psis = ps.integrate_sphere_flow(a, b, psi0, t_end, dt,
-                                           renormalize=renormalize)
+    times, psis = ps.integrate_sphere_flow(a, b, psi0, t_end, dt)
     n = psi0.shape[0]
+    zs = np.column_stack([psis.real, psis.imag])
     norms = np.linalg.norm(psis, axis=1)
     header = ["t"] + [f"x{j + 1}" for j in range(n)] \
         + [f"y{j + 1}" for j in range(n)] + ["norm"]
-    rows = np.column_stack([times, psis.real, psis.imag, norms])
+    rows = np.column_stack([times, zs, norms])
 
     gen = ps.flow_generator(a, b)
     exact = expm(gen * times[-1]) @ psi0
     exact /= np.linalg.norm(exact)
+    # the stepper never evaluates Z: hold the stored path to it
+    field = ps.z_field(a, b, zs[2:-2])
     invariants = [
         result("purestate/norm-drift",
                float(np.max(np.abs(norms - 1.0))), 1e-8),
         contact_residuals([(a, b, ps.to_chart(psi0))]),
         result("purestate/exponential-oracle",
                float(np.max(np.abs(psis[-1] - exact))), 1e-7),
+        result("purestate/path-solves-z",
+               relative(five_point_rate(zs, dt) - field, field), 1e-6),
     ]
     return header, rows, invariants
 

@@ -20,9 +20,9 @@ ends the path, or 0 to decline, and never calls ``rk4_path``.
 around a fill, and the hand-off of a declined run, whole and from y0, to
 ``rk4_path``, which then decides where it stops and what it raises.
 Each flow module keeps its own fill next to its field (``gkls`` lifts
-its affine field, ``purestate`` steps the sphere flow in Krylov form,
-``mechanics`` the projectable contact flow in closed form); the one fill
-here is that of linear fields:
+its affine field, ``purestate`` divides each row of the linear flow
+z' = M z by its norm, ``mechanics`` steps the projectable contact flow in
+closed form); the one fill here is that of linear fields:
 
 - ``linear_fill``, behind ``rk4_linear_path(g, y0, t_end, dt)``, serves
   y' = G y.  For it the four RK4 stages collapse into one fixed map
@@ -32,15 +32,15 @@ here is that of linear fields:
 
   the degree-4 Taylor truncation of exp(M).  Rows are filled a block of
   K = ``CHECK_ROWS`` at a time from the row y before the block: P, P^2,
-  ..., P^k with k = min(K, steps), stacked once per run, map y to every
-  row of the block, so a block is one product of that stack with y.  It
-  is the same method of the same order evaluated in another order, so
-  paths agree with ``rk4_path`` up to rounding.  A block with a row that
-  is not finite declines.  A power that overflows (a stiff P) holds an
-  inf entry, which makes its column non-finite in every later power (an
-  entry of P times inf is inf, or NaN for a zero entry), and a row that
-  reads a non-finite entry is not finite whatever y (inf times 0 is NaN
-  again).  The first block reads every power built, so it declines: a
+  ..., P^k with k = min(K, steps), stacked once per run by
+  ``step_powers``, map y to every row of the block, so a block is one
+  product of that stack with y.  It is the same method of the same order
+  evaluated in another order, so paths agree with ``rk4_path`` up to
+  rounding.  A block with a row that is not finite declines.  A power
+  that overflows (a stiff P) holds an inf entry, which makes its column
+  non-finite in every later power (an entry of P times inf is inf, or
+  NaN for a zero entry), and a row that reads a non-finite entry is not
+  finite whatever y (inf times 0 is NaN again).  The first block reads every power built, so it declines: a
   path that ``rk4_path`` keeps finite under overflowing powers stays
   finite, and a diverging path stops where ``rk4_path`` stops.
 """
@@ -127,20 +127,26 @@ def rk4_linear_path(g, y0, t_end, dt):
                      None)
 
 
-def linear_fill(g, states, dt):
-    """Fill C-contiguous states ``CHECK_ROWS`` rows at a time by the
-    stacked powers of P; 0 at the first block with a non-finite row."""
+def step_powers(g, dt, steps):
+    """P, P^2, ..., P^k for the RK4 step P of y' = G y and
+    k = min(``CHECK_ROWS``, steps), stacked into one (k d x d) matrix."""
     d = len(g)
     m = dt * g
     eye = np.eye(d)
     p = eye + m @ (eye + m @ (eye / 2.0 + m @ (eye / 6.0 + m / 24.0)))
     # one power at a time: squaring (P^64 = P^32 P^32) rounds the high
     # powers about 1.5 times as far from the row-by-row path
-    powers = np.empty((min(CHECK_ROWS, len(states) - 1), d, d))
+    powers = np.empty((min(CHECK_ROWS, steps), d, d))
     powers[0] = p
     for j in range(1, len(powers)):
         np.matmul(p, powers[j - 1], out=powers[j])
-    stack = powers.reshape(-1, d)
+    return powers.reshape(-1, d)
+
+
+def linear_fill(g, states, dt):
+    """Fill C-contiguous states ``CHECK_ROWS`` rows at a time by the
+    stacked powers of P; 0 at the first block with a non-finite row."""
+    stack = step_powers(g, dt, len(states) - 1)
     for start in range(1, len(states), CHECK_ROWS):
         rows = states[start:start + CHECK_ROWS]
         np.matmul(stack[:rows.size], states[start - 1], out=rows.reshape(-1))

@@ -24,26 +24,17 @@ with alpha_b = J^T d(f_b / r^2).  omega_0 is normalized so the third
 identity holds with eta_0 as above (twice the literal imaginary part of
 the projective Hermitian form).
 
-``integrate_sphere_flow`` steps z' = Z(z) = (M - e(z)) z, with the scalar
-e(z) = z^T B z / z^T z, by ``_krylov_fill``, a fill of
-``integrators.fast_path``.  With A = dt M every RK4 stage point of a step
-from z is a polynomial of degree <= 3 in A applied to z, so a step needs
-the Krylov terms W_j = A^j z (j <= 4) and B W_j (j <= 3), one product of
-a (9d x d) stack built once per run with z.  The Gram entries W_j . W_l
-and W_j . B W_l (j, l <= 3), one 4 x 8 product, give every stage's e_i
-as a ratio of quadratic forms in its 4 coefficients, computed in Python
-floats, and the step is z + sum_j delta_j W_j with
-delta = (K1 + 2 K2 + 2 K3 + K4) / 6 in W coefficients.  In this
-increment form no coefficient reads 1 + O(dt), which would round away the
-low bits of the increment of z at every step; the norm drifts as on
-``rk4_path``.  Z is homogeneous of degree 1, so a step commutes with
-scaling and renormalisation is z / |z| after it.  It is the same method,
-so paths agree with ``rk4_path`` on Z up to rounding.  A non-finite
-Krylov term (the stack at |dt M| >~ 1e77, a row on a diverging path) or a
-zero stage point declines, and ``rk4_path`` steps the run on Z.  Beyond
-RK4's stability bound (dt |M| > 2.8), where a path is unstable on either
-route, the Gram forms square the cancellation among the Krylov terms,
-and a step's rounding grows to about 1e-13 relative.
+Z is homogeneous of degree 1, Z(z) = M z - e(z) z with the scalar
+e(z) = z^T B z / z^T z, so its flow is the projection of the linear one:
+z(t) = exp(t M) z0 / |exp(t M) z0|, the paper's projected GL(n) action.
+``integrate_sphere_flow`` steps it that way, by RK4 on z' = M z and each
+row divided by its norm, with the stacked step powers of
+``integrators.step_powers``; every row is then on the unit sphere, and
+each block of rows starts from a unit vector, so |exp(t M) z0| cannot
+overflow.  M drops the trace of b, which Z does not see (e moves with
+it) but an RK4 step of M would.  A run the fill declines (an overflowing
+step power, at |dt M| of about 35 and more) goes to ``rk4_path`` on M z
+with the same renormalisation, the same method row by row.
 """
 
 from __future__ import annotations
@@ -54,7 +45,7 @@ import numpy as np
 
 from .algebra import is_hermitian, to_coherence_vector
 from .contact import ContactChart
-from .integrators import CHECK_ROWS, fast_path
+from .integrators import CHECK_ROWS, fast_path, step_powers
 
 SPHERE_TOL = 1e-10
 
@@ -116,16 +107,14 @@ def _real_form(c):
     return np.block([[c.real, -c.imag], [c.imag, c.real]])
 
 
-def _sphere_field(m, b, z):
-    """M z - (z^T B z / z^T z) z, Z on the chart for the real forms M of
-    i a + b and B of b."""
-    return m @ z - (z @ (b @ z) / (z @ z)) * z
-
-
 def z_field(a, b, z):
-    """Z = X_a + Y0_b, the projected GL(n) action generator."""
-    return _sphere_field(_real_form(flow_generator(a, b)), _real_form(b),
-                         np.asarray(z, dtype=float))
+    """Z = X_a + Y0_b, the projected GL(n) action generator, at a chart
+    point z or at each row of a stack of them: M z - (z^T B z / z^T z) z
+    for the real forms M of i a + b and B of b."""
+    z = np.asarray(z, dtype=float)
+    bz = z @ _real_form(b).T
+    return z @ _real_form(flow_generator(a, b)).T \
+        - (np.sum(z * bz, axis=-1) / np.sum(z * z, axis=-1))[..., None] * z
 
 
 def contact_form(z):
@@ -207,93 +196,40 @@ def flow_generator(a, b):
     return 1j * np.asarray(a, dtype=complex) + np.asarray(b, dtype=complex)
 
 
-def integrate_sphere_flow(a, b, psi0, t_end, dt, renormalize=False):
-    """RK4 the flow of Z = X_a + Y0_b from a unit vector.
-
-    Tangency keeps the norm to integrator order without projection;
-    ``renormalize`` rescales after every step for long horizons.  Stepped
-    by ``_krylov_fill``, the Krylov form of RK4 on the chart field.
-    Returns (times, psis) with psis of shape (steps + 1, n) complex.
-    """
+def integrate_sphere_flow(a, b, psi0, t_end, dt):
+    """RK4 the flow of Z = X_a + Y0_b from a unit vector, as the projected
+    flow of z' = M z.  Returns (times, psis) with psis of shape
+    (steps + 1, n) complex, every row a unit vector."""
     psi0 = np.asarray(psi0, dtype=complex)
+    n = psi0.size
     z0 = to_chart(psi0)
     if abs(norm_squared(z0) - 1.0) > SPHERE_TOL:
         raise ValueError("initial state must be normalized")
     _require_hermitian(a, b)
-    m, b_real = _real_form(flow_generator(a, b)), _real_form(b)
-    times, states = fast_path(
-        partial(_krylov_fill, m, b_real, renormalize),
-        partial(_sphere_field, m, b_real), z0, t_end, dt,
-        (lambda z: z / np.sqrt(z @ z)) if renormalize else None)
-    return times, states[:, :psi0.size] + 1j * states[:, psi0.size:]
+    m = _real_form(flow_generator(a, b) - np.trace(b).real / n * np.eye(n))
+    times, states = fast_path(partial(_projected_fill, m),
+                              partial(np.matmul, m), z0, t_end, dt, _unit)
+    return times, states[:, :n] + 1j * states[:, n:]
 
 
-def _krylov_fill(m, b, renormalize, states, h):
-    """Fill states with RK4 steps in Krylov form (A = h M); 0 when the
-    stack, a Gram entry or a row is not finite or a stage point zero."""
-    d = len(m)
-    powers = [np.eye(d)]
-    for _ in range(4):
-        powers.append(h * m @ powers[-1])
-    # rows B W_0..B W_3, W_0..W_4: the Gram rows W_0..W_3 pair with the
-    # first 8, and the step combines the last 5
-    stack = np.concatenate([b @ p for p in powers[:4]] + powers)
-    if not np.isfinite(stack).all():
-        return 0
-    w = np.empty((9, d))
-    flat, left, right, terms = w.reshape(-1), w[4:8], w[:8].T, w[4:]
-    try:
-        for start in range(1, len(states), CHECK_ROWS):
-            block = states[start - 1:start + CHECK_ROWS]
-            for z, y in zip(block, block[1:]):
-                np.matmul(stack, z, out=flat)
-                # H_jl = W_j . B W_l and G_jl = W_j . W_l, both symmetric
-                ((h00, h01, h02, h03, g00, g01, g02, g03),
-                 (_, h11, h12, h13, _, g11, g12, g13),
-                 (_, _, h22, h23, _, _, g22, g23),
-                 (_, _, _, h33, _, _, _, g33)) = (left @ right).tolist()
-                # stage i sits at sum_j x_j W_j; its k_i, times h, is
-                # K_i = shift(x) - he_i x with he_i = h x^T H x / x^T G x
-                he1 = h * h00 / g00
-                k10, k11 = -he1, 1.0
-                x0, x1 = 1.0 + 0.5 * k10, 0.5 * k11
-                he2 = h * (x0 * (x0 * h00 + 2.0 * x1 * h01)
-                           + x1 * x1 * h11) \
-                    / (x0 * (x0 * g00 + 2.0 * x1 * g01) + x1 * x1 * g11)
-                k20, k21, k22 = -he2 * x0, x0 - he2 * x1, x1
-                x0, x1, x2 = 1.0 + 0.5 * k20, 0.5 * k21, 0.5 * k22
-                he3 = h * (x0 * (x0 * h00 + 2.0 * (x1 * h01 + x2 * h02))
-                           + x1 * (x1 * h11 + 2.0 * x2 * h12)
-                           + x2 * x2 * h22) \
-                    / (x0 * (x0 * g00 + 2.0 * (x1 * g01 + x2 * g02))
-                       + x1 * (x1 * g11 + 2.0 * x2 * g12) + x2 * x2 * g22)
-                k30, k31, k32, k33 = (-he3 * x0, x0 - he3 * x1,
-                                      x1 - he3 * x2, x2)
-                x0, x1, x2, x3 = 1.0 + k30, k31, k32, k33
-                he4 = h * (x0 * (x0 * h00 + 2.0 * (x1 * h01 + x2 * h02
-                                                   + x3 * h03))
-                           + x1 * (x1 * h11 + 2.0 * (x2 * h12 + x3 * h13))
-                           + x2 * (x2 * h22 + 2.0 * x3 * h23)
-                           + x3 * x3 * h33) \
-                    / (x0 * (x0 * g00 + 2.0 * (x1 * g01 + x2 * g02
-                                               + x3 * g03))
-                       + x1 * (x1 * g11 + 2.0 * (x2 * g12 + x3 * g13))
-                       + x2 * (x2 * g22 + 2.0 * x3 * g23) + x3 * x3 * g33)
-                k40, k41, k42, k43, k44 = (-he4 * x0, x0 - he4 * x1,
-                                           x1 - he4 * x2, x2 - he4 * x3, x3)
-                # increment form: W_0 = z enters only as z + delta_0 z
-                delta = [(k10 + 2.0 * (k20 + k30) + k40) / 6.0,
-                         (k11 + 2.0 * (k21 + k31) + k41) / 6.0,
-                         (2.0 * (k22 + k32) + k42) / 6.0,
-                         (2.0 * k33 + k43) / 6.0,
-                         k44 / 6.0]
-                np.add(z, np.dot(delta, terms), out=y)
-                if renormalize:
-                    y /= np.sqrt(y @ y)
-            if not np.isfinite(block).all():
-                return 0
-    except ZeroDivisionError:  # a stage point at z = 0 (or underflowed)
-        return 0
+def _unit(z):
+    """z over its norm, row by row; the largest |entry| is divided out
+    first, so that no square overflows."""
+    z = z / np.max(np.abs(z), axis=-1, keepdims=True)
+    return z / np.sqrt(np.sum(z * z, axis=-1, keepdims=True))
+
+
+def _projected_fill(m, states, dt):
+    """Fill states ``CHECK_ROWS`` rows at a time by the stacked step
+    powers of M, each row then divided by its norm; 0 at the first block
+    with a row that is not finite."""
+    stack = step_powers(m, dt, len(states) - 1)
+    for start in range(1, len(states), CHECK_ROWS):
+        rows = states[start:start + CHECK_ROWS]
+        np.matmul(stack[:rows.size], states[start - 1], out=rows.reshape(-1))
+        rows[:] = _unit(rows)
+        if not np.isfinite(rows).all():
+            return 0
     return len(states)
 
 

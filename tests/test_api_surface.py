@@ -10,11 +10,7 @@ import dissipgeo
 SOURCE = Path(dissipgeo.__file__).parent
 
 # name -> why it stays although no src module refers to it
-ALLOWED = {
-    "sphere_contact_chart": "the reference route of "
-    "test_sphere_chart_recovers_pure_state_flow, where the generic "
-    "bordered solve on this chart reproduces Z",
-}
+ALLOWED = {}
 
 
 def referenced_names(node):
@@ -67,7 +63,7 @@ def test_integrators_knows_no_flow():
     assert sorted(stmt.name for stmt in tree.body
                   if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))) \
         == ["DivergenceError", "fast_path", "linear_fill", "rk4_linear_path",
-            "rk4_path", "time_grid"]
+            "rk4_path", "step_powers", "time_grid"]
 
     def fast_path(call):
         return "fast_path" in referenced_names(call.func)

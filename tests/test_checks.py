@@ -115,7 +115,8 @@ def test_suite_makes_no_rk4_path_call(suite, monkeypatch):
 
 def test_projection_consistency_sees_a_dropped_sphere_term(monkeypatch):
     # Z without its -e(z) z term is no longer the pushforward of X_H - Y_V
-    monkeypatch.setattr(purestate, "_sphere_field", lambda m, b, z: m @ z)
+    monkeypatch.setattr(purestate, "z_field", lambda a, b, z: purestate
+                        ._real_form(purestate.flow_generator(a, b)) @ z)
     assert not suite_results("purestate")[
         "purestate/projection-consistency"].passed
 

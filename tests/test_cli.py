@@ -29,7 +29,8 @@ BUILTIN_INVARIANTS = {
                       "gkls/exponential-oracle",
                       "gkls/phase-damping-analytic"],
     "bloch-gradient": ["purestate/norm-drift", "purestate/contact-residuals",
-                       "purestate/exponential-oracle"],
+                       "purestate/exponential-oracle",
+                       "purestate/path-solves-z"],
     "rlc-single": ["circuit/linear-oracle", "circuit/energy-rate-identity"],
     "rlc-coupled": ["circuit/linear-oracle", "circuit/energy-rate-identity"],
     "coupled-damped-oscillators": ["mechanics/hamiltonianity-verdict",
@@ -86,6 +87,7 @@ BAD_VALUE_CONFIGS = {
         "rho0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
         "t_end": 1.0, "dt": 1e-2}),
     "negative-gamma": ("gkls", {**PHASE_DAMPING, "gamma": -1}),
+    # renormalize is no parameter: a config that gives it is rejected
     "renormalize-dt-zero": ("pure-state", {
         **PURE_STATE, "renormalize": True, "dt": 0}),
     "unknown-circuit": ("circuit", {**RLC_SINGLE, "circuit": "triple"}),
@@ -191,7 +193,10 @@ BAD_VALUE_CONFIGS = {
 }
 
 # paths too short for the five-point stencil of an energy-rate invariant
+# or of purestate/path-solves-z
 SHORT_PATH_CONFIGS = {
+    "pure-state-three-steps": ("pure-state", {
+        **PURE_STATE, "t_end": 0.03, "dt": 0.01}),
     "rlc-single-three-steps": ("circuit", {
         **BUILTIN_SCENARIOS["rlc-single"]["config"]["parameters"],
         "t_end": 0.003, "dt": 0.001}),
@@ -272,8 +277,7 @@ VARIANTS = {
         "jumps": [[[[0.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
         "rho0": [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]],
         **SHORT}),
-    "pure-state": ("pure-state", {**PURE_STATE, "renormalize": False,
-                                  **SHORT}),
+    "pure-state": ("pure-state", {**PURE_STATE, **SHORT}),
     "single-circuit": ("circuit", {**RLC_SINGLE, **SHORT}),
     "coupled-circuit": ("circuit", {**COUPLED, **SHORT}),
     "friction": ("contact-lagrangian", {**FRICTION, **SHORT}),
@@ -499,6 +503,15 @@ class TestCommands:
         assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "config error" in err and "at least 5 rows" in err
+
+    def test_renormalize_is_no_parameter(self, tmp_path, capsys):
+        # every row is on the unit sphere, so there is nothing to switch
+        cfg = tmp_path / "renormalize.json"
+        cfg.write_text(json.dumps({"kind": "pure-state", "parameters": {
+            **PURE_STATE, "renormalize": False}}))
+        assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error" in err and "'renormalize'" in err
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_every_variant_config_runs(self, variant, tmp_path, capsys):

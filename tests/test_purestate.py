@@ -73,8 +73,12 @@ class TestFields:
         for _ in range(5):
             z = ps.to_chart(rng.uniform(0.5, 2.0) * random_unit(rng, n))
             assert np.max(np.abs(ps.z_field(a, b, z) - reference(z))) < 1e-14
+        # a stack of points is a stack of fields
+        zs = np.array([ps.to_chart(random_unit(rng, n)) for _ in range(4)])
+        assert np.max(np.abs(ps.z_field(a, b, zs)
+                             - [reference(z) for z in zs])) < 1e-14
         psi0 = random_unit(rng, n)
-        _, zs = rk4_path(reference, ps.to_chart(psi0), 0.1, 1e-2)
+        _, zs = projected_route(a, b, psi0, 0.1, 1e-2)
         _, psis = ps.integrate_sphere_flow(a, b, psi0, 0.1, 1e-2)
         assert np.max(np.abs(psis - (zs[:, :n] + 1j * zs[:, n:]))) < 1e-14
 
@@ -263,26 +267,48 @@ class TestSphereFlow:
         norms = np.linalg.norm(psis, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-8
 
-    def test_renormalize_flag(self):
-        rng = np.random.default_rng(16)
-        a = random_hermitian(rng, 2)
-        b = random_hermitian(rng, 2)
-        _, psis = ps.integrate_sphere_flow(a, b, random_unit(rng, 2),
-                                           1.0, 1e-2, renormalize=True)
-        norms = np.linalg.norm(psis, axis=1)
-        assert np.max(np.abs(norms - 1.0)) < 1e-14
+    def test_every_row_is_a_unit_vector(self):
+        # b = 50 sigma3: |exp(t M) z0| grows as e^(50 t), and the path of
+        # z' = M z without renormalisation overflows at t = 14.1
+        psi0 = np.array([0.6, 0.8])
+        times, psis = ps.integrate_sphere_flow(np.zeros((2, 2)),
+                                               50.0 * SIGMA3, psi0, 100.0,
+                                               1e-3)
+        assert times[-1] == 100.0 and len(psis) == 100001
+        assert np.max(np.abs(np.linalg.norm(psis, axis=1) - 1.0)) < 1e-15
+        with pytest.raises(DivergenceError) as err:
+            integrators.rk4_linear_path(ps._real_form(50.0 * SIGMA3),
+                                        ps.to_chart(psi0), 100.0, 1e-3)
+        assert 14.0 < err.value.last_valid_time < 14.2
 
-    @pytest.mark.parametrize("renormalize", [False, True])
-    def test_divergence_reports_the_last_finite_step(self, renormalize):
-        # |a dt| = 1e79 makes the RK4 step amplify by ~1e314: the first
-        # step stays finite from a 1e-300 component, the second overflows
+    def test_trace_of_b_does_not_enter_the_step(self):
+        # Z does not see b -> b + c I, and neither does the stepped M: a
+        # step of M itself at |dt c| = 1 would mis-step the rest by 1.5%
+        rng = np.random.default_rng(24)
+        a = random_hermitian(rng, 2)
+        b = random_hermitian(rng, 2, 0.3)
+        psi0 = random_unit(rng, 2)
+        _, psis = ps.integrate_sphere_flow(a, b, psi0, 1.0, 1e-2)
+        _, shifted = ps.integrate_sphere_flow(a, b + 100.0 * np.eye(2),
+                                              psi0, 1.0, 1e-2)
+        assert np.max(np.abs(shifted - psis)) < 1e-13
+        exact = expm(ps.flow_generator(a, b + 100.0 * np.eye(2))) @ psi0
+        assert np.max(np.abs(shifted[-1] - exact / np.linalg.norm(exact))) \
+            < 1e-7
+
+    @pytest.mark.parametrize("shift_trace", [False, True])
+    def test_divergence_reports_the_last_finite_step(self, shift_trace):
+        # |a dt| = 1e79: P overflows, so the fill declines, and the RK4
+        # step on M z amplifies by ~1e314: the first step stays finite
+        # from a 1e-300 component, the second overflows.  A b = c I leaves
+        # M, and so the report, unchanged.
         a = np.diag([0.0, 1e80])
+        b = 100.0 * np.eye(2) if shift_trace else np.zeros((2, 2))
         psi0 = np.array([1.0, 1e-300]) / np.linalg.norm([1.0, 1e-300])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning may leak
             with pytest.raises(DivergenceError) as err:
-                ps.integrate_sphere_flow(a, np.zeros((2, 2)), psi0, 1.0, 0.1,
-                                         renormalize=renormalize)
+                ps.integrate_sphere_flow(a, b, psi0, 1.0, 0.1)
         assert err.value.last_valid_time == 0.1
         times, states = err.value.partial
         assert len(times) == len(states) == 2
@@ -331,57 +357,55 @@ def norm_drift(states):
 
 @st.composite
 def sphere_runs(draw):
-    """A random (a, b) at one of three scales, a unit start, a whole-step
-    horizon and the renormalize flag.  Scale 1e-2 keeps the norm drift at
-    rounding level, where the increment form shows; at 1e4 dt |M| is far
-    beyond RK4's stability bound and a path without renormalisation
-    diverges."""
+    """A random (a, b) at one of three scales, a unit start and a
+    whole-step horizon.  At scale 1e4 dt |M| is far beyond RK4's
+    stability bound and the step powers overflow."""
     n = draw(st.sampled_from([2, 3, 4]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     scale = draw(st.sampled_from([1e-2, 1.0, 1e4]))
     a = random_hermitian(rng, n, scale)
     b = random_hermitian(rng, n, scale)
     dt = draw(st.floats(1e-3, 5e-2))
-    return (a, b, random_unit(rng, n), draw(st.integers(1, 400)) * dt, dt,
-            draw(st.booleans()))
+    return a, b, random_unit(rng, n), draw(st.integers(1, 400)) * dt, dt
 
 
-def krylov_route(a, b, psi0, t_end, dt, renormalize=False):
+def sphere_route(a, b, psi0, t_end, dt):
     """integrate_sphere_flow's (times, chart states), or its error."""
     try:
-        times, psis = ps.integrate_sphere_flow(a, b, psi0, t_end, dt,
-                                               renormalize=renormalize)
+        times, psis = ps.integrate_sphere_flow(a, b, psi0, t_end, dt)
     except DivergenceError as exc:
         return exc
     return times, np.concatenate([psis.real, psis.imag], axis=1)
 
 
-def generic_route(a, b, psi0, t_end, dt, renormalize=False):
-    """rk4_path on the chart field Z, the route a declined run takes."""
-    m, b_real = ps._real_form(ps.flow_generator(a, b)), ps._real_form(b)
-    return run_or_error(
-        rk4_path, lambda z: ps._sphere_field(m, b_real, z), ps.to_chart(psi0),
-        t_end, dt,
-        post=(lambda z: z / np.sqrt(z @ z)) if renormalize else None)
+def projected_route(a, b, psi0, t_end, dt):
+    """rk4_path on z' = M z, each state divided by its norm, with M the
+    real form of i a + b less the trace of b: the route's definition, and
+    the route a declined run takes."""
+    n = len(psi0)
+    m = ps._real_form(1j * a + b - np.trace(b).real / n * np.eye(n))
+    return run_or_error(rk4_path, lambda z: m @ z, ps.to_chart(psi0), t_end,
+                        dt, post=lambda z: z / np.linalg.norm(z))
 
 
-class TestKrylovRoute:
+class TestProjectedRoute:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(run=sphere_runs())
     def test_matches_generic_route(self, run):
-        krylov, oracle = krylov_route(*run), generic_route(*run)
+        got, oracle = sphere_route(*run), projected_route(*run)
         if isinstance(oracle, DivergenceError):
-            assert isinstance(krylov, DivergenceError)
-            assert krylov.last_valid_time == oracle.last_valid_time
-            assert len(krylov.partial[0]) == len(oracle.partial[0])
-            assert len(krylov.partial[1]) == len(oracle.partial[1])
+            assert isinstance(got, DivergenceError)
+            assert got.last_valid_time == oracle.last_valid_time
+            assert len(got.partial[0]) == len(oracle.partial[0])
+            assert len(got.partial[1]) == len(oracle.partial[1])
             return
-        assert not isinstance(krylov, DivergenceError)
-        (times, states), (times_ref, states_ref) = krylov, oracle
+        assert not isinstance(got, DivergenceError)
+        (times, states), (times_ref, states_ref) = got, oracle
         assert np.array_equal(times, times_ref)
         assert states.shape == states_ref.shape
         assert np.isfinite(states).all()
-        a, b, _, _, dt, _ = run
+        assert norm_drift(states) < 1e-15
+        a, b, _, _, dt = run
         if dt * np.linalg.norm(ps._real_form(ps.flow_generator(a, b)),
                                2) > 2.8:
             # an unstable step amplifies rounding differences of the two
@@ -389,7 +413,6 @@ class TestKrylovRoute:
             return
         assert np.max(np.abs(states - states_ref)) \
             <= 1e-12 * np.max(np.abs(states_ref))
-        assert norm_drift(states) <= 2.0 * norm_drift(states_ref) + 1e-15
 
     def test_well_scaled_run_never_takes_the_generic_route(self,
                                                            monkeypatch):
@@ -398,19 +421,36 @@ class TestKrylovRoute:
 
         monkeypatch.setattr(integrators, "rk4_path", refuse)
         rng = np.random.default_rng(23)
-        for renormalize in (False, True):
-            _, psis = ps.integrate_sphere_flow(
-                random_hermitian(rng, 3), random_hermitian(rng, 3),
-                random_unit(rng, 3), 1.0, 1e-2, renormalize=renormalize)
-            assert psis.shape == (101, 3)
+        _, psis = ps.integrate_sphere_flow(
+            random_hermitian(rng, 3), random_hermitian(rng, 3),
+            random_unit(rng, 3), 1.0, 1e-2)
+        assert psis.shape == (101, 3)
+
+    def test_declined_fill_hands_the_run_to_rk4_path(self, monkeypatch):
+        # |dt M| = 100: P^46 overflows, while one step of rk4_path,
+        # renormalised, stays finite
+        handed = []
+
+        def spy(*args, **kwargs):
+            handed.append(rk4_path(*args, **kwargs))
+            return handed[-1]
+
+        monkeypatch.setattr(integrators, "rk4_path", spy)
+        run = (np.diag([0.0, 1e3]), np.zeros((2, 2)),
+               np.array([0.6, 0.8]), 10.0, 0.1)
+        times, states = sphere_route(*run)
+        assert len(handed) == 1 and len(times) == 101
+        assert np.array_equal(np.column_stack([times, states]),
+                              np.column_stack(handed[0]))
+        assert np.max(np.abs(states - projected_route(*run)[1])) < 1e-15
 
     def test_bloch_gradient_drift_matches_generic_route(self):
-        # the bloch-gradient builtin: rounding sets the drift over 1e4 steps
+        # the bloch-gradient builtin over 1e4 steps
         run = (np.zeros((2, 2)), SIGMA3, np.array([0.6, 0.8]), 10.0, 1e-3)
-        _, states = krylov_route(*run)
-        _, states_ref = generic_route(*run)
+        _, states = sphere_route(*run)
+        _, states_ref = projected_route(*run)
         assert np.max(np.abs(states - states_ref)) < 1e-14
-        assert norm_drift(states) <= 2.0 * norm_drift(states_ref)
+        assert norm_drift(states) < 1e-15
 
 
 class TestBlochProjection:
