@@ -36,10 +36,10 @@ import numpy as np
 from . import purestate as ps
 from .algebra import build_su_basis, from_coherence_vector, is_hermitian
 from .checks import (CheckResult, contact_residuals, decomposition_identities,
-                     energy_rate_identity, expm, five_point_rate,
+                     energy_rate_identity, five_point_rate,
                      friction_invariants, gkls_flow, hamiltonianity_verdict,
                      linear_oracle, positivity, relative, result,
-                     run_checks, trace_preservation)
+                     run_checks, sphere_flow, trace_preservation)
 from .contact import DegenerateContactError
 from .gkls import build_model, integrate, phase_damping_model
 from .integrators import DivergenceError, rk4_linear_path, time_grid
@@ -248,9 +248,7 @@ def run_pure_state(a, b, psi0, t_end, dt):
         + [f"y{j + 1}" for j in range(n)] + ["norm"]
     rows = np.column_stack([times, zs, norms])
 
-    gen = ps.flow_generator(a, b)
-    exact = expm(gen * times[-1]) @ psi0
-    exact /= np.linalg.norm(exact)
+    exact = sphere_flow(a, b, psi0, times[-1])
     # the stepper never evaluates Z: hold the stored path to it
     field = ps.z_field(a, b, zs[2:-2])
     invariants = [

@@ -21,9 +21,9 @@ sum X_H - Y_V + Z_K, leaving the affine field.
 
 ``integrate`` steps that field as the linear field of (x, 1), its lift
 [[A, B], [0, 0]] (Van Loan, IEEE TAC 23, 1978), by
-``integrators.linear_fill``, and keeps x; a run the fill declines is
-stepped by ``rk4_path`` on A x + B, so a diverging run raises with x
-alone in its partial path.
+``integrators.linear_fill``, and keeps the x columns of that path as a
+view, with no copy; a run the fill declines is stepped by ``rk4_path``
+on A x + B, so a diverging run raises with x alone in its partial path.
 """
 
 from __future__ import annotations
@@ -227,14 +227,11 @@ def integrate_coherence_field(field, x0, t_end, dt, basis):
     return _trajectory(basis, times, points)
 
 
-def _lifted_fill(lift, states, dt):
-    """Fill states with the x rows of ``linear_fill`` on the lift of
-    (x, 1); 0 when it declines."""
-    lifted = np.ones((len(states), len(lift)))
-    lifted[0, :-1] = states[0]
-    rows = linear_fill(lift, lifted, dt)
-    states[:] = lifted[:, :-1]
-    return rows
+def _lifted_fill(lift, x0, steps, dt):
+    """The x columns of ``linear_fill`` on the lift of (x, 1), a view of
+    its one states array; None when it declines."""
+    lifted = linear_fill(lift, np.append(x0, 1.0), steps, dt)
+    return None if lifted is None else lifted[:, :-1]
 
 
 def integrate(model, rho0, t_end, dt):

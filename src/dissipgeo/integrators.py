@@ -13,36 +13,41 @@ renormalisation), and a value of None ends the path at the last stored
 state (a domain guard), so a path shorter than the grid means the
 integration stopped early.
 
-A fast route is a fill, fill(states, dt) -> rows kept: it writes
-states[1:] from states[0] and keeps every row, fewer when a domain guard
-ends the path, or 0 to decline, and never calls ``rk4_path``.
-``fast_path`` owns the grid, the states array, the one np.errstate
-around a fill, and the hand-off of a declined run, whole and from y0, to
+A fast route is a fill, fill(y0, steps, dt) -> states or None: it
+returns its own path, row 0 y0, with fewer than steps + 1 rows only when
+a domain guard ends it, or None to decline, and never calls
+``rk4_path``.  ``fast_path`` owns the grid, the one np.errstate around a
+fill, and the hand-off of a declined run, whole and from y0, to
 ``rk4_path``, which then decides where it stops and what it raises.
-Each flow module keeps its own fill next to its field (``gkls`` lifts
-its affine field, ``purestate`` divides each row of the linear flow
-z' = M z by its norm, ``mechanics`` steps the projectable contact flow in
-closed form); the one fill here is that of linear fields:
+Every fill is built on the one linear fill here, ``linear_fill``; each
+flow module keeps its own use of it next to its field (``gkls`` keeps the
+x columns of its affine field's lift, ``purestate`` divides each row of
+the linear flow z' = M z by its norm, ``mechanics`` steps S of the
+projectable contact flow in closed form along the z path):
 
-- ``linear_fill``, behind ``rk4_linear_path(g, y0, t_end, dt)``, serves
-  y' = G y.  For it the four RK4 stages collapse into one fixed map
-  y -> P y with M = dt G,
+- ``linear_fill(g, y0, steps, dt, post=None)``, behind
+  ``rk4_linear_path(g, y0, t_end, dt, post=None)``, serves y' = G y.
+  For it the four RK4 stages collapse into one fixed map y -> P y with
+  M = dt G,
 
       P = I + M + M^2/2 + M^3/6 + M^4/24,
 
   the degree-4 Taylor truncation of exp(M).  Rows are filled a block of
   K = ``CHECK_ROWS`` at a time from the row y before the block: P, P^2,
-  ..., P^k with k = min(K, steps), stacked once per run by
-  ``step_powers``, map y to every row of the block, so a block is one
-  product of that stack with y.  It is the same method of the same order
-  evaluated in another order, so paths agree with ``rk4_path`` up to
-  rounding.  A block with a row that is not finite declines.  A power
-  that overflows (a stiff P) holds an inf entry, which makes its column
+  ..., P^k with k = min(K, steps), stacked once per run, map y to every
+  row of the block, so a block is one product of that stack with y.  It
+  is the same method of the same order evaluated in another order, so
+  paths agree with ``rk4_path`` up to rounding.  ``post``, when given,
+  maps each block row by row before it is checked, as ``rk4_path``'s
+  ``post`` maps each state; it is a projection and never ends the path.
+  A block with a row that is not finite declines.  A power that
+  overflows (a stiff P) holds an inf entry, which makes its column
   non-finite in every later power (an entry of P times inf is inf, or
   NaN for a zero entry), and a row that reads a non-finite entry is not
-  finite whatever y (inf times 0 is NaN again).  The first block reads every power built, so it declines: a
-  path that ``rk4_path`` keeps finite under overflowing powers stays
-  finite, and a diverging path stops where ``rk4_path`` stops.
+  finite whatever y (inf times 0 is NaN again).  The first block reads
+  every power built, so it declines: a path that ``rk4_path`` keeps
+  finite under overflowing powers stays finite, and a diverging path
+  stops where ``rk4_path`` stops.
 """
 
 from __future__ import annotations
@@ -110,26 +115,27 @@ def rk4_path(f, y0, t_end, dt, post=None):
 
 def fast_path(fill, f, y0, t_end, dt, post):
     """The grid and return value of ``rk4_path(f, y0, t_end, dt, post)``
-    with the rows fill(states, dt) keeps, or that call when it keeps 0."""
+    with the path fill(y0, steps, dt) returns, or that call when it
+    returns None."""
     times = time_grid(t_end, dt)
-    states = np.empty((len(times), len(y0)))
-    states[0] = y0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rows = fill(states, dt)
-    if rows:
-        return times[:rows], states[:rows]
+        states = fill(y0, len(times) - 1, dt)
+    if states is not None:
+        return times[:len(states)], states
     return rk4_path(f, y0, t_end, dt, post)
 
 
-def rk4_linear_path(g, y0, t_end, dt):
-    """RK4 path of y' = G y from 0 to t_end."""
-    return fast_path(partial(linear_fill, g), lambda y: g @ y, y0, t_end, dt,
-                     None)
+def rk4_linear_path(g, y0, t_end, dt, post=None):
+    """RK4 path of y' = G y from 0 to t_end, each state mapped by post."""
+    return fast_path(partial(linear_fill, g, post=post),
+                     lambda y: g @ y, y0, t_end, dt, post)
 
 
-def step_powers(g, dt, steps):
-    """P, P^2, ..., P^k for the RK4 step P of y' = G y and
-    k = min(``CHECK_ROWS``, steps), stacked into one (k d x d) matrix."""
+def linear_fill(g, y0, steps, dt, post=None):
+    """The RK4 path of y' = G y from y0 over steps steps, filled
+    ``CHECK_ROWS`` rows at a time by the stacked powers of P, each block
+    mapped by post when given; None at the first block with a row that
+    is not finite."""
     d = len(g)
     m = dt * g
     eye = np.eye(d)
@@ -140,16 +146,14 @@ def step_powers(g, dt, steps):
     powers[0] = p
     for j in range(1, len(powers)):
         np.matmul(p, powers[j - 1], out=powers[j])
-    return powers.reshape(-1, d)
-
-
-def linear_fill(g, states, dt):
-    """Fill C-contiguous states ``CHECK_ROWS`` rows at a time by the
-    stacked powers of P; 0 at the first block with a non-finite row."""
-    stack = step_powers(g, dt, len(states) - 1)
+    stack = powers.reshape(-1, d)
+    states = np.empty((steps + 1, d))
+    states[0] = y0
     for start in range(1, len(states), CHECK_ROWS):
         rows = states[start:start + CHECK_ROWS]
         np.matmul(stack[:rows.size], states[start - 1], out=rows.reshape(-1))
+        if post is not None:
+            rows[:] = post(rows)
         if not np.isfinite(rows).all():  # a row or a power it used
-            return 0
-    return len(states)
+            return None
+    return states

@@ -318,23 +318,22 @@ def _projected_generator(sys):
         for e in np.eye(dim + 1)[:dim]])
 
 
-def _closed_form_fill(sys, states, dt):
-    """Fill states with the closed-form RK4 steps of a linear_projection
-    system up to the row before the first one outside the domain guard;
-    0 for any other system, or when the z path diverges or a stage
-    Hessian is singular or a state not finite up to that row."""
+def _closed_form_fill(sys, y0, steps, dt):
+    """The closed-form RK4 path of a linear_projection system up to the
+    row before the first one outside the domain guard; None for any other
+    system, or when the z path diverges or a stage Hessian is singular or
+    a state not finite up to that row."""
     if not sys.linear_projection:
-        return 0
+        return None
     n, dim = sys.n, 2 * sys.n
     g = _projected_generator(sys)
     r = float(sys.dh_ds(0.0))
-    zs = np.empty((len(states), dim))  # C-contiguous for linear_fill
-    zs[0] = states[0, :dim]
-    if not linear_fill(g, zs, dt):
-        return 0
+    zs = linear_fill(g, y0[:dim], steps, dt)
+    if zs is None:
+        return None
     # the path keeps rows :keep, and steps 0 .. steps - 1 are checked: the
     # last one ends on the last row or on the first row outside the guard
-    keep, steps = len(zs), len(zs) - 1
+    keep = steps + 1
     if sys.domain_guard is not None:
         outside = ~sys.domain_guard(zs[1:, :n].T, zs[1:, n:].T)
         if outside.any():
@@ -347,18 +346,16 @@ def _closed_form_fill(sys, states, dt):
     stages = np.einsum("iab,kb->aki", np.array(amps), zs[:steps])
     q, qd = stages[:n], stages[n:]
     if _singular(np.asarray(sys.hess_qd(q, qd), dtype=float)).any():
-        return 0
+        return None
     phi = _s_rate(sys, q, qd, 0.0, _force_covector(sys, q, qd))
     b = _s_step(phi.T, 0.0, r, dt)
     c = 1.0 + _s_step((0.0,) * 4, 1.0, r, dt)
-    s_path = [float(states[0, dim])]
+    s_path = [float(y0[dim])]
     for b_k in b.tolist():
         s_path.append(c * s_path[-1] + b_k)
     if not np.isfinite(s_path).all():
-        return 0
-    states[:keep, :dim] = zs[:keep]
-    states[:keep, dim] = s_path[:keep]
-    return keep
+        return None
+    return np.column_stack([zs[:keep], s_path[:keep]])
 
 
 def integrate_contact(sys, state0, t_end, dt):

@@ -27,25 +27,24 @@ the projective Hermitian form).
 Z is homogeneous of degree 1, Z(z) = M z - e(z) z with the scalar
 e(z) = z^T B z / z^T z, so its flow is the projection of the linear one:
 z(t) = exp(t M) z0 / |exp(t M) z0|, the paper's projected GL(n) action.
-``integrate_sphere_flow`` steps it that way, by RK4 on z' = M z and each
-row divided by its norm, with the stacked step powers of
-``integrators.step_powers``; every row is then on the unit sphere, and
-each block of rows starts from a unit vector, so |exp(t M) z0| cannot
-overflow.  M drops the trace of b, which Z does not see (e moves with
-it) but an RK4 step of M would.  A run the fill declines (an overflowing
-step power, at |dt M| of about 35 and more) goes to ``rk4_path`` on M z
-with the same renormalisation, the same method row by row.
+``integrate_sphere_flow`` steps it that way, by RK4 on z' = M z with
+each row divided by its norm: ``integrators.rk4_linear_path`` with that
+renormalisation as its ``post``.  Every row is then on the unit sphere,
+and each block of rows of the linear fill starts from a unit vector, so
+|exp(t M) z0| cannot overflow.  M drops the trace of b, which Z does not
+see (e moves with it) but an RK4 step of M would.  A run the fill
+declines (an overflowing step power, at |dt M| of about 35 and more)
+goes to ``rk4_path`` on M z with the same renormalisation, the same
+method row by row.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 
 from .algebra import is_hermitian, to_coherence_vector
 from .contact import ContactChart
-from .integrators import CHECK_ROWS, fast_path, step_powers
+from .integrators import rk4_linear_path
 
 SPHERE_TOL = 1e-10
 
@@ -207,8 +206,7 @@ def integrate_sphere_flow(a, b, psi0, t_end, dt):
         raise ValueError("initial state must be normalized")
     _require_hermitian(a, b)
     m = _real_form(flow_generator(a, b) - np.trace(b).real / n * np.eye(n))
-    times, states = fast_path(partial(_projected_fill, m),
-                              partial(np.matmul, m), z0, t_end, dt, _unit)
+    times, states = rk4_linear_path(m, z0, t_end, dt, post=_unit)
     return times, states[:, :n] + 1j * states[:, n:]
 
 
@@ -217,20 +215,6 @@ def _unit(z):
     first, so that no square overflows."""
     z = z / np.max(np.abs(z), axis=-1, keepdims=True)
     return z / np.sqrt(np.sum(z * z, axis=-1, keepdims=True))
-
-
-def _projected_fill(m, states, dt):
-    """Fill states ``CHECK_ROWS`` rows at a time by the stacked step
-    powers of M, each row then divided by its norm; 0 at the first block
-    with a row that is not finite."""
-    stack = step_powers(m, dt, len(states) - 1)
-    for start in range(1, len(states), CHECK_ROWS):
-        rows = states[start:start + CHECK_ROWS]
-        np.matmul(stack[:rows.size], states[start - 1], out=rows.reshape(-1))
-        rows[:] = _unit(rows)
-        if not np.isfinite(rows).all():
-            return 0
-    return len(states)
 
 
 def sphere_contact_chart(n):

@@ -52,7 +52,8 @@ def test_rk4_path_has_one_hand_off():
 
 def test_integrators_knows_no_flow():
     """integrators holds the RK4 contract and the one linear fill; each
-    flow module keeps its own fill and hands it to fast_path itself."""
+    flow module builds its fill on linear_fill, and hands it to fast_path
+    itself or steps through rk4_linear_path."""
     tree = ast.parse((SOURCE / "integrators.py").read_text())
     assert not [node for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and (
@@ -63,7 +64,7 @@ def test_integrators_knows_no_flow():
     assert sorted(stmt.name for stmt in tree.body
                   if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))) \
         == ["DivergenceError", "fast_path", "linear_fill", "rk4_linear_path",
-            "rk4_path", "step_powers", "time_grid"]
+            "rk4_path", "time_grid"]
 
     def fast_path(call):
         return "fast_path" in referenced_names(call.func)
@@ -71,7 +72,14 @@ def test_integrators_knows_no_flow():
     assert sorted(call for path in SOURCE.glob("*.py")
                   for call in calls_in(path.stem, fast_path)) \
         == ["gkls.integrate", "integrators.rk4_linear_path",
-            "mechanics.integrate_contact", "purestate.integrate_sphere_flow"]
+            "mechanics.integrate_contact"]
+
+
+def test_linear_fill_is_the_one_block_loop():
+    """Only integrators names CHECK_ROWS, the block size of linear_fill,
+    so no module keeps a second loop over blocks of step powers."""
+    assert [path.stem for path in sorted(SOURCE.glob("*.py"))
+            if "CHECK_ROWS" in path.read_text()] == ["integrators"]
 
 
 def calls_in(module, accept):

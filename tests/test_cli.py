@@ -593,6 +593,24 @@ class TestCommands:
                            "--out", str(tmp_path)) == EXIT_NUMERICAL
         assert (tmp_path / "overflow_partial.csv").exists()
 
+    def test_long_pure_state_oracle_is_finite(self, tmp_path, capsys):
+        # exp(80 M) overflows for b = 10 sigma3; the oracle takes it in
+        # normalised pieces, so a correct run passes and warns of nothing
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps({"kind": "pure-state", "parameters": {
+            "a": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+            "b": [[[10.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-10.0, 0.0]]],
+            "psi0": [[0.6, 0.0], [0.8, 0.0]], "t_end": 80.0, "dt": 1e-3}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may escape
+            assert run_cli("run", str(cfg),
+                           "--out", str(tmp_path)) == EXIT_OK
+        assert "Warning" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "long_report.json").read_text())
+        oracle = {inv["name"]: inv for inv in report["invariants"]}[
+            "purestate/exponential-oracle"]
+        assert oracle["residual"] < 1e-12
+
 
 class TestScenarioRuns:
     def test_every_builtin_round_trips(self, tmp_path, capsys):

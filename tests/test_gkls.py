@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from dissipgeo import checks
+from dissipgeo import checks, gkls
 from dissipgeo.algebra import (build_su_basis, from_coherence_vector,
                                structure_constants, to_coherence_vector)
 from dissipgeo.checks import (decomposition_identities, positivity,
@@ -395,6 +396,23 @@ class TestIntegration:
                                           np.ones(3), 50.0, 0.5, basis)
         assert info.value.last_valid_time >= 0.0
 
+    def test_fast_route_holds_one_lifted_path(self, monkeypatch):
+        # the points are the x columns of the lifted path, not a copy:
+        # the peak is that (steps + 1) x (d + 1) array plus the grid, where
+        # a copy of x would add (steps + 1) x d floats more
+        monkeypatch.setattr(gkls, "_trajectory",
+                            lambda basis, times, points: points)
+        m = phase_damping_model(1.0)
+        steps, d = 10 ** 5, m.basis.size
+        rho0 = 0.5 * (np.eye(2) + SIGMA1)
+        tracemalloc.start()
+        try:
+            points = integrate(m, rho0, steps * 1e-3, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert points.shape == (steps + 1, d)
+        assert peak < 1.5 * 8 * (steps + 1) * (d + 2)
 
 
 @st.composite
