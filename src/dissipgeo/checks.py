@@ -26,7 +26,7 @@ from .contact import (ScalarField, central_gradient,
                       jacobi_bracket, nondegeneracy_determinant, reeb_field)
 from .gkls import (apply_generator, build_model, decompose_field,
                    evaluate_component_fields, hamiltonian_gradient_field,
-                   integrate, integrate_coherence_field)
+                   integrate)
 from .mechanics import (_projected_generator, analytic_energy_rate,
                         contact_el_field, coupled_damped_oscillators,
                         friction_system, hamiltonianity_criterion,
@@ -155,6 +155,24 @@ def decomposition_identities(cases):
             result("gkls/nonlinear-cancellation", cancel_res, 1e-12)]
 
 
+def stratum_tangency(cases):
+    """gkls/gradient-flow-rank-constancy: the jump-free field X_H - Y_V
+    keeps the rank, as it is tangent to the stratum of rank-r states, so
+    at rho = sum_k w_k psi_k psi_k^dag, with range projector P and
+    Q = I - P, its matrix T = sum_j v_j tau_j has Q T Q = 0; worst over
+    cases (basis, H, V, orthonormal columns psi, weights w summing to 1)
+    of Q T Q relative to T."""
+    res = 0.0
+    for basis, h, v, psis, weights in cases:
+        rho = (psis * weights) @ psis.conj().T
+        q = np.eye(basis.n) - psis @ psis.conj().T
+        vel = hamiltonian_gradient_field(basis, h, v)(
+            to_coherence_vector(rho, basis))
+        t = np.einsum("j,jab->ab", vel, basis.tau)
+        res = max(res, relative(q @ t @ q, t))
+    return result("gkls/gradient-flow-rank-constancy", res, 1e-12)
+
+
 def exactness_residual(chart, point, step):
     """Max-norm of omega - d eta at a point of a chart, with
     (d eta)_ab = d_a eta_b - d_b eta_a from central differences."""
@@ -280,16 +298,26 @@ def gkls_suite():
     results.append(result("gkls/unitary-spectrum-invariance",
                           spectrum_res, 1e-8))
 
+    # a pure state on the suite's draws, then five states of every rank
+    # 1..n-1 for n = 2, 3, 4 from a generator of their own, so the draws
+    # of the invariants below stay as they are
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
     psi /= np.linalg.norm(psi)
-    field = hamiltonian_gradient_field(basis, _random_hermitian(rng, 3),
-                                       _random_hermitian(rng, 3, 0.5))
-    traj = integrate_coherence_field(
-        field, to_coherence_vector(np.outer(psi, psi.conj()), basis),
-        2.0, 2e-3, basis)
-    rank_res = float(np.max(np.abs(traj.ranks - 1)))
-    results.append(result("gkls/gradient-flow-rank-constancy",
-                          rank_res, 0.5))
+    cases = [(basis, _random_hermitian(rng, 3),
+              _random_hermitian(rng, 3, 0.5), psi[:, None], np.ones(1))]
+    strata_rng = np.random.default_rng(212)
+    for n in (2, 3, 4):
+        n_basis = build_su_basis(n)
+        for rank in range(1, n):
+            for _ in range(5):
+                psis, _ = np.linalg.qr(
+                    strata_rng.normal(size=(n, rank))
+                    + 1j * strata_rng.normal(size=(n, rank)))
+                weights = strata_rng.uniform(0.1, 1.0, size=rank)
+                cases.append((n_basis, _random_hermitian(strata_rng, n),
+                              _random_hermitian(strata_rng, n, 0.5), psis,
+                              weights / weights.sum()))
+    results.append(stratum_tangency(cases))
 
     m = _random_model(rng, 2, scale=0.5)
     traj = integrate(m, _random_density(rng, 2), t_end=5.0, dt=2e-3)

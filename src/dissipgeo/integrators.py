@@ -1,8 +1,9 @@
 """Fixed-step classical RK4 with divergence detection.
 
 All flows in this package are smooth and non-stiff at desk scale, so a
-plain fourth-order scheme with caller-supplied dt is enough; oracle
-comparisons against matrix exponentials are done in the test suite.
+plain fourth-order scheme with caller-supplied dt is enough; every gkls,
+linear and pure-state run reports an oracle against a matrix exponential,
+``checks.expm``, which shares nothing with the routes here.
 
 Every route returns ``(times, states)`` on the grid of ``time_grid``,
 states[i] the state at times[i].  ``rk4_path(f, y0, t_end, dt, post=None)``

@@ -10,7 +10,10 @@ import dissipgeo
 SOURCE = Path(dissipgeo.__file__).parent
 
 # name -> why it stays although no src module refers to it
-ALLOWED = {}
+ALLOWED = {
+    "integrate_coherence_field": "bench/spans.py traces it by name, so it "
+    "goes with the benchmark change that drops it from the traced layers",
+}
 
 
 def referenced_names(node):

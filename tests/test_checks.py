@@ -1,8 +1,8 @@
 """checks.expm, the numpy matrix exponential behind every exact oracle,
-held to scipy.linalg.expm; the package importing numpy, not scipy; the
-mechanics and purestate suites holding each route to an identity or an
-exact flow, not to a second RK4 run; and the declared linear law of the
-projectable contact systems held to their field."""
+held to scipy.linalg.expm; the package importing numpy, not scipy; every
+suite holding each claim to an identity or an exact flow, not to an RK4
+run; and the declared linear law of the projectable contact systems held
+to their field."""
 
 import dataclasses
 import os
@@ -99,7 +99,7 @@ def suite_results(suite):
     return {r.name: r for r in run_checks(suite)}
 
 
-@pytest.mark.parametrize("suite", ["mechanics", "purestate"])
+@pytest.mark.parametrize("suite", sorted(checks.SUITES))
 def test_suite_makes_no_rk4_path_call(suite, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("rk4_path was called")
@@ -108,6 +108,31 @@ def test_suite_makes_no_rk4_path_call(suite, monkeypatch):
     for module in (integrators, gkls, mechanics, purestate, checks):
         monkeypatch.setattr(module, "rk4_path", refuse, raising=False)
     assert all(r.passed for r in suite_results(suite).values())
+
+
+def dropped_nonlinear_term(basis, h, v):
+    # X_H - Y_V without its -e_V(x) x term
+    hmat, vmat, v_vec = gkls._hamiltonian_gradient_matrices(
+        basis.tau, np.asarray(h, dtype=complex), np.asarray(v, dtype=complex))
+    return lambda x: hmat @ x - (vmat @ x + v_vec / basis.n)
+
+
+def added_jump_part(basis, h, v):
+    # X_H - Y_V plus the affine field A x + B of a lowering jump
+    field = gkls.hamiltonian_gradient_field(basis, h, v)
+    model = gkls.build_model(basis, np.zeros((basis.n, basis.n)),
+                             [np.eye(basis.n, k=1)])
+    return lambda x: field(x) + model.A @ x + model.B
+
+
+@pytest.mark.parametrize("wrong_field",
+                         [dropped_nonlinear_term, added_jump_part])
+def test_rank_constancy_sees_a_field_off_the_stratum(wrong_field,
+                                                     monkeypatch):
+    name = "gkls/gradient-flow-rank-constancy"
+    assert suite_results("gkls")[name].residual < 1e-12
+    monkeypatch.setattr(checks, "hamiltonian_gradient_field", wrong_field)
+    assert not suite_results("gkls")[name].passed
 
 
 def test_projection_consistency_sees_a_dropped_sphere_term(monkeypatch):
