@@ -362,17 +362,17 @@ def purestate_suite():
             psi = rng.normal(size=n) + 1j * rng.normal(size=n)
             psi /= np.linalg.norm(psi)
             z = ps.to_chart(psi)
-            for vec in (ps.hamiltonian_field(a, z), ps.gradient_field(b, z),
+            zero = np.zeros_like(a)
+            for vec in (ps.z_field(a, zero, z), ps.z_field(zero, b, z),
                         ps.phase_field(z)):
                 tangency_res = max(tangency_res, abs(float(z @ vec)))
             residual_cases.append((a, b, z))
-            jac_g = central_gradient(lambda p: ps.gradient_field(b, p), z)
+            jac_g = central_gradient(lambda p: ps.z_field(zero, b, p), z)
             jac_p = central_gradient(ps.phase_field, z)
             bracket = jac_g @ ps.phase_field(z) - jac_p \
-                @ ps.gradient_field(b, z)
+                @ ps.z_field(zero, b, z)
             commute_res = max(commute_res, float(np.max(np.abs(bracket))))
-            eta0, _ = ps.contact_form(z)
-            stack = np.vstack([ps.pullback_omega0(z), eta0, z])
+            stack = np.vstack([ps.pullback_omega0(z), ps.contact_form(z), z])
             if np.linalg.matrix_rank(stack, tol=1e-10) != 2 * n:
                 rank_bad = 1.0
             # psi -> rho_psi pushes Z forward to X_H - Y_V with H = -a,

@@ -3,8 +3,8 @@
 A chart carries a one-form eta and a two-form omega with eta ^ omega^m
 nonvanishing; whether omega = d eta is measured (by central differences
 in ``checks.exactness_residual``), not declared.  Everything here is a
-per-point linear solve against the bordered matrix [[omega, eta], [eta^T,
-0]]: Reeb field, contact Hamiltonian fields
+per-point linear solve against the bordered matrix [[omega^T, eta],
+[eta^T, 0]]: Reeb field, contact Hamiltonian fields
 
     i_G omega = (L_xi F) eta - dF,     i_G eta = F,
 
@@ -15,6 +15,11 @@ their generalization with a one-form source alpha,
 and the Jacobi bracket [F, G] = F L_xi G - G L_xi F + Lambda(dF, dG),
 where Lambda inverts omega on ker eta.  The bracket's second term enters
 with a minus sign; antisymmetry leaves no other choice.
+
+Each field or bracket is one solve of omega(v, .) + lam eta = beta,
+eta(v) = c.  Contracting with the Reeb field xi gives lam = beta(xi):
+the multiplier is the eta term, so xi is an output (``reeb_field``),
+never an input to a field or a bracket.
 """
 
 from __future__ import annotations
@@ -95,26 +100,9 @@ def darboux_chart(m):
     return ContactChart(dim=dim, eta=eta, omega=lambda p: w)
 
 
-def nondegeneracy_determinant(chart, point):
-    """|det| of the antisymmetric bordered matrix [[omega, eta], [-eta, 0]];
-    nonzero exactly where eta ^ omega^m is a volume form."""
-    w = np.asarray(chart.omega(point), dtype=float)
-    e = np.asarray(chart.eta(point), dtype=float)
-    m = np.zeros((chart.dim + 1, chart.dim + 1))
-    m[:-1, :-1] = w
-    m[:-1, -1] = e
-    m[-1, :-1] = -e
-    return abs(float(np.linalg.det(m)))
-
-
-def _bordered_solve(chart, point, rhs_omega, rhs_eta):
-    """Solve omega(v, .) + lam eta = rhs_omega, eta(v) = rhs_eta.
-
-    The contraction fills the first slot of omega, so the linear block is
-    omega^T.  On a contact chart the multiplier lam vanishes identically
-    whenever the right-hand side is consistent (contract with the Reeb
-    field), so a nonzero lam flags an inconsistent request.
-    """
+def _bordered(chart, point):
+    """[[omega^T, eta], [eta^T, 0]] at a point; omega(v, .) fills the
+    first slot of omega, hence omega^T."""
     w = np.asarray(chart.omega(point), dtype=float)
     e = np.asarray(chart.eta(point), dtype=float)
     d = chart.dim
@@ -122,6 +110,23 @@ def _bordered_solve(chart, point, rhs_omega, rhs_eta):
     m[:d, :d] = w.T
     m[:d, d] = e
     m[d, :d] = e
+    return m
+
+
+def nondegeneracy_determinant(chart, point):
+    """|det| of the bordered matrix, that of the antisymmetric [[omega,
+    eta], [-eta, 0]] too (its transpose with the last row negated);
+    nonzero exactly where eta ^ omega^m is a volume form."""
+    return abs(float(np.linalg.det(_bordered(chart, point))))
+
+
+def _bordered_solve(chart, point, rhs_omega, rhs_eta):
+    """Solve omega(v, .) + lam eta = rhs_omega, eta(v) = rhs_eta.
+
+    One right-hand side, or a (dim, k) block with rhs_eta of shape (k,)
+    and a column of v and an entry of lam per column; lam = rhs_omega(xi).
+    """
+    m = _bordered(chart, point)
     b = np.concatenate([rhs_omega, [rhs_eta]])
     try:
         sol = np.linalg.solve(m, b)
@@ -131,7 +136,7 @@ def _bordered_solve(chart, point, rhs_omega, rhs_eta):
     if not np.all(np.isfinite(sol)) or \
             float(np.max(np.abs(m @ sol - b))) > 1e-8 * scale:
         raise DegenerateContactError("bordered solve did not converge")
-    return sol[:d], float(sol[d])
+    return sol[:-1], sol[-1]
 
 
 def reeb_field(chart, point):
@@ -154,17 +159,12 @@ def contact_hamiltonian_field(chart, field, point):
 
 def generalized_contact_field(chart, field, alpha, point):
     """Contact field with one-form source alpha:
-    i_G omega = (L_xi F - alpha(xi)) eta - dF + alpha, i_G eta = F."""
+    i_G omega = (L_xi F - alpha(xi)) eta - dF + alpha, i_G eta = F,
+    solved with right-hand side (alpha - dF, F): the multiplier
+    alpha(xi) - dF(xi) is the eta term."""
     point = np.asarray(point, dtype=float)
-    xi = reeb_field(chart, point)
-    df = field.grad(point)
-    a = np.asarray(alpha(point), dtype=float)
-    e = np.asarray(chart.eta(point), dtype=float)
-    rhs = (float(df @ xi) - float(a @ xi)) * e - df + a
-    vec, lam = _bordered_solve(chart, point, rhs, field(point))
-    if abs(lam) > 1e-8 * max(1.0, float(np.max(np.abs(rhs)))):
-        raise DegenerateContactError("inconsistent contact field system")
-    return vec
+    return _bordered_solve(chart, point, np.asarray(alpha(point), dtype=float)
+                           - field.grad(point), field(point))[0]
 
 
 def jacobi_bracket(chart, f, g, point):
@@ -172,16 +172,16 @@ def jacobi_bracket(chart, f, g, point):
 
     Lambda(dF, dG) = dG(v_F) = omega(v_F, v_G), with v_F the horizontal
     part of Gamma_F = F xi + v_F: omega(v_F, .) = -(dF - (L_xi F) eta)
-    and eta(v_F) = 0.  This orientation gives [q, p] = 1 on the standard
-    chart and makes F -> Gamma_F a Lie-algebra homomorphism.
+    and eta(v_F) = 0.  One solve of the columns (-dF, 0) and (-dG, 0)
+    gives v_F and the multipliers -L_xi F, -L_xi G.  This orientation
+    gives [q, p] = 1 on the standard chart and makes F -> Gamma_F a
+    Lie-algebra homomorphism.
     """
     point = np.asarray(point, dtype=float)
-    xi = reeb_field(chart, point)
     df, dg = f.grad(point), g.grad(point)
-    lf, lg = float(df @ xi), float(dg @ xi)
-    e = np.asarray(chart.eta(point), dtype=float)
-    v_f, _ = _bordered_solve(chart, point, -(df - lf * e), 0.0)
-    return f(point) * lg - g(point) * lf + float(dg @ v_f)
+    v, lam = _bordered_solve(chart, point, -np.column_stack([df, dg]),
+                             np.zeros(2))
+    return float(g(point) * lam[0] - f(point) * lam[1] + dg @ v[:, 0])
 
 
 def _fd_jacobian(vector_field, point, step):

@@ -15,8 +15,10 @@ two-form omega_0.  For Hermitian generators a, b we use
 
 with f_b = <psi|b|psi>.  On the chart Z = X_a + Y0_b is M z - (z^T B z /
 z^T z) z, with M and B the real forms [[Re c, -Im c], [Im c, Re c]] of
-c = i a + b and c = b.  These fields are tangent to the sphere, and Z
-satisfies the generalized contact Hamiltonian equations
+c = i a + b and c = b: ``z_field``, whose zero-matrix cases are X_a =
+z_field(a, 0, z) and Y0_b = z_field(0, b, z).  These fields are tangent
+to the sphere, and Z satisfies the generalized contact Hamiltonian
+equations
 
     i_Z dr = 0,   i_Z eta_0 = f_a / r^2,   i_Z omega_0 = d(f_a/r^2) - alpha_b
 
@@ -88,22 +90,11 @@ def f_value(a, z):
     return float(np.real(np.vdot(psi, a @ psi)))
 
 
-def hamiltonian_field(a, z):
-    """X_a, the linear field with flow psi(t) = exp(i a t) psi."""
-    return to_chart(1j * (np.asarray(a, dtype=complex) @ from_chart(z)))
-
-
-def gradient_field(b, z):
-    """Y0_b = (chart of b psi) - e_b z; tangent to every sphere r = const."""
-    z = np.asarray(z, dtype=float)
-    e_b = f_value(b, z) / norm_squared(z)
-    return to_chart(np.asarray(b, dtype=complex) @ from_chart(z)) - e_b * z
-
-
 def _real_form(c):
     """Real 2n x 2n matrix acting on the chart as c acts on psi."""
     c = np.asarray(c, dtype=complex)
-    return np.block([[c.real, -c.imag], [c.imag, c.real]])
+    return np.concatenate([np.concatenate([c.real, -c.imag], axis=1),
+                           np.concatenate([c.imag, c.real], axis=1)])
 
 
 def z_field(a, b, z):
@@ -117,13 +108,9 @@ def z_field(a, b, z):
 
 
 def contact_form(z):
-    """(eta_0 components, Reeb field) at z.
-
-    eta_0 = (x dy - y dx)/r^2; its Reeb field within the sphere is the
-    phase field Gamma, with eta_0(Gamma) = 1 and i_Gamma omega_0 = 0.
-    """
-    z = np.asarray(z, dtype=float)
-    return phase_field(z) / norm_squared(z), phase_field(z)
+    """eta_0 = (x dy - y dx)/r^2 at z; its Reeb field within the sphere
+    is ``phase_field``, with eta_0(Gamma) = 1 and i_Gamma omega_0 = 0."""
+    return phase_field(z) / norm_squared(z)
 
 
 def pullback_omega0(z):
@@ -174,8 +161,7 @@ def contact_residuals(a, b, z):
     _require_hermitian(a, b)
     vec = z_field(a, b, z)
     res1 = abs(float(z @ vec)) / np.sqrt(r2)
-    eta0, _ = contact_form(z)
-    res2 = abs(float(eta0 @ vec) - f_value(a, z) / r2)
+    res2 = abs(float(contact_form(z) @ vec) - f_value(a, z) / r2)
     target = d_f_tilde(a, z) - alpha_tilde(b, z)
     res3 = float(np.max(np.abs(pullback_omega0(z) @ vec - target)))
     return res1, res2, res3
@@ -238,8 +224,7 @@ def sphere_contact_chart(n):
         return jac
 
     def eta(u):
-        eta0, _ = contact_form(embed(u))
-        return jacobian(u).T @ eta0
+        return jacobian(u).T @ contact_form(embed(u))
 
     def omega(u):
         jac = jacobian(u)

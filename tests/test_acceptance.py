@@ -113,7 +113,7 @@ def test_criterion_04_sphere_contact_certification():
             b = random_hermitian(rng, n)
             z = ps.to_chart(random_unit(rng, n))
             worst_res = max(worst_res, max(ps.contact_residuals(a, b, z)))
-            eta0, reeb = ps.contact_form(z)
+            eta0, reeb = ps.contact_form(z), ps.phase_field(z)
             worst_reeb = max(worst_reeb, abs(float(eta0 @ reeb) - 1.0),
                              float(np.max(np.abs(
                                  ps.pullback_omega0(z) @ reeb))))

@@ -94,6 +94,14 @@ def calls_in(module, accept):
             if isinstance(node, ast.Call) and accept(node)]
 
 
+def test_no_contact_function_calls_reeb_field():
+    """A contact field or bracket is one bordered solve whose multiplier
+    is the eta term, so no function in contact asks for the Reeb field
+    first."""
+    assert calls_in("contact", lambda call: "reeb_field"
+                    in referenced_names(call.func)) == []
+
+
 def test_one_residual_scale_and_one_hamiltonianity_verdict():
     """In cli and checks, checks.relative alone scales a residual by
     max(1, ...), and checks.hamiltonianity_verdict alone reads the

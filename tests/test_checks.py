@@ -1,8 +1,9 @@
 """checks.expm, the numpy matrix exponential behind every exact oracle,
 held to scipy.linalg.expm; the package importing numpy, not scipy; every
 suite holding each claim to an identity or an exact flow, not to an RK4
-run; and the declared linear law of the projectable contact systems held
-to their field."""
+run; the contact and pure-state invariants failing a wrong bordered
+solve; and the declared linear law of the projectable contact systems
+held to their field."""
 
 import dataclasses
 import os
@@ -15,7 +16,8 @@ import pytest
 import scipy.linalg
 
 import dissipgeo
-from dissipgeo import checks, cli, gkls, integrators, mechanics, purestate
+from dissipgeo import (checks, cli, contact, gkls, integrators, mechanics,
+                       purestate)
 from dissipgeo.algebra import from_coherence_vector, to_coherence_vector
 from dissipgeo.checks import expm, run_checks
 
@@ -141,6 +143,53 @@ def test_projection_consistency_sees_a_dropped_sphere_term(monkeypatch):
                         ._real_form(purestate.flow_generator(a, b)) @ z)
     assert not suite_results("purestate")[
         "purestate/projection-consistency"].passed
+
+
+def flipped_rhs(monkeypatch):
+    # the field's one solve with right-hand side (dF - alpha, F)
+    def flipped(chart, f, alpha, point):
+        return contact._bordered_solve(chart, point, f.grad(point)
+                                       - alpha(point), f(point))[0]
+
+    monkeypatch.setattr(contact, "generalized_contact_field", flipped)
+    monkeypatch.setattr(checks, "generalized_contact_field", flipped)
+
+
+def dropped_alpha(monkeypatch):
+    # the generalized field the suites call ignores its source
+    field = checks.generalized_contact_field
+    monkeypatch.setattr(checks, "generalized_contact_field",
+                        lambda chart, f, alpha, point: field(
+                            chart, f, lambda p: np.zeros(chart.dim), point))
+
+
+def flipped_lambda_term(monkeypatch):
+    # [F, G] = F L_xi G - G L_xi F - Lambda(dF, dG)
+    bracket = contact.jacobi_bracket
+
+    def flipped(chart, f, g, point):
+        xi = contact.reeb_field(chart, point)
+        reeb_part = f(point) * (g.grad(point) @ xi) \
+            - g(point) * (f.grad(point) @ xi)
+        return 2.0 * reeb_part - bracket(chart, f, g, point)
+
+    monkeypatch.setattr(contact, "jacobi_bracket", flipped)
+    monkeypatch.setattr(checks, "jacobi_bracket", flipped)
+
+
+@pytest.mark.parametrize("mutation, failing", [
+    (flipped_rhs, ["contact/bracket-homomorphism",
+                   "purestate/generalized-contact-field"]),
+    (dropped_alpha, ["contact/alpha-df-degeneracy",
+                     "purestate/generalized-contact-field"]),
+    (flipped_lambda_term, ["contact/bracket-homomorphism"]),
+], ids=["flipped_rhs", "dropped_alpha", "flipped_lambda_term"])
+def test_contact_invariants_see_a_wrong_solve(mutation, failing,
+                                              monkeypatch):
+    mutation(monkeypatch)
+    results = {**suite_results("contact"), **suite_results("purestate")}
+    assert sorted(name for name, r in results.items()
+                  if not r.passed) == failing
 
 
 def test_verdict_residual_is_the_scaled_odd_trace():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from dissipgeo import contact
 from dissipgeo import purestate as ps
-from dissipgeo.checks import exactness_residual
+from dissipgeo.checks import exactness_residual, relative
 from dissipgeo.contact import (ContactChart, DegenerateContactError,
                                ScalarField, central_gradient,
                                contact_hamiltonian_field, darboux_chart,
@@ -58,10 +59,17 @@ class TestChartBasics:
                 assert exactness_residual(chart, u, 1e-5) < 1e-8
 
     def test_degenerate_chart_raises(self):
+        # the bordered solve's guard is the fields' and brackets' only one
         flat = ContactChart(dim=3, eta=lambda p: np.array([0.0, 0.0, 1.0]),
                             omega=lambda p: np.zeros((3, 3)))
-        with pytest.raises(DegenerateContactError):
-            reeb_field(flat, np.zeros(3))
+        f = quadratic_field(np.random.default_rng(0), 3)
+        p = np.zeros(3)
+        for call in (lambda: reeb_field(flat, p),
+                     lambda: contact_hamiltonian_field(flat, f, p),
+                     lambda: generalized_contact_field(flat, f, f.grad, p),
+                     lambda: jacobi_bracket(flat, f, f, p)):
+            with pytest.raises(DegenerateContactError):
+                call()
 
     def test_scalar_field_gradient_consistency(self):
         rng = np.random.default_rng(1)
@@ -340,3 +348,74 @@ class TestHomomorphism:
             g = quadratic_field(rng, 3)
             point = 0.5 * rng.normal(size=3)
             assert homomorphism_residual(chart, f, g, point) < 1e-5
+
+
+def two_solves(chart, point):
+    """Bordered matrix, eta and Reeb field of the two-solve route: xi
+    first, then a second solve with the eta term built from it."""
+    w = np.asarray(chart.omega(point), dtype=float)
+    e = np.asarray(chart.eta(point), dtype=float)
+    m = np.block([[w.T, e[:, None]], [e[None, :], np.zeros((1, 1))]])
+    xi = np.linalg.solve(m, np.append(np.zeros(chart.dim), 1.0))[:-1]
+    return m, e, xi
+
+
+def two_solve_field(chart, f, alpha, point):
+    m, e, xi = two_solves(chart, point)
+    df, a = f.grad(point), alpha(point)
+    rhs = (df @ xi - a @ xi) * e - df + a
+    return np.linalg.solve(m, np.append(rhs, f(point)))[:-1]
+
+
+def two_solve_bracket(chart, f, g, point):
+    m, e, xi = two_solves(chart, point)
+    df, dg = f.grad(point), g.grad(point)
+    lf, lg = df @ xi, dg @ xi
+    v_f = np.linalg.solve(m, np.append(-(df - lf * e), 0.0))[:-1]
+    return f(point) * lg - g(point) * lf + dg @ v_f
+
+
+CHARTS = {"darboux-1": darboux_chart(1), "darboux-2": darboux_chart(2),
+          "sphere-2": ps.sphere_contact_chart(2)[0],
+          "sphere-3": ps.sphere_contact_chart(3)[0]}
+
+
+class TestOneSolve:
+    @pytest.mark.parametrize("name", sorted(CHARTS))
+    def test_matches_the_two_solve_route(self, name):
+        chart = CHARTS[name]
+        dim = chart.dim
+        rng = np.random.default_rng(dim)
+        zero = lambda p: np.zeros(dim)
+        for _ in range(10):
+            f = quadratic_field(rng, dim)
+            g = quadratic_field(rng, dim)
+            c, lin = rng.normal(size=dim), rng.normal(size=(dim, dim))
+            alpha = lambda p: c + lin @ p
+            point = rng.normal(size=dim)
+            if name.startswith("sphere"):
+                point *= rng.uniform(0.0, 0.8) / np.linalg.norm(point)
+            for got, want in (
+                    (generalized_contact_field(chart, f, alpha, point),
+                     two_solve_field(chart, f, alpha, point)),
+                    (contact_hamiltonian_field(chart, f, point),
+                     two_solve_field(chart, f, zero, point)),
+                    (jacobi_bracket(chart, f, g, point),
+                     two_solve_bracket(chart, f, g, point))):
+                assert relative(got - want, want) < 1e-12
+
+    def test_fields_and_brackets_need_no_reeb_field(self, monkeypatch):
+        def refuse(chart, point):
+            raise AssertionError("reeb_field was called")
+
+        monkeypatch.setattr(contact, "reeb_field", refuse)
+        chart = darboux_chart(1)
+        rng = np.random.default_rng(18)
+        f = quadratic_field(rng, 3)
+        g = quadratic_field(rng, 3)
+        p = rng.normal(size=3)
+        assert np.all(np.isfinite(contact_hamiltonian_field(chart, f, p)))
+        assert np.all(np.isfinite(
+            generalized_contact_field(chart, f, g.grad, p)))
+        assert np.isfinite(jacobi_bracket(chart, f, g, p))
+        assert homomorphism_residual(chart, f, g, 0.5 * p) < 1e-5

@@ -54,7 +54,7 @@ class TestFields:
         for n in (2, 3):
             a = random_hermitian(rng, n)
             psi0 = random_unit(rng, n)
-            _, zs = rk4_path(lambda z: ps.hamiltonian_field(a, z),
+            _, zs = rk4_path(lambda z: ps.z_field(a, np.zeros_like(a), z),
                              ps.to_chart(psi0), 1.0, 1e-3)
             exact = expm(1j * a) @ psi0
             assert np.max(np.abs(ps.from_chart(zs[-1]) - exact)) < 1e-10
@@ -86,7 +86,7 @@ class TestFields:
         rng = np.random.default_rng(3)
         for n in (2, 3):
             z = ps.to_chart(random_unit(rng, n))
-            y = ps.gradient_field(np.eye(n), z)
+            y = ps.z_field(np.zeros((n, n)), np.eye(n), z)
             assert np.max(np.abs(y)) < 1e-14
 
     def test_tangency_on_sphere(self):
@@ -96,14 +96,15 @@ class TestFields:
                 z = ps.to_chart(random_unit(rng, n))
                 a = random_hermitian(rng, n)
                 b = random_hermitian(rng, n)
-                for vec in (ps.hamiltonian_field(a, z),
-                            ps.gradient_field(b, z), ps.phase_field(z)):
+                zero = np.zeros_like(a)
+                for vec in (ps.z_field(a, zero, z), ps.z_field(zero, b, z),
+                            ps.phase_field(z)):
                     assert abs(z @ vec) < 1e-12
 
     def test_hamiltonian_flow_runs_along_parallels(self):
         basis = build_su_basis(2)
         z = ps.to_chart(np.array([1.0, 1.0]) / SQRT2)
-        vec = ps.hamiltonian_field(SIGMA3, z)
+        vec = ps.z_field(SIGMA3, np.zeros_like(SIGMA3), z)
         eps = 1e-6
         moved = ps.project_to_bloch(ps.from_chart(z + eps * vec), basis)
         still = ps.project_to_bloch(ps.from_chart(z), basis)
@@ -113,7 +114,8 @@ class TestFields:
 
     def test_gradient_vanishes_at_critical_points(self):
         z = ps.to_chart(np.array([1.0, 0.0], dtype=complex))
-        assert np.max(np.abs(ps.gradient_field(SIGMA3, z))) < 1e-14
+        assert np.max(np.abs(ps.z_field(np.zeros_like(SIGMA3), SIGMA3, z))) \
+            < 1e-14
 
 
 class TestContactForm:
@@ -121,14 +123,14 @@ class TestContactForm:
         rng = np.random.default_rng(5)
         for n in (2, 3):
             z = ps.to_chart(random_unit(rng, n))
-            eta0, reeb = ps.contact_form(z)
+            eta0, reeb = ps.contact_form(z), ps.phase_field(z)
             assert abs(eta0 @ reeb - 1.0) < 1e-12
             assert abs(eta0 @ z) < 1e-12
             assert np.max(np.abs(ps.pullback_omega0(z) @ reeb)) < 1e-12
 
     def test_coordinate_value_at_real_point(self):
         z = ps.to_chart(np.array([1.0 + 0.0j]))
-        eta0, _ = ps.contact_form(z)
+        eta0 = ps.contact_form(z)
         assert np.allclose(eta0, [0.0, 1.0], atol=1e-15)
 
 
@@ -161,7 +163,7 @@ class TestOmega0:
         rng = np.random.default_rng(8)
         for n in (2, 3):
             z = ps.to_chart(random_unit(rng, n))
-            eta0, _ = ps.contact_form(z)
+            eta0 = ps.contact_form(z)
             stack = np.vstack([ps.pullback_omega0(z), eta0, z])
             assert np.linalg.matrix_rank(stack, tol=1e-10) == 2 * n
 
@@ -220,7 +222,7 @@ class TestProjectability:
                 return out
 
             gamma_f = ps.phase_field
-            grad_f = lambda p: ps.gradient_field(b, p)
+            grad_f = lambda p: ps.z_field(np.zeros_like(b), b, p)
             bracket = jac(grad_f, z) @ gamma_f(z) - jac(gamma_f, z) @ grad_f(z)
             assert np.max(np.abs(bracket)) < 1e-9
 
