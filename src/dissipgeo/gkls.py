@@ -17,7 +17,10 @@ Hamiltonian, Gradient and Jump parts A = Hmat - Vmat + Kmat:
 
 The Gradient and Jump *vector fields* carry an extra nonlinear term
 -e_V(x) x with e_V(x) = Tr V / n + V_j x^j; the two copies cancel in the
-sum X_H - Y_V + Z_K, leaving the affine field.
+sum X_H - Y_V + Z_K, leaving the affine field.  ``decompose_field``
+takes any Hermitian V, so with no jumps its split is the jump-free,
+rank-preserving field X_H - Y_V, which ``evaluate_component_fields``,
+the one home of e_V, Y_V and Z_K, reads off as ``xh - yv``.
 
 ``integrate`` steps that field as the linear field of (x, 1), its lift
 [[A, B], [0, 0]] (Van Loan, IEEE TAC 23, 1978), by
@@ -61,6 +64,8 @@ class GklsModel:
 class FieldDecomposition:
     """Hamiltonian/Gradient/Jump matrices with A = Hmat - Vmat + Kmat."""
 
+    n: int
+    tr_v: float            # Tr V
     Hmat: np.ndarray
     Vmat: np.ndarray
     Kmat: np.ndarray
@@ -147,68 +152,46 @@ def phase_damping_model(gamma):
     return build_model(basis, np.zeros((2, 2)), [np.sqrt(gamma) * sigma3])
 
 
-def _hamiltonian_gradient_matrices(tau, H, V):
-    """(Hmat, Vmat, V_vec) of the pushforwards of i[., H] and {V, .}/2."""
+def decompose_field(basis, H, V, jumps=()):
+    """Hamiltonian/Gradient/Jump split of the field of (H, V, jumps).
+
+    Hmat is the pushforward of i[., H]; Vmat is the full half-
+    anticommutator matrix with V (its Tr(V)/n multiple of the identity is
+    what makes A = Hmat - Vmat + Kmat hold entrywise).  V need not be
+    sum_k v_k^dag v_k, nor positive: with no jumps the split is the
+    jump-free field X_H - Y_V of any Hermitian H and V.
+    """
+    tau = basis.tau
+    H = np.asarray(H, dtype=complex)
+    V = np.asarray(V, dtype=complex)
     comm = 1j * (np.einsum("lab,bc->lac", tau, H)
                  - np.einsum("ab,lbc->lac", H, tau))
     Hmat = np.einsum("lab,jba->jl", comm, tau).real
     anti = np.einsum("ab,lbc->lac", V, tau) + np.einsum("lab,bc->lac", tau, V)
     Vmat = 0.5 * np.einsum("lab,jba->jl", anti, tau).real
-    V_vec = np.einsum("jab,ba->j", tau, V).real
-    return Hmat, Vmat, V_vec
-
-
-def decompose_field(model):
-    """Hamiltonian/Gradient/Jump split of the affine field.
-
-    Hmat is the pushforward of i[., H]; Vmat is the full half-
-    anticommutator matrix with V (its Tr(V)/n multiple of the identity is
-    what makes A = Hmat - Vmat + Kmat hold entrywise).
-    """
-    tau = model.basis.tau
-    Hmat, Vmat, V_vec = _hamiltonian_gradient_matrices(tau, model.H, model.V)
     ktau = np.zeros_like(tau)
-    cal = np.zeros((model.n, model.n), dtype=complex)
-    for v in model.jumps:
+    cal = np.zeros((basis.n, basis.n), dtype=complex)
+    for v in jumps:
         ktau = ktau + np.einsum("ab,lbc,cd->lad", v, tau, v.conj().T)
         cal = cal + v @ v.conj().T
     Kmat = np.einsum("lab,jba->jl", ktau, tau).real
-    calV_vec = np.einsum("jab,ba->j", tau, cal).real
-    return FieldDecomposition(Hmat=Hmat, Vmat=Vmat, Kmat=Kmat,
-                              V_vec=V_vec, calV_vec=calV_vec)
+    return FieldDecomposition(
+        n=basis.n, tr_v=float(np.trace(V).real), Hmat=Hmat, Vmat=Vmat,
+        Kmat=Kmat, V_vec=np.einsum("jab,ba->j", tau, V).real,
+        calV_vec=np.einsum("jab,ba->j", tau, cal).real)
 
 
-def evaluate_component_fields(model, dec, x):
+def evaluate_component_fields(dec, x):
     """(X_H, Y_V, Z_K) at a coherence vector x.
 
     X_H - Y_V + Z_K = A x + B: the -e_V(x) x terms of Y and Z cancel.
     """
     x = np.asarray(x, dtype=float)
-    e_v = float(np.trace(model.V).real) / model.n + float(dec.V_vec @ x)
+    e_v = dec.tr_v / dec.n + float(dec.V_vec @ x)
     xh = dec.Hmat @ x
-    yv = dec.Vmat @ x + dec.V_vec / model.n - e_v * x
-    zk = dec.Kmat @ x + dec.calV_vec / model.n - e_v * x
+    yv = dec.Vmat @ x + dec.V_vec / dec.n - e_v * x
+    zk = dec.Kmat @ x + dec.calV_vec / dec.n - e_v * x
     return xh, yv, zk
-
-
-def hamiltonian_gradient_field(basis, H, V):
-    """Closure for the jump-free field X_H - Y_V at coherence vectors.
-
-    Takes the H and V matrices directly (V need not come from jump
-    operators, nor be positive), which is what the pure-state projection
-    comparisons need.
-    """
-    H = np.asarray(H, dtype=complex)
-    V = np.asarray(V, dtype=complex)
-    Hmat, Vmat, V_vec = _hamiltonian_gradient_matrices(basis.tau, H, V)
-    tr_v = float(np.trace(V).real)
-    n = basis.n
-
-    def field(x):
-        e_v = tr_v / n + V_vec @ x
-        return Hmat @ x - (Vmat @ x + V_vec / n - e_v * x)
-
-    return field
 
 
 def _trajectory(basis, times, points):

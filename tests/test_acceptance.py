@@ -18,8 +18,7 @@ from dissipgeo.contact import (ScalarField, contact_hamiltonian_field,
                                darboux_chart, homomorphism_residual,
                                jacobi_bracket, reeb_field)
 from dissipgeo.gkls import (build_model, decompose_field,
-                            evaluate_component_fields,
-                            hamiltonian_gradient_field, integrate,
+                            evaluate_component_fields, integrate,
                             integrate_coherence_field, phase_damping_model)
 from dissipgeo.mechanics import (bivector_span_dimension,
                                  coupled_damped_oscillators,
@@ -76,11 +75,11 @@ def test_criterion_02_decomposition_identity():
                             + 1j * rng.normal(size=(n, n)))
                      for _ in range(int(rng.integers(1, 4)))]
             model = build_model(basis, random_hermitian(rng, n), jumps)
-            dec = decompose_field(model)
+            dec = decompose_field(basis, model.H, model.V, model.jumps)
             worst = max(worst, float(np.max(np.abs(
                 model.A - (dec.Hmat - dec.Vmat + dec.Kmat)))))
             x = rng.normal(size=n * n - 1)
-            xh, yv, zk = evaluate_component_fields(model, dec, x)
+            xh, yv, zk = evaluate_component_fields(dec, x)
             worst = max(worst, float(np.max(np.abs(
                 xh - yv + zk - (model.A @ x + model.B)))))
     report(2, worst < 1e-12,
@@ -285,9 +284,10 @@ def test_criterion_11_cross_module_consistency():
         b = random_hermitian(rng, n, scale=0.4)
         psi0 = random_unit(rng, n)
         times, psis = ps.integrate_sphere_flow(a, b, psi0, 5.0, 1e-3)
-        field = hamiltonian_gradient_field(basis, -a, -2.0 * b)
+        dec = decompose_field(basis, -a, -2.0 * b)
         traj = integrate_coherence_field(
-            field, ps.project_to_bloch(psi0, basis), 5.0, 1e-3, basis)
+            lambda x: np.subtract(*evaluate_component_fields(dec, x)[:2]),
+            ps.project_to_bloch(psi0, basis), 5.0, 1e-3, basis)
         for idx in range(0, len(times), 500):
             bloch = ps.project_to_bloch(psis[idx], basis)
             worst = max(worst, float(np.max(np.abs(

@@ -119,3 +119,16 @@ def test_one_residual_scale_and_one_hamiltonianity_verdict():
         == ["checks.relative"]
     assert calls_in("checks", criterion) + calls_in("cli", criterion) \
         == ["checks.hamiltonianity_verdict", "checks.mechanics_suite"]
+
+
+def test_gradient_field_has_one_home():
+    """Of the functions in src, gkls.evaluate_component_fields alone names
+    V_vec, as an attribute or a local, so e_V and the Gradient field Y_V
+    are written once: the jump-free field of any (H, V) is xh - yv of a
+    decompose_field split."""
+    readers = {f"{path.stem}.{stmt.name}"
+               for path in sorted(SOURCE.glob("*.py"))
+               for stmt in ast.parse(path.read_text()).body
+               if isinstance(stmt, ast.FunctionDef)
+               and "V_vec" in referenced_names(stmt)}
+    assert readers == {"gkls.evaluate_component_fields"}

@@ -18,7 +18,8 @@ import scipy.linalg
 import dissipgeo
 from dissipgeo import (checks, cli, contact, gkls, integrators, mechanics,
                        purestate)
-from dissipgeo.algebra import from_coherence_vector, to_coherence_vector
+from dissipgeo.algebra import (build_su_basis, from_coherence_vector,
+                               to_coherence_vector)
 from dissipgeo.checks import expm, run_checks
 
 TIMES = [1e-3, 0.1, 1.0, 10.0, 50.0, 100.0]
@@ -112,28 +113,28 @@ def test_suite_makes_no_rk4_path_call(suite, monkeypatch):
     assert all(r.passed for r in suite_results(suite).values())
 
 
-def dropped_nonlinear_term(basis, h, v):
-    # X_H - Y_V without its -e_V(x) x term
-    hmat, vmat, v_vec = gkls._hamiltonian_gradient_matrices(
-        basis.tau, np.asarray(h, dtype=complex), np.asarray(v, dtype=complex))
-    return lambda x: hmat @ x - (vmat @ x + v_vec / basis.n)
+def dropped_nonlinear_term(dec, x):
+    # Y_V without its -e_V(x) x term
+    xh, _, zk = gkls.evaluate_component_fields(dec, x)
+    return xh, dec.Vmat @ x + dec.V_vec / dec.n, zk
 
 
-def added_jump_part(basis, h, v):
-    # X_H - Y_V plus the affine field A x + B of a lowering jump
-    field = gkls.hamiltonian_gradient_field(basis, h, v)
-    model = gkls.build_model(basis, np.zeros((basis.n, basis.n)),
-                             [np.eye(basis.n, k=1)])
-    return lambda x: field(x) + model.A @ x + model.B
+def added_jump_part(dec, x):
+    # X_H plus the Jump field Z_K of a lowering jump
+    lower = np.eye(dec.n, k=1)
+    jump = gkls.decompose_field(build_su_basis(dec.n), 0.0 * lower,
+                                lower.T @ lower, [lower])
+    xh, yv, zk = gkls.evaluate_component_fields(dec, x)
+    return xh + gkls.evaluate_component_fields(jump, x)[2], yv, zk
 
 
-@pytest.mark.parametrize("wrong_field",
+@pytest.mark.parametrize("wrong_fields",
                          [dropped_nonlinear_term, added_jump_part])
-def test_rank_constancy_sees_a_field_off_the_stratum(wrong_field,
+def test_rank_constancy_sees_a_field_off_the_stratum(wrong_fields,
                                                      monkeypatch):
     name = "gkls/gradient-flow-rank-constancy"
     assert suite_results("gkls")[name].residual < 1e-12
-    monkeypatch.setattr(checks, "hamiltonian_gradient_field", wrong_field)
+    monkeypatch.setattr(checks, "evaluate_component_fields", wrong_fields)
     assert not suite_results("gkls")[name].passed
 
 

@@ -801,6 +801,16 @@ class TestScenarioRuns:
             assert run_cli("run", str(cfg),
                            "--out", str(tmp_path)) == EXIT_OK
 
+    def test_readme_python_examples_run(self, capsys):
+        # the blocks build on each other, so they share one namespace
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        examples = re.findall(r"```python\n(.*?)```", readme.read_text(),
+                              re.DOTALL)
+        assert examples
+        namespace = {}
+        for text in examples:
+            exec(compile(text, "README.md", "exec"), namespace)
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         for out in ("r1", "r2"):
             assert run_cli("run", "friction-lagrangian",

@@ -17,8 +17,7 @@ from dissipgeo.checks import (decomposition_identities, positivity,
                               trace_preservation)
 from dissipgeo.cli import EXIT_OK, main
 from dissipgeo.gkls import (apply_generator, build_model, decompose_field,
-                            evaluate_component_fields,
-                            hamiltonian_gradient_field, integrate,
+                            evaluate_component_fields, integrate,
                             integrate_coherence_field, phase_damping_model)
 from dissipgeo.integrators import DivergenceError, rk4_path
 
@@ -38,6 +37,10 @@ def random_model(rng, n, n_jumps=2, scale=0.7):
     jumps = [scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
              for _ in range(n_jumps)]
     return build_model(basis, h, jumps)
+
+
+def split(model):
+    return decompose_field(model.basis, model.H, model.V, model.jumps)
 
 
 def random_density(rng, n):
@@ -168,7 +171,7 @@ class TestAffineField:
         rng = np.random.default_rng(2)
         basis = build_su_basis(3)
         m = build_model(basis, random_hermitian(rng, 3))
-        dec = decompose_field(m)
+        dec = split(m)
         assert np.max(np.abs(m.B)) < 1e-14
         assert np.max(np.abs(m.A - dec.Hmat)) < 1e-12
         assert np.max(np.abs(dec.Vmat)) < 1e-14
@@ -194,12 +197,12 @@ class TestAffineField:
 class TestDecomposition:
     def test_phase_damping_is_pure_jump_field(self):
         m = phase_damping_model(1.0)
-        dec = decompose_field(m)
+        dec = split(m)
         assert np.max(np.abs(dec.Hmat)) < 1e-14
         rng = np.random.default_rng(4)
         for _ in range(10):
             x = rng.normal(size=3)
-            xh, yv, zk = evaluate_component_fields(m, dec, x)
+            xh, yv, zk = evaluate_component_fields(dec, x)
             assert np.max(np.abs(xh)) < 1e-14
             assert np.max(np.abs(yv)) < 1e-12      # gradient field vanishes
             assert np.allclose(zk, m.A @ x, atol=1e-12)   # Gamma = Z_K
@@ -207,7 +210,7 @@ class TestDecomposition:
     def test_qubit_hamiltonian_rotation_axis(self):
         basis = build_su_basis(2)
         m = build_model(basis, SIGMA3 / SQRT2)
-        dec = decompose_field(m)
+        dec = split(m)
         # pushforward of i[., H] must rotate about axis 3
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -223,14 +226,14 @@ class TestDecomposition:
         for n in (2, 3):
             for _ in range(20):
                 m = random_model(rng, n, n_jumps=int(rng.integers(1, 4)))
-                dec = decompose_field(m)
+                dec = split(m)
                 assert np.max(np.abs(m.A - (dec.Hmat - dec.Vmat + dec.Kmat))) \
                     < 1e-12
                 assert np.max(np.abs(
                     m.B - (dec.calV_vec - dec.V_vec) / m.n)) < 1e-12
                 for _ in range(5):
                     x = rng.normal(size=n * n - 1)
-                    xh, yv, zk = evaluate_component_fields(m, dec, x)
+                    xh, yv, zk = evaluate_component_fields(dec, x)
                     assert np.max(np.abs(xh - yv + zk - (m.A @ x + m.B))) \
                         < 1e-12
 
@@ -238,8 +241,8 @@ class TestDecomposition:
     def test_perturbed_decomposition_fails(self, gamma, monkeypatch):
         # the residuals are relative to max(1, max|A|), so a relative
         # error of 1e-9 in Kmat fails at any rate
-        def perturbed(model):
-            dec = decompose_field(model)
+        def perturbed(*args):
+            dec = decompose_field(*args)
             return dataclasses.replace(dec, Kmat=dec.Kmat * (1.0 + 1e-9))
 
         monkeypatch.setattr(checks, "decompose_field", perturbed)
@@ -250,9 +253,9 @@ class TestDecomposition:
     def test_nonlinear_terms_present_but_cancel(self):
         rng = np.random.default_rng(7)
         m = random_model(rng, 2, n_jumps=1)
-        dec = decompose_field(m)
+        dec = split(m)
         x = rng.normal(size=3)
-        _, yv, _ = evaluate_component_fields(m, dec, x)
+        _, yv, _ = evaluate_component_fields(dec, x)
         linear_y = dec.Vmat @ x + dec.V_vec / 2
         assert np.max(np.abs(yv - linear_y)) > 1e-6  # genuinely nonlinear
 
@@ -261,7 +264,7 @@ class TestDecomposition:
         eps = 1e-5
         for n in (2, 3):
             m = random_model(rng, n)
-            dec = decompose_field(m)
+            dec = split(m)
             for _ in range(5):
                 x = rng.normal(size=n * n - 1)
                 base = np.linalg.eigvalsh(from_coherence_vector(x, m.basis))
@@ -351,9 +354,10 @@ class TestIntegration:
         rho0 = np.outer(psi, psi.conj())
         h = random_hermitian(rng, 3)
         v = random_hermitian(rng, 3, scale=0.5)
-        field = hamiltonian_gradient_field(basis, h, v)
+        dec = decompose_field(basis, h, v)
         traj = integrate_coherence_field(
-            field, to_coherence_vector(rho0, basis), 2.0, 1e-3, basis)
+            lambda x: np.subtract(*evaluate_component_fields(dec, x)[:2]),
+            to_coherence_vector(rho0, basis), 2.0, 1e-3, basis)
         assert np.all(traj.ranks == 1)
 
     def test_jump_flow_changes_rank(self):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dissipgeo import cli, integrators, mechanics
+from dissipgeo.checks import relative
 from dissipgeo.contact import ScalarField, contact_hamiltonian_field, darboux_chart
 from dissipgeo.integrators import DivergenceError, rk4_path, time_grid
 from dissipgeo.mechanics import (ContactLagrangianSystem, ImplicitSystemError,
@@ -642,3 +643,43 @@ class TestClosedForm:
             assert np.isclose(rate[idx],
                               analytic_energy_rate(sys, *point, s[idx]),
                               rtol=1e-14, atol=0.0)
+
+
+# E_c = E_L + h(S) obeys dE_c/dt = -h'(S) E_c for either dissipation rule,
+# so with h = h(0) + r S it is E_c(0) exp(-r t): an exact oracle for the S
+# column, which the (q, q') oracles never read
+DISSIPATED_RUNS = {
+    "rlc-single": (rlc_single(0.2, 1.0, 1.0), ([1.0], [0.0], 0.0)),
+    "rlc-single-lossier": (rlc_single(0.4, 1.2, 0.9), ([1.0], [0.0], 0.0)),
+    "rlc-coupled": (rlc_coupled(1.0, 1.0, 1.0, 0.5, 0.5, 0.3, 0.2),
+                    ([1.0, 0.0], [0.0, 0.0], 0.0)),
+}
+
+
+def dissipated_energy_residual(sys, state0):
+    traj = integrate_contact(sys, state0, 10.0, 1e-3)
+    e_c = traj.energy + sys.h(traj.s)
+    decay = e_c[0] * np.exp(-float(sys.dh_ds(0.0)) * traj.times)
+    return relative(e_c - decay, e_c)
+
+
+@pytest.mark.parametrize("name", sorted(DISSIPATED_RUNS))
+def test_contact_energy_decays_exactly(name):
+    assert dissipated_energy_residual(*DISSIPATED_RUNS[name]) < 1e-10
+
+
+_S_STEP = mechanics._s_step
+
+
+def s_step_ignoring_r(phi, s, r, dt):
+    return _S_STEP(phi, s, 0.0, dt)
+
+
+@pytest.mark.parametrize("name", sorted(DISSIPATED_RUNS))
+@pytest.mark.parametrize("attr, wrong", [
+    ("_s_step", s_step_ignoring_r), ("_STAGE_C", (0.5, 0.5, 0.9))],
+    ids=["s-step-ignores-r", "stage-c"])
+def test_contact_energy_oracle_sees_a_wrong_s_step(name, attr, wrong,
+                                                   monkeypatch):
+    monkeypatch.setattr(mechanics, attr, wrong)
+    assert dissipated_energy_residual(*DISSIPATED_RUNS[name]) >= 1e-10

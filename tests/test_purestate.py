@@ -9,7 +9,8 @@ from scipy.linalg import expm
 from dissipgeo import integrators
 from dissipgeo import purestate as ps
 from dissipgeo.algebra import build_su_basis
-from dissipgeo.gkls import hamiltonian_gradient_field, integrate_coherence_field
+from dissipgeo.gkls import (decompose_field, evaluate_component_fields,
+                            integrate_coherence_field)
 from dissipgeo.integrators import DivergenceError, rk4_path
 
 SQRT2 = np.sqrt(2.0)
@@ -488,9 +489,10 @@ class TestBlochProjection:
             b = random_hermitian(rng, n, scale=0.4)
             psi0 = random_unit(rng, n)
             times, psis = ps.integrate_sphere_flow(a, b, psi0, 5.0, 1e-3)
-            field = hamiltonian_gradient_field(basis, -a, -2.0 * b)
+            dec = decompose_field(basis, -a, -2.0 * b)
             traj = integrate_coherence_field(
-                field, ps.project_to_bloch(psi0, basis), 5.0, 1e-3, basis)
+                lambda x: np.subtract(*evaluate_component_fields(dec, x)[:2]),
+                ps.project_to_bloch(psi0, basis), 5.0, 1e-3, basis)
             for idx in (0, 1000, 2500, 5000):
                 bloch = ps.project_to_bloch(psis[idx], basis)
                 assert np.max(np.abs(bloch - traj.points[idx])) < 1e-6
