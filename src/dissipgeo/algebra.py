@@ -127,9 +127,15 @@ def to_coherence_vector(a, basis):
 
 
 def from_coherence_vector(x, basis):
-    """Reconstruct xi = I/n + x^j tau_j; leading axes of x are batch axes."""
+    """Reconstruct xi = I/n + x^j tau_j; leading axes of x are batch axes.
+    x^j tau_j is one real sum in j order over the float view of tau: a
+    complex einsum's rounding without its complex multiply-adds."""
     x = np.asarray(x, dtype=float)
+    n = basis.n
     if x.shape[-1:] != (basis.size,):
         raise ValueError(f"coherence vector length {x.shape} != {basis.size}")
-    return np.eye(basis.n, dtype=complex) / basis.n \
-        + np.einsum("...j,jab->...ab", x, basis.tau)
+    xi = np.empty(x.shape[:-1] + (n * n,), dtype=complex)
+    np.einsum("...j,jk->...k", x, basis.tau.reshape(-1, n * n).view(float),
+              out=xi.view(float))
+    xi.real[..., ::n + 1] += 1.0 / n
+    return xi.reshape(x.shape[:-1] + (n, n))

@@ -103,6 +103,20 @@ def five_point_rate(values, dt):
             + values[:-4]) / (12 * dt)
 
 
+def five_point_residual(name, values, dt, analytic, tol):
+    """The five-point rate of values against the analytic rate at
+    values[2:-2], by ``relative``.  Raises ValueError naming the smallest
+    usable dt when the stencil's rounding floor, 1.5 eps max|values| / dt
+    on the same scale, reaches tol: no rate could pass below it."""
+    rate = five_point_rate(values, dt)
+    floor = relative(1.5 * np.finfo(float).eps * np.max(np.abs(values)),
+                     analytic)
+    if floor >= tol * dt:
+        raise ValueError(f"{name}: dt = {dt!r} is at or below the five-point "
+                         f"rounding floor; use dt > {floor / tol:.3g}")
+    return result(name, relative(rate - analytic, analytic), tol)
+
+
 def trace_preservation(deviations):
     """gkls/trace-preservation: the largest |deviation| of a trace from its
     exact value (Tr rho = 1 along a path, Tr L(rho) = 0 for a generator)."""
@@ -183,10 +197,9 @@ def exactness_residual(chart, point, step):
 def energy_rate_identity(name, sys, traj, dt):
     """Measured dE_L/dt against -(dh/dS) q'_j D_j along a contact path,
     relative to the analytic rate."""
-    measured = five_point_rate(traj.energy, dt)
     analytic = analytic_energy_rate(sys, traj.q[2:-2].T, traj.qd[2:-2].T,
                                     traj.s[2:-2])
-    return result(name, relative(measured - analytic, analytic), 1e-6)
+    return five_point_residual(name, traj.energy, dt, analytic, 1e-6)
 
 
 def friction_invariants(gamma, traj, dt):
@@ -197,9 +210,8 @@ def friction_invariants(gamma, traj, dt):
     return [
         result("mechanics/friction-energy-conservation",
                relative(e_l - e_l[0], e_l[0]), 1e-8),
-        result("mechanics/friction-mechanical-dissipation",
-               relative(five_point_rate(traj.energy_mech, dt) - analytic,
-                        analytic), 1e-6),
+        five_point_residual("mechanics/friction-mechanical-dissipation",
+                            traj.energy_mech, dt, analytic, 1e-6),
     ]
 
 

@@ -16,10 +16,13 @@ Every number a config gives (t_end, dt, "gamma", the circuit values, the
 starts and the matrices) must be a finite JSON number, and a JSON boolean
 or a string is none; complex entries are [re, im] pairs of such numbers.
 Each run writes a trajectory CSV (17 significant digits, LF endings,
-byte-stable across runs) plus a JSON report with per-invariant pass/fail
-and residuals, final_t and stopped_early.  Exit codes: 0 all invariants
-pass, 2 usage or config error (a bad value, a name not read or a missing
-one, an unreadable config or an unwritable --out), 3 numerical failure.
+byte-stable across runs; one format call per block of CSV_BLOCK_ROWS
+rows, the bytes of one format() per value) plus a JSON report with
+per-invariant pass/fail and residuals, final_t and stopped_early.  Exit
+codes: 0 all invariants pass, 2 usage or config error (a bad value, a
+name not read or a missing one, an unreadable config or an unwritable
+--out, a dt at or below the five-point rounding floor of a rate
+invariant), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from . import purestate as ps
 from .algebra import build_su_basis, from_coherence_vector, is_hermitian
 from .checks import (CheckResult, contact_residuals, decomposition_identities,
-                     energy_rate_identity, five_point_rate,
+                     energy_rate_identity, five_point_residual,
                      friction_invariants, gkls_flow, hamiltonianity_verdict,
                      linear_oracle, positivity, relative, result,
                      run_checks, sphere_flow, trace_preservation)
@@ -51,6 +54,7 @@ from .mechanics import (HAMILTONIANITY_VERDICTS, ImplicitSystemError,
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+CSV_BLOCK_ROWS = 256
 
 
 class ConfigError(ValueError):
@@ -101,9 +105,11 @@ def write_csv(path, header, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        # row by row: one tolist() of the whole array would hold every
-        # value as a Python float at once
-        fh.writelines(line % tuple(row.tolist()) for row in rows)
+        # one format call per block of rows: one tolist() of the whole
+        # array would hold every value as a Python float at once
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 SQRT_HALF = 2.0 ** -0.5
@@ -257,8 +263,7 @@ def run_pure_state(a, b, psi0, t_end, dt):
         contact_residuals([(a, b, ps.to_chart(psi0))]),
         result("purestate/exponential-oracle",
                float(np.max(np.abs(psis[-1] - exact))), 1e-7),
-        result("purestate/path-solves-z",
-               relative(five_point_rate(zs, dt) - field, field), 1e-6),
+        five_point_residual("purestate/path-solves-z", zs, dt, field, 1e-6),
     ]
     return header, rows, invariants
 

@@ -151,6 +151,20 @@ class TestCoherenceChart:
         with pytest.raises(ValueError):
             from_coherence_vector(points[..., 1:], basis)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 5)])
+    def test_real_sums_round_as_the_complex_einsum(self, n, shape):
+        # the complex einsum over tau is the oracle: the real sums in j
+        # order must give its bits, so no diagnostic moves
+        basis = build_su_basis(n)
+        rng = np.random.default_rng(100 * n + len(shape))
+        for x in (np.zeros(shape + (basis.size,)),
+                  rng.normal(size=shape + (basis.size,)),
+                  rng.choice([-1e300, 1e300], size=shape + (basis.size,))):
+            expected = np.eye(n) / n + np.einsum("...j,jab->...ab", x,
+                                                 basis.tau)
+            assert np.array_equal(from_coherence_vector(x, basis), expected)
+
     def test_trace_mismatch_carries_trace(self):
         basis = build_su_basis(2)
         with pytest.raises(TraceMismatchError) as info:

@@ -1,11 +1,12 @@
 """checks.expm, the numpy matrix exponential behind every exact oracle,
-held to scipy.linalg.expm; the package importing numpy, not scipy; every
-suite holding each claim to an identity or an exact flow, not to an RK4
-run; the contact and pure-state invariants failing a wrong bordered
-solve; and the declared linear law of the projectable contact systems
-held to their field."""
+held to scipy.linalg.expm; the package importing and running on numpy
+alone, without scipy or the test extra; every suite holding each claim
+to an identity or an exact flow, not to an RK4 run; the contact and
+pure-state invariants failing a wrong bordered solve; and the declared
+linear law of the projectable contact systems held to their field."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -96,6 +97,27 @@ def test_package_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "False"
+
+
+def test_runtime_needs_numpy_alone(tmp_path):
+    """`dissipgeo checks` and every builtin run without loading a module
+    of the test extra, so `pip install .` alone is a working install."""
+    src = Path(dissipgeo.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import json, sys\n"
+        "from dissipgeo.cli import BUILTIN_SCENARIOS, main\n"
+        "codes = [main(['checks'])] + [main(['run', name, '--out',"
+        " sys.argv[1]]) for name in BUILTIN_SCENARIOS]\n"
+        "extra = {'scipy', 'hypothesis', 'jsonschema', 'pytest'}\n"
+        "json.dump([codes, sorted(extra & {m.split('.')[0] for m in "
+        "sys.modules})], open(sys.argv[2], 'w'))\n")
+    result = tmp_path / "result.json"
+    subprocess.run([sys.executable, "-c", code, str(tmp_path), str(result)],
+                   env=env, check=True, capture_output=True, timeout=120)
+    codes, loaded = json.loads(result.read_text())
+    assert codes == [cli.EXIT_OK] * (1 + len(cli.BUILTIN_SCENARIOS))
+    assert loaded == []
 
 
 def suite_results(suite):

@@ -204,6 +204,21 @@ SHORT_PATH_CONFIGS = {
         **FRICTION, "qd0": [1.5e-10], "dt": 1, "t_end": 10}),
 }
 
+# correct runs whose dt is at or below the five-point rounding floor of
+# an invariant, 1.5 eps max|series| / dt: before the floor check the
+# first two exited 3 (1.4e-5 and 6.3e-6 against 1e-6), the friction run 0
+FLOOR_CONFIGS = {
+    "pure-state": ("pure-state", "purestate/path-solves-z", {
+        "a": SIGMA3,
+        "b": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]],
+        "psi0": [[0.6, 0.0], [0.8, 0.0]], "t_end": 1e-9, "dt": 1e-11}),
+    "rlc-single": ("circuit", "circuit/energy-rate-identity", {
+        **RLC_SINGLE, "i0": [0.0], "di0": [1.0], "t_end": 1e-9, "dt": 1e-11}),
+    "friction": ("contact-lagrangian",
+                 "mechanics/friction-mechanical-dissipation", {
+                     **FRICTION, "t_end": 1e-9, "dt": 1e-11}),
+}
+
 # a whole config that is malformed at its top level
 BAD_TOP_LEVEL_CONFIGS = {
     "array": [],
@@ -407,6 +422,47 @@ def test_write_csv_matches_per_value_format(tmp_path):
     assert path.read_text().splitlines()[1:3] == ["-0,1", "0,2"]
 
 
+def per_value_csv(header, rows):
+    """The CSV of write_csv, one format() per value: its oracle."""
+    return (",".join(header) + "\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n"
+        for row in np.asarray(rows, dtype=float).tolist())).encode()
+
+
+BLOCK = cli.CSV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   2 * BLOCK + 3])
+@pytest.mark.parametrize("columns", [1, 3, 12])
+def test_write_csv_blocks_match_per_value_format(count, columns, tmp_path):
+    # the edge values of the per-value test and three more, 13 in all,
+    # cycled so that each column meets each of them, then random values
+    edges = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2e-308, 0.1,
+             -1.0 / 3.0, 1e300, 1.0, 7.0, -123456789.0]
+    rows = np.resize(edges, (count, columns))
+    rows[count // 2:] += np.random.default_rng(count).normal(
+        size=(count - count // 2, columns))
+    header = [f"c{j}" for j in range(columns)]
+    path = tmp_path / "blocks.csv"
+    write_csv(path, header, rows)
+    assert path.read_bytes() == per_value_csv(header, rows)
+
+
+def test_partial_csv_matches_per_value_format(tmp_path):
+    # z = -2 gamma dt = -3 is outside RK4's real stability interval, so the
+    # path grows by 1.375 a step and overflows after 2,225 rows, some
+    # blocks and a remainder, the last near 1e308
+    params = {"model": "phase-damping", "gamma": 1.0, "x0": [0.7, 0.0, 0.0],
+              "t_end": 15000.0, "dt": 1.5}
+    with pytest.raises(integrators.DivergenceError) as info:
+        cli.execute_scenario(tmp_path, "gkls", "unstable", params)
+    times, states = info.value.partial
+    assert len(times) % BLOCK and len(times) > 2 * BLOCK
+    assert (tmp_path / "unstable_partial.csv").read_bytes() == per_value_csv(
+        ["t", "y1", "y2", "y3"], np.column_stack([times, states]))
+
+
 class TestCommands:
     def test_list_shows_all_builtins(self, capsys):
         assert run_cli("list") == EXIT_OK
@@ -503,6 +559,24 @@ class TestCommands:
         assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "config error" in err and "at least 5 rows" in err
+
+    @pytest.mark.parametrize("case", sorted(FLOOR_CONFIGS))
+    def test_dt_below_five_point_floor_is_usage_error(self, case, tmp_path,
+                                                       capsys):
+        kind, name, params = FLOOR_CONFIGS[case]
+        cfg = tmp_path / "floor.json"
+        cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
+        assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"config error: {name}: dt = 1e-11" in err
+        usable = float(re.search(r"use dt > (\S+)$", err.strip()).group(1))
+        assert 1e-10 < usable < 1e-9
+        # twice the named dt, over 20 steps, runs and passes
+        dt = 2 * usable
+        cfg.write_text(json.dumps({"kind": kind, "parameters": {
+            **params, "t_end": 20 * dt, "dt": dt}}))
+        assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_OK
+        assert f"[PASS] {name}" in capsys.readouterr().out
 
     def test_renormalize_is_no_parameter(self, tmp_path, capsys):
         # every row is on the unit sphere, so there is nothing to switch
