@@ -16,18 +16,23 @@ Every number a config gives (t_end, dt, "gamma", the circuit values, the
 starts and the matrices) must be a finite JSON number, and a JSON boolean
 or a string is none; complex entries are [re, im] pairs of such numbers.
 Each run writes a trajectory CSV (17 significant digits, LF endings,
-byte-stable across runs; one format call per block of CSV_BLOCK_ROWS
-rows, the bytes of one format() per value) plus a JSON report with
-per-invariant pass/fail and residuals, final_t and stopped_early.  Exit
-codes: 0 all invariants pass, 2 usage or config error (a bad value, a
-name not read or a missing one, an unreadable config or an unwritable
---out, a dt at or below the five-point rounding floor of a rate
-invariant), 3 numerical failure.
+byte-stable across runs, the bytes of one format(v, '.17g') per value)
+plus a JSON report with per-invariant pass/fail and residuals, final_t
+and stopped_early.  The writer makes the digits of CSV_BLOCK_ROWS rows
+at a time in numpy, as round(|v| * 10**(16 - k)) from an exact
+double-double product; 0, nan, inf, |v| outside [1e-100, 1e100) and the
+rare value it cannot prove right (a near tie, a k that log10 rounded the
+wrong way) are written by CPython's formatter.  Exit codes: 0 all
+invariants pass, 2 usage or config error (a bad value, a name not read
+or a missing one, an unreadable config or an unwritable --out, a dt at
+or below the five-point rounding floor of a rate invariant), 3
+numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -101,15 +106,158 @@ def write_json(path, data):
 
 def write_csv(path, header, rows):
     rows = np.asarray(rows, dtype=float)
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        # one format call per block of rows: one tolist() of the whole
-        # array would hold every value as a Python float at once
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        # a block of rows at a time keeps the byte grid small
         for start in range(0, len(rows), CSV_BLOCK_ROWS):
-            block = rows[start:start + CSV_BLOCK_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_csv_block_bytes(rows[start:start + CSV_BLOCK_ROWS]))
+
+
+# format(v, '.17g') for a block of values at once.  The 17 digits are
+# D = round(|v| * 10**(16 - k)), k = floor(log10|v|), whenever the unrounded
+# product lies in [1e16, 1e17).  The product is Dekker's exact two-product
+# of |v| with the double nearest 10**(16 - k) (Numer. Math. 18, 1971) plus
+# |v| times the rest, within about 2**-48 of a unit of D's last digit.
+# Each value then fills a 48-byte slot of six 64-bit words: sign, "0.000",
+# the digits each followed by a point slot, "e-101", the separator, with a
+# NUL wherever C's %g writes nothing; deleting the NULs leaves the line.
+# A value the route cannot prove right keeps CPython's formatter.
+_CSV_K_MIN, _CSV_K_MAX = -101, 100  # k for 1e-100 <= |v| < 1e100
+_VELTKAMP = 134217729.0  # 2**27 + 1
+_GROUP_OFFSETS = np.array([[0], [10000], [20000], [30000]])
+
+
+def _veltkamp_split(a):
+    """a = hi + lo with 26-bit halves, so products of halves are exact."""
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _csv_tables():
+    """The tables of _csv_block_bytes, built on first use.
+
+    - per k: the double nearest 10**(16 - k), its Veltkamp halves and the
+      rest of 10**(16 - k);
+    - per (k, significant digits): the six words of a slot, with "," as
+      separator and 0xff where the value's own bytes go;
+    - the first word's sign and lead digit, per lead + 10 * sign;
+    - per 4-digit group: its digits, each followed by an 0xff point slot;
+    - per (group position, group): the digits of the 16 after the lead
+      up to the group's last nonzero one, 0 for a zero group, so that
+      their maximum over a value's groups is its significant digits - 1;
+    - the last word's masks that turn "," into a newline and that keep the
+      separator alone."""
+    ks = np.arange(_CSV_K_MIN, _CSV_K_MAX + 1)
+    near, rest = [], []
+    for p in (16 - ks).tolist():
+        # int -> float and int / int round correctly
+        if p >= 0:
+            near.append(float(10 ** p))
+            rest.append(float(10 ** p - int(near[-1])))
+        else:
+            q = 10 ** -p
+            near.append(1 / q)
+            num, den = near[-1].as_integer_ratio()
+            rest.append((den - num * q) / (den * q))
+    pow10 = np.array([near, *_veltkamp_split(np.array(near)), rest])
+
+    # C's %g: fixed notation with k + 1 digits before the point for
+    # -4 <= k < 17 ("0." and -k - 1 zeros first for k < 0), else one digit
+    # and an exponent of at least two digits; no trailing zero after the
+    # point, and no point without a digit after it
+    fixed = (ks >= -4) & (ks < 17)
+    before = np.where(fixed, np.maximum(ks + 1, 0), 1)[:, None, None]
+    sig = np.arange(1, 18)[None, :, None]
+    digit = np.arange(17)
+    slot = np.zeros((len(ks), 17, 48), np.uint8)
+    slot[:, :, 0] = 0xff
+    slot[:, :, 45] = ord(",")
+    slot[:, :, 1:6] = np.frombuffer(b"".join(
+        (b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"").ljust(5, b"\0")
+        for k in ks.tolist()), np.uint8).reshape(-1, 1, 5)
+    slot[:, :, 40:45] = np.frombuffer(b"".join(
+        (b"" if -4 <= k < 17 else b"e%+03d" % k).ljust(5, b"\0")
+        for k in ks.tolist()), np.uint8).reshape(-1, 1, 5)
+    slot[:, :, 6:40:2] = (digit < np.maximum(sig, before)) * np.uint8(0xff)
+    slot[:, :, 7:41:2] = ((digit == before - 1) & (sig > before)) \
+        * np.uint8(ord("."))
+
+    head = np.full((2, 10, 8), 0xff, np.uint8)
+    head[:, :, 0] = [[0], [ord("-")]]
+    head[:, :, 6] = np.arange(10) + ord("0")
+
+    group = np.arange(10000, dtype=np.int16)
+    quad = np.full((10000, 8), 0xff, np.uint8)
+    trailing = np.zeros(10000, np.uint8)
+    for i, step in enumerate((1000, 100, 10, 1)):
+        quad[:, 2 * i] = group // step % 10 + ord("0")
+        trailing += group % (10 * step) == 0
+    last = np.where(group > 0, 4 - trailing, 0).astype(np.uint8)
+    last = (np.arange(0, 16, 4, dtype=np.uint8)[:, None] + last) * (group > 0)
+
+    sep = np.zeros((2, 8), np.uint8)
+    sep[:, 5] = [ord(",") ^ ord("\n"), 0xff]
+
+    # uint64 views of the byte tables: only &, ^ and copies touch them, so
+    # the bytes stay in place whatever the byte order
+    tables = (pow10, slot.view(np.uint64).reshape(-1, 6).T.copy(),
+              head.view(np.uint64).ravel(), quad.view(np.uint64).ravel(),
+              last.ravel(), sep.view(np.uint64).ravel())
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _csv_block_bytes(block):
+    """The CSV lines of a 2-D float block: each value as format(v, '.17g'),
+    joined by "," and ending in "\\n"."""
+    pow10, slots, head, quad, last, (newline, sep_only) = _csv_tables()
+    rows, cols = block.shape
+    x = block.ravel()
+    a = np.abs(x)
+    exact = (a >= 1e-100) & (a < 1e100)
+    a = np.where(exact, a, 1.0)  # a stand-in for the values that fall back
+    ki = np.floor(np.log10(a)).astype(np.intp) - _CSV_K_MIN
+    near, near_hi, near_lo, rest = pow10.take(ki, axis=1)
+    # a * 10**(16 - k) = prod + err, err rounded once
+    prod = a * near
+    a_hi, a_lo = _veltkamp_split(a)
+    err = ((a_hi * near_hi - prod) + a_hi * near_lo + a_lo * near_hi) \
+        + a_lo * near_lo
+    err += a * rest
+    whole = np.floor(err)
+    frac = err - whole
+    digits = prod.astype(np.int64) + whole.astype(np.int64)
+    # a product below 1e16 means log10 rounded k up, and one that rounds
+    # to 1e17 a carry or a k rounded down; near ties fall back, so rounding
+    # up above one half is rounding to nearest
+    exact &= (digits >= 10 ** 16) & (np.abs(frac - 0.5) > 1e-6)
+    digits += frac > 0.5
+    exact &= digits < 10 ** 17
+    digits[~exact] = 10 ** 16  # any in-range digits for the fallback
+
+    groups = np.empty((4, x.size), np.int64)
+    for j in (3, 2, 1, 0):
+        lead = digits // 10000
+        groups[j] = digits - 10000 * lead
+        digits = lead
+    ends = last.take(groups + _GROUP_OFFSETS).max(axis=0)
+    words = slots.take(17 * ki + ends, axis=1)
+    words[0] &= head.take(lead + 10 * np.signbit(x))
+    words[1:5] &= quad.take(groups)
+    words[5].reshape(rows, cols)[:, -1] ^= newline
+    # 0, nan, inf, |v| out of range, a near tie, a wrong k or a carry:
+    # CPython's formatter, value by value
+    fallback = np.flatnonzero(~exact)
+    if fallback.size:
+        words[:5, fallback] = np.frombuffer(b"".join(
+            (b"%.17g" % v).ljust(40, b"\0")
+            for v in x[fallback].tolist()), np.uint64).reshape(-1, 5).T
+        words[5, fallback] &= sep_only
+    return words.T.tobytes().translate(None, b"\0")
 
 
 SQRT_HALF = 2.0 ** -0.5

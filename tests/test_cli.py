@@ -432,21 +432,88 @@ def per_value_csv(header, rows):
 BLOCK = cli.CSV_BLOCK_ROWS
 
 
+def ulp_neighbours(value, count):
+    """The doubles 1 to count ulps below and above value."""
+    out, down, up = [], value, value
+    for _ in range(count):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [float(down), float(up)]
+    return out
+
+
+# the edge values of the per-value test and three more; then where a
+# 17-digit writer can go wrong: 10**k with its neighbours up to 3 ulps
+# away (log10 can round to k there, and the double 1e-38 lies below
+# 10**-38, so it has 17 digits at k = -39), values that round up to the
+# next power of ten, both sides of the switch to e notation at 1e-4 and
+# 1e17, subnormals, and exact ties at the 18th digit (to even: .2, .8)
+CSV_EDGES = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2e-308, 0.1,
+             -1.0 / 3.0, 1e300, 1.0, 7.0, -123456789.0] + [
+    v for k in range(-99, 100)
+    for v in [float(f"1e{k}"), *ulp_neighbours(float(f"1e{k}"), 3),
+              float(f"9.99999999999999995e{k}")]] + [
+    1e-4, 9.9999999999999991e-05, 1e16, 1e17, -1e17,
+    2.2250738585072009e-308, 1e-310, -4.9406564584124654e-323,
+    1e15 + 0.25, -(1e15 + 0.75)]
+
+
 @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1,
                                    2 * BLOCK + 3])
 @pytest.mark.parametrize("columns", [1, 3, 12])
 def test_write_csv_blocks_match_per_value_format(count, columns, tmp_path):
-    # the edge values of the per-value test and three more, 13 in all,
-    # cycled so that each column meets each of them, then random values
-    edges = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2e-308, 0.1,
-             -1.0 / 3.0, 1e300, 1.0, 7.0, -123456789.0]
-    rows = np.resize(edges, (count, columns))
+    # the edge values in order through the first half of the rows (all of
+    # them at 12 columns and 2B + 3 rows), then random values
+    rows = np.resize(CSV_EDGES, (count, columns))
     rows[count // 2:] += np.random.default_rng(count).normal(
         size=(count - count // 2, columns))
     header = [f"c{j}" for j in range(columns)]
     path = tmp_path / "blocks.csv"
     write_csv(path, header, rows)
     assert path.read_bytes() == per_value_csv(header, rows)
+
+
+@pytest.mark.parametrize("direction", [-np.inf, np.inf])
+def test_write_csv_checks_k_on_the_product(direction, monkeypatch,
+                                           tmp_path):
+    # k = floor(log10|v|) is only a guess: with log10 moved 4 ulps, k is
+    # one off for every power of ten and its near neighbours, and the
+    # writer must see it on the scaled product alone
+    true_log10 = np.log10
+
+    def skewed_log10(a):
+        out = true_log10(a)
+        for _ in range(4):
+            out = np.nextafter(out, direction)
+        return out
+
+    monkeypatch.setattr(np, "log10", skewed_log10)
+    rows = np.array(CSV_EDGES)[:, None]
+    write_csv(tmp_path / "skewed.csv", ["v"], rows)
+    assert (tmp_path / "skewed.csv").read_bytes() == per_value_csv(["v"],
+                                                                   rows)
+
+
+@st.composite
+def near_ties(draw):
+    """The double nearest a decimal whose 18th and last significant digit
+    is a 5, or one of its two neighbours: values near a 17-digit tie."""
+    digits = draw(st.integers(10 ** 16, 10 ** 17 - 1))
+    value = float(f"{draw(st.sampled_from('+-'))}{digits}5e"
+                  f"{draw(st.integers(-122, 88))}")
+    return float(np.nextafter(value, draw(st.sampled_from(
+        [-np.inf, value, np.inf]))))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(values=st.lists(
+    st.floats(width=64, allow_nan=True, allow_infinity=True,
+              allow_subnormal=True) | near_ties(), min_size=1, max_size=64))
+def test_write_csv_matches_format_on_any_double(values):
+    rows = np.array(values)[:, None]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "any.csv"
+        write_csv(path, ["v"], rows)
+        assert path.read_bytes() == per_value_csv(["v"], rows)
 
 
 def test_partial_csv_matches_per_value_format(tmp_path):
