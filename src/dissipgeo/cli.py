@@ -574,7 +574,6 @@ def execute_scenario(out_dir, kind, name, parameters):
             len(rows) < len(time_grid(parameters["t_end"], parameters["dt"]))
     report_path = out_dir / f"{name}_report.json"
     write_json(report_path, report)
-    report["report_path"] = str(report_path)
     return report
 
 

@@ -102,6 +102,18 @@ def test_no_contact_function_calls_reeb_field():
                     in referenced_names(call.func)) == []
 
 
+def test_only_bordered_reads_the_chart_forms():
+    """In contact, _bordered alone evaluates a chart's omega or eta, so
+    the Reeb field is the bordered solve with right-hand side (0, 1) and
+    no function repeats a check of its defining equations."""
+    readers = {f"contact.{getattr(stmt, 'name', stmt.lineno)}"
+               for stmt in ast.parse((SOURCE / "contact.py").read_text()).body
+               for node in ast.walk(stmt)
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("omega", "eta")}
+    assert readers == {"contact._bordered"}
+
+
 def test_one_residual_scale_and_one_hamiltonianity_verdict():
     """In cli and checks, checks.relative alone scales a residual by
     max(1, ...), and checks.hamiltonianity_verdict alone reads the

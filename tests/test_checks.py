@@ -215,6 +215,37 @@ def test_contact_invariants_see_a_wrong_solve(mutation, failing,
                   if not r.passed) == failing
 
 
+def test_reeb_defining_equations_can_fail(monkeypatch, capsys):
+    # only the Reeb solve, right-hand side (0, 1), moves: xi + 1e-9 dS
+    # keeps i_xi omega = 0 on the Darboux chart and reads eta(xi) = 1 + 1e-9
+    solve = contact._bordered_solve
+
+    def moved(chart, point, rhs_omega, rhs_eta):
+        v, lam = solve(chart, point, rhs_omega, rhs_eta)
+        if np.ndim(rhs_omega) == 1 and not np.any(rhs_omega) \
+                and rhs_eta == 1.0:
+            v = v + 1e-9 * np.eye(chart.dim)[-1]
+        return v, lam
+
+    monkeypatch.setattr(contact, "_bordered_solve", moved)
+    results = suite_results("contact")
+    assert list(results) == [
+        "contact/reeb-defining-equations", "contact/nondegeneracy",
+        "contact/exact-chart-consistency", "contact/eta-contraction",
+        "contact/jacobi-antisymmetry", "contact/alpha-df-degeneracy",
+        "contact/bracket-homomorphism"]
+    reeb = results["contact/reeb-defining-equations"]
+    assert reeb.residual == pytest.approx(1e-9, rel=1e-3)
+    # alpha = dF gives the field F xi, held to the moved xi as well
+    assert sorted(name for name, r in results.items() if not r.passed) \
+        == ["contact/alpha-df-degeneracy", "contact/reeb-defining-equations"]
+    assert cli.main(["checks", "--filter", "contact"]) == cli.EXIT_NUMERICAL
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    assert f"[FAIL] contact/reeb-defining-equations " \
+        f"residual={reeb.residual:.3e}" in lines
+
+
 def test_verdict_residual_is_the_scaled_odd_trace():
     # |Tr G^(2k+1)| / |G|^(2k+1), the ratio the criterion holds to 1e-9
     g = mechanics.representative_matrix(
