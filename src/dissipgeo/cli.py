@@ -18,15 +18,15 @@ or a string is none; complex entries are [re, im] pairs of such numbers.
 Each run writes a trajectory CSV (17 significant digits, LF endings,
 byte-stable across runs, the bytes of one format(v, '.17g') per value)
 plus a JSON report with per-invariant pass/fail and residuals, final_t
-and stopped_early.  The writer makes the digits of CSV_BLOCK_ROWS rows
-at a time in numpy, as round(|v| * 10**(16 - k)) from an exact
-double-double product; 0, nan, inf, |v| outside [1e-100, 1e100) and the
-rare value it cannot prove right (a near tie, a k that log10 rounded the
-wrong way) are written by CPython's formatter.  Exit codes: 0 all
-invariants pass, 2 usage or config error (a bad value, a name not read
-or a missing one, an unreadable config or an unwritable --out, a dt at
-or below the five-point rounding floor of a rate invariant), 3
-numerical failure.
+and stopped_early.  The writer makes the digits of CSV_BLOCK_ROWS (512)
+rows at a time in numpy, as round(|v| * 10**(16 - k)) from an exact
+double-double product, and writes 0 and -0 from the sign bit; nan, inf,
+|v| outside [1e-100, 1e100) and the rare value it cannot prove right (a
+near tie, a k that log10 rounded the wrong way) are written by CPython's
+formatter.  Exit codes: 0 all invariants pass, 2 usage or config error
+(a bad value, a name not read or a missing one, an unreadable config or
+an unwritable --out, a dt at or below the five-point rounding floor of a
+rate invariant), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .mechanics import (HAMILTONIANITY_VERDICTS, ImplicitSystemError,
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-CSV_BLOCK_ROWS = 256
+CSV_BLOCK_ROWS = 512
 
 
 class ConfigError(ValueError):
@@ -218,8 +218,11 @@ def _csv_block_bytes(block):
     rows, cols = block.shape
     x = block.ravel()
     a = np.abs(x)
-    exact = (a >= 1e-100) & (a < 1e100)
-    a = np.where(exact, a, 1.0)  # a stand-in for the values that fall back
+    zero = a == 0
+    exact = (a >= 1e-100) & (a < 1e100) | zero
+    # 1.0 stands in for the values that fall back and for 0, whose k it
+    # gives (checked below like any other)
+    a = np.where(exact & ~zero, a, 1.0)
     ki = np.floor(np.log10(a)).astype(np.intp) - _CSV_K_MIN
     near, near_hi, near_lo, rest = pow10.take(ki, axis=1)
     # a * 10**(16 - k) = prod + err, err rounded once
@@ -238,6 +241,7 @@ def _csv_block_bytes(block):
     digits += frac > 0.5
     exact &= digits < 10 ** 17
     digits[~exact] = 10 ** 16  # any in-range digits for the fallback
+    digits[zero] = 0  # 0 and -0: the one digit 0 at the stand-in's k
 
     groups = np.empty((4, x.size), np.int64)
     for j in (3, 2, 1, 0):
@@ -249,7 +253,7 @@ def _csv_block_bytes(block):
     words[0] &= head.take(lead + 10 * np.signbit(x))
     words[1:5] &= quad.take(groups)
     words[5].reshape(rows, cols)[:, -1] ^= newline
-    # 0, nan, inf, |v| out of range, a near tie, a wrong k or a carry:
+    # nan, inf, |v| out of range, a near tie, a wrong k or a carry:
     # CPython's formatter, value by value
     fallback = np.flatnonzero(~exact)
     if fallback.size:

@@ -27,6 +27,7 @@ the one home of e_V, Y_V and Z_K, reads off as ``xh - yv``.
 ``integrators.linear_fill``, and keeps the x columns of that path as a
 view, with no copy; a run the fill declines is stepped by ``rk4_path``
 on A x + B, so a diverging run raises with x alone in its partial path.
+The spectra along a path are 1/2 -+ |x|/sqrt 2 for a qubit, else ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -195,9 +196,15 @@ def evaluate_component_fields(dec, x):
 
 
 def _trajectory(basis, times, points):
-    """Attach per-point trace, spectrum and rank diagnostics to a path."""
+    """Attach per-point trace, spectrum and rank diagnostics to a path:
+    for n = 2, xi = I/2 + x^j tau_j has the eigenvalues 1/2 -+ |x|/sqrt 2
+    (Tr (x^j tau_j)^2 = |x|^2), else the batched ``eigvalsh`` of xi."""
     xi = from_coherence_vector(points, basis)
-    spectra = np.linalg.eigvalsh(xi)
+    if basis.n == 2:
+        r = np.sqrt(np.einsum("tj,tj->t", points, points) * 0.5)
+        spectra = np.column_stack([0.5 - r, 0.5 + r])
+    else:
+        spectra = np.linalg.eigvalsh(xi)
     return Trajectory(times=times, points=points,
                       traces=np.einsum("taa->t", xi).real,
                       min_eigenvalues=spectra[:, 0], spectra=spectra,

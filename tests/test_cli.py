@@ -429,7 +429,10 @@ def per_value_csv(header, rows):
         for row in np.asarray(rows, dtype=float).tolist())).encode()
 
 
-BLOCK = cli.CSV_BLOCK_ROWS
+# the block test's own block size: write_csv reads CSV_BLOCK_ROWS on each
+# call, so its boundaries are tested at this size whatever the tuned
+# default is, and the test ids stay put when that default moves
+BLOCK = 256
 
 
 def ulp_neighbours(value, count):
@@ -460,13 +463,17 @@ CSV_EDGES = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2e-308, 0.1,
 @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1,
                                    2 * BLOCK + 3])
 @pytest.mark.parametrize("columns", [1, 3, 12])
-def test_write_csv_blocks_match_per_value_format(count, columns, tmp_path):
+def test_write_csv_blocks_match_per_value_format(count, columns, tmp_path,
+                                                 monkeypatch):
     # the edge values in order through the first half of the rows (all of
-    # them at 12 columns and 2B + 3 rows), then random values
+    # them at 12 columns and 2B + 3 rows), then random values, and a last
+    # column of 0 and -0
     rows = np.resize(CSV_EDGES, (count, columns))
     rows[count // 2:] += np.random.default_rng(count).normal(
         size=(count - count // 2, columns))
-    header = [f"c{j}" for j in range(columns)]
+    rows = np.column_stack([rows, np.resize([0.0, -0.0], count)])
+    header = [f"c{j}" for j in range(columns + 1)]
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", BLOCK)
     path = tmp_path / "blocks.csv"
     write_csv(path, header, rows)
     assert path.read_bytes() == per_value_csv(header, rows)
@@ -525,7 +532,8 @@ def test_partial_csv_matches_per_value_format(tmp_path):
     with pytest.raises(integrators.DivergenceError) as info:
         cli.execute_scenario(tmp_path, "gkls", "unstable", params)
     times, states = info.value.partial
-    assert len(times) % BLOCK and len(times) > 2 * BLOCK
+    block = cli.CSV_BLOCK_ROWS
+    assert len(times) % block and len(times) > 2 * block
     assert (tmp_path / "unstable_partial.csv").read_bytes() == per_value_csv(
         ["t", "y1", "y2", "y3"], np.column_stack([times, states]))
 

@@ -360,6 +360,30 @@ class TestIntegration:
             to_coherence_vector(rho0, basis), 2.0, 1e-3, basis)
         assert np.all(traj.ranks == 1)
 
+    def test_qubit_spectra_hold_to_lapack(self):
+        # 1/2 -+ |x|/sqrt 2 against eigvalsh of xi at x = 0, on the Bloch
+        # sphere (|x| = 1/sqrt 2), on single axes, and inside and outside
+        # the ball up to |x| = 1e3
+        rng = np.random.default_rng(29)
+        basis = build_su_basis(2)
+        axes = np.vstack([np.eye(3), -np.eye(3)])
+        radii = np.concatenate([np.full(10, 1 / SQRT2),
+                                rng.uniform(0, 1 / SQRT2, 10),
+                                np.logspace(-3, 3, 20)])
+        directions = rng.normal(size=(radii.size, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        points = np.vstack([np.zeros(3), axes / SQRT2, axes * 1e-5,
+                            axes * 3.0, axes * 1e3,
+                            directions * radii[:, None]])
+        traj = gkls._trajectory(basis, np.arange(len(points)), points)
+        ref = np.linalg.eigvalsh(from_coherence_vector(points, basis))
+        eps = np.finfo(float).eps
+        tol = 4 * eps * np.maximum(1, np.linalg.norm(points, axis=1))
+        assert np.all(np.abs(traj.spectra - ref) <= tol[:, None])
+        assert np.array_equal(traj.min_eigenvalues, traj.spectra[:, 0])
+        assert np.array_equal(traj.ranks,
+                              (ref >= gkls.RANK_EIG_TOL).sum(axis=1))
+
     def test_jump_flow_changes_rank(self):
         m = phase_damping_model(1.0)
         plus = np.array([1.0, 1.0]) / SQRT2
