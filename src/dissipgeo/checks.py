@@ -3,7 +3,9 @@
 Each suite re-verifies the structural identities of its module on seeded
 random data and returns one CheckResult per declared invariant.  Seeds
 are fixed so repeated runs are deterministic; suites are merged in
-sorted order by name.
+sorted order by name.  A suite draws its random data point by point in
+a fixed RNG order, then evaluates the GKLS identities on stacks, per
+model or per n, through the batch axes of ``gkls``.
 
 An invariant that a CLI run also reports has its formula and tolerance
 in one helper here, which the suite and the CLI both call.
@@ -25,7 +27,7 @@ from .contact import (ScalarField, central_gradient,
                       generalized_contact_field, homomorphism_residual,
                       jacobi_bracket, nondegeneracy_determinant, reeb_field)
 from .gkls import (apply_generator, build_model, decompose_field,
-                   evaluate_component_fields, integrate)
+                   evaluate_component_fields, integrate, matvec)
 from .mechanics import (_projected_generator, analytic_energy_rate,
                         contact_el_field, coupled_damped_oscillators,
                         friction_system, hamiltonianity_criterion,
@@ -153,17 +155,18 @@ def observed_order(name, errors, floor):
 def decomposition_identities(cases):
     """gkls/decomposition-sum-identity (A = Hmat - Vmat + Kmat) and
     gkls/nonlinear-cancellation (X_H - Y_V + Z_K = A x + B), worst over
-    cases of (model, coherence vectors), each relative to the |A| of its
-    model, as the rounding of either side grows with |A|."""
+    cases of (model, stack of coherence vectors), each relative to the |A|
+    of its model, as the rounding of either side grows with |A|; one
+    split and one evaluation per model."""
     sum_res, cancel_res = 0.0, 0.0
     for model, points in cases:
+        points = np.asarray(points, dtype=float)
         dec = decompose_field(model.basis, model.H, model.V, model.jumps)
         sum_res = max(sum_res, relative(
             model.A - (dec.Hmat - dec.Vmat + dec.Kmat), model.A))
-        for x in points:
-            xh, yv, zk = evaluate_component_fields(dec, x)
-            cancel_res = max(cancel_res, relative(
-                xh - yv + zk - (model.A @ x + model.B), model.A))
+        xh, yv, zk = evaluate_component_fields(dec, points)
+        cancel_res = max(cancel_res, relative(
+            xh - yv + zk - (matvec(model.A, points) + model.B), model.A))
     return [result("gkls/decomposition-sum-identity", sum_res, 1e-12),
             result("gkls/nonlinear-cancellation", cancel_res, 1e-12)]
 
@@ -174,15 +177,22 @@ def stratum_tangency(cases):
     at rho = sum_k w_k psi_k psi_k^dag, with range projector P and
     Q = I - P, its matrix T = sum_j v_j tau_j has Q T Q = 0; worst over
     cases (basis, H, V, orthonormal columns psi, weights w summing to 1)
-    of Q T Q relative to T."""
+    of Q T Q relative to its own T; the cases of one n, which share its
+    basis, are one stacked split and one evaluation."""
+    groups = {}
+    for case in cases:
+        groups.setdefault(case[0].n, []).append(case)
     res = 0.0
-    for basis, h, v, psis, weights in cases:
-        rho = (psis * weights) @ psis.conj().T
-        q = np.eye(basis.n) - psis @ psis.conj().T
+    for group in groups.values():
+        basis = group[0][0]
+        _, h, v, psis, weights = zip(*group)
+        x = np.stack([to_coherence_vector((p * w) @ p.conj().T, basis)
+                      for p, w in zip(psis, weights)])
+        q = np.stack([np.eye(basis.n) - p @ p.conj().T for p in psis])
         xh, yv, _ = evaluate_component_fields(
-            decompose_field(basis, h, v), to_coherence_vector(rho, basis))
-        t = np.einsum("j,jab->ab", xh - yv, basis.tau)
-        res = max(res, relative(q @ t @ q, t))
+            decompose_field(basis, np.stack(h), np.stack(v)), x)
+        t = np.einsum("kj,jab->kab", xh - yv, basis.tau)
+        res = max(res, *map(relative, q @ t @ q, t))
     return result("gkls/gradient-flow-rank-constancy", res, 1e-12)
 
 
@@ -293,11 +303,12 @@ def gkls_suite():
     for n in (2, 3):
         for _ in range(5):
             m = _random_model(rng, n)
-            points = []
-            for _ in range(20):
-                rho = _random_density(rng, n)
-                trace_sizes.append(abs(np.trace(apply_generator(m, rho))))
-                points.append(rng.normal(size=n * n - 1))
+            # drawn one by one in the suite's order, evaluated as stacks
+            rhos, points = map(np.stack, zip(*[
+                (_random_density(rng, n), rng.normal(size=n * n - 1))
+                for _ in range(20)]))
+            trace_sizes.extend(map(abs, np.trace(
+                apply_generator(m, rhos), axis1=-2, axis2=-1)))
             cases.append((m, points))
     results.append(trace_preservation(trace_sizes))
     results.extend(decomposition_identities(cases))

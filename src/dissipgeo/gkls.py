@@ -22,6 +22,13 @@ takes any Hermitian V, so with no jumps its split is the jump-free,
 rank-preserving field X_H - Y_V, which ``evaluate_component_fields``,
 the one home of e_V, Y_V and Z_K, reads off as ``xh - yv``.
 
+``apply_generator`` takes a stack (..., n, n) of matrices,
+``decompose_field`` stacked H and V, and ``evaluate_component_fields`` a
+stack (..., n^2 - 1) of points, whose leading axes broadcast against the
+split's; every row rounds as the call on that row alone.  The batch axes
+leave ``_apply_generator_matrix`` and ``build_affine_field``, and so A
+and B, as they are.
+
 ``integrate`` steps that field as the linear field of (x, 1), its lift
 [[A, B], [0, 0]] (Van Loan, IEEE TAC 23, 1978), by
 ``integrators.linear_fill``, and keeps the x columns of that path as a
@@ -66,7 +73,7 @@ class FieldDecomposition:
     """Hamiltonian/Gradient/Jump matrices with A = Hmat - Vmat + Kmat."""
 
     n: int
-    tr_v: float            # Tr V
+    tr_v: np.ndarray       # Tr V, over any leading axes of V
     Hmat: np.ndarray
     Vmat: np.ndarray
     Kmat: np.ndarray
@@ -94,11 +101,16 @@ def _apply_generator_matrix(H, jumps, V, rho):
     return out
 
 
+def _check_matrices(shape, n):
+    if shape[-2:] != (n, n):
+        raise ValueError(f"shape {shape} does not end in ({n}, {n})")
+
+
 def apply_generator(model, rho):
-    """L(rho) for a density (or any trace-one Hermitian) matrix."""
+    """L(rho) for a density (or any trace-one Hermitian) matrix, or for
+    each matrix of a stack (..., n, n) of them."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (model.n, model.n):
-        raise ValueError(f"shape {rho.shape} does not match n={model.n}")
+    _check_matrices(rho.shape, model.n)
     return _apply_generator_matrix(model.H, model.jumps, model.V, rho)
 
 
@@ -160,16 +172,21 @@ def decompose_field(basis, H, V, jumps=()):
     anticommutator matrix with V (its Tr(V)/n multiple of the identity is
     what makes A = Hmat - Vmat + Kmat hold entrywise).  V need not be
     sum_k v_k^dag v_k, nor positive: with no jumps the split is the
-    jump-free field X_H - Y_V of any Hermitian H and V.
+    jump-free field X_H - Y_V of any Hermitian H and V.  H and V may be
+    stacks (..., n, n) whose leading axes broadcast; Hmat, Vmat, tr_v and
+    V_vec then carry them, while the jumps, Kmat and calV_vec are shared.
     """
     tau = basis.tau
     H = np.asarray(H, dtype=complex)
     V = np.asarray(V, dtype=complex)
-    comm = 1j * (np.einsum("lab,bc->lac", tau, H)
-                 - np.einsum("ab,lbc->lac", H, tau))
-    Hmat = np.einsum("lab,jba->jl", comm, tau).real
-    anti = np.einsum("ab,lbc->lac", V, tau) + np.einsum("lab,bc->lac", tau, V)
-    Vmat = 0.5 * np.einsum("lab,jba->jl", anti, tau).real
+    _check_matrices(H.shape, basis.n)
+    _check_matrices(V.shape, basis.n)
+    comm = 1j * (np.einsum("lab,...bc->...lac", tau, H)
+                 - np.einsum("...ab,lbc->...lac", H, tau))
+    Hmat = np.einsum("...lab,jba->...jl", comm, tau).real
+    anti = np.einsum("...ab,lbc->...lac", V, tau) \
+        + np.einsum("lab,...bc->...lac", tau, V)
+    Vmat = 0.5 * np.einsum("...lab,jba->...jl", anti, tau).real
     ktau = np.zeros_like(tau)
     cal = np.zeros((basis.n, basis.n), dtype=complex)
     for v in jumps:
@@ -177,21 +194,29 @@ def decompose_field(basis, H, V, jumps=()):
         cal = cal + v @ v.conj().T
     Kmat = np.einsum("lab,jba->jl", ktau, tau).real
     return FieldDecomposition(
-        n=basis.n, tr_v=float(np.trace(V).real), Hmat=Hmat, Vmat=Vmat,
-        Kmat=Kmat, V_vec=np.einsum("jab,ba->j", tau, V).real,
+        n=basis.n, tr_v=np.trace(V, axis1=-2, axis2=-1).real, Hmat=Hmat,
+        Vmat=Vmat, Kmat=Kmat, V_vec=np.einsum("jab,...ba->...j", tau, V).real,
         calV_vec=np.einsum("jab,ba->j", tau, cal).real)
 
 
+def matvec(m, x):
+    """m @ x over leading axes of m (..., r, d) and x (..., d) that
+    broadcast; each row is the 2-D m @ 1-D x, so it rounds the same."""
+    return (m @ x[..., None])[..., 0]
+
+
 def evaluate_component_fields(dec, x):
-    """(X_H, Y_V, Z_K) at a coherence vector x.
+    """(X_H, Y_V, Z_K) at a coherence vector x, or at each row of a stack
+    (..., n^2 - 1), whose leading axes broadcast against the split's.
 
     X_H - Y_V + Z_K = A x + B: the -e_V(x) x terms of Y and Z cancel.
     """
     x = np.asarray(x, dtype=float)
-    e_v = dec.tr_v / dec.n + float(dec.V_vec @ x)
-    xh = dec.Hmat @ x
-    yv = dec.Vmat @ x + dec.V_vec / dec.n - e_v * x
-    zk = dec.Kmat @ x + dec.calV_vec / dec.n - e_v * x
+    # e_V(x), with a last axis of length 1; V_vec @ x is a dot in any row
+    e_v = (dec.tr_v / dec.n)[..., None] + matvec(dec.V_vec[..., None, :], x)
+    xh = matvec(dec.Hmat, x)
+    yv = matvec(dec.Vmat, x) + dec.V_vec / dec.n - e_v * x
+    zk = matvec(dec.Kmat, x) + dec.calV_vec / dec.n - e_v * x
     return xh, yv, zk
 
 

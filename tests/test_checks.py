@@ -136,18 +136,36 @@ def test_suite_makes_no_rk4_path_call(suite, monkeypatch):
 
 
 def dropped_nonlinear_term(dec, x):
-    # Y_V without its -e_V(x) x term
+    # Y_V without its -e_V(x) x term, at a point or a stack of points
     xh, _, zk = gkls.evaluate_component_fields(dec, x)
-    return xh, dec.Vmat @ x + dec.V_vec / dec.n, zk
+    return xh, gkls.matvec(dec.Vmat, np.asarray(x)) + dec.V_vec / dec.n, zk
 
 
 def added_jump_part(dec, x):
-    # X_H plus the Jump field Z_K of a lowering jump
+    # X_H plus the Jump field Z_K of a lowering jump, which broadcasts
+    # against a stacked split and a stack of points alike
     lower = np.eye(dec.n, k=1)
     jump = gkls.decompose_field(build_su_basis(dec.n), 0.0 * lower,
                                 lower.T @ lower, [lower])
     xh, yv, zk = gkls.evaluate_component_fields(dec, x)
     return xh + gkls.evaluate_component_fields(jump, x)[2], yv, zk
+
+
+@pytest.mark.parametrize("wrong_fields",
+                         [dropped_nonlinear_term, added_jump_part])
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_mutated_fields_serve_a_point_and_a_stack(wrong_fields, k):
+    # k = 8 = n^2 - 1 is the stack that a helper multiplying the wrong
+    # axis would take silently
+    rng = np.random.default_rng(k)
+    basis = build_su_basis(3)
+    dec = gkls.decompose_field(basis, checks._random_hermitian(rng, 3),
+                               checks._random_hermitian(rng, 3))
+    points = rng.normal(size=(k, basis.size))
+    stacked = wrong_fields(dec, points)
+    for row, x in enumerate(points):
+        for part, ref in zip(stacked, wrong_fields(dec, x)):
+            assert np.array_equal(part[row], ref)
 
 
 @pytest.mark.parametrize("wrong_fields",
@@ -158,6 +176,56 @@ def test_rank_constancy_sees_a_field_off_the_stratum(wrong_fields,
     assert suite_results("gkls")[name].residual < 1e-12
     monkeypatch.setattr(checks, "evaluate_component_fields", wrong_fields)
     assert not suite_results("gkls")[name].passed
+
+
+def moved_last_generator_image(monkeypatch):
+    # L(rho) of the last density of each stack plus 1e-9 I
+    def moved(model, rho):
+        out = gkls.apply_generator(model, rho).copy()
+        out[..., -1, :, :] += 1e-9 * np.eye(model.n)
+        return out
+
+    monkeypatch.setattr(checks, "apply_generator", moved)
+
+
+def moved_last_gradient_field(monkeypatch):
+    # Y_V at the last point of each stack plus 1e-9 in every component
+    def moved(dec, x):
+        xh, yv, zk = gkls.evaluate_component_fields(dec, x)
+        yv = yv.copy()
+        yv[..., -1, :] += 1e-9
+        return xh, yv, zk
+
+    monkeypatch.setattr(checks, "evaluate_component_fields", moved)
+
+
+def moved_last_tangent(monkeypatch):
+    # T = sum_j (X_H - Y_V)_j tau_j of the last stratum case of each n
+    # plus 1e-9 sum_j tau_j; stratum_tangency alone evaluates a stacked
+    # split, so no other invariant sees it
+    def moved(dec, x):
+        xh, yv, zk = gkls.evaluate_component_fields(dec, x)
+        if dec.Hmat.ndim == 3:
+            xh = xh.copy()
+            xh[-1] += 1e-9
+        return xh, yv, zk
+
+    monkeypatch.setattr(checks, "evaluate_component_fields", moved)
+
+
+@pytest.mark.parametrize("mutation, failing", [
+    (moved_last_generator_image, ["gkls/trace-preservation"]),
+    (moved_last_gradient_field, ["gkls/gradient-flow-rank-constancy",
+                                 "gkls/nonlinear-cancellation"]),
+    (moved_last_tangent, ["gkls/gradient-flow-rank-constancy"]),
+], ids=["generator_image", "gradient_field", "tangent"])
+def test_the_last_row_of_a_stack_can_fail(mutation, failing, monkeypatch):
+    # the gkls suite evaluates its draws as stacks; a residual taken over
+    # row 0 alone, or maximised over the wrong axis, misses the last row
+    assert all(r.passed for r in suite_results("gkls").values())
+    mutation(monkeypatch)
+    assert sorted(name for name, r in suite_results("gkls").items()
+                  if not r.passed) == sorted(failing)
 
 
 def test_projection_consistency_sees_a_dropped_sphere_term(monkeypatch):

@@ -273,6 +273,95 @@ class TestDecomposition:
                 assert np.max(np.abs(moved - base)) < 1e-8
 
 
+BATCHES = [(1,), (7,), (2, 3)]
+
+
+def random_stack(shape, draw):
+    rows = np.stack([draw() for _ in range(int(np.prod(shape)))])
+    return rows.reshape(shape + rows.shape[1:])
+
+
+class TestStacks:
+    """Each row of a stacked call against the call on that row alone:
+    equal bits where each row runs the same matmul kernel, within 4 eps
+    of the row's scale for the einsums of the split, whose loops may
+    differ with the stride of a stack."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("shape", BATCHES)
+    def test_generator_rows(self, n, shape):
+        rng = np.random.default_rng(n)
+        m = random_model(rng, n)
+        rhos = random_stack(shape, lambda: random_density(rng, n))
+        out = apply_generator(m, rhos)
+        assert out.shape == shape + (n, n)
+        for idx in np.ndindex(shape):
+            assert np.array_equal(out[idx], apply_generator(m, rhos[idx]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("shape", BATCHES)
+    def test_split_rows(self, n, shape):
+        rng = np.random.default_rng(10 + n)
+        basis = build_su_basis(n)
+        hs = random_stack(shape, lambda: random_hermitian(rng, n))
+        vs = random_stack(shape, lambda: random_hermitian(rng, n))
+        dec = decompose_field(basis, hs, vs)
+        eps = np.finfo(float).eps
+        for idx in np.ndindex(shape):
+            ref = decompose_field(basis, hs[idx], vs[idx])
+            for name in ("tr_v", "Hmat", "Vmat", "V_vec"):
+                row, want = getattr(dec, name)[idx], getattr(ref, name)
+                assert np.shape(row) == np.shape(want)
+                assert np.max(np.abs(row - want)) \
+                    <= 4 * eps * max(1.0, np.max(np.abs(want)))
+            assert np.array_equal(dec.Kmat, ref.Kmat)
+            assert np.array_equal(dec.calV_vec, ref.calV_vec)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("shape", BATCHES)
+    def test_component_field_rows(self, n, shape):
+        # the axes of a split and of the points broadcast: a stacked split
+        # at stacked points and at one point, one split at stacked points
+        rng = np.random.default_rng(20 + n)
+        m = random_model(rng, n)
+        stacked = decompose_field(
+            m.basis, random_stack(shape, lambda: random_hermitian(rng, n)),
+            random_stack(shape, lambda: random_hermitian(rng, n)))
+        points = rng.normal(size=shape + (m.basis.size,))
+        one = points[(0,) * len(shape)]
+        calls = [(stacked, points), (stacked, one), (split(m), points)]
+        for dec, x in calls:
+            fields = evaluate_component_fields(dec, x)
+            for idx in np.ndindex(shape):
+                row = dataclasses.replace(stacked, **{
+                    name: getattr(stacked, name)[idx]
+                    for name in ("tr_v", "Hmat", "Vmat", "V_vec")}) \
+                    if dec is stacked else dec
+                x_row = x[idx] if x is points else x
+                for part, ref in zip(fields,
+                                     evaluate_component_fields(row, x_row)):
+                    assert part.shape == shape + (m.basis.size,)
+                    assert np.array_equal(part[idx], ref)
+
+    def test_shapes_that_do_not_fit_raise(self):
+        basis = build_su_basis(3)
+        m = random_model(np.random.default_rng(1), 3)
+        h = np.zeros((3, 3), dtype=complex)
+        # (3, 1) would broadcast in the einsums of the split
+        for bad in (np.zeros((4, 3, 4)), np.zeros((2, 2, 2)), np.zeros(3),
+                    np.zeros((3, 1))):
+            with pytest.raises(ValueError):
+                apply_generator(m, bad)
+            with pytest.raises(ValueError):
+                decompose_field(basis, bad, h)
+            with pytest.raises(ValueError):
+                decompose_field(basis, h, bad)
+        dec = decompose_field(basis, np.stack([h, h]), h)
+        for bad in (np.zeros((2, 9)), np.zeros((8, 1)), np.zeros(3)):
+            with pytest.raises(ValueError):
+                evaluate_component_fields(dec, bad)
+
+
 class TestIntegration:
     def test_phase_damping_analytic_flow(self):
         # Phi_t scales (x1, x2) by exp(-2 gamma t) and fixes x3
