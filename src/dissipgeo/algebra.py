@@ -3,8 +3,8 @@
 Builds orthonormal traceless Hermitian bases (generalized Gell-Mann
 matrices scaled to Tr(tau_j tau_k) = delta_jk, so the dual basis equals
 the basis itself), the coherence-vector chart xi = I/n + x^j tau_j on
-trace-one Hermitian matrices, and, on demand only, the antisymmetric and
-symmetric structure tensors of a basis.
+trace-one Hermitian matrices, and, on demand only, the antisymmetric
+structure tensor c of a basis whose matrices are checked Hermitian.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
-IMAG_RESIDUE_TOL = 1e-12
 
 
 class InvalidDimensionError(ValueError):
@@ -31,7 +30,7 @@ class TraceMismatchError(ValueError):
 
 
 class BasisCorruptionError(RuntimeError):
-    """Structure constants came out non-real beyond tolerance."""
+    """A basis matrix handed to ``structure_constants`` is not Hermitian."""
 
 
 def is_hermitian(a):
@@ -44,7 +43,7 @@ def is_hermitian(a):
 class SuBasis:
     """Orthonormal traceless Hermitian basis of an n-level system.
 
-    tau has shape (n**2 - 1, n, n); its structure tensors come from
+    tau has shape (n**2 - 1, n, n); its structure tensor comes from
     ``structure_constants(tau)``.  Immutable after construction; safe to
     share between threads.
     """
@@ -82,29 +81,22 @@ def _gell_mann_stack(n):
 
 
 def structure_constants(tau):
-    """Structure tensors (c, d) of an orthonormal traceless basis, given
-    as a raw (N, n, n) stack of basis matrices, with the lower index
-    first:
+    """Structure tensor c of an orthonormal traceless basis, given as a
+    raw (N, n, n) stack of basis matrices, with the lower index first:
 
         c[l, j, k] = i Tr([tau_j, tau_k] tau_l)   (antisymmetric in j, k)
-        d[l, j, k] = Tr({tau_j, tau_k} tau_l)     (symmetric in j, k)
 
-    Raises BasisCorruptionError if the imaginary residue of either tensor
-    exceeds 1e-12.
+    Raises BasisCorruptionError unless every basis matrix is Hermitian:
+    c alone misses tau_0 + 0.5i I, which moves it by rounding only.
     """
     tau = np.asarray(tau)
+    if not all(is_hermitian(m) for m in tau):
+        raise BasisCorruptionError("a basis matrix is not Hermitian")
     # T[j, k, l] = Tr(tau_j tau_k tau_l)
     t = np.einsum("jab,kbc,lca->jkl", tau, tau, tau)
     c_raw = 1j * (t - t.transpose(1, 0, 2))
-    d_raw = t + t.transpose(1, 0, 2)
-    residue = max(float(np.max(np.abs(c_raw.imag))),
-                  float(np.max(np.abs(d_raw.imag))))
-    if residue > IMAG_RESIDUE_TOL:
-        raise BasisCorruptionError(
-            f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL:.0e}")
     # reorder to [l, j, k]
-    return (np.ascontiguousarray(c_raw.real.transpose(2, 0, 1)),
-            np.ascontiguousarray(d_raw.real.transpose(2, 0, 1)))
+    return np.ascontiguousarray(c_raw.real.transpose(2, 0, 1))
 
 
 def build_su_basis(n):

@@ -269,7 +269,7 @@ def algebra_suite():
         gram_res = max(gram_res, float(np.max(np.abs(gram - np.eye(size)))))
         trace_res = max(trace_res, float(np.max(np.abs(
             np.einsum("jaa->j", basis.tau)))))
-        c, _ = structure_constants(basis.tau)
+        c = structure_constants(basis.tau)
         cyc = np.einsum("mjk,rml->jklr", c, c)
         jacobi_res = max(jacobi_res, float(np.max(np.abs(
             cyc + cyc.transpose(1, 2, 0, 3) + cyc.transpose(2, 0, 1, 3)))))
@@ -307,8 +307,8 @@ def gkls_suite():
             rhos, points = map(np.stack, zip(*[
                 (_random_density(rng, n), rng.normal(size=n * n - 1))
                 for _ in range(20)]))
-            trace_sizes.extend(map(abs, np.trace(
-                apply_generator(m, rhos), axis1=-2, axis2=-1)))
+            images = apply_generator(m.H, m.V, m.jumps, rhos)
+            trace_sizes.extend(map(abs, np.trace(images, axis1=-2, axis2=-1)))
             cases.append((m, points))
     results.append(trace_preservation(trace_sizes))
     results.extend(decomposition_identities(cases))
@@ -378,6 +378,7 @@ def purestate_suite():
     residual_cases = []
     for n in (2, 3):
         basis = build_su_basis(n)
+        draws = []
         for _ in range(10):
             a = _random_hermitian(rng, n)
             b = _random_hermitian(rng, n)
@@ -402,11 +403,12 @@ def purestate_suite():
             # v = Z(psi), is that field at rho_psi
             v = ps.from_chart(ps.z_field(a, b, z))
             d_rho = np.outer(v, psi.conj()) + np.outer(psi, v.conj())
-            xh, yv, _ = evaluate_component_fields(
-                decompose_field(basis, -a, -2.0 * b),
-                ps.project_to_bloch(psi, basis))
-            proj_res = max(proj_res, float(np.max(np.abs(
-                np.einsum("jab,ba->j", basis.tau, d_rho).real - (xh - yv)))))
+            draws.append((a, b, ps.project_to_bloch(psi, basis),
+                          np.einsum("jab,ba->j", basis.tau, d_rho).real))
+        a, b, points, pushed = map(np.stack, zip(*draws))
+        xh, yv, _ = evaluate_component_fields(
+            decompose_field(basis, -a, -2.0 * b), points)
+        proj_res = max(proj_res, float(np.max(np.abs(pushed - (xh - yv)))))
     results += [result("purestate/sphere-tangency", tangency_res, 1e-12),
                 contact_residuals(residual_cases),
                 result("purestate/gradient-projectability", commute_res, 1e-9),

@@ -22,12 +22,12 @@ takes any Hermitian V, so with no jumps its split is the jump-free,
 rank-preserving field X_H - Y_V, which ``evaluate_component_fields``,
 the one home of e_V, Y_V and Z_K, reads off as ``xh - yv``.
 
-``apply_generator`` takes a stack (..., n, n) of matrices,
-``decompose_field`` stacked H and V, and ``evaluate_component_fields`` a
-stack (..., n^2 - 1) of points, whose leading axes broadcast against the
-split's; every row rounds as the call on that row alone.  The batch axes
-leave ``_apply_generator_matrix`` and ``build_affine_field``, and so A
-and B, as they are.
+``apply_generator(H, V, jumps, rho)``, the one implementation of L, which
+``build_affine_field`` pushes through the chart, takes a stack
+(..., n, n) of matrices, ``decompose_field`` stacked H and V, and
+``evaluate_component_fields`` a stack (..., n^2 - 1) of points, whose
+leading axes broadcast against the split's; every row rounds as the
+call on that row alone.
 
 ``integrate`` steps that field as the linear field of (x, 1), its lift
 [[A, B], [0, 0]] (Van Loan, IEEE TAC 23, 1978), by
@@ -93,28 +93,24 @@ class Trajectory:
     ranks: np.ndarray
 
 
-def _apply_generator_matrix(H, jumps, V, rho):
-    out = 1j * (rho @ H - H @ rho)
-    for v in jumps:
-        out = out + v @ rho @ v.conj().T
-    out = out - 0.5 * (V @ rho + rho @ V)
-    return out
-
-
 def _check_matrices(shape, n):
     if shape[-2:] != (n, n):
         raise ValueError(f"shape {shape} does not end in ({n}, {n})")
 
 
-def apply_generator(model, rho):
+def apply_generator(H, V, jumps, rho):
     """L(rho) for a density (or any trace-one Hermitian) matrix, or for
-    each matrix of a stack (..., n, n) of them."""
+    each matrix of a stack (..., n, n) of them, with V = sum_k v_k^dag v_k
+    of the jumps v_k."""
     rho = np.asarray(rho, dtype=complex)
-    _check_matrices(rho.shape, model.n)
-    return _apply_generator_matrix(model.H, model.jumps, model.V, rho)
+    _check_matrices(rho.shape, H.shape[-1])
+    out = 1j * (rho @ H - H @ rho)
+    for v in jumps:
+        out = out + v @ rho @ v.conj().T
+    return out - 0.5 * (V @ rho + rho @ V)
 
 
-def build_affine_field(basis, H, jumps, V):
+def build_affine_field(basis, H, V, jumps):
     """(A, B) of the affine field by pushing L through the chart.
 
     L is linear in rho, so B is the image of I/n and the columns of A are
@@ -122,10 +118,10 @@ def build_affine_field(basis, H, jumps, V):
     structure-constant formulas, which the decomposition tests then have
     to reproduce.
     """
-    b_mat = _apply_generator_matrix(H, jumps, V,
-                                    np.eye(basis.n, dtype=complex) / basis.n)
+    b_mat = apply_generator(H, V, jumps,
+                            np.eye(basis.n, dtype=complex) / basis.n)
     B = np.einsum("jab,ba->j", basis.tau, b_mat).real
-    cols = _apply_generator_matrix(H, jumps, V, basis.tau)  # L(tau_l)
+    cols = apply_generator(H, V, jumps, basis.tau)  # L(tau_l)
     # C order: the layout of A sets the rounding of A @ x
     A = np.ascontiguousarray(np.einsum("jab,lba->jl", basis.tau, cols).real)
     return A, B
@@ -148,7 +144,7 @@ def build_model(basis, H, jumps=()):
     V = np.zeros((basis.n, basis.n), dtype=complex)
     for v in jumps:
         V = V + v.conj().T @ v
-    A, B = build_affine_field(basis, H, jumps, V)
+    A, B = build_affine_field(basis, H, V, jumps)
     return GklsModel(basis=basis, H=H, jumps=jumps, V=V, A=A, B=B)
 
 

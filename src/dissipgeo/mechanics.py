@@ -15,8 +15,9 @@ RLC circuit builders; a conservative system is the first form with
 h = 0.  The field maps the flat state y = (q, q', S) of shape (2n + 1,)
 to y'.  The velocity Hessian H is singular unless
 |det H| > HESSIAN_DET_TOL max|H_jk|^n, a scale-free test that also
-rejects a non-finite H; for n = 1 it reads h != 0 and finite, with no
-LAPACK call, and n >= 2 uses det.  The field solves H q'' = rhs by LU.
+rejects a non-finite H, without a warning; ``_singular`` is that one
+test, and decides the mass of ``representative_matrix`` at MASS_DET_TOL
+too.  The field solves H q'' = rhs by LU.
 
 Callbacks are batched: each takes q and q' of shape (n, *batch) and
 returns its value with the batch axes last, a scalar function as
@@ -75,10 +76,10 @@ def coupled_damped_oscillators(omega1, omega2, gamma1, gamma2, kappa, delta):
 
 def representative_matrix(m, gamma, omega):
     """G with [[0, I], [-m^-1 omega, -m^-1 gamma]] block structure for
-    m q'' + gamma q' + omega q = 0 with n x n matrices.  The mass is
-    singular when |det m| <= MASS_DET_TOL max|m_jk|^n, a scale-free test."""
+    m q'' + gamma q' + omega q = 0 with n x n matrices; ``_singular`` at
+    MASS_DET_TOL decides whether the mass is singular."""
     n = m.shape[0]
-    if abs(np.linalg.det(m)) <= MASS_DET_TOL * abs(m).max() ** n:
+    if _singular(m, MASS_DET_TOL):
         raise ImplicitSystemError("singular mass matrix: implicit system")
     m_inv = np.linalg.inv(m)
     g = np.zeros((2 * n, 2 * n))
@@ -233,18 +234,20 @@ def _quadratic(mat, v):
     return np.einsum("j...,jk,k...->...", v, mat, v)
 
 
-def _singular(hess):
-    """Which velocity Hessians hess[j, k, *batch] are singular: all but
-    those with |det H| > HESSIAN_DET_TOL max|H_jk|^n, so a non-finite H is
-    singular too.  An n x n hess gives one verdict."""
-    n = hess.shape[0]
+def _singular(mats, tol):
+    """Which matrices mats[j, k, *batch] are singular: all but those with
+    |det M| > tol max|M_jk|^n, so a non-finite M is singular too.  An
+    n x n mats gives one verdict; n = 1 reads M != 0 and finite, with no
+    LAPACK call, and n >= 2 takes det with numpy's warnings off."""
+    n = mats.shape[0]
     if n == 1:
-        det = scale = np.abs(hess[0, 0])
+        det = scale = np.abs(mats[0, 0])
     else:
-        mats = np.moveaxis(hess, (0, 1), (-2, -1))
-        det = np.abs(np.linalg.det(mats))
+        mats = np.moveaxis(mats, (0, 1), (-2, -1))
+        with np.errstate(all="ignore"):
+            det = np.abs(np.linalg.det(mats))
         scale = np.abs(mats).max(axis=(-2, -1)) ** n
-    return ~(det > HESSIAN_DET_TOL * scale)
+    return ~(det > tol * scale)
 
 
 def _s_rate(sys, q, qd, s, force):
@@ -259,7 +262,7 @@ def contact_el_field(sys, y):
     n = sys.n
     q, qd, s = y[:n], y[n:2 * n], y[2 * n]
     hess = np.asarray(sys.hess_qd(q, qd), dtype=float)
-    if _singular(hess):
+    if _singular(hess, HESSIAN_DET_TOL):
         raise ImplicitSystemError("singular velocity Hessian",
                                   state=(q.copy(), qd.copy(), s))
     force = _force_covector(sys, q, qd)
@@ -345,7 +348,8 @@ def _closed_form_fill(sys, y0, steps, dt):
     # stage point i of step k is stages[:, k, i] = A_i z_k
     stages = np.einsum("iab,kb->aki", np.array(amps), zs[:steps])
     q, qd = stages[:n], stages[n:]
-    if _singular(np.asarray(sys.hess_qd(q, qd), dtype=float)).any():
+    if _singular(np.asarray(sys.hess_qd(q, qd), dtype=float),
+                 HESSIAN_DET_TOL).any():
         return None
     phi = _s_rate(sys, q, qd, 0.0, _force_covector(sys, q, qd))
     b = _s_step(phi.T, 0.0, r, dt)

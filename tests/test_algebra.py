@@ -66,29 +66,24 @@ class TestStructureConstants:
                     expected[l, j, k] = np.real(
                         1j * np.trace(comm @ PAULI[l] / SQRT2))
         assert np.max(np.abs(expected + SQRT2 * eps.transpose(1, 2, 0))) < 1e-12
-        c, _ = structure_constants(basis.tau)
+        c = structure_constants(basis.tau)
         assert np.max(np.abs(c - expected)) < 1e-12
-
-    def test_qubit_d_vanishes(self):
-        _, d = structure_constants(build_su_basis(2).tau)
-        assert np.max(np.abs(d)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_c_diagonal_slices_vanish(self, n):
-        c, _ = structure_constants(build_su_basis(n).tau)
+        c = structure_constants(build_su_basis(n).tau)
         size = n * n - 1
         for j in range(size):
             assert np.max(np.abs(c[:, j, j])) == 0.0
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_antisymmetry_and_symmetry(self, n):
-        c, d = structure_constants(build_su_basis(n).tau)
+    def test_antisymmetry(self, n):
+        c = structure_constants(build_su_basis(n).tau)
         assert np.max(np.abs(c + c.transpose(0, 2, 1))) < 1e-12
-        assert np.max(np.abs(d - d.transpose(0, 2, 1))) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_jacobi_identity(self, n):
-        c, _ = structure_constants(build_su_basis(n).tau)
+        c = structure_constants(build_su_basis(n).tau)
         # sum_m (c^{jk}_m c^{ml}_r + cyclic in (j, k, l)) = 0
         def term(a, b):
             return np.einsum("mjk,rml->jklr", a, b)
@@ -98,16 +93,25 @@ class TestStructureConstants:
 
     def test_accepts_raw_stack(self):
         # a plain list of literal matrices, not the basis's own array
-        c, d = structure_constants([sigma / SQRT2 for sigma in PAULI])
-        c_basis, d_basis = structure_constants(build_su_basis(2).tau)
-        assert np.allclose(c, c_basis)
-        assert np.allclose(d, d_basis)
+        c = structure_constants([sigma / SQRT2 for sigma in PAULI])
+        assert np.allclose(c, structure_constants(build_su_basis(2).tau))
 
     def test_corrupted_basis_raises(self):
-        bad = build_su_basis(2).tau.copy()
-        bad[0] = bad[0] + 0.5j * np.eye(2)  # not Hermitian
+        for n in (2, 3):
+            bad = build_su_basis(n).tau.copy()
+            bad[0] = bad[0] + 0.5j * np.eye(n)  # not Hermitian
+            # c of this stack is real to rounding: I commutes with every
+            # tau_j, so only a check of the basis itself can see it
+            t = np.einsum("jab,kbc,lca->jkl", bad, bad, bad)
+            c_raw = 1j * (t - t.transpose(1, 0, 2))
+            assert np.max(np.abs(c_raw.imag)) < 1e-15
+            with pytest.raises(BasisCorruptionError):
+                structure_constants(bad)
+        # one off-diagonal entry, in a raw list
+        bad = build_su_basis(3).tau.copy()
+        bad[4, 0, 1] += 0.3
         with pytest.raises(BasisCorruptionError):
-            structure_constants(bad)
+            structure_constants(list(bad))
 
 
 class TestCoherenceChart:

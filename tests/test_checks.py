@@ -180,9 +180,9 @@ def test_rank_constancy_sees_a_field_off_the_stratum(wrong_fields,
 
 def moved_last_generator_image(monkeypatch):
     # L(rho) of the last density of each stack plus 1e-9 I
-    def moved(model, rho):
-        out = gkls.apply_generator(model, rho).copy()
-        out[..., -1, :, :] += 1e-9 * np.eye(model.n)
+    def moved(H, V, jumps, rho):
+        out = gkls.apply_generator(H, V, jumps, rho).copy()
+        out[..., -1, :, :] += 1e-9 * np.eye(len(H))
         return out
 
     monkeypatch.setattr(checks, "apply_generator", moved)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,17 @@ class TestRepresentativeMatrix:
         with pytest.raises(ImplicitSystemError):
             representative_matrix(np.diag([1.0, 0.0]), np.zeros((2, 2)),
                                   np.eye(2))
+
+    @pytest.mark.parametrize("mass", [
+        [[np.nan]], [[1.0, 0.0], [0.0, np.nan]], [[1.0, np.inf], [0.0, 1.0]]])
+    def test_non_finite_mass_rejected_without_a_warning(self, mass):
+        # the mass test is the velocity Hessian's: det runs under errstate
+        mass = np.array(mass)
+        n = len(mass)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ImplicitSystemError):
+                representative_matrix(mass, np.zeros((n, n)), np.eye(n))
 
 
 class TestHamiltonianityCriterion:
