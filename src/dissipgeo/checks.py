@@ -542,17 +542,21 @@ def mechanics_suite():
         "mechanics/contact-reduction-consistency", g, ctraj.times,
         np.column_stack([ctraj.q, ctraj.qd]), slice(None, None, 100), 1e-8))
 
-    # the field's (q, q') rows are the linear law z' = G z that a builder
-    # setting linear_projection declares, at random in-domain states
+    # the two halves of linear_projection that the closed form relies on,
+    # at random in-domain states of each builder that sets it: the field's
+    # (q, q') rows are the linear law z' = G z, and h(S) = h(0) + r S with
+    # r = dh_ds(0)
     residuals = []
     for sys in (rlc_single(0.4, 1.2, 0.9), friction_system(gamma),
                 rlc_coupled(1.0, 1.0, 1.0, 0.5, 0.5, 0.3, 0.2)):
         g, dim = _projected_generator(sys), 2 * sys.n
+        h0, r = sys.h(0.0), float(sys.dh_ds(0.0))
         for _ in range(20):
             y = rng.normal(size=dim + 1)
             y[sys.n:dim] = rng.uniform(0.1, 2.0, size=sys.n)
-            gz = g @ y[:dim]
+            gz, rs = g @ y[:dim], r * y[dim]
             residuals.append(relative(contact_el_field(sys, y)[:dim] - gz, gz))
+            residuals.append(relative(sys.h(y[dim]) - h0 - rs, rs))
     results.append(result("mechanics/declared-projection", max(residuals),
                           1e-12))
     return results

@@ -562,9 +562,6 @@ def execute_scenario(out_dir, kind, name, parameters):
         csv_path = out_dir / f"{name}.csv"
         write_csv(csv_path, header, rows)
         outputs.append(str(csv_path))
-    names = [r.name for r in results]
-    if len(set(names)) != len(names):
-        raise RuntimeError(f"duplicate invariant in report: {names}")
     report = {
         "scenario": name,
         "kind": kind,

@@ -39,7 +39,6 @@ The spectra along a path are 1/2 -+ |x|/sqrt 2 for a qubit, else ``eigvalsh``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
@@ -128,7 +127,7 @@ def build_affine_field(basis, H, V, jumps):
 
 
 def build_model(basis, H, jumps=()):
-    """Assemble a GklsModel; warns when the jump count exceeds n^2 - 1."""
+    """Assemble a GklsModel from H and any number of jump operators."""
     H = np.asarray(H, dtype=complex)
     if not is_hermitian(H):
         raise ValueError("H must be Hermitian")
@@ -138,9 +137,6 @@ def build_model(basis, H, jumps=()):
     for v in jumps:
         if v.shape != (basis.n, basis.n):
             raise ValueError(f"jump shape {v.shape} does not match n={basis.n}")
-    if len(jumps) > basis.size:
-        warnings.warn(f"{len(jumps)} jump operators exceed n^2 - 1 = "
-                      f"{basis.size}; proceeding anyway", stacklevel=2)
     V = np.zeros((basis.n, basis.n), dtype=complex)
     for v in jumps:
         V = V + v.conj().T @ v

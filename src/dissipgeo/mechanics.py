@@ -27,20 +27,21 @@ matrix that does not depend on the state may be returned as n x n.
 ``integrate_contact`` steps a system in one of two ways.  A builder sets
 ``linear_projection`` when h is linear in S, h = h(0) + r S, and
 z = (q, q') obeys a linear law z' = G z (the RLC circuits and the
-friction system).  Before stepping, ``projectability_check`` verifies
-that h is linear in S (a ValueError if not); the linear law is trusted.
-S then obeys S' = phi(z) - r S with phi = S' at S = 0, and one RK4 step
-is taken in closed form by a fill of ``integrators.fast_path``: z by
-``linear_fill`` on G, the stage points as A_i z with A_1 = I and
-A_(i+1) = I + c_i dt G A_i for c = 1/2, 1/2, 1, and S by the scalar
-recurrence S_(k+1) = c S_k + b_k, whose b_k holds phi at the four stage
-points of step k.  G is read off the field's (q, q') rows, r is dh_ds
-and phi is the field's S' at S = 0, so the route follows the callbacks
-and never the data they were built from.  The fill declines a run it
-cannot fill up to the first row outside the domain guard (its z path
-diverges, a stage Hessian is singular or a state is not finite) and
-every other system's, and ``rk4_path`` steps it on ``contact_el_field``;
-that route alone raises, and it is the test oracle of the closed form.
+friction system).  A run relies on both halves without testing them;
+the ``mechanics/declared-projection`` invariant of ``checks`` holds the
+builders to both.  S then obeys S' = phi(z) - r S with phi = S' at
+S = 0, and one RK4 step is taken in closed form by a fill of
+``integrators.fast_path``: z by ``linear_fill`` on G, the stage points
+as A_i z with A_1 = I and A_(i+1) = I + c_i dt G A_i for
+c = 1/2, 1/2, 1, and S by the scalar recurrence S_(k+1) = c S_k + b_k,
+whose b_k holds phi at the four stage points of step k.  G is read off
+the field's (q, q') rows, r is dh_ds(0) and phi is the field's S' at
+S = 0, so the route follows the callbacks and never the data they were
+built from.  The fill declines a run it cannot fill up to the first row
+outside the domain guard (its z path diverges, a stage Hessian is
+singular or a state is not finite) and every other system's, and
+``rk4_path`` steps it on ``contact_el_field``; that route alone raises,
+and it is the test oracle of the closed form.
 """
 
 from __future__ import annotations
@@ -368,9 +369,10 @@ def integrate_contact(sys, state0, t_end, dt):
     closed-form steps when the system declares linear_projection (see
     the module docstring), rk4_path on contact_el_field otherwise.
 
-    q0 and q'0 must each hold n entries, S0 must be a scalar, the
-    initial state must pass the system's domain guard, and a system that
-    declares linear_projection must pass projectability_check.
+    q0 and q'0 must each hold n entries, S0 must be a scalar and the
+    initial state must pass the system's domain guard.  linear_projection
+    is relied on, not tested: the closed form steps S with
+    h(S) = h(0) + dh_ds(0) S and z with the field's (q, q') rows at S = 0.
     """
     n = sys.n
     q0, qd0, s0 = (np.asarray(part, dtype=float) for part in state0)
@@ -379,8 +381,6 @@ def integrate_contact(sys, state0, t_end, dt):
     if sys.domain_guard is not None and not sys.domain_guard(q0, qd0):
         raise ValueError("initial state outside the system's domain")
     y0 = np.hstack([q0, qd0, s0])
-    if sys.linear_projection and not projectability_check(sys):
-        raise ValueError("linear_projection declared, h not linear in S")
     post = None
     if sys.domain_guard is not None:
         def post(y):
@@ -395,22 +395,6 @@ def integrate_contact(sys, state0, t_end, dt):
     e_mech = 0.5 * np.einsum("ij,ij->i", qds, qds)
     return ContactTrajectory(times=times, q=qs, qd=qds, s=ss, energy=energy,
                              energy_mech=e_mech)
-
-
-def projectability_check(sys):
-    """True iff the contact dynamics projects to a second-order flow on
-    (q, q'): h must be linear in S (the force and S' then decouple from
-    S); the dissipation one-forms here never depend on S by construction.
-    h'' is the central difference of dh_ds (step 1e-4) at ten S in
-    [-2, 2], and counts as zero below 1e-10.
-    """
-    step = 1e-4
-    for s in np.linspace(-2.0, 2.0, 10):
-        second = (float(sys.dh_ds(s + step)) - float(sys.dh_ds(s - step))) \
-            / (2.0 * step)
-        if abs(second) > 1e-10:
-            return False
-    return True
 
 
 def rlc_single(resistance, inductance, capacitance):

@@ -179,3 +179,22 @@ def test_gradient_field_has_one_home():
                if isinstance(stmt, ast.FunctionDef)
                and "V_vec" in referenced_names(stmt)}
     assert readers == {"gkls.evaluate_component_fields"}
+
+
+def test_no_bare_runtime_error_or_exception_is_raised():
+    """cli.main maps the package's own errors to exit codes 2 and 3 and
+    lets a bare RuntimeError or Exception out as exit 1 with a
+    traceback, so no src statement raises either; a numerical failure
+    raises one of the RuntimeError subclasses main maps."""
+    def bare(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) \
+            and exc.id in ("RuntimeError", "Exception")
+
+    raises = [f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
+              for path in sorted(SOURCE.glob("*.py"))
+              for stmt in ast.parse(path.read_text()).body
+              for node in ast.walk(stmt)
+              if isinstance(node, ast.Raise) and node.exc is not None
+              and bare(node)]
+    assert raises == []

@@ -2,8 +2,9 @@
 held to scipy.linalg.expm; the package importing and running on numpy
 alone, without scipy or the test extra; every suite holding each claim
 to an identity or an exact flow, not to an RK4 run; the contact and
-pure-state invariants failing a wrong bordered solve; and the declared
-linear law of the projectable contact systems held to their field."""
+pure-state invariants failing a wrong bordered solve; and both halves of
+the projectable contact systems' declaration, the linear law of their
+field and an h affine in S, held by one invariant."""
 
 import dataclasses
 import json
@@ -346,3 +347,40 @@ def test_declared_projection_sees_a_nonlinear_law(monkeypatch):
     monkeypatch.setattr(checks, "friction_system", squared)
     assert not suite_results("mechanics")[
         "mechanics/declared-projection"].passed
+
+
+def test_declared_projection_sees_an_h_that_is_not_affine(monkeypatch):
+    # dh_ds as built keeps the field's (q, q') rows linear, so only the
+    # S-dependence that the closed form assumes can see h = r S + S^2
+    def curved(*args):
+        sys = mechanics.rlc_single(*args)
+        rate = sys.dh_ds(0.0)
+        return dataclasses.replace(sys, h=lambda s: rate * s + s ** 2)
+
+    monkeypatch.setattr(checks, "rlc_single", curved)
+    assert not suite_results("mechanics")[
+        "mechanics/declared-projection"].passed
+
+
+def test_quadratic_h_fails_declared_projection_not_the_run(monkeypatch,
+                                                           capsys):
+    # a run relies on linear_projection without testing it: h = S^2 runs,
+    # and the one invariant that holds the builders' h reports it
+    def quadratic(*args):
+        return dataclasses.replace(mechanics.rlc_single(*args),
+                                   h=lambda s: s ** 2,
+                                   dh_ds=lambda s: 2.0 * s)
+
+    monkeypatch.setattr(checks, "rlc_single", quadratic)
+    results = suite_results("mechanics")
+    assert sorted(results) == [
+        "mechanics/contact-reduction-consistency",
+        "mechanics/damped-oscillators-not-hamiltonian",
+        "mechanics/declared-projection", "mechanics/energy-rate-identity",
+        "mechanics/friction-energy-conservation",
+        "mechanics/friction-mechanical-dissipation",
+        "mechanics/odd-trace-soundness"]
+    assert not results["mechanics/declared-projection"].passed
+    capsys.readouterr()
+    assert cli.main(["checks", "--filter", "mechanics"]) == cli.EXIT_NUMERICAL
+    assert "[FAIL] mechanics/declared-projection" in capsys.readouterr().out

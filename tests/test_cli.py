@@ -781,6 +781,21 @@ class TestScenarioRuns:
                 assert abs(report["final_t"] - 1.0) < 1e-12, name
                 assert report["stopped_early"] is False
 
+    @pytest.mark.parametrize("argv", [
+        ["run", name] + (["--t-end", "1.0"]
+                         if entry["config"]["kind"] != "checks" else [])
+        for name, entry in BUILTIN_SCENARIOS.items()] + [["checks"]],
+        ids=[*BUILTIN_SCENARIOS, "checks"])
+    def test_every_report_names_each_invariant_once(self, argv, tmp_path,
+                                                    capsys):
+        # a report is read by invariant name, so no run may hold one twice
+        assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_OK
+        (path,) = tmp_path.glob("*report.json")
+        report = json.loads(path.read_text())
+        names = [inv["name"] for inv in (
+            report if argv[0] == "checks" else report["invariants"])]
+        assert names and len(set(names)) == len(names)
+
     def test_csv_builtins_take_no_rk4_path_hand_off(self, tmp_path,
                                                      monkeypatch, capsys):
         # a fast route that hands a normal run to rk4_path passes every

@@ -94,11 +94,24 @@ class TestGenerator:
         with pytest.raises(ValueError):
             apply_generator(m.H, m.V, m.jumps, np.eye(3) / 3)
 
-    def test_too_many_jumps_warns(self):
-        basis = build_su_basis(2)
-        jumps = [np.eye(2, dtype=complex)] * 4
-        with pytest.warns(UserWarning):
-            build_model(basis, np.zeros((2, 2)), jumps)
+    def test_more_jumps_than_n2_minus_1_run_quietly(self, tmp_path, capsys):
+        # GKLS takes any number of jump operators: four on a qubit run and
+        # pass their invariants, and under the suite's filterwarnings =
+        # error a warning would end the run with exit 1
+        def pair(m):
+            return np.stack([m.real, m.imag], axis=-1).tolist()
+
+        lower = np.array([[0.0, 0.0], [1.0, 0.0]])
+        jumps = [0.5 * SIGMA1, 0.3 * SIGMA3, 0.4 * lower, 0.2 * lower.T]
+        cfg = tmp_path / "four-jumps.json"
+        cfg.write_text(json.dumps({"kind": "gkls", "parameters": {
+            "hamiltonian": pair(0.5 * SIGMA3),
+            "jumps": [pair(v) for v in jumps],
+            "x0": [0.3, 0.2, 0.4], "t_end": 2.0, "dt": 1e-2}}))
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads(
+            (tmp_path / "four-jumps_report.json").read_text())
+        assert len(report["invariants"]) == 5
 
     def test_phase_damping_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):

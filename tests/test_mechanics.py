@@ -16,8 +16,8 @@ from dissipgeo.mechanics import (ContactLagrangianSystem, ImplicitSystemError,
                                  bivector_span_dimension, contact_el_field,
                                  coupled_damped_oscillators, friction_system,
                                  hamiltonianity_criterion, integrate_contact,
-                                 projectability_check, representative_matrix,
-                                 rlc_coupled, rlc_single)
+                                 representative_matrix, rlc_coupled,
+                                 rlc_single)
 
 
 def damped_particle(v_coeff, gamma):
@@ -458,37 +458,6 @@ class TestIntegration:
             np.array([1.0, 0.0]), 8.0, 1e-3)
         assert np.max(np.abs(traj.q[:, 0] - reduced[:, 0])) < 1e-8
         assert np.max(np.abs(traj.qd[:, 0] - reduced[:, 1])) < 1e-8
-
-
-class TestProjectability:
-    def test_linear_h_projectable(self):
-        assert projectability_check(rlc_single(0.7, 1.0, 1.0))
-        assert projectability_check(rlc_coupled(1.0, 1.0, 1.0, 1.0,
-                                                0.1, 0.2, 0.05))
-
-    def test_zero_h_projectable(self):
-        assert projectability_check(friction_system(0.5))
-
-    def test_quadratic_h_not_projectable(self):
-        sys = ContactLagrangianSystem(
-            n=1,
-            lagrangian=lambda q, qd: 0.5 * qd[0] ** 2,
-            d_l_dq=lambda q, qd: np.zeros_like(q),
-            d_l_dqd=lambda q, qd: np.array([qd[0]]),
-            hess_qd=lambda q, qd: np.eye(1),
-            mixed_hess=lambda q, qd: np.zeros((1, 1)),
-            h=lambda s: s ** 2,
-            dh_ds=lambda s: 2.0 * s)
-        assert not projectability_check(sys)
-
-    def test_declared_projection_with_quadratic_h_is_refused(self):
-        # r = dh_ds(0) = 0 would send h = S^2 down the closed form, whose
-        # path leaves the generic route's by 0.064 in q and 0.128 in S by
-        # t = 1
-        sys = dataclasses.replace(rlc_single(0.2, 1.0, 1.0),
-                                  h=lambda s: s ** 2, dh_ds=lambda s: 2.0 * s)
-        with pytest.raises(ValueError, match="not linear in S"):
-            integrate_contact(sys, ([1.0], [0.0], 0.5), 1.0, 1e-2)
 
 
 class TestBuilders:
