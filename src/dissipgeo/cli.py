@@ -42,7 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from . import purestate as ps
-from .algebra import build_su_basis, from_coherence_vector, is_hermitian
+from .algebra import (BasisCorruptionError, build_su_basis,
+                      from_coherence_vector, is_hermitian)
 from .checks import (CheckResult, contact_residuals, decomposition_identities,
                      energy_rate_identity, five_point_residual,
                      friction_invariants, gkls_flow, hamiltonianity_verdict,
@@ -400,7 +401,7 @@ def run_pure_state(a, b, psi0, t_end, dt):
     psi0 = parse_complex_matrix(psi0, "psi0")
     times, psis = ps.integrate_sphere_flow(a, b, psi0, t_end, dt)
     n = psi0.shape[0]
-    zs = np.column_stack([psis.real, psis.imag])
+    zs = ps.to_chart(psis)
     norms = np.linalg.norm(psis, axis=1)
     header = ["t"] + [f"x{j + 1}" for j in range(n)] \
         + [f"y{j + 1}" for j in range(n)] + ["norm"]
@@ -646,7 +647,7 @@ def main(argv=None):
             invariants = report["invariants"]
     # LinAlgError is a ValueError: the numerical clause must come first
     except (DivergenceError, ImplicitSystemError, DegenerateContactError,
-            np.linalg.LinAlgError) as exc:
+            BasisCorruptionError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (KeyError, ValueError, TypeError, OSError, MemoryError) as exc:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -47,20 +47,18 @@ def central_gradient(f, x, step=1e-5):
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Function with a gradient, analytic or central-difference (step
-    1e-5)."""
+    """Function with its gradient: an analytic one, or
+    ``partial(central_gradient, value)`` for central differences."""
 
     value: Callable
-    gradient: Optional[Callable] = None
+    gradient: Callable
 
     def __call__(self, point):
         return float(self.value(np.asarray(point, dtype=float)))
 
     def grad(self, point):
-        point = np.asarray(point, dtype=float)
-        if self.gradient is not None:
-            return np.asarray(self.gradient(point), dtype=float)
-        return central_gradient(self.value, point)
+        return np.asarray(self.gradient(np.asarray(point, dtype=float)),
+                          dtype=float)
 
 
 @dataclass(frozen=True)
@@ -183,8 +181,8 @@ def homomorphism_residual(chart, f, g, point):
     """Max-norm of [Gamma_F, Gamma_G] - Gamma_[F,G] at a point.
 
     The Lie bracket of the two contact fields is formed with finite
-    differences (step 1e-4); the bracket function's gradient falls back
-    to central differences as well.
+    differences (step 1e-4); the bracket function's gradient is central
+    differences as well.
     """
     point = np.asarray(point, dtype=float)
     step = 1e-4
@@ -193,6 +191,7 @@ def homomorphism_residual(chart, f, g, point):
     jf = _fd_jacobian(field_f, point, step)
     jg = _fd_jacobian(field_g, point, step)
     lie = jg @ field_f(point) - jf @ field_g(point)
-    bracket = ScalarField(value=lambda p: jacobi_bracket(chart, f, g, p))
+    value = partial(jacobi_bracket, chart, f, g)
+    bracket = ScalarField(value, partial(central_gradient, value))
     gamma_fg = contact_hamiltonian_field(chart, bracket, point)
     return float(np.max(np.abs(lie - gamma_fg)))

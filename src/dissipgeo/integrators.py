@@ -61,16 +61,13 @@ CHECK_ROWS = 64  # rows per block and per divergence check of a fill
 
 
 class DivergenceError(RuntimeError):
-    """Integration produced non-finite values.
+    """Integration produced non-finite values; ``partial`` holds (times,
+    states) up to and including the last time with a finite state,
+    partial[0][-1]."""
 
-    ``last_valid_time`` is the last time with a finite state; ``partial``
-    holds (times, states) up to and including that time.
-    """
-
-    def __init__(self, last_valid_time, partial):
+    def __init__(self, partial):
         super().__init__(
-            f"integration diverged after t = {last_valid_time:.6g}")
-        self.last_valid_time = last_valid_time
+            f"integration diverged after t = {partial[0][-1]:.6g}")
         self.partial = partial
 
 
@@ -103,9 +100,8 @@ def rk4_path(f, y0, t_end, dt, post=None):
             k4 = f(y + dt * k3)
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(y).all():
-                raise DivergenceError(float(times[i]),
-                                      partial=(times[:i + 1].copy(),
-                                               states[:i + 1].copy()))
+                raise DivergenceError((times[:i + 1].copy(),
+                                       states[:i + 1].copy()))
             if post is not None:
                 y = post(y)
                 if y is None:

@@ -16,8 +16,8 @@ h = 0.  The field maps the flat state y = (q, q', S) of shape (2n + 1,)
 to y'.  The velocity Hessian H is singular unless
 |det H| > HESSIAN_DET_TOL max|H_jk|^n, a scale-free test that also
 rejects a non-finite H, without a warning; ``_singular`` is that one
-test, and decides the mass of ``representative_matrix`` at MASS_DET_TOL
-too.  The field solves H q'' = rhs by LU.
+test, and the mass of ``representative_matrix``, the Hessian of
+q'^T m q' / 2, is judged by it too.  The field solves H q'' = rhs by LU.
 
 Callbacks are batched: each takes q and q' of shape (n, *batch) and
 returns its value with the batch axes last, a scalar function as
@@ -55,7 +55,6 @@ import numpy as np
 from .integrators import fast_path, linear_fill
 
 HESSIAN_DET_TOL = 1e-10
-MASS_DET_TOL = 1e-12
 
 
 class ImplicitSystemError(RuntimeError):
@@ -77,10 +76,10 @@ def coupled_damped_oscillators(omega1, omega2, gamma1, gamma2, kappa, delta):
 
 def representative_matrix(m, gamma, omega):
     """G with [[0, I], [-m^-1 omega, -m^-1 gamma]] block structure for
-    m q'' + gamma q' + omega q = 0 with n x n matrices; ``_singular`` at
-    MASS_DET_TOL decides whether the mass is singular."""
+    m q'' + gamma q' + omega q = 0 with n x n matrices; ``_singular``
+    decides whether the mass is singular."""
     n = m.shape[0]
-    if _singular(m, MASS_DET_TOL):
+    if _singular(m):
         raise ImplicitSystemError("singular mass matrix: implicit system")
     m_inv = np.linalg.inv(m)
     g = np.zeros((2 * n, 2 * n))
@@ -235,11 +234,12 @@ def _quadratic(mat, v):
     return np.einsum("j...,jk,k...->...", v, mat, v)
 
 
-def _singular(mats, tol):
+def _singular(mats):
     """Which matrices mats[j, k, *batch] are singular: all but those with
-    |det M| > tol max|M_jk|^n, so a non-finite M is singular too.  An
-    n x n mats gives one verdict; n = 1 reads M != 0 and finite, with no
-    LAPACK call, and n >= 2 takes det with numpy's warnings off."""
+    |det M| > HESSIAN_DET_TOL max|M_jk|^n, so a non-finite M is singular
+    too.  An n x n mats gives one verdict; n = 1 reads M != 0 and finite,
+    with no LAPACK call, and n >= 2 takes det and the n-th power with
+    numpy's warnings off (an overflowing power reads singular)."""
     n = mats.shape[0]
     if n == 1:
         det = scale = np.abs(mats[0, 0])
@@ -247,8 +247,8 @@ def _singular(mats, tol):
         mats = np.moveaxis(mats, (0, 1), (-2, -1))
         with np.errstate(all="ignore"):
             det = np.abs(np.linalg.det(mats))
-        scale = np.abs(mats).max(axis=(-2, -1)) ** n
-    return ~(det > tol * scale)
+            scale = np.abs(mats).max(axis=(-2, -1)) ** n
+    return ~(det > HESSIAN_DET_TOL * scale)
 
 
 def _s_rate(sys, q, qd, s, force):
@@ -263,7 +263,7 @@ def contact_el_field(sys, y):
     n = sys.n
     q, qd, s = y[:n], y[n:2 * n], y[2 * n]
     hess = np.asarray(sys.hess_qd(q, qd), dtype=float)
-    if _singular(hess, HESSIAN_DET_TOL):
+    if _singular(hess):
         raise ImplicitSystemError("singular velocity Hessian",
                                   state=(q.copy(), qd.copy(), s))
     force = _force_covector(sys, q, qd)
@@ -349,8 +349,7 @@ def _closed_form_fill(sys, y0, steps, dt):
     # stage point i of step k is stages[:, k, i] = A_i z_k
     stages = np.einsum("iab,kb->aki", np.array(amps), zs[:steps])
     q, qd = stages[:n], stages[n:]
-    if _singular(np.asarray(sys.hess_qd(q, qd), dtype=float),
-                 HESSIAN_DET_TOL).any():
+    if _singular(np.asarray(sys.hess_qd(q, qd), dtype=float)).any():
         return None
     phi = _s_rate(sys, q, qd, 0.0, _force_covector(sys, q, qd))
     b = _s_step(phi.T, 0.0, r, dt)

@@ -52,15 +52,17 @@ SPHERE_TOL = 1e-10
 
 
 def to_chart(psi):
-    """Real chart z = (Re psi, Im psi) of a complex vector."""
+    """Real chart z = (Re psi, Im psi) of a complex vector, along the last
+    axis of a stack of them."""
     psi = np.asarray(psi, dtype=complex)
-    return np.concatenate([psi.real, psi.imag])
+    return np.concatenate([psi.real, psi.imag], axis=-1)
 
 
 def from_chart(z):
+    """psi = x + i y of a chart point z = (x, y), along the last axis."""
     z = np.asarray(z, dtype=float)
-    n = z.size // 2
-    return z[:n] + 1j * z[n:]
+    n = z.shape[-1] // 2
+    return z[..., :n] + 1j * z[..., n:]
 
 
 def norm_squared(z):
@@ -138,10 +140,9 @@ def d_f_tilde(a, z):
 
 
 def alpha_tilde(b, z):
-    """alpha_b = J^T d(f_b / r^2), the gradient part's one-form source."""
-    n = np.asarray(z).size // 2
-    _, _, j = ambient_tensors(n)
-    return j.T @ d_f_tilde(b, z)
+    """alpha_b = J^T d(f_b / r^2), the gradient part's one-form source;
+    J^T (x, y) = (-y, x) is multiplication by i, ``phase_field``."""
+    return phase_field(d_f_tilde(b, z))
 
 
 def _require_hermitian(a, b):
@@ -185,15 +186,15 @@ def integrate_sphere_flow(a, b, psi0, t_end, dt):
     """RK4 the flow of Z = X_a + Y0_b from a unit vector, as the projected
     flow of z' = M z.  Returns (times, psis) with psis of shape
     (steps + 1, n) complex, every row a unit vector."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    n = psi0.size
     z0 = to_chart(psi0)
-    if abs(norm_squared(z0) - 1.0) > SPHERE_TOL:
-        raise ValueError("initial state must be normalized")
+    n = z0.size // 2
+    with np.errstate(over="ignore"):  # an overflowing norm is not 1
+        if abs(norm_squared(z0) - 1.0) > SPHERE_TOL:
+            raise ValueError("initial state must be normalized")
     _require_hermitian(a, b)
     m = _real_form(flow_generator(a, b) - np.trace(b).real / n * np.eye(n))
     times, states = rk4_linear_path(m, z0, t_end, dt, post=_unit)
-    return times, states[:, :n] + 1j * states[:, n:]
+    return times, from_chart(states)
 
 
 def _unit(z):

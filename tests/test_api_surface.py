@@ -4,9 +4,12 @@ tests call is deleted together with those tests, and a constant or an
 import that nothing reads goes."""
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 
 import dissipgeo
+from dissipgeo import cli
 
 SOURCE = Path(dissipgeo.__file__).parent
 
@@ -56,12 +59,15 @@ def exported_names(stmt):
 def test_every_definition_is_used_by_the_package():
     statements = [(path.stem, stmt) for path in sorted(SOURCE.glob("*.py"))
                   for stmt in ast.parse(path.read_text()).body]
-    # a statement's own body does not count as a use of what it binds
+    # each statement is walked once; its own reads do not count as a use
+    # of what it binds
+    reads = [referenced_names(stmt) | exported_names(stmt)
+             for _, stmt in statements]
+    readers = Counter(name for names in reads for name in names)
     unused = {name: f"{module}.{name}"
-              for module, stmt in statements for name in bound_names(stmt)
-              if not any(name in referenced_names(other)
-                         or name in exported_names(other)
-                         for _, other in statements if other is not stmt)}
+              for (module, stmt), own in zip(statements, reads)
+              for name in bound_names(stmt)
+              if readers[name] == (name in own)}
     assert sorted(unused) == sorted(ALLOWED), \
         f"no src module reads {sorted(unused.values())}"
 
@@ -198,3 +204,24 @@ def test_no_bare_runtime_error_or_exception_is_raised():
               if isinstance(node, ast.Raise) and node.exc is not None
               and bare(node)]
     assert raises == []
+
+
+def test_every_package_error_has_an_exit_code():
+    """Each exception class src defines subclasses one that an except
+    clause of cli.main maps to exit 2 or 3, so no error of the package
+    leaves main as exit 1 with a traceback."""
+    main = next(stmt for stmt in ast.parse((SOURCE / "cli.py").read_text())
+                .body if getattr(stmt, "name", None) == "main")
+    mapped = []
+    for handler in ast.walk(main):
+        if isinstance(handler, ast.ExceptHandler):
+            caught = eval(ast.unparse(handler.type), vars(cli))
+            mapped.extend(caught if isinstance(caught, tuple) else [caught])
+    defined = [obj for path in sorted(SOURCE.glob("*.py"))
+               for obj in vars(importlib.import_module(
+                   f"dissipgeo.{path.stem}")).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == f"dissipgeo.{path.stem}"]
+    assert len(defined) >= 5
+    assert [cls.__name__ for cls in defined
+            if not issubclass(cls, tuple(mapped))] == []

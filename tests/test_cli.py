@@ -742,6 +742,29 @@ class TestCommands:
                            "--out", str(tmp_path)) == EXIT_NUMERICAL
         assert (tmp_path / "overflow_partial.csv").exists()
 
+    @pytest.mark.parametrize("kind, params, code, message", [
+        ("pure-state", builtin_parameters(
+            "bloch-gradient", psi0=[[1e155, 0.0], [0.8, 0.0]]),
+         EXIT_USAGE, "initial state must be normalized"),
+        ("contact-lagrangian", builtin_parameters(
+            "coupled-damped-oscillators", mass=[[1e155, 0.0], [0.0, 1.0]]),
+         EXIT_NUMERICAL, "singular mass matrix"),
+        ("contact-lagrangian", builtin_parameters(
+            "friction-lagrangian", qd0=[1e155]),
+         EXIT_NUMERICAL, "[FAIL] mechanics/friction-mechanical-dissipation")],
+        ids=["psi0-1e155", "mass-1e155", "friction-qd0-1e155"])
+    def test_overflowing_squares_warn_of_nothing(self, kind, params, code,
+                                                 message, tmp_path, capsys):
+        # a finite config whose |psi|^2, max|m|^n or q'^2 overflows exits
+        # 2 or 3 with its message, and no numpy warning escapes
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"kind": kind,
+                                   "parameters": {**params, **SHORT}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may escape
+            assert run_cli("run", str(cfg), "--out", str(tmp_path)) == code
+        assert message in "".join(capsys.readouterr())
+
     def test_long_pure_state_oracle_is_finite(self, tmp_path, capsys):
         # exp(80 M) overflows for b = 10 sigma3; the oracle takes it in
         # normalised pieces, so a correct run passes and warns of nothing
@@ -759,6 +782,27 @@ class TestCommands:
         oracle = {inv["name"]: inv for inv in report["invariants"]}[
             "purestate/exponential-oracle"]
         assert oracle["residual"] < 1e-12
+
+
+    def test_fixed_point_below_the_top_passes_its_oracle(self, tmp_path,
+                                                         capsys):
+        # psi0 = e2 is a fixed point of b = sigma3 whose weight decays as
+        # e^-2t against e1; at t = 400 the run stays there, and so must the
+        # oracle, with no 0/0 and no numpy warning
+        cfg = tmp_path / "fixed.json"
+        cfg.write_text(json.dumps({"kind": "pure-state", "parameters": {
+            "a": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            "b": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+            "psi0": [[0.0, 0.0], [1.0, 0.0]], "t_end": 400.0, "dt": 0.5}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may escape
+            assert run_cli("run", str(cfg),
+                           "--out", str(tmp_path)) == EXIT_OK
+        assert "Warning" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "fixed_report.json").read_text())
+        oracle = {inv["name"]: inv for inv in report["invariants"]}[
+            "purestate/exponential-oracle"]
+        assert oracle["residual"] == 0.0
 
 
 class TestScenarioRuns:
