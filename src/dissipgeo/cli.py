@@ -631,20 +631,22 @@ def main(argv=None):
 
     report = None
     try:
-        if args.command == "checks":
-            invariants = [asdict(r) for r in run_checks(args.filter)]
-            if args.out is not None:
-                write_json(Path(args.out) / "checks_report.json", invariants)
-        else:
-            overrides = {key: value for key, value in
-                         (("dt", args.dt), ("t_end", args.t_end))
-                         if value is not None}
-            config = load_config(args.config)
-            config["parameters"] = {**config.get("parameters", {}),
-                                    **overrides}
-            # an unknown or a missing top-level key is a TypeError here
-            report = execute_scenario(args.out, **config)
-            invariants = report["invariants"]
+        with np.errstate(all="ignore"):  # an exit code, never a warning
+            if args.command == "checks":
+                invariants = [asdict(r) for r in run_checks(args.filter)]
+                if args.out is not None:
+                    write_json(Path(args.out) / "checks_report.json",
+                               invariants)
+            else:
+                overrides = {key: value for key, value in
+                             (("dt", args.dt), ("t_end", args.t_end))
+                             if value is not None}
+                config = load_config(args.config)
+                config["parameters"] = {**config.get("parameters", {}),
+                                        **overrides}
+                # an unknown or a missing top-level key is a TypeError here
+                report = execute_scenario(args.out, **config)
+                invariants = report["invariants"]
     # LinAlgError is a ValueError: the numerical clause must come first
     except (DivergenceError, ImplicitSystemError, DegenerateContactError,
             BasisCorruptionError, np.linalg.LinAlgError) as exc:

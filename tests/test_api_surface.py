@@ -225,3 +225,18 @@ def test_every_package_error_has_an_exit_code():
     assert len(defined) >= 5
     assert [cls.__name__ for cls in defined
             if not issubclass(cls, tuple(mapped))] == []
+
+
+def test_errstate_is_entered_in_four_functions():
+    """cli.main runs every command with numpy's floating-point warnings
+    off, so an overflow is an exit code, never a warning; besides it only
+    the library routes whose callers rely on silence enter np.errstate:
+    rk4_path and fast_path, whose diverging path raises DivergenceError,
+    and mechanics._singular, whose non-finite matrix reads singular."""
+    def errstate(call):
+        return "errstate" in referenced_names(call.func)
+
+    assert sorted(call for path in sorted(SOURCE.glob("*.py"))
+                  for call in calls_in(path.stem, errstate)) \
+        == ["cli.main", "integrators.fast_path", "integrators.rk4_path",
+            "mechanics._singular"]

@@ -47,6 +47,29 @@ BUILTIN_INVARIANTS = {
                              "contact/bracket-homomorphism"],
 }
 
+# the invariants `dissipgeo checks` reports, suite by suite, in report order
+CHECKS_INVARIANTS = [
+    "algebra/basis-orthonormality", "algebra/basis-traceless",
+    "algebra/structure-jacobi-identity", "algebra/coherence-round-trip",
+    "algebra/expectation-affine",
+    *BUILTIN_INVARIANTS["contact-homomorphism"],
+    "gkls/trace-preservation", "gkls/decomposition-sum-identity",
+    "gkls/nonlinear-cancellation", "gkls/unitary-spectrum-invariance",
+    "gkls/gradient-flow-rank-constancy", "gkls/positivity",
+    "gkls/observed-order",
+    "mechanics/odd-trace-soundness",
+    "mechanics/damped-oscillators-not-hamiltonian",
+    "mechanics/energy-rate-identity",
+    "mechanics/friction-energy-conservation",
+    "mechanics/friction-mechanical-dissipation",
+    "mechanics/contact-reduction-consistency",
+    "mechanics/declared-projection",
+    "purestate/kaehler-compatibility", "purestate/sphere-tangency",
+    "purestate/contact-residuals", "purestate/gradient-projectability",
+    "purestate/contact-volume-rank", "purestate/projection-consistency",
+    "purestate/observed-order", "purestate/generalized-contact-field",
+]
+
 PHASE_DAMPING = {"model": "phase-damping", "gamma": 1.0,
                  "x0": [0.5, 0.0, 0.0], "t_end": 1.0, "dt": 1e-2}
 SIGMA3 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
@@ -300,6 +323,14 @@ VARIANTS = {
         **LINEAR, "expect": {"hamiltonianity": "not-hamiltonian"},
         **SHORT}),
 }
+
+
+def general_gkls_x0(**changes):
+    """The general-gkls variant started from x0 = (0.1, 0, 0)."""
+    return {**without(VARIANTS["general-gkls"][1], "rho0"),
+            "x0": [0.1, 0.0, 0.0], **changes}
+
+
 # t_end / dt rounding to no step (0.5 rounds to 0): no path to report
 BAD_VALUE_CONFIGS.update({
     "gkls-no-step": ("gkls", {**PHASE_DAMPING, "t_end": 1.0, "dt": 3.0}),
@@ -751,12 +782,26 @@ class TestCommands:
          EXIT_NUMERICAL, "singular mass matrix"),
         ("contact-lagrangian", builtin_parameters(
             "friction-lagrangian", qd0=[1e155]),
-         EXIT_NUMERICAL, "[FAIL] mechanics/friction-mechanical-dissipation")],
-        ids=["psi0-1e155", "mass-1e155", "friction-qd0-1e155"])
+         EXIT_NUMERICAL, "[FAIL] mechanics/friction-mechanical-dissipation"),
+        ("gkls", general_gkls_x0(
+            jumps=[[[[0.0, 0.0], [1e155, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]),
+         EXIT_NUMERICAL, "integration diverged after t = 0"),
+        ("gkls", general_gkls_x0(
+            hamiltonian=[[[1.7e308, 0.0], [0.0, 0.0]],
+                         [[0.0, 0.0], [-1.7e308, 0.0]]]),
+         EXIT_NUMERICAL, "integration diverged after t = 0"),
+        ("contact-lagrangian", {
+            **LINEAR, "mass": [[1e-300]], "damping": [[1e300]],
+            "stiffness": [[1.0]], "x0": [1.0, 0.0]},
+         EXIT_NUMERICAL, "integration diverged after t = 0")],
+        ids=["psi0-1e155", "mass-1e155", "friction-qd0-1e155", "jump-1e155",
+             "hamiltonian-1.7e308", "damping-over-mass-1e600"])
     def test_overflowing_squares_warn_of_nothing(self, kind, params, code,
                                                  message, tmp_path, capsys):
-        # a finite config whose |psi|^2, max|m|^n or q'^2 overflows exits
-        # 2 or 3 with its message, and no numpy warning escapes
+        # a finite config that overflows on the way (|psi|^2, max|m|^n,
+        # q'^2, a jump's v^H v, a commutator, m^-1 gamma) exits 2 or 3 with
+        # its message, no numpy warning escapes, and a run that diverged
+        # leaves its partial CSV
         cfg = tmp_path / "huge.json"
         cfg.write_text(json.dumps({"kind": kind,
                                    "parameters": {**params, **SHORT}}))
@@ -764,6 +809,8 @@ class TestCommands:
             warnings.simplefilter("error")  # no numpy warning may escape
             assert run_cli("run", str(cfg), "--out", str(tmp_path)) == code
         assert message in "".join(capsys.readouterr())
+        assert (tmp_path / "huge_partial.csv").exists() \
+            == ("diverged" in message)
 
     def test_long_pure_state_oracle_is_finite(self, tmp_path, capsys):
         # exp(80 M) overflows for b = 10 sigma3; the oracle takes it in
@@ -839,6 +886,13 @@ class TestScenarioRuns:
         names = [inv["name"] for inv in (
             report if argv[0] == "checks" else report["invariants"])]
         assert names and len(set(names)) == len(names)
+
+    def test_checks_report_pins_every_invariant_in_order(self, tmp_path,
+                                                         capsys):
+        # a suite that drops, renames or reorders an invariant fails here
+        assert run_cli("checks", "--out", str(tmp_path)) == EXIT_OK
+        report = json.loads((tmp_path / "checks_report.json").read_text())
+        assert [inv["name"] for inv in report] == CHECKS_INVARIANTS
 
     def test_csv_builtins_take_no_rk4_path_hand_off(self, tmp_path,
                                                      monkeypatch, capsys):

@@ -472,6 +472,42 @@ class TestIntegration:
         assert np.max(np.abs(traj.qd[:, 0] - reduced[:, 1])) < 1e-8
 
 
+BUILT_SYSTEMS = [rlc_single(0.3, 0.7, 0.45),
+                 rlc_coupled(1.0, 2.0, 1.0, 0.5, 0.4, 0.6, 0.2),
+                 friction_system(0.6)]
+BUILT_IDS = ["rlc-single", "rlc-coupled", "friction"]
+
+
+def central(f, x, step=1e-5):
+    """d f / d x_k by central differences, stacked on a last axis k."""
+    return np.stack([(np.asarray(f(x + e)) - np.asarray(f(x - e)))
+                     / (2.0 * step) for e in step * np.eye(len(x))], axis=-1)
+
+
+def assert_callbacks_differentiate(sys):
+    """Each derivative callback of sys against central differences of
+    what it differentiates, at 20 random points with q' > 0 (the friction
+    chart), to 1e-6 relative to the differences' largest |entry|."""
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        q, qd = rng.uniform(-2.0, 2.0, sys.n), rng.uniform(0.5, 2.0, sys.n)
+        s = rng.uniform(-2.0, 2.0, 1)
+        for name, value, difference in [
+                ("d_l_dq", sys.d_l_dq(q, qd),
+                 central(lambda x: sys.lagrangian(x, qd), q)),
+                ("d_l_dqd", sys.d_l_dqd(q, qd),
+                 central(lambda x: sys.lagrangian(q, x), qd)),
+                ("hess_qd", sys.hess_qd(q, qd),
+                 central(lambda x: sys.d_l_dqd(q, x), qd)),
+                ("mixed_hess", sys.mixed_hess(q, qd),
+                 central(lambda x: sys.d_l_dqd(x, qd), q)),
+                ("dh_ds", sys.dh_ds(s[0]),
+                 central(lambda x: sys.h(x[0]), s)[0])]:
+            np.testing.assert_allclose(
+                value, difference, rtol=1e-6,
+                atol=1e-6 * np.max(np.abs(difference)), err_msg=name)
+
+
 class TestBuilders:
     def test_rlc_single_validates_parameters(self):
         with pytest.raises(ValueError):
@@ -484,6 +520,19 @@ class TestBuilders:
     def test_rlc_coupled_validates_parameters(self):
         with pytest.raises(ValueError):
             rlc_coupled(1.0, -1.0, 1.0, 1.0, 0.1, 0.1, 0.0)
+
+    @pytest.mark.parametrize("sys", BUILT_SYSTEMS, ids=BUILT_IDS)
+    def test_callbacks_differentiate_the_lagrangian_and_h(self, sys):
+        # the closed form, _projected_generator and the declared-projection
+        # invariant read these callbacks, not the Lagrangian itself
+        assert_callbacks_differentiate(sys)
+
+    @pytest.mark.parametrize("sys", BUILT_SYSTEMS, ids=BUILT_IDS)
+    def test_a_doubled_velocity_hessian_fails_the_callback_test(self, sys):
+        doubled = dataclasses.replace(
+            sys, hess_qd=lambda q, qd: 2.0 * np.asarray(sys.hess_qd(q, qd)))
+        with pytest.raises(AssertionError, match="hess_qd"):
+            assert_callbacks_differentiate(doubled)
 
 
 def generic(sys):
