@@ -33,10 +33,21 @@ class BasisCorruptionError(RuntimeError):
     """A basis matrix handed to ``structure_constants`` is not Hermitian."""
 
 
+def matvec(m, x):
+    """m @ x over broadcasting leading axes; rows round as 2-D @ 1-D."""
+    return (m @ x[..., None])[..., 0]
+
+
+def vecdot(x, y):
+    """x @ y over broadcasting leading axes; rows round as 1-D @ 1-D."""
+    return (x[..., None, :] @ y[..., None])[..., 0, 0]
+
+
 def is_hermitian(a):
+    """Whether a, or every matrix of a stack (..., n, n), is Hermitian."""
     a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and \
-        float(np.max(np.abs(a - a.conj().T))) < HERMITICITY_TOL
+    return a.ndim >= 2 and a.shape[-2] == a.shape[-1] and \
+        float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) < HERMITICITY_TOL
 
 
 @dataclass(frozen=True)
@@ -90,7 +101,7 @@ def structure_constants(tau):
     c alone misses tau_0 + 0.5i I, which moves it by rounding only.
     """
     tau = np.asarray(tau)
-    if not all(is_hermitian(m) for m in tau):
+    if not is_hermitian(tau):
         raise BasisCorruptionError("a basis matrix is not Hermitian")
     # T[j, k, l] = Tr(tau_j tau_k tau_l)
     t = np.einsum("jab,kbc,lca->jkl", tau, tau, tau)

@@ -4,8 +4,9 @@ Each suite re-verifies the structural identities of its module on seeded
 random data and returns one CheckResult per declared invariant.  Seeds
 are fixed so repeated runs are deterministic; suites are merged in
 sorted order by name.  A suite draws its random data point by point in
-a fixed RNG order, then evaluates the GKLS identities on stacks, per
-model or per n, through the batch axes of ``gkls``.
+a fixed RNG order, then evaluates its identities on stacks, per model,
+per n or per suite, through the batch axes of ``gkls``, ``contact`` and
+``purestate``: one call per stack, and one field call per stencil.
 
 An invariant that a CLI run also reports has its formula and tolerance
 in one helper here, which the suite and the CLI both call.
@@ -20,14 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import purestate as ps
-from .algebra import (build_su_basis, from_coherence_vector,
-                      structure_constants, to_coherence_vector)
+from .algebra import (build_su_basis, from_coherence_vector, matvec,
+                      structure_constants, to_coherence_vector, vecdot)
 from .contact import (ScalarField, central_gradient,
                       contact_hamiltonian_field, darboux_chart,
                       generalized_contact_field, homomorphism_residual,
                       jacobi_bracket, nondegeneracy_determinant, reeb_field)
 from .gkls import (apply_generator, build_model, decompose_field,
-                   evaluate_component_fields, integrate, matvec)
+                   evaluate_component_fields, integrate)
 from .mechanics import (_projected_generator, analytic_energy_rate,
                         contact_el_field, coupled_damped_oscillators,
                         friction_system, hamiltonianity_criterion,
@@ -134,9 +135,11 @@ def positivity(min_eigenvalues):
 
 def contact_residuals(cases):
     """purestate/contact-residuals: the worst of the three contact identities
-    of Z = X_a + Y0_b at cases (a, b, unit point z), relative to max|a, b|."""
-    return result("purestate/contact-residuals", max(
-        relative(ps.contact_residuals(a, b, z), np.append(a, b))
+    of Z = X_a + Y0_b over cases (a, b, unit z), each a point or a stack
+    of them, every row relative to the max(1, max|a, b|) of its own."""
+    return result("purestate/contact-residuals", max(float(np.max(
+        np.max(ps.contact_residuals(a, b, z), axis=0) / np.maximum(1.0, np.max(
+            np.abs(np.concatenate([a, b], axis=-1)), axis=(-2, -1)))))
         for a, b, z in cases), 1e-9)
 
 
@@ -197,11 +200,11 @@ def stratum_tangency(cases):
 
 
 def exactness_residual(chart, point, step):
-    """Max-norm of omega - d eta at a point of a chart, with
+    """Max-norm of omega - d eta over a point or a stack of them, with
     (d eta)_ab = d_a eta_b - d_b eta_a from central differences."""
     jac = central_gradient(chart.eta, point, step)  # jac[b, a] = d_a eta_b
     return float(np.max(np.abs(np.asarray(chart.omega(point))
-                               - (jac.T - jac))))
+                               - (np.swapaxes(jac, -1, -2) - jac))))
 
 
 def energy_rate_identity(name, sys, traj, dt):
@@ -244,6 +247,11 @@ def hamiltonianity_verdict(name, g, expected):
 def _random_hermitian(rng, n, scale=1.0):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return scale * (a + a.conj().T) / 2
+
+
+def _random_unit(rng, n):
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return psi / np.linalg.norm(psi)
 
 
 def _random_density(rng, n):
@@ -323,8 +331,7 @@ def gkls_suite():
     # a pure state on the suite's draws, then five states of every rank
     # 1..n-1 for n = 2, 3, 4 from a generator of their own, so the draws
     # of the invariants below stay as they are
-    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-    psi /= np.linalg.norm(psi)
+    psi = _random_unit(rng, 3)
     cases = [(basis, _random_hermitian(rng, 3),
               _random_hermitian(rng, 3, 0.5), psi[:, None], np.ones(1))]
     strata_rng = np.random.default_rng(212)
@@ -378,34 +385,30 @@ def purestate_suite():
     residual_cases = []
     for n in (2, 3):
         basis = build_su_basis(n)
-        draws = []
-        for _ in range(10):
-            a = _random_hermitian(rng, n)
-            b = _random_hermitian(rng, n)
-            psi = rng.normal(size=n) + 1j * rng.normal(size=n)
-            psi /= np.linalg.norm(psi)
-            z = ps.to_chart(psi)
-            zero = np.zeros_like(a)
-            for vec in (ps.z_field(a, zero, z), ps.z_field(zero, b, z),
-                        ps.phase_field(z)):
-                tangency_res = max(tangency_res, abs(float(z @ vec)))
-            residual_cases.append((a, b, z))
-            jac_g = central_gradient(lambda p: ps.z_field(zero, b, p), z)
-            jac_p = central_gradient(ps.phase_field, z)
-            bracket = jac_g @ ps.phase_field(z) - jac_p \
-                @ ps.z_field(zero, b, z)
-            commute_res = max(commute_res, float(np.max(np.abs(bracket))))
-            stack = np.vstack([ps.pullback_omega0(z), ps.contact_form(z), z])
-            if np.linalg.matrix_rank(stack, tol=1e-10) != 2 * n:
-                rank_bad = 1.0
-            # psi -> rho_psi pushes Z forward to X_H - Y_V with H = -a,
-            # V = -2b: the coherence vector of v psi^dag + psi v^dag,
-            # v = Z(psi), is that field at rho_psi
-            v = ps.from_chart(ps.z_field(a, b, z))
-            d_rho = np.outer(v, psi.conj()) + np.outer(psi, v.conj())
-            draws.append((a, b, ps.project_to_bloch(psi, basis),
-                          np.einsum("jab,ba->j", basis.tau, d_rho).real))
-        a, b, points, pushed = map(np.stack, zip(*draws))
+        a, b, psi = map(np.stack, zip(*[
+            (_random_hermitian(rng, n), _random_hermitian(rng, n),
+             _random_unit(rng, n)) for _ in range(10)]))
+        z = ps.to_chart(psi)
+        zero = np.zeros_like(a)
+        tangency_res = max(tangency_res, float(np.max(np.abs(vecdot(
+            z, np.stack([ps.z_field(a, zero, z), ps.z_field(zero, b, z),
+                         ps.phase_field(z)]))))))
+        residual_cases.append((a, b, z))
+        jac_g = central_gradient(lambda p: ps.z_field(zero, b, p), z)
+        jac_p = central_gradient(ps.phase_field, z)
+        bracket = matvec(jac_g, ps.phase_field(z)) \
+            - matvec(jac_p, ps.z_field(zero, b, z))
+        commute_res = max(commute_res, float(np.max(np.abs(bracket))))
+        stack = np.concatenate([ps.pullback_omega0(z), ps.contact_form(z)
+                                [..., None, :], z[..., None, :]], axis=-2)
+        if np.any(np.linalg.matrix_rank(stack, tol=1e-10) != 2 * n):
+            rank_bad = 1.0
+        # psi -> rho_psi pushes Z forward to X_H - Y_V with H = -a,
+        # V = -2b: the coherence vector of v psi^dag + psi v^dag,
+        # 2 Re <psi| tau_j |v> with v = Z(psi), is that field at rho_psi
+        pushed = 2.0 * np.einsum("ka,jab,kb->kj", psi.conj(), basis.tau,
+                                 ps.from_chart(ps.z_field(a, b, z))).real
+        points = np.stack([ps.project_to_bloch(p, basis) for p in psi])
         xh, yv, _ = evaluate_component_fields(
             decompose_field(basis, -a, -2.0 * b), points)
         proj_res = max(proj_res, float(np.max(np.abs(pushed - (xh - yv)))))
@@ -418,8 +421,7 @@ def purestate_suite():
     # the sphere route at t = 2 against the normalised exponential flow
     a = _random_hermitian(rng, 2)
     b = _random_hermitian(rng, 2)
-    psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
-    psi0 /= np.linalg.norm(psi0)
+    psi0 = _random_unit(rng, 2)
     exact = sphere_flow(a, b, psi0, 2.0)
     errors = [np.max(np.abs(ps.integrate_sphere_flow(
         a, b, psi0, 2.0, dt)[1][-1] - exact)) for dt in (0.2, 0.1, 0.05)]
@@ -449,45 +451,48 @@ def purestate_suite():
     return results
 
 
+def _quadratic(seed_rng):
+    c0 = seed_rng.normal()
+    lin = seed_rng.normal(size=3)
+    quad = seed_rng.normal(size=(3, 3))
+    return c0, lin, (quad + quad.T) / 2
+
+
+def _quadratics(draws):
+    """c0 + lin p + p quad p / 2 for stacked draws (c0, lin, quad) of
+    ``_quadratic``: draw k reads row k of a stack of points."""
+    c0, lin, quad = map(np.stack, zip(*draws))
+    return ScalarField(
+        value=lambda p: c0 + vecdot(lin, p) + 0.5 * vecdot(p, matvec(quad, p)),
+        gradient=lambda p: lin + matvec(quad, p))
+
+
 def contact_suite():
     rng = np.random.default_rng(404)
     chart = darboux_chart(1)
-
-    def quadratic(seed_rng):
-        c0 = seed_rng.normal()
-        lin = seed_rng.normal(size=3)
-        quad = seed_rng.normal(size=(3, 3))
-        quad = (quad + quad.T) / 2
-        return ScalarField(value=lambda p: c0 + lin @ p + 0.5 * p @ quad @ p,
-                           gradient=lambda p: lin + quad @ p)
-
-    reeb_res, eta_res, antisym_res, reduce_res, homo_res = 0, 0, 0, 0, 0
-    nondeg_bad, exact_res = 0.0, 0.0
-    for _ in range(20):
-        point = rng.normal(size=3)
-        xi = reeb_field(chart, point)
-        w = np.asarray(chart.omega(point))
-        reeb_res = max(reeb_res, float(np.max(np.abs(w.T @ xi))),
-                       abs(chart.eta(point) @ xi - 1.0))
-        if nondegeneracy_determinant(chart, point) <= 1e-12:
-            nondeg_bad = 1.0
-        # eta is affine on this chart: its central differences are exact
-        # up to rounding at any step, and a large one keeps rounding small
-        exact_res = max(exact_res, exactness_residual(chart, point, 1e-2))
-        f = quadratic(rng)
-        g = quadratic(rng)
-        vec = contact_hamiltonian_field(chart, f, point)
-        eta_res = max(eta_res, abs(chart.eta(point) @ vec - f(point)))
-        antisym_res = max(antisym_res, abs(
-            jacobi_bracket(chart, f, g, point)
-            + jacobi_bracket(chart, g, f, point)))
-        gen = generalized_contact_field(chart, f, f.grad, point)
-        reduce_res = max(reduce_res, float(np.max(np.abs(
-            gen - f(point) * xi))))
-    for _ in range(5):
-        point = 0.5 * rng.normal(size=3)
-        homo_res = max(homo_res, homomorphism_residual(
-            chart, quadratic(rng), quadratic(rng), point))
+    points, f, g = zip(*[(rng.normal(size=3), _quadratic(rng), _quadratic(rng))
+                         for _ in range(20)])
+    points, f, g = np.stack(points), _quadratics(f), _quadratics(g)
+    xi = reeb_field(chart, points)
+    eta = chart.eta(points)
+    reeb_res = max(float(np.max(np.abs(matvec(
+        np.swapaxes(chart.omega(points), -1, -2), xi)))),
+        float(np.max(np.abs(vecdot(eta, xi) - 1.0))))
+    nondeg_bad = float(np.any(nondegeneracy_determinant(chart, points)
+                              <= 1e-12))
+    # eta is affine on this chart: its central differences are exact
+    # up to rounding at any step, and a large one keeps rounding small
+    exact_res = exactness_residual(chart, points, 1e-2)
+    eta_res = float(np.max(np.abs(vecdot(
+        eta, contact_hamiltonian_field(chart, f, points)) - f(points))))
+    antisym_res = float(np.max(np.abs(jacobi_bracket(chart, f, g, points)
+                                      + jacobi_bracket(chart, g, f, points))))
+    gen = generalized_contact_field(chart, f, f.grad, points)
+    reduce_res = float(np.max(np.abs(gen - f(points)[..., None] * xi)))
+    points, f, g = zip(*[(0.5 * rng.normal(size=3), _quadratic(rng),
+                          _quadratic(rng)) for _ in range(5)])
+    homo_res = float(np.max(homomorphism_residual(
+        chart, _quadratics(f), _quadratics(g), np.stack(points))))
     return [result("contact/reeb-defining-equations", reeb_res, 1e-10),
             result("contact/nondegeneracy", nondeg_bad, 0.5),
             result("contact/exact-chart-consistency", exact_res, 1e-12),

@@ -22,6 +22,10 @@ the multiplier is the eta term, so xi is an output (``reeb_field``),
 never an input to a field or a bracket.  xi itself, i_xi omega = 0 and
 eta(xi) = 1, is the solve (beta, c) = (0, 1), held to its equations by
 the invariant contact/reeb-defining-equations alone.
+
+Points are stacks (..., dim), as chart forms and ScalarFields take them;
+each solve is one ``np.linalg.solve`` against (..., dim + 1, k) right-hand
+sides, and ``central_gradient`` calls f once, at (2 dim, ..., dim) points.
 """
 
 from __future__ import annotations
@@ -32,33 +36,45 @@ from typing import Callable
 
 import numpy as np
 
+from .algebra import matvec, vecdot
+
 
 class DegenerateContactError(RuntimeError):
     """A bordered solve is singular, not finite or inaccurate."""
 
 
 def central_gradient(f, x, step=1e-5):
-    """Central differences at x: the gradient of a scalar f, or the
-    Jacobian (column i is df/dx_i) of a vector-valued one."""
+    """Central differences at x (..., dim), one call of f at x -+ step e_i:
+    the gradient of a scalar f, or the Jacobian (..., m, dim) (column i is
+    df/dx_i) of a vector-valued one."""
     x = np.asarray(x, dtype=float)
-    return np.stack([(np.asarray(f(x + e)) - np.asarray(f(x - e)))
-                     / (2.0 * step) for e in step * np.eye(x.size)], axis=-1)
+    dim = x.shape[-1]
+    e = step * np.eye(dim).reshape((dim,) + (1,) * (x.ndim - 1) + (dim,))
+    values = np.asarray(f(np.concatenate([x + e, x - e])))
+    return np.moveaxis(values[:dim] - values[dim:], 0, -1) / (2.0 * step)
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Function with its gradient: an analytic one, or
-    ``partial(central_gradient, value)`` for central differences."""
+    """Function with its gradient, (...) and (..., dim) at points (..., dim):
+    an analytic one, or ``partial(central_gradient, value)``."""
 
     value: Callable
     gradient: Callable
 
     def __call__(self, point):
-        return float(self.value(np.asarray(point, dtype=float)))
+        return _shaped(self.value, point, np.shape(point)[:-1])
 
     def grad(self, point):
-        return np.asarray(self.gradient(np.asarray(point, dtype=float)),
-                          dtype=float)
+        return _shaped(self.gradient, point, np.shape(point))
+
+
+def _shaped(fn, point, shape):
+    """fn(point) as floats of the given shape, or ValueError."""
+    out = np.asarray(fn(np.asarray(point, dtype=float)), dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"ScalarField shape {out.shape}, not {shape}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -79,30 +95,33 @@ def darboux_chart(m):
     and omega = d eta = dq ^ dp."""
     dim = 2 * m + 1
     w = np.zeros((dim, dim))
-    for j in range(m):
-        w[j, m + j] = 1.0
-        w[m + j, j] = -1.0
+    w[:m, m:2 * m], w[m:2 * m, :m] = np.eye(m), -np.eye(m)
 
     def eta(point):
         point = np.asarray(point, dtype=float)
-        cov = np.zeros(dim)
-        cov[:m] = -point[m:2 * m]
-        cov[-1] = 1.0
+        cov = np.zeros(point.shape)
+        cov[..., :m] = -point[..., m:2 * m]
+        cov[..., -1] = 1.0
         return cov
 
     return ContactChart(dim=dim, eta=eta, omega=lambda p: w)
 
 
+def _points(chart, point):
+    point = np.asarray(point, dtype=float)
+    if point.shape[-1:] != (chart.dim,):
+        raise ValueError(f"points {point.shape} are not (..., {chart.dim})")
+    return point
+
+
 def _bordered(chart, point):
-    """[[omega^T, eta], [eta^T, 0]] at a point; omega(v, .) fills the
+    """[[omega^T, eta], [eta^T, 0]] at each point; omega(v, .) fills the
     first slot of omega, hence omega^T."""
-    w = np.asarray(chart.omega(point), dtype=float)
-    e = np.asarray(chart.eta(point), dtype=float)
+    point = _points(chart, point)
     d = chart.dim
-    m = np.zeros((d + 1, d + 1))
-    m[:d, :d] = w.T
-    m[:d, d] = e
-    m[d, :d] = e
+    m = np.zeros(point.shape[:-1] + (d + 1, d + 1))
+    m[..., :d, :d] = np.swapaxes(chart.omega(point), -1, -2)
+    m[..., :d, d] = m[..., d, :d] = chart.eta(point)
     return m
 
 
@@ -110,31 +129,33 @@ def nondegeneracy_determinant(chart, point):
     """|det| of the bordered matrix, that of the antisymmetric [[omega,
     eta], [-eta, 0]] too (its transpose with the last row negated);
     nonzero exactly where eta ^ omega^m is a volume form."""
-    return abs(float(np.linalg.det(_bordered(chart, point))))
+    return np.abs(np.linalg.det(_bordered(chart, point)))
 
 
 def _bordered_solve(chart, point, rhs_omega, rhs_eta):
-    """Solve omega(v, .) + lam eta = rhs_omega, eta(v) = rhs_eta.
-
-    One right-hand side, or a (dim, k) block with rhs_eta of shape (k,)
-    and a column of v and an entry of lam per column; lam = rhs_omega(xi).
-    """
+    """Solve omega(v, .) + lam eta = rhs_omega, eta(v) = rhs_eta for k
+    right-hand sides at each point: rhs_omega (..., dim, k) and rhs_eta
+    (..., k) give a column of v and an entry of lam per right-hand side;
+    lam = rhs_omega(xi).  Any point's failed solve fails the call."""
     m = _bordered(chart, point)
-    b = np.concatenate([rhs_omega, [rhs_eta]])
+    b = np.zeros(m.shape[:-1] + np.shape(rhs_eta)[-1:])
+    b[..., :-1, :] = rhs_omega
+    b[..., -1, :] = rhs_eta
     try:
         sol = np.linalg.solve(m, b)
     except np.linalg.LinAlgError as exc:
         raise DegenerateContactError(str(exc)) from exc
-    scale = max(1.0, float(np.max(np.abs(b))))
-    if not np.all(np.isfinite(sol)) or \
-            float(np.max(np.abs(m @ sol - b))) > 1e-8 * scale:
+    scale = np.maximum(1.0, np.max(np.abs(b), axis=(-2, -1)))
+    if not np.all(np.isfinite(sol)) or np.any(
+            np.max(np.abs(m @ sol - b), axis=(-2, -1)) > 1e-8 * scale):
         raise DegenerateContactError("bordered solve did not converge")
-    return sol[:-1], sol[-1]
+    return sol[..., :-1, :], sol[..., -1, :]
 
 
 def reeb_field(chart, point):
     """Unique xi with i_xi omega = 0 and eta(xi) = 1: one solve."""
-    return _bordered_solve(chart, point, np.zeros(chart.dim), 1.0)[0]
+    return _bordered_solve(chart, point, np.zeros((chart.dim, 1)),
+                           np.ones(1))[0][..., 0]
 
 
 def contact_hamiltonian_field(chart, field, point):
@@ -149,9 +170,10 @@ def generalized_contact_field(chart, field, alpha, point):
     i_G omega = (L_xi F - alpha(xi)) eta - dF + alpha, i_G eta = F,
     solved with right-hand side (alpha - dF, F): the multiplier
     alpha(xi) - dF(xi) is the eta term."""
-    point = np.asarray(point, dtype=float)
-    return _bordered_solve(chart, point, np.asarray(alpha(point), dtype=float)
-                           - field.grad(point), field(point))[0]
+    point = _points(chart, point)
+    rhs = np.asarray(alpha(point), dtype=float) - field.grad(point)
+    return _bordered_solve(chart, point, rhs[..., None],
+                           field(point)[..., None])[0][..., 0]
 
 
 def jacobi_bracket(chart, f, g, point):
@@ -164,34 +186,29 @@ def jacobi_bracket(chart, f, g, point):
     gives [q, p] = 1 on the standard chart and makes F -> Gamma_F a
     Lie-algebra homomorphism.
     """
-    point = np.asarray(point, dtype=float)
+    point = _points(chart, point)
     df, dg = f.grad(point), g.grad(point)
-    v, lam = _bordered_solve(chart, point, -np.column_stack([df, dg]),
+    v, lam = _bordered_solve(chart, point, -np.stack([df, dg], axis=-1),
                              np.zeros(2))
-    return float(g(point) * lam[0] - f(point) * lam[1] + dg @ v[:, 0])
-
-
-def _fd_jacobian(vector_field, point, step):
-    """Richardson-extrapolated central-difference Jacobian."""
-    return (4.0 * central_gradient(vector_field, point, step / 2.0)
-            - central_gradient(vector_field, point, step)) / 3.0
+    return g(point) * lam[..., 0] - f(point) * lam[..., 1] \
+        + vecdot(dg, v[..., 0])
 
 
 def homomorphism_residual(chart, f, g, point):
-    """Max-norm of [Gamma_F, Gamma_G] - Gamma_[F,G] at a point.
+    """Max-norm of [Gamma_F, Gamma_G] - Gamma_[F,G] at each point.
 
-    The Lie bracket of the two contact fields is formed with finite
-    differences (step 1e-4); the bracket function's gradient is central
-    differences as well.
+    The Lie bracket of the two contact fields is formed with
+    Richardson-extrapolated central differences (step 1e-4); the bracket
+    function's gradient is central differences as well.
     """
-    point = np.asarray(point, dtype=float)
-    step = 1e-4
+    point = _points(chart, point)
     field_f = partial(contact_hamiltonian_field, chart, f)
     field_g = partial(contact_hamiltonian_field, chart, g)
-    jf = _fd_jacobian(field_f, point, step)
-    jg = _fd_jacobian(field_g, point, step)
-    lie = jg @ field_f(point) - jf @ field_g(point)
+    jf, jg = ((4.0 * central_gradient(h, point, 1e-4 / 2.0)
+               - central_gradient(h, point, 1e-4)) / 3.0
+              for h in (field_f, field_g))
+    lie = matvec(jg, field_f(point)) - matvec(jf, field_g(point))
     value = partial(jacobi_bracket, chart, f, g)
     bracket = ScalarField(value, partial(central_gradient, value))
     gamma_fg = contact_hamiltonian_field(chart, bracket, point)
-    return float(np.max(np.abs(lie - gamma_fg)))
+    return np.max(np.abs(lie - gamma_fg), axis=-1)

@@ -45,7 +45,7 @@ from functools import partial
 import numpy as np
 
 from .algebra import (SuBasis, build_su_basis, from_coherence_vector,
-                      is_hermitian, to_coherence_vector)
+                      is_hermitian, matvec, to_coherence_vector)
 from .integrators import fast_path, linear_fill, rk4_path
 
 RANK_EIG_TOL = 1e-9
@@ -189,12 +189,6 @@ def decompose_field(basis, H, V, jumps=()):
         n=basis.n, tr_v=np.trace(V, axis1=-2, axis2=-1).real, Hmat=Hmat,
         Vmat=Vmat, Kmat=Kmat, V_vec=np.einsum("jab,...ba->...j", tau, V).real,
         calV_vec=np.einsum("jab,ba->j", tau, cal).real)
-
-
-def matvec(m, x):
-    """m @ x over leading axes of m (..., r, d) and x (..., d) that
-    broadcast; each row is the 2-D m @ 1-D x, so it rounds the same."""
-    return (m @ x[..., None])[..., 0]
 
 
 def evaluate_component_fields(dec, x):

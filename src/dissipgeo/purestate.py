@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import is_hermitian, to_coherence_vector
+from .algebra import is_hermitian, matvec, to_coherence_vector, vecdot
 from .contact import ContactChart
 from .integrators import rk4_linear_path
 
@@ -67,7 +67,7 @@ def from_chart(z):
 
 def norm_squared(z):
     z = np.asarray(z, dtype=float)
-    return float(z @ z)
+    return vecdot(z, z)
 
 
 def ambient_tensors(n):
@@ -89,30 +89,31 @@ def phase_field(z):
 def f_value(a, z):
     """f_a = <psi| a |psi> for Hermitian a."""
     psi = from_chart(z)
-    return float(np.real(np.vdot(psi, a @ psi)))
+    return vecdot(psi.conj(), matvec(np.asarray(a, dtype=complex), psi)).real
 
 
 def _real_form(c):
     """Real 2n x 2n matrix acting on the chart as c acts on psi."""
     c = np.asarray(c, dtype=complex)
-    return np.concatenate([np.concatenate([c.real, -c.imag], axis=1),
-                           np.concatenate([c.imag, c.real], axis=1)])
+    return np.concatenate([np.concatenate([c.real, -c.imag], axis=-1),
+                           np.concatenate([c.imag, c.real], axis=-1)],
+                          axis=-2)
 
 
 def z_field(a, b, z):
-    """Z = X_a + Y0_b, the projected GL(n) action generator, at a chart
-    point z or at each row of a stack of them: M z - (z^T B z / z^T z) z
-    for the real forms M of i a + b and B of b."""
+    """Z = X_a + Y0_b, the projected GL(n) action generator, at each row
+    of a stack z of chart points: M z - (z^T B z / z^T z) z for the real
+    forms M of i a + b and B of b, stacked or one product for all rows."""
     z = np.asarray(z, dtype=float)
-    bz = z @ _real_form(b).T
-    return z @ _real_form(flow_generator(a, b)).T \
-        - (np.sum(z * bz, axis=-1) / np.sum(z * z, axis=-1))[..., None] * z
+    bz, mz = (z @ m.T if m.ndim == 2 else matvec(m, z) for m in (
+        _real_form(b), _real_form(flow_generator(a, b))))
+    return mz - (np.sum(z * bz, -1) / np.sum(z * z, -1))[..., None] * z
 
 
 def contact_form(z):
     """eta_0 = (x dy - y dx)/r^2 at z; its Reeb field within the sphere
     is ``phase_field``, with eta_0(Gamma) = 1 and i_Gamma omega_0 = 0."""
-    return phase_field(z) / norm_squared(z)
+    return phase_field(z) / norm_squared(z)[..., None]
 
 
 def pullback_omega0(z):
@@ -122,21 +123,20 @@ def pullback_omega0(z):
     i_{X_a} omega_0 = d(f_a / r^2).
     """
     z = np.asarray(z, dtype=float)
-    n = z.size // 2
-    r2 = norm_squared(z)
-    omega, _, _ = ambient_tensors(n)
-    gamma = phase_field(z)
-    w = omega / r2 - (np.outer(z, gamma) - np.outer(gamma, z)) / r2 ** 2
+    r2 = norm_squared(z)[..., None, None]
+    omega, _, _ = ambient_tensors(z.shape[-1] // 2)
+    outer = z[..., :, None] * phase_field(z)[..., None, :]
+    w = omega / r2 - (outer - np.swapaxes(outer, -1, -2)) / r2 ** 2
     return 2.0 * w
 
 
 def d_f_tilde(a, z):
     """Differential of f_a / r^2."""
     z = np.asarray(z, dtype=float)
-    r2 = norm_squared(z)
+    r2 = norm_squared(z)[..., None]
     psi = from_chart(z)
-    return 2.0 * to_chart(np.asarray(a, dtype=complex) @ psi) / r2 \
-        - 2.0 * f_value(a, z) * z / r2 ** 2
+    return 2.0 * to_chart(matvec(np.asarray(a, dtype=complex), psi)) / r2 \
+        - 2.0 * f_value(a, z)[..., None] * z / r2 ** 2
 
 
 def alpha_tilde(b, z):
@@ -154,17 +154,18 @@ def _require_hermitian(a, b):
 def contact_residuals(a, b, z):
     """Residuals of the three defining identities of Z = X_a + Y0_b on the
     unit sphere: |dr(Z)|, |eta_0(Z) - f_a/r^2| and the max-norm of
-    omega_0 Z - (d(f_a/r^2) - alpha_b)."""
+    omega_0 Z - (d(f_a/r^2) - alpha_b), each of shape (...) for unit
+    points z (..., 2n) and generators whose leading axes broadcast."""
     z = np.asarray(z, dtype=float)
     r2 = norm_squared(z)
-    if abs(r2 - 1.0) > SPHERE_TOL:
+    if (np.abs(r2 - 1.0) > SPHERE_TOL).any():
         raise ValueError(f"point is off the unit sphere: r^2 = {r2!r}")
     _require_hermitian(a, b)
     vec = z_field(a, b, z)
-    res1 = abs(float(z @ vec)) / np.sqrt(r2)
-    res2 = abs(float(contact_form(z) @ vec) - f_value(a, z) / r2)
+    res1 = np.abs(vecdot(z, vec)) / np.sqrt(r2)
+    res2 = np.abs(vecdot(contact_form(z), vec) - f_value(a, z) / r2)
     target = d_f_tilde(a, z) - alpha_tilde(b, z)
-    res3 = float(np.max(np.abs(pullback_omega0(z) @ vec - target)))
+    res3 = np.abs(matvec(pullback_omega0(z), vec) - target).max(axis=-1)
     return res1, res2, res3
 
 
@@ -208,26 +209,28 @@ def sphere_contact_chart(n):
 
     Drops chart coordinate 0, Re psi_1 (solved as +sqrt(1 - |u|^2)), and
     pulls eta_0 and omega_0 back through the embedding.  Returns
-    (chart, embed, jacobian) for points with |u| < 1.
+    (chart, embed, jacobian) for points, or stacks (..., 2n - 1) of them,
+    with |u| < 1; a point outside that patch raises ValueError.
     """
     dim = 2 * n - 1
 
     def embed(u):
         u = np.asarray(u, dtype=float)
-        return np.insert(u, 0, np.sqrt(1.0 - float(u @ u)))
+        w2 = 1.0 - vecdot(u, u)
+        if not np.all(w2 > 0.0):
+            raise ValueError("the sphere chart holds the points with |u| < 1")
+        return np.concatenate([np.sqrt(w2)[..., None], u], axis=-1)
 
     def jacobian(u):
-        u = np.asarray(u, dtype=float)
-        w = np.sqrt(1.0 - float(u @ u))
-        jac = np.delete(np.eye(2 * n), 0, axis=1)
-        jac[0, :] = -u / w
-        return jac
+        z = embed(u)  # rows -u / sqrt(1 - |u|^2) and the identity
+        return np.eye(2 * n, dim, k=-1) \
+            - np.eye(2 * n, 1) * (z[..., None, 1:] / z[..., None, :1])
 
     def eta(u):
-        return jacobian(u).T @ contact_form(embed(u))
+        return (contact_form(embed(u))[..., None, :] @ jacobian(u))[..., 0, :]
 
     def omega(u):
         jac = jacobian(u)
-        return jac.T @ pullback_omega0(embed(u)) @ jac
+        return np.swapaxes(jac, -1, -2) @ pullback_omega0(embed(u)) @ jac
 
     return ContactChart(dim=dim, eta=eta, omega=omega), embed, jacobian

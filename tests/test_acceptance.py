@@ -249,8 +249,8 @@ def test_criterion_10_jacobi_homomorphism():
         lin = seed_rng.normal(size=3)
         quad = seed_rng.normal(size=(3, 3))
         quad = (quad + quad.T) / 2
-        return ScalarField(value=lambda p: c0 + lin @ p + 0.5 * p @ quad @ p,
-                           gradient=lambda p: lin + quad @ p)
+        return ScalarField(value=lambda p: c0 + p @ lin + 0.5 * np.einsum(
+            "...i,ij,...j->...", p, quad, p), gradient=lambda p: lin + p @ quad)
 
     worst_homo, worst_anti = 0.0, 0.0
     for _ in range(50):
@@ -261,7 +261,8 @@ def test_criterion_10_jacobi_homomorphism():
         worst_anti = max(worst_anti, abs(
             jacobi_bracket(chart, f, g, point)
             + jacobi_bracket(chart, g, f, point)))
-    one = ScalarField(value=lambda p: 1.0, gradient=lambda p: np.zeros(3))
+    one = ScalarField(value=lambda p: np.ones(np.shape(p)[:-1]),
+                      gradient=np.zeros_like)
     worst_reeb = 0.0
     for _ in range(10):
         point = rng.normal(size=3)

@@ -258,10 +258,62 @@ def test_the_last_row_of_a_stack_can_fail(mutation, failing, monkeypatch):
                   if not r.passed) == sorted(failing)
 
 
+def first_row_stencil(monkeypatch):
+    # the central differences of the first point of each stack copied to
+    # every row, as a field written p[0] would read them
+    def first_row(f, x, step=1e-5):
+        jac = contact.central_gradient(f, x, step)
+        return np.broadcast_to(jac[:1], jac.shape)
+
+    monkeypatch.setattr(checks, "central_gradient", first_row)
+
+
+def scaled_omega0(monkeypatch):
+    # omega_0 off by a relative 1e-6 at every point
+    pullback = purestate.pullback_omega0
+    monkeypatch.setattr(purestate, "pullback_omega0",
+                        lambda z: (1.0 + 1e-6) * pullback(z))
+
+
+def flipped_last_lambda(monkeypatch):
+    # Lambda(dF, dG) = dG(v_F) enters the last row of each stack with the
+    # wrong sign: there [F, G] = 2 (F L_xi G - G L_xi F) - [F, G]
+    bracket = contact.jacobi_bracket
+
+    def flipped(chart, f, g, point):
+        xi = contact.reeb_field(chart, point)
+        reeb_part = f(point) * np.sum(g.grad(point) * xi, axis=-1) \
+            - g(point) * np.sum(f.grad(point) * xi, axis=-1)
+        out = bracket(chart, f, g, point)
+        out[..., -1] = 2.0 * reeb_part[..., -1] - out[..., -1]
+        return out
+
+    monkeypatch.setattr(contact, "jacobi_bracket", flipped)
+    monkeypatch.setattr(checks, "jacobi_bracket", flipped)
+
+
+@pytest.mark.parametrize("mutation, failing", [
+    (first_row_stencil, ["purestate/gradient-projectability"]),
+    (scaled_omega0, ["purestate/contact-residuals",
+                     "purestate/generalized-contact-field"]),
+    (flipped_last_lambda, ["contact/bracket-homomorphism"]),
+], ids=["first_row_stencil", "scaled_omega0", "flipped_last_lambda"])
+def test_a_batched_suite_reads_every_row(mutation, failing, monkeypatch):
+    # the contact and purestate suites evaluate their draws and stencils
+    # as stacks: a wrong row, or every row read as the first, must fail
+    def failed():
+        results = {**suite_results("contact"), **suite_results("purestate")}
+        return sorted(name for name, r in results.items() if not r.passed)
+
+    assert failed() == []
+    mutation(monkeypatch)
+    assert failed() == sorted(failing)
+
+
 def test_projection_consistency_sees_a_dropped_sphere_term(monkeypatch):
     # Z without its -e(z) z term is no longer the pushforward of X_H - Y_V
-    monkeypatch.setattr(purestate, "z_field", lambda a, b, z: purestate
-                        ._real_form(purestate.flow_generator(a, b)) @ z)
+    monkeypatch.setattr(purestate, "z_field", lambda a, b, z: gkls.matvec(
+        purestate._real_form(purestate.flow_generator(a, b)), z))
     assert not suite_results("purestate")[
         "purestate/projection-consistency"].passed
 
@@ -269,8 +321,9 @@ def test_projection_consistency_sees_a_dropped_sphere_term(monkeypatch):
 def flipped_rhs(monkeypatch):
     # the field's one solve with right-hand side (dF - alpha, F)
     def flipped(chart, f, alpha, point):
-        return contact._bordered_solve(chart, point, f.grad(point)
-                                       - alpha(point), f(point))[0]
+        rhs = f.grad(point) - alpha(point)
+        return contact._bordered_solve(chart, point, rhs[..., None],
+                                       f(point)[..., None])[0][..., 0]
 
     monkeypatch.setattr(contact, "generalized_contact_field", flipped)
     monkeypatch.setattr(checks, "generalized_contact_field", flipped)
@@ -290,8 +343,8 @@ def flipped_lambda_term(monkeypatch):
 
     def flipped(chart, f, g, point):
         xi = contact.reeb_field(chart, point)
-        reeb_part = f(point) * (g.grad(point) @ xi) \
-            - g(point) * (f.grad(point) @ xi)
+        reeb_part = f(point) * np.sum(g.grad(point) * xi, axis=-1) \
+            - g(point) * np.sum(f.grad(point) * xi, axis=-1)
         return 2.0 * reeb_part - bracket(chart, f, g, point)
 
     monkeypatch.setattr(contact, "jacobi_bracket", flipped)
@@ -320,9 +373,9 @@ def test_reeb_defining_equations_can_fail(monkeypatch, capsys):
 
     def moved(chart, point, rhs_omega, rhs_eta):
         v, lam = solve(chart, point, rhs_omega, rhs_eta)
-        if np.ndim(rhs_omega) == 1 and not np.any(rhs_omega) \
-                and rhs_eta == 1.0:
-            v = v + 1e-9 * np.eye(chart.dim)[-1]
+        if np.shape(rhs_omega) == (chart.dim, 1) and not np.any(rhs_omega) \
+                and np.array_equal(rhs_eta, [1.0]):
+            v = v + 1e-9 * np.eye(chart.dim)[-1][:, None]
         return v, lam
 
     monkeypatch.setattr(contact, "_bordered_solve", moved)

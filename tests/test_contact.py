@@ -3,6 +3,7 @@ import pytest
 
 from dissipgeo import contact
 from dissipgeo import purestate as ps
+from dissipgeo.algebra import matvec, vecdot
 from dissipgeo.checks import exactness_residual, relative
 from dissipgeo.contact import (ContactChart, DegenerateContactError,
                                ScalarField, central_gradient,
@@ -18,10 +19,22 @@ def quadratic_field(rng, dim):
     quad = rng.normal(size=(dim, dim))
     quad = (quad + quad.T) / 2
 
+    # algebra's matvec and vecdot: each row of a stack rounds as one point
     def value(p):
-        return c0 + lin @ p + 0.5 * p @ quad @ p
+        return c0 + vecdot(p, lin) + 0.5 * vecdot(p, matvec(quad, p))
 
-    return ScalarField(value=value, gradient=lambda p: lin + quad @ p)
+    return ScalarField(value=value, gradient=lambda p: lin + matvec(quad, p))
+
+
+def constant_field(c):
+    return ScalarField(value=lambda p: np.full(np.shape(p)[:-1], c),
+                       gradient=np.zeros_like)
+
+
+def coordinate_field(i):
+    """The chart coordinate p[..., i]."""
+    return ScalarField(value=lambda p: p[..., i], gradient=lambda p: np.eye(
+        np.shape(p)[-1])[i] + np.zeros_like(p))
 
 
 class TestChartBasics:
@@ -133,7 +146,7 @@ class TestContactHamiltonianField:
     def test_unit_function_gives_reeb(self):
         chart = darboux_chart(1)
         rng = np.random.default_rng(4)
-        one = ScalarField(value=lambda p: 1.0, gradient=lambda p: np.zeros(3))
+        one = constant_field(1.0)
         for _ in range(5):
             p = rng.normal(size=3)
             assert np.max(np.abs(contact_hamiltonian_field(chart, one, p)
@@ -141,8 +154,7 @@ class TestContactHamiltonianField:
 
     def test_zero_function_gives_zero(self):
         chart = darboux_chart(1)
-        zero = ScalarField(value=lambda p: 0.0,
-                           gradient=lambda p: np.zeros(3))
+        zero = constant_field(0.0)
         vec = contact_hamiltonian_field(chart, zero, np.array([1.0, 2.0, 3.0]))
         assert np.max(np.abs(vec)) < 1e-12
 
@@ -258,7 +270,7 @@ class TestJacobiBracket:
     def test_bracket_with_unit_is_minus_reeb_derivative(self):
         chart = darboux_chart(1)
         rng = np.random.default_rng(12)
-        one = ScalarField(value=lambda p: 1.0, gradient=lambda p: np.zeros(3))
+        one = constant_field(1.0)
         for _ in range(5):
             f = quadratic_field(rng, 3)
             p = rng.normal(size=3)
@@ -269,10 +281,7 @@ class TestJacobiBracket:
         # independent 3x3 bivector solve: with eta = dS - p dq and
         # omega = dq ^ dp, [q, p] = 1 at every point
         chart = darboux_chart(1)
-        q_field = ScalarField(value=lambda s: s[0],
-                              gradient=lambda s: np.array([1.0, 0, 0]))
-        p_field = ScalarField(value=lambda s: s[1],
-                              gradient=lambda s: np.array([0, 1.0, 0]))
+        q_field, p_field = coordinate_field(0), coordinate_field(1)
         rng = np.random.default_rng(13)
         for _ in range(5):
             state = rng.normal(size=3)
@@ -326,16 +335,13 @@ class TestHomomorphism:
     def test_unit_against_generic(self):
         chart = darboux_chart(1)
         rng = np.random.default_rng(16)
-        one = ScalarField(value=lambda p: 1.0, gradient=lambda p: np.zeros(3))
+        one = constant_field(1.0)
         g = quadratic_field(rng, 3)
         assert homomorphism_residual(chart, one, g, rng.normal(size=3)) < 1e-5
 
     def test_momentum_position_pair(self):
         chart = darboux_chart(1)
-        q_field = ScalarField(value=lambda s: s[0],
-                              gradient=lambda s: np.array([1.0, 0, 0]))
-        p_field = ScalarField(value=lambda s: s[1],
-                              gradient=lambda s: np.array([0, 1.0, 0]))
+        q_field, p_field = coordinate_field(0), coordinate_field(1)
         residual = homomorphism_residual(chart, p_field, q_field,
                                          np.array([0.3, -0.8, 0.5]))
         assert residual < 1e-5
@@ -419,3 +425,88 @@ class TestOneSolve:
             generalized_contact_field(chart, f, g.grad, p)))
         assert np.isfinite(jacobi_bracket(chart, f, g, p))
         assert homomorphism_residual(chart, f, g, 0.5 * p) < 1e-5
+
+
+BATCHES = [(1,), (7,), (2, 3)]
+
+
+def chart_points(name, rng, shape):
+    """Points of a chart of CHARTS; on a sphere chart |u| < 0.8."""
+    points = rng.normal(size=shape + (CHARTS[name].dim,))
+    if name.startswith("sphere"):
+        points *= rng.uniform(0.0, 0.8, size=shape + (1,)) \
+            / np.linalg.norm(points, axis=-1, keepdims=True)
+    return points
+
+
+class TestStacks:
+    """Each row of a stacked call against the call on that row alone.
+    On the Darboux charts every step is elementwise, one LAPACK solve per
+    row or a matmul of the same shape per row, so the rows are equal bits.
+    The sphere charts pull their forms back by matmuls of the whole stack,
+    which may round a row differently with its place in memory: there a
+    row is held within 4 eps of its own scale max(1, max|row|)."""
+
+    @pytest.mark.parametrize("shape", BATCHES)
+    @pytest.mark.parametrize("name", sorted(CHARTS))
+    def test_rows(self, name, shape):
+        chart = CHARTS[name]
+        rng = np.random.default_rng(chart.dim + len(shape))
+        points = chart_points(name, rng, shape)
+        f, g = quadratic_field(rng, chart.dim), quadratic_field(rng, chart.dim)
+        calls = {
+            "eta": chart.eta,
+            "omega": lambda p: np.broadcast_to(chart.omega(p),
+                                               p.shape + (chart.dim,)),
+            "value": f, "gradient": f.grad,
+            "central_gradient": lambda p: central_gradient(chart.eta, p),
+            "determinant": lambda p: nondegeneracy_determinant(chart, p),
+            "reeb": lambda p: reeb_field(chart, p),
+            "hamiltonian": lambda p: contact_hamiltonian_field(chart, f, p),
+            "generalized": lambda p: generalized_contact_field(
+                chart, f, g.grad, p),
+            "bracket": lambda p: jacobi_bracket(chart, f, g, p),
+            "homomorphism": lambda p: homomorphism_residual(chart, f, g, p),
+        }
+        eps = np.finfo(float).eps
+        for call in calls.values():
+            out = np.asarray(call(points))
+            for idx in np.ndindex(shape):
+                want = np.asarray(call(points[idx]))
+                assert out[idx].shape == want.shape
+                if name.startswith("darboux"):
+                    assert np.array_equal(out[idx], want)
+                else:
+                    assert np.max(np.abs(out[idx] - want)) \
+                        <= 4 * eps * max(1.0, np.max(np.abs(want)))
+
+    def test_shapes_that_do_not_fit_raise(self):
+        chart = darboux_chart(1)
+        f = quadratic_field(np.random.default_rng(19), 3)
+        # a field that reads the first row of a stack, as p[0] does
+        first_row = ScalarField(value=lambda p: p[0] @ p[0],
+                                gradient=lambda p: 2.0 * p[0])
+        stack = np.random.default_rng(20).normal(size=(4, 3))
+        for call in (lambda: f(stack[:, :2]),
+                     lambda: first_row(stack), lambda: first_row.grad(stack),
+                     lambda: contact_hamiltonian_field(chart, first_row, stack),
+                     lambda: generalized_contact_field(
+                         chart, f, lambda p: np.zeros((2, 3)), stack),
+                     lambda: reeb_field(chart, stack.reshape(3, 4))):
+            with pytest.raises(ValueError):
+                call()
+
+
+class TestPointShape:
+    @pytest.mark.parametrize("point", [[0.3, 0.2], np.arange(5.0), 0.5],
+                             ids=["short", "long", "0-d"])
+    def test_a_point_of_another_dimension_raises(self, point):
+        chart = darboux_chart(1)
+        f = constant_field(1.0)
+        for call in (reeb_field, nondegeneracy_determinant,
+                     lambda c, p: contact_hamiltonian_field(c, f, p),
+                     lambda c, p: generalized_contact_field(c, f, f.grad, p),
+                     lambda c, p: jacobi_bracket(c, f, f, p),
+                     lambda c, p: homomorphism_residual(c, f, f, p)):
+            with pytest.raises(ValueError, match=r"\(\.\.\., 3\)"):
+                call(chart, point)

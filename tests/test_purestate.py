@@ -204,6 +204,111 @@ class TestContactResiduals:
             ps.contact_residuals(bad, np.eye(2), z)
 
 
+BATCHES = [(1,), (7,), (2, 3)]
+
+
+def random_stack(shape, draw):
+    rows = np.stack([draw() for _ in range(int(np.prod(shape)))])
+    return rows.reshape(shape + rows.shape[1:])
+
+
+class TestStacks:
+    """Each row of a stacked call, with k points and k generators, against
+    the call on that row alone: equal bits, as every product of a row is
+    the one-point matvec or dot of algebra.  One generator at k points
+    is one matrix product for all rows, whose kernel may round a row
+    differently from the one-point product: within 4 eps of the row's
+    scale max(1, max|row|)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("shape", BATCHES)
+    def test_rows(self, n, shape):
+        rng = np.random.default_rng(30 + n)
+        a = random_stack(shape, lambda: random_hermitian(rng, n))
+        b = random_stack(shape, lambda: random_hermitian(rng, n))
+        z = random_stack(shape, lambda: ps.to_chart(random_unit(rng, n)))
+        calls = [
+            lambda a, b, z: ps.norm_squared(z),
+            lambda a, b, z: ps.phase_field(z),
+            lambda a, b, z: ps.contact_form(z),
+            lambda a, b, z: ps.pullback_omega0(z),
+            lambda a, b, z: ps.f_value(a, z),
+            lambda a, b, z: ps.d_f_tilde(a, z),
+            lambda a, b, z: ps.alpha_tilde(b, z),
+            lambda a, b, z: ps.z_field(a, b, z),
+            lambda a, b, z: np.stack(ps.contact_residuals(a, b, z), axis=-1),
+        ]
+        for call in calls:
+            out = call(a, b, z)
+            for idx in np.ndindex(shape):
+                want = call(a[idx], b[idx], z[idx])
+                assert out[idx].shape == np.shape(want)
+                assert np.array_equal(out[idx], want)
+        one = (0,) * len(shape)
+        out = ps.z_field(a[one], b[one], z)
+        for idx in np.ndindex(shape):
+            want = ps.z_field(a[one], b[one], z[idx])
+            assert np.max(np.abs(out[idx] - want)) \
+                <= 4 * np.finfo(float).eps * max(1.0, np.max(np.abs(want)))
+
+    def test_sphere_chart_rows(self):
+        rng = np.random.default_rng(36)
+        for n in (2, 3):
+            chart, embed, jacobian = ps.sphere_contact_chart(n)
+            u = random_stack((5,), lambda: 0.3 * rng.normal(size=2 * n - 1))
+            for call in (embed, jacobian, chart.eta, chart.omega):
+                out = call(u)
+                for k in range(5):
+                    want = call(u[k])
+                    assert np.max(np.abs(out[k] - want)) <= 4 * np.finfo(
+                        float).eps * max(1.0, np.max(np.abs(want)))
+
+    def test_shapes_that_do_not_fit_raise(self):
+        rng = np.random.default_rng(37)
+        a = random_stack((3,), lambda: random_hermitian(rng, 2))
+        z = random_stack((4,), lambda: ps.to_chart(random_unit(rng, 2)))
+        for call in (lambda: ps.z_field(a, a, z), lambda: ps.f_value(a, z),
+                     lambda: ps.d_f_tilde(a, z),
+                     lambda: ps.contact_residuals(a, a, z),
+                     lambda: ps.z_field(a[0], a[0], z[:, :3]),
+                     lambda: ps.contact_residuals(
+                         np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), z[:2])):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_a_stack_with_a_non_hermitian_generator_raises(self):
+        rng = np.random.default_rng(38)
+        a = random_stack((3,), lambda: random_hermitian(rng, 2))
+        z = random_stack((3,), lambda: ps.to_chart(random_unit(rng, 2)))
+        bad = a.copy()
+        bad[2, 0, 1] += 0.5
+        assert max(map(np.max, ps.contact_residuals(a, a, z))) < 1e-9
+        with pytest.raises(ValueError, match="Hermitian"):
+            ps.contact_residuals(a, bad, z)
+
+
+class TestSphereChartPatch:
+    @pytest.mark.parametrize("u", [[1.0, 1.0, 0.0], [0.6, 0.8, 0.0],
+                                   [float("nan"), 0.0, 0.0],
+                                   [[0.1, 0.2, 0.3], [1.0, 1.0, 0.0]]],
+                             ids=["outside", "on-the-rim", "nan",
+                                  "a-row-of-a-stack"])
+    def test_points_outside_the_patch_raise(self, u):
+        # embed([1, 1, 0]) once read [nan, 1, 1, 0] with a RuntimeWarning
+        chart, embed, jacobian = ps.sphere_contact_chart(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (embed, jacobian, chart.eta, chart.omega):
+                with pytest.raises(ValueError, match=r"\|u\| < 1"):
+                    call(u)
+
+    def test_points_inside_the_patch_embed_on_the_sphere(self):
+        _, embed, _ = ps.sphere_contact_chart(2)
+        u = np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [0.6, 0.0, -0.79]])
+        assert np.max(np.abs(ps.norm_squared(embed(u)) - 1.0)) < 1e-15
+        assert np.array_equal(embed(u)[:, 1:], u)
+
+
 class TestProjectability:
     def test_phase_field_commutes_with_gradient(self):
         # finite-difference Lie bracket [Gamma, Y0_b] = 0
