@@ -119,14 +119,17 @@ def build_su_basis(n):
 
 
 def to_coherence_vector(a, basis):
-    """Coherence vector x^j = Tr(a tau_j) of a trace-one Hermitian matrix."""
+    """Coherence vector x^j = Tr(a tau_j) of a trace-one Hermitian matrix,
+    or of each matrix of a stack (..., n, n), each row with the bits of its
+    one-matrix call; the first trace off 1 by more than TRACE_TOL raises."""
     a = np.asarray(a, dtype=complex)
-    if a.shape != (basis.n, basis.n):
+    if a.shape[-2:] != (basis.n, basis.n):
         raise ValueError(f"shape {a.shape} does not match n={basis.n}")
-    trace = complex(np.trace(a))
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise TraceMismatchError(trace)
-    return np.einsum("jab,ba->j", basis.tau, a).real
+    traces = np.trace(a, axis1=-2, axis2=-1)
+    off = np.abs(traces - 1.0) > TRACE_TOL
+    if off.any():
+        raise TraceMismatchError(complex(traces[off][0]))
+    return np.einsum("jab,...ba->...j", basis.tau, a).real
 
 
 def from_coherence_vector(x, basis):

@@ -3,10 +3,13 @@
 Each suite re-verifies the structural identities of its module on seeded
 random data and returns one CheckResult per declared invariant.  Seeds
 are fixed so repeated runs are deterministic; suites are merged in
-sorted order by name.  A suite draws its random data point by point in
-a fixed RNG order, then evaluates its identities on stacks, per model,
-per n or per suite, through the batch axes of ``gkls``, ``contact`` and
-``purestate``: one call per stack, and one field call per stencil.
+sorted order by name.  A suite draws its random data in a fixed RNG
+order, a run of normal draws as one stack (a Generator's normal values
+do not depend on the chunking), then evaluates its identities on
+stacks, per model, per n or per suite, through the batch axes of
+``algebra``, ``gkls``, ``contact``, ``purestate`` and ``mechanics``: one
+call per stack, and one field call per stencil.  ``linear_oracle``
+holds every k-th row of a path to the powers of one ``expm``.
 
 An invariant that a CLI run also reports has its formula and tolerance
 in one helper here, which the suite and the CLI both call.
@@ -179,9 +182,11 @@ def stratum_tangency(cases):
     keeps the rank, as it is tangent to the stratum of rank-r states, so
     at rho = sum_k w_k psi_k psi_k^dag, with range projector P and
     Q = I - P, its matrix T = sum_j v_j tau_j has Q T Q = 0; worst over
-    cases (basis, H, V, orthonormal columns psi, weights w summing to 1)
-    of Q T Q relative to its own T; the cases of one n, which share its
-    basis, are one stacked split and one evaluation."""
+    cases of Q T Q relative to its own T.  A case is a stack of states of
+    one rank r: (basis, H and V of shape (k, n, n), orthonormal columns
+    psi (k, n, r), weights w (k, r) summing to 1); the cases of one n,
+    which share its basis, are one projection, one stacked split and one
+    evaluation."""
     groups = {}
     for case in cases:
         groups.setdefault(case[0].n, []).append(case)
@@ -189,11 +194,13 @@ def stratum_tangency(cases):
     for group in groups.values():
         basis = group[0][0]
         _, h, v, psis, weights = zip(*group)
-        x = np.stack([to_coherence_vector((p * w) @ p.conj().T, basis)
-                      for p, w in zip(psis, weights)])
-        q = np.stack([np.eye(basis.n) - p @ p.conj().T for p in psis])
+        rho, q = (np.concatenate(parts) for parts in zip(*[
+            ((p * w[..., None, :]) @ p.conj().swapaxes(-1, -2),
+             np.eye(basis.n) - p @ p.conj().swapaxes(-1, -2))
+            for p, w in zip(psis, weights)]))
         xh, yv, _ = evaluate_component_fields(
-            decompose_field(basis, np.stack(h), np.stack(v)), x)
+            decompose_field(basis, np.concatenate(h), np.concatenate(v)),
+            to_coherence_vector(rho, basis))
         t = np.einsum("kj,jab->kab", xh - yv, basis.tau)
         res = max(res, *map(relative, q @ t @ q, t))
     return result("gkls/gradient-flow-rank-constancy", res, 1e-12)
@@ -228,11 +235,16 @@ def friction_invariants(gamma, traj, dt):
     ]
 
 
-def linear_oracle(name, g, times, states, rows, tol):
-    """states[rows] against expm(G t) states[0], expm only at times[rows];
-    each column relative to its values in states[0] and the exact rows."""
-    exact = np.array([expm(g * t) @ states[0] for t in times[rows]])
-    return result(name, max(map(relative, (states[rows] - exact).T,
+def linear_oracle(name, g, times, states, stride, tol):
+    """Every stride-th row of states from row 0 against the powers of one
+    expm(G times[stride]) on states[0], each column relative to its values
+    in states[0] and the exact rows."""
+    step = expm(g * times[stride])
+    exact = [states[0]]
+    for _ in times[stride::stride]:
+        exact.append(step @ exact[-1])
+    exact = np.array(exact)
+    return result(name, max(map(relative, (states[::stride] - exact).T,
                                 np.vstack([states[:1], exact]).T)), tol)
 
 
@@ -244,9 +256,21 @@ def hamiltonianity_verdict(name, g, expected):
                        residual=float(np.max(verdict.trace_ratios)))
 
 
+def _complex(parts):
+    """parts[..., 0, :, :] + i parts[..., 1, :, :]: the complex matrix of
+    a draw of its real and then its imaginary entries, or a stack of them.
+    A Generator's normal values do not depend on how a draw is chunked,
+    so a stack of k draws is the k draws made one by one."""
+    return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
+
+
+def _hermitian(parts, scale):
+    a = _complex(parts)
+    return scale * (a + a.conj().swapaxes(-1, -2)) / 2
+
+
 def _random_hermitian(rng, n, scale=1.0):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return scale * (a + a.conj().T) / 2
+    return _hermitian(rng.normal(size=(2, n, n)), scale)
 
 
 def _random_unit(rng, n):
@@ -254,17 +278,20 @@ def _random_unit(rng, n):
     return psi / np.linalg.norm(psi)
 
 
+def _densities(parts):
+    """g g^dag / Tr(g g^dag) for g = _complex(parts), a stack or one."""
+    g = _complex(parts)
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
 def _random_density(rng, n):
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return _densities(rng.normal(size=(2, n, n)))
 
 
-def _random_model(rng, n, scale=0.6):
-    basis = build_su_basis(n)
-    jumps = [scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-             for _ in range(2)]
-    return build_model(basis, _random_hermitian(rng, n), jumps)
+def _random_model(rng, basis, scale=0.6):
+    jumps = scale * _complex(rng.normal(size=(2, 2, basis.n, basis.n)))
+    return build_model(basis, _random_hermitian(rng, basis.n), jumps)
 
 
 def algebra_suite():
@@ -281,19 +308,21 @@ def algebra_suite():
         cyc = np.einsum("mjk,rml->jklr", c, c)
         jacobi_res = max(jacobi_res, float(np.max(np.abs(
             cyc + cyc.transpose(1, 2, 0, 3) + cyc.transpose(2, 0, 1, 3)))))
-        for _ in range(20):
-            a = _random_hermitian(rng, n)
-            a = a + (1.0 - np.trace(a).real) * np.eye(n) / n
-            x = to_coherence_vector(a, basis)
-            trip_res = max(trip_res, float(np.max(np.abs(
-                from_coherence_vector(x, basis) - a))))
+        # 20 round trips and 10 expectations, each drawn as one stack
+        a = _hermitian(rng.normal(size=(20, 2, n, n)), 1.0)
+        a = a + (1.0 - np.trace(a, axis1=-2, axis2=-1).real)[
+            :, None, None] * np.eye(n) / n
+        x = to_coherence_vector(a, basis)
+        trip_res = max(trip_res, float(np.max(np.abs(
+            from_coherence_vector(x, basis) - a))))
         obs = _random_hermitian(rng, n)
         a0 = np.trace(obs).real / n
         a_vec = np.einsum("jab,ba->j", basis.tau, obs).real
-        for _ in range(10):
-            x = rng.normal(size=size)
-            direct = np.trace(obs @ from_coherence_vector(x, basis)).real
-            affine_res = max(affine_res, abs(direct - (a0 + a_vec @ x)))
+        x = rng.normal(size=(10, size))
+        direct = np.trace(obs @ from_coherence_vector(x, basis),
+                          axis1=-2, axis2=-1).real
+        affine_res = max(affine_res, float(np.max(np.abs(
+            direct - (a0 + vecdot(a_vec, x))))))
     return [result("algebra/basis-orthonormality", gram_res, 1e-12),
             result("algebra/basis-traceless", trace_res, 1e-12),
             result("algebra/structure-jacobi-identity", jacobi_res, 1e-10),
@@ -308,20 +337,21 @@ def gkls_suite():
     # from it in the last bit, which would move the reported residual
     trace_sizes = []
     cases = []
+    bases = {n: build_su_basis(n) for n in (2, 3, 4)}
     for n in (2, 3):
         for _ in range(5):
-            m = _random_model(rng, n)
-            # drawn one by one in the suite's order, evaluated as stacks
-            rhos, points = map(np.stack, zip(*[
-                (_random_density(rng, n), rng.normal(size=n * n - 1))
-                for _ in range(20)]))
+            m = _random_model(rng, bases[n])
+            # 20 draws of g's real and imaginary entries and of a point
+            draws = rng.normal(size=(20, 3 * n * n - 1))
+            rhos = _densities(draws[:, :2 * n * n].reshape(20, 2, n, n))
+            points = draws[:, 2 * n * n:]
             images = apply_generator(m.H, m.V, m.jumps, rhos)
             trace_sizes.extend(map(abs, np.trace(images, axis1=-2, axis2=-1)))
             cases.append((m, points))
     results.append(trace_preservation(trace_sizes))
     results.extend(decomposition_identities(cases))
 
-    basis = build_su_basis(3)
+    basis = bases[3]
     m = build_model(basis, _random_hermitian(rng, 3))
     traj = integrate(m, _random_density(rng, 3), t_end=10.0, dt=5e-3)
     spectrum_res = float(np.max(np.abs(traj.spectra - traj.spectra[0])))
@@ -332,29 +362,29 @@ def gkls_suite():
     # 1..n-1 for n = 2, 3, 4 from a generator of their own, so the draws
     # of the invariants below stay as they are
     psi = _random_unit(rng, 3)
-    cases = [(basis, _random_hermitian(rng, 3),
-              _random_hermitian(rng, 3, 0.5), psi[:, None], np.ones(1))]
+    cases = [(basis, _random_hermitian(rng, 3)[None],
+              _random_hermitian(rng, 3, 0.5)[None], psi[None, :, None],
+              np.ones((1, 1)))]
     strata_rng = np.random.default_rng(212)
-    for n in (2, 3, 4):
-        n_basis = build_su_basis(n)
+    for n, n_basis in bases.items():
         for rank in range(1, n):
-            for _ in range(5):
-                psis, _ = np.linalg.qr(
-                    strata_rng.normal(size=(n, rank))
-                    + 1j * strata_rng.normal(size=(n, rank)))
-                weights = strata_rng.uniform(0.1, 1.0, size=rank)
-                cases.append((n_basis, _random_hermitian(strata_rng, n),
-                              _random_hermitian(strata_rng, n, 0.5), psis,
-                              weights / weights.sum()))
+            # five draws one by one, one QR of their stack
+            cols, weights, h, v = map(np.stack, zip(*[(
+                _complex(strata_rng.normal(size=(2, n, rank))),
+                strata_rng.uniform(0.1, 1.0, size=rank),
+                _random_hermitian(strata_rng, n),
+                _random_hermitian(strata_rng, n, 0.5)) for _ in range(5)]))
+            cases.append((n_basis, h, v, np.linalg.qr(cols)[0],
+                          weights / weights.sum(axis=-1, keepdims=True)))
     results.append(stratum_tangency(cases))
 
-    m = _random_model(rng, 2, scale=0.5)
+    m = _random_model(rng, bases[2], scale=0.5)
     traj = integrate(m, _random_density(rng, 2), t_end=5.0, dt=2e-3)
     results.append(positivity(traj.min_eigenvalues))
 
     # gkls.integrate at t = 1 against gkls_flow; with two jumps B != 0,
     # so the B column of the lift is tested
-    m = _random_model(rng, 3)
+    m = _random_model(rng, basis)
     rho0 = _random_density(rng, 3)
     exact = to_coherence_vector(gkls_flow(m, rho0, 1.0), m.basis)
     errors = [np.max(np.abs(integrate(m, rho0, 1.0, dt).points[-1] - exact))
@@ -408,7 +438,7 @@ def purestate_suite():
         # 2 Re <psi| tau_j |v> with v = Z(psi), is that field at rho_psi
         pushed = 2.0 * np.einsum("ka,jab,kb->kj", psi.conj(), basis.tau,
                                  ps.from_chart(ps.z_field(a, b, z))).real
-        points = np.stack([ps.project_to_bloch(p, basis) for p in psi])
+        points = ps.project_to_bloch(psi, basis)
         xh, yv, _ = evaluate_component_fields(
             decompose_field(basis, -a, -2.0 * b), points)
         proj_res = max(proj_res, float(np.max(np.abs(pushed - (xh - yv)))))
@@ -537,7 +567,7 @@ def mechanics_suite():
     results.extend(friction_invariants(gamma, traj, dt))
 
     # projectable contact flow vs the exact flow of q'' + gam q' + v q = 0
-    # at every 100th row
+    # at every 100th row, the powers of one expm(G 100 dt)
     v_coeff, gam = 1.1, 0.3
     ctraj = integrate_contact(rlc_single(gam, 1.0, 1.0 / v_coeff),
                               ([1.0], [0.0], 0.2), 4.0, dt)
@@ -545,25 +575,27 @@ def mechanics_suite():
                               np.full((1, 1), v_coeff))
     results.append(linear_oracle(
         "mechanics/contact-reduction-consistency", g, ctraj.times,
-        np.column_stack([ctraj.q, ctraj.qd]), slice(None, None, 100), 1e-8))
+        np.column_stack([ctraj.q, ctraj.qd]), 100, 1e-8))
 
     # the two halves of linear_projection that the closed form relies on,
     # at random in-domain states of each builder that sets it: the field's
     # (q, q') rows are the linear law z' = G z, and h(S) = h(0) + r S with
-    # r = dh_ds(0)
-    residuals = []
+    # r = dh_ds(0); a builder's 20 states are drawn one by one and make
+    # one field call, each row relative to its own G z and r S
+    res = 0.0
     for sys in (rlc_single(0.4, 1.2, 0.9), friction_system(gamma),
                 rlc_coupled(1.0, 1.0, 1.0, 0.5, 0.5, 0.3, 0.2)):
         g, dim = _projected_generator(sys), 2 * sys.n
         h0, r = sys.h(0.0), float(sys.dh_ds(0.0))
-        for _ in range(20):
-            y = rng.normal(size=dim + 1)
+        ys = np.empty((20, dim + 1))
+        for y in ys:
+            y[:] = rng.normal(size=dim + 1)
             y[sys.n:dim] = rng.uniform(0.1, 2.0, size=sys.n)
-            gz, rs = g @ y[:dim], r * y[dim]
-            residuals.append(relative(contact_el_field(sys, y)[:dim] - gz, gz))
-            residuals.append(relative(sys.h(y[dim]) - h0 - rs, rs))
-    results.append(result("mechanics/declared-projection", max(residuals),
-                          1e-12))
+        gz, rs = matvec(g, ys[:, :dim]), r * ys[:, dim]
+        res = max(res, *map(relative, contact_el_field(sys, ys)[:, :dim] - gz,
+                            gz),
+                  *map(relative, sys.h(ys[:, dim]) - h0 - rs, rs))
+    results.append(result("mechanics/declared-projection", res, 1e-12))
     return results
 
 

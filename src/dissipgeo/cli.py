@@ -452,7 +452,8 @@ def run_circuit(circuit, i0, di0, t_end, dt, **values):
     rows = np.column_stack([traj.times, traj.q, traj.qd, traj.s, traj.energy])
 
     invariants = [linear_oracle("circuit/linear-oracle", g, traj.times,
-                                rows[:, 1:2 * n + 1], [-1], 1e-6)]
+                                rows[:, 1:2 * n + 1], len(traj.times) - 1,
+                                1e-6)]
     if not np.any(r_mat):
         invariants.append(result(
             "circuit/energy-conservation",
@@ -512,7 +513,7 @@ def linear_lagrangian(mass, damping, stiffness, x0, t_end, dt, expect=None):
             passed=span == span_dimension,
             residual=float(span)))
     invariants.append(linear_oracle("mechanics/linear-oracle", g, times,
-                                    states, [-1], 1e-6))
+                                    states, len(times) - 1, 1e-6))
     return header, rows, invariants
 
 

@@ -12,8 +12,10 @@ the existence of any Lagrangian.  Contact Euler-Lagrange dynamics on
 
 with Lagrangian energy E_L = q'_j dL/dq'_j - L, plus single and coupled
 RLC circuit builders; a conservative system is the first form with
-h = 0.  The field maps the flat state y = (q, q', S) of shape (2n + 1,)
-to y'.  The velocity Hessian H is singular unless
+h = 0.  The field maps the flat state y = (q, q', S) of shape (2n + 1,),
+or each row of a stack (..., 2n + 1) of them, to y', with one Hessian
+test and one solve per stack and every row with the bits of its one-row
+call.  The velocity Hessian H is singular unless
 |det H| > HESSIAN_DET_TOL max|H_jk|^n, a scale-free test that also
 rejects a non-finite H, without a warning; ``_singular`` is that one
 test, and the mass of ``representative_matrix``, the Hessian of
@@ -32,10 +34,13 @@ the ``mechanics/declared-projection`` invariant of ``checks`` holds the
 builders to both.  S then obeys S' = phi(z) - r S with phi = S' at
 S = 0, and one RK4 step is taken in closed form by a fill of
 ``integrators.fast_path``: z by ``linear_fill`` on G, the stage points
-as A_i z with A_1 = I and A_(i+1) = I + c_i dt G A_i for
-c = 1/2, 1/2, 1, and S by the scalar recurrence S_(k+1) = c S_k + b_k,
-whose b_k holds phi at the four stage points of step k.  G is read off
-the field's (q, q') rows, r is dh_ds(0) and phi is the field's S' at
+of every step in one product as A_i z with A_1 = I and
+A_(i+1) = I + c_i dt G A_i for c = 1/2, 1/2, 1, and S by the recurrence
+S_(k+1) = c S_k + b_k, whose b_k holds phi at the four stage points of
+step k, filled a block of ``CHECK_ROWS`` rows at a time as
+``linear_fill`` fills z: one lower-triangular product per block, from
+the row before it.  G is read off the field's (q, q') rows, one field
+call on 2n + 1 states, r is dh_ds(0) and phi is the field's S' at
 S = 0, so the route follows the callbacks and never the data they were
 built from.  The fill declines a run it cannot fill up to the first row
 outside the domain guard (its z path diverges, a stage Hessian is
@@ -52,7 +57,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .integrators import fast_path, linear_fill
+from .algebra import matvec
+from .integrators import CHECK_ROWS, fast_path, linear_fill
 
 HESSIAN_DET_TOL = 1e-10
 
@@ -242,7 +248,7 @@ def _singular(mats):
     numpy's warnings off (an overflowing power reads singular)."""
     n = mats.shape[0]
     if n == 1:
-        det = scale = np.abs(mats[0, 0])
+        det = scale = abs(mats[0, 0])
     else:
         mats = np.moveaxis(mats, (0, 1), (-2, -1))
         with np.errstate(all="ignore"):
@@ -258,23 +264,49 @@ def _s_rate(sys, q, qd, s, force):
     return (qd * force).sum(axis=0) - (sys.energy(q, qd) + sys.h(s))
 
 
+def _solve(mats, vecs):
+    """M^-1 v for stacks M (..., n, n) and v (..., n), as ``matvec``."""
+    return np.linalg.solve(mats, vecs[..., None])[..., 0]
+
+
+def _by_row(flat, stacked, mat, vec):
+    """M v or M^-1 v for every column v of vec (n, *batch) and M of mat,
+    n x n or (n, n, *batch): flat(M, v), np.matmul or np.linalg.solve, on
+    a flat v, and stacked, ``matvec`` or ``_solve``, on the stacks with
+    their batch axes first, so each row has the bits of its one-row call."""
+    if vec.ndim == 1:
+        return flat(mat, vec)
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim > 2:
+        mat = np.moveaxis(mat, (0, 1), (-2, -1))
+    return np.moveaxis(stacked(mat, np.moveaxis(vec, 0, -1)), -1, 0)
+
+
 def contact_el_field(sys, y):
-    """y' = (q', q'', S') at the flat state y = (q, q', S)."""
+    """y' = (q', q'', S') at each flat state y = (q, q', S) of a stack
+    (..., 2n + 1): one Hessian test and one solve for the stack, and every
+    row with the bits of its one-row call.  A singular Hessian in any row
+    raises with the (q, q', S) of the first such row in C order."""
     n = sys.n
-    q, qd, s = y[:n], y[n:2 * n], y[2 * n]
+    yt = y.T  # the callbacks' layout: (2n + 1, *batch), batch axes reversed
+    q, qd, s = yt[:n], yt[n:2 * n], yt[2 * n]
     hess = np.asarray(sys.hess_qd(q, qd), dtype=float)
-    if _singular(hess):
-        raise ImplicitSystemError("singular velocity Hessian",
-                                  state=(q.copy(), qd.copy(), s))
+    singular = _singular(hess)
+    # one state's verdict is a numpy bool, whose .any() costs a microsecond
+    if singular.any() if singular.ndim else singular:
+        bad = np.broadcast_to(singular, s.shape).T  # y's batch axes
+        row = y[np.unravel_index(np.argmax(bad), bad.shape)]
+        raise ImplicitSystemError("singular velocity Hessian", state=(
+            row[:n].copy(), row[n:2 * n].copy(), row[2 * n]))
     force = _force_covector(sys, q, qd)
-    rhs = np.asarray(sys.d_l_dq(q, qd), dtype=float) \
-        - np.asarray(sys.mixed_hess(q, qd), dtype=float) @ qd \
-        - float(sys.dh_ds(s)) * force
-    dy = np.empty_like(y)
+    rhs = sys.d_l_dq(q, qd) - _by_row(
+        np.matmul, matvec, sys.mixed_hess(q, qd), qd) \
+        - sys.dh_ds(s) * force
+    dy = np.empty(yt.shape)
     dy[:n] = qd
-    dy[n:2 * n] = np.linalg.solve(hess, rhs)
+    dy[n:2 * n] = _by_row(np.linalg.solve, _solve, hess, rhs)
     dy[2 * n] = _s_rate(sys, q, qd, s, force)
-    return dy
+    return dy.T
 
 
 @dataclass(frozen=True)
@@ -311,22 +343,24 @@ def _s_step(phi, s, r, dt):
 def _projected_generator(sys):
     """G of z' = G z from the field's (q, q') rows at S = 0: column k is
     (f(u + t e_k) - f(u)) / t at the in-domain states u = (1, ..., 1) and
-    u + t e_k (every q' > 0).  The long step t = 2^40 keeps the rounding
-    of f(u) out of a column much smaller than G u, and dividing by it is
-    exact."""
+    u + t e_k (every q' > 0), one field call on the 2n + 1 states.  The
+    long step t = 2^40 keeps the rounding of f(u) out of a column much
+    smaller than G u, and dividing by it is exact."""
     dim, step = 2 * sys.n, 2.0 ** 40
-    base = np.append(np.ones(dim), 0.0)
-    rate0 = contact_el_field(sys, base)[:dim]
-    return np.column_stack([
-        (contact_el_field(sys, base + step * e)[:dim] - rate0) / step
-        for e in np.eye(dim + 1)[:dim]])
+    states = np.append(np.ones(dim), 0.0) + step * np.eye(dim + 1, k=-1)
+    rates = contact_el_field(sys, states)[:, :dim]
+    # C order, as the column stack had: the layout of G sets its rounding
+    return np.ascontiguousarray(((rates[1:] - rates[0]) / step).T)
 
 
 def _closed_form_fill(sys, y0, steps, dt):
     """The closed-form RK4 path of a linear_projection system up to the
     row before the first one outside the domain guard; None for any other
-    system, or when the z path diverges or a stage Hessian is singular or
-    a state not finite up to that row."""
+    system, or when the z path diverges, a stage Hessian is singular or a
+    row is not finite up to that row.  S is filled a block of
+    ``CHECK_ROWS`` rows at a time from the row s before the block:
+    S_(k0+m) = c^m s + sum_(j<m) c^(m-1-j) b_(k0+j), one lower-triangular
+    product per block, as ``linear_fill`` fills z."""
     if not sys.linear_projection:
         return None
     n, dim = sys.n, 2 * sys.n
@@ -346,17 +380,27 @@ def _closed_form_fill(sys, y0, steps, dt):
     amps = [eye]
     for c in _STAGE_C:
         amps.append(eye + c * dt * g @ amps[-1])
-    # stage point i of step k is stages[:, k, i] = A_i z_k
-    stages = np.einsum("iab,kb->aki", np.array(amps), zs[:steps])
+    # stage point i of step k is stages[:, i, k] = A_i z_k
+    stages = (np.reshape(amps, (-1, dim)) @ zs[:steps].T).reshape(
+        4, dim, steps).transpose(1, 0, 2)
     q, qd = stages[:n], stages[n:]
     if _singular(np.asarray(sys.hess_qd(q, qd), dtype=float)).any():
         return None
-    phi = _s_rate(sys, q, qd, 0.0, _force_covector(sys, q, qd))
-    b = _s_step(phi.T, 0.0, r, dt)
+    b = _s_step(_s_rate(sys, q, qd, 0.0, _force_covector(sys, q, qd)), 0.0,
+                r, dt)
     c = 1.0 + _s_step((0.0,) * 4, 1.0, r, dt)
-    s_path = [float(y0[dim])]
-    for b_k in b.tolist():
-        s_path.append(c * s_path[-1] + b_k)
+    # powers[m] = c^m, and row m - 1 of weights holds c^(m - 1 - j) at j < m
+    ramp = np.arange(min(CHECK_ROWS, steps))
+    powers = c ** np.append(ramp, len(ramp))
+    weights = np.tril(powers[np.abs(ramp[:, None] - ramp)])
+    s_path = np.empty(steps + 1)
+    s_path[0] = y0[dim]
+    for start in range(1, steps + 1, CHECK_ROWS):
+        rows = s_path[start:start + CHECK_ROWS]
+        m = len(rows)
+        rows[:] = powers[1:m + 1] * s_path[start - 1] \
+            + weights[:m, :m] @ b[start - 1:start - 1 + m]
+    # a row that is not finite leaves every later one so
     if not np.isfinite(s_path).all():
         return None
     return np.column_stack([zs[:keep], s_path[:keep]])

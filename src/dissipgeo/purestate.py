@@ -170,11 +170,12 @@ def contact_residuals(a, b, z):
 
 
 def project_to_bloch(psi, basis):
-    """Coherence vector of rho_psi = |psi><psi| / <psi|psi>; invariant
-    under phase and scale of psi."""
+    """Coherence vector of rho_psi = |psi><psi| / <psi|psi>, at psi or at
+    each row of a stack (..., n); invariant under phase and scale of psi."""
     psi = np.asarray(psi, dtype=complex)
-    rho = np.outer(psi, psi.conj()) / float(np.real(np.vdot(psi, psi)))
-    return to_coherence_vector(rho, basis)
+    rho = psi[..., :, None] * psi.conj()[..., None, :]
+    return to_coherence_vector(
+        rho / vecdot(psi.conj(), psi).real[..., None, None], basis)
 
 
 def flow_generator(a, b):

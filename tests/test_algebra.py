@@ -169,6 +169,30 @@ class TestCoherenceChart:
                                                  basis.tau)
             assert np.array_equal(from_coherence_vector(x, basis), expected)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (2, 5)])
+    def test_stacked_rows_equal_their_one_matrix_calls(self, n, shape):
+        rng = np.random.default_rng(10 * n + len(shape))
+        basis = build_su_basis(n)
+        stack = np.array([random_trace_one_hermitian(rng, n)
+                          for _ in range(int(np.prod(shape)))]).reshape(
+            shape + (n, n))
+        x = to_coherence_vector(stack, basis)
+        assert x.shape == shape + (basis.size,)
+        for idx in np.ndindex(shape):
+            assert np.array_equal(x[idx], to_coherence_vector(stack[idx],
+                                                              basis))
+
+    def test_a_stack_raises_with_the_trace_of_its_first_bad_row(self):
+        basis = build_su_basis(2)
+        stack = np.stack([np.eye(2) / 2, np.eye(2) / 2, np.diag([1.5, 0.0]),
+                          np.eye(2)])
+        with pytest.raises(TraceMismatchError) as info:
+            to_coherence_vector(stack, basis)
+        assert info.value.trace == 1.5
+        with pytest.raises(ValueError, match="does not match"):
+            to_coherence_vector(stack[..., :1], basis)
+
     def test_trace_mismatch_carries_trace(self):
         basis = build_su_basis(2)
         with pytest.raises(TraceMismatchError) as info:

@@ -111,11 +111,13 @@ def test_integrators_knows_no_flow():
             "mechanics.integrate_contact"]
 
 
-def test_linear_fill_is_the_one_block_loop():
-    """Only integrators names CHECK_ROWS, the block size of linear_fill,
-    so no module keeps a second loop over blocks of step powers."""
+def test_check_rows_sizes_the_z_and_s_blocks_alone():
+    """Only integrators, whose linear_fill fills z, and mechanics, whose
+    closed form fills S in blocks of that size, name CHECK_ROWS, so no
+    other module keeps a loop over blocks of step powers."""
     assert [path.stem for path in sorted(SOURCE.glob("*.py"))
-            if "CHECK_ROWS" in path.read_text()] == ["integrators"]
+            if "CHECK_ROWS" in path.read_text()] == ["integrators",
+                                                      "mechanics"]
 
 
 def calls_in(module, accept):

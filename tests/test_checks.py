@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,8 @@ import pytest
 import scipy.linalg
 
 import dissipgeo
-from dissipgeo import (checks, cli, contact, gkls, integrators, mechanics,
-                       purestate)
+from dissipgeo import (algebra, checks, cli, contact, gkls, integrators,
+                       mechanics, purestate)
 from dissipgeo.algebra import (build_su_basis, from_coherence_vector,
                                to_coherence_vector)
 from dissipgeo.checks import expm, run_checks
@@ -77,7 +78,7 @@ def test_gkls_flow_matches_the_lifted_exponential(n):
     # the superoperator route against scipy's exp of the lift
     # [[A, B], [0, 0]] on (x0, 1), a route through the chart
     rng = np.random.default_rng(40 + n)
-    model = checks._random_model(rng, n)
+    model = checks._random_model(rng, build_su_basis(n))
     assert np.max(np.abs(model.B)) > 1e-3
     rho0 = checks._random_density(rng, n)
     d = model.basis.size
@@ -417,6 +418,68 @@ def test_contact_reduction_consistency_sees_a_wrong_generator(monkeypatch):
                         lambda sys: 0.5 * generator(sys))
     assert not suite_results("mechanics")[
         "mechanics/contact-reduction-consistency"].passed
+
+
+def test_contact_reduction_consistency_sees_a_generator_off_by_1e_6(
+        monkeypatch):
+    generator = mechanics._projected_generator
+    monkeypatch.setattr(mechanics, "_projected_generator",
+                        lambda sys: (1.0 + 1e-6) * generator(sys))
+    assert not suite_results("mechanics")[
+        "mechanics/contact-reduction-consistency"].passed
+
+
+@pytest.mark.parametrize("g", [
+    mechanics.representative_matrix(np.ones((1, 1)), np.full((1, 1), 0.3),
+                                    np.full((1, 1), 1.1)),
+    mechanics.representative_matrix(*mechanics.coupled_damped_oscillators(
+        1.0, 2.0, 0.3, 0.7, 0.1, 0.2))], ids=["suite", "coupled"])
+def test_powers_of_one_expm_agree_with_an_expm_per_row(g):
+    # the rows of mechanics/contact-reduction-consistency, each exact by
+    # its own expm, read by the powers route of linear_oracle
+    times = integrators.time_grid(4.0, 1e-3)
+    states = np.full((len(times), len(g)), np.nan)
+    states[0] = np.linspace(1.0, 0.2, len(g))
+    states[::100] = [expm(g * t) @ states[0] for t in times[::100]]
+    oracle = checks.linear_oracle("powers", g, times, states, 100, 1e-12)
+    assert oracle.passed and oracle.residual < 1e-12
+
+
+def test_a_pass_makes_one_call_per_stack(monkeypatch):
+    # the batch axis in call counts: contact_el_field is called 80 times
+    # per pass without it, expm 41 times in the mechanics suite alone and
+    # to_coherence_vector 117 times
+    counts, suite = Counter(), [None]
+
+    def counted(module, name):
+        call = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[suite[0], name] += 1
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(checks, "expm")
+    for module in (mechanics, checks):
+        counted(module, "contact_el_field")
+    for module in (algebra, checks, gkls, purestate):
+        counted(module, "to_coherence_vector")
+    def in_suite(name, run):
+        def wrapper():
+            suite[0] = name
+            return run()
+
+        return wrapper
+
+    for name, run in checks.SUITES.items():
+        monkeypatch.setitem(checks.SUITES, name, in_suite(name, run))
+    assert all(r.passed for r in run_checks())
+    assert dict(counts) == {
+        ("algebra", "to_coherence_vector"): 3,
+        ("gkls", "expm"): 1, ("gkls", "to_coherence_vector"): 9,
+        ("mechanics", "contact_el_field"): 9, ("mechanics", "expm"): 1,
+        ("purestate", "expm"): 1, ("purestate", "to_coherence_vector"): 2}
 
 
 def test_declared_projection_sees_a_nonlinear_law(monkeypatch):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -62,6 +62,33 @@ def diagonal_pair(hess):
         d_l_dqd=lambda q, qd: np.einsum("jk,k...->j...", hess, qd),
         hess_qd=lambda q, qd: hess,
         mixed_hess=lambda q, qd: np.zeros((2, 2)))
+
+
+STACKED_SYSTEMS = [
+    rlc_single(0.3, 0.7, 0.45), rlc_coupled(1.0, 2.0, 1.0, 0.5, 0.4, 0.6, 0.2),
+    friction_system(0.6), damped_particle(1.7, 0.4),
+    diagonal_pair(np.diag([1.0, 2.0]))]
+STACKED_IDS = ["rlc-single", "rlc-coupled", "friction", "damped-particle",
+               "diagonal-pair"]
+
+
+def in_domain_states(rng, sys, shape):
+    """Flat states (*shape, 2n + 1) with q' > 0, inside friction's chart."""
+    n = sys.n
+    y = rng.normal(size=shape + (2 * n + 1,))
+    y[..., n:2 * n] = rng.uniform(0.1, 2.0, size=shape + (n,))
+    return y
+
+
+def singular_at(sys, marker):
+    """sys with a zero velocity Hessian at the states whose q_1 is marker."""
+    def hess_qd(q, qd):
+        hess = np.asarray(sys.hess_qd(q, qd), dtype=float)
+        keep = q[0] != marker
+        return np.where(keep, hess.reshape(
+            hess.shape + (1,) * (keep.ndim + 2 - hess.ndim)), 0.0)
+
+    return dataclasses.replace(sys, hess_qd=hess_qd)
 
 
 def five_point_rate(values, dt):
@@ -340,6 +367,33 @@ class TestContactEulerLagrange:
         assert dy[1] == -0.3
         assert dy[2] == sys.lagrangian(y[:1], y[1:2])
 
+    @pytest.mark.parametrize("sys", STACKED_SYSTEMS, ids=STACKED_IDS)
+    @pytest.mark.parametrize("shape", [(1,), (7,), (2, 3)])
+    def test_stacked_rows_equal_their_one_row_calls(self, sys, shape):
+        rng = np.random.default_rng(len(shape) + sys.n)
+        y = in_domain_states(rng, sys, shape)
+        stack = contact_el_field(sys, y)
+        assert stack.shape == y.shape
+        for idx in np.ndindex(shape):
+            assert np.array_equal(stack[idx], contact_el_field(sys, y[idx]))
+
+    @pytest.mark.parametrize("sys", STACKED_SYSTEMS, ids=STACKED_IDS)
+    @pytest.mark.parametrize("shape, rows", [
+        ((5,), [(2,)]), ((2, 3), [(1, 0), (0, 2)])])
+    def test_a_singular_third_row_reports_its_state(self, sys, shape, rows):
+        # rows[-1] is the third row in C order; in Fortran order (1, 0)
+        # of a (2, 3) stack comes before it
+        rng = np.random.default_rng(9)
+        y = in_domain_states(rng, sys, shape)
+        for row in rows:
+            y[row + (0,)] = 0.25
+        with pytest.raises(ImplicitSystemError) as info:
+            contact_el_field(singular_at(sys, 0.25), y)
+        q, qd, s = info.value.state
+        n, third = sys.n, y[rows[-1]]
+        assert np.array_equal(q, third[:n]) and np.array_equal(qd, third[n:-1])
+        assert s == third[-1]
+
     @pytest.mark.parametrize("state0", [
         ([0.0, 1.0], [1.0], 0.0), ([0.0], [1.0, 0.0], 0.0),
         ([0.0], [1.0], [0.0]), (0.0, [1.0], 0.0), ([[0.0]], [1.0], 0.0)])
@@ -598,9 +652,22 @@ def projectable_runs(draw):
     return sys, state0, draw(st.integers(1, 300)) * dt, dt
 
 
+def steps_of(sys, state0, steps, dt=0.01):
+    return sys, state0, steps * dt, dt
+
+
 class TestClosedForm:
+    # S is filled in blocks of CHECK_ROWS = 64 rows: the examples end on
+    # both sides of the first and second block edges, friction with r = 0
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(run=projectable_runs())
+    @example(run=steps_of(rlc_single(0.4, 1.2, 0.9), ([1.0], [0.0], 0.2), 63))
+    @example(run=steps_of(rlc_coupled(1.0, 2.0, 1.0, 0.5, 0.4, 0.6, 0.2),
+                          ([1.0, -0.5], [0.0, 0.3], 0.1), 64))
+    @example(run=steps_of(friction_system(0.5), ([0.0], [1.0], 0.0), 65))
+    @example(run=steps_of(rlc_single(0.2, 1.0, 1.0), ([1.0], [0.5], 0.0),
+                          128))
+    @example(run=steps_of(friction_system(0.3), ([0.2], [0.8], 0.4), 129))
     def test_matches_generic_route(self, run):
         closed, oracle = run_both(*run)
         assert_same_path(closed, oracle)

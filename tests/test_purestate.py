@@ -584,6 +584,19 @@ class TestBlochProjection:
         assert np.allclose(ps.project_to_bloch(psi, basis),
                            [1 / SQRT2, 0, 0], atol=1e-14)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("shape", [(1,), (10,), (2, 3)])
+    def test_stacked_rows_equal_their_one_vector_calls(self, n, shape):
+        rng = np.random.default_rng(n + len(shape))
+        basis = build_su_basis(n)
+        psi = rng.normal(size=shape + (n,)) + 1j * rng.normal(
+            size=shape + (n,))
+        points = ps.project_to_bloch(psi, basis)
+        assert points.shape == shape + (basis.size,)
+        for idx in np.ndindex(shape):
+            assert np.array_equal(points[idx],
+                                  ps.project_to_bloch(psi[idx], basis))
+
     def test_projected_flow_matches_coherence_flow(self):
         # sphere dynamics of (a, b) projects onto the Hamiltonian+Gradient
         # coherence flow with H = -a, V = -2b
