@@ -613,7 +613,7 @@ def run_checks(filter=None):
     names = sorted(SUITES)
     if filter is not None:
         if filter not in SUITES:
-            raise KeyError(f"unknown module {filter!r}; choose from {names}")
+            raise ValueError(f"unknown module {filter!r}; choose from {names}")
         names = [filter]
     results = []
     for name in names:

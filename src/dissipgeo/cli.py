@@ -5,28 +5,28 @@
     dissipgeo checks [--filter MODULE] [--out DIR]
 
 A config is a JSON object whose keys are ``execute_scenario``'s keywords:
-"kind" in {gkls, pure-state, contact-lagrangian, circuit, checks}, an
-optional "name" (a plain file name) and "parameters", the keywords of the
-kind's runner in ``RUNNERS`` and of the variant it picks (gkls "model"
-given or not, "circuit", "system"); every kind but checks requires t_end
-and dt.  Only gkls "jumps" and "x0"/"rho0" (exactly one, a density
-matrix) and linear "expect" (a verdict "hamiltonianity", an int
-"span_dimension") may be left out.
+"kind" in {gkls, pure-state, contact-lagrangian, circuit}, an optional
+"name" (a plain file name) and "parameters", the keywords of the kind's
+runner in ``RUNNERS`` and of the variant it picks (gkls "model" given or
+not, "circuit", "system"), t_end and dt among them.  Only gkls "jumps"
+and "x0"/"rho0" (exactly one, a density matrix) and linear "expect" (a
+verdict "hamiltonianity", an int "span_dimension") may be left out.
 Every number a config gives (t_end, dt, "gamma", the circuit values, the
 starts and the matrices) must be a finite JSON number, and a JSON boolean
 or a string is none; complex entries are [re, im] pairs of such numbers.
 Each run writes a trajectory CSV (17 significant digits, LF endings,
 byte-stable across runs, the bytes of one format(v, '.17g') per value)
 plus a JSON report with per-invariant pass/fail and residuals, final_t
-and stopped_early.  The writer makes the digits of CSV_BLOCK_ROWS (512)
-rows at a time in numpy, as round(|v| * 10**(16 - k)) from an exact
-double-double product, and writes 0 and -0 from the sign bit; nan, inf,
-|v| outside [1e-100, 1e100) and the rare value it cannot prove right (a
-near tie, a k that log10 rounded the wrong way) are written by CPython's
-formatter.  Exit codes: 0 all invariants pass, 2 usage or config error
-(a bad value, a name not read or a missing one, an unreadable config or
-an unwritable --out, a dt at or below the five-point rounding floor of a
-rate invariant), 3 numerical failure.
+and stopped_early, true when a domain guard ended the path before t_end.
+The writer makes the digits of CSV_BLOCK_ROWS (512) rows at a time in
+numpy, as round(|v| * 10**(16 - k)) from an exact double-double product,
+and writes 0 and -0 from the sign bit; nan, inf, |v| outside
+[1e-100, 1e100) and the rare value it cannot prove right (a near tie, a
+k that log10 rounded the wrong way) are written by CPython's formatter.
+Exit codes: 0 all invariants pass, 2 usage or config error (a bad value,
+a name not read or a missing one, an unreadable config or an unwritable
+--out, a dt at or below the five-point rounding floor of a rate
+invariant), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .checks import (CheckResult, contact_residuals, decomposition_identities,
                      run_checks, sphere_flow, trace_preservation)
 from .contact import DegenerateContactError
 from .gkls import build_model, integrate, phase_damping_model
-from .integrators import DivergenceError, rk4_linear_path, time_grid
+from .integrators import DivergenceError, rk4_linear_path
 from .mechanics import (HAMILTONIANITY_VERDICTS, ImplicitSystemError,
                         bivector_span_dimension, friction_system,
                         integrate_contact, representative_matrix,
@@ -333,13 +333,6 @@ BUILTIN_SCENARIOS = {
                            "t_end": 10.0, "dt": 1e-3},
         },
     },
-    "contact-homomorphism": {
-        "description": "contact-geometry invariant suite (Jacobi homomorphism etc.)",
-        "config": {
-            "kind": "checks",
-            "parameters": {"filter": "contact"},
-        },
-    },
 }
 
 
@@ -392,7 +385,7 @@ def run_gkls(t_end, dt, x0=None, rho0=None, **variant):
         invariants.append(result(
             "gkls/phase-damping-analytic",
             float(np.max(np.abs(traj.points - expected))), 1e-6))
-    return header, rows, invariants
+    return header, rows, invariants, False
 
 
 def run_pure_state(a, b, psi0, t_end, dt):
@@ -418,7 +411,7 @@ def run_pure_state(a, b, psi0, t_end, dt):
                float(np.max(np.abs(psis[-1] - exact))), 1e-7),
         five_point_residual("purestate/path-solves-z", zs, dt, field, 1e-6),
     ]
-    return header, rows, invariants
+    return header, rows, invariants, False
 
 
 def single_circuit(resistance, inductance, capacitance):
@@ -461,7 +454,7 @@ def run_circuit(circuit, i0, di0, t_end, dt, **values):
     else:
         invariants.append(energy_rate_identity(
             "circuit/energy-rate-identity", sys_, traj, dt))
-    return header, rows, invariants
+    return header, rows, invariants, traj.stopped_early
 
 
 def friction_lagrangian(gamma, q0, qd0, t_end, dt):
@@ -471,7 +464,8 @@ def friction_lagrangian(gamma, q0, qd0, t_end, dt):
     header = ["t", "q", "qd", "s", "energy", "energy_mech"]
     rows = np.column_stack([traj.times, traj.q, traj.qd, traj.s,
                             traj.energy, traj.energy_mech])
-    return header, rows, friction_invariants(gamma, traj, dt)
+    return (header, rows, friction_invariants(gamma, traj, dt),
+            traj.stopped_early)
 
 
 def expected_verdicts(hamiltonianity=None, span_dimension=None):
@@ -514,7 +508,7 @@ def linear_lagrangian(mass, damping, stiffness, x0, t_end, dt, expect=None):
             residual=float(span)))
     invariants.append(linear_oracle("mechanics/linear-oracle", g, times,
                                     states, len(times) - 1, 1e-6))
-    return header, rows, invariants
+    return header, rows, invariants, False
 
 
 def run_contact_lagrangian(system, **params):
@@ -526,9 +520,10 @@ def run_contact_lagrangian(system, **params):
 
 
 # kind -> runner; its keyword signature, with that of the variant it picks,
-# is the one list of the parameter names a config may give
+# is the one list of the parameter names a config may give.  A runner
+# returns (header, rows, invariants, stopped_early), and only the domain
+# guard of a contact system can end a path early
 RUNNERS = {
-    "checks": run_checks,
     "gkls": run_gkls,
     "pure-state": run_pure_state,
     "circuit": run_circuit,
@@ -549,32 +544,26 @@ def execute_scenario(out_dir, kind, name, parameters):
                        for key in ("t_end", "dt") if key in parameters})
     out_dir = Path(out_dir)
     started = time.perf_counter()
-    outputs = []
     try:
         # an unknown or a missing parameter name is a TypeError here
-        results = RUNNERS[kind](**parameters)
+        header, rows, results, stopped_early = RUNNERS[kind](**parameters)
     except DivergenceError as exc:
         times, states = exc.partial
         write_csv(out_dir / f"{name}_partial.csv",
                   ["t"] + [f"y{j + 1}" for j in range(states.shape[1])],
                   np.column_stack([times, states]))
         raise
-    if kind != "checks":
-        header, rows, results = results
-        csv_path = out_dir / f"{name}.csv"
-        write_csv(csv_path, header, rows)
-        outputs.append(str(csv_path))
+    csv_path = out_dir / f"{name}.csv"
+    write_csv(csv_path, header, rows)
     report = {
         "scenario": name,
         "kind": kind,
         "wall_time_s": time.perf_counter() - started,
         "invariants": [asdict(r) for r in results],
-        "outputs": outputs,
+        "outputs": [str(csv_path)],
+        "final_t": float(rows[-1, 0]),
+        "stopped_early": stopped_early,
     }
-    if kind != "checks":  # a domain guard can end a path early
-        report["final_t"] = float(rows[-1, 0])
-        report["stopped_early"] = \
-            len(rows) < len(time_grid(parameters["t_end"], parameters["dt"]))
     report_path = out_dir / f"{name}_report.json"
     write_json(report_path, report)
     return report
@@ -653,7 +642,7 @@ def main(argv=None):
             BasisCorruptionError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (KeyError, ValueError, TypeError, OSError, MemoryError) as exc:
+    except (ValueError, TypeError, OSError, MemoryError) as exc:
         # ConfigError and the domain checks of the library (Hermiticity,
         # normalisation, unit trace, dt > 0, ...) are all ValueErrors, an
         # OSError is an unreadable config or an unwritable --out, and a
@@ -666,7 +655,7 @@ def main(argv=None):
               f"{sum(i['passed'] for i in invariants)}"
               f"/{len(invariants)} invariants passed "
               f"({report['wall_time_s']:.2f} s)")
-        if report.get("stopped_early"):
+        if report["stopped_early"]:
             print(f"stopped early at t = {report['final_t']:.6g}: the "
                   f"system's domain guard ended the path before t_end")
     return EXIT_OK if all(inv["passed"] for inv in invariants) \

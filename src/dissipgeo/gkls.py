@@ -240,7 +240,7 @@ def integrate(model, rho0, t_end, dt):
     x0 = to_coherence_vector(np.asarray(rho0, dtype=complex), model.basis)
     lift = np.block([[model.A, model.B[:, None]],
                      [np.zeros((1, len(x0) + 1))]])
-    times, points = fast_path(partial(_lifted_fill, lift),
-                              lambda x: model.A @ x + model.B, x0, t_end, dt,
-                              None)
+    times, points, _ = fast_path(partial(_lifted_fill, lift),
+                                 lambda x: model.A @ x + model.B, x0, t_end,
+                                 dt, None)
     return _trajectory(model.basis, times, points)

@@ -19,7 +19,9 @@ returns its own path, row 0 y0, with fewer than steps + 1 rows only when
 a domain guard ends it, or None to decline, and never calls
 ``rk4_path``.  ``fast_path`` owns the grid, the one np.errstate around a
 fill, and the hand-off of a declined run, whole and from y0, to
-``rk4_path``, which then decides where it stops and what it raises.
+``rk4_path``, which then decides where it stops and what it raises; it
+returns ``(times, states, stopped_early)``, the flag true when the path
+is shorter than the grid, so no caller derives the grid again.
 Every fill is built on the one linear fill here, ``linear_fill``; each
 flow module keeps its own use of it next to its field (``gkls`` keeps the
 x columns of its affine field's lift, ``purestate`` divides each row of
@@ -111,21 +113,22 @@ def rk4_path(f, y0, t_end, dt, post=None):
 
 
 def fast_path(fill, f, y0, t_end, dt, post):
-    """The grid and return value of ``rk4_path(f, y0, t_end, dt, post)``
-    with the path fill(y0, steps, dt) returns, or that call when it
-    returns None."""
+    """(times, states, stopped_early): the path fill(y0, steps, dt)
+    returns, or ``rk4_path(f, y0, t_end, dt, post)``'s when it returns
+    None, and whether that path ends before t_end."""
     times = time_grid(t_end, dt)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         states = fill(y0, len(times) - 1, dt)
-    if states is not None:
-        return times[:len(states)], states
-    return rk4_path(f, y0, t_end, dt, post)
+    if states is None:
+        _, states = rk4_path(f, y0, t_end, dt, post)
+    return times[:len(states)], states, len(states) < len(times)
 
 
 def rk4_linear_path(g, y0, t_end, dt, post=None):
-    """RK4 path of y' = G y from 0 to t_end, each state mapped by post."""
+    """RK4 path (times, states) of y' = G y from 0 to t_end, each state
+    mapped by post, a projection: the path never stops early."""
     return fast_path(partial(linear_fill, g, post=post),
-                     lambda y: g @ y, y0, t_end, dt, post)
+                     lambda y: g @ y, y0, t_end, dt, post)[:2]
 
 
 def linear_fill(g, y0, steps, dt, post=None):

@@ -317,6 +317,7 @@ class ContactTrajectory:
     s: np.ndarray
     energy: np.ndarray       # Lagrangian energy E_L
     energy_mech: np.ndarray  # |q'|^2 / 2
+    stopped_early: bool      # the domain guard ended the path before t_end
 
 
 def analytic_energy_rate(sys, q, qd, s):
@@ -428,16 +429,16 @@ def integrate_contact(sys, state0, t_end, dt):
     if sys.domain_guard is not None:
         def post(y):
             return y if sys.domain_guard(y[:n], y[n:2 * n]) else None
-    times, states = fast_path(partial(_closed_form_fill, sys),
-                              partial(contact_el_field, sys), y0, t_end, dt,
-                              post)
+    times, states, stopped_early = fast_path(
+        partial(_closed_form_fill, sys), partial(contact_el_field, sys), y0,
+        t_end, dt, post)
     qs = states[:, :n]
     qds = states[:, n:2 * n]
     ss = states[:, 2 * n]
     energy = sys.energy(qs.T, qds.T)
     e_mech = 0.5 * np.einsum("ij,ij->i", qds, qds)
     return ContactTrajectory(times=times, q=qs, qd=qds, s=ss, energy=energy,
-                             energy_mech=e_mech)
+                             energy_mech=e_mech, stopped_early=stopped_early)
 
 
 def rlc_single(resistance, inductance, capacitance):

@@ -299,9 +299,7 @@ def test_criterion_11_cross_module_consistency():
 
 def test_criterion_12_cli_determinism(tmp_path, capsys):
     mismatch = []
-    for name, entry in BUILTIN_SCENARIOS.items():
-        if entry["config"]["kind"] == "checks":
-            continue
+    for name in BUILTIN_SCENARIOS:
         csvs = []
         for tag in ("a", "b"):
             out = tmp_path / f"{name}-{tag}"

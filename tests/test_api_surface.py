@@ -129,6 +129,17 @@ def calls_in(module, accept):
             if isinstance(node, ast.Call) and accept(node)]
 
 
+def test_only_integrators_derives_the_grid():
+    """fast_path owns the step grid and says whether the path stopped
+    short of it, so no flow module and not the CLI builds it again."""
+    def grid(call):
+        return "time_grid" in referenced_names(call.func)
+
+    assert sorted(call for path in SOURCE.glob("*.py")
+                  for call in calls_in(path.stem, grid)) \
+        == ["integrators.fast_path", "integrators.rk4_path"]
+
+
 def test_one_singularity_test_in_mechanics():
     """mechanics._singular alone takes a determinant, so the mass of
     representative_matrix and the velocity Hessian share one scale-free

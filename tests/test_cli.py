@@ -38,13 +38,6 @@ BUILTIN_INVARIANTS = {
                                    "mechanics/linear-oracle"],
     "friction-lagrangian": ["mechanics/friction-energy-conservation",
                             "mechanics/friction-mechanical-dissipation"],
-    "contact-homomorphism": ["contact/reeb-defining-equations",
-                             "contact/nondegeneracy",
-                             "contact/exact-chart-consistency",
-                             "contact/eta-contraction",
-                             "contact/jacobi-antisymmetry",
-                             "contact/alpha-df-degeneracy",
-                             "contact/bracket-homomorphism"],
 }
 
 # the invariants `dissipgeo checks` reports, suite by suite, in report order
@@ -52,7 +45,10 @@ CHECKS_INVARIANTS = [
     "algebra/basis-orthonormality", "algebra/basis-traceless",
     "algebra/structure-jacobi-identity", "algebra/coherence-round-trip",
     "algebra/expectation-affine",
-    *BUILTIN_INVARIANTS["contact-homomorphism"],
+    "contact/reeb-defining-equations", "contact/nondegeneracy",
+    "contact/exact-chart-consistency", "contact/eta-contraction",
+    "contact/jacobi-antisymmetry", "contact/alpha-df-degeneracy",
+    "contact/bracket-homomorphism",
     "gkls/trace-preservation", "gkls/decomposition-sum-identity",
     "gkls/nonlinear-cancellation", "gkls/unitary-spectrum-invariance",
     "gkls/gradient-flow-rank-constancy", "gkls/positivity",
@@ -123,7 +119,8 @@ BAD_VALUE_CONFIGS = {
     "t_end-misspelt": ("circuit", {**without(RLC_SINGLE, "t_end"),
                                    "t_edn": 0.5}),
     "dt-missing": ("gkls", without(PHASE_DAMPING, "dt")),
-    "checks-t_end": ("checks", {"filter": "contact", "t_end": 1.0}),
+    # a suite runs by `dissipgeo checks`, and no run kind is one
+    "checks-kind": ("checks", {"filter": "contact"}),
     "friction-q0-two-entries": ("contact-lagrangian", {
         **FRICTION, "q0": [0.0, 1.0]}),
     "friction-qd0-zero": ("contact-lagrangian", {**FRICTION, "qd0": [0.0]}),
@@ -573,9 +570,9 @@ class TestCommands:
     def test_list_shows_all_builtins(self, capsys):
         assert run_cli("list") == EXIT_OK
         out = capsys.readouterr().out
-        assert len(BUILTIN_SCENARIOS) >= 7
-        for name in BUILTIN_SCENARIOS:
-            assert name in out
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "phase-damping", "bloch-gradient", "rlc-single", "rlc-coupled",
+            "coupled-damped-oscillators", "friction-lagrangian"]
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli("frobnicate") == EXIT_USAGE
@@ -723,6 +720,18 @@ class TestCommands:
 
     def test_checks_unknown_filter_is_usage_error(self, capsys):
         assert run_cli("checks", "--filter", "nonsense") == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "config error: unknown module 'nonsense'; choose from "
+            "['algebra', 'contact', 'gkls', 'mechanics', 'purestate']\n")
+
+    def test_checks_is_no_run_kind(self, tmp_path, capsys):
+        kind, params = BAD_VALUE_CONFIGS["checks-kind"]
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
+        assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "config error: unknown kind 'checks'; choose from "
+            "['gkls', 'pure-state', 'circuit', 'contact-lagrangian']\n")
 
     def test_checks_filtered_pass(self, capsys):
         assert run_cli("checks", "--filter", "algebra") == EXIT_OK
@@ -856,27 +865,20 @@ class TestScenarioRuns:
     def test_every_builtin_round_trips(self, tmp_path, capsys):
         # short horizons keep the smoke test quick; invariants still run
         assert set(BUILTIN_INVARIANTS) == set(BUILTIN_SCENARIOS)
-        for name, entry in BUILTIN_SCENARIOS.items():
-            args = ["run", name, "--out", str(tmp_path / name)]
-            if entry["config"]["kind"] != "checks":
-                args += ["--t-end", "1.0"]
-            assert run_cli(*args) == EXIT_OK, name
+        for name in BUILTIN_SCENARIOS:
+            assert run_cli("run", name, "--out", str(tmp_path / name),
+                           "--t-end", "1.0") == EXIT_OK, name
             report = json.loads(
                 (tmp_path / name / f"{name}_report.json").read_text())
             names = [inv["name"] for inv in report["invariants"]]
             assert names == BUILTIN_INVARIANTS[name]  # each invariant once
             assert all(inv["passed"] for inv in report["invariants"])
-            if entry["config"]["kind"] == "checks":
-                assert "final_t" not in report
-            else:
-                assert abs(report["final_t"] - 1.0) < 1e-12, name
-                assert report["stopped_early"] is False
+            assert abs(report["final_t"] - 1.0) < 1e-12, name
+            assert report["stopped_early"] is False
 
     @pytest.mark.parametrize("argv", [
-        ["run", name] + (["--t-end", "1.0"]
-                         if entry["config"]["kind"] != "checks" else [])
-        for name, entry in BUILTIN_SCENARIOS.items()] + [["checks"]],
-        ids=[*BUILTIN_SCENARIOS, "checks"])
+        ["run", name, "--t-end", "1.0"] for name in BUILTIN_SCENARIOS]
+        + [["checks"]], ids=[*BUILTIN_SCENARIOS, "checks"])
     def test_every_report_names_each_invariant_once(self, argv, tmp_path,
                                                     capsys):
         # a report is read by invariant name, so no run may hold one twice
@@ -905,9 +907,7 @@ class TestScenarioRuns:
         # every module binding a run could call, imported today or not
         for module in (integrators, gkls, mechanics, purestate):
             monkeypatch.setattr(module, "rk4_path", refuse, raising=False)
-        runs = [[name] for name, entry in BUILTIN_SCENARIOS.items()
-                if entry["config"]["kind"] != "checks"]
-        assert len(runs) == 6
+        runs = [[name] for name in BUILTIN_SCENARIOS]
         runs.append(["friction-lagrangian", "--t-end", "60"])
         for i, args in enumerate(runs):
             assert run_cli("run", *args,
@@ -950,7 +950,7 @@ class TestScenarioRuns:
                 return traj
 
             monkeypatch.setattr(cli, "integrate_contact", shifted)
-            _, _, invariants = RUNNERS["circuit"](
+            _, _, invariants, _ = RUNNERS["circuit"](
                 **builtin_parameters("rlc-single", i0=[scale]))
             oracle = invariants[0]
             assert oracle.name == "circuit/linear-oracle"
@@ -968,7 +968,7 @@ class TestScenarioRuns:
             return traj
 
         monkeypatch.setattr(cli, "integrate", shifted)
-        _, _, invariants = RUNNERS["gkls"](**VARIANTS["general-gkls"][1])
+        _, _, invariants, _ = RUNNERS["gkls"](**VARIANTS["general-gkls"][1])
         oracle = {inv.name: inv for inv in invariants}[
             "gkls/exponential-oracle"]
         assert not oracle.passed
@@ -984,7 +984,7 @@ class TestScenarioRuns:
         params = dict(BUILTIN_SCENARIOS["coupled-damped-oscillators"][
             "config"]["parameters"], t_end=0.1)
         del params["expect"]
-        _, _, invariants = RUNNERS["contact-lagrangian"](**params)
+        _, _, invariants, _ = RUNNERS["contact-lagrangian"](**params)
         assert [inv.name for inv in invariants] == ["mechanics/linear-oracle"]
 
     def test_fast_phase_damping_passes_its_identities(self, tmp_path, capsys):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from dissipgeo.algebra import build_su_basis
 from dissipgeo.gkls import build_model, phase_damping_model
-from dissipgeo.integrators import DivergenceError, rk4_linear_path, rk4_path
+from dissipgeo.integrators import (DivergenceError, fast_path, rk4_linear_path,
+                                   rk4_path)
 from dissipgeo.mechanics import (coupled_damped_oscillators,
                                  representative_matrix)
 
@@ -177,3 +178,33 @@ class TestPostMap:
         assert np.array_equal(times, [0.0, 0.5, 1.0, 1.5])
         assert np.allclose(states[:, 0], factor ** np.arange(4),
                            rtol=1e-14, atol=0.0)
+
+
+def ones(y0, steps, dt):
+    return np.ones((steps + 1, 1))
+
+
+def declined(y0, steps, dt):
+    return None
+
+
+class TestStopFlag:
+    @pytest.mark.parametrize("fill, post, rows, stopped_early", [
+        (ones, None, 5, False),
+        (lambda y0, steps, dt: ones(y0, 2, dt), None, 3, True),
+        (declined, lambda y: None if y[0] > 2.0 else y, 2, True),
+        (declined, None, 5, False),
+    ], ids=["full-fill", "guarded-fill", "guarded-hand-off",
+            "full-hand-off"])
+    def test_a_path_shorter_than_the_grid_stopped_early(
+            self, fill, post, rows, stopped_early):
+        # y' = y over a grid of 5 times; a hand-off's y grows by about
+        # 1.65 a step, so the guard stops it after its first step
+        times, states, flag = fast_path(fill, lambda y: y, np.array([1.0]),
+                                        2.0, 0.5, post)
+        assert len(times) == len(states) == rows
+        assert np.array_equal(times, 0.5 * np.arange(rows))
+        assert flag is stopped_early
+        if fill is declined:
+            ref = rk4_path(lambda y: y, np.array([1.0]), 2.0, 0.5, post)
+            assert np.array_equal(states, ref[1])

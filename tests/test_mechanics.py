@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from dissipgeo import cli, integrators, mechanics
 from dissipgeo.checks import relative
 from dissipgeo.contact import ScalarField, contact_hamiltonian_field, darboux_chart
-from dissipgeo.integrators import DivergenceError, rk4_path, time_grid
+from dissipgeo.integrators import DivergenceError, rk4_path
 from dissipgeo.mechanics import (ContactLagrangianSystem, ImplicitSystemError,
                                  analytic_energy_rate,
                                  bivector_span_dimension, contact_el_field,
@@ -621,8 +621,9 @@ def spy_rk4_path(monkeypatch):
 
 
 def assert_same_path(closed, oracle, rtol=1e-12):
-    """Same rows, and every array within rtol of the oracle's largest
-    entry."""
+    """Same rows and stop flag, and every array within rtol of the
+    oracle's largest entry."""
+    assert closed.stopped_early == oracle.stopped_early
     for name in ("times", "q", "qd", "s", "energy", "energy_mech"):
         a, b = getattr(closed, name), getattr(oracle, name)
         assert a.shape == b.shape, name
@@ -676,7 +677,7 @@ class TestClosedForm:
         closed, oracle = run_both(friction_system(0.5), ([0.0], [1.0], 0.0),
                                   60.0, 1e-3)
         assert len(closed.times) == len(oracle.times) == 46052
-        assert len(closed.times) < len(time_grid(60.0, 1e-3))
+        assert closed.stopped_early
         assert_same_path(closed, oracle)
 
     @pytest.mark.parametrize("sys", [
@@ -725,7 +726,7 @@ class TestClosedForm:
                                   ([1.0], [0.0], 0.0), 3.0, 1e-3)
         assert_same_path(closed, oracle)
         monkeypatch.setattr(cli, "rlc_single", flipped)
-        _, _, invariants = cli.run_circuit(
+        _, _, invariants, _ = cli.run_circuit(
             "single", [1.0], [0.0], 3.0, 1e-3, resistance=0.2,
             inductance=1.0, capacitance=1.0)
         checks = {inv.name: inv for inv in invariants}
