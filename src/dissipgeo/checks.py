@@ -217,7 +217,7 @@ def exactness_residual(chart, point, step):
 def energy_rate_identity(name, sys, traj, dt):
     """Measured dE_L/dt against -(dh/dS) q'_j D_j along a contact path,
     relative to the analytic rate."""
-    analytic = analytic_energy_rate(sys, traj.q[2:-2].T, traj.qd[2:-2].T,
+    analytic = analytic_energy_rate(sys, traj.q[2:-2], traj.qd[2:-2],
                                     traj.s[2:-2])
     return five_point_residual(name, traj.energy, dt, analytic, 1e-6)
 

@@ -15,16 +15,18 @@ RLC circuit builders; a conservative system is the first form with
 h = 0.  The field maps the flat state y = (q, q', S) of shape (2n + 1,),
 or each row of a stack (..., 2n + 1) of them, to y', with one Hessian
 test and one solve per stack and every row with the bits of its one-row
-call.  The velocity Hessian H is singular unless
-|det H| > HESSIAN_DET_TOL max|H_jk|^n, a scale-free test that also
-rejects a non-finite H, without a warning; ``_singular`` is that one
-test, and the mass of ``representative_matrix``, the Hessian of
-q'^T m q' / 2, is judged by it too.  The field solves H q'' = rhs by LU.
+call; a last axis other than 2n + 1 raises ValueError.  The velocity
+Hessian H is singular unless |det H| > HESSIAN_DET_TOL max|H_jk|^n, a
+scale-free test that also rejects a non-finite H, without a warning;
+``_singular`` is that one test, and the mass of
+``representative_matrix``, the Hessian of q'^T m q' / 2, is judged by it
+too.  The field solves H q'' = rhs by LU.
 
-Callbacks are batched: each takes q and q' of shape (n, *batch) and
-returns its value with the batch axes last, a scalar function as
-(*batch), a covector as (n, *batch) and a matrix as (n, n, *batch); a
+Callbacks take stacks like every other layer: q and q' of shape
+(..., n), one state being the case with no leading axes, and a scalar
+function returns (...), a covector (..., n) and a matrix (..., n, n); a
 matrix that does not depend on the state may be returned as n x n.
+Write a coordinate as q[..., j].
 
 ``integrate_contact`` steps a system in one of two ways.  A builder sets
 ``linear_projection`` when h is linear in S, h = h(0) + r S, and
@@ -202,10 +204,11 @@ class ContactLagrangianSystem:
     The force covector is D = d_f_dqd, the velocity gradient of a
     Rayleigh function F, when that is given, and D = dL/dq'
     (Caldirola-Kanai) otherwise; h = 0, the default, is conservative.
-    mixed_hess(q, q')[j, k] is d^2 L / dq_k dq'_j.  The velocity Hessian
-    must stay invertible along trajectories.  domain_guard, when set,
-    stops integration cleanly once it returns False.  Every callback is
-    batched as the module docstring says.  linear_projection declares
+    mixed_hess(q, q')[..., j, k] is d^2 L / dq_k dq'_j.  The velocity
+    Hessian must stay invertible along trajectories.  domain_guard, when
+    set, stops integration cleanly once it returns False.  Every callback
+    takes q and q' of shape (..., n), as the module docstring says, and h
+    and dh_ds take S of shape (...).  linear_projection declares
     that h is linear in S and that (q, q') follows a linear flow, which
     lets integrate_contact step the system in closed form; only builders
     set it.
@@ -224,9 +227,9 @@ class ContactLagrangianSystem:
     linear_projection: bool = False
 
     def energy(self, q, qd):
-        """Lagrangian energy E_L = q'_j dL/dq'_j - L, batched like the
-        callbacks."""
-        return (qd * self.d_l_dqd(q, qd)).sum(axis=0) \
+        """Lagrangian energy E_L = q'_j dL/dq'_j - L at q and q' of shape
+        (..., n)."""
+        return (qd * self.d_l_dqd(q, qd)).sum(axis=-1) \
             - self.lagrangian(q, qd)
 
 
@@ -236,21 +239,20 @@ def _force_covector(sys, q, qd):
 
 
 def _quadratic(mat, v):
-    """v_j M_jk v_k for v of shape (n, *batch)."""
-    return np.einsum("j...,jk,k...->...", v, mat, v)
+    """v_j M_jk v_k for v of shape (..., n)."""
+    return np.einsum("...j,jk,...k->...", v, mat, v)
 
 
 def _singular(mats):
-    """Which matrices mats[j, k, *batch] are singular: all but those with
+    """Which matrices mats[..., j, k] are singular: all but those with
     |det M| > HESSIAN_DET_TOL max|M_jk|^n, so a non-finite M is singular
     too.  An n x n mats gives one verdict; n = 1 reads M != 0 and finite,
     with no LAPACK call, and n >= 2 takes det and the n-th power with
     numpy's warnings off (an overflowing power reads singular)."""
-    n = mats.shape[0]
+    n = mats.shape[-1]
     if n == 1:
-        det = scale = abs(mats[0, 0])
+        det = scale = abs(mats[..., 0, 0])
     else:
-        mats = np.moveaxis(mats, (0, 1), (-2, -1))
         with np.errstate(all="ignore"):
             det = np.abs(np.linalg.det(mats))
             scale = np.abs(mats).max(axis=(-2, -1)) ** n
@@ -261,52 +263,36 @@ def _s_rate(sys, q, qd, s, force):
     """S' at (q, q', S) given the force covector, batched."""
     if sys.d_f_dqd is None:
         return sys.lagrangian(q, qd) - sys.h(s)
-    return (qd * force).sum(axis=0) - (sys.energy(q, qd) + sys.h(s))
-
-
-def _solve(mats, vecs):
-    """M^-1 v for stacks M (..., n, n) and v (..., n), as ``matvec``."""
-    return np.linalg.solve(mats, vecs[..., None])[..., 0]
-
-
-def _by_row(flat, stacked, mat, vec):
-    """M v or M^-1 v for every column v of vec (n, *batch) and M of mat,
-    n x n or (n, n, *batch): flat(M, v), np.matmul or np.linalg.solve, on
-    a flat v, and stacked, ``matvec`` or ``_solve``, on the stacks with
-    their batch axes first, so each row has the bits of its one-row call."""
-    if vec.ndim == 1:
-        return flat(mat, vec)
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim > 2:
-        mat = np.moveaxis(mat, (0, 1), (-2, -1))
-    return np.moveaxis(stacked(mat, np.moveaxis(vec, 0, -1)), -1, 0)
+    return (qd * force).sum(axis=-1) - (sys.energy(q, qd) + sys.h(s))
 
 
 def contact_el_field(sys, y):
     """y' = (q', q'', S') at each flat state y = (q, q', S) of a stack
     (..., 2n + 1): one Hessian test and one solve for the stack, and every
-    row with the bits of its one-row call.  A singular Hessian in any row
-    raises with the (q, q', S) of the first such row in C order."""
+    row with the bits of its one-row call.  A last axis other than 2n + 1
+    raises ValueError, and a singular Hessian in any row raises with the
+    (q, q', S) of the first such row in C order."""
     n = sys.n
-    yt = y.T  # the callbacks' layout: (2n + 1, *batch), batch axes reversed
-    q, qd, s = yt[:n], yt[n:2 * n], yt[2 * n]
+    if y.shape[-1:] != (2 * n + 1,):
+        raise ValueError(f"states {y.shape} are not (..., {2 * n + 1})")
+    q, qd, s = y[..., :n], y[..., n:2 * n], y[..., 2 * n]
     hess = np.asarray(sys.hess_qd(q, qd), dtype=float)
     singular = _singular(hess)
     # one state's verdict is a numpy bool, whose .any() costs a microsecond
     if singular.any() if singular.ndim else singular:
-        bad = np.broadcast_to(singular, s.shape).T  # y's batch axes
+        bad = np.broadcast_to(singular, s.shape)
         row = y[np.unravel_index(np.argmax(bad), bad.shape)]
         raise ImplicitSystemError("singular velocity Hessian", state=(
             row[:n].copy(), row[n:2 * n].copy(), row[2 * n]))
     force = _force_covector(sys, q, qd)
-    rhs = sys.d_l_dq(q, qd) - _by_row(
-        np.matmul, matvec, sys.mixed_hess(q, qd), qd) \
-        - sys.dh_ds(s) * force
-    dy = np.empty(yt.shape)
-    dy[:n] = qd
-    dy[n:2 * n] = _by_row(np.linalg.solve, _solve, hess, rhs)
-    dy[2 * n] = _s_rate(sys, q, qd, s, force)
-    return dy.T
+    # dh_ds may return a scalar or one value per state
+    rhs = sys.d_l_dq(q, qd) - matvec(sys.mixed_hess(q, qd), qd) \
+        - np.asarray(sys.dh_ds(s))[..., None] * force
+    dy = np.empty(y.shape)
+    dy[..., :n] = qd
+    dy[..., n:2 * n] = np.linalg.solve(hess, rhs[..., None])[..., 0]
+    dy[..., 2 * n] = _s_rate(sys, q, qd, s, force)
+    return dy
 
 
 @dataclass(frozen=True)
@@ -321,9 +307,9 @@ class ContactTrajectory:
 
 
 def analytic_energy_rate(sys, q, qd, s):
-    """-(dh/dS) q'_j D_j, the exact rate of the Lagrangian energy, batched
-    like the callbacks (s of the batch shape)."""
-    return -sys.dh_ds(s) * (qd * _force_covector(sys, q, qd)).sum(axis=0)
+    """-(dh/dS) q'_j D_j, the exact rate of the Lagrangian energy, at q
+    and q' of shape (..., n) and s of shape (...)."""
+    return -sys.dh_ds(s) * (qd * _force_covector(sys, q, qd)).sum(axis=-1)
 
 
 _STAGE_C = (0.5, 0.5, 1.0)  # RK4 stage i + 1 starts at y + c_i dt k_i
@@ -374,17 +360,17 @@ def _closed_form_fill(sys, y0, steps, dt):
     # last one ends on the last row or on the first row outside the guard
     keep = steps + 1
     if sys.domain_guard is not None:
-        outside = ~sys.domain_guard(zs[1:, :n].T, zs[1:, n:].T)
+        outside = ~sys.domain_guard(zs[1:, :n], zs[1:, n:])
         if outside.any():
             keep = steps = int(np.argmax(outside)) + 1
     eye = np.eye(dim)
     amps = [eye]
     for c in _STAGE_C:
         amps.append(eye + c * dt * g @ amps[-1])
-    # stage point i of step k is stages[:, i, k] = A_i z_k
+    # stage point i of step k is stages[i, k] = A_i z_k
     stages = (np.reshape(amps, (-1, dim)) @ zs[:steps].T).reshape(
-        4, dim, steps).transpose(1, 0, 2)
-    q, qd = stages[:n], stages[n:]
+        4, dim, steps).transpose(0, 2, 1)
+    q, qd = stages[..., :n], stages[..., n:]
     if _singular(np.asarray(sys.hess_qd(q, qd), dtype=float)).any():
         return None
     b = _s_step(_s_rate(sys, q, qd, 0.0, _force_covector(sys, q, qd)), 0.0,
@@ -435,7 +421,7 @@ def integrate_contact(sys, state0, t_end, dt):
     qs = states[:, :n]
     qds = states[:, n:2 * n]
     ss = states[:, 2 * n]
-    energy = sys.energy(qs.T, qds.T)
+    energy = sys.energy(qs, qds)
     e_mech = 0.5 * np.einsum("ij,ij->i", qds, qds)
     return ContactTrajectory(times=times, q=qs, qd=qds, s=ss, energy=energy,
                              energy_mech=e_mech, stopped_early=stopped_early)
@@ -457,10 +443,10 @@ def rlc_single(resistance, inductance, capacitance):
         raise ValueError("need finite L, 1/C and R/L")
     return ContactLagrangianSystem(
         n=1,
-        lagrangian=lambda q, qd: 0.5 * l_ind * qd[0] ** 2
-        - q[0] ** 2 / (2.0 * cap),
-        d_l_dq=lambda q, qd: np.array([-q[0] / cap]),
-        d_l_dqd=lambda q, qd: np.array([l_ind * qd[0]]),
+        lagrangian=lambda q, qd: 0.5 * l_ind * qd[..., 0] ** 2
+        - q[..., 0] ** 2 / (2.0 * cap),
+        d_l_dq=lambda q, qd: -q / cap,
+        d_l_dqd=lambda q, qd: l_ind * qd,
         hess_qd=lambda q, qd: np.array([[l_ind]]),
         mixed_hess=lambda q, qd: np.zeros((1, 1)),
         h=lambda s: rate * s,
@@ -488,13 +474,13 @@ def rlc_coupled(l1, l2, c1, c2, r1, r2, r_coupling):
         n=2,
         lagrangian=lambda q, qd: 0.5 * _quadratic(l_mat, qd)
         - 0.5 * _quadratic(c_mat, q),
-        d_l_dq=lambda q, qd: -np.einsum("jk,k...->j...", c_mat, q),
-        d_l_dqd=lambda q, qd: np.einsum("jk,k...->j...", l_mat, qd),
+        d_l_dq=lambda q, qd: -np.einsum("jk,...k->...j", c_mat, q),
+        d_l_dqd=lambda q, qd: np.einsum("jk,...k->...j", l_mat, qd),
         hess_qd=lambda q, qd: l_mat,
         mixed_hess=lambda q, qd: np.zeros((2, 2)),
         h=lambda s: s,
         dh_ds=lambda s: 1.0,
-        d_f_dqd=lambda q, qd: np.einsum("jk,k...->j...", r_mat, qd),
+        d_f_dqd=lambda q, qd: np.einsum("jk,...k->...j", r_mat, qd),
         linear_projection=True)
 
 
@@ -508,10 +494,11 @@ def friction_system(gamma):
     gamma = float(gamma)
     return ContactLagrangianSystem(
         n=1,
-        lagrangian=lambda q, qd: qd[0] * np.log(qd[0]) - gamma * q[0],
+        lagrangian=lambda q, qd: qd[..., 0] * np.log(qd[..., 0])
+        - gamma * q[..., 0],
         d_l_dq=lambda q, qd: np.full_like(q, -gamma),
-        d_l_dqd=lambda q, qd: np.array([np.log(qd[0]) + 1.0]),
-        hess_qd=lambda q, qd: np.array([[1.0 / qd[0]]]),
+        d_l_dqd=lambda q, qd: np.log(qd) + 1.0,
+        hess_qd=lambda q, qd: (1.0 / qd)[..., None],
         mixed_hess=lambda q, qd: np.zeros((1, 1)),
-        domain_guard=lambda q, qd: qd[0] > 1e-10,
+        domain_guard=lambda q, qd: qd[..., 0] > 1e-10,
         linear_projection=True)

@@ -24,9 +24,10 @@ def damped_particle(v_coeff, gamma):
     """L = qd^2/2 - v q^2/2 with Caldirola-Kanai h(S) = gamma S."""
     return ContactLagrangianSystem(
         n=1,
-        lagrangian=lambda q, qd: 0.5 * qd[0] ** 2 - 0.5 * v_coeff * q[0] ** 2,
-        d_l_dq=lambda q, qd: np.array([-v_coeff * q[0]]),
-        d_l_dqd=lambda q, qd: np.array([qd[0]]),
+        lagrangian=lambda q, qd: 0.5 * qd[..., 0] ** 2
+        - 0.5 * v_coeff * q[..., 0] ** 2,
+        d_l_dq=lambda q, qd: -v_coeff * q,
+        d_l_dqd=lambda q, qd: qd,
         hess_qd=lambda q, qd: np.array([[1.0]]),
         mixed_hess=lambda q, qd: np.zeros((1, 1)),
         h=lambda s: gamma * s,
@@ -37,9 +38,9 @@ def scaled_oscillator(h):
     """L = h (qd^2 - q^2)/2: velocity Hessian h, flow qdd = -q."""
     return ContactLagrangianSystem(
         n=1,
-        lagrangian=lambda q, qd: 0.5 * h * (qd[0] ** 2 - q[0] ** 2),
-        d_l_dq=lambda q, qd: np.array([-h * q[0]]),
-        d_l_dqd=lambda q, qd: np.array([h * qd[0]]),
+        lagrangian=lambda q, qd: 0.5 * h * (qd[..., 0] ** 2 - q[..., 0] ** 2),
+        d_l_dq=lambda q, qd: -h * q,
+        d_l_dqd=lambda q, qd: h * qd,
         hess_qd=lambda q, qd: np.array([[h]]),
         mixed_hess=lambda q, qd: np.zeros((1, 1)))
 
@@ -57,9 +58,9 @@ def diagonal_pair(hess):
     return ContactLagrangianSystem(
         n=2,
         lagrangian=lambda q, qd: 0.5 * (
-            np.einsum("j...,jk,k...->...", qd, hess, qd) - (q * q).sum(0)),
+            np.einsum("...j,jk,...k->...", qd, hess, qd) - (q * q).sum(-1)),
         d_l_dq=lambda q, qd: -q,
-        d_l_dqd=lambda q, qd: np.einsum("jk,k...->j...", hess, qd),
+        d_l_dqd=lambda q, qd: np.einsum("jk,...k->...j", hess, qd),
         hess_qd=lambda q, qd: hess,
         mixed_hess=lambda q, qd: np.zeros((2, 2)))
 
@@ -83,12 +84,27 @@ def in_domain_states(rng, sys, shape):
 def singular_at(sys, marker):
     """sys with a zero velocity Hessian at the states whose q_1 is marker."""
     def hess_qd(q, qd):
-        hess = np.asarray(sys.hess_qd(q, qd), dtype=float)
-        keep = q[0] != marker
-        return np.where(keep, hess.reshape(
-            hess.shape + (1,) * (keep.ndim + 2 - hess.ndim)), 0.0)
+        keep = q[..., 0] != marker
+        return np.where(keep[..., None, None], sys.hess_qd(q, qd), 0.0)
 
     return dataclasses.replace(sys, hess_qd=hess_qd)
+
+
+def spy_on_callbacks(sys, shapes):
+    """sys with a domain guard that holds everywhere, each of whose
+    callbacks of (q, q') appends the shapes it receives to shapes."""
+    def spied(callback):
+        def record(q, qd):
+            shapes.append((q.shape, qd.shape))
+            return callback(q, qd)
+        return record
+
+    guarded = dataclasses.replace(
+        sys, domain_guard=lambda q, qd: np.isfinite(q[..., 0]))
+    return dataclasses.replace(guarded, **{
+        name: spied(getattr(guarded, name)) for name in (
+            "lagrangian", "d_l_dq", "d_l_dqd", "hess_qd", "mixed_hess",
+            "d_f_dqd", "domain_guard")})
 
 
 def five_point_rate(values, dt):
@@ -295,10 +311,10 @@ class TestContactEulerLagrange:
     def test_singular_hessian_reports_state(self):
         sys = ContactLagrangianSystem(
             n=1,
-            lagrangian=lambda q, qd: qd[0] ** 3 / 6.0,
+            lagrangian=lambda q, qd: qd[..., 0] ** 3 / 6.0,
             d_l_dq=lambda q, qd: np.zeros_like(q),
-            d_l_dqd=lambda q, qd: np.array([qd[0] ** 2 / 2.0]),
-            hess_qd=lambda q, qd: np.array([[qd[0]]]),
+            d_l_dqd=lambda q, qd: qd ** 2 / 2.0,
+            hess_qd=lambda q, qd: qd[..., None],
             mixed_hess=lambda q, qd: np.zeros((1, 1)))
         with pytest.raises(ImplicitSystemError) as info:
             contact_el_field(sys, np.zeros(3))
@@ -368,7 +384,7 @@ class TestContactEulerLagrange:
         assert dy[2] == sys.lagrangian(y[:1], y[1:2])
 
     @pytest.mark.parametrize("sys", STACKED_SYSTEMS, ids=STACKED_IDS)
-    @pytest.mark.parametrize("shape", [(1,), (7,), (2, 3)])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (2, 3), (1000,)])
     def test_stacked_rows_equal_their_one_row_calls(self, sys, shape):
         rng = np.random.default_rng(len(shape) + sys.n)
         y = in_domain_states(rng, sys, shape)
@@ -378,11 +394,45 @@ class TestContactEulerLagrange:
             assert np.array_equal(stack[idx], contact_el_field(sys, y[idx]))
 
     @pytest.mark.parametrize("sys", STACKED_SYSTEMS, ids=STACKED_IDS)
+    @pytest.mark.parametrize("shape", [(), (2, 3)])
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["2n", "2n+2"])
+    def test_a_state_of_the_wrong_length_raises(self, sys, shape, extra):
+        y = np.ones(shape + (2 * sys.n + 1 + extra,))
+        with pytest.raises(ValueError, match=r"not \(\.\.\., "):
+            contact_el_field(sys, y)
+
+    def test_callbacks_take_n_last(self):
+        shapes = []
+        sys = spy_on_callbacks(
+            rlc_coupled(1.0, 2.0, 1.0, 0.5, 0.4, 0.6, 0.2), shapes)
+        n, rng = sys.n, np.random.default_rng(10)
+
+        def received():
+            seen = set(shapes)
+            shapes.clear()
+            assert all(q == qd for q, qd in seen)
+            return {q for q, _ in seen}
+
+        contact_el_field(sys, in_domain_states(rng, sys, ()))
+        assert received() == {(n,)}
+        contact_el_field(sys, in_domain_states(rng, sys, (2, 3)))
+        assert received() == {(2, 3, n)}
+        # the closed form: the initial guard, G's 2n + 1 states, the guard
+        # on rows 1 .. 50, the stage points and the energy of 51 rows
+        traj = integrate_contact(sys, ([1.0, -0.5], [0.2, 0.3], 0.1), 0.5,
+                                 0.01)
+        assert received() == {(n,), (2 * n + 1, n), (50, n), (4, 50, n),
+                              (51, n)}
+        q, qd, s = traj.q[:3], traj.qd[:3], traj.s[:3]
+        assert sys.energy(q, qd).shape == (3,)
+        assert analytic_energy_rate(sys, q, qd, s).shape == (3,)
+        assert received() == {(3, n)}
+
+    @pytest.mark.parametrize("sys", STACKED_SYSTEMS, ids=STACKED_IDS)
     @pytest.mark.parametrize("shape, rows", [
         ((5,), [(2,)]), ((2, 3), [(1, 0), (0, 2)])])
     def test_a_singular_third_row_reports_its_state(self, sys, shape, rows):
-        # rows[-1] is the third row in C order; in Fortran order (1, 0)
-        # of a (2, 3) stack comes before it
+        # rows[-1] is the third row in C order
         rng = np.random.default_rng(9)
         y = in_domain_states(rng, sys, shape)
         for row in rows:
@@ -702,8 +752,8 @@ class TestClosedForm:
         # friction whose velocity Hessian is 0 below q' = 0.5: the (q, q')
         # law stays linear, and q' = exp(-t / 2) crosses 0.5 at t = ln 4
         sys = dataclasses.replace(
-            friction_system(0.5), hess_qd=lambda q, qd: np.array(
-                [[np.where(qd[0] < 0.5, 0.0, 1.0 / qd[0])]]))
+            friction_system(0.5),
+            hess_qd=lambda q, qd: np.where(qd < 0.5, 0.0, 1.0 / qd)[..., None])
         calls = spy_rk4_path(monkeypatch)
         closed, oracle = run_both(sys, ([0.0], [1.0], 0.0), 3.0, 1e-3)
         assert calls == [contact_el_field, contact_el_field]
@@ -740,14 +790,14 @@ class TestClosedForm:
              "diagonal-pair"])
     def test_energy_and_rate_are_batched(self, sys):
         rng = np.random.default_rng(8)
-        q = rng.normal(size=(sys.n, 3, 4))
-        qd = rng.uniform(0.1, 2.0, size=(sys.n, 3, 4))
+        q = rng.normal(size=(3, 4, sys.n))
+        qd = rng.uniform(0.1, 2.0, size=(3, 4, sys.n))
         s = rng.normal(size=(3, 4))
         energy = sys.energy(q, qd)
         rate = analytic_energy_rate(sys, q, qd, s)
         assert energy.shape == rate.shape == (3, 4)
         for idx in np.ndindex(3, 4):
-            point = q[(slice(None),) + idx], qd[(slice(None),) + idx]
+            point = q[idx], qd[idx]
             assert np.isclose(energy[idx], sys.energy(*point),
                               rtol=1e-14, atol=0.0)
             assert np.isclose(rate[idx],
