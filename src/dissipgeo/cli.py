@@ -9,8 +9,9 @@ A config is a JSON object whose keys are ``execute_scenario``'s keywords:
 "name" (a plain file name) and "parameters", the keywords of the kind's
 runner in ``RUNNERS`` and of the variant it picks (gkls "model" given or
 not, "circuit", "system"), t_end and dt among them.  Only gkls "jumps"
-and "x0"/"rho0" (exactly one, a density matrix) and linear "expect" (a
-verdict "hamiltonianity", an int "span_dimension") may be left out.
+and "x0"/"rho0" (exactly one, a density matrix; an x0 is stepped as
+given, a rho0 converted once) and linear "expect" (a verdict
+"hamiltonianity", an int "span_dimension") may be left out.
 Every number a config gives (t_end, dt, "gamma", the circuit values, the
 starts and the matrices) must be a finite JSON number, and a JSON boolean
 or a string is none; complex entries are [re, im] pairs of such numbers.
@@ -43,14 +44,16 @@ import numpy as np
 
 from . import purestate as ps
 from .algebra import (BasisCorruptionError, build_su_basis,
-                      from_coherence_vector, is_hermitian)
+                      from_coherence_vector, is_hermitian,
+                      to_coherence_vector)
 from .checks import (CheckResult, contact_residuals, decomposition_identities,
                      energy_rate_identity, five_point_residual,
                      friction_invariants, gkls_flow, hamiltonianity_verdict,
                      linear_oracle, positivity, relative, result,
                      run_checks, sphere_flow, trace_preservation)
 from .contact import DegenerateContactError
-from .gkls import build_model, integrate, phase_damping_model
+from .gkls import (RANK_EIG_TOL, build_model, integrate, phase_damping_model,
+                   spectra)
 from .integrators import DivergenceError, rk4_linear_path
 from .mechanics import (HAMILTONIANITY_VERDICTS, ImplicitSystemError,
                         bivector_span_dimension, friction_system,
@@ -352,39 +355,40 @@ def general_gkls(hamiltonian, jumps=()):
 def run_gkls(t_end, dt, x0=None, rho0=None, **variant):
     build = phase_damping_gkls if "model" in variant else general_gkls
     model, gamma = build(**variant)
-    size = model.basis.size
     if (x0 is None) == (rho0 is None):
         raise ConfigError("give exactly one of x0 and rho0")
-    rho0 = (parse_complex_matrix(rho0, "rho0") if x0 is None
-            else from_coherence_vector(parse_reals(x0, "x0"),
-                                       model.basis))
+    if x0 is None:
+        rho0 = parse_complex_matrix(rho0, "rho0")
+        x0 = to_coherence_vector(rho0, model.basis)
+    else:
+        x0 = parse_reals(x0, "x0")
+        rho0 = from_coherence_vector(x0, model.basis)
     if not (is_hermitian(rho0)
             and positivity(np.linalg.eigvalsh(rho0)).passed):
         raise ConfigError("the initial state is not a density matrix")
-    traj = integrate(model, rho0, t_end, dt)
+    times, points = integrate(model, x0, t_end, dt)
+    traces, values = spectra(model.basis, points)
 
-    header = ["t"] + [f"x{j + 1}" for j in range(size)] \
+    header = ["t"] + [f"x{j + 1}" for j in range(len(x0))] \
         + ["trace", "min_eigenvalue", "rank"]
-    rows = np.column_stack([traj.times, traj.points, traj.traces,
-                            traj.min_eigenvalues,
-                            traj.ranks.astype(float)])
+    rows = np.column_stack([times, points, traces, values[:, 0],
+                            (values >= RANK_EIG_TOL).sum(axis=1)])
 
     invariants = [
-        trace_preservation(traj.traces - 1.0),
-        positivity(traj.min_eigenvalues),
-        *decomposition_identities([(model, [traj.points[0]])]),
+        trace_preservation(traces - 1.0),
+        positivity(values[:, 0]),
+        *decomposition_identities([(model, [points[0]])]),
         result("gkls/exponential-oracle", float(np.max(np.abs(
-            from_coherence_vector(traj.points[-1], model.basis)
-            - gkls_flow(model, rho0, traj.times[-1])))), 1e-6),
+            from_coherence_vector(points[-1], model.basis)
+            - gkls_flow(model, rho0, times[-1])))), 1e-6),
     ]
     if gamma is not None:
-        law = np.exp(-2.0 * gamma * traj.times)
-        expected = np.column_stack([traj.points[0, 0] * law,
-                                    traj.points[0, 1] * law,
-                                    np.full_like(law, traj.points[0, 2])])
+        law = np.exp(-2.0 * gamma * times)
+        expected = np.column_stack([points[0, 0] * law, points[0, 1] * law,
+                                    np.full_like(law, points[0, 2])])
         invariants.append(result(
             "gkls/phase-damping-analytic",
-            float(np.max(np.abs(traj.points - expected))), 1e-6))
+            float(np.max(np.abs(points - expected))), 1e-6))
     return header, rows, invariants, False
 
 

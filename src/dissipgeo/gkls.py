@@ -29,12 +29,13 @@ the one home of e_V, Y_V and Z_K, reads off as ``xh - yv``.
 leading axes broadcast against the split's; every row rounds as the
 call on that row alone.
 
-``integrate`` steps that field as the linear field of (x, 1), its lift
-[[A, B], [0, 0]] (Van Loan, IEEE TAC 23, 1978), by
-``integrators.linear_fill``, and keeps the x columns of that path as a
+``integrate`` steps that field from the coherence vector x0 it is given
+and returns the path (times, points), as every flow does: as the linear
+field of (x, 1), its lift [[A, B], [0, 0]] (Van Loan, IEEE TAC 23, 1978),
+by ``integrators.linear_fill``, keeping the x columns of that path as a
 view, with no copy; a run the fill declines is stepped by ``rk4_path``
 on A x + B, so a diverging run raises with x alone in its partial path.
-The spectra along a path are 1/2 -+ |x|/sqrt 2 for a qubit, else ``eigvalsh``.
+``spectra`` gives the spectra along a path to the callers that read them.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from functools import partial
 import numpy as np
 
 from .algebra import (SuBasis, build_su_basis, from_coherence_vector,
-                      is_hermitian, matvec, to_coherence_vector)
+                      is_hermitian, matvec)
 from .integrators import fast_path, linear_fill, rk4_path
 
 RANK_EIG_TOL = 1e-9
@@ -78,18 +79,6 @@ class FieldDecomposition:
     Kmat: np.ndarray
     V_vec: np.ndarray      # Tr(V tau_j)
     calV_vec: np.ndarray   # Tr(sum_k v_k v_k^dag tau_j)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Coherence-vector path with per-point spectral diagnostics."""
-
-    times: np.ndarray
-    points: np.ndarray
-    traces: np.ndarray
-    min_eigenvalues: np.ndarray
-    spectra: np.ndarray
-    ranks: np.ndarray
 
 
 def _check_matrices(shape, n):
@@ -206,26 +195,22 @@ def evaluate_component_fields(dec, x):
     return xh, yv, zk
 
 
-def _trajectory(basis, times, points):
-    """Attach per-point trace, spectrum and rank diagnostics to a path:
-    for n = 2, xi = I/2 + x^j tau_j has the eigenvalues 1/2 -+ |x|/sqrt 2
+def spectra(basis, points):
+    """(traces, spectra) of xi = I/n + x^j tau_j at each point (T, n^2 - 1)
+    of a path: for n = 2 the eigenvalues are 1/2 -+ |x|/sqrt 2
     (Tr (x^j tau_j)^2 = |x|^2), else the batched ``eigvalsh`` of xi."""
     xi = from_coherence_vector(points, basis)
     if basis.n == 2:
         r = np.sqrt(np.einsum("tj,tj->t", points, points) * 0.5)
-        spectra = np.column_stack([0.5 - r, 0.5 + r])
+        values = np.column_stack([0.5 - r, 0.5 + r])
     else:
-        spectra = np.linalg.eigvalsh(xi)
-    return Trajectory(times=times, points=points,
-                      traces=np.einsum("taa->t", xi).real,
-                      min_eigenvalues=spectra[:, 0], spectra=spectra,
-                      ranks=(spectra >= RANK_EIG_TOL).sum(axis=1))
+        values = np.linalg.eigvalsh(xi)
+    return np.einsum("taa->t", xi).real, values
 
 
-def integrate_coherence_field(field, x0, t_end, dt, basis):
-    """RK4 a coherence-vector field and attach spectral diagnostics."""
-    times, points = rk4_path(field, np.asarray(x0, dtype=float), t_end, dt)
-    return _trajectory(basis, times, points)
+def integrate_coherence_field(field, x0, t_end, dt):
+    """The RK4 path (times, points) of a coherence-vector field."""
+    return rk4_path(field, x0, t_end, dt)
 
 
 def _lifted_fill(lift, x0, steps, dt):
@@ -235,12 +220,10 @@ def _lifted_fill(lift, x0, steps, dt):
     return None if lifted is None else lifted[:, :-1]
 
 
-def integrate(model, rho0, t_end, dt):
-    """RK4 trajectory of dx/dt = A x + B from a density matrix."""
-    x0 = to_coherence_vector(np.asarray(rho0, dtype=complex), model.basis)
+def integrate(model, x0, t_end, dt):
+    """The RK4 path (times, points) of dx/dt = A x + B from the coherence
+    vector x0."""
     lift = np.block([[model.A, model.B[:, None]],
-                     [np.zeros((1, len(x0) + 1))]])
-    times, points, _ = fast_path(partial(_lifted_fill, lift),
-                                 lambda x: model.A @ x + model.B, x0, t_end,
-                                 dt, None)
-    return _trajectory(model.basis, times, points)
+                     [np.zeros((1, len(model.B) + 1))]])
+    return fast_path(partial(_lifted_fill, lift),
+                     lambda x: model.A @ x + model.B, x0, t_end, dt, None)[:2]

@@ -25,8 +25,8 @@ too.  The field solves H q'' = rhs by LU.
 Callbacks take stacks like every other layer: q and q' of shape
 (..., n), one state being the case with no leading axes, and a scalar
 function returns (...), a covector (..., n) and a matrix (..., n, n); a
-matrix that does not depend on the state may be returned as n x n.
-Write a coordinate as q[..., j].
+constant matrix may be n x n, h and dh_ds a scalar.  Any other shape
+raises ValueError: write a coordinate as q[..., j], not q[0].
 
 ``integrate_contact`` steps a system in one of two ways.  A builder sets
 ``linear_projection`` when h is linear in S, h = h(0) + r S, and
@@ -229,13 +229,23 @@ class ContactLagrangianSystem:
     def energy(self, q, qd):
         """Lagrangian energy E_L = q'_j dL/dq'_j - L at q and q' of shape
         (..., n)."""
-        return (qd * self.d_l_dqd(q, qd)).sum(axis=-1) \
-            - self.lagrangian(q, qd)
+        d_dqd = _shaped("d_l_dqd", self.d_l_dqd(q, qd), np.shape(qd))
+        return (qd * d_dqd).sum(axis=-1) \
+            - _shaped("lagrangian", self.lagrangian(q, qd), np.shape(qd)[:-1])
+
+
+def _shaped(name, value, *shapes):
+    """value as a float array; ValueError unless its shape is one of
+    shapes, those the module docstring gives the callback name."""
+    value = np.asarray(value, dtype=float)
+    if value.shape not in shapes:
+        raise ValueError(f"{name} returned shape {value.shape}, not {shapes}")
+    return value
 
 
 def _force_covector(sys, q, qd):
-    d_dqd = sys.d_l_dqd if sys.d_f_dqd is None else sys.d_f_dqd
-    return np.asarray(d_dqd(q, qd), dtype=float)
+    name = "d_l_dqd" if sys.d_f_dqd is None else "d_f_dqd"
+    return _shaped(name, getattr(sys, name)(q, qd), np.shape(qd))
 
 
 def _quadratic(mat, v):
@@ -261,9 +271,10 @@ def _singular(mats):
 
 def _s_rate(sys, q, qd, s, force):
     """S' at (q, q', S) given the force covector, batched."""
+    h = _shaped("h", sys.h(s), (), np.shape(s))
     if sys.d_f_dqd is None:
-        return sys.lagrangian(q, qd) - sys.h(s)
-    return (qd * force).sum(axis=-1) - (sys.energy(q, qd) + sys.h(s))
+        return _shaped("lagrangian", sys.lagrangian(q, qd), q.shape[:-1]) - h
+    return (qd * force).sum(axis=-1) - (sys.energy(q, qd) + h)
 
 
 def contact_el_field(sys, y):
@@ -276,7 +287,8 @@ def contact_el_field(sys, y):
     if y.shape[-1:] != (2 * n + 1,):
         raise ValueError(f"states {y.shape} are not (..., {2 * n + 1})")
     q, qd, s = y[..., :n], y[..., n:2 * n], y[..., 2 * n]
-    hess = np.asarray(sys.hess_qd(q, qd), dtype=float)
+    mats = (s.shape + (n, n), (n, n))
+    hess = _shaped("hess_qd", sys.hess_qd(q, qd), *mats)
     singular = _singular(hess)
     # one state's verdict is a numpy bool, whose .any() costs a microsecond
     if singular.any() if singular.ndim else singular:
@@ -285,9 +297,9 @@ def contact_el_field(sys, y):
         raise ImplicitSystemError("singular velocity Hessian", state=(
             row[:n].copy(), row[n:2 * n].copy(), row[2 * n]))
     force = _force_covector(sys, q, qd)
-    # dh_ds may return a scalar or one value per state
-    rhs = sys.d_l_dq(q, qd) - matvec(sys.mixed_hess(q, qd), qd) \
-        - np.asarray(sys.dh_ds(s))[..., None] * force
+    rhs = _shaped("d_l_dq", sys.d_l_dq(q, qd), q.shape) \
+        - matvec(_shaped("mixed_hess", sys.mixed_hess(q, qd), *mats), qd) \
+        - _shaped("dh_ds", sys.dh_ds(s), (), s.shape)[..., None] * force
     dy = np.empty(y.shape)
     dy[..., :n] = qd
     dy[..., n:2 * n] = np.linalg.solve(hess, rhs[..., None])[..., 0]

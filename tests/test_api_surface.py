@@ -75,8 +75,9 @@ def test_every_definition_is_used_by_the_package():
 def test_rk4_path_has_one_hand_off():
     """A fast route fills the step grid or declines, and
     integrators.fast_path alone hands a declined run to rk4_path; the
-    only other use is gkls.integrate_coherence_field, which has no fast
-    route."""
+    only other use is gkls.integrate_coherence_field, rk4_path on a
+    coherence field under the name bench/spans.py traces, which no src
+    module calls."""
     uses = [f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
             for path in sorted(SOURCE.glob("*.py"))
             for stmt in ast.parse(path.read_text()).body
@@ -84,6 +85,15 @@ def test_rk4_path_has_one_hand_off():
             if isinstance(node, ast.Name) and node.id == "rk4_path"
             or isinstance(node, ast.Attribute) and node.attr == "rk4_path"]
     assert uses == ["gkls.integrate_coherence_field", "integrators.fast_path"]
+
+
+def test_no_flow_converts_its_initial_state():
+    """gkls.integrate steps the coherence vector it is given, as every
+    flow steps the state it is given, so gkls makes no
+    to_coherence_vector call: a caller holding a density matrix converts
+    it once."""
+    assert calls_in("gkls", lambda call: "to_coherence_vector"
+                    in referenced_names(call.func)) == []
 
 
 def test_integrators_knows_no_flow():

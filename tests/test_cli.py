@@ -328,6 +328,22 @@ def general_gkls_x0(**changes):
             "x0": [0.1, 0.0, 0.0], **changes}
 
 
+def random_gkls_x0(n, seed):
+    """A general gkls config of size n, a random H and one random jump,
+    from a random x0 with |x0| = 0.2 < 1/n, so that I/n + x0^j tau_j is a
+    density matrix: |x0^j tau_j| is at most its Frobenius norm |x0|."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(2, 2, n, n))
+    h, jump = g[:, 0] + 1j * g[:, 1]
+    x0 = rng.normal(size=n * n - 1)
+
+    def pairs(matrix):
+        return [[[z.real, z.imag] for z in row] for row in matrix.tolist()]
+
+    return {"hamiltonian": pairs(h + h.conj().T), "jumps": [pairs(0.5 * jump)],
+            "x0": (0.2 * x0 / np.linalg.norm(x0)).tolist(), **SHORT}
+
+
 # t_end / dt rounding to no step (0.5 rounds to 0): no path to report
 BAD_VALUE_CONFIGS.update({
     "gkls-no-step": ("gkls", {**PHASE_DAMPING, "t_end": 1.0, "dt": 3.0}),
@@ -923,6 +939,19 @@ class TestScenarioRuns:
         assert abs(row["t"] - 1.0) < 1e-12
         assert abs(row["x1"] - np.exp(-2.0) / np.sqrt(2.0)) < 1e-6
 
+    @pytest.mark.parametrize("params", [
+        builtin_parameters("phase-damping", **SHORT), random_gkls_x0(3, 39)],
+        ids=["phase-damping", "general-n3"])
+    def test_gkls_csv_starts_at_its_x0(self, params, tmp_path, capsys):
+        # an x0 is stepped as given, with no round trip through rho, so
+        # row 0 holds its bits
+        cfg = tmp_path / "start.json"
+        cfg.write_text(json.dumps({"kind": "gkls", "parameters": params}))
+        assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_OK
+        row = (tmp_path / "start.csv").read_text().splitlines()[1]
+        assert [float(v) for v in row.split(",")[1:1 + len(params["x0"])]] \
+            == params["x0"]
+
     def test_lossless_circuit_energy_invariant(self, tmp_path, capsys):
         cfg = tmp_path / "lc.json"
         cfg.write_text(json.dumps({
@@ -962,10 +991,10 @@ class TestScenarioRuns:
         integrate = cli.integrate
 
         def shifted(*args):
-            traj = integrate(*args)
-            traj.points[-1, 0] += 1e-5  # rho moves by 1e-5 tau_1, far
+            times, points = integrate(*args)
+            points[-1, 0] += 1e-5  # rho moves by 1e-5 tau_1, far
             # beyond the path's own error at dt = 0.01
-            return traj
+            return times, points
 
         monkeypatch.setattr(cli, "integrate", shifted)
         _, _, invariants, _ = RUNNERS["gkls"](**VARIANTS["general-gkls"][1])

@@ -18,7 +18,8 @@ from dissipgeo.checks import (decomposition_identities, positivity,
 from dissipgeo.cli import EXIT_OK, main
 from dissipgeo.gkls import (apply_generator, build_model, decompose_field,
                             evaluate_component_fields, integrate,
-                            integrate_coherence_field, phase_damping_model)
+                            integrate_coherence_field, phase_damping_model,
+                            spectra)
 from dissipgeo.integrators import DivergenceError, rk4_path
 
 SQRT2 = np.sqrt(2.0)
@@ -386,24 +387,27 @@ class TestIntegration:
         gamma = 1.0
         m = phase_damping_model(gamma)
         rho0 = 0.5 * (np.eye(2) + SIGMA1)
-        traj = integrate(m, rho0, t_end=3.0, dt=1e-3)
-        expected = np.exp(-2 * gamma * traj.times) / SQRT2
-        assert np.max(np.abs(traj.points[:, 0] - expected)) < 1e-10
-        assert np.max(np.abs(traj.points[:, 1:])) < 1e-14
+        times, points = integrate(m, to_coherence_vector(rho0, m.basis),
+                                  t_end=3.0, dt=1e-3)
+        expected = np.exp(-2 * gamma * times) / SQRT2
+        assert np.max(np.abs(points[:, 0] - expected)) < 1e-10
+        assert np.max(np.abs(points[:, 1:])) < 1e-14
 
     def test_diagonal_states_are_fixed_points(self):
         m = phase_damping_model(0.3)
         rho0 = np.diag([0.7, 0.3]).astype(complex)
         assert np.max(np.abs(apply_generator(m.H, m.V, m.jumps, rho0))) < 1e-14
-        traj = integrate(m, rho0, t_end=1.0, dt=1e-2)
-        assert np.max(np.abs(traj.points - traj.points[0])) < 1e-14
+        _, points = integrate(m, to_coherence_vector(rho0, m.basis),
+                              t_end=1.0, dt=1e-2)
+        assert np.max(np.abs(points - points[0])) < 1e-14
 
     def test_off_diagonal_decay_rate(self):
         gamma = 0.5
         m = phase_damping_model(gamma)
         rho0 = 0.5 * (np.eye(2) + SIGMA1)
-        traj = integrate(m, rho0, t_end=2.0, dt=1e-3)
-        rho_t = from_coherence_vector(traj.points[-1], m.basis)
+        _, points = integrate(m, to_coherence_vector(rho0, m.basis),
+                              t_end=2.0, dt=1e-3)
+        rho_t = from_coherence_vector(points[-1], m.basis)
         # off-diagonal entry decays as exp(-2 gamma t) = exp(-t) here
         fitted = -np.log(rho_t[0, 1].real / 0.5) / 2.0
         assert abs(fitted - 2 * gamma) < 1e-8
@@ -411,8 +415,10 @@ class TestIntegration:
     def test_constant_trajectory(self):
         basis = build_su_basis(2)
         m = build_model(basis, np.zeros((2, 2)))
-        traj = integrate(m, np.eye(2) / 2 + SIGMA1 / 4, t_end=1.0, dt=1e-2)
-        assert np.max(np.abs(traj.points - traj.points[0])) == 0.0
+        _, points = integrate(
+            m, to_coherence_vector(np.eye(2) / 2 + SIGMA1 / 4, basis),
+            t_end=1.0, dt=1e-2)
+        assert np.max(np.abs(points - points[0])) == 0.0
 
     def test_matrix_exponential_oracle(self):
         rng = np.random.default_rng(9)
@@ -420,38 +426,45 @@ class TestIntegration:
             m = random_model(rng, n)
             rho0 = random_density(rng, n)
             x0 = to_coherence_vector(rho0, m.basis)
-            traj = integrate(m, rho0, t_end=1.0, dt=1e-3)
+            times, points = integrate(m, x0, t_end=1.0, dt=1e-3)
             size = m.basis.size
             aug = np.zeros((size + 1, size + 1))
             aug[:size, :size] = m.A
             aug[:size, size] = m.B
             for idx in (250, 500, 1000):
-                t = traj.times[idx]
+                t = times[idx]
                 prop = expm(aug * t)
                 exact = prop[:size, :size] @ x0 + prop[:size, size]
-                assert np.max(np.abs(traj.points[idx] - exact)) < 1e-8
+                assert np.max(np.abs(points[idx] - exact)) < 1e-8
 
     def test_trace_preserved_exactly(self):
         rng = np.random.default_rng(10)
         m = random_model(rng, 2)
-        traj = integrate(m, random_density(rng, 2), t_end=2.0, dt=1e-3)
-        assert np.max(np.abs(traj.traces - 1.0)) < 1e-12
+        _, points = integrate(
+            m, to_coherence_vector(random_density(rng, 2), m.basis),
+            t_end=2.0, dt=1e-3)
+        traces, _ = spectra(m.basis, points)
+        assert np.max(np.abs(traces - 1.0)) < 1e-12
 
     def test_unitary_flow_preserves_spectrum(self):
         rng = np.random.default_rng(11)
         basis = build_su_basis(3)
         m = build_model(basis, random_hermitian(rng, 3))
         rho0 = random_density(rng, 3)
-        traj = integrate(m, rho0, t_end=10.0, dt=1e-3)
-        drift = np.max(np.abs(traj.spectra - traj.spectra[0]), axis=0)
+        _, points = integrate(m, to_coherence_vector(rho0, basis),
+                              t_end=10.0, dt=1e-3)
+        _, values = spectra(basis, points)
+        drift = np.max(np.abs(values - values[0]), axis=0)
         assert np.max(drift) < 1e-8
 
     def test_positivity_under_full_gkls(self):
         rng = np.random.default_rng(12)
         for n in (2, 3):
             m = random_model(rng, n, n_jumps=2, scale=0.5)
-            traj = integrate(m, random_density(rng, n), t_end=5.0, dt=1e-3)
-            assert np.min(traj.min_eigenvalues) >= -1e-8
+            _, points = integrate(
+                m, to_coherence_vector(random_density(rng, n), m.basis),
+                t_end=5.0, dt=1e-3)
+            assert np.min(spectra(m.basis, points)[1][:, 0]) >= -1e-8
 
     def test_rank_constant_under_hamiltonian_gradient_flow(self):
         rng = np.random.default_rng(13)
@@ -462,10 +475,11 @@ class TestIntegration:
         h = random_hermitian(rng, 3)
         v = random_hermitian(rng, 3, scale=0.5)
         dec = decompose_field(basis, h, v)
-        traj = integrate_coherence_field(
+        _, points = integrate_coherence_field(
             lambda x: np.subtract(*evaluate_component_fields(dec, x)[:2]),
-            to_coherence_vector(rho0, basis), 2.0, 1e-3, basis)
-        assert np.all(traj.ranks == 1)
+            to_coherence_vector(rho0, basis), 2.0, 1e-3)
+        _, values = spectra(basis, points)
+        assert np.all((values >= gkls.RANK_EIG_TOL).sum(axis=1) == 1)
 
     def test_qubit_spectra_hold_to_lapack(self):
         # 1/2 -+ |x|/sqrt 2 against eigvalsh of xi at x = 0, on the Bloch
@@ -482,21 +496,23 @@ class TestIntegration:
         points = np.vstack([np.zeros(3), axes / SQRT2, axes * 1e-5,
                             axes * 3.0, axes * 1e3,
                             directions * radii[:, None]])
-        traj = gkls._trajectory(basis, np.arange(len(points)), points)
+        _, values = spectra(basis, points)
         ref = np.linalg.eigvalsh(from_coherence_vector(points, basis))
         eps = np.finfo(float).eps
         tol = 4 * eps * np.maximum(1, np.linalg.norm(points, axis=1))
-        assert np.all(np.abs(traj.spectra - ref) <= tol[:, None])
-        assert np.array_equal(traj.min_eigenvalues, traj.spectra[:, 0])
-        assert np.array_equal(traj.ranks,
+        assert np.all(np.abs(values - ref) <= tol[:, None])
+        assert np.array_equal((values >= gkls.RANK_EIG_TOL).sum(axis=1),
                               (ref >= gkls.RANK_EIG_TOL).sum(axis=1))
 
     def test_jump_flow_changes_rank(self):
         m = phase_damping_model(1.0)
         plus = np.array([1.0, 1.0]) / SQRT2
-        traj = integrate(m, np.outer(plus, plus), t_end=1.0, dt=1e-2)
-        assert traj.ranks[0] == 1
-        assert traj.ranks[-1] == 2
+        _, points = integrate(
+            m, to_coherence_vector(np.outer(plus, plus), m.basis),
+            t_end=1.0, dt=1e-2)
+        ranks = (spectra(m.basis, points)[1] >= gkls.RANK_EIG_TOL).sum(axis=1)
+        assert ranks[0] == 1
+        assert ranks[-1] == 2
 
     def test_divergence_is_that_of_the_affine_field(self):
         # a declined run is stepped on A x + B, so the error is rk4_path's
@@ -509,7 +525,8 @@ class TestIntegration:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning may leak
             for route in (
-                    lambda: integrate(m, rho0, 1e5, 50.0),
+                    lambda: integrate(
+                        m, to_coherence_vector(rho0, m.basis), 1e5, 50.0),
                     lambda: rk4_path(lambda x: m.A @ x + m.B,
                                      to_coherence_vector(rho0, m.basis),
                                      1e5, 50.0)):
@@ -528,21 +545,19 @@ class TestIntegration:
             warnings.simplefilter("error")  # no overflow warning may leak
             with pytest.raises(DivergenceError) as info:
                 integrate_coherence_field(lambda x: 100.0 * x + 1e3,
-                                          np.ones(3), 50.0, 0.5, basis)
+                                          np.ones(3), 50.0, 0.5)
         assert info.value.partial[0][-1] >= 0.0
 
     def test_fast_route_holds_one_lifted_path(self, monkeypatch):
         # the points are the x columns of the lifted path, not a copy:
         # the peak is that (steps + 1) x (d + 1) array plus the grid, where
         # a copy of x would add (steps + 1) x d floats more
-        monkeypatch.setattr(gkls, "_trajectory",
-                            lambda basis, times, points: points)
         m = phase_damping_model(1.0)
         steps, d = 10 ** 5, m.basis.size
-        rho0 = 0.5 * (np.eye(2) + SIGMA1)
+        x0 = to_coherence_vector(0.5 * (np.eye(2) + SIGMA1), m.basis)
         tracemalloc.start()
         try:
-            points = integrate(m, rho0, steps * 1e-3, 1e-3)
+            _, points = integrate(m, x0, steps * 1e-3, 1e-3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -578,8 +593,10 @@ class TestPathProperties:
     @given(run=gkls_runs())
     def test_invariants_hold_along_the_path(self, run):
         model, rho0, dt = run
-        traj = integrate(model, rho0, 1.0, dt)
-        checks = [trace_preservation(traj.traces - 1.0),
-                  positivity(traj.min_eigenvalues),
-                  *decomposition_identities([(model, traj.points[::10])])]
+        _, points = integrate(model, to_coherence_vector(rho0, model.basis),
+                              1.0, dt)
+        traces, values = spectra(model.basis, points)
+        checks = [trace_preservation(traces - 1.0),
+                  positivity(values[:, 0]),
+                  *decomposition_identities([(model, points[::10])])]
         assert all(c.passed for c in checks), checks

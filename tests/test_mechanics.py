@@ -73,6 +73,19 @@ STACKED_IDS = ["rlc-single", "rlc-coupled", "friction", "damped-particle",
                "diagonal-pair"]
 
 
+# a callback of rlc_coupled (n = 2) whose value has a shape that is wrong
+# for one state and for a stack
+WRONG_SHAPES = {
+    "lagrangian": lambda q, qd: qd,
+    "d_l_dq": lambda q, qd: np.array([-q[0]]),
+    "d_l_dqd": lambda q, qd: qd.sum(axis=-1),
+    "d_f_dqd": lambda q, qd: qd[..., :1],
+    "hess_qd": lambda q, qd: np.eye(2)[None],
+    "mixed_hess": lambda q, qd: np.zeros(2),
+    "h": lambda s: np.zeros(np.shape(s) + (1,)),
+    "dh_ds": lambda s: np.ones(np.shape(s) + (1,))}
+
+
 def in_domain_states(rng, sys, shape):
     """Flat states (*shape, 2n + 1) with q' > 0, inside friction's chart."""
     n = sys.n
@@ -400,6 +413,28 @@ class TestContactEulerLagrange:
         y = np.ones(shape + (2 * sys.n + 1 + extra,))
         with pytest.raises(ValueError, match=r"not \(\.\.\., "):
             contact_el_field(sys, y)
+
+    @pytest.mark.parametrize("shape", [(), (4,)], ids=["state", "stack"])
+    @pytest.mark.parametrize("name", list(WRONG_SHAPES))
+    def test_a_callback_value_of_the_wrong_shape_raises(self, name, shape):
+        sys = dataclasses.replace(STACKED_SYSTEMS[1],
+                                  **{name: WRONG_SHAPES[name]})
+        y = in_domain_states(np.random.default_rng(6), sys, shape)
+        with pytest.raises(ValueError, match=f"^{name} returned shape"):
+            contact_el_field(sys, y)
+
+    def test_a_callback_in_the_former_layout_raises_on_a_stack(self):
+        # q[0] is the coordinate of one state, but the first row of a
+        # stack, whose q'' it used to give every row
+        sys = dataclasses.replace(rlc_single(0.3, 0.7, 0.45),
+                                  d_l_dq=lambda q, qd: np.array([-1.7 * q[0]]))
+        y = in_domain_states(np.random.default_rng(7), sys, (4,))
+        assert contact_el_field(sys, y[0]).shape == (3,)
+        with pytest.raises(ValueError, match="^d_l_dq returned shape"):
+            contact_el_field(sys, y)
+        # the closed form reads G off one field call on a stack
+        with pytest.raises(ValueError, match="^d_l_dq returned shape"):
+            integrate_contact(sys, ([1.0], [0.0], 0.0), 1.0, 0.1)
 
     def test_callbacks_take_n_last(self):
         shapes = []

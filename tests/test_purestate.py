@@ -608,9 +608,9 @@ class TestBlochProjection:
             psi0 = random_unit(rng, n)
             times, psis = ps.integrate_sphere_flow(a, b, psi0, 5.0, 1e-3)
             dec = decompose_field(basis, -a, -2.0 * b)
-            traj = integrate_coherence_field(
+            _, points = integrate_coherence_field(
                 lambda x: np.subtract(*evaluate_component_fields(dec, x)[:2]),
-                ps.project_to_bloch(psi0, basis), 5.0, 1e-3, basis)
+                ps.project_to_bloch(psi0, basis), 5.0, 1e-3)
             for idx in (0, 1000, 2500, 5000):
                 bloch = ps.project_to_bloch(psis[idx], basis)
-                assert np.max(np.abs(bloch - traj.points[idx])) < 1e-6
+                assert np.max(np.abs(bloch - points[idx])) < 1e-6
