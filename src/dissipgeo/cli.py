@@ -366,7 +366,7 @@ def run_gkls(t_end, dt, x0=None, rho0=None, **variant):
     if not (is_hermitian(rho0)
             and positivity(np.linalg.eigvalsh(rho0)).passed):
         raise ConfigError("the initial state is not a density matrix")
-    times, points = integrate(model, x0, t_end, dt)
+    times, points, stopped_early = integrate(model, x0, t_end, dt)
     traces, values = spectra(model.basis, points)
 
     header = ["t"] + [f"x{j + 1}" for j in range(len(x0))] \
@@ -389,14 +389,15 @@ def run_gkls(t_end, dt, x0=None, rho0=None, **variant):
         invariants.append(result(
             "gkls/phase-damping-analytic",
             float(np.max(np.abs(points - expected))), 1e-6))
-    return header, rows, invariants, False
+    return header, rows, invariants, stopped_early
 
 
 def run_pure_state(a, b, psi0, t_end, dt):
     a = parse_complex_matrix(a, "a")
     b = parse_complex_matrix(b, "b")
     psi0 = parse_complex_matrix(psi0, "psi0")
-    times, psis = ps.integrate_sphere_flow(a, b, psi0, t_end, dt)
+    times, psis, stopped_early = ps.integrate_sphere_flow(a, b, psi0,
+                                                          t_end, dt)
     n = psi0.shape[0]
     zs = ps.to_chart(psis)
     norms = np.linalg.norm(psis, axis=1)
@@ -415,7 +416,7 @@ def run_pure_state(a, b, psi0, t_end, dt):
                float(np.max(np.abs(psis[-1] - exact))), 1e-7),
         five_point_residual("purestate/path-solves-z", zs, dt, field, 1e-6),
     ]
-    return header, rows, invariants, False
+    return header, rows, invariants, stopped_early
 
 
 def single_circuit(resistance, inductance, capacitance):
@@ -441,35 +442,38 @@ def run_circuit(circuit, i0, di0, t_end, dt, **values):
     n = sys_.n
     # oracle: Kirchhoff's L I'' + R I' + C^-1 I = 0 as a linear system
     g = representative_matrix(l_mat, r_mat, c_inv)
-    traj = integrate_contact(sys_, (parse_reals(i0, "i0"),
-                                    parse_reals(di0, "di0"), 0.0), t_end, dt)
+    times, states, stopped_early = integrate_contact(
+        sys_, (parse_reals(i0, "i0"), parse_reals(di0, "di0"), 0.0), t_end,
+        dt)
+    energy = sys_.energy(states[:, :n], states[:, n:2 * n])
 
     header = ["t"] + [f"i{j + 1}" for j in range(n)] \
         + [f"di{j + 1}" for j in range(n)] + ["s", "energy"]
-    rows = np.column_stack([traj.times, traj.q, traj.qd, traj.s, traj.energy])
+    rows = np.column_stack([times, states, energy])
 
-    invariants = [linear_oracle("circuit/linear-oracle", g, traj.times,
-                                rows[:, 1:2 * n + 1], len(traj.times) - 1,
-                                1e-6)]
+    invariants = [linear_oracle("circuit/linear-oracle", g, times,
+                                rows[:, 1:2 * n + 1], len(times) - 1, 1e-6)]
     if not np.any(r_mat):
         invariants.append(result(
             "circuit/energy-conservation",
-            relative(traj.energy - traj.energy[0], traj.energy[0]), 1e-8))
+            relative(energy - energy[0], energy[0]), 1e-8))
     else:
         invariants.append(energy_rate_identity(
-            "circuit/energy-rate-identity", sys_, traj, dt))
-    return header, rows, invariants, traj.stopped_early
+            "circuit/energy-rate-identity", sys_, states, energy, dt))
+    return header, rows, invariants, stopped_early
 
 
 def friction_lagrangian(gamma, q0, qd0, t_end, dt):
     gamma = parse_real(gamma, "gamma")
-    traj = integrate_contact(friction_system(gamma), (
+    sys_ = friction_system(gamma)
+    times, states, stopped_early = integrate_contact(sys_, (
         parse_reals(q0, "q0"), parse_reals(qd0, "qd0"), 0.0), t_end, dt)
     header = ["t", "q", "qd", "s", "energy", "energy_mech"]
-    rows = np.column_stack([traj.times, traj.q, traj.qd, traj.s,
-                            traj.energy, traj.energy_mech])
-    return (header, rows, friction_invariants(gamma, traj, dt),
-            traj.stopped_early)
+    rows = np.column_stack([times, states,
+                            sys_.energy(states[:, :1], states[:, 1:2]),
+                            0.5 * states[:, 1] ** 2])
+    return (header, rows, friction_invariants(gamma, states, dt),
+            stopped_early)
 
 
 def expected_verdicts(hamiltonianity=None, span_dimension=None):
@@ -495,7 +499,7 @@ def linear_lagrangian(mass, damping, stiffness, x0, t_end, dt, expect=None):
     hamiltonianity, span_dimension = expected_verdicts(
         **({} if expect is None else expect))
     g = representative_matrix(mass, damping, stiffness)
-    times, states = rk4_linear_path(g, x0, t_end, dt)
+    times, states, stopped_early = rk4_linear_path(g, x0, t_end, dt)
     header = ["t"] + [f"q{j + 1}" for j in range(n)] \
         + [f"qd{j + 1}" for j in range(n)]
     rows = np.column_stack([times, states])
@@ -512,7 +516,7 @@ def linear_lagrangian(mass, damping, stiffness, x0, t_end, dt, expect=None):
             residual=float(span)))
     invariants.append(linear_oracle("mechanics/linear-oracle", g, times,
                                     states, len(times) - 1, 1e-6))
-    return header, rows, invariants, False
+    return header, rows, invariants, stopped_early
 
 
 def run_contact_lagrangian(system, **params):
@@ -525,8 +529,7 @@ def run_contact_lagrangian(system, **params):
 
 # kind -> runner; its keyword signature, with that of the variant it picks,
 # is the one list of the parameter names a config may give.  A runner
-# returns (header, rows, invariants, stopped_early), and only the domain
-# guard of a contact system can end a path early
+# returns (header, rows, invariants, stopped_early), the flag its flow's
 RUNNERS = {
     "gkls": run_gkls,
     "pure-state": run_pure_state,

@@ -30,11 +30,12 @@ leading axes broadcast against the split's; every row rounds as the
 call on that row alone.
 
 ``integrate`` steps that field from the coherence vector x0 it is given
-and returns the path (times, points), as every flow does: as the linear
-field of (x, 1), its lift [[A, B], [0, 0]] (Van Loan, IEEE TAC 23, 1978),
-by ``integrators.linear_fill``, keeping the x columns of that path as a
-view, with no copy; a run the fill declines is stepped by ``rk4_path``
-on A x + B, so a diverging run raises with x alone in its partial path.
+and returns the path (times, points, stopped_early), as every flow
+does: as the linear field of (x, 1), its lift [[A, B], [0, 0]] (Van
+Loan, IEEE TAC 23, 1978), by ``integrators.linear_fill``, keeping the x
+columns of that path as a view, with no copy; a run the fill declines
+is stepped by ``rk4_path`` on A x + B, so a diverging run raises with x
+alone in its partial path.
 ``spectra`` gives the spectra along a path to the callers that read them.
 """
 
@@ -221,9 +222,9 @@ def _lifted_fill(lift, x0, steps, dt):
 
 
 def integrate(model, x0, t_end, dt):
-    """The RK4 path (times, points) of dx/dt = A x + B from the coherence
-    vector x0."""
+    """The RK4 path (times, points, stopped_early) of dx/dt = A x + B
+    from the coherence vector x0, never stopped early."""
     lift = np.block([[model.A, model.B[:, None]],
                      [np.zeros((1, len(model.B) + 1))]])
     return fast_path(partial(_lifted_fill, lift),
-                     lambda x: model.A @ x + model.B, x0, t_end, dt, None)[:2]
+                     lambda x: model.A @ x + model.B, x0, t_end, dt, None)

@@ -5,13 +5,13 @@ plain fourth-order scheme with caller-supplied dt is enough; every gkls,
 linear and pure-state run reports an oracle against a matrix exponential,
 ``checks.expm``, which shares nothing with the routes here.
 
-Every route returns ``(times, states)`` on the grid of ``time_grid``,
+Every route returns times on the grid of ``time_grid`` and states,
 states[i] the state at times[i].  ``rk4_path(f, y0, t_end, dt, post=None)``
-evaluates the field four times per step, serves any field and alone
-raises DivergenceError.  The optional ``post`` map sees every new finite
-state: its value is stored and stepped on (a projection such as
-renormalisation), and a value of None ends the path at the last stored
-state (a domain guard), so a path shorter than the grid means the
+returns that pair, evaluates the field four times per step, serves any
+field and alone raises DivergenceError.  The optional ``post`` map sees
+every new finite state: its value is stored and stepped on (a projection
+such as renormalisation), and a value of None ends the path at the last
+stored state (a domain guard), so a path shorter than the grid means the
 integration stopped early.
 
 A fast route is a fill, fill(y0, steps, dt) -> states or None: it
@@ -21,7 +21,8 @@ a domain guard ends it, or None to decline, and never calls
 fill, and the hand-off of a declined run, whole and from y0, to
 ``rk4_path``, which then decides where it stops and what it raises; it
 returns ``(times, states, stopped_early)``, the flag true when the path
-is shorter than the grid, so no caller derives the grid again.
+is shorter than the grid, so no caller derives the grid again, and
+every flow passes that triple on.
 Every fill is built on the one linear fill here, ``linear_fill``; each
 flow module keeps its own use of it next to its field (``gkls`` keeps the
 x columns of its affine field's lift, ``purestate`` divides each row of
@@ -125,10 +126,10 @@ def fast_path(fill, f, y0, t_end, dt, post):
 
 
 def rk4_linear_path(g, y0, t_end, dt, post=None):
-    """RK4 path (times, states) of y' = G y from 0 to t_end, each state
-    mapped by post, a projection: the path never stops early."""
+    """RK4 path (times, states, stopped_early) of y' = G y from 0 to
+    t_end, each state mapped by post, a projection: the flag is false."""
     return fast_path(partial(linear_fill, g, post=post),
-                     lambda y: g @ y, y0, t_end, dt, post)[:2]
+                     lambda y: g @ y, y0, t_end, dt, post)
 
 
 def linear_fill(g, y0, steps, dt, post=None):

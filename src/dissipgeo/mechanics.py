@@ -48,7 +48,10 @@ built from.  The fill declines a run it cannot fill up to the first row
 outside the domain guard (its z path diverges, a stage Hessian is
 singular or a state is not finite) and every other system's, and
 ``rk4_path`` steps it on ``contact_el_field``; that route alone raises,
-and it is the test oracle of the closed form.
+and it is the test oracle of the closed form.  ``integrate_contact``
+returns ``fast_path``'s (times, states, stopped_early), states in the
+field's layout; a reader that reports E_L or |q'|^2 / 2 evaluates them on
+those states.
 """
 
 from __future__ import annotations
@@ -307,17 +310,6 @@ def contact_el_field(sys, y):
     return dy
 
 
-@dataclass(frozen=True)
-class ContactTrajectory:
-    times: np.ndarray
-    q: np.ndarray
-    qd: np.ndarray
-    s: np.ndarray
-    energy: np.ndarray       # Lagrangian energy E_L
-    energy_mech: np.ndarray  # |q'|^2 / 2
-    stopped_early: bool      # the domain guard ended the path before t_end
-
-
 def analytic_energy_rate(sys, q, qd, s):
     """-(dh/dS) q'_j D_j, the exact rate of the Lagrangian energy, at q
     and q' of shape (..., n) and s of shape (...)."""
@@ -406,10 +398,11 @@ def _closed_form_fill(sys, y0, steps, dt):
 
 
 def integrate_contact(sys, state0, t_end, dt):
-    """RK4 trajectory of the contact Euler-Lagrange field from
-    state0 = (q0, q'0, S0), with per-step Lagrangian-energy diagnostics;
-    closed-form steps when the system declares linear_projection (see
-    the module docstring), rk4_path on contact_el_field otherwise.
+    """The RK4 path (times, states, stopped_early) of the contact
+    Euler-Lagrange field from state0 = (q0, q'0, S0), the flag true when
+    the domain guard ends it before t_end; closed-form steps when the
+    system declares linear_projection (see the module docstring),
+    rk4_path on contact_el_field otherwise.
 
     q0 and q'0 must each hold n entries, S0 must be a scalar and the
     initial state must pass the system's domain guard.  linear_projection
@@ -427,16 +420,8 @@ def integrate_contact(sys, state0, t_end, dt):
     if sys.domain_guard is not None:
         def post(y):
             return y if sys.domain_guard(y[:n], y[n:2 * n]) else None
-    times, states, stopped_early = fast_path(
-        partial(_closed_form_fill, sys), partial(contact_el_field, sys), y0,
-        t_end, dt, post)
-    qs = states[:, :n]
-    qds = states[:, n:2 * n]
-    ss = states[:, 2 * n]
-    energy = sys.energy(qs, qds)
-    e_mech = 0.5 * np.einsum("ij,ij->i", qds, qds)
-    return ContactTrajectory(times=times, q=qs, qd=qds, s=ss, energy=energy,
-                             energy_mech=e_mech, stopped_early=stopped_early)
+    return fast_path(partial(_closed_form_fill, sys),
+                     partial(contact_el_field, sys), y0, t_end, dt, post)
 
 
 def rlc_single(resistance, inductance, capacitance):
@@ -472,10 +457,13 @@ def rlc_coupled(l1, l2, c1, c2, r1, r2, r_coupling):
     L = (1/2) I'^T L I' - (1/2) I^T C I with L = diag(L1, L2),
     C = diag(1/C1, 1/C2), Rayleigh function F = (1/2) I'^T R I' for
     R = [[R1, R], [R, R2]] and h(S) = S, giving Kirchhoff's equations
-    L I'' + R I' + C I = 0; the circuits decouple as R -> 0.
+    L I'' + R I' + C I = 0; the circuits decouple as R -> 0.  R1, R2 >= 0,
+    and R takes the sign the orientation of the currents gives it.
     """
     if l1 <= 0 or l2 <= 0 or c1 <= 0 or c2 <= 0:
         raise ValueError("inductances and capacitances must be positive")
+    if r1 < 0 or r2 < 0:
+        raise ValueError("need r1 >= 0 and r2 >= 0")
     l_mat = np.diag([float(l1), float(l2)])
     c_mat = np.diag([1.0 / float(c1), 1.0 / float(c2)])
     r_mat = np.array([[float(r1), float(r_coupling)],

@@ -186,16 +186,18 @@ def flow_generator(a, b):
 
 def integrate_sphere_flow(a, b, psi0, t_end, dt):
     """RK4 the flow of Z = X_a + Y0_b from a unit vector, as the projected
-    flow of z' = M z.  Returns (times, psis) with psis of shape
-    (steps + 1, n) complex, every row a unit vector."""
+    flow of z' = M z.  Returns (times, psis, stopped_early) with psis
+    of shape (steps + 1, n) complex, every row a unit vector, and the
+    flag of ``rk4_linear_path``."""
     z0 = to_chart(psi0)
     n = z0.size // 2
     if abs(norm_squared(z0) - 1.0) > SPHERE_TOL:  # an inf norm is not 1
         raise ValueError("initial state must be normalized")
     _require_hermitian(a, b)
     m = _real_form(flow_generator(a, b) - np.trace(b).real / n * np.eye(n))
-    times, states = rk4_linear_path(m, z0, t_end, dt, post=_unit)
-    return times, from_chart(states)
+    times, states, stopped_early = rk4_linear_path(m, z0, t_end, dt,
+                                                   post=_unit)
+    return times, from_chart(states), stopped_early
 
 
 def _unit(z):

@@ -52,7 +52,7 @@ def test_criterion_01_phase_damping_reproduction():
     started = time.perf_counter()
     for gamma in (0.5, 1.0, 2.0):
         model = phase_damping_model(gamma)
-        times, points = integrate(model, x0, t_end=5.0, dt=1e-3)
+        times, points, _ = integrate(model, x0, t_end=5.0, dt=1e-3)
         law = np.exp(-2.0 * gamma * times)
         expected = np.column_stack([x0[0] * law, x0[1] * law,
                                     np.full_like(law, x0[2])])
@@ -94,8 +94,8 @@ def test_criterion_03_unitary_spectrum_invariance():
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         rho0 = g @ g.conj().T
         rho0 /= np.trace(rho0).real
-        _, points = integrate(model, to_coherence_vector(rho0, basis),
-                              t_end=10.0, dt=1e-3)
+        _, points, _ = integrate(model, to_coherence_vector(rho0, basis),
+                                 t_end=10.0, dt=1e-3)
         _, values = spectra(basis, points)
         worst = max(worst, float(np.max(np.abs(values - values[0]))))
     report(3, worst < 1e-8,
@@ -129,7 +129,7 @@ def test_criterion_05_pure_state_flow_oracle():
             a = random_hermitian(rng, n)
             b = random_hermitian(rng, n)
             psi0 = random_unit(rng, n)
-            times, psis = ps.integrate_sphere_flow(a, b, psi0, 5.0, 5e-3)
+            times, psis, _ = ps.integrate_sphere_flow(a, b, psi0, 5.0, 5e-3)
             gen = ps.flow_generator(a, b)
             for idx in (len(times) // 2, len(times) - 1):
                 exact = expm(gen * times[idx]) @ psi0
@@ -137,9 +137,9 @@ def test_criterion_05_pure_state_flow_oracle():
                 worst = max(worst, float(np.max(np.abs(psis[idx] - exact))))
     basis = build_su_basis(2)
     sigma3 = np.diag([1.0, -1.0]).astype(complex)
-    _, psis = ps.integrate_sphere_flow(np.zeros((2, 2)), sigma3,
-                                       np.array([0.6, 0.8 + 0.0j]),
-                                       20.0, 2e-3)
+    _, psis, _ = ps.integrate_sphere_flow(np.zeros((2, 2)), sigma3,
+                                          np.array([0.6, 0.8 + 0.0j]),
+                                          20.0, 2e-3)
     bloch_err = float(np.max(np.abs(
         ps.project_to_bloch(psis[-1], basis) - [0, 0, 1 / SQRT2])))
     report(5, worst < 1e-7 and bloch_err < 1e-6,
@@ -191,17 +191,18 @@ def test_criterion_07_lagrangian_nonexistence():
 
 def test_criterion_08_contact_el_reproduction():
     r, l_ind, cap = 0.2, 1.0, 1.0
-    traj = integrate_contact(rlc_single(r, l_ind, cap),
-                             ([1.0], [0.0], 0.0), 10.0, 1e-3)
+    times, states, _ = integrate_contact(rlc_single(r, l_ind, cap),
+                                         ([1.0], [0.0], 0.0), 10.0, 1e-3)
     decay = r / (2 * l_ind)
     w_d = np.sqrt(1.0 / (l_ind * cap) - decay ** 2)
-    exact = np.exp(-decay * traj.times) * (
-        np.cos(w_d * traj.times) + decay / w_d * np.sin(w_d * traj.times))
-    single_err = float(np.max(np.abs(traj.q[:, 0] - exact)))
+    exact = np.exp(-decay * times) * (
+        np.cos(w_d * times) + decay / w_d * np.sin(w_d * times))
+    single_err = float(np.max(np.abs(states[:, 0] - exact)))
 
     l1, l2, c1, c2, r1, r2, rc = 1.0, 1.0, 1.0, 0.5, 0.5, 0.3, 0.2
-    ctraj = integrate_contact(rlc_coupled(l1, l2, c1, c2, r1, r2, rc),
-                              ([1.0, 0.0], [0.0, 0.0], 0.0), 10.0, 1e-3)
+    times, states, _ = integrate_contact(
+        rlc_coupled(l1, l2, c1, c2, r1, r2, rc),
+        ([1.0, 0.0], [0.0, 0.0], 0.0), 10.0, 1e-3)
     g = np.zeros((4, 4))
     g[:2, 2:] = np.eye(2)
     linv = np.linalg.inv(np.diag([l1, l2]))
@@ -210,14 +211,15 @@ def test_criterion_08_contact_el_reproduction():
     coupled_err = 0.0
     state0 = np.array([1.0, 0.0, 0.0, 0.0])
     for idx in (2500, 5000, 10000):
-        exact4 = expm(g * ctraj.times[idx]) @ state0
+        exact4 = expm(g * times[idx]) @ state0
         coupled_err = max(coupled_err, float(np.max(np.abs(
-            ctraj.q[idx] - exact4[:2]))))
+            states[idx, :2] - exact4[:2]))))
 
-    dtraj = integrate_contact(rlc_coupled(1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.0),
-                              ([1.0, 0.0], [0.0, 0.0], 0.0), 5.0, 1e-3)
-    leak = float(max(np.max(np.abs(dtraj.q[:, 1])),
-                     np.max(np.abs(dtraj.qd[:, 1]))))
+    _, states, _ = integrate_contact(
+        rlc_coupled(1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.0),
+        ([1.0, 0.0], [0.0, 0.0], 0.0), 5.0, 1e-3)
+    leak = float(max(np.max(np.abs(states[:, 1])),
+                     np.max(np.abs(states[:, 3]))))
     ok = single_err < 1e-6 and coupled_err < 1e-6 and leak < 1e-12
     report(8, ok,
            f"single RLC error {single_err:.2e} (< 1e-6), coupled error "
@@ -227,14 +229,16 @@ def test_criterion_08_contact_el_reproduction():
 
 def test_criterion_09_friction_energies():
     gamma = 0.5
-    traj = integrate_contact(friction_system(gamma), ([0.0], [1.0], 0.0),
-                             10.0, 1e-3)
-    e_l = traj.qd[:, 0] + gamma * traj.q[:, 0]
+    _, states, _ = integrate_contact(friction_system(gamma),
+                                     ([0.0], [1.0], 0.0), 10.0, 1e-3)
+    qd = states[:, 1]
+    e_l = qd + gamma * states[:, 0]
     drift = float(np.max(np.abs(e_l - e_l[0])))
     dt = 1e-3
-    rate = (-traj.energy_mech[4:] + 8 * traj.energy_mech[3:-1]
-            - 8 * traj.energy_mech[1:-3] + traj.energy_mech[:-4]) / (12 * dt)
-    mismatch = float(np.max(np.abs(rate + gamma * traj.qd[2:-2, 0] ** 2)))
+    e_mech = 0.5 * qd ** 2
+    rate = (-e_mech[4:] + 8 * e_mech[3:-1]
+            - 8 * e_mech[1:-3] + e_mech[:-4]) / (12 * dt)
+    mismatch = float(np.max(np.abs(rate + gamma * qd[2:-2] ** 2)))
     report(9, drift < 1e-8 and mismatch < 1e-6,
            f"E_L drift {drift:.2e} (< 1e-8), "
            f"dE_mech/dt + gamma qd^2 = {mismatch:.2e} (< 1e-6)")
@@ -284,7 +288,7 @@ def test_criterion_11_cross_module_consistency():
         a = random_hermitian(rng, n, scale=0.8)
         b = random_hermitian(rng, n, scale=0.4)
         psi0 = random_unit(rng, n)
-        times, psis = ps.integrate_sphere_flow(a, b, psi0, 5.0, 1e-3)
+        times, psis, _ = ps.integrate_sphere_flow(a, b, psi0, 5.0, 1e-3)
         dec = decompose_field(basis, -a, -2.0 * b)
         _, points = integrate_coherence_field(
             lambda x: np.subtract(*evaluate_component_fields(dec, x)[:2]),

@@ -186,6 +186,8 @@ BAD_VALUE_CONFIGS = {
         **LINEAR, "x0": [float("inf"), 0.0, 0.0, 0.0]}),
     "coupled-r_coupling-string": ("circuit", {
         **COUPLED, "r_coupling": "0.2"}),
+    # r1 and r2 are resistances, >= 0 as a single circuit's is
+    "coupled-r1-negative": ("circuit", {**COUPLED, "r1": -0.5}),
     "integer-overflowing-a-float": ("circuit", {
         **RLC_SINGLE, "inductance": 10 ** 400}),
     # an initial gkls state must be a density matrix
@@ -973,10 +975,10 @@ class TestScenarioRuns:
             final_qd = []
 
             def shifted(*args):
-                traj = integrate(*args)
-                final_qd.append(abs(traj.qd[-1, 0]))
-                traj.qd[-1] += 1e-3 * scale  # q(t_end) is left exact
-                return traj
+                times, states, stopped_early = integrate(*args)
+                final_qd.append(abs(states[-1, 1]))
+                states[-1, 1:2] += 1e-3 * scale  # q(t_end) is left exact
+                return times, states, stopped_early
 
             monkeypatch.setattr(cli, "integrate_contact", shifted)
             _, _, invariants, _ = RUNNERS["circuit"](
@@ -991,10 +993,10 @@ class TestScenarioRuns:
         integrate = cli.integrate
 
         def shifted(*args):
-            times, points = integrate(*args)
+            times, points, stopped_early = integrate(*args)
             points[-1, 0] += 1e-5  # rho moves by 1e-5 tau_1, far
             # beyond the path's own error at dt = 0.01
-            return times, points
+            return times, points, stopped_early
 
         monkeypatch.setattr(cli, "integrate", shifted)
         _, _, invariants, _ = RUNNERS["gkls"](**VARIANTS["general-gkls"][1])
@@ -1080,6 +1082,37 @@ class TestScenarioRuns:
         assert float(lines[-1].split(",")[0]) == report["final_t"]
         out = capsys.readouterr().out
         assert "stopped early" in out and "domain guard" in out
+
+    @pytest.mark.parametrize("variant, module, flow", [
+        ("phase-damping", cli, "integrate"),
+        ("pure-state", purestate, "integrate_sphere_flow"),
+        ("single-circuit", cli, "integrate_contact"),
+        ("friction", cli, "integrate_contact"),
+        ("linear", cli, "rk4_linear_path")],
+        ids=["gkls", "pure-state", "circuit", "friction", "linear"])
+    def test_the_report_flag_is_the_flows_flag(self, variant, module, flow,
+                                               monkeypatch, tmp_path,
+                                               capsys):
+        # each runner reports the flag its flow returns: a flow that
+        # returns half its path, flagged, makes a report that stopped early
+        kind, params = VARIANTS[variant]
+        step = getattr(module, flow)
+        cut_times = []
+
+        def cut(*args, **kwargs):
+            times, states, _ = step(*args, **kwargs)
+            half = len(times) // 2
+            cut_times.append(times[half - 1])
+            return times[:half], states[:half], True
+
+        monkeypatch.setattr(module, flow, cut)
+        cfg = tmp_path / "cut.json"
+        cfg.write_text(json.dumps({"kind": kind, "parameters": {
+            **params, "t_end": 0.2}}))
+        assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_OK
+        report = json.loads((tmp_path / "cut_report.json").read_text())
+        assert report["stopped_early"] is True
+        assert [report["final_t"]] == cut_times
 
     def test_readme_config_example_runs(self, tmp_path, capsys):
         readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -387,8 +387,8 @@ class TestIntegration:
         gamma = 1.0
         m = phase_damping_model(gamma)
         rho0 = 0.5 * (np.eye(2) + SIGMA1)
-        times, points = integrate(m, to_coherence_vector(rho0, m.basis),
-                                  t_end=3.0, dt=1e-3)
+        times, points, _ = integrate(m, to_coherence_vector(rho0, m.basis),
+                                     t_end=3.0, dt=1e-3)
         expected = np.exp(-2 * gamma * times) / SQRT2
         assert np.max(np.abs(points[:, 0] - expected)) < 1e-10
         assert np.max(np.abs(points[:, 1:])) < 1e-14
@@ -397,16 +397,16 @@ class TestIntegration:
         m = phase_damping_model(0.3)
         rho0 = np.diag([0.7, 0.3]).astype(complex)
         assert np.max(np.abs(apply_generator(m.H, m.V, m.jumps, rho0))) < 1e-14
-        _, points = integrate(m, to_coherence_vector(rho0, m.basis),
-                              t_end=1.0, dt=1e-2)
+        _, points, _ = integrate(m, to_coherence_vector(rho0, m.basis),
+                                 t_end=1.0, dt=1e-2)
         assert np.max(np.abs(points - points[0])) < 1e-14
 
     def test_off_diagonal_decay_rate(self):
         gamma = 0.5
         m = phase_damping_model(gamma)
         rho0 = 0.5 * (np.eye(2) + SIGMA1)
-        _, points = integrate(m, to_coherence_vector(rho0, m.basis),
-                              t_end=2.0, dt=1e-3)
+        _, points, _ = integrate(m, to_coherence_vector(rho0, m.basis),
+                                 t_end=2.0, dt=1e-3)
         rho_t = from_coherence_vector(points[-1], m.basis)
         # off-diagonal entry decays as exp(-2 gamma t) = exp(-t) here
         fitted = -np.log(rho_t[0, 1].real / 0.5) / 2.0
@@ -415,7 +415,7 @@ class TestIntegration:
     def test_constant_trajectory(self):
         basis = build_su_basis(2)
         m = build_model(basis, np.zeros((2, 2)))
-        _, points = integrate(
+        _, points, _ = integrate(
             m, to_coherence_vector(np.eye(2) / 2 + SIGMA1 / 4, basis),
             t_end=1.0, dt=1e-2)
         assert np.max(np.abs(points - points[0])) == 0.0
@@ -426,7 +426,7 @@ class TestIntegration:
             m = random_model(rng, n)
             rho0 = random_density(rng, n)
             x0 = to_coherence_vector(rho0, m.basis)
-            times, points = integrate(m, x0, t_end=1.0, dt=1e-3)
+            times, points, _ = integrate(m, x0, t_end=1.0, dt=1e-3)
             size = m.basis.size
             aug = np.zeros((size + 1, size + 1))
             aug[:size, :size] = m.A
@@ -440,7 +440,7 @@ class TestIntegration:
     def test_trace_preserved_exactly(self):
         rng = np.random.default_rng(10)
         m = random_model(rng, 2)
-        _, points = integrate(
+        _, points, _ = integrate(
             m, to_coherence_vector(random_density(rng, 2), m.basis),
             t_end=2.0, dt=1e-3)
         traces, _ = spectra(m.basis, points)
@@ -451,8 +451,8 @@ class TestIntegration:
         basis = build_su_basis(3)
         m = build_model(basis, random_hermitian(rng, 3))
         rho0 = random_density(rng, 3)
-        _, points = integrate(m, to_coherence_vector(rho0, basis),
-                              t_end=10.0, dt=1e-3)
+        _, points, _ = integrate(m, to_coherence_vector(rho0, basis),
+                                 t_end=10.0, dt=1e-3)
         _, values = spectra(basis, points)
         drift = np.max(np.abs(values - values[0]), axis=0)
         assert np.max(drift) < 1e-8
@@ -461,7 +461,7 @@ class TestIntegration:
         rng = np.random.default_rng(12)
         for n in (2, 3):
             m = random_model(rng, n, n_jumps=2, scale=0.5)
-            _, points = integrate(
+            _, points, _ = integrate(
                 m, to_coherence_vector(random_density(rng, n), m.basis),
                 t_end=5.0, dt=1e-3)
             assert np.min(spectra(m.basis, points)[1][:, 0]) >= -1e-8
@@ -507,7 +507,7 @@ class TestIntegration:
     def test_jump_flow_changes_rank(self):
         m = phase_damping_model(1.0)
         plus = np.array([1.0, 1.0]) / SQRT2
-        _, points = integrate(
+        _, points, _ = integrate(
             m, to_coherence_vector(np.outer(plus, plus), m.basis),
             t_end=1.0, dt=1e-2)
         ranks = (spectra(m.basis, points)[1] >= gkls.RANK_EIG_TOL).sum(axis=1)
@@ -557,7 +557,7 @@ class TestIntegration:
         x0 = to_coherence_vector(0.5 * (np.eye(2) + SIGMA1), m.basis)
         tracemalloc.start()
         try:
-            _, points = integrate(m, x0, steps * 1e-3, 1e-3)
+            _, points, _ = integrate(m, x0, steps * 1e-3, 1e-3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -593,8 +593,8 @@ class TestPathProperties:
     @given(run=gkls_runs())
     def test_invariants_hold_along_the_path(self, run):
         model, rho0, dt = run
-        _, points = integrate(model, to_coherence_vector(rho0, model.basis),
-                              1.0, dt)
+        _, points, _ = integrate(model, to_coherence_vector(rho0, model.basis),
+                                 1.0, dt)
         traces, values = spectra(model.basis, points)
         checks = [trace_preservation(traces - 1.0),
                   positivity(values[:, 0]),

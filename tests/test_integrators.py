@@ -75,8 +75,8 @@ class TestAffinePath:
         assert np.max(np.abs(m.B)) > 1e-3
         x0 = 0.1 * rng.normal(size=m.basis.size)
         t_ref, x_ref = rk4_path(lambda x: m.A @ x + m.B, x0, 2.0, 1e-2)
-        times, points = rk4_linear_path(lift(m.A, m.B), np.append(x0, 1.0),
-                                        2.0, 1e-2)
+        times, points, _ = rk4_linear_path(lift(m.A, m.B), np.append(x0, 1.0),
+                                           2.0, 1e-2)
         assert np.array_equal(times, t_ref)
         assert np.all(points[:, -1] == 1.0)
         assert np.max(np.abs(points[:, :-1] - x_ref)) <= 1e-12
@@ -86,7 +86,7 @@ class TestAffinePath:
             *coupled_damped_oscillators(1.0, 2.0, 0.3, 0.7, 0.1, 0.2))
         y0 = np.array([1.0, -0.5, 0.2, 0.0])
         t_ref, y_ref = rk4_path(lambda y: g @ y, y0, 10.0, 1e-3)
-        times, states = rk4_linear_path(g, y0, 10.0, 1e-3)
+        times, states, _ = rk4_linear_path(g, y0, 10.0, 1e-3)
         assert np.array_equal(times, t_ref)
         assert np.max(np.abs(states - y_ref)) <= 1e-12
 
@@ -118,7 +118,7 @@ class TestAffinePath:
         x0 = np.array([0.0, 0.0, 0.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            times, states = rk4_linear_path(a, x0, 1.0, 0.01)
+            times, states, _ = rk4_linear_path(a, x0, 1.0, 0.01)
         t_ref, x_ref = rk4_path(lambda x: a @ x, x0, 1.0, 0.01)
         assert np.array_equal(times, t_ref) and len(states) == 101
         assert np.isfinite(states).all()
@@ -136,8 +136,8 @@ class TestAffinePath:
     def test_matches_rk4_path_on_stable_fields(self, run):
         a, b, y0, t_end, dt = run
         t_ref, y_ref = rk4_path(lambda y: a @ y + b, y0, t_end, dt)
-        times, states = rk4_linear_path(lift(a, b), np.append(y0, 1.0),
-                                        t_end, dt)
+        times, states, _ = rk4_linear_path(lift(a, b), np.append(y0, 1.0),
+                                           t_end, dt)
         assert np.array_equal(times, t_ref)
         assert states.shape == (len(t_ref), len(y0) + 1)
         assert np.all(states[:, -1] == 1.0)
@@ -150,8 +150,8 @@ class TestAffinePath:
         rng = np.random.default_rng(22)
         a = rng.normal(size=(4, 4)) - 3.0 * np.eye(4)
         for g in (a, lift(a, rng.normal(size=4))):
-            times, states = rk4_linear_path(g, rng.normal(size=len(g)),
-                                            2.0, 0.01)
+            times, states, _ = rk4_linear_path(g, rng.normal(size=len(g)),
+                                               2.0, 0.01)
             assert states.shape == (len(times), len(g))
             assert states.dtype == np.float64
             assert states.flags.c_contiguous

@@ -366,9 +366,9 @@ class TestContactEulerLagrange:
                               1.0, 1e-2)
         assert info.value.state is not None
         for h in (5e-11, 2e-10):
-            traj = integrate_contact(scaled_oscillator(h),
-                                     ([1.0], [0.0], 0.0), 1.0, 1e-2)
-            assert abs(traj.q[-1, 0] - np.cos(1.0)) < 1e-8
+            _, states, _ = integrate_contact(scaled_oscillator(h),
+                                             ([1.0], [0.0], 0.0), 1.0, 1e-2)
+            assert abs(states[-1, 0] - np.cos(1.0)) < 1e-8
 
     @pytest.mark.parametrize("scale", [1e-5, 1e-3, 1.0, 1e5])
     def test_hessian_test_is_scale_free_for_two_dofs(self, scale):
@@ -453,12 +453,11 @@ class TestContactEulerLagrange:
         contact_el_field(sys, in_domain_states(rng, sys, (2, 3)))
         assert received() == {(2, 3, n)}
         # the closed form: the initial guard, G's 2n + 1 states, the guard
-        # on rows 1 .. 50, the stage points and the energy of 51 rows
-        traj = integrate_contact(sys, ([1.0, -0.5], [0.2, 0.3], 0.1), 0.5,
-                                 0.01)
-        assert received() == {(n,), (2 * n + 1, n), (50, n), (4, 50, n),
-                              (51, n)}
-        q, qd, s = traj.q[:3], traj.qd[:3], traj.s[:3]
+        # on rows 1 .. 50 and the stage points; it evaluates no energy
+        _, states, _ = integrate_contact(
+            sys, ([1.0, -0.5], [0.2, 0.3], 0.1), 0.5, 0.01)
+        assert received() == {(n,), (2 * n + 1, n), (50, n), (4, 50, n)}
+        q, qd, s = states[:3, :n], states[:3, n:2 * n], states[:3, 2 * n]
         assert sys.energy(q, qd).shape == (3,)
         assert analytic_energy_rate(sys, q, qd, s).shape == (3,)
         assert received() == {(3, n)}
@@ -493,57 +492,64 @@ class TestIntegration:
         # rate -gamma qd^2
         gamma = 0.5
         sys = friction_system(gamma)
-        traj = integrate_contact(sys, ([0.0], [1.0], 0.0), 10.0, 1e-3)
-        e_l = traj.qd[:, 0] + gamma * traj.q[:, 0]
+        _, states, _ = integrate_contact(sys, ([0.0], [1.0], 0.0), 10.0,
+                                         1e-3)
+        q, qd = states[:, :1], states[:, 1:2]
+        e_l = qd[:, 0] + gamma * q[:, 0]
         assert np.max(np.abs(e_l - e_l[0])) < 1e-8
-        assert np.max(np.abs(traj.energy - e_l)) < 1e-12
-        rate = five_point_rate(traj.energy_mech, 1e-3)
-        qd_mid = traj.qd[2:-2, 0]
+        assert np.max(np.abs(sys.energy(q, qd) - e_l)) < 1e-12
+        rate = five_point_rate(0.5 * qd[:, 0] ** 2, 1e-3)
+        qd_mid = qd[2:-2, 0]
         assert np.max(np.abs(rate + gamma * qd_mid ** 2)) < 1e-6
 
     def test_friction_flow_solves_damped_equation(self):
         gamma = 0.5
         sys = friction_system(gamma)
-        traj = integrate_contact(sys, ([0.0], [1.0], 0.0), 10.0, 1e-3)
-        exact = np.exp(-gamma * traj.times)
-        assert np.max(np.abs(traj.qd[:, 0] - exact)) < 1e-10
+        times, states, _ = integrate_contact(sys, ([0.0], [1.0], 0.0), 10.0,
+                                             1e-3)
+        exact = np.exp(-gamma * times)
+        assert np.max(np.abs(states[:, 1] - exact)) < 1e-10
 
     def test_friction_guard_stops_cleanly(self):
         sys = friction_system(5.0)
-        traj = integrate_contact(sys, ([0.0], [1.0], 0.0), 10.0, 1e-3)
-        assert traj.qd[-1, 0] > 1e-10
-        assert traj.times[-1] < 10.0
+        times, states, _ = integrate_contact(sys, ([0.0], [1.0], 0.0), 10.0,
+                                             1e-3)
+        assert states[-1, 1] > 1e-10
+        assert times[-1] < 10.0
 
     def test_single_rlc_matches_closed_form(self):
         r, l_ind, cap = 0.2, 1.0, 1.0
         sys = rlc_single(r, l_ind, cap)
         i0, di0 = 1.0, 0.0
-        traj = integrate_contact(sys, ([i0], [di0], 0.0), 10.0, 1e-3)
+        t, states, _ = integrate_contact(sys, ([i0], [di0], 0.0), 10.0, 1e-3)
         decay = r / (2.0 * l_ind)
         w_d = np.sqrt(1.0 / (l_ind * cap) - decay ** 2)
-        t = traj.times
         exact = np.exp(-decay * t) * (i0 * np.cos(w_d * t)
                                       + (di0 + decay * i0) / w_d
                                       * np.sin(w_d * t))
-        assert np.max(np.abs(traj.q[:, 0] - exact)) < 1e-6
+        assert np.max(np.abs(states[:, 0] - exact)) < 1e-6
 
     def test_lossless_circuit_conserves_energy(self):
         sys = rlc_single(0.0, 1.0, 1.0)
-        traj = integrate_contact(sys, ([1.0], [0.0], 0.0), 10.0, 1e-3)
-        assert np.max(np.abs(traj.energy - traj.energy[0])) < 1e-8
+        _, states, _ = integrate_contact(sys, ([1.0], [0.0], 0.0), 10.0,
+                                         1e-3)
+        energy = sys.energy(states[:, :1], states[:, 1:2])
+        assert np.max(np.abs(energy - energy[0])) < 1e-8
 
     def test_conservative_rayleigh_keeps_energy(self):
         sys = rlc_coupled(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-        traj = integrate_contact(sys, ([1.0, -0.5], [0.0, 0.2], 0.0),
-                                 5.0, 1e-3)
-        assert np.max(np.abs(traj.energy - traj.energy[0])) < 1e-8
+        _, states, _ = integrate_contact(
+            sys, ([1.0, -0.5], [0.0, 0.2], 0.0), 5.0, 1e-3)
+        energy = sys.energy(states[:, :2], states[:, 2:4])
+        assert np.max(np.abs(energy - energy[0])) < 1e-8
 
     def test_coupled_rlc_matches_linear_oracle(self):
         l1, l2, c1, c2, r1, r2, rc = 1.0, 1.0, 1.0, 0.5, 0.5, 0.3, 0.2
         sys = rlc_coupled(l1, l2, c1, c2, r1, r2, rc)
         i0 = np.array([1.0, 0.0])
         di0 = np.array([0.0, 0.0])
-        traj = integrate_contact(sys, (i0, di0, 0.0), 10.0, 1e-3)
+        times, states, _ = integrate_contact(sys, (i0, di0, 0.0), 10.0,
+                                             1e-3)
         l_mat = np.diag([l1, l2])
         g = np.zeros((4, 4))
         g[:2, 2:] = np.eye(2)
@@ -551,8 +557,8 @@ class TestIntegration:
         g[2:, 2:] = -np.linalg.inv(l_mat) @ np.array([[r1, rc], [rc, r2]])
         state0 = np.concatenate([i0, di0])
         for idx in (2500, 5000, 10000):
-            exact = expm(g * traj.times[idx]) @ state0
-            assert np.max(np.abs(traj.q[idx] - exact[:2])) < 1e-6
+            exact = expm(g * times[idx]) @ state0
+            assert np.max(np.abs(states[idx, :2] - exact[:2])) < 1e-6
 
     def test_normal_mode_frequencies(self):
         # undamped: eigenvalues of G come in +-i sqrt(eig(L^-1 C)) pairs
@@ -566,21 +572,21 @@ class TestIntegration:
         expected = np.sort(np.sqrt(np.linalg.eigvals(l_inv @ c_mat).real))
         assert np.max(np.abs(freqs - expected)) < 1e-12
         sys = rlc_coupled(l1, l2, c1, c2, 0.0, 0.0, 0.0)
-        traj = integrate_contact(sys, ([1.0, 0.0], [0.0, 0.0], 0.0),
-                                 8.0, 1e-3)
+        times, states, _ = integrate_contact(
+            sys, ([1.0, 0.0], [0.0, 0.0], 0.0), 8.0, 1e-3)
         state0 = np.array([1.0, 0.0, 0.0, 0.0])
-        exact = expm(g * traj.times[-1]) @ state0
-        assert np.max(np.abs(traj.q[-1] - exact[:2])) < 1e-8
+        exact = expm(g * times[-1]) @ state0
+        assert np.max(np.abs(states[-1, :2] - exact[:2])) < 1e-8
 
     def test_decoupling_as_coupling_vanishes(self):
         sys = rlc_coupled(1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.0)
-        traj = integrate_contact(sys, ([1.0, 0.0], [0.0, 0.0], 0.0),
-                                 5.0, 1e-3)
-        assert np.max(np.abs(traj.q[:, 1])) < 1e-12
-        assert np.max(np.abs(traj.qd[:, 1])) < 1e-12
+        _, states, _ = integrate_contact(
+            sys, ([1.0, 0.0], [0.0, 0.0], 0.0), 5.0, 1e-3)
+        assert np.max(np.abs(states[:, 1])) < 1e-12
+        assert np.max(np.abs(states[:, 3])) < 1e-12
         single = rlc_single(0.5, 1.0, 1.0)
-        ref = integrate_contact(single, ([1.0], [0.0], 0.0), 5.0, 1e-3)
-        assert np.max(np.abs(traj.q[:, 0] - ref.q[:, 0])) < 1e-12
+        _, ref, _ = integrate_contact(single, ([1.0], [0.0], 0.0), 5.0, 1e-3)
+        assert np.max(np.abs(states[:, 0] - ref[:, 0])) < 1e-12
 
     def test_energy_rate_identity(self):
         dt = 1e-3
@@ -591,11 +597,13 @@ class TestIntegration:
              ([0.8, -0.3], [0.1, 0.5], 0.0)),
         ]
         for sys, state0 in cases:
-            traj = integrate_contact(sys, state0, 4.0, dt)
-            measured = five_point_rate(traj.energy, dt)
+            times, states, _ = integrate_contact(sys, state0, 4.0, dt)
+            n = sys.n
+            q, qd, s = states[:, :n], states[:, n:2 * n], states[:, 2 * n]
+            measured = five_point_rate(sys.energy(q, qd), dt)
             analytic = np.array([
-                analytic_energy_rate(sys, traj.q[i], traj.qd[i], traj.s[i])
-                for i in range(len(traj.times))])[2:-2]
+                analytic_energy_rate(sys, q[i], qd[i], s[i])
+                for i in range(len(times))])[2:-2]
             scale = max(1.0, float(np.max(np.abs(analytic))))
             assert np.max(np.abs(measured - analytic)) / scale < 1e-6
 
@@ -603,12 +611,12 @@ class TestIntegration:
         # for h linear in S the (q, qd) block closes on itself
         v_coeff, gamma = 1.1, 0.3
         sys = damped_particle(v_coeff, gamma)
-        traj = integrate_contact(sys, ([1.0], [0.0], 0.7), 8.0, 1e-3)
+        _, states, _ = integrate_contact(sys, ([1.0], [0.0], 0.7), 8.0, 1e-3)
         _, reduced = rk4_path(
             lambda y: np.array([y[1], -v_coeff * y[0] - gamma * y[1]]),
             np.array([1.0, 0.0]), 8.0, 1e-3)
-        assert np.max(np.abs(traj.q[:, 0] - reduced[:, 0])) < 1e-8
-        assert np.max(np.abs(traj.qd[:, 0] - reduced[:, 1])) < 1e-8
+        assert np.max(np.abs(states[:, 0] - reduced[:, 0])) < 1e-8
+        assert np.max(np.abs(states[:, 1] - reduced[:, 1])) < 1e-8
 
 
 BUILT_SYSTEMS = [rlc_single(0.3, 0.7, 0.45),
@@ -659,6 +667,12 @@ class TestBuilders:
     def test_rlc_coupled_validates_parameters(self):
         with pytest.raises(ValueError):
             rlc_coupled(1.0, -1.0, 1.0, 1.0, 0.1, 0.1, 0.0)
+        for r1, r2 in ((-0.5, 0.1), (0.1, -0.5)):
+            with pytest.raises(ValueError, match="r1 >= 0 and r2 >= 0"):
+                rlc_coupled(1.0, 1.0, 1.0, 1.0, r1, r2, 0.0)
+        # the sign of the coupling resistance follows the orientation of
+        # the currents
+        assert rlc_coupled(1.0, 1.0, 1.0, 1.0, 0.1, 0.1, -0.5).n == 2
 
     @pytest.mark.parametrize("sys", BUILT_SYSTEMS, ids=BUILT_IDS)
     def test_callbacks_differentiate_the_lagrangian_and_h(self, sys):
@@ -680,8 +694,8 @@ def generic(sys):
 
 
 def run_both(sys, state0, t_end, dt):
-    """The closed-form and the generic outcome: a trajectory or the
-    error raised."""
+    """The closed-form and the generic outcome: a path (times, states,
+    stopped_early) or the error raised."""
     outcomes = []
     for route in (sys, generic(sys)):
         try:
@@ -706,11 +720,17 @@ def spy_rk4_path(monkeypatch):
 
 
 def assert_same_path(closed, oracle, rtol=1e-12):
-    """Same rows and stop flag, and every array within rtol of the
-    oracle's largest entry."""
-    assert closed.stopped_early == oracle.stopped_early
-    for name in ("times", "q", "qd", "s", "energy", "energy_mech"):
-        a, b = getattr(closed, name), getattr(oracle, name)
+    """Same rows and stop flag, and the times and the q, q' and S blocks
+    of the states each within rtol of the oracle's largest entry; E_L and
+    |q'|^2 / 2 are functions of the states."""
+    (times, states, flag), (times_ref, states_ref, flag_ref) = closed, oracle
+    assert flag == flag_ref
+    n = states_ref.shape[1] // 2
+    for name, a, b in [
+            ("times", times, times_ref),
+            ("q", states[:, :n], states_ref[:, :n]),
+            ("qd", states[:, n:2 * n], states_ref[:, n:2 * n]),
+            ("s", states[:, 2 * n:], states_ref[:, 2 * n:])]:
         assert a.shape == b.shape, name
         assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b)), name
 
@@ -759,10 +779,12 @@ class TestClosedForm:
         assert_same_path(closed, oracle)
 
     def test_friction_guard_stops_at_the_same_row(self):
+        # q' = exp(-t / 2) falls below the guard's 1e-10 after t = 46.05
         closed, oracle = run_both(friction_system(0.5), ([0.0], [1.0], 0.0),
-                                  60.0, 1e-3)
-        assert len(closed.times) == len(oracle.times) == 46052
-        assert closed.stopped_early
+                                  60.0, 1e-2)
+        (times, _, stopped_early), (times_ref, _, _) = closed, oracle
+        assert len(times) == len(times_ref) == 4606
+        assert stopped_early
         assert_same_path(closed, oracle)
 
     @pytest.mark.parametrize("sys", [
@@ -852,9 +874,11 @@ DISSIPATED_RUNS = {
 
 
 def dissipated_energy_residual(sys, state0):
-    traj = integrate_contact(sys, state0, 10.0, 1e-3)
-    e_c = traj.energy + sys.h(traj.s)
-    decay = e_c[0] * np.exp(-float(sys.dh_ds(0.0)) * traj.times)
+    times, states, _ = integrate_contact(sys, state0, 10.0, 1e-3)
+    n = sys.n
+    e_c = sys.energy(states[:, :n], states[:, n:2 * n]) \
+        + sys.h(states[:, 2 * n])
+    decay = e_c[0] * np.exp(-float(sys.dh_ds(0.0)) * times)
     return relative(e_c - decay, e_c)
 
 

@@ -80,7 +80,7 @@ class TestFields:
                              - [reference(z) for z in zs])) < 1e-14
         psi0 = random_unit(rng, n)
         _, zs = projected_route(a, b, psi0, 0.1, 1e-2)
-        _, psis = ps.integrate_sphere_flow(a, b, psi0, 0.1, 1e-2)
+        _, psis, _ = ps.integrate_sphere_flow(a, b, psi0, 0.1, 1e-2)
         assert np.max(np.abs(psis - (zs[:, :n] + 1j * zs[:, n:]))) < 1e-14
 
     def test_gradient_of_identity_vanishes(self):
@@ -341,7 +341,8 @@ class TestSphereFlow:
                 a = random_hermitian(rng, n)
                 b = random_hermitian(rng, n)
                 psi0 = random_unit(rng, n)
-                times, psis = ps.integrate_sphere_flow(a, b, psi0, 2.0, 1e-3)
+                times, psis, _ = ps.integrate_sphere_flow(a, b, psi0, 2.0,
+                                                          1e-3)
                 gen = ps.flow_generator(a, b)
                 for idx in (500, 2000):
                     exact = expm(gen * times[idx]) @ psi0
@@ -370,8 +371,8 @@ class TestSphereFlow:
         rng = np.random.default_rng(15)
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 2, scale=0.5)
-        _, psis = ps.integrate_sphere_flow(a, b, random_unit(rng, 2),
-                                           10.0, 1e-3)
+        _, psis, _ = ps.integrate_sphere_flow(a, b, random_unit(rng, 2),
+                                              10.0, 1e-3)
         norms = np.linalg.norm(psis, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-8
 
@@ -379,9 +380,9 @@ class TestSphereFlow:
         # b = 50 sigma3: |exp(t M) z0| grows as e^(50 t), and the path of
         # z' = M z without renormalisation overflows at t = 14.1
         psi0 = np.array([0.6, 0.8])
-        times, psis = ps.integrate_sphere_flow(np.zeros((2, 2)),
-                                               50.0 * SIGMA3, psi0, 100.0,
-                                               1e-3)
+        times, psis, _ = ps.integrate_sphere_flow(np.zeros((2, 2)),
+                                                  50.0 * SIGMA3, psi0, 100.0,
+                                                  1e-3)
         assert times[-1] == 100.0 and len(psis) == 100001
         assert np.max(np.abs(np.linalg.norm(psis, axis=1) - 1.0)) < 1e-15
         with pytest.raises(DivergenceError) as err:
@@ -396,9 +397,9 @@ class TestSphereFlow:
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 2, 0.3)
         psi0 = random_unit(rng, 2)
-        _, psis = ps.integrate_sphere_flow(a, b, psi0, 1.0, 1e-2)
-        _, shifted = ps.integrate_sphere_flow(a, b + 100.0 * np.eye(2),
-                                              psi0, 1.0, 1e-2)
+        _, psis, _ = ps.integrate_sphere_flow(a, b, psi0, 1.0, 1e-2)
+        _, shifted, _ = ps.integrate_sphere_flow(a, b + 100.0 * np.eye(2),
+                                                 psi0, 1.0, 1e-2)
         assert np.max(np.abs(shifted - psis)) < 1e-13
         exact = expm(ps.flow_generator(a, b + 100.0 * np.eye(2))) @ psi0
         assert np.max(np.abs(shifted[-1] - exact / np.linalg.norm(exact))) \
@@ -425,8 +426,8 @@ class TestSphereFlow:
         rng = np.random.default_rng(17)
         a = random_hermitian(rng, 3)
         psi0 = random_unit(rng, 3)
-        _, psis = ps.integrate_sphere_flow(a, np.zeros((3, 3)), psi0,
-                                           2.0, 1e-3)
+        _, psis, _ = ps.integrate_sphere_flow(a, np.zeros((3, 3)), psi0,
+                                              2.0, 1e-3)
         norms = np.linalg.norm(psis, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-10
         # spectrum of rho_psi is (1, 0, ...) throughout: overlaps with a
@@ -437,15 +438,15 @@ class TestSphereFlow:
     def test_gradient_flow_converges_to_top_eigenvector(self):
         basis = build_su_basis(2)
         psi0 = np.array([0.6, 0.8], dtype=complex)
-        _, psis = ps.integrate_sphere_flow(np.zeros((2, 2)), SIGMA3, psi0,
-                                           20.0, 2e-3)
+        _, psis, _ = ps.integrate_sphere_flow(np.zeros((2, 2)), SIGMA3, psi0,
+                                              20.0, 2e-3)
         bloch = ps.project_to_bloch(psis[-1], basis)
         assert np.max(np.abs(bloch - [0, 0, 1 / SQRT2])) < 1e-6
 
     def test_qbit_combined_flow_oracle(self):
         psi0 = random_unit(np.random.default_rng(18), 2)
-        times, psis = ps.integrate_sphere_flow(SIGMA3, SIGMA3, psi0,
-                                               5.0, 1e-3)
+        times, psis, _ = ps.integrate_sphere_flow(SIGMA3, SIGMA3, psi0,
+                                                  5.0, 1e-3)
         gen = ps.flow_generator(SIGMA3, SIGMA3)
         exact = expm(gen * times[-1]) @ psi0
         exact /= np.linalg.norm(exact)
@@ -480,7 +481,7 @@ def sphere_runs(draw):
 def sphere_route(a, b, psi0, t_end, dt):
     """integrate_sphere_flow's (times, chart states), or its error."""
     try:
-        times, psis = ps.integrate_sphere_flow(a, b, psi0, t_end, dt)
+        times, psis, _ = ps.integrate_sphere_flow(a, b, psi0, t_end, dt)
     except DivergenceError as exc:
         return exc
     return times, np.concatenate([psis.real, psis.imag], axis=1)
@@ -529,7 +530,7 @@ class TestProjectedRoute:
 
         monkeypatch.setattr(integrators, "rk4_path", refuse)
         rng = np.random.default_rng(23)
-        _, psis = ps.integrate_sphere_flow(
+        _, psis, _ = ps.integrate_sphere_flow(
             random_hermitian(rng, 3), random_hermitian(rng, 3),
             random_unit(rng, 3), 1.0, 1e-2)
         assert psis.shape == (101, 3)
@@ -606,7 +607,7 @@ class TestBlochProjection:
             a = random_hermitian(rng, n, scale=0.8)
             b = random_hermitian(rng, n, scale=0.4)
             psi0 = random_unit(rng, n)
-            times, psis = ps.integrate_sphere_flow(a, b, psi0, 5.0, 1e-3)
+            times, psis, _ = ps.integrate_sphere_flow(a, b, psi0, 5.0, 1e-3)
             dec = decompose_field(basis, -a, -2.0 * b)
             _, points = integrate_coherence_field(
                 lambda x: np.subtract(*evaluate_component_fields(dec, x)[:2]),
