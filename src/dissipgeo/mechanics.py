@@ -458,12 +458,17 @@ def rlc_coupled(l1, l2, c1, c2, r1, r2, r_coupling):
     C = diag(1/C1, 1/C2), Rayleigh function F = (1/2) I'^T R I' for
     R = [[R1, R], [R, R2]] and h(S) = S, giving Kirchhoff's equations
     L I'' + R I' + C I = 0; the circuits decouple as R -> 0.  R1, R2 >= 0,
-    and R takes the sign the orientation of the currents gives it.
+    and R takes the sign the orientation of the currents gives it, within
+    R^2 <= R1 R2: the Rayleigh matrix is positive semidefinite, so the
+    circuit dissipates.
     """
     if l1 <= 0 or l2 <= 0 or c1 <= 0 or c2 <= 0:
         raise ValueError("inductances and capacitances must be positive")
     if r1 < 0 or r2 < 0:
         raise ValueError("need r1 >= 0 and r2 >= 0")
+    if r_coupling ** 2 > r1 * r2:
+        raise ValueError("need r_coupling**2 <= r1 * r2, a positive "
+                         "semidefinite Rayleigh matrix")
     l_mat = np.diag([float(l1), float(l2)])
     c_mat = np.diag([1.0 / float(c1), 1.0 / float(c2)])
     r_mat = np.array([[float(r1), float(r_coupling)],
@@ -489,9 +494,11 @@ def friction_system(gamma):
 
     Valid on the chart q' > 0 only; integration stops cleanly if the
     velocity falls below 1e-10.  Conserves E_L = q' + gamma q while the
-    mechanical energy q'^2 / 2 decays at rate -gamma q'^2.
+    mechanical energy q'^2 / 2 decays at rate -gamma q'^2, for gamma >= 0.
     """
     gamma = float(gamma)
+    if not gamma >= 0:
+        raise ValueError("need gamma >= 0")
     return ContactLagrangianSystem(
         n=1,
         lagrangian=lambda q, qd: qd[..., 0] * np.log(qd[..., 0])

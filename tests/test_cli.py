@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -5,6 +6,7 @@ import re
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,6 +190,13 @@ BAD_VALUE_CONFIGS = {
         **COUPLED, "r_coupling": "0.2"}),
     # r1 and r2 are resistances, >= 0 as a single circuit's is
     "coupled-r1-negative": ("circuit", {**COUPLED, "r1": -0.5}),
+    # dissipation has a sign: a Rayleigh matrix with r_coupling**2 > r1 r2
+    # and a friction gamma < 0 each feed the energy they should drain
+    "coupled-rayleigh-indefinite": ("circuit", {
+        **COUPLED, "c2": 1.0, "r1": 0.1, "r2": 0.1, "r_coupling": 1.0,
+        "t_end": 10.0, "dt": 0.01}),
+    "friction-gamma-negative": ("contact-lagrangian", {
+        **FRICTION, "gamma": -0.5, "t_end": 10.0, "dt": 0.01}),
     "integer-overflowing-a-float": ("circuit", {
         **RLC_SINGLE, "inductance": 10 ** 400}),
     # an initial gkls state must be a density matrix
@@ -567,6 +576,56 @@ def test_write_csv_matches_format_on_any_double(values):
         path = Path(tmp) / "any.csv"
         write_csv(path, ["v"], rows)
         assert path.read_bytes() == per_value_csv(["v"], rows)
+
+
+@st.composite
+def exact_ties(draw):
+    """A double with 16 digits before the point and .25 or .75 after it:
+    its 18th and last significant digit is a 5, a 17-digit tie that the
+    writer leaves to CPython's formatter."""
+    return draw(st.sampled_from([1.0, -1.0])) \
+        * (2 * draw(st.integers(2 ** 51, 2 ** 52 - 1)) + 1) / 4
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(ties=st.lists(exact_ties(), min_size=1, max_size=16),
+       columns=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_write_csv_rewrites_its_buffers_every_block(ties, columns, seed):
+    # one call's blocks share one buffer: a block of values that all fall
+    # back (nan, inf, out of range, ties), a full block of ordinary values
+    # with zeros, and a short block with zeros elsewhere; a row the second
+    # or third block does not write would show the block before it, in
+    # the bytes or, where the stale row sends every value to CPython's
+    # formatter, in the count of values that fall back
+    rng = np.random.default_rng(seed)
+    fallback = np.resize([np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300,
+                          *ties], (BLOCK, columns))
+    # below 1e13, where a random double is almost never a 17-digit tie
+    ordinary = rng.normal(size=(BLOCK + BLOCK // 3, columns)) \
+        * 10.0 ** rng.integers(-30, 12, size=(BLOCK + BLOCK // 3, columns))
+    ordinary[rng.random(ordinary.shape) < 0.2] = 0.0
+    # and in each of them a double just below 10**k whose log10 rounds to
+    # k, which only the product's range check sends to the formatter
+    for part in (ordinary[:BLOCK], ordinary[BLOCK:]):
+        part.flat[rng.integers(part.size)] = np.nextafter(
+            10.0 ** rng.choice([-79, -73, -14, 98]), 0)
+    rows = np.vstack([fallback, ordinary])
+    header = [f"c{j}" for j in range(columns)]
+    flatnonzero, fell_back = np.flatnonzero, []
+
+    def counting(mask):
+        fell_back.append(flatnonzero(mask).size)
+        return flatnonzero(mask)
+
+    with mock.patch.object(cli, "CSV_BLOCK_ROWS", BLOCK), \
+            mock.patch.object(np, "flatnonzero", counting), \
+            tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "blocks.csv"
+        write_csv(path, header, rows)
+        assert path.read_bytes() == per_value_csv(header, rows)
+    # those two fall back, and so would a near tie, but most values don't
+    assert fell_back[0] == fallback.size
+    assert max(fell_back[1:]) <= BLOCK // 10
 
 
 def test_partial_csv_matches_per_value_format(tmp_path):
@@ -1063,6 +1122,54 @@ class TestScenarioRuns:
         assert run_cli("run", str(cfg), "--out", str(tmp_path)) == EXIT_OK
         report = json.loads((tmp_path / "large_report.json").read_text())
         assert all(inv["passed"] for inv in report["invariants"])
+
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch, capsys):
+        # the parser is built once, at import
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run_cli("list") == EXIT_OK
+        assert run_cli("run", "phase-damping", "--t-end", "0.1",
+                       "--out", str(tmp_path)) == EXIT_OK
+        assert run_cli("checks", "--filter", "algebra") == EXIT_OK
+        assert run_cli("run") == EXIT_USAGE
+        assert built == []
+
+    def test_an_override_does_not_carry_to_the_next_run(self, tmp_path,
+                                                         capsys):
+        assert run_cli("run", "phase-damping", "--dt", "0.01",
+                       "--out", str(tmp_path / "a")) == EXIT_OK
+        assert run_cli("run", "phase-damping",
+                       "--out", str(tmp_path / "b")) == EXIT_OK
+        times = np.loadtxt(tmp_path / "b" / "phase-damping.csv",
+                           delimiter=",", skiprows=1, usecols=0)
+        params = BUILTIN_SCENARIOS["phase-damping"]["config"]["parameters"]
+        assert len(times) == round(params["t_end"] / params["dt"]) + 1
+        assert times[1] == params["dt"]
+
+    def test_a_filter_does_not_carry_to_the_next_checks(self, tmp_path,
+                                                        capsys):
+        assert run_cli("checks", "--filter", "gkls",
+                       "--out", str(tmp_path / "a")) == EXIT_OK
+        assert run_cli("checks", "--out", str(tmp_path / "b")) == EXIT_OK
+        report = json.loads((tmp_path / "b" / "checks_report.json")
+                            .read_text())
+        assert [inv["name"] for inv in report] == CHECKS_INVARIANTS
+
+    def test_usage_error_after_a_run_prints_its_usage(self, tmp_path,
+                                                      capsys):
+        assert run_cli("run", "phase-damping", "--t-end", "0.1",
+                       "--out", str(tmp_path)) == EXIT_OK
+        capsys.readouterr()
+        assert run_cli("run") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dissipgeo run")
+        assert "required: config" in err
 
     def test_dt_override_changes_output(self, tmp_path, capsys):
         assert run_cli("run", "phase-damping", "--out", str(tmp_path / "a"),

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -671,8 +671,16 @@ class TestBuilders:
             with pytest.raises(ValueError, match="r1 >= 0 and r2 >= 0"):
                 rlc_coupled(1.0, 1.0, 1.0, 1.0, r1, r2, 0.0)
         # the sign of the coupling resistance follows the orientation of
-        # the currents
-        assert rlc_coupled(1.0, 1.0, 1.0, 1.0, 0.1, 0.1, -0.5).n == 2
+        # the currents, within r_coupling**2 <= r1 r2
+        assert rlc_coupled(1.0, 1.0, 1.0, 1.0, 0.1, 0.1, -0.1).n == 2
+        for r_coupling in (-0.5, 0.5, 1.0):
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                rlc_coupled(1.0, 1.0, 1.0, 1.0, 0.1, 0.1, r_coupling)
+
+    def test_friction_system_validates_gamma(self):
+        assert friction_system(0.0).n == 1
+        with pytest.raises(ValueError, match="gamma >= 0"):
+            friction_system(-0.5)
 
     @pytest.mark.parametrize("sys", BUILT_SYSTEMS, ids=BUILT_IDS)
     def test_callbacks_differentiate_the_lagrangian_and_h(self, sys):
@@ -746,9 +754,13 @@ def projectable_runs(draw):
     if kind == "single":
         sys = rlc_single(draw(resistance), draw(positive), draw(positive))
     elif kind == "coupled":
-        sys = rlc_coupled(*(draw(positive) for _ in range(4)),
-                          draw(resistance), draw(resistance),
-                          draw(st.floats(-1.0, 1.0)))
+        lc = [draw(positive) for _ in range(4)]
+        # r_coupling inside +-sqrt(r1 r2), the builder's domain, up to the
+        # rounding of the bound
+        r1, r2 = draw(resistance), draw(resistance)
+        r_coupling = np.sqrt(r1 * r2) * draw(st.floats(-1.0, 1.0))
+        assume(r_coupling ** 2 <= r1 * r2)
+        sys = rlc_coupled(*lc, r1, r2, r_coupling)
     else:
         sys = friction_system(draw(resistance))
     velocity = st.floats(0.1, 2.0) if kind == "friction" else state
