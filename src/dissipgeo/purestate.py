@@ -77,7 +77,9 @@ def ambient_tensors(n):
     d/dx_j -> -d/dy_j, d/dy_j -> d/dx_j, so that omega_H(J u, v) = g(u, v).
     """
     eye = np.eye(n)
-    omega = np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]])
+    omega = np.zeros((2 * n, 2 * n))
+    omega[:n, n:] = eye
+    omega[n:, :n] = -eye
     return omega, np.eye(2 * n), omega.copy()
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -486,7 +487,9 @@ def per_value_csv(header, rows):
 
 # the block test's own block size: write_csv reads CSV_BLOCK_ROWS on each
 # call, so its boundaries are tested at this size whatever the tuned
-# default is, and the test ids stay put when that default moves
+# default is, and the test ids stay put when that default moves; these
+# tests write at most 13 columns, and CSV_BLOCK_VALUES // 13 = 315 rows
+# leave the blocks at this size
 BLOCK = 256
 
 
@@ -641,6 +644,67 @@ def test_partial_csv_matches_per_value_format(tmp_path):
     assert len(times) % block and len(times) > 2 * block
     assert (tmp_path / "unstable_partial.csv").read_bytes() == per_value_csv(
         ["t", "y1", "y2", "y3"], np.column_stack([times, states]))
+
+
+def test_gkls_run_holds_its_path_once(tmp_path):
+    # an n = 4 run of 20,001 rows: its CSV rows (19 doubles a row), the
+    # fill's lifted states (16) and the times (1) are 288 bytes a row; a
+    # (T, n, n) complex stack of xi (256) or a second copy of the rows
+    # (152) would push the peak past 330
+    rng = np.random.default_rng(42)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h, jump = (a + a.conj().T) / 2, 0.3 * rng.normal(size=(4, 4))
+    params = {"hamiltonian": np.stack([h.real, h.imag], -1).tolist(),
+              "jumps": [np.stack([jump, 0 * jump], -1).tolist()],
+              "rho0": [[[0.25 if i == j else 0.0, 0.0] for j in range(4)]
+                       for i in range(4)],
+              "t_end": 20.0, "dt": 1e-3}
+    tracemalloc.start()
+    try:
+        report = cli.execute_scenario(tmp_path, "gkls", "n4", params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(inv["passed"] for inv in report["invariants"])
+    rows = 20001
+    assert len((tmp_path / "n4.csv").read_bytes().splitlines()) == rows + 1
+    assert peak <= 330 * rows
+
+
+def counted_blocks(monkeypatch):
+    """The value count of every _csv_block_bytes call, in call order."""
+    sizes, block_bytes = [], cli._csv_block_bytes
+
+    def counting(block, buffer):
+        sizes.append(block.size)
+        return block_bytes(block, buffer)
+
+    monkeypatch.setattr(cli, "_csv_block_bytes", counting)
+    return sizes
+
+
+def test_write_csv_caps_a_block_in_values(tmp_path, monkeypatch):
+    # 19 columns (an n = 4 gkls run) take 215-row blocks, not 512
+    rows = np.random.default_rng(19).normal(size=(10001, 19))
+    header = [f"c{j}" for j in range(19)]
+    sizes = counted_blocks(monkeypatch)
+    write_csv(tmp_path / "wide.csv", header, rows)
+    # 4,096 // 19 = 215 rows a block, then the 111 left
+    assert sizes == [215 * 19] * 46 + [111 * 19]
+    assert max(sizes) <= cli.CSV_BLOCK_VALUES
+    assert (tmp_path / "wide.csv").read_bytes() == per_value_csv(header,
+                                                                 rows)
+
+
+def test_write_csv_writes_a_row_wider_than_the_budget(tmp_path, monkeypatch):
+    # more columns than CSV_BLOCK_VALUES: a block is one row, never none
+    rows = np.random.default_rng(5000).normal(size=(3, 5000))
+    header = [f"c{j}" for j in range(5000)]
+    sizes = counted_blocks(monkeypatch)
+    write_csv(tmp_path / "wider.csv", header, rows)
+    assert sizes == [5000] * 3
+    assert (tmp_path / "wider.csv").read_bytes() == per_value_csv(header,
+                                                                  rows)
 
 
 class TestCommands:
@@ -1256,3 +1320,86 @@ class TestScenarioRuns:
                        "--out", str(tmp_path)) == EXIT_OK
         report = json.loads((tmp_path / "checks_report.json").read_text())
         assert all(entry["passed"] for entry in report)
+
+
+def edge_run(kind, params):
+    """(exit code, report or None) of `dissipgeo run` on one config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "edge.json"
+        cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
+        code = run_cli("run", str(cfg), "--out", tmp)
+        report = Path(tmp) / "edge_report.json"
+        return code, (json.loads(report.read_text()) if report.exists()
+                      else None)
+
+
+@st.composite
+def across_zero(draw, zero_inside):
+    """(value, inside): 0 or -0, inside when zero_inside, or a value of
+    either sign from the least subnormal to 2, inside when positive."""
+    side = draw(st.sampled_from(["zero", "above", "below"]))
+    if side == "zero":
+        return draw(st.sampled_from([0.0, -0.0])), zero_inside
+    size = draw(st.just(5e-324) | st.floats(5e-324, 2.0))
+    return (size, True) if side == "above" else (-size, False)
+
+
+@st.composite
+def coupled_resistances(draw):
+    """(r1, r2, r_coupling, inside) about the bound r_coupling**2 <= r1 r2:
+    on it exactly, within 0.999 of sqrt(r1 r2), or beyond 1.001 of it
+    and at least 1e-6 from 0, with either sign of r_coupling."""
+    r1, r2 = draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    side = draw(st.sampled_from(["edge", "inside", "outside"]))
+    bound = np.sqrt(r1 * r2)
+    if side == "edge":
+        return r1, r1, sign * r1, True
+    if side == "inside":
+        return r1, r2, sign * draw(st.floats(0.0, 0.999)) * bound, True
+    return (r1, r2, sign * (draw(st.floats(1.001, 3.0)) * bound
+                            + draw(st.floats(1e-6, 1.0))), False)
+
+
+class TestDomainEdges:
+    """Each builder's domain, walked from both sides through the CLI: a
+    value outside exits 2 before any step, and one inside, on the bound
+    included, runs to t_end at dt = 0.01 with every invariant passing."""
+
+    def check(self, kind, params, inside):
+        code, report = edge_run(kind, params)
+        if not inside:
+            assert (code, report) == (EXIT_USAGE, None)
+            return
+        assert code == EXIT_OK
+        assert report["invariants"]
+        assert all(inv["passed"] for inv in report["invariants"])
+        assert report["stopped_early"] is False
+        assert report["final_t"] == params["t_end"]
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(resistances=coupled_resistances())
+    def test_coupled_rayleigh_matrix_is_semidefinite(self, resistances):
+        r1, r2, r_coupling, inside = resistances
+        self.check("circuit", {**COUPLED, "r1": r1, "r2": r2,
+                               "r_coupling": r_coupling}, inside)
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(edge=across_zero(zero_inside=True))
+    def test_friction_gamma_is_not_negative(self, edge):
+        gamma, inside = edge
+        self.check("contact-lagrangian", {**FRICTION, "gamma": gamma},
+                   inside)
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(edge=across_zero(zero_inside=True))
+    def test_single_resistance_is_not_negative(self, edge):
+        resistance, inside = edge
+        self.check("circuit", {**RLC_SINGLE, "resistance": resistance},
+                   inside)
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(edge=across_zero(zero_inside=False))
+    def test_phase_damping_gamma_is_positive(self, edge):
+        gamma, inside = edge
+        self.check("gkls", {**PHASE_DAMPING, "gamma": gamma}, inside)

@@ -514,6 +514,31 @@ class TestIntegration:
         assert ranks[0] == 1
         assert ranks[-1] == 2
 
+    @pytest.mark.parametrize("count", [
+        1, gkls.SPECTRA_ROWS - 1, gkls.SPECTRA_ROWS, gkls.SPECTRA_ROWS + 1,
+        3 * gkls.SPECTRA_ROWS + 5])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_spectra_blocks_match_one_piece(self, n, count):
+        # spectra forms xi a block at a time; against the whole stack at
+        # once, every row keeps its bits, so a row a block boundary drops,
+        # repeats or shifts shows; the path is also read as the strided
+        # columns of wider rows, as run_gkls passes it
+        basis = build_su_basis(n)
+        points = np.random.default_rng([n, count]).normal(
+            scale=0.3, size=(count, basis.size))
+        xi = from_coherence_vector(points, basis)
+        if n == 2:
+            r = np.sqrt(np.einsum("tj,tj->t", points, points) * 0.5)
+            ref = np.column_stack([0.5 - r, 0.5 + r])
+        else:
+            ref = np.linalg.eigvalsh(xi)
+        wide = np.zeros((count, basis.size + 4))
+        wide[:, 1:basis.size + 1] = points
+        for path in (points, wide[:, 1:basis.size + 1]):
+            traces, values = spectra(basis, path)
+            assert np.array_equal(traces, np.einsum("taa->t", xi).real)
+            assert np.array_equal(values, ref)
+
     def test_divergence_is_that_of_the_affine_field(self):
         # a declined run is stepped on A x + B, so the error is rk4_path's
         # bit for bit, with x alone in its partial path
