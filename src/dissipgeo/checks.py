@@ -99,28 +99,26 @@ def sphere_flow(a, b, psi0, t):
     return psi
 
 
-def five_point_rate(values, dt):
-    """Fourth-order central difference of a series sampled every dt, at
-    its interior points values[2:-2]."""
+RATE_TOL = 1e-6  # relative tolerance of every five-point rate invariant
+
+
+def five_point_residual(name, values, dt, analytic):
+    """The fourth-order central difference of values, sampled every dt, at
+    values[2:-2] against the analytic rate there, by ``relative``.  Raises
+    ValueError naming the smallest usable dt when the stencil's rounding
+    floor, 1.5 eps max|values| / dt on the same scale, reaches RATE_TOL:
+    no rate could pass below it."""
     if len(values) < 5:
         raise ValueError(f"a five-point rate needs at least 5 rows, the "
                          f"path has {len(values)}")
-    return (-values[4:] + 8 * values[3:-1] - 8 * values[1:-3]
+    rate = (-values[4:] + 8 * values[3:-1] - 8 * values[1:-3]
             + values[:-4]) / (12 * dt)
-
-
-def five_point_residual(name, values, dt, analytic, tol):
-    """The five-point rate of values against the analytic rate at
-    values[2:-2], by ``relative``.  Raises ValueError naming the smallest
-    usable dt when the stencil's rounding floor, 1.5 eps max|values| / dt
-    on the same scale, reaches tol: no rate could pass below it."""
-    rate = five_point_rate(values, dt)
     floor = relative(1.5 * np.finfo(float).eps * np.max(np.abs(values)),
                      analytic)
-    if floor >= tol * dt:
+    if floor >= RATE_TOL * dt:
         raise ValueError(f"{name}: dt = {dt!r} is at or below the five-point "
-                         f"rounding floor; use dt > {floor / tol:.3g}")
-    return result(name, relative(rate - analytic, analytic), tol)
+                         f"rounding floor; use dt > {floor / RATE_TOL:.3g}")
+    return result(name, relative(rate - analytic, analytic), RATE_TOL)
 
 
 def trace_preservation(deviations):
@@ -220,7 +218,7 @@ def energy_rate_identity(name, sys, states, energy, dt):
     n, mid = sys.n, states[2:-2]
     analytic = analytic_energy_rate(sys, mid[:, :n], mid[:, n:2 * n],
                                     mid[:, 2 * n])
-    return five_point_residual(name, energy, dt, analytic, 1e-6)
+    return five_point_residual(name, energy, dt, analytic)
 
 
 def friction_invariants(gamma, states, dt):
@@ -233,7 +231,7 @@ def friction_invariants(gamma, states, dt):
         result("mechanics/friction-energy-conservation",
                relative(e_l - e_l[0], e_l[0]), 1e-8),
         five_point_residual("mechanics/friction-mechanical-dissipation",
-                            0.5 * qd ** 2, dt, analytic, 1e-6),
+                            0.5 * qd ** 2, dt, analytic),
     ]
 
 

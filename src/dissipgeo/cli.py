@@ -19,13 +19,14 @@ Each run writes a trajectory CSV (17 significant digits, LF endings,
 byte-stable across runs, the bytes of one format(v, '.17g') per value)
 plus a JSON report with per-invariant pass/fail and residuals, final_t
 and stopped_early, true when a domain guard ended the path before t_end.
-The writer makes the digits of a block of rows at a time in numpy, at
-most CSV_BLOCK_ROWS (512) rows and CSV_BLOCK_VALUES (4096) values and at
-least one row, as round(|v| * 10**(16 - k)) from an exact double-double
-product, and writes 0 and -0 from the sign bit; nan, inf, |v| outside
-[1e-100, 1e100) and the rare value it cannot prove right (a near tie, a
-k that log10 rounded the wrong way) are written by CPython's formatter.
-Its working arrays live in one buffer allocated once per write_csv call.
+write_csv takes a 2-D array or the Columns of a runner's path arrays and
+gathers at most CSV_BLOCK_ROWS (512) rows and CSV_BLOCK_VALUES (4096)
+values, and at least one row, at a time into one block array; it makes
+their digits in numpy as round(|v| * 10**(16 - k)) from an exact
+double-double product, and writes 0 and -0 from the sign bit; nan, inf,
+|v| outside [1e-100, 1e100) and the rare value it cannot prove right (a
+near tie, a k that log10 rounded the wrong way) are written by CPython's
+formatter.  Its block and working arrays are allocated once per call.
 The argparse parser is built once, at import.
 Exit codes: 0 all invariants pass, 2 usage or config error (a bad value,
 a name not read or a missing one, an unreadable config or an unwritable
@@ -112,18 +113,40 @@ def write_json(path, data):
         fh.write("\n")
 
 
+class Columns(tuple):
+    """The columns of a path's CSV rows, each a (T,) or (T, k) array kept
+    as the run made it: write_csv lays out their rows a block at a time,
+    and np.asarray all at once, for a caller that wraps write_csv."""
+
+    def rows(self, start=0, stop=None, out=None):
+        """Rows start:stop of the columns side by side, into out if given."""
+        return np.concatenate([c[start:stop, None] if c.ndim == 1
+                               else c[start:stop] for c in self],
+                              axis=1, out=out)
+
+    def __array__(self, dtype=None, copy=None):
+        return self.rows()
+
+
 def write_csv(path, header, rows):
-    rows = np.asarray(rows, dtype=float)
+    """Write header and rows, a 2-D array or the Columns of a path."""
+    columns = rows if isinstance(rows, Columns) \
+        else Columns([np.asarray(rows, dtype=float)])
+    length = len(columns[0])
     path.parent.mkdir(parents=True, exist_ok=True)
     # a block of rows at a time keeps the byte grid small: at most
-    # CSV_BLOCK_ROWS rows and CSV_BLOCK_VALUES values, and at least a row
-    block = min(CSV_BLOCK_ROWS, CSV_BLOCK_VALUES // rows.shape[1]) or 1
-    # one working buffer, sized for the first block, serves them all
-    buffer = _csv_buffer(rows[:block].size)
+    # CSV_BLOCK_ROWS rows and CSV_BLOCK_VALUES values, and at least a row;
+    # one block array and one working buffer, sized for the first, serve all
+    width = sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
+    block = min(CSV_BLOCK_ROWS, CSV_BLOCK_VALUES // width) or 1
+    gathered = np.empty((min(block, length), width))
+    buffer = np.empty((8 * _CSV_WORD_ROWS + _CSV_BYTE_ROWS) * gathered.size,
+                      np.uint8)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(rows), block):
-            fh.write(_csv_block_bytes(rows[start:start + block], buffer))
+        for start in range(0, length, block):
+            fh.write(_csv_block_bytes(columns.rows(
+                start, start + block, gathered[:length - start]), buffer))
 
 
 # format(v, '.17g') for a block of values at once.  The 17 digits are
@@ -228,18 +251,12 @@ def _csv_tables():
 _CSV_WORD_ROWS, _CSV_BYTE_ROWS = 17, 8
 
 
-def _csv_buffer(size):
-    """One byte array for the working arrays of blocks of up to size
-    values, so that no block allocates or frees a large array."""
-    return np.empty((8 * _CSV_WORD_ROWS + _CSV_BYTE_ROWS) * size, np.uint8)
-
-
 def _csv_block_bytes(block, buffer):
     """The CSV lines of a 2-D float block: each value as format(v, '.17g'),
     joined by "," and ending in "\\n".  Its working arrays are rows of
-    buffer (_csv_buffer), each written in the block before the block
-    reads it; take's mode "clip" writes straight into out (every index is
-    in range), where "raise" would fill a copy first."""
+    buffer, one per write_csv call, each written in the block before the
+    block reads it; take's mode "clip" writes straight into out (every
+    index is in range), where "raise" would fill a copy first."""
     pow10, slots, head, quad, last, (newline, sep_only) = _csv_tables()
     rows, cols = block.shape
     x = block.ravel()
@@ -419,20 +436,11 @@ def run_gkls(t_end, dt, x0=None, rho0=None, **variant):
             and positivity(np.linalg.eigvalsh(rho0)).passed):
         raise ConfigError("the initial state is not a density matrix")
     times, points, stopped_early = integrate(model, x0, t_end, dt)
-    # the CSV rows are the one copy of the path: the fill's states go
-    # before the spectra are formed, and x is read back from the rows
-    d = len(x0)
-    rows = np.empty((len(times), d + 4))
-    rows[:, 0] = times
-    rows[:, 1:d + 1] = points
-    points = rows[:, 1:d + 1]
     traces, values = spectra(model.basis, points)
-    rows[:, d + 1] = traces
-    rows[:, d + 2] = values[:, 0]
-    rows[:, d + 3] = (values >= RANK_EIG_TOL).sum(axis=1)
-
-    header = ["t"] + [f"x{j + 1}" for j in range(d)] \
+    header = ["t"] + [f"x{j + 1}" for j in range(len(x0))] \
         + ["trace", "min_eigenvalue", "rank"]
+    columns = Columns((times, points, traces, values[:, 0],
+                       (values >= RANK_EIG_TOL).sum(axis=1)))
 
     invariants = [
         trace_preservation(traces - 1.0),
@@ -451,7 +459,7 @@ def run_gkls(t_end, dt, x0=None, rho0=None, **variant):
             "gkls/phase-damping-analytic", float(np.maximum(
                 np.max(np.abs(coherences)), np.max(np.abs(population)))),
             1e-6))
-    return header, rows, invariants, stopped_early
+    return header, columns, invariants, stopped_early
 
 
 def run_pure_state(a, b, psi0, t_end, dt):
@@ -465,7 +473,7 @@ def run_pure_state(a, b, psi0, t_end, dt):
     norms = np.linalg.norm(psis, axis=1)
     header = ["t"] + [f"x{j + 1}" for j in range(n)] \
         + [f"y{j + 1}" for j in range(n)] + ["norm"]
-    rows = np.column_stack([times, zs, norms])
+    columns = Columns((times, zs, norms))
 
     exact = sphere_flow(a, b, psi0, times[-1])
     # the stepper never evaluates Z: hold the stored path to it
@@ -476,9 +484,9 @@ def run_pure_state(a, b, psi0, t_end, dt):
         contact_residuals([(a, b, ps.to_chart(psi0))]),
         result("purestate/exponential-oracle",
                float(np.max(np.abs(psis[-1] - exact))), 1e-7),
-        five_point_residual("purestate/path-solves-z", zs, dt, field, 1e-6),
+        five_point_residual("purestate/path-solves-z", zs, dt, field),
     ]
-    return header, rows, invariants, stopped_early
+    return header, columns, invariants, stopped_early
 
 
 def single_circuit(resistance, inductance, capacitance):
@@ -511,10 +519,10 @@ def run_circuit(circuit, i0, di0, t_end, dt, **values):
 
     header = ["t"] + [f"i{j + 1}" for j in range(n)] \
         + [f"di{j + 1}" for j in range(n)] + ["s", "energy"]
-    rows = np.column_stack([times, states, energy])
+    columns = Columns((times, states, energy))
 
     invariants = [linear_oracle("circuit/linear-oracle", g, times,
-                                rows[:, 1:2 * n + 1], len(times) - 1, 1e-6)]
+                                states[:, :2 * n], len(times) - 1, 1e-6)]
     if not np.any(r_mat):
         invariants.append(result(
             "circuit/energy-conservation",
@@ -522,7 +530,7 @@ def run_circuit(circuit, i0, di0, t_end, dt, **values):
     else:
         invariants.append(energy_rate_identity(
             "circuit/energy-rate-identity", sys_, states, energy, dt))
-    return header, rows, invariants, stopped_early
+    return header, columns, invariants, stopped_early
 
 
 def friction_lagrangian(gamma, q0, qd0, t_end, dt):
@@ -531,10 +539,10 @@ def friction_lagrangian(gamma, q0, qd0, t_end, dt):
     times, states, stopped_early = integrate_contact(sys_, (
         parse_reals(q0, "q0"), parse_reals(qd0, "qd0"), 0.0), t_end, dt)
     header = ["t", "q", "qd", "s", "energy", "energy_mech"]
-    rows = np.column_stack([times, states,
-                            sys_.energy(states[:, :1], states[:, 1:2]),
-                            0.5 * states[:, 1] ** 2])
-    return (header, rows, friction_invariants(gamma, states, dt),
+    columns = Columns((times, states,
+                       sys_.energy(states[:, :1], states[:, 1:2]),
+                       0.5 * states[:, 1] ** 2))
+    return (header, columns, friction_invariants(gamma, states, dt),
             stopped_early)
 
 
@@ -564,7 +572,7 @@ def linear_lagrangian(mass, damping, stiffness, x0, t_end, dt, expect=None):
     times, states, stopped_early = rk4_linear_path(g, x0, t_end, dt)
     header = ["t"] + [f"q{j + 1}" for j in range(n)] \
         + [f"qd{j + 1}" for j in range(n)]
-    rows = np.column_stack([times, states])
+    columns = Columns((times, states))
 
     invariants = []
     if hamiltonianity is not None:
@@ -578,7 +586,7 @@ def linear_lagrangian(mass, damping, stiffness, x0, t_end, dt, expect=None):
             residual=float(span)))
     invariants.append(linear_oracle("mechanics/linear-oracle", g, times,
                                     states, len(times) - 1, 1e-6))
-    return header, rows, invariants, stopped_early
+    return header, columns, invariants, stopped_early
 
 
 def run_contact_lagrangian(system, **params):
@@ -591,7 +599,7 @@ def run_contact_lagrangian(system, **params):
 
 # kind -> runner; its keyword signature, with that of the variant it picks,
 # is the one list of the parameter names a config may give.  A runner
-# returns (header, rows, invariants, stopped_early), the flag its flow's
+# returns (header, Columns of its path arrays, invariants, stopped_early).
 RUNNERS = {
     "gkls": run_gkls,
     "pure-state": run_pure_state,
@@ -615,22 +623,22 @@ def execute_scenario(out_dir, kind, name, parameters):
     started = time.perf_counter()
     try:
         # an unknown or a missing parameter name is a TypeError here
-        header, rows, results, stopped_early = RUNNERS[kind](**parameters)
+        header, columns, results, stopped_early = RUNNERS[kind](**parameters)
     except DivergenceError as exc:
-        times, states = exc.partial
+        _, states = exc.partial
         write_csv(out_dir / f"{name}_partial.csv",
                   ["t"] + [f"y{j + 1}" for j in range(states.shape[1])],
-                  np.column_stack([times, states]))
+                  Columns(exc.partial))
         raise
     csv_path = out_dir / f"{name}.csv"
-    write_csv(csv_path, header, rows)
+    write_csv(csv_path, header, columns)
     report = {
         "scenario": name,
         "kind": kind,
         "wall_time_s": time.perf_counter() - started,
         "invariants": [asdict(r) for r in results],
         "outputs": [str(csv_path)],
-        "final_t": float(rows[-1, 0]),
+        "final_t": float(columns[0][-1]),
         "stopped_early": stopped_early,
     }
     report_path = out_dir / f"{name}_report.json"

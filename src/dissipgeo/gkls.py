@@ -39,14 +39,7 @@ alone in its partial path.
 ``spectra`` gives the spectra along a path to the callers that read them.
 It forms xi for ``SPECTRA_ROWS`` points at a time and writes the traces
 and spectra into (T,) and (T, n) outputs, so it holds its outputs and
-one block, never a (T, n, n) complex stack of 2n^2 doubles a row.  With
-``cli.run_gkls`` building its CSV rows in place, a run holds its path
-and those rows; the tracemalloc peak of ``cli.execute_scenario`` per
-row (20,001 rows at n = 4, else 100,001), with one whole stack of xi
-and a second copy of the rows against with blocks:
-
-    n = 4: 441 / 289 B       n = 3: 264 / 176 B
-    n = 2: 144 / 104 B       phase damping: 208 / 136 B
+one block, never a (T, n, n) complex stack of 2n^2 doubles a row.
 """
 
 from __future__ import annotations

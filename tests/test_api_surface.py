@@ -139,6 +139,13 @@ def calls_in(module, accept):
             if isinstance(node, ast.Call) and accept(node)]
 
 
+def test_no_runner_builds_csv_rows():
+    """A runner hands write_csv its path arrays as Columns, which alone lay
+    out CSV rows, so cli stacks no columns into rows."""
+    assert calls_in("cli", lambda call: "column_stack"
+                    in referenced_names(call.func)) == []
+
+
 def test_only_integrators_derives_the_grid():
     """fast_path owns the step grid and says whether the path stopped
     short of it, so no flow module and not the CLI builds it again."""

@@ -646,29 +646,73 @@ def test_partial_csv_matches_per_value_format(tmp_path):
         ["t", "y1", "y2", "y3"], np.column_stack([times, states]))
 
 
-def test_gkls_run_holds_its_path_once(tmp_path):
-    # an n = 4 run of 20,001 rows: its CSV rows (19 doubles a row), the
-    # fill's lifted states (16) and the times (1) are 288 bytes a row; a
-    # (T, n, n) complex stack of xi (256) or a second copy of the rows
-    # (152) would push the peak past 330
+def n4_gkls_parameters():
     rng = np.random.default_rng(42)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h, jump = (a + a.conj().T) / 2, 0.3 * rng.normal(size=(4, 4))
-    params = {"hamiltonian": np.stack([h.real, h.imag], -1).tolist(),
-              "jumps": [np.stack([jump, 0 * jump], -1).tolist()],
-              "rho0": [[[0.25 if i == j else 0.0, 0.0] for j in range(4)]
-                       for i in range(4)],
-              "t_end": 20.0, "dt": 1e-3}
+    return {"hamiltonian": np.stack([h.real, h.imag], -1).tolist(),
+            "jumps": [np.stack([jump, 0 * jump], -1).tolist()],
+            "rho0": [[[0.25 if i == j else 0.0, 0.0] for j in range(4)]
+                     for i in range(4)],
+            "t_end": 20.0, "dt": 1e-3}
+
+
+# kind, parameters, CSV rows and the tracemalloc bound in bytes a row.  A
+# runner hands write_csv its path arrays as Columns and keeps no CSV rows;
+# the writer's block array, buffer and tables take about 1.3 MB more.
+# - gkls n = 4: the times (1 double), the fill's lifted states (16), the
+#   traces (1), the spectra (4) and the ranks (1) are 184 bytes a row,
+#   and the writer about 66 more at 20,001 rows: 253 measured;
+# - pure state n = 2: 208, before the writer;
+# - phase damping: 120, in the phase-damping-analytic invariant;
+# - linear n = 2: the times and states (5 doubles) and the writer about
+#   13 more at 100,001 rows: 47 measured.
+# A runner that copies its path into (T, C) rows, C doubles a row, reads
+# 289, 256, 136 and 80, past each bound
+PATH_PEAKS = {
+    "gkls-n4": ("gkls", n4_gkls_parameters(), 20001, 262),
+    "pure-state": ("pure-state", builtin_parameters(
+        "bloch-gradient", t_end=100.0), 100001, 232),
+    "phase-damping": ("gkls", builtin_parameters(
+        "phase-damping", t_end=100.0), 100001, 124),
+    "linear": ("contact-lagrangian", builtin_parameters(
+        "coupled-damped-oscillators", t_end=100.0), 100001, 64),
+}
+
+
+@pytest.mark.parametrize("case", PATH_PEAKS)
+def test_a_run_holds_its_path_once(case, tmp_path):
+    kind, params, rows, bound = PATH_PEAKS[case]
     tracemalloc.start()
     try:
-        report = cli.execute_scenario(tmp_path, "gkls", "n4", params)
+        report = cli.execute_scenario(tmp_path, kind, case, params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert all(inv["passed"] for inv in report["invariants"])
-    rows = 20001
-    assert len((tmp_path / "n4.csv").read_bytes().splitlines()) == rows + 1
-    assert peak <= 330 * rows
+    assert len((tmp_path / f"{case}.csv").read_bytes().splitlines()) \
+        == rows + 1
+    assert peak <= bound * rows
+
+
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   2 * BLOCK + 3])
+def test_write_csv_lays_out_columns(count, tmp_path, monkeypatch):
+    # a float and an int column, a strided (T, k) view and a contiguous
+    # (T, k) array write the rows of their column_stack
+    rng = np.random.default_rng(count)
+    floats = rng.normal(size=count)
+    ints = rng.integers(-5, 5, size=count)
+    wide = rng.normal(size=(count, 6))
+    pieces = [floats, ints, wide[:, ::2], np.resize(CSV_EDGES, (count, 4))]
+    header = [f"c{j}" for j in range(9)]
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", BLOCK)
+    path = tmp_path / "columns.csv"
+    write_csv(path, header, cli.Columns(pieces))
+    stacked = np.column_stack(pieces)
+    assert path.read_bytes() == per_value_csv(header, stacked)
+    assert np.array_equal(np.asarray(cli.Columns(pieces)), stacked,
+                          equal_nan=True)
 
 
 def counted_blocks(monkeypatch):
