@@ -20,13 +20,14 @@ byte-stable across runs, the bytes of one format(v, '.17g') per value)
 plus a JSON report with per-invariant pass/fail and residuals, final_t
 and stopped_early, true when a domain guard ended the path before t_end.
 write_csv takes a 2-D array or the Columns of a runner's path arrays and
-gathers at most CSV_BLOCK_ROWS (512) rows and CSV_BLOCK_VALUES (4096)
-values, and at least one row, at a time into one block array; it makes
+lays out at most CSV_BLOCK_ROWS (512) rows and CSV_BLOCK_VALUES (4096)
+values, and at least one row, at a time as a new float block; it makes
 their digits in numpy as round(|v| * 10**(16 - k)) from an exact
 double-double product, and writes 0 and -0 from the sign bit; nan, inf,
 |v| outside [1e-100, 1e100) and the rare value it cannot prove right (a
 near tie, a k that log10 rounded the wrong way) are written by CPython's
-formatter.  Its block and working arrays are allocated once per call.
+formatter.  It holds no storage between blocks: a block and its working
+arrays are numpy temporaries.
 The argparse parser is built once, at import.
 Exit codes: 0 all invariants pass, 2 usage or config error (a bad value,
 a name not read or a missing one, an unreadable config or an unwritable
@@ -118,11 +119,11 @@ class Columns(tuple):
     as the run made it: write_csv lays out their rows a block at a time,
     and np.asarray all at once, for a caller that wraps write_csv."""
 
-    def rows(self, start=0, stop=None, out=None):
-        """Rows start:stop of the columns side by side, into out if given."""
+    def rows(self, start=0, stop=None):
+        """Rows start:stop of the columns side by side, as floats."""
         return np.concatenate([c[start:stop, None] if c.ndim == 1
                                else c[start:stop] for c in self],
-                              axis=1, out=out)
+                              axis=1, dtype=float)
 
     def __array__(self, dtype=None, copy=None):
         return self.rows()
@@ -132,21 +133,15 @@ def write_csv(path, header, rows):
     """Write header and rows, a 2-D array or the Columns of a path."""
     columns = rows if isinstance(rows, Columns) \
         else Columns([np.asarray(rows, dtype=float)])
-    length = len(columns[0])
     path.parent.mkdir(parents=True, exist_ok=True)
     # a block of rows at a time keeps the byte grid small: at most
-    # CSV_BLOCK_ROWS rows and CSV_BLOCK_VALUES values, and at least a row;
-    # one block array and one working buffer, sized for the first, serve all
+    # CSV_BLOCK_ROWS rows and CSV_BLOCK_VALUES values, and at least a row
     width = sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
     block = min(CSV_BLOCK_ROWS, CSV_BLOCK_VALUES // width) or 1
-    gathered = np.empty((min(block, length), width))
-    buffer = np.empty((8 * _CSV_WORD_ROWS + _CSV_BYTE_ROWS) * gathered.size,
-                      np.uint8)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, length, block):
-            fh.write(_csv_block_bytes(columns.rows(
-                start, start + block, gathered[:length - start]), buffer))
+        for start in range(0, len(columns[0]), block):
+            fh.write(_csv_block_bytes(columns.rows(start, start + block)))
 
 
 # format(v, '.17g') for a block of values at once.  The 17 digits are
@@ -163,12 +158,11 @@ _VELTKAMP = 134217729.0  # 2**27 + 1
 _GROUP_OFFSETS = np.array([[0], [10000], [20000], [30000]])
 
 
-def _veltkamp_split(a, hi=None, lo=None):
-    """a = hi + lo with 26-bit halves, so products of halves are exact;
-    written into hi and lo when they are given."""
-    hi = np.multiply(_VELTKAMP, a, out=hi)
-    hi -= np.subtract(hi, a, out=lo)
-    return hi, np.subtract(a, hi, out=lo)
+def _veltkamp_split(a):
+    """a = hi + lo with 26-bit halves, so products of halves are exact."""
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 @functools.cache
@@ -247,88 +241,54 @@ def _csv_tables():
     return tables
 
 
-# the rows of _csv_block_bytes's working arrays: 8-byte and 1-byte ones
-_CSV_WORD_ROWS, _CSV_BYTE_ROWS = 17, 8
-
-
-def _csv_block_bytes(block, buffer):
+def _csv_block_bytes(block):
     """The CSV lines of a 2-D float block: each value as format(v, '.17g'),
-    joined by "," and ending in "\\n".  Its working arrays are rows of
-    buffer, one per write_csv call, each written in the block before the
-    block reads it; take's mode "clip" writes straight into out (every
-    index is in range), where "raise" would fill a copy first."""
+    joined by "," and ending in "\\n"."""
     pow10, slots, head, quad, last, (newline, sep_only) = _csv_tables()
     rows, cols = block.shape
     x = block.ravel()
-    split = 8 * _CSV_WORD_ROWS * x.size
-    ints = buffer[:split].view(np.int64).reshape(_CSV_WORD_ROWS, x.size)
-    small = buffer[split:split + _CSV_BYTE_ROWS * x.size].reshape(
-        _CSV_BYTE_ROWS, x.size)
-    ki, digits, spare = ints[:3]
-    groups, index, words = ints[3:7], ints[7:11], ints[11:].view(np.uint64)
-    # the floats are read for the last time before groups is first written
-    floats = ints[3:12].view(np.float64)
-    a, prod, a_hi, a_lo, err = floats[:5]
-    zero, exact, test = small[:3].view(bool)
-
-    np.abs(x, out=a)
-    np.equal(a, 0, out=zero)
-    np.greater_equal(a, 1e-100, out=exact)
-    exact &= np.less(a, 1e100, out=test)
+    a = np.abs(x)
+    zero = a == 0
+    exact = (a >= 1e-100) & (a < 1e100) | zero
     # 1.0 stands in for the values that fall back and for 0, whose k it
     # gives (checked below like any other)
-    np.copyto(a, 1.0, where=np.logical_not(exact, out=test))
-    exact |= zero
-    log = np.log10(a)
-    np.subtract(np.floor(log, out=log), _CSV_K_MIN, out=ki, casting="unsafe")
-    near, near_hi, near_lo, rest = np.take(pow10, ki, axis=1,
-                                           out=floats[5:], mode="clip")
-    # a * 10**(16 - k) = prod + err, err rounded once; each product is
-    # written over a factor that it was the last to read
-    np.multiply(a, near, out=prod)
-    _veltkamp_split(a, a_hi, a_lo)
-    err = np.multiply(a_hi, near_hi, out=err)
-    err -= prod
-    err += np.multiply(a_hi, near_lo, out=a_hi)
-    err += np.multiply(a_lo, near_hi, out=near_hi)
-    err += np.multiply(a_lo, near_lo, out=near_lo)
-    err += np.multiply(a, rest, out=rest)
-    whole = np.floor(err, out=spare, casting="unsafe")
-    frac = np.subtract(err, whole, out=err)
-    np.copyto(digits, prod, casting="unsafe")
-    digits += whole
+    a = np.where(exact & ~zero, a, 1.0)
+    ki = np.floor(np.log10(a)).astype(np.intp) - _CSV_K_MIN
+    near, near_hi, near_lo, rest = pow10.take(ki, axis=1)
+    # a * 10**(16 - k) = prod + err, err rounded once
+    prod = a * near
+    a_hi, a_lo = _veltkamp_split(a)
+    err = ((a_hi * near_hi - prod) + a_hi * near_lo + a_lo * near_hi) \
+        + a_lo * near_lo
+    err += a * rest
+    whole = np.floor(err)
+    frac = err - whole
+    digits = prod.astype(np.int64) + whole.astype(np.int64)
     # a product below 1e16 means log10 rounded k up, and one that rounds
     # to 1e17 a carry or a k rounded down; near ties fall back, so rounding
     # up above one half is rounding to nearest
-    exact &= np.greater_equal(digits, 10 ** 16, out=test)
-    tie = np.abs(np.subtract(frac, 0.5, out=a_hi), out=a_hi)
-    exact &= np.greater(tie, 1e-6, out=test)
-    digits += np.greater(frac, 0.5, out=test)
-    exact &= np.less(digits, 10 ** 17, out=test)
-    falls_back = np.logical_not(exact, out=test)
-    # any in-range digits for the fallback, and for 0 and -0 the one digit
-    # 0 at the stand-in's k
-    np.copyto(digits, 10 ** 16, where=falls_back)
-    np.copyto(digits, 0, where=zero)
+    exact &= (digits >= 10 ** 16) & (np.abs(frac - 0.5) > 1e-6)
+    digits += frac > 0.5
+    exact &= digits < 10 ** 17
+    digits[~exact] = 10 ** 16  # any in-range digits for the fallback
+    digits[zero] = 0  # 0 and -0: the one digit 0 at the stand-in's k
+    # the floats go before the layout's arrays come, so a block's peak stays
+    # below glibc's heap trim threshold and is not faulted in every block
+    del a, near, near_hi, near_lo, rest, prod, a_hi, a_lo, err, whole, frac
 
+    groups = np.empty((4, x.size), np.int64)
     for j in (3, 2, 1, 0):
-        lead = np.floor_divide(digits, 10000, out=spare)
-        np.subtract(digits, np.multiply(lead, 10000, out=groups[j]),
-                    out=groups[j])
-        digits, spare = lead, digits
-    ends = np.take(last, np.add(groups, _GROUP_OFFSETS, out=index),
-                   out=small[3:7], mode="clip").max(axis=0, out=small[7])
-    ki *= 17
-    ki += ends
-    np.take(slots, ki, axis=1, out=words, mode="clip")
-    picked = index.view(np.uint64)
-    lead += np.multiply(np.signbit(x, out=zero), 10, out=spare)
-    words[0] &= np.take(head, lead, out=picked[0], mode="clip")
-    words[1:5] &= np.take(quad, groups, out=picked, mode="clip")
+        lead = digits // 10000
+        groups[j] = digits - 10000 * lead
+        digits = lead
+    ends = last.take(groups + _GROUP_OFFSETS).max(axis=0)
+    words = slots.take(17 * ki + ends, axis=1)
+    words[0] &= head.take(lead + 10 * np.signbit(x))
+    words[1:5] &= quad.take(groups)
     words[5].reshape(rows, cols)[:, -1] ^= newline
     # nan, inf, |v| out of range, a near tie, a wrong k or a carry:
     # CPython's formatter, value by value
-    fallback = np.flatnonzero(falls_back)
+    fallback = np.flatnonzero(~exact)
     if fallback.size:
         words[:5, fallback] = np.frombuffer(b"".join(
             (b"%.17g" % v).ljust(40, b"\0")

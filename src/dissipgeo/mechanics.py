@@ -106,11 +106,10 @@ HAMILTONIANITY_VERDICTS = ("hamiltonian-admissible", "not-hamiltonian",
 
 @dataclass(frozen=True)
 class HamiltonianityResult:
-    """Odd power traces Tr G^(2k+1) of G, each |trace| over its bound
-    |G|^(2k+1), and the verdict, one of HAMILTONIANITY_VERDICTS
+    """Each odd power trace |Tr G^(2k+1)| of G over its bound |G|^(2k+1),
+    and the verdict, one of HAMILTONIANITY_VERDICTS
     ("inconclusive-non-generic" when repeated eigenvalues void the test)."""
 
-    odd_traces: np.ndarray
     trace_ratios: np.ndarray
     verdict: str
 
@@ -133,7 +132,6 @@ def hamiltonianity_criterion(g):
     for _ in range(dim):
         traces.append(float(np.trace(power)))
         power = power @ g2
-    traces = np.array(traces)
     ratios = np.abs(traces) / np.array(
         [max(scale, 1e-30) ** (2 * k + 1) for k in range(dim)])
     traceless = bool(np.all(ratios < 1e-9))
@@ -143,8 +141,7 @@ def hamiltonianity_criterion(g):
         verdict = "hamiltonian-admissible"
     else:
         verdict = "inconclusive-non-generic"
-    return HamiltonianityResult(odd_traces=traces, trace_ratios=ratios,
-                                verdict=verdict)
+    return HamiltonianityResult(trace_ratios=ratios, verdict=verdict)
 
 
 def bivector_span_dimension(g):

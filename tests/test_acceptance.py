@@ -150,9 +150,10 @@ def test_criterion_05_pure_state_flow_oracle():
 def test_criterion_06_hamiltonianity_criterion():
     g1, g2 = 0.3, 0.7
     sys_ = coupled_damped_oscillators(1.0, 2.0, g1, g2, 0.1, 0.2)
-    damped = hamiltonianity_criterion(representative_matrix(*sys_))
+    damped_g = representative_matrix(*sys_)
+    damped = hamiltonianity_criterion(damped_g)
     rejected = damped.verdict == "not-hamiltonian" \
-        and abs(damped.odd_traces[0] + (g1 + g2)) < 1e-12
+        and abs(np.trace(damped_g) + (g1 + g2)) < 1e-12
 
     rng = np.random.default_rng(6)
     worst = 0.0
@@ -166,8 +167,11 @@ def test_criterion_06_hamiltonianity_criterion():
         g = lam @ (sym + sym.T)
         scale = np.linalg.norm(g, 2)
         res = hamiltonianity_criterion(g)
+        odd_traces = [np.trace(np.linalg.matrix_power(g, 2 * k + 1))
+                      for k in range(4)]
         bounds = np.array([scale ** (2 * k + 1) for k in range(4)])
-        worst = max(worst, float(np.max(np.abs(res.odd_traces) / bounds)))
+        worst = max(worst, float(np.max(np.abs(odd_traces) / bounds)),
+                    float(np.max(res.trace_ratios)))
         count += 1
     report(6, rejected and worst < 1e-10,
            f"damped Rep-Mat rejected via Tr G = -(g1+g2); "

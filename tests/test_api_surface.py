@@ -146,6 +146,13 @@ def test_no_runner_builds_csv_rows():
                     in referenced_names(call.func)) == []
 
 
+def test_the_writer_keeps_no_working_storage():
+    """write_csv's blocks and their digits are plain numpy temporaries, so
+    no call in cli writes into an array it was handed: none passes out."""
+    assert calls_in("cli", lambda call: any(
+        keyword.arg == "out" for keyword in call.keywords)) == []
+
+
 def test_only_integrators_derives_the_grid():
     """fast_path owns the step grid and says whether the path stopped
     short of it, so no flow module and not the CLI builds it again."""

@@ -594,12 +594,12 @@ def exact_ties(draw):
 @given(ties=st.lists(exact_ties(), min_size=1, max_size=16),
        columns=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
 def test_write_csv_rewrites_its_buffers_every_block(ties, columns, seed):
-    # one call's blocks share one buffer: a block of values that all fall
-    # back (nan, inf, out of range, ties), a full block of ordinary values
-    # with zeros, and a short block with zeros elsewhere; a row the second
-    # or third block does not write would show the block before it, in
-    # the bytes or, where the stale row sends every value to CPython's
-    # formatter, in the count of values that fall back
+    # a block's bytes and fallbacks do not depend on the block before it:
+    # a block of values that all fall back (nan, inf, out of range, ties),
+    # a full block of ordinary values with zeros, and a short block with
+    # zeros elsewhere; a row that a later block took from the one before
+    # would show in the bytes or, where that row sends every value to
+    # CPython's formatter, in the count of values that fall back
     rng = np.random.default_rng(seed)
     fallback = np.resize([np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300,
                           *ties], (BLOCK, columns))
@@ -659,14 +659,14 @@ def n4_gkls_parameters():
 
 # kind, parameters, CSV rows and the tracemalloc bound in bytes a row.  A
 # runner hands write_csv its path arrays as Columns and keeps no CSV rows;
-# the writer's block array, buffer and tables take about 1.3 MB more.
+# the writer's block array and tables take about 1.3 MB more.
 # - gkls n = 4: the times (1 double), the fill's lifted states (16), the
 #   traces (1), the spectra (4) and the ranks (1) are 184 bytes a row,
-#   and the writer about 66 more at 20,001 rows: 253 measured;
+#   and the writer about 57 more at 20,001 rows: 241 measured;
 # - pure state n = 2: 208, before the writer;
 # - phase damping: 120, in the phase-damping-analytic invariant;
 # - linear n = 2: the times and states (5 doubles) and the writer about
-#   13 more at 100,001 rows: 47 measured.
+#   13 more at 100,001 rows: 48 measured.
 # A runner that copies its path into (T, C) rows, C doubles a row, reads
 # 289, 256, 136 and 80, past each bound
 PATH_PEAKS = {
@@ -719,9 +719,9 @@ def counted_blocks(monkeypatch):
     """The value count of every _csv_block_bytes call, in call order."""
     sizes, block_bytes = [], cli._csv_block_bytes
 
-    def counting(block, buffer):
+    def counting(block):
         sizes.append(block.size)
-        return block_bytes(block, buffer)
+        return block_bytes(block)
 
     monkeypatch.setattr(cli, "_csv_block_bytes", counting)
     return sizes
