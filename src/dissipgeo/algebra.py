@@ -17,18 +17,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 
 
-class InvalidDimensionError(ValueError):
-    """Basis requested for a dimension below 2."""
-
-
-class TraceMismatchError(ValueError):
-    """A matrix expected to have unit trace does not; carries ``.trace``."""
-
-    def __init__(self, trace):
-        super().__init__(f"expected unit trace, got {trace!r}")
-        self.trace = trace
-
-
 class BasisCorruptionError(RuntimeError):
     """A basis matrix handed to ``structure_constants`` is not Hermitian."""
 
@@ -114,21 +102,23 @@ def build_su_basis(n):
     """Orthonormal traceless Hermitian basis of su(n).  n = 2 gives the
     Pauli matrices over sqrt(2)."""
     if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidDimensionError(f"need integer n >= 2, got {n!r}")
+        raise ValueError(f"need integer n >= 2, got {n!r}")
     return SuBasis(n=int(n), tau=_gell_mann_stack(int(n)))
 
 
 def to_coherence_vector(a, basis):
     """Coherence vector x^j = Tr(a tau_j) of a trace-one Hermitian matrix,
     or of each matrix of a stack (..., n, n), each row with the bits of its
-    one-matrix call; the first trace off 1 by more than TRACE_TOL raises."""
+    one-matrix call; the first trace off 1 by more than TRACE_TOL raises
+    ValueError."""
     a = np.asarray(a, dtype=complex)
     if a.shape[-2:] != (basis.n, basis.n):
         raise ValueError(f"shape {a.shape} does not match n={basis.n}")
     traces = np.trace(a, axis1=-2, axis2=-1)
     off = np.abs(traces - 1.0) > TRACE_TOL
     if off.any():
-        raise TraceMismatchError(complex(traces[off][0]))
+        raise ValueError(
+            f"expected unit trace, got {complex(traces[off][0])!r}")
     return np.einsum("jab,...ba->...j", basis.tau, a).real
 
 

@@ -63,7 +63,8 @@ def expm(a):
     s times; the oracles' exact flow, sharing nothing with the steppers.
     An overflowing square fails its oracle; ``cli.main`` mutes the warning."""
     s = max(0, int(np.frexp(np.linalg.norm(a, 1))[1]) + 1)
-    a = a / 2.0 ** s
+    # 2^-s is exact up to s = 1074; 2.0 ** s overflows from s = 1024
+    a = a * np.ldexp(1.0, -s)
     term = total = np.eye(len(a), dtype=a.dtype)
     for k in range(1, 19):
         term = term @ a / k
@@ -144,15 +145,17 @@ def contact_residuals(cases):
         for a, b, z in cases), 1e-9)
 
 
-def observed_order(name, errors, floor):
+def observed_order(name, errors):
     """Passes when each log2(e_dt / e_dt/2) over errors at dt, dt/2,
     dt/4, ... lies in [3.7, 4.3], as for a fourth-order method, and no
-    error is below 1e3 times the rounding floor, where an order would be
-    read off rounding; the residual is the largest |order - 4|."""
+    error is below 1e3 times the rounding floor 40 eps, one unit roundoff
+    per step of the finest run, where an order would be read off
+    rounding; the residual is the largest |order - 4|."""
     errors = np.asarray(errors, dtype=float)
     residual = float(np.max(np.abs(np.log2(errors[:-1] / errors[1:]) - 4.0)))
     return CheckResult(name=name, passed=bool(
-        residual <= 0.3 and np.min(errors) >= 1e3 * floor),
+        residual <= 0.3
+        and np.min(errors) >= 1e3 * 40 * np.finfo(float).eps),
         residual=residual)
 
 
@@ -204,10 +207,12 @@ def stratum_tangency(cases):
     return result("gkls/gradient-flow-rank-constancy", res, 1e-12)
 
 
-def exactness_residual(chart, point, step):
+def exactness_residual(chart, point):
     """Max-norm of omega - d eta over a point or a stack of them, with
-    (d eta)_ab = d_a eta_b - d_b eta_a from central differences."""
-    jac = central_gradient(chart.eta, point, step)  # jac[b, a] = d_a eta_b
+    (d eta)_ab = d_a eta_b - d_b eta_a from central differences of step
+    1e-2: exact up to rounding for an affine eta, and a large step keeps
+    the rounding small."""
+    jac = central_gradient(chart.eta, point, 1e-2)  # jac[b, a] = d_a eta_b
     return float(np.max(np.abs(np.asarray(chart.omega(point))
                                - (np.swapaxes(jac, -1, -2) - jac))))
 
@@ -393,8 +398,7 @@ def gkls_suite():
                                     basis)
     errors = [np.max(np.abs(integrate(m, x0, 1.0, dt)[1][-1] - exact))
               for dt in (0.04, 0.02, 0.01)]
-    results.append(observed_order("gkls/observed-order", errors,
-                                  floor=40 * np.finfo(float).eps))
+    results.append(observed_order("gkls/observed-order", errors))
     return results
 
 
@@ -459,9 +463,7 @@ def purestate_suite():
     exact = sphere_flow(a, b, psi0, 2.0)
     errors = [np.max(np.abs(ps.integrate_sphere_flow(
         a, b, psi0, 2.0, dt)[1][-1] - exact)) for dt in (0.2, 0.1, 0.05)]
-    # rounding floor: one unit roundoff per step of the finest run
-    results.append(observed_order("purestate/observed-order", errors,
-                                  floor=40 * np.finfo(float).eps))
+    results.append(observed_order("purestate/observed-order", errors))
 
     # the generic bordered solve of contact on the sphere chart, with
     # F = f_a / r^2 and alpha = alpha_b pulled back, pushed forward is Z
@@ -514,9 +516,9 @@ def contact_suite():
         float(np.max(np.abs(vecdot(eta, xi) - 1.0))))
     nondeg_bad = float(np.any(nondegeneracy_determinant(chart, points)
                               <= 1e-12))
-    # eta is affine on this chart: its central differences are exact
-    # up to rounding at any step, and a large one keeps rounding small
-    exact_res = exactness_residual(chart, points, 1e-2)
+    # eta is affine on this chart: central differences are exact up to
+    # rounding
+    exact_res = exactness_residual(chart, points)
     eta_res = float(np.max(np.abs(vecdot(
         eta, contact_hamiltonian_field(chart, f, points)) - f(points))))
     antisym_res = float(np.max(np.abs(jacobi_bracket(chart, f, g, points)

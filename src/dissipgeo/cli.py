@@ -29,15 +29,20 @@ near tie, a k that log10 rounded the wrong way) are written by CPython's
 formatter.  It holds no storage between blocks: a block and its working
 arrays are numpy temporaries.
 The argparse parser is built once, at import.
-Exit codes: 0 all invariants pass, 2 usage or config error (a bad value,
-a name not read or a missing one, an unreadable config or an unwritable
---out, a dt at or below the five-point rounding floor of a rate
-invariant), 3 numerical failure.
+Exit codes: 0 all invariants pass, 2 usage or config error, 3 numerical
+failure or a failed invariant.  A bad input is a ValueError with its
+message (a bad value, a dt at or below the five-point rounding floor of
+a rate invariant), a TypeError (a name not read or a missing one) or an
+OSError (an unreadable config or an unwritable --out): exit 2.  A named
+class of the package (DivergenceError, ImplicitSystemError,
+DegenerateContactError, BasisCorruptionError) or a LinAlgError is a
+computation that failed on a valid input: exit 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import json
 import sys
@@ -72,21 +77,17 @@ CSV_BLOCK_ROWS = 512
 CSV_BLOCK_VALUES = 4096
 
 
-class ConfigError(ValueError):
-    """Configuration could not be validated or parsed."""
-
-
 def parse_reals(data, what):
     """A finite number or nested lists of them -> float ndarray; a
     boolean or a string is no number."""
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
+        raise ValueError(f"{what}: {exc}") from exc
     if not np.isfinite(arr).all() or any(
             isinstance(v, (bool, str))
             for v in np.asarray(data, dtype=object).flat):
-        raise ConfigError(f"{what}: entries must be finite numbers")
+        raise ValueError(f"{what}: entries must be finite numbers")
     return arr
 
 
@@ -94,7 +95,7 @@ def parse_real(data, what):
     """One finite number -> float, by the rule of ``parse_reals``."""
     arr = parse_reals(data, what)
     if arr.ndim:
-        raise ConfigError(f"{what} must be a number, not {data!r}")
+        raise ValueError(f"{what} must be a number, not {data!r}")
     return float(arr)
 
 
@@ -103,7 +104,7 @@ def parse_complex_matrix(data, what):
     ndarray."""
     arr = parse_reals(data, what)
     if arr.ndim < 2 or arr.shape[-1] != 2:
-        raise ConfigError(f"{what}: complex entries must be [re, im] pairs")
+        raise ValueError(f"{what}: complex entries must be [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -370,7 +371,7 @@ BUILTIN_SCENARIOS = {
 
 def phase_damping_gkls(model, gamma):
     if model != "phase-damping":
-        raise ConfigError(f"unknown model {model!r}")
+        raise ValueError(f"unknown model {model!r}")
     gamma = parse_real(gamma, "gamma")
     return phase_damping_model(gamma), gamma
 
@@ -385,7 +386,7 @@ def run_gkls(t_end, dt, x0=None, rho0=None, **variant):
     build = phase_damping_gkls if "model" in variant else general_gkls
     model, gamma = build(**variant)
     if (x0 is None) == (rho0 is None):
-        raise ConfigError("give exactly one of x0 and rho0")
+        raise ValueError("give exactly one of x0 and rho0")
     if x0 is None:
         rho0 = parse_complex_matrix(rho0, "rho0")
         x0 = to_coherence_vector(rho0, model.basis)
@@ -394,7 +395,7 @@ def run_gkls(t_end, dt, x0=None, rho0=None, **variant):
         rho0 = from_coherence_vector(x0, model.basis)
     if not (is_hermitian(rho0)
             and positivity(np.linalg.eigvalsh(rho0)).passed):
-        raise ConfigError("the initial state is not a density matrix")
+        raise ValueError("the initial state is not a density matrix")
     times, points, stopped_early = integrate(model, x0, t_end, dt)
     traces, values = spectra(model.basis, points)
     header = ["t"] + [f"x{j + 1}" for j in range(len(x0))] \
@@ -465,7 +466,7 @@ def coupled_circuit(l1, l2, c1, c2, r1, r2, r_coupling):
 
 def run_circuit(circuit, i0, di0, t_end, dt, **values):
     if circuit not in ("single", "coupled"):
-        raise ConfigError(f"unknown circuit {circuit!r}")
+        raise ValueError(f"unknown circuit {circuit!r}")
     build = single_circuit if circuit == "single" else coupled_circuit
     sys_, l_mat, r_mat, c_inv = build(
         **{name: parse_real(v, name) for name, v in values.items()})
@@ -509,9 +510,9 @@ def friction_lagrangian(gamma, q0, qd0, t_end, dt):
 def expected_verdicts(hamiltonianity=None, span_dimension=None):
     """The linear system's "expect" block, each name optional."""
     if hamiltonianity not in (None, *HAMILTONIANITY_VERDICTS):
-        raise ConfigError(f"unknown hamiltonianity {hamiltonianity!r}")
+        raise ValueError(f"unknown hamiltonianity {hamiltonianity!r}")
     if span_dimension is not None and type(span_dimension) is not int:
-        raise ConfigError(f"span_dimension {span_dimension!r} is no int")
+        raise ValueError(f"span_dimension {span_dimension!r} is no int")
     return hamiltonianity, span_dimension
 
 
@@ -521,10 +522,10 @@ def linear_lagrangian(mass, damping, stiffness, x0, t_end, dt, expect=None):
         ("mass", "damping", "stiffness", "x0"))
     n = mass.shape[0] if mass.ndim == 2 else 0
     if n < 1 or not mass.shape == damping.shape == stiffness.shape == (n, n):
-        raise ConfigError("mass, damping and stiffness must be n x n "
-                          "matrices with n >= 1")
+        raise ValueError("mass, damping and stiffness must be n x n "
+                         "matrices with n >= 1")
     if x0.shape != (2 * n,):
-        raise ConfigError(f"x0 must have length {2 * n}")
+        raise ValueError(f"x0 must have length {2 * n}")
     # a non-object "expect" or an unknown name in it is a TypeError here
     hamiltonianity, span_dimension = expected_verdicts(
         **({} if expect is None else expect))
@@ -539,7 +540,7 @@ def linear_lagrangian(mass, damping, stiffness, x0, t_end, dt, expect=None):
         invariants.append(hamiltonianity_verdict(
             "mechanics/hamiltonianity-verdict", g, hamiltonianity))
     if span_dimension is not None:
-        span, _ = bivector_span_dimension(g)
+        span = bivector_span_dimension(g)
         invariants.append(CheckResult(
             name="mechanics/bivector-span-dimension",
             passed=span == span_dimension,
@@ -554,7 +555,7 @@ def run_contact_lagrangian(system, **params):
         return friction_lagrangian(**params)
     if system == "linear":
         return linear_lagrangian(**params)
-    raise ConfigError(f"unknown system {system!r}")
+    raise ValueError(f"unknown system {system!r}")
 
 
 # kind -> runner; its keyword signature, with that of the variant it picks,
@@ -572,13 +573,15 @@ def execute_scenario(out_dir, kind, name, parameters):
     """Run one scenario, writing its CSV and report; returns the report.
     The keywords are the one list of the top-level keys a config gives."""
     if kind not in RUNNERS:
-        raise ConfigError(f"unknown kind {kind!r}; choose from "
-                          f"{list(RUNNERS)}")
+        raise ValueError(f"unknown kind {kind!r}; choose from "
+                         f"{list(RUNNERS)}")
     if not isinstance(name, str) or not name or name != Path(name).name:
-        raise ConfigError(f"name must be a plain file name, not {name!r}")
-    # an int in the JSON writes the same CSV bytes as a float
-    parameters.update({key: parse_real(parameters[key], key)
-                       for key in ("t_end", "dt") if key in parameters})
+        raise ValueError(f"name must be a plain file name, not {name!r}")
+    # an int in the JSON writes the same CSV bytes as a float; the
+    # caller's dict stays as it was
+    parameters = {**parameters, **{key: parse_real(parameters[key], key)
+                                   for key in ("t_end", "dt")
+                                   if key in parameters}}
     out_dir = Path(out_dir)
     started = time.perf_counter()
     try:
@@ -608,16 +611,18 @@ def execute_scenario(out_dir, kind, name, parameters):
 
 def load_config(source):
     """A builtin is named by its key, and a file by its stem unless it
-    gives a "name"."""
+    gives a "name"; a builtin's config is a copy, which its caller may
+    change."""
     if source in BUILTIN_SCENARIOS:
-        return {"name": source, **BUILTIN_SCENARIOS[source]["config"]}
+        return {"name": source,
+                **copy.deepcopy(BUILTIN_SCENARIOS[source]["config"])}
     path = Path(source)
     if not path.is_file():
-        raise ConfigError(f"no builtin scenario or config file {source!r}")
+        raise ValueError(f"no builtin scenario or config file {source!r}")
     try:
         config = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {source}: {exc}") from exc
+        raise ValueError(f"invalid JSON in {source}: {exc}") from exc
     # a JSON array, string or number is a TypeError here
     return {"name": path.stem, **config}
 
@@ -688,10 +693,11 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, TypeError, OSError, MemoryError) as exc:
-        # ConfigError and the domain checks of the library (Hermiticity,
-        # normalisation, unit trace, dt > 0, ...) are all ValueErrors, an
-        # OSError is an unreadable config or an unwritable --out, and a
-        # MemoryError a step grid (t_end / dt) too long to allocate
+        # a bad input is a ValueError (a config parser's or a domain check
+        # of the library's: Hermiticity, unit trace, dt > 0, ...), and a
+        # named class above is a failed computation; an OSError is an
+        # unreadable config or an unwritable --out, and a MemoryError a
+        # step grid (t_end / dt) too long to allocate
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _print_invariants(invariants)

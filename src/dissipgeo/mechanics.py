@@ -132,8 +132,10 @@ def hamiltonianity_criterion(g):
     for _ in range(dim):
         traces.append(float(np.trace(power)))
         power = power @ g2
+    # a numpy scalar's power overflows to inf where a float's raises, and
+    # rounds as the float's does, unlike a power of an array
     ratios = np.abs(traces) / np.array(
-        [max(scale, 1e-30) ** (2 * k + 1) for k in range(dim)])
+        [np.float64(max(scale, 1e-30)) ** (2 * k + 1) for k in range(dim)])
     traceless = bool(np.all(ratios < 1e-9))
     if not traceless:
         verdict = "not-hamiltonian"
@@ -149,12 +151,10 @@ def bivector_span_dimension(g):
 
     Seeds with d/dq'_i ^ d/dq'_j, iterates B -> G B + B G^T, and
     rank-counts inside the n(2n-1)-dimensional space of antisymmetric
-    matrices.  A maximal span forces every invariant Lagrangian two-form
-    to vanish, so no Lagrangian exists; for n = 1 maximality proves
-    nothing and the verdict is "test-inapplicable".
-
-    Returns (dimension, verdict) with verdict in {"lagrangian-possible",
-    "no-lagrangian", "test-inapplicable"}.
+    matrices.  A maximal span n(2n-1) forces every invariant Lagrangian
+    two-form to vanish, so no Lagrangian exists; for n = 1 there is no
+    velocity pair, the span is 0 and proves nothing.  A G without the
+    [[0, I], [*, *]] blocks is a bad input: ValueError.
     """
     g = np.asarray(g, dtype=float)
     dim = g.shape[0]
@@ -173,7 +173,7 @@ def bivector_span_dimension(g):
     if not seeds:
         # n = 1: there is no velocity-velocity pair, the constraint set is
         # vacuous and maximality proves nothing
-        return 0, "test-inapplicable"
+        return 0
     tol = 1e-10 * max(1.0, float(np.linalg.norm(g, 2)))
     frontier = seeds
     vectors = [b[idx] for b in frontier]
@@ -186,11 +186,7 @@ def bivector_span_dimension(g):
         if rank == span:
             break
         vectors, span = grown, rank
-    if span == max_dim:
-        verdict = "no-lagrangian"
-    else:
-        verdict = "lagrangian-possible"
-    return span, verdict
+    return span
 
 
 def _zero_h(s):
@@ -463,7 +459,7 @@ def rlc_coupled(l1, l2, c1, c2, r1, r2, r_coupling):
         raise ValueError("inductances and capacitances must be positive")
     if r1 < 0 or r2 < 0:
         raise ValueError("need r1 >= 0 and r2 >= 0")
-    if r_coupling ** 2 > r1 * r2:
+    if r_coupling * r_coupling > r1 * r2:
         raise ValueError("need r_coupling**2 <= r1 * r2, a positive "
                          "semidefinite Rayleigh matrix")
     l_mat = np.diag([float(l1), float(l2)])

@@ -244,24 +244,28 @@ def test_no_bare_runtime_error_or_exception_is_raised():
 
 
 def test_every_package_error_has_an_exit_code():
-    """Each exception class src defines subclasses one that an except
-    clause of cli.main maps to exit 2 or 3, so no error of the package
-    leaves main as exit 1 with a traceback."""
+    """A bad input is a ValueError, which cli.main maps to exit 2, so src
+    defines no subclass of it; the exception classes src defines are
+    exactly the failed computations that main's exit-3 clause names, and
+    none leaves main as exit 1 with a traceback."""
     main = next(stmt for stmt in ast.parse((SOURCE / "cli.py").read_text())
                 .body if getattr(stmt, "name", None) == "main")
-    mapped = []
-    for handler in ast.walk(main):
-        if isinstance(handler, ast.ExceptHandler):
-            caught = eval(ast.unparse(handler.type), vars(cli))
-            mapped.extend(caught if isinstance(caught, tuple) else [caught])
-    defined = [obj for path in sorted(SOURCE.glob("*.py"))
+    numerical = next(
+        handler for handler in ast.walk(main)
+        if isinstance(handler, ast.ExceptHandler)
+        and any("EXIT_NUMERICAL" in referenced_names(stmt)
+                for stmt in handler.body))
+    caught = eval(ast.unparse(numerical.type), vars(cli))
+    defined = {obj for path in sorted(SOURCE.glob("*.py"))
                for obj in vars(importlib.import_module(
                    f"dissipgeo.{path.stem}")).values()
                if isinstance(obj, type) and issubclass(obj, BaseException)
-               and obj.__module__ == f"dissipgeo.{path.stem}"]
-    assert len(defined) >= 5
-    assert [cls.__name__ for cls in defined
-            if not issubclass(cls, tuple(mapped))] == []
+               and obj.__module__ == f"dissipgeo.{path.stem}"}
+    assert defined == {cls for cls in caught
+                       if cls.__module__.startswith("dissipgeo.")}
+    assert sorted(cls.__name__ for cls in defined) == [
+        "BasisCorruptionError", "DegenerateContactError",
+        "DivergenceError", "ImplicitSystemError"]
 
 
 def test_errstate_is_entered_in_four_functions():

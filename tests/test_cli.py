@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import copy
 import io
 import json
 import re
@@ -459,8 +460,7 @@ class TestParsing:
         assert mat[1, 0] == 1j
 
     def test_malformed_pairs_rejected(self):
-        from dissipgeo.cli import ConfigError
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="matrix: "):
             parse_complex_matrix([[1.0, 2.0], [3.0, 4.0, 5.0]], "matrix")
 
 
@@ -1006,6 +1006,36 @@ class TestCommands:
         assert (tmp_path / "huge_partial.csv").exists() \
             == ("diverged" in message)
 
+    @pytest.mark.parametrize("kind, params, code, message", [
+        ("circuit", builtin_parameters(
+            "rlc-coupled", r1=1e200, r2=1e200, r_coupling=1e200),
+         EXIT_NUMERICAL, "integration diverged after t = 0"),
+        ("contact-lagrangian", {
+            "system": "linear", "mass": np.eye(3).tolist(),
+            "damping": np.zeros((3, 3)).tolist(),
+            "stiffness": np.diag([1e30, 2e30, 3e30]).tolist(),
+            "x0": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            "expect": {"hamiltonianity": "hamiltonian-admissible"},
+            "t_end": 1e-14, "dt": 1e-16},
+         EXIT_NUMERICAL, "[FAIL] mechanics/hamiltonianity-verdict"),
+        ("gkls", {**PHASE_DAMPING, "x0": [0.0, 0.0, 0.5],
+                  "t_end": 5e307, "dt": 1e307},
+         EXIT_OK, "6/6 invariants passed")],
+        ids=["r-coupling-squared-1e400", "odd-trace-bound-1e330",
+             "expm-scale-2-to-1025"])
+    def test_overflowing_float_powers_raise_nothing(self, kind, params, code,
+                                                    message, tmp_path,
+                                                    capsys):
+        # a float's ** raises OverflowError where numpy's gives inf: the
+        # Rayleigh test's r_coupling^2, the odd-trace bound |G|^(2k+1) and
+        # expm's 2^s of a finite config exit 0 or 3 with their message
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"kind": kind, "parameters": params}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may escape
+            assert run_cli("run", str(cfg), "--out", str(tmp_path)) == code
+        assert message in "".join(capsys.readouterr())
+
     def test_long_pure_state_oracle_is_finite(self, tmp_path, capsys):
         # exp(80 M) overflows for b = 10 sigma3; the oracle takes it in
         # normalised pieces, so a correct run passes and warns of nothing
@@ -1047,6 +1077,20 @@ class TestCommands:
 
 
 class TestScenarioRuns:
+    def test_a_run_changes_neither_a_builtin_nor_the_callers_dict(
+            self, tmp_path):
+        # load_config hands out a copy of a builtin, and execute_scenario
+        # reads t_end and dt as floats into a dict of its own
+        builtins = copy.deepcopy(BUILTIN_SCENARIOS)
+        config = cli.load_config("phase-damping")
+        config["parameters"]["x0"][0] = 0.5
+        params = {**config["parameters"], "t_end": 3, "dt": 1}
+        given = copy.deepcopy(params)
+        cli.execute_scenario(tmp_path, "gkls", "ints", params)
+        assert params == given
+        assert type(params["t_end"]) is int and type(params["dt"]) is int
+        assert BUILTIN_SCENARIOS == builtins
+
     def test_every_builtin_round_trips(self, tmp_path, capsys):
         # short horizons keep the smoke test quick; invariants still run
         assert set(BUILTIN_INVARIANTS) == set(BUILTIN_SCENARIOS)

@@ -233,15 +233,13 @@ class TestHamiltonianityCriterion:
 class TestBivectorSpan:
     def test_generic_damped_parameters_obstruct_lagrangian(self):
         sys = coupled_damped_oscillators(1.0, 2.0, 0.3, 0.7, 0.1, 0.2)
-        dim, verdict = bivector_span_dimension(representative_matrix(*sys))
-        assert dim == 6
-        assert verdict == "no-lagrangian"
+        # the maximal span n(2n - 1) = 6 of n = 2: no Lagrangian exists
+        span = bivector_span_dimension(representative_matrix(*sys))
+        assert type(span) is int and span == 6
 
     def test_undamped_decoupled_leaves_room(self):
         sys = coupled_damped_oscillators(1.0, 2.0, 0.0, 0.0, 0.0, 0.0)
-        dim, verdict = bivector_span_dimension(representative_matrix(*sys))
-        assert dim < 6
-        assert verdict == "lagrangian-possible"
+        assert bivector_span_dimension(representative_matrix(*sys)) < 6
 
     @pytest.mark.parametrize("damping", [0.0, 0.3])
     def test_each_stack_is_ranked_once(self, damping, monkeypatch):
@@ -262,9 +260,7 @@ class TestBivectorSpan:
         # the velocity-pair constraint set is empty for n = 1, so the
         # obstruction argument has nothing to say
         g = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        dim, verdict = bivector_span_dimension(g)
-        assert dim == 0
-        assert verdict == "test-inapplicable"
+        assert bivector_span_dimension(g) == 0
 
     def test_wrong_block_structure_rejected(self):
         with pytest.raises(ValueError):
