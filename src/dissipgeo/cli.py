@@ -696,8 +696,8 @@ def main(argv=None):
         # a bad input is a ValueError (a config parser's or a domain check
         # of the library's: Hermiticity, unit trace, dt > 0, ...), and a
         # named class above is a failed computation; an OSError is an
-        # unreadable config or an unwritable --out, and a MemoryError a
-        # step grid (t_end / dt) too long to allocate
+        # unreadable config or an unwritable --out, and a MemoryError an
+        # array too large to allocate under the grid's cap
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _print_invariants(invariants)

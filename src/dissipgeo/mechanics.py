@@ -34,24 +34,20 @@ z = (q, q') obeys a linear law z' = G z (the RLC circuits and the
 friction system).  A run relies on both halves without testing them;
 the ``mechanics/declared-projection`` invariant of ``checks`` holds the
 builders to both.  S then obeys S' = phi(z) - r S with phi = S' at
-S = 0, and one RK4 step is taken in closed form by a fill of
-``integrators.fast_path``: z by ``linear_fill`` on G, the stage points
-of every step in one product as A_i z with A_1 = I and
-A_(i+1) = I + c_i dt G A_i for c = 1/2, 1/2, 1, and S by the recurrence
-S_(k+1) = c S_k + b_k, whose b_k holds phi at the four stage points of
-step k, filled a block of ``CHECK_ROWS`` rows at a time as
-``linear_fill`` fills z: one lower-triangular product per block, from
-the row before it.  G is read off the field's (q, q') rows, one field
-call on 2n + 1 states, r is dh_ds(0) and phi is the field's S' at
-S = 0, so the route follows the callbacks and never the data they were
-built from.  The fill declines a run it cannot fill up to the first row
-outside the domain guard (its z path diverges, a stage Hessian is
-singular or a state is not finite) and every other system's, and
-``rk4_path`` steps it on ``contact_el_field``; that route alone raises,
-and it is the test oracle of the closed form.  ``integrate_contact``
-returns ``fast_path``'s (times, states, stopped_early), states in the
-field's layout; a reader that reports E_L or |q'|^2 / 2 evaluates them on
-those states.
+S = 0, and the RK4 steps are taken in closed form by a fill of
+``integrators.fast_path``.  mechanics supplies the physics: G read off
+the field's (q, q') rows in one field call, r = dh_ds(0), phi at the
+stacked stage points of every step in one call, and the domain guard,
+so the route follows the callbacks and never the data they were built
+from.  ``integrators`` supplies the method: z by ``linear_fill``, the
+stage points by ``linear_stages``, c and b_k of S_(k+1) = c S_k + b_k
+by ``rk4_increment`` and S by ``recurrence_fill``.  The fill declines a
+run it cannot fill up to the first row outside the domain guard (its z
+path diverges, a stage Hessian is singular or a state is not finite)
+and every other system's, and ``rk4_path`` steps it on
+``contact_el_field``; that route alone raises, and it is the test oracle
+of the closed form.  ``integrate_contact`` returns ``fast_path``'s
+(times, states, stopped_early), states in the field's layout.
 """
 
 from __future__ import annotations
@@ -63,7 +59,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import matvec
-from .integrators import CHECK_ROWS, fast_path, linear_fill
+from .integrators import (fast_path, linear_fill, linear_stages,
+                          recurrence_fill, rk4_increment)
 
 HESSIAN_DET_TOL = 1e-10
 
@@ -309,21 +306,6 @@ def analytic_energy_rate(sys, q, qd, s):
     return -sys.dh_ds(s) * (qd * _force_covector(sys, q, qd)).sum(axis=-1)
 
 
-_STAGE_C = (0.5, 0.5, 1.0)  # RK4 stage i + 1 starts at y + c_i dt k_i
-
-
-def _s_step(phi, s, r, dt):
-    """The increment of one RK4 step of S' = phi_i - r S from S = s, with
-    phi[i] the value of phi at stage point i."""
-    stage, slopes = s, []
-    for i in range(4):
-        slopes.append(phi[i] - r * stage)
-        if i < 3:
-            stage = s + _STAGE_C[i] * dt * slopes[-1]
-    return (dt / 6.0) * (slopes[0] + 2.0 * slopes[1] + 2.0 * slopes[2]
-                         + slopes[3])
-
-
 def _projected_generator(sys):
     """G of z' = G z from the field's (q, q') rows at S = 0: column k is
     (f(u + t e_k) - f(u)) / t at the in-domain states u = (1, ..., 1) and
@@ -341,10 +323,7 @@ def _closed_form_fill(sys, y0, steps, dt):
     """The closed-form RK4 path of a linear_projection system up to the
     row before the first one outside the domain guard; None for any other
     system, or when the z path diverges, a stage Hessian is singular or a
-    row is not finite up to that row.  S is filled a block of
-    ``CHECK_ROWS`` rows at a time from the row s before the block:
-    S_(k0+m) = c^m s + sum_(j<m) c^(m-1-j) b_(k0+j), one lower-triangular
-    product per block, as ``linear_fill`` fills z."""
+    row is not finite up to that row (see the module docstring)."""
     if not sys.linear_projection:
         return None
     n, dim = sys.n, 2 * sys.n
@@ -360,34 +339,17 @@ def _closed_form_fill(sys, y0, steps, dt):
         outside = ~sys.domain_guard(zs[1:, :n], zs[1:, n:])
         if outside.any():
             keep = steps = int(np.argmax(outside)) + 1
-    eye = np.eye(dim)
-    amps = [eye]
-    for c in _STAGE_C:
-        amps.append(eye + c * dt * g @ amps[-1])
-    # stage point i of step k is stages[i, k] = A_i z_k
-    stages = (np.reshape(amps, (-1, dim)) @ zs[:steps].T).reshape(
-        4, dim, steps).transpose(0, 2, 1)
-    q, qd = stages[..., :n], stages[..., n:]
+    q, qd = np.split(linear_stages(g, zs[:steps], dt), [n], axis=-1)
     if _singular(np.asarray(sys.hess_qd(q, qd), dtype=float)).any():
         return None
-    b = _s_step(_s_rate(sys, q, qd, 0.0, _force_covector(sys, q, qd)), 0.0,
-                r, dt)
-    c = 1.0 + _s_step((0.0,) * 4, 1.0, r, dt)
-    # powers[m] = c^m, and row m - 1 of weights holds c^(m - 1 - j) at j < m
-    ramp = np.arange(min(CHECK_ROWS, steps))
-    powers = c ** np.append(ramp, len(ramp))
-    weights = np.tril(powers[np.abs(ramp[:, None] - ramp)])
-    s_path = np.empty(steps + 1)
-    s_path[0] = y0[dim]
-    for start in range(1, steps + 1, CHECK_ROWS):
-        rows = s_path[start:start + CHECK_ROWS]
-        m = len(rows)
-        rows[:] = powers[1:m + 1] * s_path[start - 1] \
-            + weights[:m, :m] @ b[start - 1:start - 1 + m]
-    # a row that is not finite leaves every later one so
-    if not np.isfinite(s_path).all():
-        return None
-    return np.column_stack([zs[:keep], s_path[:keep]])
+    # b_k and c - 1 are the RK4 increments of S' = phi_i - r S from S = 0
+    # and of S' = -r S from S = 1
+    phi = _s_rate(sys, q, qd, 0.0, _force_covector(sys, q, qd))
+    b = rk4_increment(lambda i, s: phi[i] - r * s, 0.0, dt)
+    s_path = recurrence_fill(
+        1.0 + rk4_increment(lambda i, s: -r * s, 1.0, dt), b, y0[dim])
+    return None if s_path is None else np.column_stack([zs[:keep],
+                                                        s_path[:keep]])
 
 
 def integrate_contact(sys, state0, t_end, dt):

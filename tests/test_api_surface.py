@@ -9,7 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import dissipgeo
-from dissipgeo import cli
+from dissipgeo import cli, mechanics
 
 SOURCE = Path(dissipgeo.__file__).parent
 
@@ -109,8 +109,9 @@ def test_integrators_knows_no_flow():
                     for alias in node.names)]
     assert sorted(stmt.name for stmt in tree.body
                   if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))) \
-        == ["DivergenceError", "fast_path", "linear_fill", "rk4_linear_path",
-            "rk4_path", "time_grid"]
+        == ["DivergenceError", "fast_path", "linear_fill", "linear_stages",
+            "recurrence_fill", "rk4_increment", "rk4_linear_path", "rk4_path",
+            "time_grid"]
 
     def fast_path(call):
         return "fast_path" in referenced_names(call.func)
@@ -121,22 +122,65 @@ def test_integrators_knows_no_flow():
             "mechanics.integrate_contact"]
 
 
-def test_check_rows_sizes_the_z_and_s_blocks_alone():
-    """Only integrators, whose linear_fill fills z, and mechanics, whose
-    closed form fills S in blocks of that size, name CHECK_ROWS, so no
-    other module keeps a loop over blocks of step powers."""
+def test_only_integrators_names_check_rows():
+    """integrators fills z (linear_fill) and S (recurrence_fill) in blocks
+    of CHECK_ROWS rows, so no other module keeps a loop over blocks of
+    step powers."""
     assert [path.stem for path in sorted(SOURCE.glob("*.py"))
-            if "CHECK_ROWS" in path.read_text()] == ["integrators",
-                                                      "mechanics"]
+            if "CHECK_ROWS" in path.read_text()] == ["integrators"]
+
+
+def test_rk4_has_one_home():
+    """integrators alone holds RK4's tableau: the stage coefficients RK4_C
+    and the 1/6-weighted sum of rk4_increment, with which rk4_path and the
+    closed form of mechanics both step.  linear_fill's other division by
+    6 is the Taylor coefficient of its step matrix."""
+    def stage_coefficients(node):
+        return isinstance(node, ast.Tuple) and [
+            getattr(elt, "value", None) for elt in node.elts] \
+            == [0.5, 0.5, 1.0]
+
+    def sixth(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) \
+            and getattr(node.right, "value", None) == 6
+
+    def increment(node):
+        return isinstance(node, ast.Name) and node.id == "rk4_increment"
+
+    modules = sorted(SOURCE.glob("*.py"))
+    assert [site for path in modules
+            for site in sites_in(path.stem, stage_coefficients)] \
+        == [f"integrators.{integrators_line('RK4_C')}"]
+    assert [site for path in modules for site in sites_in(path.stem, sixth)] \
+        == ["integrators.rk4_increment", "integrators.linear_fill"]
+    assert sorted({site for path in modules
+                   for site in sites_in(path.stem, increment)}) \
+        == ["integrators.rk4_path", "mechanics._closed_form_fill"]
+    assert not {"_STAGE_C", "_s_step"} & set(vars(mechanics))
+
+
+def integrators_line(name):
+    """The line of the top-level statement of integrators that binds name."""
+    return next(stmt.lineno for stmt in ast.parse(
+        (SOURCE / "integrators.py").read_text()).body
+        if name in bound_names(stmt))
+
+
+def sites_in(module, accept):
+    """module.function for every node of a module that accept(node)
+    holds, once per node, by the top-level definition it sits in (its
+    line for a statement that defines no function or class)."""
+    return [f"{module}.{getattr(stmt, 'name', stmt.lineno)}"
+            for stmt in ast.parse((SOURCE / f"{module}.py").read_text()).body
+            for node in ast.walk(stmt)
+            if accept(node)]
 
 
 def calls_in(module, accept):
     """module.function for every call in a module that accept(call) holds,
     once per call, by the top-level definition it sits in."""
-    return [f"{module}.{getattr(stmt, 'name', stmt.lineno)}"
-            for stmt in ast.parse((SOURCE / f"{module}.py").read_text()).body
-            for node in ast.walk(stmt)
-            if isinstance(node, ast.Call) and accept(node)]
+    return sites_in(module, lambda node: isinstance(node, ast.Call)
+                    and accept(node))
 
 
 def test_no_runner_builds_csv_rows():

@@ -437,7 +437,7 @@ def test_contact_reduction_consistency_sees_a_generator_off_by_1e_6(
 def test_powers_of_one_expm_agree_with_an_expm_per_row(g):
     # the rows of mechanics/contact-reduction-consistency, each exact by
     # its own expm, read by the powers route of linear_oracle
-    times = integrators.time_grid(4.0, 1e-3)
+    times = integrators.time_grid(4.0, 1e-3, len(g))
     states = np.full((len(times), len(g)), np.nan)
     states[0] = np.linspace(1.0, 0.2, len(g))
     states[::100] = [expm(g * t) @ states[0] for t in times[::100]]

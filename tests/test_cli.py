@@ -668,7 +668,12 @@ def n4_gkls_parameters():
 # - linear n = 2: the times and states (5 doubles) and the writer about
 #   13 more at 100,001 rows: 48 measured.
 # A runner that copies its path into (T, C) rows, C doubles a row, reads
-# 289, 256, 136 and 80, past each bound
+# 289, 256, 136 and 80, past each bound.
+# The closed-form contact route (rlc-coupled, rlc-single, and friction
+# before its guard stops it) holds the four stacked RK4 stage points of
+# every step and phi's temporaries on them at once, which set its peaks:
+# 424, 184 and 189 measured.  Each bound sits just above, so the route
+# cannot grow, and a change that steps fewer stages at once can tighten it.
 PATH_PEAKS = {
     "gkls-n4": ("gkls", n4_gkls_parameters(), 20001, 262),
     "pure-state": ("pure-state", builtin_parameters(
@@ -677,6 +682,12 @@ PATH_PEAKS = {
         "phase-damping", t_end=100.0), 100001, 124),
     "linear": ("contact-lagrangian", builtin_parameters(
         "coupled-damped-oscillators", t_end=100.0), 100001, 64),
+    "rlc-coupled": ("circuit", builtin_parameters(
+        "rlc-coupled", t_end=100.0), 100001, 430),
+    "rlc-single": ("circuit", builtin_parameters(
+        "rlc-single", t_end=100.0), 100001, 188),
+    "friction": ("contact-lagrangian", builtin_parameters(
+        "friction-lagrangian", t_end=40.0), 40001, 193),
 }
 
 
@@ -829,15 +840,33 @@ class TestCommands:
 
     def test_unallocatable_grid_is_usage_error(self, tmp_path, monkeypatch,
                                                capsys):
-        # dt = 1e-12 asks np.arange for 21.8 TiB; the stand-in for that
-        # allocation raises without allocating
-        def unallocatable(t_end, dt):
+        # an allocation that fails is a bad input too; the stand-in for
+        # it raises without allocating
+        def unallocatable(t_end, dt, width):
             raise MemoryError(f"no room for {round(t_end / dt) + 1} times")
 
         monkeypatch.setattr(integrators, "time_grid", unallocatable)
         assert run_cli("run", "phase-damping", "--dt", "1e-12",
                        "--out", str(tmp_path)) == EXIT_USAGE
         assert "config error: no room for" in capsys.readouterr().err
+
+    def test_a_grid_past_the_cap_exits_before_allocating(self, tmp_path,
+                                                         capsys):
+        # 1e20 steps of 3 values: the grid is refused before any array of
+        # the path exists, with the longest t_end at that dt
+        tracemalloc.start()
+        try:
+            code = run_cli("run", "phase-damping", "--t-end", "1000",
+                           "--dt", "1e-17", "--out", str(tmp_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE
+        assert "config error: 100000000000000000001 rows of 3 values pass " \
+            "the cap of 10000000: at dt = 1e-17, t_end <= 3.333332e-11\n" \
+            in capsys.readouterr().err
+        assert peak < 1e6
+        assert not (tmp_path / "phase-damping.csv").exists()
 
     @pytest.mark.parametrize("case", sorted(SHORT_PATH_CONFIGS))
     def test_short_path_is_usage_error(self, case, tmp_path, capsys):

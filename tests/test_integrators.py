@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dissipgeo import integrators
 from dissipgeo.algebra import build_su_basis
 from dissipgeo.gkls import build_model, phase_damping_model
 from dissipgeo.integrators import (DivergenceError, fast_path, rk4_linear_path,
@@ -65,6 +66,18 @@ def divergence(path, *args):
     return info.value
 
 
+def oscillator_gap():
+    """max |rk4_linear_path - rk4_path| over the path of two coupled
+    damped oscillators, on the same grid."""
+    g = representative_matrix(
+        *coupled_damped_oscillators(1.0, 2.0, 0.3, 0.7, 0.1, 0.2))
+    y0 = np.array([1.0, -0.5, 0.2, 0.0])
+    t_ref, y_ref = rk4_path(lambda y: g @ y, y0, 10.0, 1e-3)
+    times, states, _ = rk4_linear_path(g, y0, 10.0, 1e-3)
+    assert np.array_equal(times, t_ref)
+    return np.max(np.abs(states - y_ref))
+
+
 class TestAffinePath:
     """The linear route rk4_linear_path; an affine field y' = a y + b is
     stepped as the linear field of its lift on (y, 1)."""
@@ -82,13 +95,16 @@ class TestAffinePath:
         assert np.max(np.abs(points[:, :-1] - x_ref)) <= 1e-12
 
     def test_matches_rk4_path_without_affine_part(self):
-        g = representative_matrix(
-            *coupled_damped_oscillators(1.0, 2.0, 0.3, 0.7, 0.1, 0.2))
-        y0 = np.array([1.0, -0.5, 0.2, 0.0])
-        t_ref, y_ref = rk4_path(lambda y: g @ y, y0, 10.0, 1e-3)
-        times, states, _ = rk4_linear_path(g, y0, 10.0, 1e-3)
-        assert np.array_equal(times, t_ref)
-        assert np.max(np.abs(states - y_ref)) <= 1e-12
+        assert oscillator_gap() <= 1e-12
+
+    @pytest.mark.parametrize("wrong", [
+        (0.5, 0.5, 0.9), (0.5, 0.4, 1.0), (0.6, 0.5, 1.0)])
+    def test_a_wrong_stage_coefficient_fails_the_comparison(self, wrong,
+                                                            monkeypatch):
+        # linear_fill's P is a Horner sum that reads no tableau, so the
+        # comparison sees a wrong entry of the one rk4_path steps with
+        monkeypatch.setattr(integrators, "RK4_C", wrong)
+        assert oscillator_gap() > 1e-6
 
     def test_divergence_matches_rk4_path(self):
         a = phase_damping_model(1.0).A
@@ -208,3 +224,16 @@ class TestStopFlag:
         if fill is declined:
             ref = rk4_path(lambda y: y, np.array([1.0]), 2.0, 0.5, post)
             assert np.array_equal(states, ref[1])
+
+
+def test_time_grid_refuses_a_path_past_the_cap():
+    # one row past the cap at 3 values a row is refused before np.arange,
+    # and the t_end the message names rounds to the longest grid allowed
+    width, dt = 3, 1e-3
+    most = integrators.MAX_PATH_VALUES // width - 1
+    assert width * (most + 1) <= integrators.MAX_PATH_VALUES \
+        < width * (most + 2)
+    with pytest.raises(ValueError, match=r"at dt = 0\.001, t_end <= "
+                       r"3333\.332$") as info:
+        integrators.time_grid((most + 1) * dt, dt, width)
+    assert round(float(str(info.value).split()[-1]) / dt) == most

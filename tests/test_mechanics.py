@@ -902,18 +902,22 @@ def test_contact_energy_decays_exactly(name):
     assert dissipated_energy_residual(*DISSIPATED_RUNS[name]) < 1e-10
 
 
-_S_STEP = mechanics._s_step
+_RK4_INCREMENT = integrators.rk4_increment
 
 
-def s_step_ignoring_r(phi, s, r, dt):
-    return _S_STEP(phi, s, 0.0, dt)
+def increment_ignoring_r(slope, y, dt):
+    """An S step that reads the rate at S = 0 at every stage point."""
+    return _RK4_INCREMENT(lambda i, s: slope(i, 0.0 * s), y, dt)
 
 
 @pytest.mark.parametrize("name", sorted(DISSIPATED_RUNS))
-@pytest.mark.parametrize("attr, wrong", [
-    ("_s_step", s_step_ignoring_r), ("_STAGE_C", (0.5, 0.5, 0.9))],
+@pytest.mark.parametrize("module, attr, wrong", [
+    (mechanics, "rk4_increment", increment_ignoring_r),
+    (integrators, "RK4_C", (0.5, 0.5, 0.9))],
     ids=["s-step-ignores-r", "stage-c"])
-def test_contact_energy_oracle_sees_a_wrong_s_step(name, attr, wrong,
+def test_contact_energy_oracle_sees_a_wrong_s_step(name, module, attr, wrong,
                                                    monkeypatch):
-    monkeypatch.setattr(mechanics, attr, wrong)
+    # the closed form steps S with integrators' tableau and increment, so
+    # a wrong one of either reaches the S column the oracle reads
+    monkeypatch.setattr(module, attr, wrong)
     assert dissipated_energy_residual(*DISSIPATED_RUNS[name]) >= 1e-10
