@@ -26,6 +26,17 @@ def matvec(m, x):
     return (m @ x[..., None])[..., 0]
 
 
+def shaped(name, value, *shapes):
+    """value, returned by the callback called name, as a float array;
+    ValueError unless its shape is one of shapes, those its caller
+    accepts: the one shape check of the callbacks of a ``ScalarField``
+    and of a ``ContactLagrangianSystem``."""
+    value = np.asarray(value, dtype=float)
+    if value.shape not in shapes:
+        raise ValueError(f"{name} returned shape {value.shape}, not {shapes}")
+    return value
+
+
 def vecdot(x, y):
     """x @ y over broadcasting leading axes; rows round as 1-D @ 1-D."""
     return (x[..., None, :] @ y[..., None])[..., 0, 0]

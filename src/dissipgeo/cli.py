@@ -436,7 +436,7 @@ def run_pure_state(a, b, psi0, t_end, dt):
         + [f"y{j + 1}" for j in range(n)] + ["norm"]
     columns = Columns((times, zs, norms))
 
-    exact = sphere_flow(a, b, psi0, times[-1])
+    exact = sphere_flow(a, b, psi0, times[-1], len(times) - 1)
     # the stepper never evaluates Z: hold the stored path to it
     field = ps.z_field(a, b, zs[2:-2])
     invariants = [

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import matvec, vecdot
+from .algebra import matvec, shaped, vecdot
 
 
 class DegenerateContactError(RuntimeError):
@@ -57,24 +57,20 @@ def central_gradient(f, x, step=1e-5):
 @dataclass(frozen=True)
 class ScalarField:
     """Function with its gradient, (...) and (..., dim) at points (..., dim):
-    an analytic one, or ``partial(central_gradient, value)``."""
+    an analytic one, or ``partial(central_gradient, value)``.  Each is
+    called on float points, and a value of any other shape raises
+    ValueError by ``algebra.shaped``."""
 
     value: Callable
     gradient: Callable
 
     def __call__(self, point):
-        return _shaped(self.value, point, np.shape(point)[:-1])
+        point = np.asarray(point, dtype=float)
+        return shaped("ScalarField value", self.value(point), point.shape[:-1])
 
     def grad(self, point):
-        return _shaped(self.gradient, point, np.shape(point))
-
-
-def _shaped(fn, point, shape):
-    """fn(point) as floats of the given shape, or ValueError."""
-    out = np.asarray(fn(np.asarray(point, dtype=float)), dtype=float)
-    if out.shape != shape:
-        raise ValueError(f"ScalarField shape {out.shape}, not {shape}")
-    return out
+        point = np.asarray(point, dtype=float)
+        return shaped("ScalarField grad", self.gradient(point), point.shape)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ with Lagrangian energy E_L = q'_j dL/dq'_j - L, plus single and coupled
 RLC circuit builders; a conservative system is the first form with
 h = 0.  The field maps the flat state y = (q, q', S) of shape (2n + 1,),
 or each row of a stack (..., 2n + 1) of them, to y', with one Hessian
-test and one solve per stack and every row with the bits of its one-row
+test and one solve per call and every row with the bits of its one-row
 call; a last axis other than 2n + 1 raises ValueError.  The velocity
 Hessian H is singular unless |det H| > HESSIAN_DET_TOL max|H_jk|^n, a
 scale-free test that also rejects a non-finite H, without a warning;
@@ -26,7 +26,7 @@ Callbacks take stacks like every other layer: q and q' of shape
 (..., n), one state being the case with no leading axes, and a scalar
 function returns (...), a covector (..., n) and a matrix (..., n, n); a
 constant matrix may be n x n, h and dh_ds a scalar.  Any other shape
-raises ValueError: write a coordinate as q[..., j], not q[0].
+raises ValueError (``algebra.shaped``): write q[..., j], not q[0].
 
 ``integrate_contact`` steps a system in one of two ways.  A builder sets
 ``linear_projection`` when h is linear in S, h = h(0) + r S, and
@@ -58,7 +58,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import matvec
+from .algebra import matvec, shaped
 from .integrators import (fast_path, linear_fill, linear_stages,
                           recurrence_fill, rk4_increment)
 
@@ -66,11 +66,8 @@ HESSIAN_DET_TOL = 1e-10
 
 
 class ImplicitSystemError(RuntimeError):
-    """Singular mass matrix or velocity Hessian; carries ``.state``."""
-
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
+    """Singular mass matrix or velocity Hessian; a singular Hessian's
+    message names the (q, q', S) of the first singular row."""
 
 
 def coupled_damped_oscillators(omega1, omega2, gamma1, gamma2, kappa, delta):
@@ -190,6 +187,10 @@ def _zero_h(s):
     return 0.0
 
 
+def _everywhere(q, qd):
+    return np.ones(np.shape(q)[:-1], dtype=bool)
+
+
 @dataclass(frozen=True)
 class ContactLagrangianSystem:
     """Lagrangian with dissipation data on (q, q', S).
@@ -198,8 +199,9 @@ class ContactLagrangianSystem:
     Rayleigh function F, when that is given, and D = dL/dq'
     (Caldirola-Kanai) otherwise; h = 0, the default, is conservative.
     mixed_hess(q, q')[..., j, k] is d^2 L / dq_k dq'_j.  The velocity
-    Hessian must stay invertible along trajectories.  domain_guard, when
-    set, stops integration cleanly once it returns False.  Every callback
+    Hessian must stay invertible along trajectories.  domain_guard(q, q')
+    is False outside the system's domain, where integration stops
+    cleanly; the default holds everywhere, as h = 0.  Every callback
     takes q and q' of shape (..., n), as the module docstring says, and h
     and dh_ds take S of shape (...).  linear_projection declares
     that h is linear in S and that (q, q') follows a linear flow, which
@@ -216,29 +218,20 @@ class ContactLagrangianSystem:
     h: Callable = _zero_h
     dh_ds: Callable = _zero_h
     d_f_dqd: Optional[Callable] = None
-    domain_guard: Optional[Callable] = None
+    domain_guard: Callable = _everywhere
     linear_projection: bool = False
 
     def energy(self, q, qd):
         """Lagrangian energy E_L = q'_j dL/dq'_j - L at q and q' of shape
         (..., n)."""
-        d_dqd = _shaped("d_l_dqd", self.d_l_dqd(q, qd), np.shape(qd))
+        d_dqd = shaped("d_l_dqd", self.d_l_dqd(q, qd), np.shape(qd))
         return (qd * d_dqd).sum(axis=-1) \
-            - _shaped("lagrangian", self.lagrangian(q, qd), np.shape(qd)[:-1])
-
-
-def _shaped(name, value, *shapes):
-    """value as a float array; ValueError unless its shape is one of
-    shapes, those the module docstring gives the callback name."""
-    value = np.asarray(value, dtype=float)
-    if value.shape not in shapes:
-        raise ValueError(f"{name} returned shape {value.shape}, not {shapes}")
-    return value
+            - shaped("lagrangian", self.lagrangian(q, qd), np.shape(qd)[:-1])
 
 
 def _force_covector(sys, q, qd):
     name = "d_l_dqd" if sys.d_f_dqd is None else "d_f_dqd"
-    return _shaped(name, getattr(sys, name)(q, qd), np.shape(qd))
+    return shaped(name, getattr(sys, name)(q, qd), np.shape(qd))
 
 
 def _quadratic(mat, v):
@@ -264,35 +257,35 @@ def _singular(mats):
 
 def _s_rate(sys, q, qd, s, force):
     """S' at (q, q', S) given the force covector, batched."""
-    h = _shaped("h", sys.h(s), (), np.shape(s))
+    h = shaped("h", sys.h(s), (), np.shape(s))
     if sys.d_f_dqd is None:
-        return _shaped("lagrangian", sys.lagrangian(q, qd), q.shape[:-1]) - h
+        return shaped("lagrangian", sys.lagrangian(q, qd), q.shape[:-1]) - h
     return (qd * force).sum(axis=-1) - (sys.energy(q, qd) + h)
 
 
 def contact_el_field(sys, y):
     """y' = (q', q'', S') at each flat state y = (q, q', S) of a stack
-    (..., 2n + 1): one Hessian test and one solve for the stack, and every
-    row with the bits of its one-row call.  A last axis other than 2n + 1
-    raises ValueError, and a singular Hessian in any row raises with the
-    (q, q', S) of the first such row in C order."""
+    (..., 2n + 1): one Hessian test and one solve for one state and a
+    stack alike, and every row with the bits of its one-row call.  A last
+    axis other than 2n + 1 raises ValueError, and a singular Hessian in
+    any row raises ImplicitSystemError, whose message names the (q, q', S)
+    of the first such row in C order."""
     n = sys.n
     if y.shape[-1:] != (2 * n + 1,):
         raise ValueError(f"states {y.shape} are not (..., {2 * n + 1})")
     q, qd, s = y[..., :n], y[..., n:2 * n], y[..., 2 * n]
     mats = (s.shape + (n, n), (n, n))
-    hess = _shaped("hess_qd", sys.hess_qd(q, qd), *mats)
+    hess = shaped("hess_qd", sys.hess_qd(q, qd), *mats)
     singular = _singular(hess)
-    # one state's verdict is a numpy bool, whose .any() costs a microsecond
-    if singular.any() if singular.ndim else singular:
+    if singular.any():
         bad = np.broadcast_to(singular, s.shape)
-        row = y[np.unravel_index(np.argmax(bad), bad.shape)]
-        raise ImplicitSystemError("singular velocity Hessian", state=(
-            row[:n].copy(), row[n:2 * n].copy(), row[2 * n]))
+        row = y[np.unravel_index(np.argmax(bad), bad.shape)].tolist()
+        raise ImplicitSystemError(f"singular velocity Hessian at (q, q', S) ="
+                                  f" ({row[:n]}, {row[n:2 * n]}, {row[-1]})")
     force = _force_covector(sys, q, qd)
-    rhs = _shaped("d_l_dq", sys.d_l_dq(q, qd), q.shape) \
-        - matvec(_shaped("mixed_hess", sys.mixed_hess(q, qd), *mats), qd) \
-        - _shaped("dh_ds", sys.dh_ds(s), (), s.shape)[..., None] * force
+    rhs = shaped("d_l_dq", sys.d_l_dq(q, qd), q.shape) \
+        - matvec(shaped("mixed_hess", sys.mixed_hess(q, qd), *mats), qd) \
+        - shaped("dh_ds", sys.dh_ds(s), (), s.shape)[..., None] * force
     dy = np.empty(y.shape)
     dy[..., :n] = qd
     dy[..., n:2 * n] = np.linalg.solve(hess, rhs[..., None])[..., 0]
@@ -335,10 +328,9 @@ def _closed_form_fill(sys, y0, steps, dt):
     # the path keeps rows :keep, and steps 0 .. steps - 1 are checked: the
     # last one ends on the last row or on the first row outside the guard
     keep = steps + 1
-    if sys.domain_guard is not None:
-        outside = ~sys.domain_guard(zs[1:, :n], zs[1:, n:])
-        if outside.any():
-            keep = steps = int(np.argmax(outside)) + 1
+    outside = ~sys.domain_guard(zs[1:, :n], zs[1:, n:])
+    if outside.any():
+        keep = steps = int(np.argmax(outside)) + 1
     q, qd = np.split(linear_stages(g, zs[:steps], dt), [n], axis=-1)
     if _singular(np.asarray(sys.hess_qd(q, qd), dtype=float)).any():
         return None
@@ -368,13 +360,12 @@ def integrate_contact(sys, state0, t_end, dt):
     q0, qd0, s0 = (np.asarray(part, dtype=float) for part in state0)
     if q0.shape != (n,) or qd0.shape != (n,) or s0.shape != ():
         raise ValueError(f"need q0 and qd0 of length {n} and a scalar S0")
-    if sys.domain_guard is not None and not sys.domain_guard(q0, qd0):
+    if not sys.domain_guard(q0, qd0):
         raise ValueError("initial state outside the system's domain")
     y0 = np.hstack([q0, qd0, s0])
-    post = None
-    if sys.domain_guard is not None:
-        def post(y):
-            return y if sys.domain_guard(y[:n], y[n:2 * n]) else None
+
+    def post(y):
+        return y if sys.domain_guard(y[:n], y[n:2 * n]) else None
     return fast_path(partial(_closed_form_fill, sys),
                      partial(contact_el_field, sys), y0, t_end, dt, post)
 

@@ -4,12 +4,17 @@ tests call is deleted together with those tests, and a constant or an
 import that nothing reads goes."""
 
 import ast
+import dataclasses
 import importlib
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import dissipgeo
-from dissipgeo import cli, mechanics
+from dissipgeo import cli, contact, mechanics
 
 SOURCE = Path(dissipgeo.__file__).parent
 
@@ -214,6 +219,60 @@ def test_one_singularity_test_in_mechanics():
     rule, under which a non-finite matrix is singular."""
     assert calls_in("mechanics", lambda call: "det"
                     in referenced_names(call.func)) == ["mechanics._singular"]
+
+
+def test_one_callback_shape_check():
+    """algebra.shaped alone reads a callback's value as floats and raises
+    ValueError on a shape its caller does not accept, for a ScalarField
+    and a ContactLagrangianSystem alike, so neither contact nor mechanics
+    keeps a shape helper of its own."""
+    field = contact.ScalarField(value=lambda p: p,
+                                gradient=lambda p: p[..., 0])
+    system = dataclasses.replace(mechanics.rlc_single(0.3, 0.7, 0.45),
+                                 d_l_dq=lambda q, qd: q[..., 0])
+    raisers = set()
+    for call in (partial(field, np.zeros(3)), partial(field.grad, np.zeros(3)),
+                 partial(mechanics.contact_el_field, system, np.zeros(3))):
+        with pytest.raises(ValueError, match="returned shape") as info:
+            call()
+        raisers.add(f"{Path(info.traceback[-1].path).stem}."
+                    f"{info.traceback[-1].name}")
+    assert raisers == {"algebra.shaped"}
+    assert not {"_shaped"} & (set(vars(contact)) | set(vars(mechanics)))
+
+
+def test_every_contact_system_has_a_domain_guard():
+    """domain_guard defaults to a guard that holds everywhere, as h to 0,
+    so no src statement compares it with None: integrate_contact and the
+    closed form call it on every system."""
+    def against_none(node):
+        return isinstance(node, ast.Compare) \
+            and "domain_guard" in referenced_names(node) and any(
+                isinstance(side, ast.Constant) and side.value is None
+                for side in [node.left, *node.comparators])
+
+    assert [site for path in sorted(SOURCE.glob("*.py"))
+            for site in sites_in(path.stem, against_none)] == []
+
+
+def test_contact_el_field_tests_singularity_once():
+    """contact_el_field asks one state's Hessian verdict and a stack's the
+    same question, singular.any(), with no branch on its ndim."""
+    field = next(stmt for stmt in ast.parse(
+        (SOURCE / "mechanics.py").read_text()).body
+        if getattr(stmt, "name", None) == "contact_el_field")
+    assert [ast.unparse(node.test) for node in ast.walk(field)
+            if isinstance(node, (ast.If, ast.IfExp))
+            and "singular" in referenced_names(node.test)] \
+        == ["singular.any()"]
+
+
+def test_a_singular_hessian_names_its_state_in_its_message():
+    """ImplicitSystemError is a plain RuntimeError subclass, like every
+    error src defines but DivergenceError: no __init__ and no payload, so
+    the (q, q', S) of a singular Hessian is in its message, which cli.main
+    prints."""
+    assert "__init__" not in vars(mechanics.ImplicitSystemError)
 
 
 def test_no_contact_function_calls_reeb_field():

@@ -95,10 +95,11 @@ def test_gkls_flow_matches_the_lifted_exponential(n):
 def test_sphere_flow_keeps_a_fixed_point_below_the_top():
     # psi0 = e2 spans an invariant subspace of sigma3 that decays as e^-2t
     # against e1; the ray stays e2 at t = 400, where e^-800 underflows
+    # (two products, under the 400 steps of a run at dt = 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning may escape
         psi = checks.sphere_flow(np.zeros((2, 2)), np.diag([1.0, -1.0]),
-                                 np.array([0.0, 1.0]), 400.0)
+                                 np.array([0.0, 1.0]), 400.0, 400)
     assert np.array_equal(psi, [0.0, 1.0])
 
 
@@ -110,13 +111,14 @@ def test_sphere_flow_keeps_a_fixed_point_below_the_top():
 def test_sphere_flow_of_a_nilpotent_generator(t):
     # M = i sigma1 + sigma3 squares to 0, so the ray is that of
     # exp(t M) psi0 = (I + t M) psi0; the oracle must hold it to a tenth of
-    # the 1e-7 tolerance of purestate/exponential-oracle
+    # the 1e-7 tolerance of purestate/exponential-oracle, with the step
+    # count of a run at dt = 0.01, above the ceil(2 t / 300) products taken
     a, b = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
     psi0 = np.array([0.6, 0.8])
     want = psi0 + t * purestate.flow_generator(a, b) @ psi0
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning may escape
-        psi = checks.sphere_flow(a, b, psi0, t)
+        psi = checks.sphere_flow(a, b, psi0, t, round(t / 0.01))
     assert np.max(np.abs(psi - want / np.linalg.norm(want))) < 1e-8
 
 

@@ -593,7 +593,8 @@ def exact_ties(draw):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(ties=st.lists(exact_ties(), min_size=1, max_size=16),
        columns=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
-def test_write_csv_rewrites_its_buffers_every_block(ties, columns, seed):
+def test_write_csv_blocks_do_not_depend_on_the_block_before(ties, columns,
+                                                            seed):
     # a block's bytes and fallbacks do not depend on the block before it:
     # a block of values that all fall back (nan, inf, out of range, ties),
     # a full block of ordinary values with zeros, and a short block with
@@ -1448,6 +1449,67 @@ def edge_run(kind, params):
         report = Path(tmp) / "edge_report.json"
         return code, (json.loads(report.read_text()) if report.exists()
                       else None)
+
+
+def numeric_leaves(value, path=()):
+    """The key path of each number in nested dicts and lists."""
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict)
+                          else enumerate(value)):
+            yield from numeric_leaves(item, path + (key,))
+    elif is_numeric(value):
+        yield path
+
+
+# the magnitude sweep of the exit-code contract: each number but t_end and
+# dt scaled by 10^k, negated or set to 0
+MAGNITUDES = {**{f"x1e{k}": 10.0 ** k
+                 for k in (8, -8, 20, -20, 100, -100, 300, -300)},
+              "negated": -1.0, "zero": 0.0}
+
+
+class CountedProducts(np.ndarray):
+    """A matrix whose products with a vector, ``step @ psi``, are counted."""
+
+    count = 0
+
+    def __matmul__(self, other):
+        CountedProducts.count += 1
+        return np.asarray(self) @ other
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_every_magnitude_exits_with_a_code(variant, monkeypatch):
+    # checks.sphere_flow took k = ceil(t ||M||_1 / 300) products, about
+    # 1.7e16 for the pure-state a00 scaled by 1e20 on its 5-step run,
+    # which never ended; capped at the run's step count, every config
+    # exits 0, 2 or 3, and 0 only with every invariant passing
+    expm = checks.expm
+    monkeypatch.setattr(checks, "expm",
+                        lambda a: expm(a).view(CountedProducts))
+    kind, params = VARIANTS[variant]
+    steps = round(params["t_end"] / params["dt"])
+    codes = {}
+    for path in numeric_leaves(without(without(params, "t_end"), "dt")):
+        for label, factor in MAGNITUDES.items():
+            changed = copy.deepcopy(params)
+            holder = changed
+            for key in path[:-1]:
+                holder = holder[key]
+            holder[path[-1]] *= factor
+            CountedProducts.count = 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, report = edge_run(kind, changed)
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL)
+            if code == EXIT_OK:
+                assert all(inv["passed"] for inv in report["invariants"])
+            assert CountedProducts.count <= steps
+            codes[path, label] = code
+    if variant == "pure-state":
+        # a00 scaled by 1e20 fails its oracle; psi0 = e1 never reads a11
+        assert codes[("a", 0, 0, 0), "x1e20"] == EXIT_NUMERICAL
+        assert codes[("a", 1, 1, 0), "x1e20"] == EXIT_OK
 
 
 @st.composite

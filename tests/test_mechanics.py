@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import warnings
 
@@ -43,6 +44,14 @@ def scaled_oscillator(h):
         d_l_dqd=lambda q, qd: h * qd,
         hess_qd=lambda q, qd: np.array([[h]]),
         mixed_hess=lambda q, qd: np.zeros((1, 1)))
+
+
+def singular_state(exc):
+    """The (q, q', S) that a singular Hessian's ImplicitSystemError names
+    in its message: lists q and q' and the float S."""
+    head, _, state = str(exc).partition(" = ")
+    assert head == "singular velocity Hessian at (q, q', S)"
+    return ast.literal_eval(state)
 
 
 def lu_solve_qdd(sys, q, qd, s):
@@ -104,18 +113,16 @@ def singular_at(sys, marker):
 
 
 def spy_on_callbacks(sys, shapes):
-    """sys with a domain guard that holds everywhere, each of whose
-    callbacks of (q, q') appends the shapes it receives to shapes."""
+    """sys, each of whose callbacks of (q, q'), its domain guard too,
+    appends the shapes it receives to shapes."""
     def spied(callback):
         def record(q, qd):
             shapes.append((q.shape, qd.shape))
             return callback(q, qd)
         return record
 
-    guarded = dataclasses.replace(
-        sys, domain_guard=lambda q, qd: np.isfinite(q[..., 0]))
-    return dataclasses.replace(guarded, **{
-        name: spied(getattr(guarded, name)) for name in (
+    return dataclasses.replace(sys, **{
+        name: spied(getattr(sys, name)) for name in (
             "lagrangian", "d_l_dq", "d_l_dqd", "hess_qd", "mixed_hess",
             "d_f_dqd", "domain_guard")})
 
@@ -334,7 +341,7 @@ class TestContactEulerLagrange:
             mixed_hess=lambda q, qd: np.zeros((1, 1)))
         with pytest.raises(ImplicitSystemError) as info:
             contact_el_field(sys, np.zeros(3))
-        assert info.value.state is not None
+        assert singular_state(info.value) == ([0.0], [0.0], 0.0)
 
     @pytest.mark.parametrize("sys", [
         rlc_single(0.3, 0.7, 0.45), friction_system(0.6),
@@ -356,7 +363,7 @@ class TestContactEulerLagrange:
             with pytest.raises(ImplicitSystemError) as info:
                 contact_el_field(scaled_oscillator(h),
                                  np.array([0.3, 0.2, 0.1]))
-            q, qd, s = info.value.state
+            q, qd, s = singular_state(info.value)
             assert (q[0], qd[0], s) == (0.3, 0.2, 0.1)
         for h in (1e-300, 5e-11, 2e-10):
             _, qdd, _ = contact_el_field(scaled_oscillator(h),
@@ -367,7 +374,7 @@ class TestContactEulerLagrange:
         with pytest.raises(ImplicitSystemError) as info:
             integrate_contact(scaled_oscillator(0.0), ([1.0], [0.0], 0.0),
                               1.0, 1e-2)
-        assert info.value.state is not None
+        assert singular_state(info.value) == ([1.0], [0.0], 0.0)
         for h in (5e-11, 2e-10):
             _, states, _ = integrate_contact(scaled_oscillator(h),
                                              ([1.0], [0.0], 0.0), 1.0, 1e-2)
@@ -387,8 +394,8 @@ class TestContactEulerLagrange:
         with pytest.raises(ImplicitSystemError) as info:
             contact_el_field(diagonal_pair(scale * np.ones((2, 2))),
                              np.array([0.3, -0.4, 0.2, 0.5, 0.1]))
-        q, qd, s = info.value.state
-        assert q.tolist() == [0.3, -0.4] and qd.tolist() == [0.2, 0.5]
+        q, qd, s = singular_state(info.value)
+        assert q == [0.3, -0.4] and qd == [0.2, 0.5]
         assert s == 0.1
 
     def test_default_h_is_conservative(self):
@@ -476,7 +483,7 @@ class TestContactEulerLagrange:
             y[row + (0,)] = 0.25
         with pytest.raises(ImplicitSystemError) as info:
             contact_el_field(singular_at(sys, 0.25), y)
-        q, qd, s = info.value.state
+        q, qd, s = singular_state(info.value)
         n, third = sys.n, y[rows[-1]]
         assert np.array_equal(q, third[:n]) and np.array_equal(qd, third[n:-1])
         assert s == third[-1]
@@ -831,9 +838,8 @@ class TestClosedForm:
         assert calls == [contact_el_field, contact_el_field]
         assert isinstance(closed, ImplicitSystemError)
         assert isinstance(oracle, ImplicitSystemError)
-        (q, qd, s), (q_ref, qd_ref, s_ref) = closed.state, oracle.state
-        assert np.array_equal(q, q_ref) and np.array_equal(qd, qd_ref)
-        assert s == s_ref and 0.49 < qd[0] < 0.5
+        assert str(closed) == str(oracle)
+        assert 0.49 < singular_state(closed)[1][0] < 0.5
 
     def test_generator_comes_from_the_callbacks(self, monkeypatch):
         # flipping dL/dq breaks Kirchhoff's law: the closed form follows
