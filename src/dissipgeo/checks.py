@@ -6,15 +6,17 @@ are fixed so repeated runs are deterministic; suites are merged in
 sorted order by name.  A suite draws its random data in a fixed RNG
 order, a run of normal draws as one stack (a Generator's normal values
 do not depend on the chunking), then evaluates its identities on
-stacks, per model, per n or per suite, through the batch axes of
-``algebra``, ``gkls``, ``contact``, ``purestate`` and ``mechanics``: one
-call per stack, and one field call per stencil.  ``linear_oracle``
-holds every k-th row of a path to the powers of one ``expm``.
+stacks, per n or per suite, through the batch axes of ``algebra``,
+``gkls``, ``contact``, ``purestate`` and ``mechanics``: one call per
+stack, a stack of GKLS models too, and one field call per stencil.
+``linear_oracle`` holds every k-th row of a path to the powers of one
+``expm``.
 
 An invariant that a CLI run also reports has its formula and tolerance
-in one helper here, which the suite and the CLI both call.
-``relative`` alone scales a residual, so no invariant fails a correct
-run for being large; README "Conventions" names each invariant's size.
+in one helper here, which the suite and the CLI both call.  A residual
+is scaled by the rule of ``relative`` alone, model by model in a stack,
+so no invariant fails a correct run for being large; README
+"Conventions" names each invariant's size.
 """
 
 from __future__ import annotations
@@ -163,18 +165,21 @@ def observed_order(name, errors):
 def decomposition_identities(cases):
     """gkls/decomposition-sum-identity (A = Hmat - Vmat + Kmat) and
     gkls/nonlinear-cancellation (X_H - Y_V + Z_K = A x + B), worst over
-    cases of (model, stack of coherence vectors), each relative to the |A|
-    of its model, as the rounding of either side grows with |A|; one
-    split and one evaluation per model."""
+    cases of (model or stack of models, points broadcasting against it),
+    each model's rows over its own max(1, max|A|), its ``relative`` (a
+    division rounds monotonically), as the rounding of either side grows
+    with |A|; one split and one evaluation a case."""
     sum_res, cancel_res = 0.0, 0.0
     for model, points in cases:
         points = np.asarray(points, dtype=float)
+        size = np.maximum(1.0, np.max(np.abs(model.A), axis=(-2, -1)))
         dec = decompose_field(model.basis, model.H, model.V, model.jumps)
-        sum_res = max(sum_res, relative(
-            model.A - (dec.Hmat - dec.Vmat + dec.Kmat), model.A))
+        sum_res = max(sum_res, float(np.max(np.abs(model.A - (
+            dec.Hmat - dec.Vmat + dec.Kmat)) / size[..., None, None])))
         xh, yv, zk = evaluate_component_fields(dec, points)
-        cancel_res = max(cancel_res, relative(
-            xh - yv + zk - (matvec(model.A, points) + model.B), model.A))
+        cancel_res = max(cancel_res, float(np.max(np.abs(
+            xh - yv + zk - (matvec(model.A, points) + model.B))
+            / size[..., None])))
     return [result("gkls/decomposition-sum-identity", sum_res, 1e-12),
             result("gkls/nonlinear-cancellation", cancel_res, 1e-12)]
 
@@ -295,9 +300,10 @@ def _random_density(rng, n):
     return _densities(rng.normal(size=(2, n, n)))
 
 
-def _random_model(rng, basis, scale=0.6):
-    jumps = scale * _complex(rng.normal(size=(2, 2, basis.n, basis.n)))
-    return build_model(basis, _random_hermitian(rng, basis.n), jumps)
+def _random_gkls(rng, n, scale=0.6):
+    """(H, two jumps) of a random model, the jumps drawn first."""
+    jumps = scale * _complex(rng.normal(size=(2, 2, n, n)))
+    return _random_hermitian(rng, n), jumps
 
 
 def algebra_suite():
@@ -311,7 +317,9 @@ def algebra_suite():
         trace_res = max(trace_res, float(np.max(np.abs(
             np.einsum("jaa->j", basis.tau)))))
         c = structure_constants(basis.tau)
-        cyc = np.einsum("mjk,rml->jklr", c, c)
+        # cyc[j, k, l, r] = sum_m c[m, j, k] c[r, m, l], one matrix product
+        cyc = (c.reshape(size, -1).T @ c.swapaxes(0, 1).reshape(size, -1)
+               ).reshape((size,) * 4).swapaxes(2, 3)
         jacobi_res = max(jacobi_res, float(np.max(np.abs(
             cyc + cyc.transpose(1, 2, 0, 3) + cyc.transpose(2, 0, 1, 3)))))
         # 20 round trips and 10 expectations, each drawn as one stack
@@ -345,15 +353,16 @@ def gkls_suite():
     cases = []
     bases = {n: build_su_basis(n) for n in (2, 3, 4)}
     for n in (2, 3):
-        for _ in range(5):
-            m = _random_model(rng, bases[n])
-            # 20 draws of g's real and imaginary entries and of a point
-            draws = rng.normal(size=(20, 3 * n * n - 1))
-            rhos = _densities(draws[:, :2 * n * n].reshape(20, 2, n, n))
-            points = draws[:, 2 * n * n:]
-            images = apply_generator(m.H, m.V, m.jumps, rhos)
-            trace_sizes.extend(map(abs, np.trace(images, axis1=-2, axis2=-1)))
-            cases.append((m, points))
+        # five models, each with 20 draws of g's real and imaginary entries
+        # and of a point, drawn one by one and built as one (5, 1) stack
+        h, jumps, draws = map(np.stack, zip(*[
+            (*_random_gkls(rng, n), rng.normal(size=(20, 3 * n * n - 1)))
+            for _ in range(5)]))
+        m = build_model(bases[n], h[:, None], jumps[:, None])
+        rhos = _densities(draws[..., :2 * n * n].reshape(5, 20, 2, n, n))
+        images = apply_generator(m.H, m.V, m.jumps, rhos)
+        trace_sizes.extend(map(abs, np.trace(images, axis1=-2, axis2=-1).flat))
+        cases.append((m, draws[..., 2 * n * n:]))
     results.append(trace_preservation(trace_sizes))
     results.extend(decomposition_identities(cases))
 
@@ -386,14 +395,14 @@ def gkls_suite():
                           weights / weights.sum(axis=-1, keepdims=True)))
     results.append(stratum_tangency(cases))
 
-    m = _random_model(rng, bases[2], scale=0.5)
+    m = build_model(bases[2], *_random_gkls(rng, 2, 0.5))
     x0 = to_coherence_vector(_random_density(rng, 2), m.basis)
     _, points, _ = integrate(m, x0, t_end=5.0, dt=2e-3)
     results.append(positivity(spectra(m.basis, points)[1][:, 0]))
 
     # gkls.integrate at t = 1 against gkls_flow; with two jumps B != 0,
     # so the B column of the lift is tested
-    m = _random_model(rng, basis)
+    m = build_model(basis, *_random_gkls(rng, 3))
     rho0 = _random_density(rng, 3)
     x0, exact = to_coherence_vector(np.stack([rho0, gkls_flow(m, rho0, 1.0)]),
                                     basis)
@@ -542,16 +551,12 @@ def contact_suite():
 def mechanics_suite():
     rng = np.random.default_rng(505)
     results = []
-    soundness_res = 0.0
-    # Tr((Lambda S)^odd) = 0 for any antisymmetric Lambda, singular or not
-    for _ in range(10):
-        raw = rng.normal(size=(4, 4))
-        sym = rng.normal(size=(4, 4))
-        g = (raw - raw.T) @ (sym + sym.T)
-        soundness_res = max(soundness_res, float(np.max(
-            hamiltonianity_criterion(g).trace_ratios)))
-    results.append(result("mechanics/odd-trace-soundness",
-                          soundness_res, 1e-10))
+    # Tr((Lambda S)^odd) = 0 for any antisymmetric Lambda, singular or
+    # not, at ten draws of (raw, sym) made as one stack
+    raw, sym = np.moveaxis(rng.normal(size=(10, 2, 4, 4)), 1, 0)
+    g = (raw - raw.swapaxes(-1, -2)) @ (sym + sym.swapaxes(-1, -2))
+    results.append(result("mechanics/odd-trace-soundness", float(np.max(
+        hamiltonianity_criterion(g).trace_ratios)), 1e-10))
 
     results.append(hamiltonianity_verdict(
         "mechanics/damped-oscillators-not-hamiltonian",

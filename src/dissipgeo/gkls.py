@@ -23,11 +23,11 @@ rank-preserving field X_H - Y_V, which ``evaluate_component_fields``,
 the one home of e_V, Y_V and Z_K, reads off as ``xh - yv``.
 
 ``apply_generator(H, V, jumps, rho)``, the one implementation of L, which
-``build_affine_field`` pushes through the chart, takes a stack
-(..., n, n) of matrices, ``decompose_field`` stacked H and V, and
-``evaluate_component_fields`` a stack (..., n^2 - 1) of points, whose
-leading axes broadcast against the split's; every row rounds as the
-call on that row alone.
+``build_affine_field`` pushes through the chart, takes a stack (..., n,
+n) of matrices, ``build_model`` and ``decompose_field`` stacked H, V and
+jumps (..., K, n, n) whose leading axes broadcast, and
+``evaluate_component_fields`` points (..., n^2 - 1) whose leading axes
+broadcast against the split's; every row rounds as its call alone.
 
 ``integrate`` steps that field from the coherence vector x0 it is given
 and returns the path (times, points, stopped_early), as every flow
@@ -63,7 +63,7 @@ class GklsModel:
 
     basis: SuBasis
     H: np.ndarray
-    jumps: tuple
+    jumps: np.ndarray      # (..., K, n, n)
     V: np.ndarray
     A: np.ndarray
     B: np.ndarray
@@ -91,15 +91,20 @@ def _check_matrices(shape, n):
         raise ValueError(f"shape {shape} does not end in ({n}, {n})")
 
 
+def _each_jump(jumps):
+    """The jumps v_k, each (..., n, n), of a stack (..., K, n, n)."""
+    return np.moveaxis(jumps, -3, 0) if np.size(jumps) else ()
+
+
 def apply_generator(H, V, jumps, rho):
     """L(rho) for a density (or any trace-one Hermitian) matrix, or for
     each matrix of a stack (..., n, n) of them, with V = sum_k v_k^dag v_k
-    of the jumps v_k."""
+    of the jumps v_k (..., K, n, n)."""
     rho = np.asarray(rho, dtype=complex)
     _check_matrices(rho.shape, H.shape[-1])
     out = 1j * (rho @ H - H @ rho)
-    for v in jumps:
-        out = out + v @ rho @ v.conj().T
+    for v in _each_jump(jumps):
+        out = out + v @ rho @ v.conj().swapaxes(-1, -2)
     return out - 0.5 * (V @ rho + rho @ V)
 
 
@@ -113,27 +118,31 @@ def build_affine_field(basis, H, V, jumps):
     """
     b_mat = apply_generator(H, V, jumps,
                             np.eye(basis.n, dtype=complex) / basis.n)
-    B = np.einsum("jab,ba->j", basis.tau, b_mat).real
-    cols = apply_generator(H, V, jumps, basis.tau)  # L(tau_l)
+    B = np.einsum("jab,...ba->...j", basis.tau, b_mat).real
+    cols = apply_generator(H[..., None, :, :], V[..., None, :, :],
+                           jumps[..., None, :, :, :], basis.tau)  # L(tau_l)
     # C order: the layout of A sets the rounding of A @ x
-    A = np.ascontiguousarray(np.einsum("jab,lba->jl", basis.tau, cols).real)
+    A = np.ascontiguousarray(
+        np.einsum("jab,...lba->...jl", basis.tau, cols).real)
     return A, B
 
 
 def build_model(basis, H, jumps=()):
-    """Assemble a GklsModel from H and any number of jump operators."""
+    """Assemble a GklsModel from H and any number of jump operators, or a
+    stack of them from H (..., n, n) and jumps (..., K, n, n)."""
     H = np.asarray(H, dtype=complex)
     if not is_hermitian(H):
         raise ValueError("H must be Hermitian")
-    if H.shape != (basis.n, basis.n):
+    if H.shape[-2:] != (basis.n, basis.n):
         raise ValueError(f"H shape {H.shape} does not match n={basis.n}")
-    jumps = tuple(np.asarray(v, dtype=complex) for v in jumps)
-    for v in jumps:
-        if v.shape != (basis.n, basis.n):
-            raise ValueError(f"jump shape {v.shape} does not match n={basis.n}")
-    V = np.zeros((basis.n, basis.n), dtype=complex)
-    for v in jumps:
-        V = V + v.conj().T @ v
+    for shape in map(np.shape, jumps):
+        if shape[-2:] != (basis.n, basis.n):
+            raise ValueError(f"jump shape {shape} does not match n={basis.n}")
+    jumps = np.asarray(jumps, dtype=complex) if len(jumps) else np.zeros(
+        (0, basis.n, basis.n), dtype=complex)
+    V = np.zeros_like(H)
+    for v in _each_jump(jumps):
+        V = V + v.conj().swapaxes(-1, -2) @ v
     A, B = build_affine_field(basis, H, V, jumps)
     return GklsModel(basis=basis, H=H, jumps=jumps, V=V, A=A, B=B)
 
@@ -158,9 +167,9 @@ def decompose_field(basis, H, V, jumps=()):
     anticommutator matrix with V (its Tr(V)/n multiple of the identity is
     what makes A = Hmat - Vmat + Kmat hold entrywise).  V need not be
     sum_k v_k^dag v_k, nor positive: with no jumps the split is the
-    jump-free field X_H - Y_V of any Hermitian H and V.  H and V may be
-    stacks (..., n, n) whose leading axes broadcast; Hmat, Vmat, tr_v and
-    V_vec then carry them, while the jumps, Kmat and calV_vec are shared.
+    jump-free field X_H - Y_V of any Hermitian H and V.  H, V and the
+    jumps may be stacks (..., n, n) and (..., K, n, n) whose leading axes
+    broadcast; each array of the split carries the axes of those it reads.
     """
     tau = basis.tau
     H = np.asarray(H, dtype=complex)
@@ -175,14 +184,14 @@ def decompose_field(basis, H, V, jumps=()):
     Vmat = 0.5 * np.einsum("...lab,jba->...jl", anti, tau).real
     ktau = np.zeros_like(tau)
     cal = np.zeros((basis.n, basis.n), dtype=complex)
-    for v in jumps:
-        ktau = ktau + np.einsum("ab,lbc,cd->lad", v, tau, v.conj().T)
-        cal = cal + v @ v.conj().T
-    Kmat = np.einsum("lab,jba->jl", ktau, tau).real
+    for v in _each_jump(jumps):
+        ktau = ktau + np.einsum("...ab,lbc,...dc->...lad", v, tau, v.conj())
+        cal = cal + v @ v.conj().swapaxes(-1, -2)
+    Kmat = np.einsum("...lab,jba->...jl", ktau, tau).real
     return FieldDecomposition(
         n=basis.n, tr_v=np.trace(V, axis1=-2, axis2=-1).real, Hmat=Hmat,
         Vmat=Vmat, Kmat=Kmat, V_vec=np.einsum("jab,...ba->...j", tau, V).real,
-        calV_vec=np.einsum("jab,ba->j", tau, cal).real)
+        calV_vec=np.einsum("jab,...ba->...j", tau, cal).real)
 
 
 def evaluate_component_fields(dec, x):

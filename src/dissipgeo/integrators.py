@@ -109,9 +109,10 @@ def rk4_path(f, y0, t_end, dt, post=None):
     times = time_grid(t_end, dt, y.size)
     states = np.empty((len(times),) + y.shape)
     states[0] = y
+    slope = lambda _, u: f(u)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(len(times) - 1):
-            y = y + rk4_increment(lambda _, u: f(u), y, dt)
+            y = y + rk4_increment(slope, y, dt)
             if not np.isfinite(y).all():
                 raise DivergenceError((times[:i + 1].copy(),
                                        states[:i + 1].copy()))

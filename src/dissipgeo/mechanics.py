@@ -102,7 +102,8 @@ HAMILTONIANITY_VERDICTS = ("hamiltonian-admissible", "not-hamiltonian",
 class HamiltonianityResult:
     """Each odd power trace |Tr G^(2k+1)| of G over its bound |G|^(2k+1),
     and the verdict, one of HAMILTONIANITY_VERDICTS
-    ("inconclusive-non-generic" when repeated eigenvalues void the test)."""
+    ("inconclusive-non-generic" when repeated eigenvalues void the test),
+    or for a stack of G an array of both over its leading axes."""
 
     trace_ratios: np.ndarray
     verdict: str
@@ -110,34 +111,32 @@ class HamiltonianityResult:
 
 def hamiltonianity_criterion(g):
     """Constant-Poisson Hamiltonian description exists iff every odd power
-    of the (generic) representative matrix is traceless."""
+    of the (generic) representative matrix, each of a stack, is traceless."""
     g = np.asarray(g, dtype=float)
-    dim = g.shape[0]
-    if g.shape != (dim, dim) or dim % 2 != 0:
+    dim = g.shape[-1]
+    if g.ndim < 2 or g.shape[-2] != dim or dim % 2 != 0:
         raise ValueError("representative matrix must be square of even size")
-    scale = float(np.linalg.norm(g, 2))
+    scale = np.linalg.norm(g, 2, axis=(-2, -1))
     eigs = np.linalg.eigvals(g)
-    gaps = np.abs(eigs[:, None] - eigs[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    generic = bool(np.min(gaps) > 1e-8 * max(scale, 1.0))
+    gaps = np.abs(eigs[..., :, None] - eigs[..., None, :])
+    gaps[..., range(dim), range(dim)] = np.inf
+    generic = np.min(gaps, axis=(-2, -1)) > 1e-8 * np.maximum(scale, 1.0)
     traces = []
     power = g.copy()
     g2 = g @ g
     for _ in range(dim):
-        traces.append(float(np.trace(power)))
+        traces.append(np.trace(power, axis1=-2, axis2=-1))
         power = power @ g2
-    # a numpy scalar's power overflows to inf where a float's raises, and
-    # rounds as the float's does, unlike a power of an array
-    ratios = np.abs(traces) / np.array(
-        [np.float64(max(scale, 1e-30)) ** (2 * k + 1) for k in range(dim)])
-    traceless = bool(np.all(ratios < 1e-9))
-    if not traceless:
-        verdict = "not-hamiltonian"
-    elif generic:
-        verdict = "hamiltonian-admissible"
-    else:
-        verdict = "inconclusive-non-generic"
-    return HamiltonianityResult(trace_ratios=ratios, verdict=verdict)
+    # numpy scalar powers, one scale at a time: they overflow to inf where
+    # a float's raise, and round as a float's do, unlike an array's power
+    ratios = np.abs(np.stack(traces, axis=-1)) / np.reshape(
+        [[s ** (2 * k + 1) for k in range(dim)]
+         for s in np.maximum(scale, 1e-30).ravel()], scale.shape + (dim,))
+    traceless = np.all(ratios < 1e-9, axis=-1)
+    verdict = np.where(~traceless, "not-hamiltonian", np.where(
+        generic, "hamiltonian-admissible", "inconclusive-non-generic"))
+    return HamiltonianityResult(ratios,
+                                str(verdict) if g.ndim == 2 else verdict)
 
 
 def bivector_span_dimension(g):

@@ -78,7 +78,8 @@ def test_gkls_flow_matches_the_lifted_exponential(n):
     # the superoperator route against scipy's exp of the lift
     # [[A, B], [0, 0]] on (x0, 1), a route through the chart
     rng = np.random.default_rng(40 + n)
-    model = checks._random_model(rng, build_su_basis(n))
+    model = gkls.build_model(build_su_basis(n),
+                             *checks._random_gkls(rng, n))
     assert np.max(np.abs(model.B)) > 1e-3
     rho0 = checks._random_density(rng, n)
     d = model.basis.size
@@ -212,10 +213,11 @@ def test_rank_constancy_sees_a_field_off_the_stratum(wrong_fields,
 
 
 def moved_last_generator_image(monkeypatch):
-    # L(rho) of the last density of each stack plus 1e-9 I
+    # L(rho) of the last density of the last model of each stack plus
+    # 1e-9 I: one row of a call that applies five models at once
     def moved(H, V, jumps, rho):
         out = gkls.apply_generator(H, V, jumps, rho).copy()
-        out[..., -1, :, :] += 1e-9 * np.eye(len(H))
+        out[(-1,) * (out.ndim - 2)] += 1e-9 * np.eye(H.shape[-1])
         return out
 
     monkeypatch.setattr(checks, "apply_generator", moved)
@@ -234,11 +236,11 @@ def moved_last_gradient_field(monkeypatch):
 
 def moved_last_tangent(monkeypatch):
     # T = sum_j (X_H - Y_V)_j tau_j of the last stratum case of each n
-    # plus 1e-9 sum_j tau_j; stratum_tangency alone evaluates a stacked
-    # split, so no other invariant sees it
+    # plus 1e-9 sum_j tau_j; stratum_tangency alone splits fields with no
+    # jumps, so no other invariant sees it
     def moved(dec, x):
         xh, yv, zk = gkls.evaluate_component_fields(dec, x)
-        if dec.Hmat.ndim == 3:
+        if not dec.Kmat.any():
             xh = xh.copy()
             xh[-1] += 1e-9
         return xh, yv, zk
@@ -259,6 +261,28 @@ def test_the_last_row_of_a_stack_can_fail(mutation, failing, monkeypatch):
     mutation(monkeypatch)
     assert sorted(name for name, r in suite_results("gkls").items()
                   if not r.passed) == sorted(failing)
+
+
+def test_each_model_of_a_stack_reads_its_own_scale():
+    # decomposition_identities on a stack of models is the worst of the
+    # models alone, each relative to its own |A|: one model 1e4 times
+    # larger would otherwise scale away the rounding of the other four
+    rng = np.random.default_rng(8)
+    basis = build_su_basis(3)
+    h, jumps = map(np.stack, zip(*[checks._random_gkls(rng, 3)
+                                   for _ in range(5)]))
+    scale = np.array([1e4, 1.0, 1.0, 1.0, 1.0])
+    h, jumps = h * scale[:, None, None], jumps * np.sqrt(scale)[
+        :, None, None, None]
+    points = rng.normal(size=(5, 20, basis.size))
+    stacked = checks.decomposition_identities(
+        [(gkls.build_model(basis, h[:, None], jumps[:, None]), points)])
+    alone = [checks.decomposition_identities(
+        [(gkls.build_model(basis, h[k], jumps[k]), points[k])])
+        for k in range(5)]
+    for i, res in enumerate(stacked):
+        assert res.residual == max(a[i].residual for a in alone)
+        assert res.residual > 0.0
 
 
 def first_row_stencil(monkeypatch):
@@ -465,6 +489,13 @@ def test_a_pass_makes_one_call_per_stack(monkeypatch):
     counted(checks, "expm")
     # only the invariants that read spectra compute them
     counted(checks, "spectra")
+    # the gkls suite builds, applies and splits its five random models of
+    # each n as one stack, 13, 10 and 13 calls one model at a time, and
+    # the mechanics suite makes one criterion call for its ten odd-trace
+    # draws, 11 calls one draw at a time
+    for name in ("build_model", "apply_generator", "decompose_field",
+                 "hamiltonianity_criterion"):
+        counted(checks, name)
     for module in (mechanics, checks):
         counted(module, "contact_el_field")
     for module in (algebra, checks, purestate):
@@ -482,8 +513,11 @@ def test_a_pass_makes_one_call_per_stack(monkeypatch):
     assert dict(counts) == {
         ("algebra", "to_coherence_vector"): 3,
         ("gkls", "expm"): 1, ("gkls", "spectra"): 2,
-        ("gkls", "to_coherence_vector"): 6,
+        ("gkls", "to_coherence_vector"): 6, ("gkls", "build_model"): 5,
+        ("gkls", "apply_generator"): 2, ("gkls", "decompose_field"): 5,
         ("mechanics", "contact_el_field"): 9, ("mechanics", "expm"): 1,
+        ("mechanics", "hamiltonianity_criterion"): 2,
+        ("purestate", "decompose_field"): 2,
         ("purestate", "expm"): 1, ("purestate", "to_coherence_vector"): 2}
 
 

@@ -1372,6 +1372,21 @@ class TestScenarioRuns:
         out = capsys.readouterr().out
         assert "stopped early" in out and "domain guard" in out
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the grid has "
+                       "round(t_end / dt) steps, so its last time misses a "
+                       "t_end off the grid and the report does not say so")
+    @pytest.mark.parametrize("t_end", ["1.054", "1.056"])
+    def test_a_t_end_off_the_grid_is_the_last_row(self, t_end, tmp_path,
+                                                 capsys):
+        # today the run exits 0 with final_t 1.05 and 1.0600000000000001
+        assert run_cli("run", "friction-lagrangian", "--out", str(tmp_path),
+                       "--t-end", t_end, "--dt", "0.01") == EXIT_OK
+        report = json.loads(
+            (tmp_path / "friction-lagrangian_report.json").read_text())
+        lines = (tmp_path / "friction-lagrangian.csv").read_text().splitlines()
+        assert report["final_t"] == float(t_end)
+        assert float(lines[-1].split(",")[0]) == float(t_end)
+
     @pytest.mark.parametrize("variant, module, flow", [
         ("phase-damping", cli, "integrate"),
         ("pure-state", purestate, "integrate_sphere_flow"),

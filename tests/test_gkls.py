@@ -361,6 +361,41 @@ class TestStacks:
                     assert part.shape == shape + (m.basis.size,)
                     assert np.array_equal(part[idx], ref)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("shape", BATCHES + [(5, 1)])
+    @pytest.mark.parametrize("n_jumps", [0, 2])
+    def test_model_rows(self, n, shape, n_jumps):
+        # a stack of models, H (..., n, n) and jumps (..., K, n, n), against
+        # each model alone: its V, A and B, its split, and L of its model on
+        # four densities, the densities' axis after the models'
+        rng = np.random.default_rng(30 + n)
+        basis = build_su_basis(n)
+        hs = random_stack(shape, lambda: random_hermitian(rng, n))
+        jumps = random_stack(shape, lambda: 0.7 * (
+            rng.normal(size=(n_jumps, n, n))
+            + 1j * rng.normal(size=(n_jumps, n, n))))
+        rhos = random_stack(shape + (4,), lambda: random_density(rng, n))
+        m = build_model(basis, hs, jumps)
+        assert m.A.shape == shape + (basis.size, basis.size)
+        assert m.jumps.shape == shape + (n_jumps, n, n)
+        dec = split(m)
+        out = apply_generator(m.H[..., None, :, :], m.V[..., None, :, :],
+                              m.jumps[..., None, :, :, :], rhos)
+        for idx in np.ndindex(shape):
+            one = build_model(basis, hs[idx], list(jumps[idx]))
+            for name in ("V", "A", "B", "jumps"):
+                assert np.array_equal(getattr(m, name)[idx],
+                                      getattr(one, name))
+            ref = split(one)
+            for name in ("tr_v", "Hmat", "Vmat", "Kmat", "V_vec",
+                         "calV_vec"):
+                # with no jumps, Kmat and calV_vec have no stack axes
+                want = getattr(ref, name)
+                assert np.array_equal(np.broadcast_to(
+                    getattr(dec, name), shape + np.shape(want))[idx], want)
+            assert np.array_equal(out[idx], apply_generator(
+                one.H, one.V, one.jumps, rhos[idx]))
+
     def test_shapes_that_do_not_fit_raise(self):
         basis = build_su_basis(3)
         m = random_model(np.random.default_rng(1), 3)

@@ -237,6 +237,75 @@ class TestHamiltonianityCriterion:
             count += 1
 
 
+def stiff(scale, damping):
+    """G of mass I, damping (damping) I and stiffness diag(1, 2, 3) scale."""
+    return representative_matrix(np.eye(3), damping * np.eye(3),
+                                 scale * np.diag([1.0, 2.0, 3.0]))
+
+
+class TestStiffCriterion:
+    """ROADMAP item 17: both tests scale by |G|_2, about the stiffness,
+    while the eigenvalues are about its square root."""
+
+    @pytest.mark.xfail(strict=True, reason="the trace ratio -0.9 / |G|_2 "
+                       "is 3e-13, under 1e-9, so a damped system reads "
+                       "hamiltonian-admissible")
+    def test_damped_stiff_system_is_not_hamiltonian(self):
+        g = stiff(1e12, 0.3)
+        assert np.trace(g) == pytest.approx(-0.9)
+        assert hamiltonianity_criterion(g).verdict == "not-hamiltonian"
+
+    @pytest.mark.xfail(strict=True, reason="the genericity gap 1e-8 |G|_2 "
+                       "passes the distinct eigenvalues +-1e9 i (1, 2^0.5, "
+                       "3^0.5), so it reads inconclusive-non-generic")
+    def test_undamped_stiff_system_is_admissible(self):
+        assert hamiltonianity_criterion(stiff(1e18, 0.0)).verdict \
+            == "hamiltonian-admissible"
+
+
+def criterion_draws(dim):
+    """Sixteen G of size dim: generic, skew times symmetric, repeated
+    eigenvalues, stiff and overflowing, in a (2, 8) stack."""
+    rng = np.random.default_rng(dim)
+    n = dim // 2
+    raw, sym = rng.normal(size=(2, 4, dim, dim))
+    eye = np.eye(n)
+    draws = [*rng.normal(size=(4, dim, dim)),
+             *((raw - raw.swapaxes(-1, -2)) @ (sym + sym.swapaxes(-1, -2))),
+             representative_matrix(eye, 0 * eye, eye),
+             representative_matrix(eye, 0.3 * eye, eye),
+             representative_matrix(eye, 0 * eye, np.diag(
+                 np.arange(1.0, n + 1)) * 1e12),
+             representative_matrix(eye, 0.3 * eye, np.diag(
+                 np.arange(1.0, n + 1)) * 1e12),
+             representative_matrix(eye, 0 * eye, np.diag(
+                 np.arange(1.0, n + 1)) * 1e18),
+             representative_matrix(eye, 0 * eye, eye * 1e200),
+             1e300 * rng.normal(size=(dim, dim)),
+             np.zeros((dim, dim))]
+    return np.reshape(draws, (2, 8, dim, dim))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_a_stacked_criterion_is_each_call_alone(dim):
+    # the ratios keep their bits and the verdicts their words, row by row
+    with np.errstate(over="ignore", invalid="ignore"):
+        gs = criterion_draws(dim)
+        stacked = hamiltonianity_criterion(gs)
+        assert stacked.trace_ratios.shape == (2, 8, dim)
+        assert stacked.verdict.shape == (2, 8)
+        verdicts = set()
+        for idx in np.ndindex(2, 8):
+            one = hamiltonianity_criterion(gs[idx])
+            assert isinstance(one.verdict, str)
+            assert stacked.trace_ratios[idx].tobytes() \
+                == one.trace_ratios.tobytes()
+            assert stacked.verdict[idx] == one.verdict
+            verdicts.add(one.verdict)
+    assert verdicts == {"hamiltonian-admissible", "not-hamiltonian",
+                        "inconclusive-non-generic"}
+
+
 class TestBivectorSpan:
     def test_generic_damped_parameters_obstruct_lagrangian(self):
         sys = coupled_damped_oscillators(1.0, 2.0, 0.3, 0.7, 0.1, 0.2)
