@@ -4,23 +4,27 @@ Each suite re-verifies the structural identities of its module on seeded
 random data and returns one CheckResult per declared invariant.  Seeds
 are fixed so repeated runs are deterministic; suites are merged in
 sorted order by name.  A suite draws its random data in a fixed RNG
-order, a run of normal draws as one stack (a Generator's normal values
-do not depend on the chunking), then evaluates its identities on
-stacks, per n or per suite, through the batch axes of ``algebra``,
-``gkls``, ``contact``, ``purestate`` and ``mechanics``: one call per
-stack, a stack of GKLS models too, and one field call per stencil.
-``linear_oracle`` holds every k-th row of a path to the powers of one
-``expm``.
+order, each run of consecutive normal draws as one ``_normals`` call (a
+Generator's normal values do not depend on the chunking; a uniform draw
+ends a run), builds its cases from that stack once, then evaluates its
+identities on stacks, per n or per suite, through the batch axes of
+``algebra``, ``gkls``, ``contact``, ``purestate`` and ``mechanics``: one
+call per stack, a stack of GKLS models too, and one field call per
+stencil.  ``linear_oracle`` holds every k-th row of a path to the
+powers of one ``expm``.
 
 An invariant that a CLI run also reports has its formula and tolerance
 in one helper here, which the suite and the CLI both call.  A residual
-is scaled by the rule of ``relative`` alone, model by model in a stack,
-so no invariant fails a correct run for being large; README
-"Conventions" names each invariant's size.
+is scaled by the rule of ``relative`` alone, model by model in a stack
+and row by row in ``relative_rows``, so no invariant fails a correct
+run for being large; README "Conventions" names each invariant's size.
+Every worst case is a numpy max, so a NaN residual never passes.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +58,23 @@ def result(name, residual, tol):
                        residual=float(residual))
 
 
+def _scale(size, axis=None):
+    """max(1, max|size|) over axis, the one scale of every relative
+    residual; NaN when size holds a NaN, where Python's max keeps the 1."""
+    return np.maximum(1.0, np.max(np.abs(size), axis=axis))
+
+
 def relative(diff, size):
     """max|diff| / max(1, max|size|): relative above size 1, absolute below."""
-    return float(np.max(np.abs(diff))) / max(1.0, float(np.max(np.abs(size))))
+    return float(np.max(np.abs(diff)) / _scale(size))
+
+
+def relative_rows(diff, size):
+    """The largest ``relative(diff[k], size[k])`` over the rows k of the
+    first axis, as one reduction with the same bits; a NaN in any row
+    gives NaN."""
+    axes = tuple(range(1, np.ndim(diff)))
+    return float(np.max(np.max(np.abs(diff), axis=axes) / _scale(size, axes)))
 
 
 def expm(a):
@@ -133,19 +151,20 @@ def trace_preservation(deviations):
 
 
 def positivity(min_eigenvalues):
-    """gkls/positivity: the most negative eigenvalue along a path."""
+    """gkls/positivity: the most negative eigenvalue along a path, or NaN;
+    0 - min keeps a zero eigenvalue's residual +0."""
     return result("gkls/positivity",
-                  max(0.0, -float(np.min(min_eigenvalues))), 1e-8)
+                  np.maximum(0.0, 0.0 - np.min(min_eigenvalues)), 1e-8)
 
 
 def contact_residuals(cases):
     """purestate/contact-residuals: the worst of the three contact identities
     of Z = X_a + Y0_b over cases (a, b, unit z), each a point or a stack
     of them, every row relative to the max(1, max|a, b|) of its own."""
-    return result("purestate/contact-residuals", max(float(np.max(
-        np.max(ps.contact_residuals(a, b, z), axis=0) / np.maximum(1.0, np.max(
-            np.abs(np.concatenate([a, b], axis=-1)), axis=(-2, -1)))))
-        for a, b, z in cases), 1e-9)
+    return result("purestate/contact-residuals", np.max([np.max(
+        np.max(ps.contact_residuals(a, b, z), axis=0)
+        / _scale(np.concatenate([a, b], axis=-1), (-2, -1)))
+        for a, b, z in cases]), 1e-9)
 
 
 def observed_order(name, errors):
@@ -169,19 +188,19 @@ def decomposition_identities(cases):
     each model's rows over its own max(1, max|A|), its ``relative`` (a
     division rounds monotonically), as the rounding of either side grows
     with |A|; one split and one evaluation a case."""
-    sum_res, cancel_res = 0.0, 0.0
+    sum_res, cancel_res = [], []
     for model, points in cases:
         points = np.asarray(points, dtype=float)
-        size = np.maximum(1.0, np.max(np.abs(model.A), axis=(-2, -1)))
+        size = _scale(model.A, (-2, -1))
         dec = decompose_field(model.basis, model.H, model.V, model.jumps)
-        sum_res = max(sum_res, float(np.max(np.abs(model.A - (
-            dec.Hmat - dec.Vmat + dec.Kmat)) / size[..., None, None])))
+        sum_res.append(np.max(np.abs(model.A - (
+            dec.Hmat - dec.Vmat + dec.Kmat)) / size[..., None, None]))
         xh, yv, zk = evaluate_component_fields(dec, points)
-        cancel_res = max(cancel_res, float(np.max(np.abs(
+        cancel_res.append(np.max(np.abs(
             xh - yv + zk - (matvec(model.A, points) + model.B))
-            / size[..., None])))
-    return [result("gkls/decomposition-sum-identity", sum_res, 1e-12),
-            result("gkls/nonlinear-cancellation", cancel_res, 1e-12)]
+            / size[..., None]))
+    return [result("gkls/decomposition-sum-identity", np.max(sum_res), 1e-12),
+            result("gkls/nonlinear-cancellation", np.max(cancel_res), 1e-12)]
 
 
 def stratum_tangency(cases):
@@ -197,7 +216,7 @@ def stratum_tangency(cases):
     groups = {}
     for case in cases:
         groups.setdefault(case[0].n, []).append(case)
-    res = 0.0
+    res = []
     for group in groups.values():
         basis = group[0][0]
         _, h, v, psis, weights = zip(*group)
@@ -209,8 +228,8 @@ def stratum_tangency(cases):
             decompose_field(basis, np.concatenate(h), np.concatenate(v)),
             to_coherence_vector(rho, basis))
         t = np.einsum("kj,jab->kab", xh - yv, basis.tau)
-        res = max(res, *map(relative, q @ t @ q, t))
-    return result("gkls/gradient-flow-rank-constancy", res, 1e-12)
+        res.append(relative_rows(q @ t @ q, t))
+    return result("gkls/gradient-flow-rank-constancy", np.max(res), 1e-12)
 
 
 def exactness_residual(chart, point):
@@ -255,23 +274,36 @@ def linear_oracle(name, g, times, states, stride, tol):
     for _ in times[stride::stride]:
         exact.append(step @ exact[-1])
     exact = np.array(exact)
-    return result(name, max(map(relative, (states[::stride] - exact).T,
-                                np.vstack([states[:1], exact]).T)), tol)
+    return result(name, relative_rows((states[::stride] - exact).T,
+                                      np.vstack([states[:1], exact]).T), tol)
 
 
 def hamiltonianity_verdict(name, g, expected):
-    """Passes on the expected verdict for G; the residual is the largest
-    |odd trace| over its bound, the ratio the criterion holds to 1e-9."""
+    """Passes on the expected verdict for G read off ratios that are not
+    NaN; the residual is the largest |odd trace| over its bound, the ratio
+    the criterion holds to 1e-9."""
     verdict = hamiltonianity_criterion(g)
-    return CheckResult(name=name, passed=verdict.verdict == expected,
-                       residual=float(np.max(verdict.trace_ratios)))
+    residual = float(np.max(verdict.trace_ratios))
+    return CheckResult(name=name, passed=bool(
+        verdict.verdict == expected and not np.isnan(residual)),
+        residual=residual)
+
+
+def _normals(rng, lead, *shapes):
+    """One rng.normal draw read as pieces of the given shapes, each with
+    the leading axes lead: row k holds the draws of each shape in turn,
+    as a loop over lead drawing them one by one would.  A Generator's
+    normal values do not depend on how a draw is chunked, so a run of
+    normal draws is one call; a draw of another law ends the run."""
+    ends = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+    flat = rng.normal(size=(*lead, ends[-1]))
+    return [flat[..., start:end].reshape(*lead, *shape)
+            for start, end, shape in zip(ends, ends[1:], shapes)]
 
 
 def _complex(parts):
     """parts[..., 0, :, :] + i parts[..., 1, :, :]: the complex matrix of
-    a draw of its real and then its imaginary entries, or a stack of them.
-    A Generator's normal values do not depend on how a draw is chunked,
-    so a stack of k draws is the k draws made one by one."""
+    a draw of its real and then its imaginary entries, or a stack of them."""
     return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
 
 
@@ -280,13 +312,13 @@ def _hermitian(parts, scale):
     return scale * (a + a.conj().swapaxes(-1, -2)) / 2
 
 
-def _random_hermitian(rng, n, scale=1.0):
-    return _hermitian(rng.normal(size=(2, n, n)), scale)
-
-
-def _random_unit(rng, n):
-    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return psi / np.linalg.norm(psi)
+def _units(parts):
+    """psi / |psi| for psi = parts[..., 0, :] + i parts[..., 1, :], each
+    row by its own ``np.linalg.norm``, whose rounding a row-wise norm need
+    not share."""
+    psi = parts[..., 0, :] + 1j * parts[..., 1, :]
+    norms = [np.linalg.norm(row) for row in psi.reshape(-1, psi.shape[-1])]
+    return psi / np.reshape(norms, (*psi.shape[:-1], 1))
 
 
 def _densities(parts):
@@ -296,52 +328,53 @@ def _densities(parts):
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _random_density(rng, n):
-    return _densities(rng.normal(size=(2, n, n)))
-
-
 def _random_gkls(rng, n, scale=0.6):
-    """(H, two jumps) of a random model, the jumps drawn first."""
-    jumps = scale * _complex(rng.normal(size=(2, 2, n, n)))
-    return _random_hermitian(rng, n), jumps
+    """(H, two jumps, a density) of one normal draw, the jumps first."""
+    jumps, h, g = _normals(rng, (), (2, 2, n, n), (2, n, n), (2, n, n))
+    return _hermitian(h, 1.0), scale * _complex(jumps), _densities(g)
+
+
+def _random_sphere(rng, lead, n):
+    """(a, b, unit psi) of a pure-state flow, stacked over lead, as one
+    normal draw."""
+    a, b, psi = _normals(rng, lead, (2, n, n), (2, n, n), (2, n))
+    return _hermitian(a, 1.0), _hermitian(b, 1.0), _units(psi)
 
 
 def algebra_suite():
     rng = np.random.default_rng(101)
-    gram_res, trace_res, jacobi_res, trip_res, affine_res = 0, 0, 0, 0, 0
+    gram_res, trace_res, jacobi_res, trip_res, affine_res = [], [], [], [], []
     for n in (2, 3, 4):
         basis = build_su_basis(n)
         size = n * n - 1
         gram = np.einsum("jab,kba->jk", basis.tau, basis.tau).real
-        gram_res = max(gram_res, float(np.max(np.abs(gram - np.eye(size)))))
-        trace_res = max(trace_res, float(np.max(np.abs(
-            np.einsum("jaa->j", basis.tau)))))
+        gram_res.append(np.max(np.abs(gram - np.eye(size))))
+        trace_res.append(np.max(np.abs(np.einsum("jaa->j", basis.tau))))
         c = structure_constants(basis.tau)
         # cyc[j, k, l, r] = sum_m c[m, j, k] c[r, m, l], one matrix product
         cyc = (c.reshape(size, -1).T @ c.swapaxes(0, 1).reshape(size, -1)
                ).reshape((size,) * 4).swapaxes(2, 3)
-        jacobi_res = max(jacobi_res, float(np.max(np.abs(
-            cyc + cyc.transpose(1, 2, 0, 3) + cyc.transpose(2, 0, 1, 3)))))
-        # 20 round trips and 10 expectations, each drawn as one stack
-        a = _hermitian(rng.normal(size=(20, 2, n, n)), 1.0)
+        jacobi_res.append(np.max(np.abs(
+            cyc + cyc.transpose(1, 2, 0, 3) + cyc.transpose(2, 0, 1, 3))))
+        # 20 round trips, then an observable and 10 expectations, one draw
+        a, obs, x = _normals(rng, (), (20, 2, n, n), (2, n, n), (10, size))
+        a = _hermitian(a, 1.0)
         a = a + (1.0 - np.trace(a, axis1=-2, axis2=-1).real)[
             :, None, None] * np.eye(n) / n
-        x = to_coherence_vector(a, basis)
-        trip_res = max(trip_res, float(np.max(np.abs(
-            from_coherence_vector(x, basis) - a))))
-        obs = _random_hermitian(rng, n)
+        trip_res.append(np.max(np.abs(from_coherence_vector(
+            to_coherence_vector(a, basis), basis) - a)))
+        obs = _hermitian(obs, 1.0)
         a0 = np.trace(obs).real / n
         a_vec = np.einsum("jab,ba->j", basis.tau, obs).real
-        x = rng.normal(size=(10, size))
         direct = np.trace(obs @ from_coherence_vector(x, basis),
                           axis1=-2, axis2=-1).real
-        affine_res = max(affine_res, float(np.max(np.abs(
-            direct - (a0 + vecdot(a_vec, x))))))
-    return [result("algebra/basis-orthonormality", gram_res, 1e-12),
-            result("algebra/basis-traceless", trace_res, 1e-12),
-            result("algebra/structure-jacobi-identity", jacobi_res, 1e-10),
-            result("algebra/coherence-round-trip", trip_res, 1e-12),
-            result("algebra/expectation-affine", affine_res, 1e-12)]
+        affine_res.append(np.max(np.abs(direct - (a0 + vecdot(a_vec, x)))))
+    return [result("algebra/basis-orthonormality", np.max(gram_res), 1e-12),
+            result("algebra/basis-traceless", np.max(trace_res), 1e-12),
+            result("algebra/structure-jacobi-identity", np.max(jacobi_res),
+                   1e-10),
+            result("algebra/coherence-round-trip", np.max(trip_res), 1e-12),
+            result("algebra/expectation-affine", np.max(affine_res), 1e-12)]
 
 
 def gkls_suite():
@@ -353,12 +386,13 @@ def gkls_suite():
     cases = []
     bases = {n: build_su_basis(n) for n in (2, 3, 4)}
     for n in (2, 3):
-        # five models, each with 20 draws of g's real and imaginary entries
-        # and of a point, drawn one by one and built as one (5, 1) stack
-        h, jumps, draws = map(np.stack, zip(*[
-            (*_random_gkls(rng, n), rng.normal(size=(20, 3 * n * n - 1)))
-            for _ in range(5)]))
-        m = build_model(bases[n], h[:, None], jumps[:, None])
+        # five models, each its two jumps, its H and 20 draws of g's real
+        # and imaginary entries and of a point, as one draw; built as one
+        # (5, 1) stack
+        jumps, h, draws = _normals(rng, (5,), (2, 2, n, n), (2, n, n),
+                                   (20, 3 * n * n - 1))
+        m = build_model(bases[n], _hermitian(h, 1.0)[:, None],
+                        0.6 * _complex(jumps)[:, None])
         rhos = _densities(draws[..., :2 * n * n].reshape(5, 20, 2, n, n))
         images = apply_generator(m.H, m.V, m.jumps, rhos)
         trace_sizes.extend(map(abs, np.trace(images, axis1=-2, axis2=-1).flat))
@@ -367,8 +401,9 @@ def gkls_suite():
     results.extend(decomposition_identities(cases))
 
     basis = bases[3]
-    m = build_model(basis, _random_hermitian(rng, 3))
-    x0 = to_coherence_vector(_random_density(rng, 3), basis)
+    h, g = _normals(rng, (), (2, 3, 3), (2, 3, 3))
+    m = build_model(basis, _hermitian(h, 1.0))
+    x0 = to_coherence_vector(_densities(g), basis)
     _, points, _ = integrate(m, x0, t_end=10.0, dt=5e-3)
     values = spectra(basis, points)[1]
     spectrum_res = float(np.max(np.abs(values - values[0])))
@@ -378,32 +413,35 @@ def gkls_suite():
     # a pure state on the suite's draws, then five states of every rank
     # 1..n-1 for n = 2, 3, 4 from a generator of their own, so the draws
     # of the invariants below stay as they are
-    psi = _random_unit(rng, 3)
-    cases = [(basis, _random_hermitian(rng, 3)[None],
-              _random_hermitian(rng, 3, 0.5)[None], psi[None, :, None],
-              np.ones((1, 1)))]
+    psi, h, v = _normals(rng, (), (2, 3), (2, 3, 3), (2, 3, 3))
+    cases = [(basis, _hermitian(h, 1.0)[None], _hermitian(v, 0.5)[None],
+              _units(psi)[None, :, None], np.ones((1, 1)))]
     strata_rng = np.random.default_rng(212)
     for n, n_basis in bases.items():
         for rank in range(1, n):
-            # five draws one by one, one QR of their stack
-            cols, weights, h, v = map(np.stack, zip(*[(
-                _complex(strata_rng.normal(size=(2, n, rank))),
+            # five draws, each its columns, its weights (a uniform draw,
+            # which ends a run of normals), then its H and V; the stacks
+            # make one QR and one Hermitian build each
+            cols, weights, hv = map(np.stack, zip(*[(
+                strata_rng.normal(size=(2, n, rank)),
                 strata_rng.uniform(0.1, 1.0, size=rank),
-                _random_hermitian(strata_rng, n),
-                _random_hermitian(strata_rng, n, 0.5)) for _ in range(5)]))
-            cases.append((n_basis, h, v, np.linalg.qr(cols)[0],
+                strata_rng.normal(size=(2, 2, n, n))) for _ in range(5)]))
+            cases.append((n_basis, _hermitian(hv[:, 0], 1.0),
+                          _hermitian(hv[:, 1], 0.5),
+                          np.linalg.qr(_complex(cols))[0],
                           weights / weights.sum(axis=-1, keepdims=True)))
     results.append(stratum_tangency(cases))
 
-    m = build_model(bases[2], *_random_gkls(rng, 2, 0.5))
-    x0 = to_coherence_vector(_random_density(rng, 2), m.basis)
+    h, jumps, rho0 = _random_gkls(rng, 2, 0.5)
+    m = build_model(bases[2], h, jumps)
+    x0 = to_coherence_vector(rho0, m.basis)
     _, points, _ = integrate(m, x0, t_end=5.0, dt=2e-3)
     results.append(positivity(spectra(m.basis, points)[1][:, 0]))
 
     # gkls.integrate at t = 1 against gkls_flow; with two jumps B != 0,
     # so the B column of the lift is tested
-    m = build_model(basis, *_random_gkls(rng, 3))
-    rho0 = _random_density(rng, 3)
+    h, jumps, rho0 = _random_gkls(rng, 3)
+    m = build_model(basis, h, jumps)
     x0, exact = to_coherence_vector(np.stack([rho0, gkls_flow(m, rho0, 1.0)]),
                                     basis)
     errors = [np.max(np.abs(integrate(m, x0, 1.0, dt)[1][-1] - exact))
@@ -415,38 +453,36 @@ def gkls_suite():
 def purestate_suite():
     rng = np.random.default_rng(303)
     results = []
-    kaehler_res = 0.0
+    kaehler_res = []
     for n in (2, 3):
         # basis psi_a: <psi_a, psi_b> = g_ab + i omega_ab, J psi_a = -i psi_a
         omega, g, j = ps.ambient_tensors(n)
         psis = ps.from_chart(np.eye(2 * n))
         form = psis.conj() @ psis.T
         j_form = ps.to_chart(-1j * psis).T
-        kaehler_res = max(kaehler_res, *(
-            float(np.max(np.abs(d))) for d in (
-                form.real - g, form.imag - omega, j - j_form,
-                j.T @ omega - g)))
+        kaehler_res += [np.max(np.abs(d)) for d in (
+            form.real - g, form.imag - omega, j - j_form, j.T @ omega - g)]
     results.append(result("purestate/kaehler-compatibility",
-                          kaehler_res, 1e-14))
+                          np.max(kaehler_res), 1e-14))
 
-    tangency_res, commute_res, rank_bad, proj_res = 0.0, 0.0, 0.0, 0.0
+    tangency_res, commute_res, proj_res = [], [], []
+    rank_bad = 0.0
     residual_cases = []
     for n in (2, 3):
         basis = build_su_basis(n)
-        a, b, psi = map(np.stack, zip(*[
-            (_random_hermitian(rng, n), _random_hermitian(rng, n),
-             _random_unit(rng, n)) for _ in range(10)]))
+        # ten (a, b, psi), one draw
+        a, b, psi = _random_sphere(rng, (10,), n)
         z = ps.to_chart(psi)
         zero = np.zeros_like(a)
-        tangency_res = max(tangency_res, float(np.max(np.abs(vecdot(
+        tangency_res.append(np.max(np.abs(vecdot(
             z, np.stack([ps.z_field(a, zero, z), ps.z_field(zero, b, z),
-                         ps.phase_field(z)]))))))
+                         ps.phase_field(z)])))))
         residual_cases.append((a, b, z))
         jac_g = central_gradient(lambda p: ps.z_field(zero, b, p), z)
         jac_p = central_gradient(ps.phase_field, z)
         bracket = matvec(jac_g, ps.phase_field(z)) \
             - matvec(jac_p, ps.z_field(zero, b, z))
-        commute_res = max(commute_res, float(np.max(np.abs(bracket))))
+        commute_res.append(np.max(np.abs(bracket)))
         stack = np.concatenate([ps.pullback_omega0(z), ps.contact_form(z)
                                 [..., None, :], z[..., None, :]], axis=-2)
         if np.any(np.linalg.matrix_rank(stack, tol=1e-10) != 2 * n):
@@ -459,17 +495,18 @@ def purestate_suite():
         points = ps.project_to_bloch(psi, basis)
         xh, yv, _ = evaluate_component_fields(
             decompose_field(basis, -a, -2.0 * b), points)
-        proj_res = max(proj_res, float(np.max(np.abs(pushed - (xh - yv)))))
-    results += [result("purestate/sphere-tangency", tangency_res, 1e-12),
+        proj_res.append(np.max(np.abs(pushed - (xh - yv))))
+    results += [result("purestate/sphere-tangency", np.max(tangency_res),
+                       1e-12),
                 contact_residuals(residual_cases),
-                result("purestate/gradient-projectability", commute_res, 1e-9),
+                result("purestate/gradient-projectability",
+                       np.max(commute_res), 1e-9),
                 result("purestate/contact-volume-rank", rank_bad, 0.5),
-                result("purestate/projection-consistency", proj_res, 1e-12)]
+                result("purestate/projection-consistency", np.max(proj_res),
+                       1e-12)]
 
     # the sphere route at t = 2 against the normalised exponential flow
-    a = _random_hermitian(rng, 2)
-    b = _random_hermitian(rng, 2)
-    psi0 = _random_unit(rng, 2)
+    a, b, psi0 = _random_sphere(rng, (), 2)
     exact = sphere_flow(a, b, psi0, 2.0, 40)  # the dt = 0.05 run's steps
     errors = [np.max(np.abs(ps.integrate_sphere_flow(
         a, b, psi0, 2.0, dt)[1][-1] - exact)) for dt in (0.2, 0.1, 0.05)]
@@ -477,12 +514,11 @@ def purestate_suite():
 
     # the generic bordered solve of contact on the sphere chart, with
     # F = f_a / r^2 and alpha = alpha_b pulled back, pushed forward is Z
-    chart_res = 0.0
+    chart_res = []
     for n in (2, 3):
         chart, embed, jac = ps.sphere_contact_chart(n)
-        a = _random_hermitian(rng, n)
-        b = _random_hermitian(rng, n)
-        u = 0.2 * rng.normal(size=2 * n - 1)
+        a, b, u = _normals(rng, (), (2, n, n), (2, n, n), (2 * n - 1,))
+        a, b, u = _hermitian(a, 1.0), _hermitian(b, 1.0), 0.2 * u
         f_tilde = ScalarField(
             value=lambda v: ps.f_value(a, embed(v))
             / ps.norm_squared(embed(v)),
@@ -490,24 +526,19 @@ def purestate_suite():
         vec = generalized_contact_field(
             chart, f_tilde, lambda v: jac(v).T @ ps.alpha_tilde(b, embed(v)),
             u)
-        chart_res = max(chart_res, relative(
+        chart_res.append(relative(
             jac(u) @ vec - ps.z_field(a, b, embed(u)), np.append(a, b)))
     results.append(result("purestate/generalized-contact-field",
-                          chart_res, 1e-9))
+                          np.max(chart_res), 1e-9))
     return results
 
 
-def _quadratic(seed_rng):
-    c0 = seed_rng.normal()
-    lin = seed_rng.normal(size=3)
-    quad = seed_rng.normal(size=(3, 3))
-    return c0, lin, (quad + quad.T) / 2
-
-
-def _quadratics(draws):
-    """c0 + lin p + p quad p / 2 for stacked draws (c0, lin, quad) of
-    ``_quadratic``: draw k reads row k of a stack of points."""
-    c0, lin, quad = map(np.stack, zip(*draws))
+def _quadratics(raw):
+    """c0 + lin p + p quad p / 2 for the rows (c0, lin, raw quad) of a
+    (k, 13) draw, quad the symmetric part of its raw 3 x 3: row k reads
+    row k of a stack of points."""
+    c0, lin, quad = raw[:, 0], raw[:, 1:4], raw[:, 4:].reshape(-1, 3, 3)
+    quad = (quad + quad.swapaxes(-1, -2)) / 2
     return ScalarField(
         value=lambda p: c0 + vecdot(lin, p) + 0.5 * vecdot(p, matvec(quad, p)),
         gradient=lambda p: lin + matvec(quad, p))
@@ -516,14 +547,14 @@ def _quadratics(draws):
 def contact_suite():
     rng = np.random.default_rng(404)
     chart = darboux_chart(1)
-    points, f, g = zip(*[(rng.normal(size=3), _quadratic(rng), _quadratic(rng))
-                         for _ in range(20)])
-    points, f, g = np.stack(points), _quadratics(f), _quadratics(g)
+    # 20 and then 5 (point, f, g), each run one draw
+    points, f, g = _normals(rng, (20,), (3,), (13,), (13,))
+    f, g = _quadratics(f), _quadratics(g)
     xi = reeb_field(chart, points)
     eta = chart.eta(points)
-    reeb_res = max(float(np.max(np.abs(matvec(
-        np.swapaxes(chart.omega(points), -1, -2), xi)))),
-        float(np.max(np.abs(vecdot(eta, xi) - 1.0))))
+    reeb_res = np.maximum(np.max(np.abs(matvec(
+        np.swapaxes(chart.omega(points), -1, -2), xi))),
+        np.max(np.abs(vecdot(eta, xi) - 1.0)))
     nondeg_bad = float(np.any(nondegeneracy_determinant(chart, points)
                               <= 1e-12))
     # eta is affine on this chart: central differences are exact up to
@@ -535,10 +566,9 @@ def contact_suite():
                                       + jacobi_bracket(chart, g, f, points))))
     gen = generalized_contact_field(chart, f, f.grad, points)
     reduce_res = float(np.max(np.abs(gen - f(points)[..., None] * xi)))
-    points, f, g = zip(*[(0.5 * rng.normal(size=3), _quadratic(rng),
-                          _quadratic(rng)) for _ in range(5)])
+    points, f, g = _normals(rng, (5,), (3,), (13,), (13,))
     homo_res = float(np.max(homomorphism_residual(
-        chart, _quadratics(f), _quadratics(g), np.stack(points))))
+        chart, _quadratics(f), _quadratics(g), 0.5 * points)))
     return [result("contact/reeb-defining-equations", reeb_res, 1e-10),
             result("contact/nondegeneracy", nondeg_bad, 0.5),
             result("contact/exact-chart-consistency", exact_res, 1e-12),
@@ -589,9 +619,10 @@ def mechanics_suite():
     # the two halves of linear_projection that the closed form relies on,
     # at random in-domain states of each builder that sets it: the field's
     # (q, q') rows are the linear law z' = G z, and h(S) = h(0) + r S with
-    # r = dh_ds(0); a builder's 20 states are drawn one by one and make
-    # one field call, each row relative to its own G z and r S
-    res = 0.0
+    # r = dh_ds(0); a builder's 20 states are drawn one by one, as their
+    # normal and uniform draws interleave, and make one field call, each
+    # row relative to its own G z and r S
+    res = []
     for sys in (rlc_single(0.4, 1.2, 0.9), friction_system(gamma),
                 rlc_coupled(1.0, 1.0, 1.0, 0.5, 0.5, 0.3, 0.2)):
         g, dim = _projected_generator(sys), 2 * sys.n
@@ -601,10 +632,10 @@ def mechanics_suite():
             y[:] = rng.normal(size=dim + 1)
             y[sys.n:dim] = rng.uniform(0.1, 2.0, size=sys.n)
         gz, rs = matvec(g, ys[:, :dim]), r * ys[:, dim]
-        res = max(res, *map(relative, contact_el_field(sys, ys)[:, :dim] - gz,
-                            gz),
-                  *map(relative, sys.h(ys[:, dim]) - h0 - rs, rs))
-    results.append(result("mechanics/declared-projection", res, 1e-12))
+        res += [relative_rows(contact_el_field(sys, ys)[:, :dim] - gz, gz),
+                relative_rows(sys.h(ys[:, dim]) - h0 - rs, rs)]
+    results.append(result("mechanics/declared-projection", np.max(res),
+                          1e-12))
     return results
 
 

@@ -47,7 +47,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -599,7 +598,7 @@ def execute_scenario(out_dir, kind, name, parameters):
         "scenario": name,
         "kind": kind,
         "wall_time_s": time.perf_counter() - started,
-        "invariants": [asdict(r) for r in results],
+        "invariants": [dict(vars(r)) for r in results],
         "outputs": [str(csv_path)],
         "final_t": float(columns[0][-1]),
         "stopped_early": stopped_early,
@@ -673,7 +672,7 @@ def main(argv=None):
     try:
         with np.errstate(all="ignore"):  # an exit code, never a warning
             if args.command == "checks":
-                invariants = [asdict(r) for r in run_checks(args.filter)]
+                invariants = [dict(vars(r)) for r in run_checks(args.filter)]
                 if args.out is not None:
                     write_json(Path(args.out) / "checks_report.json",
                                invariants)

@@ -296,12 +296,13 @@ def test_only_bordered_reads_the_chart_forms():
 
 
 def test_one_residual_scale_and_one_hamiltonianity_verdict():
-    """In cli and checks, checks.relative alone scales a residual by
-    max(1, ...), and checks.hamiltonianity_verdict alone reads the
-    verdict of hamiltonianity_criterion for an invariant, besides the one
-    call of mechanics/odd-trace-soundness in the mechanics suite."""
+    """In cli and checks, checks._scale alone scales a residual by
+    max(1, ...), as Python's max or numpy's maximum, and
+    checks.hamiltonianity_verdict alone reads the verdict of
+    hamiltonianity_criterion for an invariant, besides the one call of
+    mechanics/odd-trace-soundness in the mechanics suite."""
     def scale(call):
-        return isinstance(call.func, ast.Name) and call.func.id == "max" \
+        return referenced_names(call.func) & {"max", "maximum"} \
             and any(isinstance(arg, ast.Constant) and arg.value == 1
                     for arg in call.args)
 
@@ -309,7 +310,7 @@ def test_one_residual_scale_and_one_hamiltonianity_verdict():
         return "hamiltonianity_criterion" in referenced_names(call.func)
 
     assert calls_in("checks", scale) + calls_in("cli", scale) \
-        == ["checks.relative"]
+        == ["checks._scale"]
     assert calls_in("checks", criterion) + calls_in("cli", criterion) \
         == ["checks.hamiltonianity_verdict", "checks.mechanics_suite"]
 

@@ -78,10 +78,9 @@ def test_gkls_flow_matches_the_lifted_exponential(n):
     # the superoperator route against scipy's exp of the lift
     # [[A, B], [0, 0]] on (x0, 1), a route through the chart
     rng = np.random.default_rng(40 + n)
-    model = gkls.build_model(build_su_basis(n),
-                             *checks._random_gkls(rng, n))
+    h, jumps, rho0 = checks._random_gkls(rng, n)
+    model = gkls.build_model(build_su_basis(n), h, jumps)
     assert np.max(np.abs(model.B)) > 1e-3
-    rho0 = checks._random_density(rng, n)
     d = model.basis.size
     lift = np.zeros((d + 1, d + 1))
     lift[:d, :d], lift[:d, d] = model.A, model.B
@@ -193,8 +192,8 @@ def test_mutated_fields_serve_a_point_and_a_stack(wrong_fields, k):
     # axis would take silently
     rng = np.random.default_rng(k)
     basis = build_su_basis(3)
-    dec = gkls.decompose_field(basis, checks._random_hermitian(rng, 3),
-                               checks._random_hermitian(rng, 3))
+    h, v = checks._hermitian(rng.normal(size=(2, 2, 3, 3)), 1.0)
+    dec = gkls.decompose_field(basis, h, v)
     points = rng.normal(size=(k, basis.size))
     stacked = wrong_fields(dec, points)
     for row, x in enumerate(points):
@@ -269,8 +268,8 @@ def test_each_model_of_a_stack_reads_its_own_scale():
     # larger would otherwise scale away the rounding of the other four
     rng = np.random.default_rng(8)
     basis = build_su_basis(3)
-    h, jumps = map(np.stack, zip(*[checks._random_gkls(rng, 3)
-                                   for _ in range(5)]))
+    jumps, h = checks._normals(rng, (5,), (2, 2, 3, 3), (2, 3, 3))
+    h, jumps = checks._hermitian(h, 1.0), 0.6 * checks._complex(jumps)
     scale = np.array([1e4, 1.0, 1.0, 1.0, 1.0])
     h, jumps = h * scale[:, None, None], jumps * np.sqrt(scale)[
         :, None, None, None]
@@ -496,6 +495,13 @@ def test_a_pass_makes_one_call_per_stack(monkeypatch):
     for name in ("build_model", "apply_generator", "decompose_field",
                  "hamiltonianity_criterion"):
         counted(checks, name)
+    # each run of normal draws is one draw whose Hermitians are built as
+    # stacks, 75 builds in the gkls suite and 46 in the purestate suite
+    # one draw at a time, and each stack of rows is one reduction, 31
+    # relative calls in the gkls suite and 127 in the mechanics suite
+    # one row at a time
+    for name in ("_hermitian", "relative", "relative_rows"):
+        counted(checks, name)
     for module in (mechanics, checks):
         counted(module, "contact_el_field")
     for module in (algebra, checks, purestate):
@@ -511,14 +517,17 @@ def test_a_pass_makes_one_call_per_stack(monkeypatch):
         monkeypatch.setitem(checks.SUITES, name, in_suite(name, run))
     assert all(r.passed for r in run_checks())
     assert dict(counts) == {
-        ("algebra", "to_coherence_vector"): 3,
+        ("algebra", "to_coherence_vector"): 3, ("algebra", "_hermitian"): 6,
         ("gkls", "expm"): 1, ("gkls", "spectra"): 2,
         ("gkls", "to_coherence_vector"): 6, ("gkls", "build_model"): 5,
         ("gkls", "apply_generator"): 2, ("gkls", "decompose_field"): 5,
+        ("gkls", "_hermitian"): 19, ("gkls", "relative_rows"): 3,
         ("mechanics", "contact_el_field"): 9, ("mechanics", "expm"): 1,
         ("mechanics", "hamiltonianity_criterion"): 2,
+        ("mechanics", "relative"): 5, ("mechanics", "relative_rows"): 7,
         ("purestate", "decompose_field"): 2,
-        ("purestate", "expm"): 1, ("purestate", "to_coherence_vector"): 2}
+        ("purestate", "expm"): 1, ("purestate", "to_coherence_vector"): 2,
+        ("purestate", "_hermitian"): 10, ("purestate", "relative"): 2}
 
 
 def test_declared_projection_sees_a_nonlinear_law(monkeypatch):
@@ -568,3 +577,229 @@ def test_quadratic_h_fails_declared_projection_not_the_run(monkeypatch,
     capsys.readouterr()
     assert cli.main(["checks", "--filter", "mechanics"]) == cli.EXIT_NUMERICAL
     assert "[FAIL] mechanics/declared-projection" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("lead, shapes", [
+    ((), [(20, 2, 4, 4), (2, 4, 4), (10, 15)]),  # algebra, n = 4
+    ((5,), [(2, 2, 3, 3), (2, 3, 3), (20, 26)]),  # gkls models, n = 3
+    ((), [(2, 3), (2, 3, 3), (2, 3, 3)]),  # gkls, the pure stratum case
+    ((10,), [(2, 3, 3), (2, 3, 3), (2, 3)]),  # purestate, n = 3
+    ((20,), [(3,), (13,), (13,)]),  # contact
+    ((2, 3), [(), (4,)]),  # two leading axes and a scalar piece
+], ids=["algebra", "gkls_models", "pure_stratum", "purestate", "contact",
+        "two_axes"])
+def test_one_normal_draw_is_the_draws_one_by_one(lead, shapes):
+    # a Generator's normals do not depend on the chunking: each row of a
+    # _normals draw holds what a loop over its rows drew shape by shape,
+    # and the generator ends in the same state
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    pieces = checks._normals(rng, lead, *shapes)
+    for index in np.ndindex(*lead):
+        for piece, shape in zip(pieces, shapes):
+            assert np.array_equal(piece[index], ref.normal(size=shape))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("n, rank", [(2, 1), (4, 3)])
+def test_a_uniform_draw_splits_a_run_of_normals(n, rank):
+    # the strata layout: each draw's columns, then its weights, then its H
+    # and V as one (2, 2, n, n) draw, against H and V drawn one by one
+    rng, ref = np.random.default_rng(212), np.random.default_rng(212)
+    for _ in range(5):
+        assert np.array_equal(rng.normal(size=(2, n, rank)),
+                              ref.normal(size=(2, n, rank)))
+        assert np.array_equal(rng.uniform(0.1, 1.0, size=rank),
+                              ref.uniform(0.1, 1.0, size=rank))
+        hv = rng.normal(size=(2, 2, n, n))
+        assert np.array_equal(checks._hermitian(hv, 1.0)[0], checks._hermitian(
+            ref.normal(size=(2, n, n)), 1.0))
+        assert np.array_equal(checks._hermitian(hv, 0.5)[1], checks._hermitian(
+            ref.normal(size=(2, n, n)), 0.5))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # the normals after the uniform draw are not the ones the run would
+    # have continued with
+    merged = np.random.default_rng(212).normal(size=2 * n * rank + 4 * n * n)
+    split = np.random.default_rng(212)
+    split.normal(size=(2, n, rank))
+    split.uniform(0.1, 1.0, size=rank)
+    assert not np.array_equal(merged[2 * n * rank:],
+                              split.normal(size=4 * n * n))
+
+
+def test_stacked_cases_are_the_cases_one_by_one():
+    # _units normalises each row by its own norm call, and _quadratics
+    # reads each raw (13,) row as the (c0, lin, quad) drawn one by one
+    rng = np.random.default_rng(9)
+    parts = rng.normal(size=(10, 2, 3))
+    for row, psi in zip(parts, checks._units(parts)):
+        one = row[0] + 1j * row[1]
+        assert np.array_equal(psi, one / np.linalg.norm(one))
+    assert np.array_equal(checks._units(parts[0]), checks._units(parts)[0])
+    raw = rng.normal(size=(6, 13))
+    points = rng.normal(size=(6, 3))
+    field = checks._quadratics(raw)
+    ref = np.random.default_rng(9)
+    ref.normal(size=(10, 2, 3))
+    for k, p in enumerate(points):
+        c0, lin, quad = ref.normal(), ref.normal(size=3), ref.normal(
+            size=(3, 3))
+        quad = (quad + quad.T) / 2
+        assert field(points)[k] == c0 + lin @ p + 0.5 * (p @ (quad @ p))
+        assert np.array_equal(field.grad(points)[k], lin + quad @ p)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (7,), (7, 3), (5, 2, 2)],
+                         ids=["one_row", "scalar_rows", "rows", "matrix_rows"])
+def test_relative_rows_is_the_max_of_relative_per_row(shape):
+    # rows scaled from 1e-3 to 1e3, so that both sides of the max(1, .)
+    # scale are read, a row of zero sizes and a row of zero differences
+    rng = np.random.default_rng(len(shape) + shape[0])
+    spread = 10.0 ** rng.uniform(-3.0, 3.0, size=(shape[0],)
+                                 + (1,) * (len(shape) - 1))
+    size = spread * rng.normal(size=shape)
+    diff = 1e-13 * spread * rng.normal(size=shape)
+    if shape[0] > 2:
+        size[1] = 0.0
+        diff[2] = 0.0
+    want = max(map(checks.relative, diff, size))
+    assert checks.relative_rows(diff, size).hex() == want.hex()
+
+
+def overflowing_criterion():
+    # stiffness 1e300 overflows the odd traces and their scale to inf,
+    # so the ratios are NaN and the verdict reads "not-hamiltonian"
+    g = mechanics.representative_matrix(
+        np.eye(2), 0.1 * np.eye(2), np.diag([1.0, 1e300]))
+    with np.errstate(all="ignore"):
+        return checks.hamiltonianity_verdict("x", g, "not-hamiltonian")
+
+
+def nan_in_last_jacobi_case(monkeypatch):
+    # the structure constants of n = 4, the last of the algebra suite
+    constants = checks.structure_constants
+
+    def moved(tau):
+        c = constants(tau)
+        if len(tau) == 15:
+            c = c.copy()
+            c[-1, -1, -1] = np.nan
+        return c
+
+    monkeypatch.setattr(checks, "structure_constants", moved)
+    return suite_results("algebra")["algebra/structure-jacobi-identity"]
+
+
+def nan_in_last_stencil(monkeypatch):
+    # the stencils of n = 3, the last n of the purestate suite
+    gradient = checks.central_gradient
+
+    def moved(f, x, step=1e-5):
+        jac = gradient(f, x, step)
+        return jac * np.nan if np.shape(x)[-1] == 6 else jac
+
+    monkeypatch.setattr(checks, "central_gradient", moved)
+    return suite_results("purestate")["purestate/gradient-projectability"]
+
+
+def nan_in_last_sphere_case(monkeypatch):
+    # the contact residuals of n = 3, the last case
+    residuals = purestate.contact_residuals
+
+    def moved(a, b, z):
+        out = np.asarray(residuals(a, b, z))
+        return out * np.nan if z.shape[-1] == 6 else out
+
+    monkeypatch.setattr(purestate, "contact_residuals", moved)
+    return suite_results("purestate")["purestate/contact-residuals"]
+
+
+def nan_in_last_model(monkeypatch, name):
+    # Hmat of the last random model of n = 3, the last case
+    split = checks.decompose_field
+
+    def moved(*args):
+        dec = split(*args)
+        if dec.n == 3 and dec.Kmat.any():
+            hmat = dec.Hmat.copy()
+            hmat[(-1,) * hmat.ndim] = np.nan
+            dec = dataclasses.replace(dec, Hmat=hmat)
+        return dec
+
+    monkeypatch.setattr(checks, "decompose_field", moved)
+    return suite_results("gkls")[name]
+
+
+def nan_in_last_stratum(monkeypatch):
+    # T of the last state of n = 4, the last stratum group
+    fields = checks.evaluate_component_fields
+
+    def moved(dec, x):
+        xh, yv, zk = fields(dec, x)
+        if dec.n == 4 and not dec.Kmat.any():
+            xh = xh.copy()
+            xh[-1, -1] = np.nan
+        return xh, yv, zk
+
+    monkeypatch.setattr(checks, "evaluate_component_fields", moved)
+    return suite_results("gkls")["gkls/gradient-flow-rank-constancy"]
+
+
+def nan_in_reeb_contraction(monkeypatch):
+    # eta(xi) - 1, the second half of the Reeb residual: the one vecdot of
+    # the suite that reads 1 at every point
+    def moved(a, b):
+        out = algebra.vecdot(a, b)
+        return out * np.nan if np.allclose(out, 1.0) else out
+
+    monkeypatch.setattr(checks, "vecdot", moved)
+    return suite_results("contact")["contact/reeb-defining-equations"]
+
+
+def nan_in_last_field_row(monkeypatch):
+    # the last of each builder's 20 rows of the declared projection
+    field = checks.contact_el_field
+
+    def moved(sys, y):
+        out = field(sys, y).copy()
+        out[-1, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(checks, "contact_el_field", moved)
+    return suite_results("mechanics")["mechanics/declared-projection"]
+
+
+def nan_in_last_oracle_column(monkeypatch):
+    # the second of two columns at one sampled row
+    g = mechanics.representative_matrix(np.ones((1, 1)), np.full((1, 1), 0.3),
+                                        np.full((1, 1), 1.1))
+    times = integrators.time_grid(4.0, 1e-3, len(g))
+    states = np.full((len(times), len(g)), np.nan)
+    states[::100] = [expm(g * t) @ [1.0, 0.2] for t in times[::100]]
+    states[200, 1] = np.nan
+    return checks.linear_oracle("x", g, times, states, 100, 1e-12)
+
+
+@pytest.mark.parametrize("nan_result", [
+    lambda mp: checks.positivity(np.array([1e-3, 0.5, np.nan])),
+    lambda mp: checks.result("x", checks.relative(
+        np.zeros(2), np.array([2.0, np.nan])), 1.0),
+    lambda mp: checks.result("x", checks.relative_rows(
+        np.zeros((3, 2)), np.array([[1.0, 2.0], [3.0, 4.0], [5.0, np.nan]])),
+        1.0),
+    lambda mp: overflowing_criterion(),
+    nan_in_last_jacobi_case, nan_in_last_stencil, nan_in_last_sphere_case,
+    lambda mp: nan_in_last_model(mp, "gkls/decomposition-sum-identity"),
+    lambda mp: nan_in_last_model(mp, "gkls/nonlinear-cancellation"),
+    nan_in_last_stratum, nan_in_reeb_contraction, nan_in_last_field_row,
+    nan_in_last_oracle_column,
+], ids=["positivity", "relative_size", "relative_rows", "verdict",
+        "algebra_suite", "purestate_suite", "contact_residuals",
+        "decomposition_sum", "decomposition_cancellation",
+        "stratum_tangency", "contact_suite", "declared_projection",
+        "linear_oracle"])
+def test_a_nan_residual_never_passes(nan_result, monkeypatch):
+    # Python's max keeps a number over a NaN that follows it: max(0.0,
+    # nan) is 0.0, so a NaN in a later case, row or column passed
+    res = nan_result(monkeypatch)
+    assert np.isnan(res.residual)
+    assert not res.passed

@@ -1447,6 +1447,12 @@ class TestScenarioRuns:
         b1 = (tmp_path / "r1" / "friction-lagrangian.csv").read_bytes()
         b2 = (tmp_path / "r2" / "friction-lagrangian.csv").read_bytes()
         assert b1 == b2
+        # every suite draws its cases afresh from its own seed
+        for out in ("c1", "c2"):
+            assert run_cli("checks", "--out", str(tmp_path / out)) == EXIT_OK
+        c1 = (tmp_path / "c1" / "checks_report.json").read_bytes()
+        c2 = (tmp_path / "c2" / "checks_report.json").read_bytes()
+        assert c1 == c2
 
     def test_checks_report_written(self, tmp_path, capsys):
         assert run_cli("checks", "--filter", "contact",
@@ -1476,11 +1482,20 @@ def numeric_leaves(value, path=()):
         yield path
 
 
-# the magnitude sweep of the exit-code contract: each number but t_end and
-# dt scaled by 10^k, negated or set to 0
+# the magnitude sweep of the exit-code contract: each number scaled by
+# 10^k, negated or set to 0
 MAGNITUDES = {**{f"x1e{k}": 10.0 ** k
                  for k in (8, -8, 20, -20, 100, -100, 300, -300)},
               "negated": -1.0, "zero": 0.0}
+
+
+def step_count(params):
+    """round(t_end / dt), the steps a config asks for, or 0 where that is
+    no finite positive count."""
+    t_end, dt = params["t_end"], params["dt"]
+    if not (t_end > 0 and dt > 0 and t_end / dt < float("inf")):
+        return 0
+    return round(t_end / dt)
 
 
 class CountedProducts(np.ndarray):
@@ -1498,14 +1513,15 @@ def test_every_magnitude_exits_with_a_code(variant, monkeypatch):
     # checks.sphere_flow took k = ceil(t ||M||_1 / 300) products, about
     # 1.7e16 for the pure-state a00 scaled by 1e20 on its 5-step run,
     # which never ended; capped at the run's step count, every config
-    # exits 0, 2 or 3, and 0 only with every invariant passing
+    # exits 0, 2 or 3, and 0 only with every invariant passing; t_end and
+    # dt are scaled too, and bound the products by the changed config's
+    # own step count; no invariant passes with a NaN residual
     expm = checks.expm
     monkeypatch.setattr(checks, "expm",
                         lambda a: expm(a).view(CountedProducts))
     kind, params = VARIANTS[variant]
-    steps = round(params["t_end"] / params["dt"])
     codes = {}
-    for path in numeric_leaves(without(without(params, "t_end"), "dt")):
+    for path in numeric_leaves(params):
         for label, factor in MAGNITUDES.items():
             changed = copy.deepcopy(params)
             holder = changed
@@ -1519,7 +1535,13 @@ def test_every_magnitude_exits_with_a_code(variant, monkeypatch):
             assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL)
             if code == EXIT_OK:
                 assert all(inv["passed"] for inv in report["invariants"])
-            assert CountedProducts.count <= steps
+            if report is not None:
+                assert not [inv["name"] for inv in report["invariants"]
+                            if inv["passed"] and np.isnan(inv["residual"])]
+            assert CountedProducts.count <= step_count(changed)
+            if path in (("t_end",), ("dt",)):
+                # past the time_grid cap or short of one step
+                assert code == EXIT_USAGE
             codes[path, label] = code
     if variant == "pure-state":
         # a00 scaled by 1e20 fails its oracle; psi0 = e1 never reads a11
