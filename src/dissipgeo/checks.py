@@ -10,8 +10,9 @@ ends a run), builds its cases from that stack once, then evaluates its
 identities on stacks, per n or per suite, through the batch axes of
 ``algebra``, ``gkls``, ``contact``, ``purestate`` and ``mechanics``: one
 call per stack, a stack of GKLS models too, and one field call per
-stencil.  ``linear_oracle`` holds every k-th row of a path to the
-powers of one ``expm``.
+stencil.  ``flow_oracle`` alone makes the exponential oracles' rows, 0,
+s, 2s, ... and the last, s = steps // ``ORACLE_ROWS`` or 1 in a run, as
+powers of one ``expm`` normalised for pure states, none overflowing.
 
 An invariant that a CLI run also reports has its formula and tolerance
 in one helper here, which the suite and the CLI both call.  A residual
@@ -43,6 +44,9 @@ from .mechanics import (_projected_generator, analytic_energy_rate,
                         friction_system, hamiltonianity_criterion,
                         integrate_contact, representative_matrix,
                         rlc_coupled, rlc_single)
+
+ORACLE_ROWS = 64  # a run's oracle reads about this many rows of its path
+RATE_TOL = 1e-6  # relative tolerance of every five-point rate invariant
 
 
 @dataclass(frozen=True)
@@ -94,34 +98,43 @@ def expm(a):
     return total
 
 
-def gkls_flow(model, rho0, t):
-    """exp(t L) rho0 by ``expm`` of L's superoperator on the row-major
-    vec rho0, with vec(A X B) = (A kron B^T) vec X; built from H, the
-    jumps and V, it shares neither A, B nor a stepper with a run."""
+def superoperator(model):
+    """L on the row-major vec rho, vec(A X B) = (A kron B^T) vec X, from H,
+    V and the jumps: it shares neither A, B nor a stepper with a run."""
     eye = np.eye(model.n)
-    sup = 1j * (np.kron(eye, model.H.T) - np.kron(model.H, eye)) \
-        - 0.5 * (np.kron(model.V, eye) + np.kron(eye, model.V.T))
-    for v in model.jumps:
-        sup = sup + np.kron(v, v.conj())
-    return (expm(t * sup) @ np.ravel(rho0)).reshape(model.n, model.n)
+    return sum((np.kron(v, v.conj()) for v in model.jumps),
+               1j * (np.kron(eye, model.H.T) - np.kron(model.H, eye))
+               - 0.5 * (np.kron(model.V, eye) + np.kron(eye, model.V.T)))
 
 
-def sphere_flow(a, b, psi0, t, steps):
-    """exp(t M) psi0 / |exp(t M) psi0| for M = i a + b, as k products with
-    ``expm`` of t M / k, each normalised, k = ceil(t ||M||_1 / 300) or 1,
-    so that no product overflows, but at most the steps of the run it
-    checks; it shares no stepper with a run."""
-    gen = ps.flow_generator(a, b)
-    k = int(min(steps, np.ceil(t * np.linalg.norm(gen, 1) / 300.0))) or 1
-    step = expm(gen * t / k)
-    psi = np.asarray(psi0, dtype=complex)
-    for _ in range(k):
-        psi = step @ psi
-        psi = psi / np.linalg.norm(psi)
-    return psi
+def flow_oracle(gen, y0, t, steps, stride=None, unit=False):
+    """(rows, exact): rows 0, s, 2s, ... and steps of a path of steps equal
+    steps over [0, t], s = stride or steps // ORACLE_ROWS or 1, and
+    exp(r t / steps gen) y0 at each, normalised if unit: a span of w steps
+    and length h is k products with one expm(h gen / k) per w, k = ceil(h
+    ||gen||_1 / 300) or 1 but at most w, so that none overflows."""
+    rows = np.arange(0, steps, stride or steps // ORACLE_ROWS or 1)
+    exact, width, norm = [y0], 0, np.linalg.norm(gen, 1)
+    for span in np.diff(rows, append=steps).tolist():
+        if span != width:
+            width, h = span, span * (t / steps)
+            k = int(min(span, np.ceil(h * norm / 300.0))) or 1
+            step = expm(gen * h / k)
+        y = exact[-1]
+        for _ in range(k):
+            y = step @ y
+            if unit:  # np.linalg.norm(y)'s own sum, at a third of its cost
+                y /= math.sqrt(y.real.dot(y.real) + y.imag.dot(y.imag))
+        exact.append(y)
+    return np.append(rows, steps), np.array(exact)
 
 
-RATE_TOL = 1e-6  # relative tolerance of every five-point rate invariant
+def linear_residual(g, states, t, stride=None):
+    """The linear flows' oracle residual: states against ``flow_oracle``'s
+    rows of y' = G y from states[0], each column relative to its exact
+    values."""
+    rows, exact = flow_oracle(g, states[0], t, len(states) - 1, stride)
+    return relative_rows((states[rows] - exact).T, exact.T)
 
 
 def five_point_residual(name, values, dt, analytic):
@@ -263,19 +276,6 @@ def friction_invariants(gamma, states, dt):
         five_point_residual("mechanics/friction-mechanical-dissipation",
                             0.5 * qd ** 2, dt, analytic),
     ]
-
-
-def linear_oracle(name, g, times, states, stride, tol):
-    """Every stride-th row of states from row 0 against the powers of one
-    expm(G times[stride]) on states[0], each column relative to its values
-    in states[0] and the exact rows."""
-    step = expm(g * times[stride])
-    exact = [states[0]]
-    for _ in times[stride::stride]:
-        exact.append(step @ exact[-1])
-    exact = np.array(exact)
-    return result(name, relative_rows((states[::stride] - exact).T,
-                                      np.vstack([states[:1], exact]).T), tol)
 
 
 def hamiltonianity_verdict(name, g, expected):
@@ -438,12 +438,12 @@ def gkls_suite():
     _, points, _ = integrate(m, x0, t_end=5.0, dt=2e-3)
     results.append(positivity(spectra(m.basis, points)[1][:, 0]))
 
-    # gkls.integrate at t = 1 against gkls_flow; with two jumps B != 0,
-    # so the B column of the lift is tested
+    # gkls.integrate at t = 1 against the exact flow, one span of the
+    # dt = 0.01 run's steps; two jumps make B != 0, testing the lift's B
     h, jumps, rho0 = _random_gkls(rng, 3)
     m = build_model(basis, h, jumps)
-    x0, exact = to_coherence_vector(np.stack([rho0, gkls_flow(m, rho0, 1.0)]),
-                                    basis)
+    rho1 = flow_oracle(superoperator(m), np.ravel(rho0), 1.0, 100, 100)[1][-1]
+    x0, exact = to_coherence_vector([rho0, rho1.reshape(3, 3)], basis)
     errors = [np.max(np.abs(integrate(m, x0, 1.0, dt)[1][-1] - exact))
               for dt in (0.04, 0.02, 0.01)]
     results.append(observed_order("gkls/observed-order", errors))
@@ -507,7 +507,8 @@ def purestate_suite():
 
     # the sphere route at t = 2 against the normalised exponential flow
     a, b, psi0 = _random_sphere(rng, (), 2)
-    exact = sphere_flow(a, b, psi0, 2.0, 40)  # the dt = 0.05 run's steps
+    exact = flow_oracle(ps.flow_generator(a, b), psi0, 2.0, 40, 40,
+                        unit=True)[1][-1]  # one span of the dt = 0.05 run
     errors = [np.max(np.abs(ps.integrate_sphere_flow(
         a, b, psi0, 2.0, dt)[1][-1] - exact)) for dt in (0.2, 0.1, 0.05)]
     results.append(observed_order("purestate/observed-order", errors))
@@ -608,13 +609,12 @@ def mechanics_suite():
     # projectable contact flow vs the exact flow of q'' + gam q' + v q = 0
     # at every 100th row, the powers of one expm(G 100 dt)
     v_coeff, gam = 1.1, 0.3
-    times, states, _ = integrate_contact(rlc_single(gam, 1.0, 1.0 / v_coeff),
-                                         ([1.0], [0.0], 0.2), 4.0, dt)
+    _, states, _ = integrate_contact(rlc_single(gam, 1.0, 1.0 / v_coeff),
+                                     ([1.0], [0.0], 0.2), 4.0, dt)
     g = representative_matrix(np.ones((1, 1)), np.full((1, 1), gam),
                               np.full((1, 1), v_coeff))
-    results.append(linear_oracle(
-        "mechanics/contact-reduction-consistency", g, times, states[:, :2],
-        100, 1e-8))
+    results.append(result("mechanics/contact-reduction-consistency",
+                          linear_residual(g, states[:, :2], 4.0, 100), 1e-8))
 
     # the two halves of linear_projection that the closed form relies on,
     # at random in-domain states of each builder that sets it: the field's

@@ -44,14 +44,13 @@ K = ``CHECK_ROWS`` at a time from the row y before the block: P, P^2,
 row of the block, so a block is one product of that stack with y.  It is
 the same method evaluated in another order, so paths agree with
 ``rk4_path`` up to rounding.  ``post``, when given, maps each block row
-by row before it is checked; it is a projection and never ends the path.
-A block with a row that is not finite declines.  A power that overflows
-(a stiff P) holds an inf entry, which makes its column non-finite in
-every later power (an entry of P times inf is inf, or NaN for a zero
-entry), and a row that reads a non-finite entry is not finite whatever y
-(inf times 0 is NaN again).  The first block reads every power built, so
-it declines: a path that ``rk4_path`` keeps finite under overflowing
-powers stays finite, and a diverging path stops where ``rk4_path`` stops.
+by row; it is a projection and never ends the path.  A path with a row
+that is not finite declines, every row checked once after the last
+block.  A power that overflows (a stiff P) holds an inf entry, and the
+row of the first block that reads it is not finite whatever y (inf times
+0 is NaN), so the path declines: a path that ``rk4_path`` keeps finite
+under overflowing powers stays finite, and a diverging path stops where
+``rk4_path`` stops.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from functools import partial
 
 import numpy as np
 
-CHECK_ROWS = 64  # rows per block and per divergence check of a fill
+CHECK_ROWS = 64  # rows per block of a fill
 MAX_PATH_VALUES = 10 ** 7  # rows x state width of a grid: under 1 GB a run
 RK4_C = (0.5, 0.5, 1.0)  # stage i + 1 of a step from y is y + (c_i dt) k_i
 
@@ -146,8 +145,7 @@ def rk4_linear_path(g, y0, t_end, dt, post=None):
 def linear_fill(g, y0, steps, dt, post=None):
     """The RK4 path of y' = G y from y0 over steps steps, filled
     ``CHECK_ROWS`` rows at a time by the stacked powers of P, each block
-    mapped by post when given; None at the first block with a row that
-    is not finite."""
+    mapped by post when given; None when a row is not finite."""
     d = len(g)
     m = dt * g
     eye = np.eye(d)
@@ -166,9 +164,7 @@ def linear_fill(g, y0, steps, dt, post=None):
         np.matmul(stack[:rows.size], states[start - 1], out=rows.reshape(-1))
         if post is not None:
             rows[:] = post(rows)
-        if not np.isfinite(rows).all():  # a row or a power it used
-            return None
-    return states
+    return states if np.isfinite(states).all() else None
 
 
 def linear_stages(g, zs, dt):

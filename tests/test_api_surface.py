@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import dissipgeo
-from dissipgeo import cli, contact, mechanics
+from dissipgeo import checks, cli, contact, mechanics
 
 SOURCE = Path(dissipgeo.__file__).parent
 
@@ -313,6 +313,30 @@ def test_one_residual_scale_and_one_hamiltonianity_verdict():
         == ["checks._scale"]
     assert calls_in("checks", criterion) + calls_in("cli", criterion) \
         == ["checks.hamiltonianity_verdict", "checks.mechanics_suite"]
+
+
+def test_one_exponential_oracle():
+    """checks.flow_oracle alone makes the rows of every exponential
+    oracle, the GKLS, pure-state and linear flows alike, so in checks and
+    cli it alone calls expm, the per-flow helpers it replaced are gone,
+    and no CLI run passes a stride: a run's oracle reads the rows of the
+    one rule, s = steps // ORACLE_ROWS or 1."""
+    def expm_call(call):
+        return "expm" in referenced_names(call.func)
+
+    assert calls_in("checks", expm_call) + calls_in("cli", expm_call) \
+        == ["checks.flow_oracle"]
+    assert not {"gkls_flow", "sphere_flow", "linear_oracle"} \
+        & set(vars(checks))
+    arity = {"flow_oracle": 4, "linear_residual": 3}
+    calls = [node for node in ast.walk(ast.parse(
+        (SOURCE / "cli.py").read_text())) if isinstance(node, ast.Call)
+        and referenced_names(node.func) & set(arity)]
+    assert sorted(ast.unparse(call.func) for call in calls) == [
+        "flow_oracle", "flow_oracle", "linear_residual", "linear_residual"]
+    assert all(len(call.args) <= arity[ast.unparse(call.func)]
+               and "stride" not in [k.arg for k in call.keywords]
+               for call in calls)
 
 
 def test_gradient_field_has_one_home():

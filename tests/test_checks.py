@@ -64,18 +64,22 @@ def test_zero_matrix_is_identity():
 
 @pytest.mark.parametrize("name", ORACLE_BUILTINS)
 def test_builtin_generators_match_scipy(name, monkeypatch):
-    # every oracle, pure-state, gkls and linear, calls expm in checks
+    # every oracle, pure-state, gkls and linear, calls expm in checks: once
+    # for its spans of s steps and once for a shorter last span
     passed = []
     monkeypatch.setattr(checks, "expm", lambda a: passed.append(a) or expm(a))
     config = cli.BUILTIN_SCENARIOS[name]["config"]
     cli.RUNNERS[config["kind"]](**config["parameters"])
-    assert len(passed) == 1
-    assert_matches_scipy(passed[0])
+    steps = round(config["parameters"]["t_end"] / config["parameters"]["dt"])
+    assert len(passed) == 1 + bool(steps % (steps // checks.ORACLE_ROWS))
+    for a in passed:
+        assert_matches_scipy(a)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_gkls_flow_matches_the_lifted_exponential(n):
-    # the superoperator route against scipy's exp of the lift
+def test_flow_oracle_matches_the_lifted_exponential(n):
+    # the superoperator route, at every row flow_oracle samples on the
+    # grid of a run at dt = 1e-3, against scipy's exp of the lift
     # [[A, B], [0, 0]] on (x0, 1), a route through the chart
     rng = np.random.default_rng(40 + n)
     h, jumps, rho0 = checks._random_gkls(rng, n)
@@ -85,22 +89,28 @@ def test_gkls_flow_matches_the_lifted_exponential(n):
     lift = np.zeros((d + 1, d + 1))
     lift[:d, :d], lift[:d, d] = model.A, model.B
     for t in (0.1, 1.0, 5.0):
-        x = (scipy.linalg.expm(t * lift) @ np.append(
-            to_coherence_vector(rho0, model.basis), 1.0))[:d]
-        rho = checks.gkls_flow(model, rho0, t)
-        assert np.max(np.abs(rho - from_coherence_vector(
+        steps = round(t / 1e-3)
+        rows, exact = checks.flow_oracle(checks.superoperator(model),
+                                         np.ravel(rho0), t, steps)
+        assert rows[-1] == steps and len(rows) > 1
+        x = [(scipy.linalg.expm(r * t / steps * lift) @ np.append(
+            to_coherence_vector(rho0, model.basis), 1.0))[:d] for r in rows]
+        assert np.max(np.abs(exact.reshape(-1, n, n) - from_coherence_vector(
             x, model.basis))) < 1e-12
 
 
-def test_sphere_flow_keeps_a_fixed_point_below_the_top():
+def test_flow_oracle_keeps_a_fixed_point_below_the_top():
     # psi0 = e2 spans an invariant subspace of sigma3 that decays as e^-2t
-    # against e1; the ray stays e2 at t = 400, where e^-800 underflows
-    # (two products, under the 400 steps of a run at dt = 1)
+    # against e1; the ray stays e2 to t = 400, where e^-800 underflows
+    # (a normalised product a span: 66 spans of 6 of the 400 steps of a run
+    # at dt = 1, and a last span of 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning may escape
-        psi = checks.sphere_flow(np.zeros((2, 2)), np.diag([1.0, -1.0]),
-                                 np.array([0.0, 1.0]), 400.0, 400)
-    assert np.array_equal(psi, [0.0, 1.0])
+        rows, psi = checks.flow_oracle(
+            purestate.flow_generator(np.zeros((2, 2)), np.diag([1.0, -1.0])),
+            np.array([0.0, 1.0]), 400.0, 400, unit=True)
+    assert np.diff(rows).tolist() == [6] * 66 + [4]
+    assert np.array_equal(psi, np.tile([0.0, 1.0], (68, 1)))
 
 
 @pytest.mark.parametrize("t", [
@@ -108,18 +118,22 @@ def test_sphere_flow_keeps_a_fixed_point_below_the_top():
     *(pytest.param(t, marks=pytest.mark.xfail(
         strict=True, reason="normalised products drift on a defective M "
         "(CHANGES.md FOUND)")) for t in (1e6, 1e7))])
-def test_sphere_flow_of_a_nilpotent_generator(t):
+def test_flow_oracle_of_a_nilpotent_generator(t):
     # M = i sigma1 + sigma3 squares to 0, so the ray is that of
-    # exp(t M) psi0 = (I + t M) psi0; the oracle must hold it to a tenth of
-    # the 1e-7 tolerance of purestate/exponential-oracle, with the step
-    # count of a run at dt = 0.01, above the ceil(2 t / 300) products taken
+    # exp(t M) psi0 = (I + t M) psi0; the oracle must hold it at every row
+    # it samples to a tenth of the 1e-7 tolerance of
+    # purestate/exponential-oracle, with the step count of a run at
+    # dt = 0.01, above the ceil(2 h / 300) products a span of length h
+    # takes; the grid of up to 1e9 steps is never built
     a, b = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
     psi0 = np.array([0.6, 0.8])
-    want = psi0 + t * purestate.flow_generator(a, b) @ psi0
+    gen, steps = purestate.flow_generator(a, b), round(t / 0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning may escape
-        psi = checks.sphere_flow(a, b, psi0, t, round(t / 0.01))
-    assert np.max(np.abs(psi - want / np.linalg.norm(want))) < 1e-8
+        rows, psi = checks.flow_oracle(gen, psi0, t, steps, unit=True)
+    want = psi0 + (rows * t / steps)[:, None] * (gen @ psi0)
+    want /= np.linalg.norm(want, axis=1, keepdims=True)
+    assert np.max(np.abs(psi - want)) < 1e-8
 
 
 def test_package_imports_no_scipy():
@@ -461,13 +475,12 @@ def test_contact_reduction_consistency_sees_a_generator_off_by_1e_6(
         1.0, 2.0, 0.3, 0.7, 0.1, 0.2))], ids=["suite", "coupled"])
 def test_powers_of_one_expm_agree_with_an_expm_per_row(g):
     # the rows of mechanics/contact-reduction-consistency, each exact by
-    # its own expm, read by the powers route of linear_oracle
+    # its own expm, read by the powers route of flow_oracle
     times = integrators.time_grid(4.0, 1e-3, len(g))
     states = np.full((len(times), len(g)), np.nan)
     states[0] = np.linspace(1.0, 0.2, len(g))
     states[::100] = [expm(g * t) @ states[0] for t in times[::100]]
-    oracle = checks.linear_oracle("powers", g, times, states, 100, 1e-12)
-    assert oracle.passed and oracle.residual < 1e-12
+    assert checks.linear_residual(g, states, 4.0, 100) < 1e-12
 
 
 def test_a_pass_makes_one_call_per_stack(monkeypatch):
@@ -776,7 +789,8 @@ def nan_in_last_oracle_column(monkeypatch):
     states = np.full((len(times), len(g)), np.nan)
     states[::100] = [expm(g * t) @ [1.0, 0.2] for t in times[::100]]
     states[200, 1] = np.nan
-    return checks.linear_oracle("x", g, times, states, 100, 1e-12)
+    return checks.result("x", checks.linear_residual(g, states, 4.0, 100),
+                         1e-12)
 
 
 @pytest.mark.parametrize("nan_result", [
@@ -796,7 +810,7 @@ def nan_in_last_oracle_column(monkeypatch):
         "algebra_suite", "purestate_suite", "contact_residuals",
         "decomposition_sum", "decomposition_cancellation",
         "stratum_tangency", "contact_suite", "declared_projection",
-        "linear_oracle"])
+        "linear_residual"])
 def test_a_nan_residual_never_passes(nan_result, monkeypatch):
     # Python's max keeps a number over a NaN that follows it: max(0.0,
     # nan) is 0.0, so a NaN in a later case, row or column passed

@@ -1211,13 +1211,17 @@ class TestScenarioRuns:
 
     def test_circuit_oracle_holds_the_final_current_rate(self, monkeypatch):
         integrate = cli.integrate_contact
-        # the shift scales with the run: q' is relative to its own size
+        # the shift scales with the run: q' is relative to its own size,
+        # its largest |q'| on the rows the oracle samples
         for scale in (1.0, 1e8):
             final_qd = []
 
             def shifted(*args):
                 times, states, stopped_early = integrate(*args)
-                final_qd.append(abs(states[-1, 1]))
+                steps = len(times) - 1
+                rows = np.append(np.arange(
+                    0, steps, steps // checks.ORACLE_ROWS), steps)
+                final_qd.append(np.max(np.abs(states[rows, 1])))
                 states[-1, 1:2] += 1e-3 * scale  # q(t_end) is left exact
                 return times, states, stopped_early
 
@@ -1246,6 +1250,36 @@ class TestScenarioRuns:
         assert not oracle.passed
         # tau_1 = sigma_1 / sqrt(2) for a qubit
         assert oracle.residual == pytest.approx(1e-5 * 2 ** -0.5, rel=1e-4)
+
+    @pytest.mark.parametrize("builtin, module, flow, oracle", [
+        ("phase-damping", cli, "integrate", "gkls/exponential-oracle"),
+        ("bloch-gradient", purestate, "integrate_sphere_flow",
+         "purestate/exponential-oracle"),
+        ("rlc-single", cli, "integrate_contact", "circuit/linear-oracle"),
+        ("coupled-damped-oscillators", cli, "rk4_linear_path",
+         "mechanics/linear-oracle")],
+        ids=["gkls", "pure-state", "circuit", "linear"])
+    def test_every_oracle_reads_sampled_rows(self, builtin, module, flow,
+                                             oracle, monkeypatch):
+        # an interior row the oracle samples, row 32 s with
+        # s = steps // ORACLE_ROWS, moved by 1e-3 while the last row stays
+        # exact: an oracle of the last row alone passes the run
+        config = BUILTIN_SCENARIOS[builtin]["config"]
+        params = config["parameters"]
+        row = 32 * (round(params["t_end"] / params["dt"])
+                    // checks.ORACLE_ROWS)
+        step = getattr(module, flow)
+
+        def moved(*args):
+            times, states, stopped_early = step(*args)
+            states = states.copy()
+            states[row] += 1e-3
+            return times, states, stopped_early
+
+        monkeypatch.setattr(module, flow, moved)
+        _, _, invariants, _ = RUNNERS[config["kind"]](**params)
+        named = {inv.name: inv for inv in invariants}[oracle]
+        assert not named.passed and named.residual > 1e-4
 
     def test_linear_run_skips_verdicts_it_does_not_expect(self, monkeypatch):
         def refuse(g):
@@ -1510,12 +1544,14 @@ class CountedProducts(np.ndarray):
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_every_magnitude_exits_with_a_code(variant, monkeypatch):
-    # checks.sphere_flow took k = ceil(t ||M||_1 / 300) products, about
-    # 1.7e16 for the pure-state a00 scaled by 1e20 on its 5-step run,
-    # which never ended; capped at the run's step count, every config
-    # exits 0, 2 or 3, and 0 only with every invariant passing; t_end and
-    # dt are scaled too, and bound the products by the changed config's
-    # own step count; no invariant passes with a NaN residual
+    # the pure-state oracle once took k = ceil(t ||M||_1 / 300) products,
+    # about 1.7e16 for a00 scaled by 1e20 on its 5-step run, which never
+    # ended; checks.flow_oracle caps each span's products at its steps,
+    # so every oracle, of every kind, takes at most the run's step count,
+    # and every config exits 0, 2 or 3, and 0 only with every invariant
+    # passing; t_end and dt are scaled too, and bound the products by the
+    # changed config's own step count; no invariant passes with a NaN
+    # residual
     expm = checks.expm
     monkeypatch.setattr(checks, "expm",
                         lambda a: expm(a).view(CountedProducts))
