@@ -4,15 +4,21 @@ Each suite re-verifies the structural identities of its module on seeded
 random data and returns one CheckResult per declared invariant.  Seeds
 are fixed so repeated runs are deterministic; suites are merged in
 sorted order by name.  A suite draws its random data in a fixed RNG
-order, each run of consecutive normal draws as one ``_normals`` call (a
-Generator's normal values do not depend on the chunking; a uniform draw
-ends a run), builds its cases from that stack once, then evaluates its
-identities on stacks, per n or per suite, through the batch axes of
-``algebra``, ``gkls``, ``contact``, ``purestate`` and ``mechanics``: one
-call per stack, a stack of GKLS models too, and one field call per
-stencil.  ``flow_oracle`` alone makes the exponential oracles' rows, 0,
-s, 2s, ... and the last, s = steps // ``ORACLE_ROWS`` or 1 in a run, as
-powers of one ``expm`` normalised for pure states, none overflowing.
+order as stacks, each run of consecutive normal draws one ``_normals``
+call and each uniform draw one call, builds its cases from them once,
+then evaluates its identities on stacks, per n or per suite, through the
+batch axes of ``algebra``, ``gkls``, ``contact``, ``purestate`` and
+``mechanics``: one call per stack, a stack of GKLS models too, and one
+field call per stencil.  ``flow_oracle`` alone makes the exponential
+oracles' rows, 0, s, 2s, ... and the last, s = steps // ``ORACLE_ROWS``
+or 1 in a run and a suite alike, as powers of one ``expm`` normalised
+for pure states, none overflowing.
+
+Some invariants pass on their own draws only: reseeded,
+``purestate/observed-order`` and ``gkls/unitary-spectrum-invariance``
+fail now and then.  So a block added to a suite draws from a generator
+of its own, as the strata of ``gkls/gradient-flow-rank-constancy`` do,
+and the draws of the blocks before it stay as they are.
 
 An invariant that a CLI run also reports has its formula and tolerance
 in one helper here, which the suite and the CLI both call.  A residual
@@ -107,13 +113,13 @@ def superoperator(model):
                - 0.5 * (np.kron(model.V, eye) + np.kron(eye, model.V.T)))
 
 
-def flow_oracle(gen, y0, t, steps, stride=None, unit=False):
+def flow_oracle(gen, y0, t, steps, unit=False):
     """(rows, exact): rows 0, s, 2s, ... and steps of a path of steps equal
-    steps over [0, t], s = stride or steps // ORACLE_ROWS or 1, and
+    steps over [0, t], s = steps // ORACLE_ROWS or 1, and
     exp(r t / steps gen) y0 at each, normalised if unit: a span of w steps
     and length h is k products with one expm(h gen / k) per w, k = ceil(h
     ||gen||_1 / 300) or 1 but at most w, so that none overflows."""
-    rows = np.arange(0, steps, stride or steps // ORACLE_ROWS or 1)
+    rows = np.arange(0, steps, steps // ORACLE_ROWS or 1)
     exact, width, norm = [y0], 0, np.linalg.norm(gen, 1)
     for span in np.diff(rows, append=steps).tolist():
         if span != width:
@@ -129,11 +135,11 @@ def flow_oracle(gen, y0, t, steps, stride=None, unit=False):
     return np.append(rows, steps), np.array(exact)
 
 
-def linear_residual(g, states, t, stride=None):
-    """The linear flows' oracle residual: states against ``flow_oracle``'s
-    rows of y' = G y from states[0], each column relative to its exact
-    values."""
-    rows, exact = flow_oracle(g, states[0], t, len(states) - 1, stride)
+def linear_residual(g, states, t):
+    """The linear flows' oracle residual: states at ``flow_oracle``'s rows
+    0, s, 2s, ... and the last against y' = G y from states[0], each
+    column relative to its exact values."""
+    rows, exact = flow_oracle(g, states[0], t, len(states) - 1)
     return relative_rows((states[rows] - exact).T, exact.T)
 
 
@@ -313,12 +319,9 @@ def _hermitian(parts, scale):
 
 
 def _units(parts):
-    """psi / |psi| for psi = parts[..., 0, :] + i parts[..., 1, :], each
-    row by its own ``np.linalg.norm``, whose rounding a row-wise norm need
-    not share."""
+    """psi / |psi| for psi = parts[..., 0, :] + i parts[..., 1, :]."""
     psi = parts[..., 0, :] + 1j * parts[..., 1, :]
-    norms = [np.linalg.norm(row) for row in psi.reshape(-1, psi.shape[-1])]
-    return psi / np.reshape(norms, (*psi.shape[:-1], 1))
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
 
 
 def _densities(parts):
@@ -380,10 +383,7 @@ def algebra_suite():
 def gkls_suite():
     rng = np.random.default_rng(202)
     results = []
-    # |Tr L(rho)| by scalar abs: numpy's vectorised complex abs can differ
-    # from it in the last bit, which would move the reported residual
-    trace_sizes = []
-    cases = []
+    traces, cases = [], []
     bases = {n: build_su_basis(n) for n in (2, 3, 4)}
     for n in (2, 3):
         # five models, each its two jumps, its H and 20 draws of g's real
@@ -395,9 +395,9 @@ def gkls_suite():
                         0.6 * _complex(jumps)[:, None])
         rhos = _densities(draws[..., :2 * n * n].reshape(5, 20, 2, n, n))
         images = apply_generator(m.H, m.V, m.jumps, rhos)
-        trace_sizes.extend(map(abs, np.trace(images, axis1=-2, axis2=-1).flat))
+        traces.append(np.trace(images, axis1=-2, axis2=-1))
         cases.append((m, draws[..., 2 * n * n:]))
-    results.append(trace_preservation(trace_sizes))
+    results.append(trace_preservation(traces))
     results.extend(decomposition_identities(cases))
 
     basis = bases[3]
@@ -419,13 +419,10 @@ def gkls_suite():
     strata_rng = np.random.default_rng(212)
     for n, n_basis in bases.items():
         for rank in range(1, n):
-            # five draws, each its columns, its weights (a uniform draw,
-            # which ends a run of normals), then its H and V; the stacks
-            # make one QR and one Hermitian build each
-            cols, weights, hv = map(np.stack, zip(*[(
-                strata_rng.normal(size=(2, n, rank)),
-                strata_rng.uniform(0.1, 1.0, size=rank),
-                strata_rng.normal(size=(2, 2, n, n))) for _ in range(5)]))
+            # five draws, each its columns and its H and V, then their
+            # weights; the stacks make one QR and one Hermitian build each
+            cols, hv = _normals(strata_rng, (5,), (2, n, rank), (2, 2, n, n))
+            weights = strata_rng.uniform(0.1, 1.0, size=(5, rank))
             cases.append((n_basis, _hermitian(hv[:, 0], 1.0),
                           _hermitian(hv[:, 1], 0.5),
                           np.linalg.qr(_complex(cols))[0],
@@ -438,11 +435,11 @@ def gkls_suite():
     _, points, _ = integrate(m, x0, t_end=5.0, dt=2e-3)
     results.append(positivity(spectra(m.basis, points)[1][:, 0]))
 
-    # gkls.integrate at t = 1 against the exact flow, one span of the
-    # dt = 0.01 run's steps; two jumps make B != 0, testing the lift's B
+    # gkls.integrate at t = 1 against the exact flow at the last of the
+    # dt = 0.01 run's rows; two jumps make B != 0, testing the lift's B
     h, jumps, rho0 = _random_gkls(rng, 3)
     m = build_model(basis, h, jumps)
-    rho1 = flow_oracle(superoperator(m), np.ravel(rho0), 1.0, 100, 100)[1][-1]
+    rho1 = flow_oracle(superoperator(m), np.ravel(rho0), 1.0, 100)[1][-1]
     x0, exact = to_coherence_vector([rho0, rho1.reshape(3, 3)], basis)
     errors = [np.max(np.abs(integrate(m, x0, 1.0, dt)[1][-1] - exact))
               for dt in (0.04, 0.02, 0.01)]
@@ -452,8 +449,9 @@ def gkls_suite():
 
 def purestate_suite():
     rng = np.random.default_rng(303)
-    results = []
-    kaehler_res = []
+    kaehler_res, tangency_res, commute_res, proj_res = [], [], [], []
+    rank_bad = 0.0
+    residual_cases = []
     for n in (2, 3):
         # basis psi_a: <psi_a, psi_b> = g_ab + i omega_ab, J psi_a = -i psi_a
         omega, g, j = ps.ambient_tensors(n)
@@ -462,13 +460,6 @@ def purestate_suite():
         j_form = ps.to_chart(-1j * psis).T
         kaehler_res += [np.max(np.abs(d)) for d in (
             form.real - g, form.imag - omega, j - j_form, j.T @ omega - g)]
-    results.append(result("purestate/kaehler-compatibility",
-                          np.max(kaehler_res), 1e-14))
-
-    tangency_res, commute_res, proj_res = [], [], []
-    rank_bad = 0.0
-    residual_cases = []
-    for n in (2, 3):
         basis = build_su_basis(n)
         # ten (a, b, psi), one draw
         a, b, psi = _random_sphere(rng, (10,), n)
@@ -496,19 +487,21 @@ def purestate_suite():
         xh, yv, _ = evaluate_component_fields(
             decompose_field(basis, -a, -2.0 * b), points)
         proj_res.append(np.max(np.abs(pushed - (xh - yv))))
-    results += [result("purestate/sphere-tangency", np.max(tangency_res),
-                       1e-12),
-                contact_residuals(residual_cases),
-                result("purestate/gradient-projectability",
-                       np.max(commute_res), 1e-9),
-                result("purestate/contact-volume-rank", rank_bad, 0.5),
-                result("purestate/projection-consistency", np.max(proj_res),
-                       1e-12)]
+    results = [result("purestate/kaehler-compatibility", np.max(kaehler_res),
+                      1e-14),
+               result("purestate/sphere-tangency", np.max(tangency_res),
+                      1e-12),
+               contact_residuals(residual_cases),
+               result("purestate/gradient-projectability",
+                      np.max(commute_res), 1e-9),
+               result("purestate/contact-volume-rank", rank_bad, 0.5),
+               result("purestate/projection-consistency", np.max(proj_res),
+                      1e-12)]
 
     # the sphere route at t = 2 against the normalised exponential flow
     a, b, psi0 = _random_sphere(rng, (), 2)
-    exact = flow_oracle(ps.flow_generator(a, b), psi0, 2.0, 40, 40,
-                        unit=True)[1][-1]  # one span of the dt = 0.05 run
+    exact = flow_oracle(ps.flow_generator(a, b), psi0, 2.0, 40,
+                        unit=True)[1][-1]  # the last row of the dt = 0.05 run
     errors = [np.max(np.abs(ps.integrate_sphere_flow(
         a, b, psi0, 2.0, dt)[1][-1] - exact)) for dt in (0.2, 0.1, 0.05)]
     results.append(observed_order("purestate/observed-order", errors))
@@ -607,30 +600,28 @@ def mechanics_suite():
     results.extend(friction_invariants(gamma, states, dt))
 
     # projectable contact flow vs the exact flow of q'' + gam q' + v q = 0
-    # at every 100th row, the powers of one expm(G 100 dt)
+    # at flow_oracle's rows
     v_coeff, gam = 1.1, 0.3
     _, states, _ = integrate_contact(rlc_single(gam, 1.0, 1.0 / v_coeff),
                                      ([1.0], [0.0], 0.2), 4.0, dt)
     g = representative_matrix(np.ones((1, 1)), np.full((1, 1), gam),
                               np.full((1, 1), v_coeff))
     results.append(result("mechanics/contact-reduction-consistency",
-                          linear_residual(g, states[:, :2], 4.0, 100), 1e-8))
+                          linear_residual(g, states[:, :2], 4.0), 1e-8))
 
     # the two halves of linear_projection that the closed form relies on,
     # at random in-domain states of each builder that sets it: the field's
     # (q, q') rows are the linear law z' = G z, and h(S) = h(0) + r S with
-    # r = dh_ds(0); a builder's 20 states are drawn one by one, as their
-    # normal and uniform draws interleave, and make one field call, each
-    # row relative to its own G z and r S
+    # r = dh_ds(0); a builder's 20 states are one normal and one uniform
+    # draw and make one field call, each row relative to its own G z and
+    # r S
     res = []
     for sys in (rlc_single(0.4, 1.2, 0.9), friction_system(gamma),
                 rlc_coupled(1.0, 1.0, 1.0, 0.5, 0.5, 0.3, 0.2)):
         g, dim = _projected_generator(sys), 2 * sys.n
         h0, r = sys.h(0.0), float(sys.dh_ds(0.0))
-        ys = np.empty((20, dim + 1))
-        for y in ys:
-            y[:] = rng.normal(size=dim + 1)
-            y[sys.n:dim] = rng.uniform(0.1, 2.0, size=sys.n)
+        ys = rng.normal(size=(20, dim + 1))
+        ys[:, sys.n:dim] = rng.uniform(0.1, 2.0, size=(20, sys.n))
         gz, rs = matvec(g, ys[:, :dim]), r * ys[:, dim]
         res += [relative_rows(contact_el_field(sys, ys)[:, :dim] - gz, gz),
                 relative_rows(sys.h(ys[:, dim]) - h0 - rs, rs)]

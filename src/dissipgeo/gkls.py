@@ -133,11 +133,8 @@ def build_model(basis, H, jumps=()):
     H = np.asarray(H, dtype=complex)
     if not is_hermitian(H):
         raise ValueError("H must be Hermitian")
-    if H.shape[-2:] != (basis.n, basis.n):
-        raise ValueError(f"H shape {H.shape} does not match n={basis.n}")
-    for shape in map(np.shape, jumps):
-        if shape[-2:] != (basis.n, basis.n):
-            raise ValueError(f"jump shape {shape} does not match n={basis.n}")
+    for shape in [H.shape, *map(np.shape, jumps)]:
+        _check_matrices(shape, basis.n)
     jumps = np.asarray(jumps, dtype=complex) if len(jumps) else np.zeros(
         (0, basis.n, basis.n), dtype=complex)
     V = np.zeros_like(H)

@@ -6,6 +6,7 @@ import that nothing reads goes."""
 import ast
 import dataclasses
 import importlib
+import inspect
 from collections import Counter
 from functools import partial
 from pathlib import Path
@@ -319,8 +320,9 @@ def test_one_exponential_oracle():
     """checks.flow_oracle alone makes the rows of every exponential
     oracle, the GKLS, pure-state and linear flows alike, so in checks and
     cli it alone calls expm, the per-flow helpers it replaced are gone,
-    and no CLI run passes a stride: a run's oracle reads the rows of the
-    one rule, s = steps // ORACLE_ROWS or 1."""
+    and neither it nor linear_residual takes a stride: every oracle, of
+    a run or a suite, reads the rows of the one rule, s = steps //
+    ORACLE_ROWS or 1."""
     def expm_call(call):
         return "expm" in referenced_names(call.func)
 
@@ -328,15 +330,9 @@ def test_one_exponential_oracle():
         == ["checks.flow_oracle"]
     assert not {"gkls_flow", "sphere_flow", "linear_oracle"} \
         & set(vars(checks))
-    arity = {"flow_oracle": 4, "linear_residual": 3}
-    calls = [node for node in ast.walk(ast.parse(
-        (SOURCE / "cli.py").read_text())) if isinstance(node, ast.Call)
-        and referenced_names(node.func) & set(arity)]
-    assert sorted(ast.unparse(call.func) for call in calls) == [
-        "flow_oracle", "flow_oracle", "linear_residual", "linear_residual"]
-    assert all(len(call.args) <= arity[ast.unparse(call.func)]
-               and "stride" not in [k.arg for k in call.keywords]
-               for call in calls)
+    assert str(inspect.signature(checks.flow_oracle)) \
+        == "(gen, y0, t, steps, unit=False)"
+    assert str(inspect.signature(checks.linear_residual)) == "(g, states, t)"
 
 
 def test_gradient_field_has_one_home():

@@ -171,6 +171,39 @@ def suite_results(suite):
     return {r.name: r for r in run_checks(suite)}
 
 
+# invariants that fail on some reseeded draw (CHANGES.md FOUND): a change
+# that moves the draws of their blocks can fail `dissipgeo checks`
+ON_THEIR_OWN_DRAW = {
+    "purestate/observed-order": "fails at k = 3 and 9 (0.77 and 2.9 "
+    "against its 0.3 band), 10 of k = 0..59",
+    "gkls/unitary-spectrum-invariance": "fails at k = 13 (1.002e-8 "
+    "against 1e-8), 2 of k = 0..59",
+}
+
+
+@pytest.fixture(scope="module")
+def reseeded_runs():
+    """run_checks() with each suite generator seeded [seed, k] for
+    k = 0..15 in place of seed: the same invariants on other draws."""
+    runs, draw = [], np.random.default_rng
+    with pytest.MonkeyPatch.context() as mp:
+        for k in range(16):
+            mp.setattr(np.random, "default_rng",
+                       lambda seed, k=k: draw([seed, k]))
+            runs.append({r.name: r for r in run_checks()})
+    return runs
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, reason=ON_THEIR_OWN_DRAW[name]))
+    if name in ON_THEIR_OWN_DRAW else name
+    for name in [r.name for r in run_checks()]])
+def test_every_invariant_passes_on_other_draws(name, reseeded_runs):
+    assert [k for k, run in enumerate(reseeded_runs)
+            if not run[name].passed] == []
+
+
 @pytest.mark.parametrize("suite", sorted(checks.SUITES))
 def test_suite_makes_no_rk4_path_call(suite, monkeypatch):
     def refuse(*args, **kwargs):
@@ -468,6 +501,12 @@ def test_contact_reduction_consistency_sees_a_generator_off_by_1e_6(
         "mechanics/contact-reduction-consistency"].passed
 
 
+def oracle_rows(steps):
+    """The rows 0, s, 2s, ... and steps that flow_oracle reads."""
+    return np.append(np.arange(0, steps, steps // checks.ORACLE_ROWS or 1),
+                     steps)
+
+
 @pytest.mark.parametrize("g", [
     mechanics.representative_matrix(np.ones((1, 1)), np.full((1, 1), 0.3),
                                     np.full((1, 1), 1.1)),
@@ -475,18 +514,21 @@ def test_contact_reduction_consistency_sees_a_generator_off_by_1e_6(
         1.0, 2.0, 0.3, 0.7, 0.1, 0.2))], ids=["suite", "coupled"])
 def test_powers_of_one_expm_agree_with_an_expm_per_row(g):
     # the rows of mechanics/contact-reduction-consistency, each exact by
-    # its own expm, read by the powers route of flow_oracle
+    # its own expm, read by the powers route of flow_oracle; every other
+    # row is NaN, so a read of any of them fails
     times = integrators.time_grid(4.0, 1e-3, len(g))
+    rows = oracle_rows(len(times) - 1)
     states = np.full((len(times), len(g)), np.nan)
     states[0] = np.linspace(1.0, 0.2, len(g))
-    states[::100] = [expm(g * t) @ states[0] for t in times[::100]]
-    assert checks.linear_residual(g, states, 4.0, 100) < 1e-12
+    states[rows] = [expm(g * t) @ states[0] for t in times[rows]]
+    assert checks.linear_residual(g, states, 4.0) < 1e-12
 
 
 def test_a_pass_makes_one_call_per_stack(monkeypatch):
     # the batch axis in call counts: contact_el_field is called 80 times
     # per pass without it, expm 41 times in the mechanics suite alone and
-    # to_coherence_vector 117 times
+    # to_coherence_vector 117 times; the mechanics oracle's 4,000 steps
+    # are 64 spans of 62 and one of 32, two expm calls
     counts, suite = Counter(), [None]
 
     def counted(module, name):
@@ -535,7 +577,7 @@ def test_a_pass_makes_one_call_per_stack(monkeypatch):
         ("gkls", "to_coherence_vector"): 6, ("gkls", "build_model"): 5,
         ("gkls", "apply_generator"): 2, ("gkls", "decompose_field"): 5,
         ("gkls", "_hermitian"): 19, ("gkls", "relative_rows"): 3,
-        ("mechanics", "contact_el_field"): 9, ("mechanics", "expm"): 1,
+        ("mechanics", "contact_el_field"): 9, ("mechanics", "expm"): 2,
         ("mechanics", "hamiltonianity_criterion"): 2,
         ("mechanics", "relative"): 5, ("mechanics", "relative_rows"): 7,
         ("purestate", "decompose_field"): 2,
@@ -613,41 +655,17 @@ def test_one_normal_draw_is_the_draws_one_by_one(lead, shapes):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-@pytest.mark.parametrize("n, rank", [(2, 1), (4, 3)])
-def test_a_uniform_draw_splits_a_run_of_normals(n, rank):
-    # the strata layout: each draw's columns, then its weights, then its H
-    # and V as one (2, 2, n, n) draw, against H and V drawn one by one
-    rng, ref = np.random.default_rng(212), np.random.default_rng(212)
-    for _ in range(5):
-        assert np.array_equal(rng.normal(size=(2, n, rank)),
-                              ref.normal(size=(2, n, rank)))
-        assert np.array_equal(rng.uniform(0.1, 1.0, size=rank),
-                              ref.uniform(0.1, 1.0, size=rank))
-        hv = rng.normal(size=(2, 2, n, n))
-        assert np.array_equal(checks._hermitian(hv, 1.0)[0], checks._hermitian(
-            ref.normal(size=(2, n, n)), 1.0))
-        assert np.array_equal(checks._hermitian(hv, 0.5)[1], checks._hermitian(
-            ref.normal(size=(2, n, n)), 0.5))
-    assert rng.bit_generator.state == ref.bit_generator.state
-    # the normals after the uniform draw are not the ones the run would
-    # have continued with
-    merged = np.random.default_rng(212).normal(size=2 * n * rank + 4 * n * n)
-    split = np.random.default_rng(212)
-    split.normal(size=(2, n, rank))
-    split.uniform(0.1, 1.0, size=rank)
-    assert not np.array_equal(merged[2 * n * rank:],
-                              split.normal(size=4 * n * n))
-
-
 def test_stacked_cases_are_the_cases_one_by_one():
-    # _units normalises each row by its own norm call, and _quadratics
-    # reads each raw (13,) row as the (c0, lin, quad) drawn one by one
+    # each row of a stacked _units call is a unit vector with the bits of
+    # a call on that row alone, and _quadratics reads each raw (13,) row
+    # as the (c0, lin, quad) drawn one by one
     rng = np.random.default_rng(9)
     parts = rng.normal(size=(10, 2, 3))
-    for row, psi in zip(parts, checks._units(parts)):
-        one = row[0] + 1j * row[1]
-        assert np.array_equal(psi, one / np.linalg.norm(one))
-    assert np.array_equal(checks._units(parts[0]), checks._units(parts)[0])
+    units = checks._units(parts)
+    assert np.allclose(np.linalg.norm(units, axis=-1), 1.0, rtol=0,
+                       atol=1e-15)
+    for row, psi in zip(parts, units):
+        assert np.array_equal(checks._units(row), psi)
     raw = rng.normal(size=(6, 13))
     points = rng.normal(size=(6, 3))
     field = checks._quadratics(raw)
@@ -786,11 +804,11 @@ def nan_in_last_oracle_column(monkeypatch):
     g = mechanics.representative_matrix(np.ones((1, 1)), np.full((1, 1), 0.3),
                                         np.full((1, 1), 1.1))
     times = integrators.time_grid(4.0, 1e-3, len(g))
+    rows = oracle_rows(len(times) - 1)
     states = np.full((len(times), len(g)), np.nan)
-    states[::100] = [expm(g * t) @ [1.0, 0.2] for t in times[::100]]
-    states[200, 1] = np.nan
-    return checks.result("x", checks.linear_residual(g, states, 4.0, 100),
-                         1e-12)
+    states[rows] = [expm(g * t) @ [1.0, 0.2] for t in times[rows]]
+    states[rows[3], 1] = np.nan
+    return checks.result("x", checks.linear_residual(g, states, 4.0), 1e-12)
 
 
 @pytest.mark.parametrize("nan_result", [

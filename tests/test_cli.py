@@ -201,6 +201,14 @@ BAD_VALUE_CONFIGS = {
         **FRICTION, "gamma": -0.5, "t_end": 10.0, "dt": 0.01}),
     "integer-overflowing-a-float": ("circuit", {
         **RLC_SINGLE, "inductance": 10 ** 400}),
+    # 1/C overflows from a positive, finite capacitance
+    "single-capacitance-1e-320": ("circuit", {
+        **RLC_SINGLE, "capacitance": 1e-320}),
+    "coupled-c1-1e-320": ("circuit", {**COUPLED, "c1": 1e-320}),
+    # a jump that is not n x n for the Hamiltonian's n
+    "jump-3x3-on-a-qubit": ("gkls", {
+        "hamiltonian": SIGMA3, "jumps": [[[[0.0, 0.0]] * 3] * 3],
+        "x0": [0.5, 0.0, 0.0], "t_end": 1.0, "dt": 1e-2}),
     # an initial gkls state must be a density matrix
     "x0-outside-bloch-ball": ("gkls", {**PHASE_DAMPING, "x0": [2, 0, 0]}),
     "rho0-negative-eigenvalue": ("gkls", {

@@ -86,6 +86,20 @@ class TestChartBasics:
             with pytest.raises(DegenerateContactError):
                 call()
 
+    def test_nearly_degenerate_chart_raises(self):
+        # eta 1e-13 off the annihilator of ker omega: the bordered matrix
+        # is invertible in floats, but its solve misses the right-hand side
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(3, 3))
+        omega = a - a.T
+        k = np.linalg.svd(omega)[2][-1]
+        eta0 = rng.normal(size=3)
+        eta = eta0 - (eta0 @ k) * k + 1e-13 * k
+        chart = ContactChart(dim=3, eta=lambda p: eta,
+                             omega=lambda p: omega)
+        with pytest.raises(DegenerateContactError, match="did not converge"):
+            reeb_field(chart, np.zeros(3))
+
     def test_scalar_field_gradient_consistency(self):
         rng = np.random.default_rng(1)
         f = quadratic_field(rng, 3)

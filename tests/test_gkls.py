@@ -114,6 +114,13 @@ class TestGenerator:
             (tmp_path / "four-jumps_report.json").read_text())
         assert len(report["invariants"]) == 5
 
+    def test_build_model_refuses_matrices_of_another_size(self):
+        basis = build_su_basis(2)
+        with pytest.raises(ValueError, match=r"\(3, 3\) does not end in"):
+            build_model(basis, np.eye(3))
+        with pytest.raises(ValueError, match=r"\(3, 3\) does not end in"):
+            build_model(basis, np.eye(2), [np.eye(2), np.eye(3)])
+
     def test_phase_damping_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             phase_damping_model(0.0)

@@ -210,6 +210,10 @@ class TestHamiltonianityCriterion:
         result = hamiltonianity_criterion(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert result.verdict == "hamiltonian-admissible"
 
+    def test_odd_size_is_refused(self):
+        with pytest.raises(ValueError, match="square of even size"):
+            hamiltonianity_criterion(np.eye(3))
+
     def test_equal_frequencies_inconclusive(self):
         sys = coupled_damped_oscillators(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
         result = hamiltonianity_criterion(representative_matrix(*sys))
