@@ -8,6 +8,7 @@ field and an h affine in S, held by one invariant."""
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -56,6 +57,21 @@ def test_random_matrices_match_scipy(n, dtype):
                          ids=["critical", "jordan", "stiff"])
 def test_linear_flows_match_scipy(g, t):
     assert_matches_scipy(g * t)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_taylor_degree_reaches_rounding(n):
+    # below ||a||_1 = 1/2 no square amplifies the Taylor sum's truncation,
+    # so the least degree with theta^(m+1) / (m+1)! <= 2^-54 meets scipy
+    # to rounding (two degrees fewer miss by about 1e-13); a NaN takes the
+    # top degree and stays NaN
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(20, n, n)) + 1j * rng.normal(size=(20, n, n))
+    a /= np.abs(a).sum(axis=1).max(axis=1)[:, None, None]  # ||a||_1 = 1
+    for b in np.concatenate([a * theta for theta in (0.05, 0.26, 0.49)]):
+        want = scipy.linalg.expm(b)
+        assert np.max(np.abs(expm(b) - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.isnan(expm(np.full((n, n), np.nan))).all()
 
 
 def test_zero_matrix_is_identity():
@@ -134,6 +150,85 @@ def test_flow_oracle_of_a_nilpotent_generator(t):
     want = psi0 + (rows * t / steps)[:, None] * (gen @ psi0)
     want /= np.linalg.norm(want, axis=1, keepdims=True)
     assert np.max(np.abs(psi - want)) < 1e-8
+
+
+class StackedProducts(np.ndarray):
+    """A step of flow_oracle whose products with a state are recorded, a
+    stacked product of b powers as one entry b."""
+
+    batches = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [np.asarray(x) for x in inputs]
+        if ufunc is np.matmul and inputs[1].ndim == 1:
+            StackedProducts.batches.append(math.prod(inputs[0].shape[:-2]))
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def block_rule(gen, t, steps):
+    """(k, b) of flow_oracle's spans of s steps: k products a span, taken
+    b at a time, the most whose exponents h ||gen||_1 / k sum to 300."""
+    s = steps // checks.ORACLE_ROWS or 1
+    h, norm = s * t / steps, np.abs(gen).sum(axis=0).max()
+    k = int(min(s, np.ceil(h * norm / 300))) or 1
+    total, theta = k * (steps // s), h * norm / k
+    return k, (total if theta * total <= 300 else int(300 / theta)) or 1
+
+
+@pytest.mark.parametrize("unit", [False, True], ids=["linear", "unit"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("t", [1.0, 50.0, 400.0],
+                         ids=["one-block", "blocks", "k-above-1"])
+def test_flow_oracle_rows_match_scipy_row_by_row(t, n, unit):
+    # 997 steps: 66 spans of s = 15 and a last span of 7; M = i a + b with
+    # ||a||_1 = 2 and ||b||_1 = 56 takes the 66 products of the spans of
+    # 15 in one block at t = 1, in several blocks of b > 1 at t = 50 and
+    # as k > 1 products a span at t = 400; M - mu, mu its spectral
+    # abscissa, keeps a linear flow and scipy's exponential finite and
+    # leaves every ray as it is; each row against scipy's, the ray of a
+    # unit flow, by the rule of relative
+    rng = np.random.default_rng(530 + n)
+    a, b = checks._hermitian(rng.normal(size=(2, 2, n, n)), 1.0)
+    gen = purestate.flow_generator(2 * a / np.abs(a).sum(axis=0).max(),
+                                   56 * b / np.abs(b).sum(axis=0).max())
+    shifted = gen - np.linalg.eigvals(gen).real.max() * np.eye(n)
+    psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi0 /= np.linalg.norm(psi0)
+    k, b = block_rule(gen if unit else shifted, t, 997)
+    assert {1.0: b == 66, 50.0: k == 1 < b < 66, 400.0: k > 1}[t]
+    rows, exact = checks.flow_oracle(gen if unit else shifted, psi0, t, 997,
+                                     unit=unit)
+    assert np.diff(rows).tolist() == [15] * 66 + [7]
+    want = np.array([scipy.linalg.expm(r * t / 997 * shifted) @ psi0
+                     for r in rows])
+    if unit:
+        want /= np.linalg.norm(want, axis=1, keepdims=True)
+    assert checks.relative_rows(exact - want, want) < 1e-11
+
+
+@pytest.mark.parametrize("name", ["bloch-gradient", "rlc-coupled"])
+def test_powers_reach_the_states_in_few_stacked_products(name, monkeypatch):
+    # flow_oracle applies a block of b powers to its first state as one
+    # stacked product, where it once took a product a row: at most
+    # ceil(rows / b) + 2 stacked products reach the states
+    calls, oracle = [], checks.flow_oracle
+
+    def recorded(gen, y0, t, steps, unit=False):
+        calls.append(block_rule(gen, t, steps))
+        return oracle(gen, y0, t, steps, unit)
+
+    for module in (checks, cli):
+        monkeypatch.setattr(module, "flow_oracle", recorded)
+    monkeypatch.setattr(checks, "expm",
+                        lambda a: expm(a).view(StackedProducts))
+    monkeypatch.setattr(StackedProducts, "batches", [])
+    config = cli.BUILTIN_SCENARIOS[name]["config"]
+    cli.RUNNERS[config["kind"]](**config["parameters"])
+    rows = oracle_rows(round(config["parameters"]["t_end"]
+                             / config["parameters"]["dt"]))
+    (k, b), = calls
+    assert k == 1 and sum(StackedProducts.batches) == len(rows) - 1
+    assert len(StackedProducts.batches) <= math.ceil(len(rows) / b) + 2
 
 
 def test_package_imports_no_scipy():
@@ -468,6 +563,27 @@ def test_reeb_defining_equations_can_fail(monkeypatch, capsys):
     assert len(lines) == 7
     assert f"[FAIL] contact/reeb-defining-equations " \
         f"residual={reeb.residual:.3e}" in lines
+
+
+def test_contact_volume_rank_sees_a_wrong_contact_form(monkeypatch, capsys):
+    # eta_0 = z / r^2 in place of J z / r^2 drops the rank of the volume
+    # stack and leaves the sphere chart's bordered solve without a
+    # solution: that raise fails purestate/generalized-contact-field with
+    # residual inf, and every purestate name is still reported
+    names = list(suite_results("purestate"))
+    monkeypatch.setattr(purestate, "contact_form",
+                        lambda z: z / purestate.norm_squared(z)[..., None])
+    results = suite_results("purestate")
+    assert list(results) == names
+    for name in ("purestate/contact-volume-rank",
+                 "purestate/generalized-contact-field"):
+        assert not results[name].passed
+    assert results["purestate/generalized-contact-field"].residual == np.inf
+    assert cli.main(["checks", "--filter", "purestate"]) \
+        == cli.EXIT_NUMERICAL
+    out = capsys.readouterr().out
+    assert "[FAIL] purestate/contact-volume-rank" in out
+    assert "[FAIL] purestate/generalized-contact-field" in out
 
 
 def test_verdict_residual_is_the_scaled_odd_trace():

@@ -3,6 +3,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import re
 import tempfile
 import tracemalloc
@@ -1541,13 +1542,19 @@ def step_count(params):
 
 
 class CountedProducts(np.ndarray):
-    """A matrix whose products with a vector, ``step @ psi``, are counted."""
+    """A step of an oracle whose products with a state are counted, a
+    stacked product of b of its powers with one state as b products; a
+    product past ``limit`` fails at once, so an oracle that would take
+    far more ends."""
 
-    count = 0
+    count = limit = 0
 
-    def __matmul__(self, other):
-        CountedProducts.count += 1
-        return np.asarray(self) @ other
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [np.asarray(x) for x in inputs]
+        if ufunc is np.matmul and inputs[1].ndim == 1:
+            CountedProducts.count += math.prod(inputs[0].shape[:-2])
+            assert CountedProducts.count <= CountedProducts.limit
+        return getattr(ufunc, method)(*inputs, **kwargs)
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -1558,13 +1565,14 @@ def test_every_magnitude_exits_with_a_code(variant, monkeypatch):
     # so every oracle, of every kind, takes at most the run's step count,
     # and every config exits 0, 2 or 3, and 0 only with every invariant
     # passing; t_end and dt are scaled too, and bound the products by the
-    # changed config's own step count; no invariant passes with a NaN
-    # residual
+    # changed config's own step count (flow_oracle's power stack keeps
+    # the step's class, so each stacked product counts its batch); no
+    # invariant passes with a NaN residual
     expm = checks.expm
     monkeypatch.setattr(checks, "expm",
                         lambda a: expm(a).view(CountedProducts))
     kind, params = VARIANTS[variant]
-    codes = {}
+    codes, products = {}, 0
     for path in numeric_leaves(params):
         for label, factor in MAGNITUDES.items():
             changed = copy.deepcopy(params)
@@ -1572,7 +1580,8 @@ def test_every_magnitude_exits_with_a_code(variant, monkeypatch):
             for key in path[:-1]:
                 holder = holder[key]
             holder[path[-1]] *= factor
-            CountedProducts.count = 0
+            CountedProducts.count, CountedProducts.limit = 0, step_count(
+                changed)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code, report = edge_run(kind, changed)
@@ -1583,6 +1592,7 @@ def test_every_magnitude_exits_with_a_code(variant, monkeypatch):
                 assert not [inv["name"] for inv in report["invariants"]
                             if inv["passed"] and np.isnan(inv["residual"])]
             assert CountedProducts.count <= step_count(changed)
+            products = max(products, CountedProducts.count)
             if path in (("t_end",), ("dt",)):
                 # past the time_grid cap or short of one step
                 assert code == EXIT_USAGE
@@ -1591,6 +1601,9 @@ def test_every_magnitude_exits_with_a_code(variant, monkeypatch):
         # a00 scaled by 1e20 fails its oracle; psi0 = e1 never reads a11
         assert codes[("a", 0, 0, 0), "x1e20"] == EXIT_NUMERICAL
         assert codes[("a", 1, 1, 0), "x1e20"] == EXIT_OK
+    # the count is not vacuous: a run of each kind but friction, which has
+    # no exponential oracle, reaches its oracle's products
+    assert (products > 0) == (variant != "friction")
 
 
 @st.composite
